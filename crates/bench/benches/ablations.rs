@@ -1,5 +1,5 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md §5:
-//! each pits the chosen implementation against its reference alternative.
+//! Ablation benchmarks for the engine's design choices: each pits the
+//! chosen implementation against its reference alternative.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, RngCore};

@@ -2,7 +2,7 @@
 //!
 //! The original figures are Excel line charts; offline, an ASCII grid with
 //! one glyph per series is enough to read off ordering and convergence
-//! shape. Rendered plots are embedded in EXPERIMENTS.md.
+//! shape. The figure binaries write the rendered plot to `figN.txt`.
 
 use wmn_metrics::stats::Trace;
 

@@ -252,7 +252,7 @@ impl ExperimentConfig {
             // neighborhood budget open ("all or a pre-fixed number"); 16
             // reproduces Figure 4's separation under the mutual-range link
             // model (swap ≈ 46/64 vs random ≈ 14/64 at phase 61 — the
-            // paper reports ≈ 55 vs ≈ 20). See DESIGN.md §2.
+            // paper reports ≈ 55 vs ≈ 20).
             ns_budget: 16,
             sample_every: 5,
             runner_threads: 0,

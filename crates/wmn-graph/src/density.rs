@@ -4,7 +4,8 @@
 //! swap movement (paper Algorithm 3) locates the most dense and most sparse
 //! `Hg × Wg` sub-areas. Both reduce to rectangular window sums over a cell
 //! grid of client counts, which a summed-area table answers in O(1) per
-//! window.
+//! window. [`ZoneBins`] then maps points (router positions) onto a ranked
+//! zone list in O(1) per point.
 
 use wmn_model::geometry::{Area, Point, Rect};
 
@@ -247,12 +248,50 @@ impl DensityMap {
     /// Maps a window back to deployment-area coordinates.
     pub fn window_rect(&self, w: &CellWindow) -> Rect {
         Rect::new(
-            Point::new(w.cx as f64 * self.cell_w, w.cy as f64 * self.cell_h),
-            Point::new(
-                (w.cx + w.w) as f64 * self.cell_w,
-                (w.cy + w.h) as f64 * self.cell_h,
-            ),
+            Point::new(self.edge_x(w.cx), self.edge_y(w.cy)),
+            Point::new(self.edge_x(w.cx + w.w), self.edge_y(w.cy + w.h)),
         )
+    }
+
+    /// The `k`-th vertical cell edge, `k·cell_w`. Window rects and
+    /// [`ZoneBins`] both take their x-bounds from here, bit for bit.
+    fn edge_x(&self, k: usize) -> f64 {
+        k as f64 * self.cell_w
+    }
+
+    /// The `k`-th horizontal cell edge, `k·cell_h`.
+    fn edge_y(&self, k: usize) -> f64 {
+        k as f64 * self.cell_h
+    }
+
+    /// Bins a zone ranking (windows in rank order, e.g. from
+    /// [`ranked_disjoint_windows`](DensityMap::ranked_disjoint_windows))
+    /// for O(1) point → zone lookup; see [`ZoneBins`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a window exceeds the grid.
+    pub fn zone_bins(&self, zones: &[CellWindow]) -> ZoneBins {
+        let mut cell_zone = vec![NO_ZONE; self.cols * self.rows];
+        // Reverse rank order, so a cell covered by several windows ends up
+        // owned by the first of them.
+        for (zi, z) in zones.iter().enumerate().rev() {
+            let zi = u32::try_from(zi).expect("fewer zones than u32::MAX");
+            for cy in z.cy..z.cy + z.h {
+                cell_zone[cy * self.cols + z.cx..][..z.w].fill(zi);
+            }
+        }
+        ZoneBins {
+            cols: self.cols,
+            rows: self.rows,
+            inv_cell_w: 1.0 / self.cell_w,
+            inv_cell_h: 1.0 / self.cell_h,
+            edges_x: (0..=self.cols).map(|k| self.edge_x(k)).collect(),
+            edges_y: (0..=self.rows).map(|k| self.edge_y(k)).collect(),
+            rects: zones.iter().map(|z| self.window_rect(z)).collect(),
+            clients: zones.iter().map(|z| self.window_count(z)).collect(),
+            cell_zone,
+        }
     }
 
     /// The cell containing `p` (clamped into the grid).
@@ -260,6 +299,155 @@ impl DensityMap {
         let cx = ((p.x / self.cell_w).floor().max(0.0) as usize).min(self.cols - 1);
         let cy = ((p.y / self.cell_h).floor().max(0.0) as usize).min(self.rows - 1);
         (cx, cy)
+    }
+}
+
+/// [`ZoneBins`]' cell → zone entry for a cell no zone covers.
+const NO_ZONE: u32 = u32::MAX;
+
+/// A zone ranking binned for O(1) point → zone lookup (built by
+/// [`DensityMap::zone_bins`]).
+///
+/// A point's zone is the **first** zone in rank order whose
+/// [`window_rect`](DensityMap::window_rect) contains it. `Rect::contains` is
+/// inclusive, so a point on an edge that two zones share goes to the
+/// higher-ranked one. Every zone rect is made of the cell-edge floats
+/// `k·cell_w` and `k·cell_h`, so a point strictly between two adjacent edges
+/// on both axes lies in exactly the rects whose windows cover its cell, and
+/// a cell → zone table answers it. A point on a cell edge or off the grid
+/// takes the rank-order `Rect::contains` scan instead.
+///
+/// # Examples
+///
+/// ```
+/// use wmn_graph::density::{CellWindow, DensityMap};
+/// use wmn_model::geometry::{Area, Point};
+///
+/// let map = DensityMap::from_points(&Area::square(40.0)?, &[], 4, 4); // 10x10 cells
+/// let left = CellWindow { cx: 0, cy: 0, w: 2, h: 2 };
+/// let right = CellWindow { cx: 2, cy: 0, w: 2, h: 2 };
+/// let zones = map.zone_bins(&[right, left]);
+///
+/// assert_eq!(zones.zone_of(Point::new(5.0, 5.0)), Some(1));
+/// assert_eq!(zones.zone_of(Point::new(20.0, 5.0)), Some(0)); // shared edge: first in rank
+/// assert_eq!(zones.zone_of(Point::new(5.0, 35.0)), None);
+/// # Ok::<(), wmn_model::ModelError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct ZoneBins {
+    cols: usize,
+    rows: usize,
+    inv_cell_w: f64,
+    inv_cell_h: f64,
+    /// `edges_x[k] == k·cell_w` for `k` in `0..=cols`.
+    edges_x: Vec<f64>,
+    /// `edges_y[k] == k·cell_h` for `k` in `0..=rows`.
+    edges_y: Vec<f64>,
+    /// Zone rects, in rank order.
+    rects: Vec<Rect>,
+    /// Client count of each zone, in rank order.
+    clients: Vec<u64>,
+    /// First zone in rank order covering each cell (`cy * cols + cx`), or
+    /// [`NO_ZONE`].
+    cell_zone: Vec<u32>,
+}
+
+impl ZoneBins {
+    /// Number of zones.
+    pub fn len(&self) -> usize {
+        self.rects.len()
+    }
+
+    /// Whether there are no zones.
+    pub fn is_empty(&self) -> bool {
+        self.rects.is_empty()
+    }
+
+    /// The area-coordinate rect of zone `zone`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `zone` is out of range.
+    pub fn rect(&self, zone: usize) -> Rect {
+        self.rects[zone]
+    }
+
+    /// The client count of zone `zone`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `zone` is out of range.
+    pub fn clients(&self, zone: usize) -> u64 {
+        self.clients[zone]
+    }
+
+    /// The zone `p` belongs to: the first zone in rank order whose rect
+    /// contains it, or `None`.
+    pub fn zone_of(&self, p: Point) -> Option<usize> {
+        match self.interior_cell(p) {
+            Some(cell) => {
+                let zone = self.cell_zone[cell];
+                (zone != NO_ZONE).then_some(zone as usize)
+            }
+            None => self.scan(p),
+        }
+    }
+
+    /// Counts `points` per zone into `occupancy` (resized to
+    /// [`len`](ZoneBins::len)), each point toward the zone
+    /// [`zone_of`](ZoneBins::zone_of) gives it. One pass bins the points
+    /// into `cell_hist` (a caller-owned scratch buffer, so warm calls do not
+    /// allocate); a second sums the cells into their zones.
+    pub fn occupancy_into(
+        &self,
+        points: impl IntoIterator<Item = Point>,
+        cell_hist: &mut Vec<u32>,
+        occupancy: &mut Vec<usize>,
+    ) {
+        cell_hist.clear();
+        cell_hist.resize(self.cell_zone.len(), 0);
+        occupancy.clear();
+        occupancy.resize(self.rects.len(), 0);
+        for p in points {
+            match self.interior_cell(p) {
+                Some(cell) => cell_hist[cell] += 1,
+                None => {
+                    if let Some(zone) = self.scan(p) {
+                        occupancy[zone] += 1;
+                    }
+                }
+            }
+        }
+        for (&zone, &count) in self.cell_zone.iter().zip(cell_hist.iter()) {
+            if zone != NO_ZONE {
+                occupancy[zone as usize] += count as usize;
+            }
+        }
+    }
+
+    /// The cell (`cy * cols + cx`) `p` lies strictly inside, or `None` when
+    /// `p` is on a cell edge, off the grid, or NaN. The guessed cell is
+    /// checked against the edge floats, so a rounding slip in the guess
+    /// only sends `p` to the scan.
+    #[inline]
+    fn interior_cell(&self, p: Point) -> Option<usize> {
+        // A cast to `i64` saturates (NaN becomes 0) and costs less than one
+        // to `usize`.
+        let guess = |v: f64, last: usize| (v as i64).clamp(0, last as i64) as usize;
+        let cx = guess(p.x * self.inv_cell_w, self.cols - 1);
+        let cy = guess(p.y * self.inv_cell_h, self.rows - 1);
+        // `&`, not `&&`: the four tests are cheap, and evaluating all of
+        // them keeps data-dependent branches out of the caller's loop.
+        let inside = (self.edges_x[cx] < p.x)
+            & (p.x < self.edges_x[cx + 1])
+            & (self.edges_y[cy] < p.y)
+            & (p.y < self.edges_y[cy + 1]);
+        inside.then_some(cy * self.cols + cx)
+    }
+
+    /// The rank-order scan: the first zone whose rect contains `p`.
+    fn scan(&self, p: Point) -> Option<usize> {
+        self.rects.iter().position(|r| r.contains(p))
     }
 }
 
@@ -432,6 +620,53 @@ mod tests {
         assert_eq!(map.shape(), (4, 4));
         let map = DensityMap::with_cell_size(&area, &[], 7.0);
         assert_eq!(map.shape(), (6, 6));
+    }
+
+    #[test]
+    fn zone_bins_match_the_rank_order_scan_on_edges_and_overlaps() {
+        // A non-square grid whose cell sides (33/7, 21/5) are inexact in
+        // binary, with overlapping windows: every point, on an edge or not,
+        // gets the first window rect in rank order that contains it.
+        let area = Area::new(33.0, 21.0).unwrap();
+        let map = DensityMap::from_points(&area, &[Point::new(20.0, 10.0)], 7, 5);
+        let win = |cx, cy, w, h| CellWindow { cx, cy, w, h };
+        let zones = [
+            win(1, 1, 3, 2),
+            win(3, 0, 2, 4),
+            win(5, 3, 2, 2),
+            win(0, 3, 1, 1),
+        ];
+        let bins = map.zone_bins(&zones);
+        let reference = |p: Point| zones.iter().position(|z| map.window_rect(z).contains(p));
+
+        let axis = |side: f64, cells: usize, rng: &mut dyn rand::RngCore| {
+            let mut v = vec![-1.0, side, side + 1.0, f64::NAN];
+            for k in 0..=cells {
+                let edge = k as f64 * (side / cells as f64);
+                v.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            v.extend((0..8).map(|_| rng.gen_range(0.0..=side)));
+            v
+        };
+        let mut rng = rng_from_seed(3);
+        let (xs, ys) = (axis(33.0, 7, &mut rng), axis(21.0, 5, &mut rng));
+        let points: Vec<Point> = xs
+            .iter()
+            .flat_map(|&x| ys.iter().map(move |&y| Point::new(x, y)))
+            .collect();
+        let mut expected = vec![0usize; zones.len()];
+        for &p in &points {
+            let zone = reference(p);
+            assert_eq!(bins.zone_of(p), zone, "{p:?}");
+            if let Some(z) = zone {
+                expected[z] += 1;
+            }
+        }
+        let (mut cell_hist, mut occupancy) = (Vec::new(), Vec::new());
+        bins.occupancy_into(points.iter().copied(), &mut cell_hist, &mut occupancy);
+        assert_eq!(occupancy, expected);
+        assert_eq!(bins.clients(1), 1);
+        assert_eq!(bins.rect(2), map.window_rect(&zones[2]));
     }
 
     #[test]

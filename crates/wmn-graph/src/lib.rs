@@ -58,7 +58,7 @@ pub use adjacency::{LinkModel, MeshAdjacency};
 pub use arena::NeighborSlab;
 pub use components::Components;
 pub use connectivity::{ConnectivityStats, DynamicConnectivity, RepairOutcome};
-pub use density::{CellWindow, DensityMap};
+pub use density::{CellWindow, DensityMap, ZoneBins};
 pub use dsu::UnionFind;
 pub use spatial::{DynamicGrid, GridIndex};
 pub use topology::{

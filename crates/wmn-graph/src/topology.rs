@@ -200,7 +200,7 @@ impl TopologyConfig {
     /// regime: its standalone giant components are small for *every* ad hoc
     /// method (3–26 of 64), which only holds under a link rule strict
     /// enough that regular patterns at 3–9 unit spacing do not trivially
-    /// chain together (see DESIGN.md §2).
+    /// chain together.
     pub fn paper_default() -> Self {
         TopologyConfig {
             link_model: LinkModel::MutualRange,

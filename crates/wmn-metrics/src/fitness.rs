@@ -46,7 +46,7 @@ impl FitnessFunction {
     /// which only arises when no amount of coverage can veto a
     /// connectivity improvement — i.e. lexicographic order, not a weighted
     /// sum (under a weighted sum, coverage-rich placements brake the final
-    /// merges; see DESIGN.md §2). The weighted composite remains available
+    /// merges). The weighted composite remains available
     /// via [`FitnessFunction::weighted`].
     pub fn paper_default() -> Self {
         FitnessFunction::Lexicographic

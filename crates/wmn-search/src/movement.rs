@@ -11,14 +11,14 @@
 //! contain **no router at all** (common early in a search). Following the
 //! movement's stated intent, [`SwapMovement`] then relocates the sparse
 //! area's strongest router into the dense area ("swap with an empty slot").
-//! This gap-fill is documented in DESIGN.md and exercised by tests.
+//! The tests below exercise this gap-fill.
 
 use rand::{Rng, RngCore};
 use std::cell::RefCell;
 use std::fmt;
-use wmn_graph::density::{CellWindow, DensityMap};
+use wmn_graph::density::{DensityMap, ZoneBins};
 use wmn_graph::topology::WmnTopology;
-use wmn_model::geometry::{Point, Rect};
+use wmn_model::geometry::Point;
 use wmn_model::instance::ProblemInstance;
 use wmn_model::node::RouterId;
 use wmn_model::placement::Placement;
@@ -178,6 +178,17 @@ impl Default for SwapConfig {
 ///    relocate the strong router into the dense window (documented
 ///    gap-fill).
 ///
+/// # Cost
+///
+/// The zones are binned once per instance ([`ZoneBins`]), so a proposal
+/// costs O(routers + cells), independent of the zone count: one pass bins
+/// every router into its density cell, one pass over the `cells × cells`
+/// grid sums the cells into zone occupancy, and one more pass over the
+/// routers collects those inside the dense and sparse zone rects. A router
+/// on a cell edge or off the grid scans the zones in rank order instead of
+/// taking its cell. A relocation into a zone that holds no router adds one
+/// pass to find the giant-component member nearest to it.
+///
 /// # Examples
 ///
 /// ```
@@ -198,10 +209,13 @@ impl Default for SwapConfig {
 #[derive(Debug, Clone)]
 pub struct SwapMovement {
     config: SwapConfig,
-    client_map: DensityMap,
-    /// All disjoint windows ranked by client count, descending. Computed
-    /// once — client positions are fixed per instance.
-    ranked_zones: Vec<CellWindow>,
+    /// All disjoint windows ranked by client count, descending, binned for
+    /// router lookup. Computed once — client positions are fixed per
+    /// instance.
+    zones: ZoneBins,
+    total_clients: u64,
+    /// The move proposed when the zones offer no swap.
+    fallback: RandomMovement,
     /// Per-proposal scratch buffers (interior mutability because
     /// [`Movement::propose`] takes `&self`): once warm, a proposal
     /// performs zero heap allocations, keeping the whole search inner
@@ -212,6 +226,7 @@ pub struct SwapMovement {
 /// Reusable buffers for one [`SwapMovement::propose`] call.
 #[derive(Debug, Clone, Default)]
 struct ProposeScratch {
+    cell_hist: Vec<u32>,
     routers_per_zone: Vec<usize>,
     dense_pool: Vec<usize>,
     sparse_pool: Vec<usize>,
@@ -233,8 +248,9 @@ impl SwapMovement {
         );
         SwapMovement {
             config,
-            client_map,
-            ranked_zones,
+            zones: client_map.zone_bins(&ranked_zones),
+            total_clients: client_map.total(),
+            fallback: RandomMovement::new(instance),
             scratch: RefCell::new(ProposeScratch::default()),
         }
     }
@@ -243,44 +259,24 @@ impl SwapMovement {
     pub fn config(&self) -> &SwapConfig {
         &self.config
     }
+}
 
-    fn routers_into(&self, topo: &WmnTopology, rect: &Rect, out: &mut Vec<RouterId>) {
-        out.clear();
-        out.extend(
-            (0..topo.router_count())
-                .map(RouterId)
-                .filter(|&id| rect.contains(topo.position(id))),
-        );
-    }
+fn weakest(topo: &WmnTopology, ids: &[RouterId]) -> Option<RouterId> {
+    ids.iter().copied().min_by(|&a, &b| {
+        topo.radius(a)
+            .partial_cmp(&topo.radius(b))
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.index().cmp(&b.index()))
+    })
+}
 
-    fn weakest(&self, topo: &WmnTopology, ids: &[RouterId]) -> Option<RouterId> {
-        ids.iter().copied().min_by(|&a, &b| {
-            topo.radius(a)
-                .partial_cmp(&topo.radius(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.index().cmp(&b.index()))
-        })
-    }
-
-    fn strongest(&self, topo: &WmnTopology, ids: &[RouterId]) -> Option<RouterId> {
-        ids.iter().copied().max_by(|&a, &b| {
-            topo.radius(a)
-                .partial_cmp(&topo.radius(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.index().cmp(&a.index()))
-        })
-    }
-
-    fn fallback_random(&self, topo: &WmnTopology, rng: &mut dyn RngCore) -> MoveAction {
-        let area = self.client_map.area();
-        MoveAction::Relocate {
-            router: RouterId(rng.gen_range(0..topo.router_count())),
-            to: Point::new(
-                rng.gen_range(0.0..=area.width()),
-                rng.gen_range(0.0..=area.height()),
-            ),
-        }
-    }
+fn strongest(topo: &WmnTopology, ids: &[RouterId]) -> Option<RouterId> {
+    ids.iter().copied().max_by(|&a, &b| {
+        topo.radius(a)
+            .partial_cmp(&topo.radius(b))
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(b.index().cmp(&a.index()))
+    })
 }
 
 impl Movement for SwapMovement {
@@ -291,6 +287,7 @@ impl Movement for SwapMovement {
     fn propose(&self, topo: &WmnTopology, rng: &mut dyn RngCore) -> MoveAction {
         let mut scratch = self.scratch.borrow_mut();
         let ProposeScratch {
+            cell_hist,
             routers_per_zone,
             dense_pool,
             sparse_pool,
@@ -298,27 +295,22 @@ impl Movement for SwapMovement {
             dense_routers,
             non_giant,
         } = &mut *scratch;
+        let routers = (0..topo.router_count()).map(RouterId);
 
-        // Current router occupancy per zone (zones are disjoint, so each
-        // router maps to at most one).
-        routers_per_zone.clear();
-        routers_per_zone.resize(self.ranked_zones.len(), 0);
-        for i in 0..topo.router_count() {
-            let p = topo.position(RouterId(i));
-            for (zi, z) in self.ranked_zones.iter().enumerate() {
-                if self.client_map.window_rect(z).contains(p) {
-                    routers_per_zone[zi] += 1;
-                    break;
-                }
-            }
-        }
+        // Current router occupancy per zone: each router counts toward the
+        // first zone, in rank order, whose rect contains it.
+        self.zones.occupancy_into(
+            routers.clone().map(|id| topo.position(id)),
+            cell_hist,
+            routers_per_zone,
+        );
 
         // The paper's "dense threshold", operationalized as a router
         // deficit: a dense zone keeps attracting routers while it holds
         // fewer than clients/kappa of them (kappa = clients per router in
         // the whole instance). Zones are examined in client-count order, so
         // the densest under-served zone ranks first.
-        let total_clients: f64 = self.client_map.total() as f64;
+        let total_clients: f64 = self.total_clients as f64;
         let kappa = (total_clients / topo.router_count() as f64).max(1.0);
         dense_pool.clear();
         let dense_cap = self.config.dense_candidates.max(1);
@@ -326,7 +318,7 @@ impl Movement for SwapMovement {
             if dense_pool.len() == dense_cap {
                 break;
             }
-            let clients = self.client_map.window_count(&self.ranked_zones[zi]);
+            let clients = self.zones.clients(zi);
             if clients >= self.config.dense_threshold.max(1)
                 && (clients as f64) / kappa > occupancy as f64
             {
@@ -341,47 +333,61 @@ impl Movement for SwapMovement {
         let dense_zi = if relocate_mode {
             *pick(dense_pool, rng).expect("nonempty pool")
         } else {
-            match (0..self.ranked_zones.len()).find(|&zi| routers_per_zone[zi] > 0) {
+            match (0..self.zones.len()).find(|&zi| routers_per_zone[zi] > 0) {
                 Some(zi) => zi,
-                None => return self.fallback_random(topo, rng),
+                None => return self.fallback.propose(topo, rng),
             }
         };
-        let dense_rect = self.client_map.window_rect(&self.ranked_zones[dense_zi]);
+        let dense_rect = self.zones.rect(dense_zi);
 
         // Step 5 of Algorithm 3: the sparsest zones that still hold a
         // router to take the strong one from (never the dense zone itself).
         sparse_pool.clear();
         let sparse_cap = self.config.sparse_candidates.max(1);
-        for zi in (0..self.ranked_zones.len()).rev() {
+        for zi in (0..self.zones.len()).rev() {
             if sparse_pool.len() == sparse_cap {
                 break;
             }
             if zi != dense_zi
-                && self.client_map.window_count(&self.ranked_zones[zi])
-                    <= self.config.sparse_threshold
+                && self.zones.clients(zi) <= self.config.sparse_threshold
                 && routers_per_zone[zi] > 0
             {
                 sparse_pool.push(zi);
             }
         }
         let Some(&sparse_zi) = pick(sparse_pool, rng) else {
-            return self.fallback_random(topo, rng);
+            return self.fallback.propose(topo, rng);
         };
         // A "sparse" zone at least as client-heavy as the dense target means
         // the zone structure is degenerate; fall back rather than swap
         // backwards.
-        if self.client_map.window_count(&self.ranked_zones[sparse_zi])
-            > self.client_map.window_count(&self.ranked_zones[dense_zi])
-        {
-            return self.fallback_random(topo, rng);
+        if self.zones.clients(sparse_zi) > self.zones.clients(dense_zi) {
+            return self.fallback.propose(topo, rng);
         }
-        let sparse_rect = self.client_map.window_rect(&self.ranked_zones[sparse_zi]);
+        let sparse_rect = self.zones.rect(sparse_zi);
+
+        // The routers inside each rect, in one pass. The rects are closed,
+        // so a router on an edge the two share is in both lists. Each id is
+        // written unconditionally and kept only when inside, so the loop has
+        // no branch on the rect tests, which mispredict on a random
+        // placement.
+        let (mut n_sparse, mut n_dense) = (0, 0);
+        sparse_routers.resize(topo.router_count(), RouterId(0));
+        dense_routers.resize(topo.router_count(), RouterId(0));
+        for id in routers.clone() {
+            let p = topo.position(id);
+            sparse_routers[n_sparse] = id;
+            n_sparse += usize::from(sparse_rect.contains(p));
+            dense_routers[n_dense] = id;
+            n_dense += usize::from(dense_rect.contains(p));
+        }
+        sparse_routers.truncate(n_sparse);
+        dense_routers.truncate(n_dense);
 
         // Step 6: most powerful router within the sparse area. In relocate
         // mode prefer a router *outside* the giant component — pulling a
         // giant member out would tear down the connectivity the move is
         // meant to build.
-        self.routers_into(topo, &sparse_rect, sparse_routers);
         let strong = if relocate_mode {
             non_giant.clear();
             non_giant.extend(
@@ -390,13 +396,12 @@ impl Movement for SwapMovement {
                     .copied()
                     .filter(|&id| !topo.in_giant(id)),
             );
-            self.strongest(topo, non_giant)
-                .or_else(|| self.strongest(topo, sparse_routers))
+            strongest(topo, non_giant).or_else(|| strongest(topo, sparse_routers))
         } else {
-            self.strongest(topo, sparse_routers)
+            strongest(topo, sparse_routers)
         };
         let Some(strong) = strong else {
-            return self.fallback_random(topo, rng);
+            return self.fallback.propose(topo, rng);
         };
 
         if relocate_mode {
@@ -411,11 +416,9 @@ impl Movement for SwapMovement {
             // links under the mutual-range rule and would be rejected by
             // the improvement-only acceptance of Algorithm 1.
             let center = dense_rect.center();
-            self.routers_into(topo, &dense_rect, dense_routers);
             dense_routers.retain(|&id| id != strong);
             let anchor = pick(dense_routers, rng).copied().or_else(|| {
-                (0..topo.router_count())
-                    .map(RouterId)
+                routers
                     .filter(|&id| id != strong && topo.in_giant(id))
                     .min_by(|&a, &b| {
                         let da = topo.position(a).distance_squared(center);
@@ -444,10 +447,9 @@ impl Movement for SwapMovement {
 
         // Step 4 + 7: the literal Algorithm 3 swap — weakest router of the
         // dense zone exchanges positions with the strong one.
-        self.routers_into(topo, &dense_rect, dense_routers);
-        match self.weakest(topo, dense_routers) {
+        match weakest(topo, dense_routers) {
             Some(weak) if weak != strong => MoveAction::Swap { a: weak, b: strong },
-            _ => self.fallback_random(topo, rng),
+            _ => self.fallback.propose(topo, rng),
         }
     }
 }
@@ -464,7 +466,11 @@ fn pick<'a, T>(pool: &'a [T], rng: &mut dyn RngCore) -> Option<&'a T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmn_graph::density::CellWindow;
     use wmn_graph::topology::TopologyConfig;
+    use wmn_metrics::evaluator::Evaluator;
+    use wmn_model::distribution::ClientDistribution;
+    use wmn_model::geometry::Rect;
     use wmn_model::instance::InstanceSpec;
     use wmn_model::placement::Placement;
     use wmn_model::rng::rng_from_seed;
@@ -479,6 +485,276 @@ mod tests {
         let topo =
             WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap();
         (instance, topo)
+    }
+
+    /// The paper's Normal instance at `--scale n`: `n`× routers and
+    /// clients on a `√n`× side, with the client cluster re-derived for the
+    /// larger area.
+    fn scaled_normal(n: usize, seed: u64) -> ProblemInstance {
+        let base = InstanceSpec::paper_normal().unwrap();
+        let area = wmn_model::Area::square(base.area().width() * (n as f64).sqrt()).unwrap();
+        InstanceSpec::new(
+            area,
+            base.router_count() * n,
+            base.client_count() * n,
+            ClientDistribution::paper_normal(&area).unwrap(),
+            base.radio(),
+        )
+        .unwrap()
+        .generate(seed)
+        .unwrap()
+    }
+
+    /// Reference swap proposal: each router's zone is found by scanning
+    /// the ranked windows' rects in rank order (O(routers × zones)), and
+    /// the sparse- and dense-rect routers by two more full scans. The
+    /// binned [`SwapMovement`] must match it draw for draw.
+    struct RankOrderSwap {
+        config: SwapConfig,
+        client_map: DensityMap,
+        ranked_zones: Vec<CellWindow>,
+        fallback: RandomMovement,
+    }
+
+    impl RankOrderSwap {
+        fn new(instance: &ProblemInstance, config: SwapConfig) -> Self {
+            let cells = config.cells.max(1);
+            let client_map = DensityMap::from_points(
+                &instance.area(),
+                &instance.client_positions(),
+                cells,
+                cells,
+            );
+            let ranked_zones = client_map.ranked_disjoint_windows(
+                config.window_cells,
+                config.window_cells,
+                usize::MAX,
+            );
+            RankOrderSwap {
+                config,
+                client_map,
+                ranked_zones,
+                fallback: RandomMovement::new(instance),
+            }
+        }
+
+        fn zone_of(&self, p: Point) -> Option<usize> {
+            self.ranked_zones
+                .iter()
+                .position(|z| self.client_map.window_rect(z).contains(p))
+        }
+
+        fn clients(&self, zi: usize) -> u64 {
+            self.client_map.window_count(&self.ranked_zones[zi])
+        }
+
+        fn routers_in(topo: &WmnTopology, rect: &Rect) -> Vec<RouterId> {
+            (0..topo.router_count())
+                .map(RouterId)
+                .filter(|&id| rect.contains(topo.position(id)))
+                .collect()
+        }
+
+        fn propose(&self, topo: &WmnTopology, rng: &mut dyn RngCore) -> MoveAction {
+            let mut routers_per_zone = vec![0usize; self.ranked_zones.len()];
+            for i in 0..topo.router_count() {
+                if let Some(zi) = self.zone_of(topo.position(RouterId(i))) {
+                    routers_per_zone[zi] += 1;
+                }
+            }
+            let total_clients = self.client_map.total() as f64;
+            let kappa = (total_clients / topo.router_count() as f64).max(1.0);
+            let mut dense_pool = Vec::new();
+            for (zi, &occupancy) in routers_per_zone.iter().enumerate() {
+                if dense_pool.len() == self.config.dense_candidates.max(1) {
+                    break;
+                }
+                let clients = self.clients(zi);
+                if clients >= self.config.dense_threshold.max(1)
+                    && (clients as f64) / kappa > occupancy as f64
+                {
+                    dense_pool.push(zi);
+                }
+            }
+            let relocate_mode = !dense_pool.is_empty();
+            let dense_zi = if relocate_mode {
+                *pick(&dense_pool, rng).unwrap()
+            } else {
+                match (0..self.ranked_zones.len()).find(|&zi| routers_per_zone[zi] > 0) {
+                    Some(zi) => zi,
+                    None => return self.fallback.propose(topo, rng),
+                }
+            };
+            let dense_rect = self.client_map.window_rect(&self.ranked_zones[dense_zi]);
+            let mut sparse_pool = Vec::new();
+            for zi in (0..self.ranked_zones.len()).rev() {
+                if sparse_pool.len() == self.config.sparse_candidates.max(1) {
+                    break;
+                }
+                if zi != dense_zi
+                    && self.clients(zi) <= self.config.sparse_threshold
+                    && routers_per_zone[zi] > 0
+                {
+                    sparse_pool.push(zi);
+                }
+            }
+            let Some(&sparse_zi) = pick(&sparse_pool, rng) else {
+                return self.fallback.propose(topo, rng);
+            };
+            if self.clients(sparse_zi) > self.clients(dense_zi) {
+                return self.fallback.propose(topo, rng);
+            }
+            let sparse_rect = self.client_map.window_rect(&self.ranked_zones[sparse_zi]);
+            let sparse_routers = Self::routers_in(topo, &sparse_rect);
+            let strong = if relocate_mode {
+                let non_giant: Vec<RouterId> = sparse_routers
+                    .iter()
+                    .copied()
+                    .filter(|&id| !topo.in_giant(id))
+                    .collect();
+                strongest(topo, &non_giant).or_else(|| strongest(topo, &sparse_routers))
+            } else {
+                strongest(topo, &sparse_routers)
+            };
+            let Some(strong) = strong else {
+                return self.fallback.propose(topo, rng);
+            };
+            if relocate_mode {
+                let center = dense_rect.center();
+                let mut dense_routers = Self::routers_in(topo, &dense_rect);
+                dense_routers.retain(|&id| id != strong);
+                let anchor = pick(&dense_routers, rng).copied().or_else(|| {
+                    (0..topo.router_count())
+                        .map(RouterId)
+                        .filter(|&id| id != strong && topo.in_giant(id))
+                        .min_by(|&a, &b| {
+                            let da = topo.position(a).distance_squared(center);
+                            let db = topo.position(b).distance_squared(center);
+                            da.partial_cmp(&db)
+                                .unwrap_or(std::cmp::Ordering::Equal)
+                                .then(a.index().cmp(&b.index()))
+                        })
+                });
+                let to = match anchor {
+                    Some(anchor) => {
+                        let a = topo.position(anchor);
+                        let reach = topo.radius(anchor).min(topo.radius(strong));
+                        let toward = (center.y - a.y).atan2(center.x - a.x);
+                        let angle = toward + rng.gen_range(-1.0..1.0);
+                        let dist = reach * rng.gen_range(0.4..0.95);
+                        Point::new(a.x + dist * angle.cos(), a.y + dist * angle.sin())
+                    }
+                    None => Point::new(
+                        rng.gen_range(dense_rect.min().x..=dense_rect.max().x),
+                        rng.gen_range(dense_rect.min().y..=dense_rect.max().y),
+                    ),
+                };
+                return MoveAction::Relocate { router: strong, to };
+            }
+            match weakest(topo, &Self::routers_in(topo, &dense_rect)) {
+                Some(weak) if weak != strong => MoveAction::Swap { a: weak, b: strong },
+                _ => self.fallback.propose(topo, rng),
+            }
+        }
+    }
+
+    #[test]
+    fn binned_zones_match_the_rank_order_scan() {
+        // Scales 1, 2 and 3: sides 128, 128·√2 and 128·√3, the last two
+        // not multiples of the 16-cell grid.
+        for scale in [1, 2, 3] {
+            let instance = scaled_normal(scale, 5);
+            let movement = SwapMovement::new(&instance, SwapConfig::default());
+            let reference = RankOrderSwap::new(&instance, SwapConfig::default());
+            let area = instance.area();
+            let mut rng = rng_from_seed(scale as u64);
+            // Per axis: every cell edge k·side/16 and its float neighbors,
+            // the area bounds (where clamped positions land), points off
+            // the area, and a few random coordinates.
+            let mut axis = |side: f64| {
+                let mut v = vec![-1.0, 0.0, side, side + 1.0];
+                for k in 0..=16 {
+                    let edge = k as f64 * (side / 16.0);
+                    v.extend([edge.next_down(), edge, edge.next_up()]);
+                }
+                v.extend((0..16).map(|_| rng.gen_range(0.0..=side)));
+                v
+            };
+            let (xs, ys) = (axis(area.width()), axis(area.height()));
+            let mut points: Vec<Point> = xs
+                .iter()
+                .flat_map(|&x| ys.iter().map(move |&y| Point::new(x, y)))
+                .collect();
+            points.extend((0..2000).map(|_| {
+                Point::new(
+                    rng.gen_range(0.0..=area.width()),
+                    rng.gen_range(0.0..=area.height()),
+                )
+            }));
+            points.push(area.clamp_point(Point::new(1e9, -1e9)));
+
+            let mut expected = vec![0usize; movement.zones.len()];
+            for &p in &points {
+                let zone = reference.zone_of(p);
+                assert_eq!(movement.zones.zone_of(p), zone, "scale {scale}, {p:?}");
+                if let Some(z) = zone {
+                    expected[z] += 1;
+                }
+            }
+            let (mut cell_hist, mut occupancy) = (Vec::new(), Vec::new());
+            movement
+                .zones
+                .occupancy_into(points.iter().copied(), &mut cell_hist, &mut occupancy);
+            assert_eq!(occupancy, expected, "scale {scale}");
+        }
+    }
+
+    #[test]
+    fn binned_proposals_match_the_rank_order_reference() {
+        // 500 proposals per run, each applied, scored, and kept unless it
+        // lowers fitness (else undone): the binned proposal must equal
+        // the reference's move for move and leave the RNG in the same
+        // state. An unreachable dense threshold forces literal swap mode.
+        let swap_only = SwapConfig {
+            dense_threshold: u64::MAX,
+            ..SwapConfig::default()
+        };
+        for scale in [4, 16] {
+            let instance = scaled_normal(scale, 40 + scale as u64);
+            let evaluator = Evaluator::paper_default(&instance);
+            for config in [SwapConfig::default(), swap_only] {
+                let movement = SwapMovement::new(&instance, config);
+                let reference = RankOrderSwap::new(&instance, config);
+                let mut rng = rng_from_seed(scale as u64);
+                let placement = instance.random_placement(&mut rng);
+                let mut topo = evaluator.topology(&placement).unwrap();
+                let mut current = evaluator.evaluate_topology(&topo).fitness;
+                let mut ref_rng = rng.clone();
+                let (mut swaps, mut accepted) = (0, 0);
+                for step in 0..500 {
+                    let action = movement.propose(&topo, &mut rng);
+                    let expected = reference.propose(&topo, &mut ref_rng);
+                    assert_eq!(
+                        action, expected,
+                        "scale {scale}, {config:?}, proposal {step}"
+                    );
+                    swaps += usize::from(matches!(action, MoveAction::Swap { .. }));
+                    let undo = action.apply(&mut topo);
+                    let fitness = evaluator.evaluate_topology(&topo).fitness;
+                    if fitness >= current {
+                        current = fitness;
+                        accepted += 1;
+                    } else {
+                        undo.undo(&mut topo);
+                    }
+                }
+                assert_eq!(rng, ref_rng, "scale {scale}, {config:?}");
+                assert!(accepted > 0, "scale {scale}, {config:?}: no move accepted");
+                if config == swap_only {
+                    assert!(swaps > 0, "scale {scale}: swap mode never swapped");
+                }
+            }
+        }
     }
 
     #[test]

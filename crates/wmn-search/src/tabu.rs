@@ -9,7 +9,6 @@
 use crate::movement::{MoveAction, Movement};
 use crate::trace::{PhaseRecord, SearchTrace};
 use rand::RngCore;
-use std::collections::VecDeque;
 use wmn_graph::topology::WmnTopology;
 use wmn_metrics::evaluator::{Evaluation, Evaluator};
 use wmn_model::node::RouterId;
@@ -142,10 +141,10 @@ impl<'e, 'i> TabuSearch<'e, 'i> {
         let mut best_evaluation = initial_evaluation;
         let mut best_placement = topo.placement();
         let mut trace = SearchTrace::new();
-        // Tabu list: router -> phase until which it is tabu, kept as a FIFO
-        // of (router, expiry) with a parallel bitmap for O(1) checks.
+        // Tabu list: each router's expiry phase. A router is tabu through
+        // phase `tabu_until[router]`, so checks are O(1) and entries expire
+        // on their own.
         let mut tabu_until = vec![0usize; topo.router_count()];
-        let mut fifo: VecDeque<RouterId> = VecDeque::new();
         let mut aspirations = 0usize;
 
         for phase in 1..=self.config.phases {
@@ -181,10 +180,6 @@ impl<'e, 'i> TabuSearch<'e, 'i> {
                 }
                 for r in touched_routers(&action).into_iter().flatten() {
                     tabu_until[r.index()] = phase + self.config.tenure;
-                    fifo.push_back(r);
-                    if fifo.len() > 4 * self.config.tenure.max(1) {
-                        fifo.pop_front();
-                    }
                 }
                 if current.fitness > best_evaluation.fitness {
                     best_evaluation = current;

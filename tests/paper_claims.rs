@@ -1,7 +1,6 @@
 //! The paper's qualitative claims, verified at reduced scale on every run
-//! of the test suite. (The full-scale numbers live in EXPERIMENTS.md and
-//! are regenerated by `cargo run --release -p wmn-experiments --bin
-//! run_all`.)
+//! of the test suite. (The full-scale numbers are generated by
+//! `cargo run --release -p wmn-experiments --bin run_all`.)
 
 use wmn::prelude::*;
 
