@@ -11,7 +11,7 @@ use wmn_graph::adjacency::{LinkModel, MeshAdjacency};
 use wmn_graph::components::Components;
 use wmn_graph::density::{CellWindow, DensityMap};
 use wmn_graph::spatial::GridIndex;
-use wmn_graph::topology::WmnTopology;
+use wmn_graph::topology::{ConnectivityMode, WmnTopology};
 use wmn_metrics::Evaluator;
 use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::InstanceSpec;
@@ -83,7 +83,7 @@ fn ablation_incremental(c: &mut Criterion) {
 /// The neighborhood-search inner loop — 1000 iterations of
 /// `propose → apply → evaluate → undo` — with the incremental
 /// delta-evaluation engine vs the full-rebuild reference
-/// (`set_rebuild_mode(true)`). Identical RNG streams and identical results
+/// (`ConnectivityMode::FullRebuild`). Identical RNG streams and identical results
 /// (pinned by the `incremental_equivalence` test suite); only the repair
 /// strategy differs. Run at paper scale (64 routers / 192 clients) and at
 /// `--scale 4` (256 routers / 768 clients, proportional area).
@@ -119,10 +119,13 @@ fn ablation_move_eval(c: &mut Criterion) {
         let evaluator = Evaluator::paper_default(&instance);
         let placement = instance.random_placement(&mut rng_from_seed(3));
         let side = instance.area().width();
-        for (mode, full_rebuild) in [("incremental", false), ("rebuild", true)] {
-            group.bench_function(BenchmarkId::new(mode, label), |b| {
+        for (mode_label, mode) in [
+            ("incremental", ConnectivityMode::Dynamic),
+            ("rebuild", ConnectivityMode::FullRebuild),
+        ] {
+            group.bench_function(BenchmarkId::new(mode_label, label), |b| {
                 let mut topo = evaluator.topology(&placement).expect("builds");
-                topo.set_rebuild_mode(full_rebuild);
+                topo.set_connectivity_mode(mode);
                 let mut rng = rng_from_seed(4);
                 b.iter(|| thousand_moves(&mut topo, &evaluator, &mut rng, side));
             });
@@ -259,154 +262,6 @@ fn ablation_ga_eval(c: &mut Criterion) {
     group.finish();
 }
 
-/// The connectivity-repair ablation: dynamic component-local repair
-/// ([`ConnectivityMode::Dynamic`] — DSU unions for inserted edges, bounded
-/// bidirectional BFS for deleted ones) vs the whole-graph DSU rescan
-/// ([`ConnectivityMode::DsuRescan`], the previous engine), over two
-/// edge-churn shapes at paper scale, `--scale 4`, and `--scale 16`
-/// (64 / 256 / 1024 routers):
-///
-/// * `churn_*` — the neighborhood-search shape: 8 move+undo pairs plus
-///   2 swap+unswap pairs per iteration (every repair a small edge diff);
-/// * `batch_*` — the GA-child shape: one `apply_moves` batch of
-///   `max(8, n/8)` relocations plus its inverse batch per iteration
-///   (each repair a large diff, the regime where the whole-graph rescan
-///   used to dominate).
-///
-/// Both modes produce bit-identical states (pinned by the
-/// `proptest_connectivity` suite); only the repair strategy differs. The
-/// `batch_dynamic` benches also emit `meta_batch_deletions/<scale>` lines
-/// into `WMN_BENCH_JSON` — the measured deleted-edge count per iteration —
-/// so `scripts/bench_connectivity.sh` can derive the median per-deletion
-/// repair cost and check it scales sub-linearly.
-fn ablation_connectivity(c: &mut Criterion) {
-    use wmn_graph::topology::ConnectivityMode;
-
-    /// Appends a pseudo-benchmark line to `WMN_BENCH_JSON` carrying a
-    /// measured count (same shape as the criterion shim's lines so the
-    /// aggregation scripts read both uniformly).
-    fn emit_meta(id: &str, value: f64) {
-        let Ok(path) = std::env::var("WMN_BENCH_JSON") else {
-            return;
-        };
-        use std::io::Write;
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(
-                f,
-                "{{\"id\":\"{id}\",\"samples\":1,\"mean_ns\":{value},\"median_ns\":{value},\"best_ns\":{value}}}"
-            );
-        }
-    }
-
-    /// Neighborhood-search-shaped churn: small per-repair edge diffs.
-    fn churn_iter(topo: &mut WmnTopology, rng: &mut dyn RngCore, side: f64) -> usize {
-        let n = topo.router_count();
-        let mut acc = 0;
-        for _ in 0..8 {
-            let id = RouterId(rng.gen_range(0..n));
-            let to = Point::new(rng.gen_range(0.0..=side), rng.gen_range(0.0..=side));
-            let old = topo.move_router(id, to);
-            acc += topo.giant_size();
-            let _ = topo.move_router(id, old);
-        }
-        for _ in 0..2 {
-            let a = RouterId(rng.gen_range(0..n));
-            let b = RouterId(rng.gen_range(0..n));
-            topo.swap_routers(a, b);
-            acc += topo.giant_size();
-            topo.swap_routers(a, b);
-        }
-        acc
-    }
-
-    /// GA-child-shaped churn: one big batch plus its inverse.
-    fn batch_iter(
-        topo: &mut WmnTopology,
-        rng: &mut dyn RngCore,
-        side: f64,
-        k: usize,
-        moves: &mut Vec<(RouterId, Point)>,
-        undo: &mut Vec<(RouterId, Point)>,
-    ) -> usize {
-        let n = topo.router_count();
-        moves.clear();
-        undo.clear();
-        for _ in 0..k {
-            let id = RouterId(rng.gen_range(0..n));
-            if !undo.iter().any(|&(u, _)| u == id) {
-                undo.push((id, topo.position(id)));
-            }
-            moves.push((
-                id,
-                Point::new(rng.gen_range(0.0..=side), rng.gen_range(0.0..=side)),
-            ));
-        }
-        topo.apply_moves(moves);
-        let acc = topo.giant_size();
-        topo.apply_moves(undo);
-        acc
-    }
-
-    let mut group = c.benchmark_group("ablation_connectivity");
-    group.sample_size(10);
-    for (label, factor) in [("paper", 1u32), ("scale4", 4u32), ("scale16", 16u32)] {
-        let instance = Scenario::Normal
-            .scaled_spec(ScenarioScale::proportional(factor))
-            .expect("valid scaled spec")
-            .generate(2)
-            .expect("generates");
-        let evaluator = Evaluator::paper_default(&instance);
-        let placement = instance.random_placement(&mut rng_from_seed(3));
-        let side = instance.area().width();
-        let k = (instance.router_count() / 8).max(8);
-        for (mode_label, mode) in [
-            ("dynamic", ConnectivityMode::Dynamic),
-            ("rescan", ConnectivityMode::DsuRescan),
-        ] {
-            group.bench_function(
-                BenchmarkId::new(&format!("churn_{mode_label}"), label),
-                |b| {
-                    let mut topo = evaluator.topology(&placement).expect("builds");
-                    topo.set_connectivity_mode(mode);
-                    let mut rng = rng_from_seed(4);
-                    b.iter(|| churn_iter(&mut topo, &mut rng, side));
-                },
-            );
-            group.bench_function(format!("batch_{mode_label}/{label}"), |b| {
-                if mode == ConnectivityMode::Dynamic {
-                    // Probe the deleted-edge count of the first iterations
-                    // (identical RNG stream to the timed loop) so the
-                    // artifact can report per-deletion repair cost.
-                    let mut probe = evaluator.topology(&placement).expect("builds");
-                    let mut rng = rng_from_seed(5);
-                    let (mut moves, mut undo) = (Vec::new(), Vec::new());
-                    let before = probe.connectivity_stats().deletions;
-                    let rounds = 8u64;
-                    for _ in 0..rounds {
-                        batch_iter(&mut probe, &mut rng, side, k, &mut moves, &mut undo);
-                    }
-                    let per_iter =
-                        (probe.connectivity_stats().deletions - before) as f64 / rounds as f64;
-                    emit_meta(
-                        &format!("ablation_connectivity/meta_batch_deletions/{label}"),
-                        per_iter,
-                    );
-                }
-                let mut topo = evaluator.topology(&placement).expect("builds");
-                topo.set_connectivity_mode(mode);
-                let mut rng = rng_from_seed(5);
-                let (mut moves, mut undo) = (Vec::new(), Vec::new());
-                b.iter(|| batch_iter(&mut topo, &mut rng, side, k, &mut moves, &mut undo));
-            });
-        }
-    }
-    group.finish();
-}
-
 /// BFS vs union-find for connected components.
 fn ablation_components(c: &mut Criterion) {
     let area = Area::square(128.0).expect("valid area");
@@ -510,7 +365,6 @@ criterion_group!(
     ablation_incremental,
     ablation_move_eval,
     ablation_ga_eval,
-    ablation_connectivity,
     ablation_components,
     ablation_density,
     ablation_parallel_eval,

@@ -17,9 +17,9 @@
 //!   `WMN_SCALE_AREA`).
 //! * `--ns-budget <n>` — neighbors sampled per search phase.
 //! * `--connectivity <mode>` — connectivity repair strategy
-//!   (`WMN_CONNECTIVITY`): `dynamic` (default), `rescan` (whole-graph DSU
-//!   rescan oracle), or `full` (full-rebuild reference pipeline). Results
-//!   are bit-identical in every mode; only the work counters differ.
+//!   (`WMN_CONNECTIVITY`): `dynamic` (default) or `full` (full-rebuild
+//!   reference pipeline). Results are bit-identical in both modes; only
+//!   the work counters differ.
 //! * `--telemetry <dir>` — write structured run telemetry
 //!   (`telemetry.json` + `spans.jsonl`) to `<dir>`; see
 //!   [`crate::telemetry`].
@@ -58,17 +58,16 @@ pub struct CliOptions {
 
 const USAGE: &str = "usage: [--quick] [--seed <n>] [--instance-seed <n>] [--threads <n>] \
 [--ga-threads <n>] [--scale <n>] [--scale-routers <n>] [--scale-clients <n>] \
-[--scale-area <x>] [--ns-budget <n>] [--connectivity dynamic|rescan|full] \
+[--scale-area <x>] [--ns-budget <n>] [--connectivity dynamic|full] \
 [--retries <n>] [--fault-plan <spec>] [--telemetry <dir>] [--resume <dir>] [--out <dir>]";
 
 /// Parses a connectivity-mode name (shared by the flag and env paths).
 fn connectivity_mode(value: &str) -> Result<ConnectivityMode, String> {
     match value.to_ascii_lowercase().as_str() {
         "dynamic" => Ok(ConnectivityMode::Dynamic),
-        "rescan" | "dsu-rescan" | "dsu" => Ok(ConnectivityMode::DsuRescan),
         "full" | "full-rebuild" | "rebuild" => Ok(ConnectivityMode::FullRebuild),
         other => Err(format!(
-            "unknown connectivity mode {other:?} (dynamic|rescan|full)"
+            "unknown connectivity mode {other:?} (dynamic|full)"
         )),
     }
 }
@@ -313,11 +312,11 @@ mod tests {
 
     #[test]
     fn connectivity_and_telemetry_flags() {
-        let opts = parse_vec(&["--connectivity", "rescan", "--telemetry", "/tmp/t"]).unwrap();
-        assert_eq!(opts.config.connectivity, ConnectivityMode::DsuRescan);
-        assert_eq!(opts.telemetry, Some(PathBuf::from("/tmp/t")));
-        let opts = parse_vec(&["--connectivity", "full"]).unwrap();
+        let opts = parse_vec(&["--connectivity", "full", "--telemetry", "/tmp/t"]).unwrap();
         assert_eq!(opts.config.connectivity, ConnectivityMode::FullRebuild);
+        assert_eq!(opts.telemetry, Some(PathBuf::from("/tmp/t")));
+        let opts = parse_vec(&["--connectivity", "dynamic"]).unwrap();
+        assert_eq!(opts.config.connectivity, ConnectivityMode::Dynamic);
         // Canonical display names parse back too.
         let opts = parse_vec(&["--connectivity", "full-rebuild"]).unwrap();
         assert_eq!(opts.config.connectivity, ConnectivityMode::FullRebuild);
@@ -335,6 +334,21 @@ mod tests {
         assert_eq!(opts.config.connectivity, ConnectivityMode::Dynamic);
         let lookup = |name: &str| (name == "WMN_CONNECTIVITY").then(|| "bogus".to_owned());
         assert!(config_from_vars(lookup).is_err());
+    }
+
+    #[test]
+    fn removed_rescan_mode_is_an_error_naming_the_accepted_values() {
+        for removed in ["rescan", "dsu-rescan", "dsu"] {
+            let err = parse_vec(&["--connectivity", removed]).unwrap_err();
+            assert!(
+                err.contains(&format!("{removed:?} (dynamic|full)")),
+                "{err}"
+            );
+            let lookup = |name: &str| (name == "WMN_CONNECTIVITY").then(|| removed.to_owned());
+            let err = config_from_vars(lookup).unwrap_err();
+            assert!(err.starts_with("bad WMN_CONNECTIVITY value"), "{err}");
+            assert!(err.contains("(dynamic|full)"), "{err}");
+        }
     }
 
     #[test]

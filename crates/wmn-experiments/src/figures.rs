@@ -8,12 +8,9 @@
 
 use crate::error::ExperimentError;
 use crate::scenario::{ExperimentConfig, Scenario};
-use crate::tables::{
-    cell_failure, experiment_ga_config, ga_cell, ga_cell_label, report_chaos, sabotaged_ga_config,
-};
+use crate::tables::{cell_failure, experiment_ga_config, ga_cell, ga_cell_label, report_chaos};
 use wmn_ga::engine::{GaConfig, GaEngine};
 use wmn_ga::init::PopulationInit;
-use wmn_graph::topology::DegradationPolicy;
 use wmn_metrics::evaluator::Evaluator;
 use wmn_metrics::stats::Trace;
 use wmn_model::instance::ProblemInstance;
@@ -78,7 +75,6 @@ pub fn run_ga_figure(
     let instance = config.instance(scenario)?;
     let evaluator = Evaluator::paper_default(&instance);
     let ga_config = experiment_ga_config(config);
-    let sabotaged = sabotaged_ga_config(&ga_config);
 
     let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
     let mut stats = RobustnessStats::default();
@@ -89,12 +85,12 @@ pub fn run_ga_figure(
             config.retry_policy(),
             config.fault_plan.as_ref(),
             &mut stats,
-            |ctx, (mi, method)| {
+            |_, (mi, method)| {
                 ga_figure_job(
                     scenario,
                     config,
                     &evaluator,
-                    if ctx.sabotage { &sabotaged } else { &ga_config },
+                    &ga_config,
                     *mi,
                     *method,
                     &mut NoopRecorder,
@@ -134,7 +130,6 @@ pub fn run_ga_figure_recorded(
     let instance = config.instance(scenario)?;
     let evaluator = Evaluator::paper_default(&instance);
     let ga_config = experiment_ga_config(config);
-    let sabotaged = sabotaged_ga_config(&ga_config);
 
     let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
     let mut stats = RobustnessStats::default();
@@ -146,16 +141,8 @@ pub fn run_ga_figure_recorded(
             config.fault_plan.as_ref(),
             &mut stats,
             recorder,
-            |ctx, (mi, method), rec| {
-                ga_figure_job(
-                    scenario,
-                    config,
-                    &evaluator,
-                    if ctx.sabotage { &sabotaged } else { &ga_config },
-                    *mi,
-                    *method,
-                    rec,
-                )
+            |_, (mi, method), rec| {
+                ga_figure_job(scenario, config, &evaluator, &ga_config, *mi, *method, rec)
             },
         )
         .map_err(|f| cell_failure(ga_cell_label(scenario, f.index), f));
@@ -227,7 +214,7 @@ pub fn run_ns_figure(config: &ExperimentConfig) -> Result<NsFigure, ExperimentEr
             config.retry_policy(),
             config.fault_plan.as_ref(),
             &mut stats,
-            |ctx, (movement_id, label)| {
+            |_, (movement_id, label)| {
                 ns_job(
                     scenario,
                     config,
@@ -236,7 +223,6 @@ pub fn run_ns_figure(config: &ExperimentConfig) -> Result<NsFigure, ExperimentEr
                     &initial,
                     *movement_id,
                     label,
-                    ctx.sabotage,
                     &mut NoopRecorder,
                 )
             },
@@ -286,7 +272,7 @@ pub fn run_ns_figure_recorded(
             config.fault_plan.as_ref(),
             &mut stats,
             recorder,
-            |ctx, (movement_id, label), rec| {
+            |_, (movement_id, label), rec| {
                 ns_job(
                     scenario,
                     config,
@@ -295,7 +281,6 @@ pub fn run_ns_figure_recorded(
                     &initial,
                     *movement_id,
                     label,
-                    ctx.sabotage,
                     rec,
                 )
             },
@@ -324,12 +309,7 @@ fn ns_initial_placement(
 }
 
 /// One Figure 4 curve: a neighborhood search with the given movement over
-/// a topology pinned to the configured connectivity strategy. A sabotaged
-/// attempt (`blowup@repair` fault) floors the connectivity cost cap —
-/// forcing the rescan fallback on every deletion search — and arms the
-/// degradation ladder, driving real degraded work through the engine;
-/// the attempt is doomed by the runtime afterwards, so none of it can
-/// reach the figure or its telemetry.
+/// a topology pinned to the configured connectivity strategy.
 #[allow(clippy::too_many_arguments)]
 fn ns_job(
     scenario: Scenario,
@@ -339,7 +319,6 @@ fn ns_job(
     initial: &Placement,
     movement_id: u64,
     label: &str,
-    sabotage: bool,
     recorder: &mut dyn Recorder,
 ) -> Result<Trace, ModelError> {
     let search_config = SearchConfig {
@@ -358,13 +337,6 @@ fn ns_job(
     let search = NeighborhoodSearch::new(evaluator, movement, search_config);
     let mut topo = evaluator.topology(initial)?;
     topo.set_connectivity_mode(config.connectivity);
-    if sabotage {
-        topo.set_connectivity_cost_cap(Some(0));
-        topo.set_degradation_policy(DegradationPolicy {
-            audit_every: 1,
-            fallback_streak_limit: 1,
-        });
-    }
     let outcome = search.run_with_topology_recorded(&mut topo, &mut rng, recorder);
     Ok(outcome.trace.giant_series(label))
 }

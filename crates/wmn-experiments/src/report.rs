@@ -37,7 +37,7 @@ pub fn write_table(dir: &Path, table: &TableResult) -> Result<(), ExperimentErro
 
 /// Streams aligned series through a [`RowSink`], one row per x value
 /// (header `[x, name…]`, the JSONL/CSV twin of
-/// [`render_series`](crate::csv::render_series)). This is what lets the
+/// [`render_series`]). This is what lets the
 /// `--scale 8`+ figure runs emit machine-readable output incrementally
 /// through [`JsonlSink`] instead of accumulating a rendered document.
 ///

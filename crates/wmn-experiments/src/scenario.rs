@@ -220,9 +220,9 @@ pub struct ExperimentConfig {
     /// Figure sampling stride in generations (the paper samples every ~5).
     pub sample_every: usize,
     /// Connectivity repair strategy for every topology-backed run
-    /// ([`ConnectivityMode::Dynamic`] is the production engine; the rescan
-    /// and full-rebuild oracles exist so the counter-regression gate can
-    /// compare work profiles). Results are bit-identical in every mode —
+    /// ([`ConnectivityMode::Dynamic`] is the production engine; the
+    /// full-rebuild oracle exists so the counter-regression gate can
+    /// compare work profiles). Results are bit-identical in both modes —
     /// only the work counters differ.
     pub connectivity: ConnectivityMode,
     /// Per-cell attempt budget for the panic-isolated runner (`--retries`):
@@ -324,12 +324,10 @@ impl ExperimentConfig {
 
     /// The GA evaluation pipeline implied by
     /// [`connectivity`](ExperimentConfig::connectivity): the incremental
-    /// topology-backed backend with the chosen repair strategy, or the
-    /// full-rebuild reference pipeline for
+    /// topology-backed backend, or the full-rebuild reference pipeline for
     /// [`ConnectivityMode::FullRebuild`].
     pub fn ga_eval_mode(&self) -> GaEvalMode {
         match self.connectivity {
-            ConnectivityMode::DsuRescan => GaEvalMode::IncrementalDsuRescan,
             ConnectivityMode::FullRebuild => GaEvalMode::Rebuild,
             _ => GaEvalMode::Incremental,
         }
@@ -523,8 +521,6 @@ mod tests {
         let mut config = ExperimentConfig::quick();
         assert_eq!(config.connectivity, ConnectivityMode::Dynamic);
         assert_eq!(config.ga_eval_mode(), GaEvalMode::Incremental);
-        config.connectivity = ConnectivityMode::DsuRescan;
-        assert_eq!(config.ga_eval_mode(), GaEvalMode::IncrementalDsuRescan);
         config.connectivity = ConnectivityMode::FullRebuild;
         assert_eq!(config.ga_eval_mode(), GaEvalMode::Rebuild);
         // `quickened` preserves the oracle choice like every other

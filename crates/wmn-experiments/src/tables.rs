@@ -127,17 +127,6 @@ pub(crate) fn experiment_ga_config(config: &ExperimentConfig) -> GaConfig {
         .expect("experiment GA config is valid")
 }
 
-/// `base` with the connectivity cost cap floored to zero: every deletion
-/// search immediately falls back to the whole-graph rescan, making repair
-/// artificially expensive. This is the GA-side response to a
-/// `blowup@repair` sabotage — outcomes stay bit-identical (all repair
-/// paths agree), and the sabotaged attempt is doomed afterwards anyway.
-pub(crate) fn sabotaged_ga_config(base: &GaConfig) -> GaConfig {
-    let mut config = base.clone();
-    config.connectivity_cost_cap = Some(0);
-    config
-}
-
 /// Maps a runtime [`JobFailure`] onto [`ExperimentError::Cell`], naming
 /// the failed grid cell.
 pub(crate) fn cell_failure<E: std::fmt::Display>(
@@ -231,7 +220,6 @@ pub fn run_table(
     let instance = config.instance(scenario)?;
     let evaluator = Evaluator::paper_default(&instance);
     let ga_config = experiment_ga_config(config);
-    let sabotaged = sabotaged_ga_config(&ga_config);
 
     let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
     let mut stats = RobustnessStats::default();
@@ -242,13 +230,13 @@ pub fn run_table(
             config.retry_policy(),
             config.fault_plan.as_ref(),
             &mut stats,
-            |ctx, (mi, method)| {
+            |_, (mi, method)| {
                 table_row(
                     scenario,
                     config,
                     &instance,
                     &evaluator,
-                    if ctx.sabotage { &sabotaged } else { &ga_config },
+                    &ga_config,
                     *mi,
                     *method,
                     &mut NoopRecorder,
@@ -286,7 +274,6 @@ pub fn run_table_recorded(
     let instance = config.instance(scenario)?;
     let evaluator = Evaluator::paper_default(&instance);
     let ga_config = experiment_ga_config(config);
-    let sabotaged = sabotaged_ga_config(&ga_config);
 
     let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
     let mut stats = RobustnessStats::default();
@@ -298,16 +285,9 @@ pub fn run_table_recorded(
             config.fault_plan.as_ref(),
             &mut stats,
             recorder,
-            |ctx, (mi, method), rec| {
+            |_, (mi, method), rec| {
                 table_row(
-                    scenario,
-                    config,
-                    &instance,
-                    &evaluator,
-                    if ctx.sabotage { &sabotaged } else { &ga_config },
-                    *mi,
-                    *method,
-                    rec,
+                    scenario, config, &instance, &evaluator, &ga_config, *mi, *method, rec,
                 )
             },
         )

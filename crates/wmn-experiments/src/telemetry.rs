@@ -10,9 +10,10 @@
 //!   under nested phase scopes; see `wmn_obs::PhaseNode`) — so the file
 //!   is **byte-identical for every thread count** (the per-job recorders
 //!   merge in job-index order; see
-//!   `wmn_runtime::pool::Runtime::execute_recorded`). The `config` block
-//!   deliberately excludes the thread knobs for the same reason: two runs
-//!   that differ only in parallelism produce the same document.
+//!   `wmn_runtime::pool::Runtime::try_execute_isolated_recorded`). The
+//!   `config` block deliberately excludes the thread knobs for the same
+//!   reason: two runs that differ only in parallelism produce the same
+//!   document.
 //! * `spans.jsonl` — one
 //!   `{"span":name,"path":...,"parent":...,"depth":D,"index":I,"nanos":N}`
 //!   line per recorded wall-clock span, sorted by `(path, index)` with

@@ -12,12 +12,11 @@ use wmn_experiments::scenario::{ExperimentConfig, Scenario};
 use wmn_experiments::tables::run_table;
 use wmn_runtime::FaultPlan;
 
-/// One rule per site: panics on attempt 0, errors on attempts 0–1,
-/// cost-cap blowups on attempt 0. The worst-case job is doomed on
-/// attempts 0 and 1 and clean on attempt 2, so `retries = 3` always
-/// stays within budget.
-const WITHIN_BUDGET_PLAN: &str =
-    "seed=7;panic@start:p=0.4;error@finish:p=0.4,n=2;blowup@repair:p=0.5";
+/// One rule per site: panics at job start on attempt 0, errors at job
+/// finish on attempts 0–1. The worst-case job is doomed on attempts 0
+/// and 1 and clean on attempt 2, so `retries = 3` always stays within
+/// budget.
+const WITHIN_BUDGET_PLAN: &str = "seed=7;panic@start:p=0.4;error@finish:p=0.4,n=2";
 
 fn clean_config(threads: usize) -> ExperimentConfig {
     let mut config = ExperimentConfig::quick();

@@ -4,11 +4,11 @@
 //!    `telemetry.json` document of a fixed-seed figure run is
 //!    **byte-identical for every thread count** — both experiment-runtime
 //!    workers and GA evaluation threads.
-//! 2. Each connectivity oracle (`Dynamic`, `DsuRescan`, `FullRebuild`)
-//!    produces a reproducible counter snapshot at one thread (the
-//!    `Rebuild` pipeline's disk-cache counters depend on worker
-//!    assignment, so mode comparisons are pinned to one thread).
-//! 3. The oracles produce the **same figures** but **different work
+//! 2. Each connectivity mode (`Dynamic`, `FullRebuild`) produces a
+//!    reproducible counter snapshot at one thread (the `Rebuild`
+//!    pipeline's disk-cache counters depend on worker assignment, so mode
+//!    comparisons are pinned to one thread).
+//! 3. The modes produce the **same figures** but **different work
 //!    profiles** — the property `scripts/check_counters.sh` turns into a
 //!    perf-regression gate.
 
@@ -116,11 +116,7 @@ fn connectivity_oracles_are_reproducible_and_distinguishable() {
 
     let mut figures = Vec::new();
     let mut documents = Vec::new();
-    for mode in [
-        ConnectivityMode::Dynamic,
-        ConnectivityMode::DsuRescan,
-        ConnectivityMode::FullRebuild,
-    ] {
+    for mode in [ConnectivityMode::Dynamic, ConnectivityMode::FullRebuild] {
         config.connectivity = mode;
         let run = || {
             let mut recorder = TelemetryRecorder::new();
@@ -134,16 +130,14 @@ fn connectivity_oracles_are_reproducible_and_distinguishable() {
         documents.push(doc_a);
     }
 
-    // Same results, different work: the figures agree across oracles...
+    // Same results, different work: the figures agree across modes...
     assert_eq!(figures[0], figures[1]);
-    assert_eq!(figures[0], figures[2]);
-    // ...but each oracle leaves a distinct counter fingerprint (this is
+    // ...but each mode leaves a distinct counter fingerprint (this is
     // exactly what lets check_counters.sh catch a pessimized build).
     assert_ne!(documents[0], documents[1]);
-    assert_ne!(documents[0], documents[2]);
-    assert_ne!(documents[1], documents[2]);
-    // The dynamic engine does component-local BFS work; the rescan oracle
-    // never does.
+    // The dynamic engine does component-local BFS work; the full-rebuild
+    // oracle never does.
     assert!(documents[0].contains("\"connectivity.bfs_edge_visits\""));
     assert!(!documents[1].contains("\"connectivity.bfs_edge_visits\""));
+    assert!(documents[1].contains("\"topology.full_rebuilds\""));
 }

@@ -41,7 +41,6 @@ use crate::selection::SelectionOp;
 use crate::trace::{GaTrace, GenerationRecord};
 use rand::{Rng, RngCore};
 use std::fmt;
-use wmn_graph::topology::ConnectivityMode;
 use wmn_metrics::evaluator::{EvalWorkspace, Evaluation, Evaluator};
 use wmn_model::placement::Placement;
 use wmn_model::ModelError;
@@ -56,15 +55,9 @@ pub enum GaEvalMode {
     /// their lineage parent's live topology and repair the placement diff
     /// through the incremental batch engine, with connectivity repaired
     /// component-locally by the dynamic connectivity engine
-    /// ([`ConnectivityMode::Dynamic`]).
+    /// ([`ConnectivityMode::Dynamic`](wmn_graph::topology::ConnectivityMode::Dynamic)).
     #[default]
     Incremental,
-    /// The incremental pipeline with connectivity pinned to the
-    /// whole-graph DSU rescan ([`ConnectivityMode::DsuRescan`]) — the
-    /// dynamic connectivity engine's reference oracle, kept so the
-    /// equivalence suites can pin the new engine end-to-end through full
-    /// GA runs.
-    IncrementalDsuRescan,
     /// Full-rebuild reference pipeline: every child is evaluated through a
     /// per-worker workspace whose topology is rebuilt in place per
     /// candidate — the pre-topology-backed behavior, kept as the
@@ -77,7 +70,6 @@ impl fmt::Display for GaEvalMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GaEvalMode::Incremental => write!(f, "incremental"),
-            GaEvalMode::IncrementalDsuRescan => write!(f, "incremental-dsu-rescan"),
             GaEvalMode::Rebuild => write!(f, "rebuild"),
         }
     }
@@ -105,12 +97,6 @@ pub struct GaConfig {
     /// Evaluation pipeline (incremental topology-backed vs full rebuild);
     /// outcomes are bit-identical either way.
     pub eval_mode: GaEvalMode,
-    /// Override of the dynamic connectivity engine's per-deletion cost
-    /// cap, pinned onto every evaluation slot (`None` = engine default).
-    /// `Some(0)` forces the rescan fallback on every deletion search —
-    /// outcomes stay bit-identical (all repair paths agree), only the
-    /// work profile changes; fault plans use this to sabotage repair cost.
-    pub connectivity_cost_cap: Option<usize>,
 }
 
 impl GaConfig {
@@ -128,7 +114,6 @@ impl GaConfig {
             mutations: MutationOp::paper_default_stack(),
             threads: 1,
             eval_mode: GaEvalMode::Incremental,
-            connectivity_cost_cap: None,
         }
     }
 
@@ -204,13 +189,6 @@ impl GaConfigBuilder {
     /// Sets the evaluation pipeline (incremental vs full rebuild).
     pub fn eval_mode(&mut self, mode: GaEvalMode) -> &mut Self {
         self.config.eval_mode = mode;
-        self
-    }
-
-    /// Overrides the connectivity engine's per-deletion cost cap on every
-    /// evaluation slot (see [`GaConfig::connectivity_cost_cap`]).
-    pub fn connectivity_cost_cap(&mut self, cap: Option<usize>) -> &mut Self {
-        self.config.connectivity_cost_cap = cap;
         self
     }
 
@@ -424,7 +402,7 @@ impl<'e, 'i> GaEngine<'e, 'i> {
     ///
     /// Results are bit-identical to [`run`](Self::run); with a disabled
     /// recorder the extra cost is one branch per generation. Under the
-    /// incremental eval modes the emitted counters are also independent of
+    /// incremental eval mode the emitted counters are also independent of
     /// the thread count, because child `i` is always evaluated in slot `i`
     /// (the `Rebuild` oracle's per-worker workspaces make its disk-cache
     /// counters depend on worker assignment — record it with one thread
@@ -442,8 +420,7 @@ impl<'e, 'i> GaEngine<'e, 'i> {
     ) -> Result<GaOutcome, ModelError> {
         let mut population =
             init.build(self.evaluator.instance(), self.config.population_size, rng);
-        let mut backend =
-            EvalBackend::new(self.config.eval_mode, self.config.connectivity_cost_cap);
+        let mut backend = EvalBackend::new(self.config.eval_mode);
         let init_clock = recorder.enabled().then(std::time::Instant::now);
         backend.evaluate_initial(self.evaluator, &mut population, self.config.threads)?;
         let init_nanos = elapsed_nanos(init_clock);
@@ -556,13 +533,6 @@ enum EvalBackend {
         /// Last generation's slots, recycled as the next children's lease
         /// pool (their warm topologies get `clone_from`'d over).
         spare: Vec<EvalWorkspace>,
-        /// Connectivity repair strategy pinned onto the slot topologies
-        /// (children inherit it through `clone_from`, so one pass after
-        /// the initial evaluation pins the whole run).
-        connectivity: ConnectivityMode,
-        /// Cost-cap override pinned onto the slot topologies the same way
-        /// (it also travels with `clone_from`).
-        cost_cap: Option<usize>,
     },
     Rebuild {
         /// One workspace per evaluation worker, persistent across
@@ -572,19 +542,11 @@ enum EvalBackend {
 }
 
 impl EvalBackend {
-    fn new(mode: GaEvalMode, cost_cap: Option<usize>) -> Self {
+    fn new(mode: GaEvalMode) -> Self {
         match mode {
             GaEvalMode::Incremental => EvalBackend::Incremental {
                 slots: Vec::new(),
                 spare: Vec::new(),
-                connectivity: ConnectivityMode::Dynamic,
-                cost_cap,
-            },
-            GaEvalMode::IncrementalDsuRescan => EvalBackend::Incremental {
-                slots: Vec::new(),
-                spare: Vec::new(),
-                connectivity: ConnectivityMode::DsuRescan,
-                cost_cap,
             },
             GaEvalMode::Rebuild => EvalBackend::Rebuild {
                 workspaces: Vec::new(),
@@ -599,21 +561,9 @@ impl EvalBackend {
         threads: usize,
     ) -> Result<(), ModelError> {
         match self {
-            EvalBackend::Incremental {
-                slots,
-                connectivity,
-                cost_cap,
-                ..
-            } => {
+            EvalBackend::Incremental { slots, .. } => {
                 slots.resize_with(population.len(), EvalWorkspace::new);
-                parallel::evaluate_initial(evaluator, population, slots, threads)?;
-                for slot in slots.iter_mut() {
-                    if let Some(topo) = slot.topology_mut() {
-                        topo.set_connectivity_mode(*connectivity);
-                        topo.set_connectivity_cost_cap(*cost_cap);
-                    }
-                }
-                Ok(())
+                parallel::evaluate_initial(evaluator, population, slots, threads)
             }
             EvalBackend::Rebuild { workspaces } => {
                 parallel::evaluate_population_with(evaluator, population, threads, workspaces)

@@ -1,7 +1,7 @@
 //! Per-generation GA traces (the data behind Figures 1–3).
 //!
 //! The per-generation record embeds the engine-agnostic
-//! [`ProgressPoint`](wmn_metrics::stats::ProgressPoint) from
+//! [`ProgressPoint`] from
 //! `wmn-metrics`, the same shape the neighborhood-search drivers' per-phase
 //! trace uses — so figure writers and telemetry consume one type regardless
 //! of which engine produced the run.

@@ -1,8 +1,6 @@
 //! Full-run equivalence suite for the topology-backed GA: complete GA runs
 //! under [`GaEvalMode::Incremental`] (dynamic connectivity) must be
-//! **bit-identical** to the DSU-rescan-pinned incremental pipeline
-//! ([`GaEvalMode::IncrementalDsuRescan`], the dynamic connectivity
-//! engine's oracle) and to the full-rebuild reference pipeline
+//! **bit-identical** to the full-rebuild reference pipeline
 //! ([`GaEvalMode::Rebuild`]) — traces, best placements, and final
 //! populations — at every thread count, for ad-hoc and random
 //! initializations.
@@ -71,12 +69,6 @@ fn incremental_equals_rebuild_across_thread_counts() {
                 &incremental,
                 &format!("{} incremental @{threads} threads", init.name()),
             );
-            let rescan = run(&inst, &init, GaEvalMode::IncrementalDsuRescan, threads, 42);
-            assert_outcomes_identical(
-                &baseline,
-                &rescan,
-                &format!("{} incremental-dsu-rescan @{threads} threads", init.name()),
-            );
             let rebuild = run(&inst, &init, GaEvalMode::Rebuild, threads, 42);
             assert_outcomes_identical(
                 &baseline,
@@ -100,14 +92,6 @@ fn equivalence_holds_across_seeds_and_methods() {
         let a = run(&inst, &init, GaEvalMode::Incremental, 1, 7 + i as u64);
         let b = run(&inst, &init, GaEvalMode::Rebuild, 1, 7 + i as u64);
         assert_outcomes_identical(&a, &b, method.name());
-        let c = run(
-            &inst,
-            &init,
-            GaEvalMode::IncrementalDsuRescan,
-            1,
-            7 + i as u64,
-        );
-        assert_outcomes_identical(&a, &c, method.name());
     }
 }
 

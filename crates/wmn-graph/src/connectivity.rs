@@ -190,11 +190,6 @@ impl DynamicConnectivity {
         self.cost_cap = cap;
     }
 
-    /// The cap override currently in effect (`None` = default formula).
-    pub fn cost_cap_override(&self) -> Option<usize> {
-        self.cost_cap
-    }
-
     /// The per-deletion edge-visit budget in effect for an `n`-node graph.
     pub fn cost_cap(&self, n: usize) -> usize {
         self.cost_cap

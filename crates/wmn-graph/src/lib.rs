@@ -13,7 +13,8 @@
 //!   (lazy, allocation-free iteration) plus the mutable
 //!   [`DynamicGrid`] the topology keeps in sync across router moves.
 //! * [`adjacency`] — geometric link models and mesh adjacency construction,
-//!   with in-place node detach/attach and whole-graph rebuild.
+//!   with per-node edge replacement (`replace_node_edges`, a merge-diff
+//!   of old vs new neighbor lists) and whole-graph rebuild.
 //! * [`components`] — connected components and the giant component (the
 //!   paper's connectivity objective), rebuildable through reusable scratch.
 //! * [`connectivity`] — [`DynamicConnectivity`], component-local repair of
@@ -61,7 +62,5 @@ pub use connectivity::{ConnectivityStats, DynamicConnectivity, RepairOutcome};
 pub use density::{CellWindow, DensityMap, ZoneBins};
 pub use dsu::UnionFind;
 pub use spatial::{DynamicGrid, GridIndex};
-pub use topology::{
-    ConnectivityMode, CoverageRule, DegradationPolicy, TopologyConfig, WmnTopology,
-};
+pub use topology::{ConnectivityMode, CoverageRule, TopologyConfig, WmnTopology};
 pub use wmn_obs::{ApplyPhases, EngineStats, TopologyStats};

@@ -25,9 +25,8 @@
 //!    insertions union component ids, deletions run a bounded
 //!    component-local bidirectional BFS, and a whole-graph
 //!    [`Components::rebuild_incremental`] rescan remains only as the
-//!    engine's cost-cap fallback (and as the pinnable
-//!    [`ConnectivityMode::DsuRescan`] reference). Labels stay canonically
-//!    equal to the BFS labeling of a fresh build in every mode.
+//!    engine's cost-cap fallback. Labels stay canonically equal to the BFS
+//!    labeling of a fresh build.
 //! 3. **Coverage.** Per-client *cover counts* (how many counting routers
 //!    reach each client) are maintained so a move only increments and
 //!    decrements the moved router's old and new disks, flipping `covered`
@@ -61,9 +60,9 @@
 //! membership changes, coverage falls back to the one full
 //! [`recompute`](WmnTopology::rebuild_full)-style pass (still in place, no
 //! allocation). Under [`CoverageRule::AnyRouter`] membership is irrelevant
-//! and the delta path always applies. [`set_connectivity_mode`] selects the
-//! connectivity repair strategy ([`ConnectivityMode`]); [`set_rebuild_mode`]
-//! disables the incremental engine wholesale — every move then runs
+//! and the delta path always applies. [`set_connectivity_mode`] with
+//! [`ConnectivityMode::FullRebuild`] disables the incremental engine
+//! wholesale — every move then runs
 //! [`rebuild_full`](WmnTopology::rebuild_full) — which is the reference
 //! baseline the equivalence tests and the `ablation_move_eval` bench
 //! compare against.
@@ -71,7 +70,6 @@
 //! [`move_router`]: WmnTopology::move_router
 //! [`swap_routers`]: WmnTopology::swap_routers
 //! [`apply_moves`]: WmnTopology::apply_moves
-//! [`set_rebuild_mode`]: WmnTopology::set_rebuild_mode
 //! [`set_connectivity_mode`]: WmnTopology::set_connectivity_mode
 //! [`DynamicConnectivity`]: crate::connectivity::DynamicConnectivity
 //! [`DynamicGrid`]: crate::spatial::DynamicGrid
@@ -90,7 +88,7 @@ use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::ProblemInstance;
 use wmn_model::node::RouterId;
 use wmn_model::placement::Placement;
-use wmn_obs::{ApplyPhases, DegradeStats, EngineStats, TopologyStats};
+use wmn_obs::{ApplyPhases, EngineStats, TopologyStats};
 
 /// Which routers count for client coverage.
 ///
@@ -117,10 +115,10 @@ impl fmt::Display for CoverageRule {
 }
 
 /// How a topology repairs connectivity (components + giant) after each
-/// move, swap, or batch application. All three strategies produce
+/// move, swap, or batch application. Both strategies produce
 /// **bit-identical** state (pinned by the equivalence and proptest
-/// suites); they differ only in cost, and the two non-default ones exist
-/// as reference oracles and bench baselines.
+/// suites); they differ only in cost, and the non-default one exists as
+/// the reference oracle and bench baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum ConnectivityMode {
@@ -128,17 +126,12 @@ pub enum ConnectivityMode {
     /// grid-local edge repair drives [`DynamicConnectivity`] — insertions
     /// are pure DSU unions over component ids, deletions run a bounded
     /// bidirectional component-local BFS, and the whole-graph rescan
-    /// remains only as the engine's cost-cap fallback.
+    /// ([`Components::rebuild_incremental`]) remains only as the engine's
+    /// cost-cap fallback.
     #[default]
     Dynamic,
-    /// Whole-graph union–find rescan per repair
-    /// ([`Components::rebuild_incremental`]) — the previous engine, kept
-    /// as the dynamic engine's reference oracle and as the baseline the
-    /// `ablation_connectivity` bench measures against.
-    DsuRescan,
     /// Full rebuild of grid, adjacency, components, and coverage on every
-    /// move ([`WmnTopology::rebuild_full`]) — the original reference
-    /// baseline behind [`WmnTopology::set_rebuild_mode`].
+    /// move ([`WmnTopology::rebuild_full`]) — the reference baseline.
     FullRebuild,
 }
 
@@ -146,39 +139,9 @@ impl fmt::Display for ConnectivityMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConnectivityMode::Dynamic => write!(f, "dynamic"),
-            ConnectivityMode::DsuRescan => write!(f, "dsu-rescan"),
             ConnectivityMode::FullRebuild => write!(f, "full-rebuild"),
         }
     }
-}
-
-/// Self-check policy for the connectivity **degradation ladder**
-/// `Dynamic → DsuRescan → FullRebuild`.
-///
-/// All three [`ConnectivityMode`]s produce bit-identical state, so
-/// demoting to a slower rung is always output-safe — it trades speed for
-/// simplicity when the fast engine shows signs of trouble. Two triggers
-/// exist, both off by default (a zero field disables its trigger, and
-/// the all-zero `Default` policy is completely free on the hot path):
-///
-/// * **Audit:** every `audit_every` repairs, the component partition is
-///   recomputed from the adjacency by the whole-graph union–find rescan
-///   and compared with the engine's. A mismatch adopts the reference
-///   partition and demotes one rung.
-/// * **Fallback streak:** `fallback_streak_limit` consecutive repairs
-///   that each exceeded the dynamic engine's cost cap demote
-///   `Dynamic → DsuRescan` (paying one rescan per repair *anyway* means
-///   the dynamic bookkeeping is pure overhead).
-///
-/// Demotions are observable via the `degrade.*` counters of
-/// [`engine_stats`](WmnTopology::engine_stats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DegradationPolicy {
-    /// Audit the partition every this many repairs (`0` = never).
-    pub audit_every: u64,
-    /// Demote `Dynamic → DsuRescan` after this many consecutive cost-cap
-    /// fallbacks (`0` = never).
-    pub fallback_streak_limit: u64,
 }
 
 /// Link model + coverage rule: everything configurable about how a
@@ -270,9 +233,6 @@ pub struct WmnTopology {
     disk_cached: Vec<bool>,
     /// Connectivity repair strategy (see [`ConnectivityMode`]).
     connectivity_mode: ConnectivityMode,
-    /// Degradation-ladder policy (see [`DegradationPolicy`]; all-zero =
-    /// disabled). Configuration like the mode: travels with state copies.
-    degradation: DegradationPolicy,
     scratch: MoveScratch,
 }
 
@@ -307,27 +267,11 @@ struct MoveScratch {
     /// like the connectivity engine's: zeroed by `clone`, kept running by
     /// `clone_from` (so per-slot totals accumulate across a GA run).
     counters: TopologyStats,
-    /// Degradation-ladder counters (audits, demotions); scratch like
-    /// `counters`.
-    degrade: DegradeStats,
     /// Per-phase buckets partitioning the batch-repair engine work
     /// (edge repair / component repair / coverage, see [`ApplyPhases`]);
     /// scratch like `counters`, and always-on for the same reason: the
     /// buckets are snapshots of counters the engine maintains anyway.
     phases: ApplyPhases,
-    /// Repairs since the last partition audit.
-    repairs_since_audit: u64,
-    /// Consecutive deletion repairs that each hit the cost-cap fallback.
-    fallback_streak: u64,
-    /// `conn.stats().fallbacks` after the previous repair (streak
-    /// detection).
-    last_fallbacks: u64,
-    /// `conn.stats().bfs_edge_visits` after the previous repair (a grown
-    /// value without a fallback means a deletion search *succeeded*,
-    /// which is what breaks a streak).
-    last_bfs_visits: u64,
-    /// Reference partition buffer for audits (lazily allocated).
-    audit_components: Option<Components>,
 }
 
 /// One unique moved router of a batch application
@@ -343,13 +287,7 @@ struct BatchEntry {
 
 impl Clone for WmnTopology {
     fn clone(&self) -> Self {
-        // Scratch state is not copied, but the connectivity cost-cap
-        // override is configuration, not scratch — it travels like the
-        // connectivity mode does.
-        let mut scratch = MoveScratch::default();
-        scratch
-            .conn
-            .set_cost_cap(self.scratch.conn.cost_cap_override());
+        // Scratch state is not copied.
         WmnTopology {
             area: self.area,
             config: self.config,
@@ -367,8 +305,7 @@ impl Clone for WmnTopology {
             disk_clients: self.disk_clients.clone(),
             disk_cached: self.disk_cached.clone(),
             connectivity_mode: self.connectivity_mode,
-            degradation: self.degradation,
-            scratch,
+            scratch: MoveScratch::default(),
         }
     }
 
@@ -397,10 +334,6 @@ impl Clone for WmnTopology {
         self.disk_clients.clone_from(&src.disk_clients);
         self.disk_cached.clone_from(&src.disk_cached);
         self.connectivity_mode = src.connectivity_mode;
-        self.degradation = src.degradation;
-        self.scratch
-            .conn
-            .set_cost_cap(src.scratch.conn.cost_cap_override());
     }
 }
 
@@ -464,7 +397,6 @@ impl WmnTopology {
             disk_clients: NeighborSlab::with_nodes(positions_len),
             disk_cached: vec![false; positions_len],
             connectivity_mode: ConnectivityMode::default(),
-            degradation: DegradationPolicy::default(),
             scratch: MoveScratch::default(),
         };
         topo.refresh_giant_mask();
@@ -591,34 +523,16 @@ impl WmnTopology {
         self.components.in_giant(id.index())
     }
 
-    /// Switches between the incremental engine (default) and the
-    /// full-rebuild reference path: when `full` is set, every
+    /// Selects the connectivity repair strategy (see [`ConnectivityMode`]):
+    /// under [`ConnectivityMode::FullRebuild`] every
     /// [`move_router`](WmnTopology::move_router) /
-    /// [`swap_routers`](WmnTopology::swap_routers) runs
+    /// [`swap_routers`](WmnTopology::swap_routers) /
+    /// [`apply_moves`](WmnTopology::apply_moves) runs
     /// [`rebuild_full`](WmnTopology::rebuild_full) instead of the delta
-    /// path. Results are bit-identical either way (verified by the
+    /// path. Results are bit-identical in every mode (verified by the
     /// equivalence suites); the `ablation_move_eval` bench measures the
-    /// gap. Shorthand for
-    /// [`set_connectivity_mode`](WmnTopology::set_connectivity_mode) with
-    /// [`ConnectivityMode::FullRebuild`] / [`ConnectivityMode::Dynamic`].
-    pub fn set_rebuild_mode(&mut self, full: bool) {
-        self.connectivity_mode = if full {
-            ConnectivityMode::FullRebuild
-        } else {
-            ConnectivityMode::Dynamic
-        };
-    }
-
-    /// Returns `true` when every move performs a full rebuild (see
-    /// [`set_rebuild_mode`](WmnTopology::set_rebuild_mode)).
-    pub fn rebuild_mode(&self) -> bool {
-        self.connectivity_mode == ConnectivityMode::FullRebuild
-    }
-
-    /// Selects the connectivity repair strategy (see [`ConnectivityMode`];
-    /// results are bit-identical in every mode). The mode travels with
-    /// state copies ([`Clone::clone_from`]), so a population pool seeded
-    /// from pinned parents stays pinned.
+    /// gap. The mode travels with state copies ([`Clone::clone_from`]), so
+    /// a population pool seeded from pinned parents stays pinned.
     pub fn set_connectivity_mode(&mut self, mode: ConnectivityMode) {
         self.connectivity_mode = mode;
     }
@@ -643,75 +557,41 @@ impl WmnTopology {
     /// kept running by `clone_from` — and deterministic for a fixed seed
     /// at any thread count.
     pub fn engine_stats(&self) -> EngineStats {
-        let mut stats = EngineStats::new(self.scratch.counters, self.scratch.conn.stats());
-        stats.degrade = self.scratch.degrade;
-        stats
+        EngineStats::new(self.scratch.counters, self.scratch.conn.stats())
     }
 
     /// The per-phase buckets partitioning the engine work done *inside*
     /// batch repairs ([`apply_moves`](WmnTopology::apply_moves) with ≥ 2
     /// distinct routers): edge repair, component repair, coverage, and
     /// the `FullRebuild`-mode escape hatch. Buckets are scratch state
-    /// with the same lifecycle as [`engine_stats`]
-    /// (WmnTopology::engine_stats) — zeroed on construction and `clone`,
-    /// kept running by `clone_from` — and always sum to at most the
-    /// engine-stats totals; the difference is work done outside batch
-    /// repairs (single moves, `clone_from` copies, `reset_placement`).
+    /// with the same lifecycle as
+    /// [`engine_stats`](WmnTopology::engine_stats) — zeroed on
+    /// construction and `clone`, kept running by `clone_from` — and
+    /// always sum to at most the engine-stats totals; the difference is
+    /// work done outside batch repairs (single moves, `clone_from` copies,
+    /// `reset_placement`).
     pub fn apply_phases(&self) -> ApplyPhases {
         self.scratch.phases
     }
 
-    /// Zeroes every engine counter (topology, connectivity, degradation)
-    /// and the per-phase batch-repair buckets, starting a fresh
-    /// measurement window — per-generation or per-phase deltas without
-    /// lifetime bookkeeping.
+    /// Zeroes every engine counter (topology and connectivity) and the
+    /// per-phase batch-repair buckets, starting a fresh measurement
+    /// window — per-generation or per-phase deltas without lifetime
+    /// bookkeeping.
     pub fn reset_engine_stats(&mut self) {
         self.scratch.counters.reset();
         self.scratch.conn.reset_stats();
-        self.scratch.degrade.reset();
         self.scratch.phases.reset();
     }
 
-    /// Arms (or, with the all-zero default, disarms) the connectivity
-    /// degradation ladder — see [`DegradationPolicy`]. Like the
-    /// connectivity mode, the policy travels with state copies
-    /// (`clone` / `clone_from`); the ladder's streak/audit bookkeeping is
-    /// scratch and starts fresh in a `clone`.
-    pub fn set_degradation_policy(&mut self, policy: DegradationPolicy) {
-        self.degradation = policy;
-    }
-
-    /// The active degradation-ladder policy.
-    pub fn degradation_policy(&self) -> DegradationPolicy {
-        self.degradation
-    }
-
-    /// Forces one demotion down the ladder
-    /// (`Dynamic → DsuRescan → FullRebuild`; a no-op at the bottom),
-    /// exactly as an audit failure would. Exposed for tests exercising
-    /// the lower rungs without having to corrupt the partition first.
+    /// Test hook: overrides the dynamic engine's per-deletion edge-visit
+    /// budget (`None` restores the default; `Some(0)` forces the
+    /// whole-graph rescan fallback on every deletion that requires a
+    /// search — see [`DynamicConnectivity::set_cost_cap`]). The override
+    /// is scratch state: `clone` starts without it and `clone_from` does
+    /// not copy it.
     #[doc(hidden)]
-    pub fn degrade_one_rung(&mut self) {
-        match self.connectivity_mode {
-            ConnectivityMode::Dynamic => {
-                self.connectivity_mode = ConnectivityMode::DsuRescan;
-                self.scratch.degrade.demotions_to_rescan += 1;
-            }
-            ConnectivityMode::DsuRescan => {
-                self.connectivity_mode = ConnectivityMode::FullRebuild;
-                self.scratch.degrade.demotions_to_full += 1;
-            }
-            ConnectivityMode::FullRebuild => {}
-        }
-    }
-
-    /// Overrides the dynamic engine's per-deletion edge-visit budget
-    /// (`None` restores the default; `Some(0)` forces the whole-graph
-    /// rescan fallback on every deletion that requires a search — see
-    /// [`DynamicConnectivity::set_cost_cap`]). Like the connectivity
-    /// mode, the override travels with state copies (`clone` /
-    /// `clone_from`), so pinned population pools stay pinned.
-    pub fn set_connectivity_cost_cap(&mut self, cap: Option<usize>) {
+    pub fn set_fallback_cap_for_tests(&mut self, cap: Option<usize>) {
         self.scratch.conn.set_cost_cap(cap);
     }
 
@@ -872,12 +752,8 @@ impl WmnTopology {
 
     /// Records the edge insert/delete events implied by one router's
     /// old-vs-new sorted neighbor lists (a linear merge-diff), feeding the
-    /// dynamic connectivity engine. A no-op outside
-    /// [`ConnectivityMode::Dynamic`].
+    /// dynamic connectivity engine.
     fn record_edge_diff(&mut self, i: usize, old: &[u32], new: &[u32]) {
-        if self.connectivity_mode != ConnectivityMode::Dynamic {
-            return;
-        }
         let MoveScratch {
             ins_events,
             del_events,
@@ -912,115 +788,33 @@ impl WmnTopology {
         }
     }
 
-    /// Repairs `components` for the current adjacency: component-locally
-    /// through the dynamic engine (consuming the recorded edge events)
-    /// under [`ConnectivityMode::Dynamic`], or by the whole-graph
-    /// union–find rescan under [`ConnectivityMode::DsuRescan`]. Returns
-    /// `true` when the component partition is **provably unchanged** (the
-    /// dynamic engine's [`RepairOutcome::Unchanged`]) — the giant mask is
-    /// then current as-is and the membership-diff pass can be skipped.
+    /// Repairs `components` for the current adjacency component-locally
+    /// through the dynamic engine, consuming the recorded edge events.
+    /// Returns `true` when the component partition is **provably
+    /// unchanged** (the engine's [`RepairOutcome::Unchanged`]) — the giant
+    /// mask is then current as-is and the membership-diff pass can be
+    /// skipped.
     fn repair_components(&mut self) -> bool {
-        let unchanged = match self.connectivity_mode {
-            ConnectivityMode::Dynamic => {
-                let MoveScratch {
-                    uf,
-                    label_of_root,
-                    conn,
-                    ins_events,
-                    del_events,
-                    ..
-                } = &mut self.scratch;
-                conn.apply_edge_diff(
-                    &self.adjacency,
-                    &mut self.components,
-                    ins_events,
-                    del_events,
-                    uf,
-                    label_of_root,
-                ) == RepairOutcome::Unchanged
-            }
-            ConnectivityMode::DsuRescan | ConnectivityMode::FullRebuild => {
-                let MoveScratch {
-                    uf, label_of_root, ..
-                } = &mut self.scratch;
-                self.components
-                    .rebuild_incremental(&self.adjacency, uf, label_of_root);
-                false
-            }
-        };
-        if self.degradation == DegradationPolicy::default() {
-            return unchanged;
-        }
-        let audit_repaired = self.run_degradation_ladder();
-        unchanged && !audit_repaired
-    }
-
-    /// The degradation ladder's per-repair hook: streak detection plus the
-    /// periodic partition audit. Returns `true` when an audit found — and
-    /// repaired — a divergent partition (the caller must then treat the
-    /// repair as "changed" so masks get rebuilt).
-    fn run_degradation_ladder(&mut self) -> bool {
-        let policy = self.degradation;
-        if policy.fallback_streak_limit > 0 && self.connectivity_mode == ConnectivityMode::Dynamic {
-            let stats = self.scratch.conn.stats();
-            // Streak bookkeeping over repairs that exercised deletion
-            // handling: a fallback extends the streak, a *successful*
-            // search (visits grew, no fallback) breaks it, and repairs
-            // with no deletion work are neutral.
-            let fell_back = stats.fallbacks > self.scratch.last_fallbacks;
-            let searched = stats.bfs_edge_visits > self.scratch.last_bfs_visits;
-            self.scratch.last_fallbacks = stats.fallbacks;
-            self.scratch.last_bfs_visits = stats.bfs_edge_visits;
-            if fell_back {
-                self.scratch.fallback_streak += 1;
-            } else if searched {
-                self.scratch.fallback_streak = 0;
-            }
-            if self.scratch.fallback_streak >= policy.fallback_streak_limit {
-                // Paying a whole-graph rescan per repair anyway: the
-                // dynamic bookkeeping is pure overhead, demote past it.
-                self.degrade_one_rung();
-                self.scratch.fallback_streak = 0;
-            }
-        }
-        if policy.audit_every == 0 {
-            return false;
-        }
-        self.scratch.repairs_since_audit += 1;
-        if self.scratch.repairs_since_audit < policy.audit_every {
-            return false;
-        }
-        self.scratch.repairs_since_audit = 0;
-        self.audit_partition()
-    }
-
-    /// Recomputes the component partition from the adjacency by the
-    /// whole-graph union–find rescan and compares it with the engine's
-    /// (labels are canonical in every mode, so `==` is the right check).
-    /// On divergence: adopt the reference partition, demote one rung, and
-    /// report `true`.
-    fn audit_partition(&mut self) -> bool {
         let MoveScratch {
             uf,
             label_of_root,
-            degrade,
-            audit_components,
+            conn,
+            ins_events,
+            del_events,
             ..
         } = &mut self.scratch;
-        degrade.audits += 1;
-        let reference = audit_components.get_or_insert_with(|| self.components.clone());
-        reference.rebuild_incremental(&self.adjacency, uf, label_of_root);
-        if *reference == self.components {
-            return false;
-        }
-        degrade.audit_failures += 1;
-        std::mem::swap(&mut self.components, reference);
-        self.degrade_one_rung();
-        true
+        conn.apply_edge_diff(
+            &self.adjacency,
+            &mut self.components,
+            ins_events,
+            del_events,
+            uf,
+            label_of_root,
+        ) == RepairOutcome::Unchanged
     }
 
-    /// Repairs components (per the connectivity mode) and writes the fresh
-    /// giant mask into `scratch.mask`. Returns `true` when any router
+    /// Repairs components and writes the fresh giant mask into
+    /// `scratch.mask`. Returns `true` when any router
     /// **other than** `moved_a`/`moved_b` changed giant membership — the
     /// coverage fallback trigger.
     fn rebuild_components_incremental(&mut self, moved_a: usize, moved_b: usize) -> bool {
@@ -1491,7 +1285,7 @@ impl WmnTopology {
     }
 
     /// Rebuilds the router grid, adjacency, components, and coverage from
-    /// scratch. The reference path: tests, the rebuild-mode baseline, and
+    /// scratch. The reference path: tests, the `FullRebuild` baseline, and
     /// the `ablation_move_eval` bench run it to pin the incremental engine.
     pub fn rebuild_full(&mut self) {
         self.scratch.counters.full_rebuilds += 1;
@@ -1705,109 +1499,6 @@ mod tests {
                 "drift after step {step}"
             );
         }
-    }
-
-    fn churn(topo: &mut WmnTopology, seed: u64, steps: usize, extent: f64) {
-        let mut rng = rng_from_seed(seed);
-        for _ in 0..steps {
-            let id = RouterId(rng.gen_range(0..topo.router_count()));
-            let p = Point::new(rng.gen_range(0.0..=extent), rng.gen_range(0.0..=extent));
-            topo.move_router(id, p);
-        }
-    }
-
-    /// A dense, well-connected topology: deleted edges usually leave both
-    /// endpoints with other links, so deletion repair actually runs the
-    /// bounded search (the paper instance is sparse enough that deletions
-    /// mostly hit the singleton fast path and never search).
-    fn dense_topology(seed: u64) -> WmnTopology {
-        let area = Area::square(40.0).unwrap();
-        let prof = RadioProfile::fixed(12.0).unwrap();
-        let instance = InstanceBuilder::new(area)
-            .routers(prof, 24)
-            .client(Point::new(20.0, 20.0))
-            .build()
-            .unwrap();
-        let mut rng = rng_from_seed(seed);
-        let placement = instance.random_placement(&mut rng);
-        WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap()
-    }
-
-    #[test]
-    fn degrade_one_rung_walks_the_ladder() {
-        let (_instance, mut topo) = paper_topology(5);
-        assert_eq!(topo.connectivity_mode(), ConnectivityMode::Dynamic);
-        topo.degrade_one_rung();
-        assert_eq!(topo.connectivity_mode(), ConnectivityMode::DsuRescan);
-        topo.degrade_one_rung();
-        assert_eq!(topo.connectivity_mode(), ConnectivityMode::FullRebuild);
-        topo.degrade_one_rung();
-        assert_eq!(topo.connectivity_mode(), ConnectivityMode::FullRebuild);
-        let degrade = topo.engine_stats().degrade;
-        assert_eq!(degrade.demotions_to_rescan, 1);
-        assert_eq!(degrade.demotions_to_full, 1);
-    }
-
-    #[test]
-    fn audit_passes_on_a_healthy_engine() {
-        let (_instance, mut topo) = paper_topology(13);
-        topo.set_degradation_policy(DegradationPolicy {
-            audit_every: 4,
-            fallback_streak_limit: 0,
-        });
-        churn(&mut topo, 77, 30, 128.0);
-        topo.assert_consistent();
-        let degrade = topo.engine_stats().degrade;
-        assert!(degrade.audits > 0, "audits must have run");
-        assert_eq!(degrade.audit_failures, 0);
-        assert_eq!(degrade.demotions_to_rescan, 0);
-        assert_eq!(topo.connectivity_mode(), ConnectivityMode::Dynamic);
-    }
-
-    #[test]
-    fn fallback_streak_demotes_dynamic_to_rescan_without_changing_state() {
-        let mut topo = dense_topology(17);
-        let mut reference = topo.clone();
-        // Cost cap 0 forces the whole-graph fallback on every deletion
-        // that needs a search; three in a row must demote.
-        topo.set_connectivity_cost_cap(Some(0));
-        topo.set_degradation_policy(DegradationPolicy {
-            audit_every: 0,
-            fallback_streak_limit: 3,
-        });
-        churn(&mut topo, 31, 40, 40.0);
-        churn(&mut reference, 31, 40, 40.0);
-        assert_eq!(
-            topo.connectivity_mode(),
-            ConnectivityMode::DsuRescan,
-            "the streak must have demoted the engine"
-        );
-        let degrade = topo.engine_stats().degrade;
-        assert_eq!(degrade.demotions_to_rescan, 1);
-        assert_eq!(degrade.demotions_to_full, 0);
-        // Degradation is output-invariant: same state as the untouched
-        // dynamic reference.
-        topo.assert_consistent();
-        assert_eq!(topo.giant_size(), reference.giant_size());
-        assert_eq!(topo.covered_count(), reference.covered_count());
-        assert_eq!(topo.components(), reference.components());
-    }
-
-    #[test]
-    fn degradation_policy_travels_with_state_copies() {
-        let (_instance, mut topo) = paper_topology(19);
-        let policy = DegradationPolicy {
-            audit_every: 8,
-            fallback_streak_limit: 2,
-        };
-        topo.set_degradation_policy(policy);
-        let copy = topo.clone();
-        assert_eq!(copy.degradation_policy(), policy);
-        // Ladder counters are scratch: zeroed in a fresh clone.
-        assert_eq!(copy.engine_stats().degrade, Default::default());
-        let (_other, mut target) = paper_topology(23);
-        target.clone_from(&topo);
-        assert_eq!(target.degradation_policy(), policy);
     }
 
     #[test]
@@ -2064,7 +1755,7 @@ mod tests {
     fn apply_moves_in_rebuild_mode_matches_incremental() {
         let (_instance, mut inc) = paper_topology(61);
         let mut reb = inc.clone();
-        reb.set_rebuild_mode(true);
+        reb.set_connectivity_mode(ConnectivityMode::FullRebuild);
         let mut rng = rng_from_seed(19);
         for _ in 0..10 {
             let k = rng.gen_range(2..10);

@@ -1,11 +1,10 @@
 //! Property-based tests pitting the dynamic connectivity engine
-//! ([`ConnectivityMode::Dynamic`]) against the whole-graph DSU-rescan
-//! oracle ([`ConnectivityMode::DsuRescan`]) and the full-rebuild reference
+//! ([`ConnectivityMode::Dynamic`]) against the full-rebuild reference
 //! ([`ConnectivityMode::FullRebuild`]): interleaved move / swap / batch /
-//! undo streams must keep all three topologies **bit-identical** — labels,
+//! undo streams must keep both topologies **bit-identical** — labels,
 //! sizes, giant, masks, coverage — across all three [`LinkModel`]s and
 //! both coverage rules, including with a cost cap tiny enough to force the
-//! engine's rescan fallback mid-stream.
+//! engine's whole-graph rescan fallback mid-stream.
 
 use proptest::prelude::*;
 use wmn_graph::adjacency::LinkModel;
@@ -140,8 +139,8 @@ fn apply_step(topos: &mut [WmnTopology], step: &Step, undo_log: &mut Vec<Step>) 
     }
 }
 
-/// Asserts full observable-state equality between the mode trio.
-fn assert_trio_identical(topos: &[WmnTopology], context: &str) {
+/// Asserts full observable-state equality between the topologies.
+fn assert_identical(topos: &[WmnTopology], context: &str) {
     let lead = &topos[0];
     for (k, t) in topos.iter().enumerate().skip(1) {
         assert_eq!(lead.placement(), t.placement(), "{context}: placement {k}");
@@ -160,7 +159,7 @@ fn assert_trio_identical(topos: &[WmnTopology], context: &str) {
     }
 }
 
-fn run_trio(
+fn run_pair(
     instance: &ProblemInstance,
     config: TopologyConfig,
     steps: &[Step],
@@ -172,34 +171,29 @@ fn run_trio(
     let build = || WmnTopology::build(instance, &placement, config).unwrap();
     let mut dynamic = build();
     assert_eq!(dynamic.connectivity_mode(), ConnectivityMode::Dynamic);
-    if let Some(cap) = fallback_cap {
-        dynamic.set_connectivity_cost_cap(Some(cap));
-    }
-    let mut rescan = build();
-    rescan.set_connectivity_mode(ConnectivityMode::DsuRescan);
+    dynamic.set_fallback_cap_for_tests(fallback_cap);
     let mut full = build();
     full.set_connectivity_mode(ConnectivityMode::FullRebuild);
-    let mut topos = [dynamic, rescan, full];
+    let mut topos = [dynamic, full];
     let mut undo_log = Vec::new();
     for (s, step) in steps.iter().enumerate() {
         apply_step(&mut topos, step, &mut undo_log);
-        assert_trio_identical(&topos, &format!("step {s}"));
+        assert_identical(&topos, &format!("step {s}"));
     }
     topos[0].assert_consistent();
-    topos[1].assert_consistent();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn dynamic_equals_rescan_and_full_all_configs(
+    fn dynamic_equals_full_rebuild_all_configs(
         instance in instance_strategy(),
         steps in proptest::collection::vec(step_strategy(160.0), 1..16),
         seed in any::<u64>(),
     ) {
         for config in all_configs() {
-            run_trio(&instance, config, &steps, seed, None);
+            run_pair(&instance, config, &steps, seed, None);
         }
     }
 
@@ -212,7 +206,7 @@ proptest! {
     ) {
         // A tiny (or zero) cost cap drives deletions onto the rescan
         // fallback mid-stream; results must not change.
-        run_trio(
+        run_pair(
             &instance,
             TopologyConfig::paper_default(),
             &steps,
@@ -234,7 +228,7 @@ fn fallback_counter_proves_the_capped_path_ran() {
         coverage_rule: CoverageRule::GiantComponentOnly,
     };
     let mut topo = WmnTopology::build(&instance, &placement, config).unwrap();
-    topo.set_connectivity_cost_cap(Some(0));
+    topo.set_fallback_cap_for_tests(Some(0));
     let mut rng = rng_from_seed(6);
     use rand::Rng;
     for _ in 0..40 {
@@ -248,19 +242,6 @@ fn fallback_counter_proves_the_capped_path_ran() {
     assert!(
         stats.fallbacks > 0,
         "zero cap must force the rescan fallback"
-    );
-    // The cap override is configuration, not scratch: it must survive
-    // state copies, like the connectivity mode does.
-    let mut copy = topo.clone();
-    for _ in 0..20 {
-        let id = RouterId(rng.gen_range(0..copy.router_count()));
-        let to = Point::new(rng.gen_range(0.0..=128.0), rng.gen_range(0.0..=128.0));
-        copy.move_router(id, to);
-    }
-    copy.assert_consistent();
-    assert!(
-        copy.connectivity_stats().fallbacks > 0,
-        "a cloned topology must keep the pinned cost cap"
     );
 }
 

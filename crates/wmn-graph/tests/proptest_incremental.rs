@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use wmn_graph::adjacency::LinkModel;
-use wmn_graph::topology::{CoverageRule, TopologyConfig, WmnTopology};
+use wmn_graph::topology::{ConnectivityMode, CoverageRule, TopologyConfig, WmnTopology};
 use wmn_model::distribution::ClientDistribution;
 use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::{InstanceSpec, ProblemInstance};
@@ -159,8 +159,8 @@ proptest! {
         let config = TopologyConfig::paper_default();
         let mut inc = WmnTopology::build(&instance, &placement, config).unwrap();
         let mut reb = WmnTopology::build(&instance, &placement, config).unwrap();
-        reb.set_rebuild_mode(true);
-        prop_assert!(reb.rebuild_mode());
+        reb.set_connectivity_mode(ConnectivityMode::FullRebuild);
+        prop_assert_eq!(reb.connectivity_mode(), ConnectivityMode::FullRebuild);
         let n = inc.router_count();
         for step in &steps {
             match *step {

@@ -490,8 +490,8 @@ mod tests {
         let parent = instance.random_placement(&mut rng);
         let mut dynamic = ev.topology(&parent).unwrap();
         assert_eq!(dynamic.connectivity_mode(), ConnectivityMode::Dynamic);
-        let mut rescan = ev.topology(&parent).unwrap();
-        rescan.set_connectivity_mode(ConnectivityMode::DsuRescan);
+        let mut full = ev.topology(&parent).unwrap();
+        full.set_connectivity_mode(ConnectivityMode::FullRebuild);
         let mut moves = Vec::new();
         for round in 0..4 {
             let target = instance.random_placement(&mut rng);
@@ -499,7 +499,7 @@ mod tests {
                 .evaluate_moves_to(&mut dynamic, &target, &mut moves)
                 .unwrap();
             let b = ev
-                .evaluate_moves_to(&mut rescan, &target, &mut moves)
+                .evaluate_moves_to(&mut full, &target, &mut moves)
                 .unwrap();
             assert_eq!(a, b, "round {round}");
             assert_eq!(a, ev.evaluate(&target).unwrap(), "round {round} vs fresh");

@@ -15,7 +15,7 @@
 //! * [`instance`] — [`ProblemInstance`], its declarative [`InstanceSpec`]
 //!   (including the paper's evaluation presets) and an [`InstanceBuilder`].
 //! * [`placement`] — [`Placement`], the candidate-solution position vector.
-//! * [`format`] — a plain-text `.wmn` file format for instances and
+//! * [`format`](mod@format) — a plain-text `.wmn` file format for instances and
 //!   placements.
 //! * [`rng`] — deterministic seed plumbing ([`SeedSequence`]).
 //!

@@ -67,6 +67,6 @@ pub use recorder::{
     TelemetryRecorder,
 };
 pub use stats::{
-    ApplyPhases, ConnectivityStats, DegradeStats, EngineStats, FaultStats, RetryStats,
-    RobustnessStats, TopologyStats,
+    ApplyPhases, ConnectivityStats, EngineStats, FaultStats, RetryStats, RobustnessStats,
+    TopologyStats,
 };

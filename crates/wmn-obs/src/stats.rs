@@ -224,59 +224,6 @@ impl TopologyStats {
     }
 }
 
-/// Counters of the connectivity degradation ladder (`wmn-graph`'s
-/// `DegradationPolicy`): self-check audits and mode demotions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct DegradeStats {
-    /// Self-check audits run (reference partition rebuilt and compared).
-    pub audits: u64,
-    /// Audits whose comparison found a divergence.
-    pub audit_failures: u64,
-    /// Demotions `Dynamic → DsuRescan` (audit failure or fallback streak).
-    pub demotions_to_rescan: u64,
-    /// Demotions `DsuRescan → FullRebuild` (audit failure).
-    pub demotions_to_full: u64,
-}
-
-impl DegradeStats {
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        *self = DegradeStats::default();
-    }
-
-    /// Adds `other`'s counts into `self`.
-    pub fn merge(&mut self, other: &DegradeStats) {
-        self.audits += other.audits;
-        self.audit_failures += other.audit_failures;
-        self.demotions_to_rescan += other.demotions_to_rescan;
-        self.demotions_to_full += other.demotions_to_full;
-    }
-
-    /// The counts accumulated since `earlier` was captured (saturating).
-    #[must_use]
-    pub fn delta_since(&self, earlier: &DegradeStats) -> DegradeStats {
-        DegradeStats {
-            audits: self.audits.saturating_sub(earlier.audits),
-            audit_failures: self.audit_failures.saturating_sub(earlier.audit_failures),
-            demotions_to_rescan: self
-                .demotions_to_rescan
-                .saturating_sub(earlier.demotions_to_rescan),
-            demotions_to_full: self
-                .demotions_to_full
-                .saturating_sub(earlier.demotions_to_full),
-        }
-    }
-
-    /// Visits every counter as a `(name, value)` pair in a fixed order.
-    pub fn for_each(&self, mut f: impl FnMut(&'static str, u64)) {
-        f("audits", self.audits);
-        f("audit_failures", self.audit_failures);
-        f("demotions_to_rescan", self.demotions_to_rescan);
-        f("demotions_to_full", self.demotions_to_full);
-    }
-}
-
 /// Counters of injected faults (`wmn-runtime`'s `FaultPlan`) and the
 /// panics the pool isolated, regardless of their origin.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -286,8 +233,6 @@ pub struct FaultStats {
     pub injected_panics: u64,
     /// `Err` returns injected by a fault plan.
     pub injected_errors: u64,
-    /// Repair-cost blowups injected by a fault plan.
-    pub injected_blowups: u64,
     /// Panics caught by the pool's per-job `catch_unwind` (injected or
     /// organic).
     pub caught_panics: u64,
@@ -303,7 +248,6 @@ impl FaultStats {
     pub fn merge(&mut self, other: &FaultStats) {
         self.injected_panics += other.injected_panics;
         self.injected_errors += other.injected_errors;
-        self.injected_blowups += other.injected_blowups;
         self.caught_panics += other.caught_panics;
     }
 
@@ -311,7 +255,6 @@ impl FaultStats {
     pub fn for_each(&self, mut f: impl FnMut(&'static str, u64)) {
         f("injected_panics", self.injected_panics);
         f("injected_errors", self.injected_errors);
-        f("injected_blowups", self.injected_blowups);
         f("caught_panics", self.caught_panics);
     }
 }
@@ -417,20 +360,15 @@ pub struct EngineStats {
     pub topology: TopologyStats,
     /// Connectivity-repair counters.
     pub connectivity: ConnectivityStats,
-    /// Degradation-ladder counters (audits and mode demotions). Zero
-    /// unless a `DegradationPolicy` is armed, so default runs keep the
-    /// committed counter baselines unchanged.
-    pub degrade: DegradeStats,
 }
 
 impl EngineStats {
     /// Composes an engine profile from its topology and connectivity
-    /// counter groups (degradation counters start at zero).
+    /// counter groups.
     pub fn new(topology: TopologyStats, connectivity: ConnectivityStats) -> EngineStats {
         EngineStats {
             topology,
             connectivity,
-            degrade: DegradeStats::default(),
         }
     }
 
@@ -438,14 +376,12 @@ impl EngineStats {
     pub fn reset(&mut self) {
         self.topology.reset();
         self.connectivity.reset();
-        self.degrade.reset();
     }
 
     /// Adds `other`'s counts into `self` (order-independent).
     pub fn merge(&mut self, other: &EngineStats) {
         self.topology.merge(&other.topology);
         self.connectivity.merge(&other.connectivity);
-        self.degrade.merge(&other.degrade);
     }
 
     /// The counts accumulated since `earlier` was captured (saturating).
@@ -454,23 +390,18 @@ impl EngineStats {
         EngineStats {
             topology: self.topology.delta_since(&earlier.topology),
             connectivity: self.connectivity.delta_since(&earlier.connectivity),
-            degrade: self.degrade.delta_since(&earlier.degrade),
         }
     }
 
     /// Visits every counter as a dot-qualified `(name, value)` pair
-    /// (`topology.*`, then `connectivity.*`, then `degrade.*`) in a fixed
-    /// order — the shape the [`Recorder`](crate::Recorder) layer and
-    /// telemetry JSON use.
+    /// (`topology.*`, then `connectivity.*`) in a fixed order — the shape
+    /// the [`Recorder`](crate::Recorder) layer and telemetry JSON use.
     pub fn for_each(&self, mut f: impl FnMut(&'static str, u64)) {
         self.topology.for_each(|name, v| {
             f(qualified_topology_name(name), v);
         });
         self.connectivity.for_each(|name, v| {
             f(qualified_connectivity_name(name), v);
-        });
-        self.degrade.for_each(|name, v| {
-            f(qualified_degrade_name(name), v);
         });
     }
 
@@ -485,21 +416,20 @@ impl EngineStats {
     }
 
     /// Like [`record_counters`](EngineStats::record_counters), but
-    /// attributes connectivity work one level deeper: topology,
-    /// degradation, and `connectivity.repairs` counters emit at the
-    /// recorder's current phase, while the per-stage connectivity
+    /// attributes connectivity work one level deeper: topology and
+    /// `connectivity.repairs` counters emit at the recorder's current
+    /// phase, while the per-stage connectivity
     /// counters (see [`ConnectivityStats::stage_split`]) emit under
     /// child phases `insert` / `delete`. Flat totals are identical to a
     /// single `record_counters` call — only the attribution differs.
     pub fn record_counters_staged(&self, recorder: &mut dyn crate::Recorder) {
-        let parent = EngineStats {
-            topology: self.topology,
-            connectivity: ConnectivityStats {
+        let parent = EngineStats::new(
+            self.topology,
+            ConnectivityStats {
                 repairs: self.connectivity.repairs,
                 ..ConnectivityStats::default()
             },
-            degrade: self.degrade,
-        };
+        );
         parent.record_counters(recorder);
         let (insert, delete) = self.connectivity.stage_split();
         if insert != ConnectivityStats::default() {
@@ -528,7 +458,7 @@ pub struct ApplyPhases {
     /// Per-router grid-local link recomputation and edge diffing.
     pub edge_repair: EngineStats,
     /// Incremental component repair (the connectivity engine's insert /
-    /// delete sweeps, or the DSU rescan under `DsuRescan` mode).
+    /// delete sweeps, including any cost-cap rescan fallback).
     pub component_repair: EngineStats,
     /// Coverage maintenance: disk-cache refills and the per-disk delta
     /// vs. full-recompute coverage repair.
@@ -641,24 +571,11 @@ fn qualified_connectivity_name(name: &'static str) -> &'static str {
     }
 }
 
-/// Maps a [`DegradeStats`] field name to its dot-qualified telemetry
-/// name.
-fn qualified_degrade_name(name: &'static str) -> &'static str {
-    match name {
-        "audits" => "degrade.audits",
-        "audit_failures" => "degrade.audit_failures",
-        "demotions_to_rescan" => "degrade.demotions_to_rescan",
-        "demotions_to_full" => "degrade.demotions_to_full",
-        other => other,
-    }
-}
-
 /// Maps a [`FaultStats`] field name to its dot-qualified name.
 fn qualified_fault_name(name: &'static str) -> &'static str {
     match name {
         "injected_panics" => "fault.injected_panics",
         "injected_errors" => "fault.injected_errors",
-        "injected_blowups" => "fault.injected_blowups",
         "caught_panics" => "fault.caught_panics",
         other => other,
     }
@@ -734,10 +651,9 @@ mod tests {
         e.connectivity.repairs = 2;
         let mut names = Vec::new();
         e.for_each(|name, _| names.push(name));
-        assert_eq!(names.len(), 12 + 8 + 4, "every field appears exactly once");
+        assert_eq!(names.len(), 12 + 8, "every field appears exactly once");
         assert_eq!(names[0], "topology.single_moves");
         assert_eq!(names[12], "connectivity.repairs");
-        assert_eq!(names[20], "degrade.audits");
         let mut sorted = names.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -767,9 +683,9 @@ mod tests {
         assert!(!r.is_zero());
         let mut names = Vec::new();
         r.for_each(|name, _| names.push(name));
-        assert_eq!(names.len(), 4 + 4);
+        assert_eq!(names.len(), 3 + 4);
         assert_eq!(names[0], "fault.injected_panics");
-        assert_eq!(names[4], "retry.attempts");
+        assert_eq!(names[3], "retry.attempts");
         let mut sorted = names.clone();
         sorted.sort_unstable();
         sorted.dedup();

@@ -1,10 +1,9 @@
 //! Deterministic fault injection for chaos testing.
 //!
 //! A [`FaultPlan`] is a small, seeded rule table that tells the runtime to
-//! *pretend* things go wrong — a job panics, a job returns an error, a
-//! topology repair becomes artificially expensive — at named sites, with
-//! every decision derived from
-//! [`stream_seed`](wmn_model::rng::stream_seed) over `(plan seed, rule
+//! *pretend* things go wrong — a job panics or returns an error — at
+//! named sites, with every decision derived from
+//! [`stream_seed`] over `(plan seed, rule
 //! index, site, job index)`. Decisions therefore depend only on the plan
 //! and the job's coordinates, never on scheduling: the same plan dooms the
 //! same attempts of the same jobs at every thread count, which is what
@@ -18,11 +17,11 @@
 //! `doomed_attempts` — so "fails twice, then succeeds" is expressible.
 //!
 //! Plans are written as compact specs, e.g. the chaos CI plan
-//! `seed=7;panic@start:p=0.4;error@finish:p=0.4;blowup@repair:p=0.5`:
+//! `seed=7;panic@start:p=0.4;error@finish:p=0.4,n=2`:
 //!
 //! * `seed=N` — the plan's root seed (default 0);
-//! * `<kind>@<site>` — a rule; kinds are `panic`, `error` (sites `start`
-//!   or `finish`) and `blowup` (site `repair` only);
+//! * `<kind>@<site>` — a rule; kinds are `panic` and `error`, sites are
+//!   `start` and `finish`;
 //! * `:p=F` — firing probability per job (default 1.0);
 //! * `,n=K` — number of doomed attempts per firing job (default 1).
 //!
@@ -39,19 +38,14 @@ pub enum FaultKind {
     Panic,
     /// Make the job return an injected `Err` (exercises retry/classify).
     Error,
-    /// Artificially blow up repair cost (exercises the connectivity
-    /// degradation ladder); the attempt is still doomed afterwards so the
-    /// sabotaged work can never leak into final output.
-    Blowup,
 }
 
 impl FaultKind {
-    /// The spec-syntax name (`panic`, `error`, `blowup`).
+    /// The spec-syntax name (`panic`, `error`).
     pub fn name(&self) -> &'static str {
         match self {
             FaultKind::Panic => "panic",
             FaultKind::Error => "error",
-            FaultKind::Blowup => "blowup",
         }
     }
 }
@@ -69,17 +63,14 @@ pub enum FaultSite {
     JobStart,
     /// After the job's work function returned `Ok`.
     JobFinish,
-    /// Inside topology repair (cost blowups only).
-    Repair,
 }
 
 impl FaultSite {
-    /// The spec-syntax name (`start`, `finish`, `repair`).
+    /// The spec-syntax name (`start`, `finish`).
     pub fn name(&self) -> &'static str {
         match self {
             FaultSite::JobStart => "start",
             FaultSite::JobFinish => "finish",
-            FaultSite::Repair => "repair",
         }
     }
 
@@ -88,7 +79,6 @@ impl FaultSite {
         match self {
             FaultSite::JobStart => 1,
             FaultSite::JobFinish => 2,
-            FaultSite::Repair => 3,
         }
     }
 }
@@ -172,20 +162,8 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// When all [`MAX_RULES`] slots are taken, or when `kind` cannot fire
-    /// at `rule.site` (`blowup` only at `repair`, `panic`/`error` only at
-    /// `start`/`finish`).
+    /// When all [`MAX_RULES`] slots are taken.
     pub fn push(&mut self, rule: FaultRule) -> Result<(), FaultPlanError> {
-        let compatible = match rule.kind {
-            FaultKind::Blowup => rule.site == FaultSite::Repair,
-            FaultKind::Panic | FaultKind::Error => rule.site != FaultSite::Repair,
-        };
-        if !compatible {
-            return Err(plan_err(format!(
-                "{} cannot fire at site {}",
-                rule.kind, rule.site
-            )));
-        }
         match self.rules.iter_mut().find(|slot| slot.is_none()) {
             Some(slot) => {
                 *slot = Some(rule);
@@ -196,7 +174,7 @@ impl FaultPlan {
     }
 
     /// Parses a spec string like
-    /// `seed=7;panic@start:p=0.4;error@finish:p=0.4,n=1;blowup@repair:p=0.5`.
+    /// `seed=7;panic@start:p=0.4;error@finish:p=0.4,n=2`.
     ///
     /// # Errors
     ///
@@ -259,14 +237,20 @@ fn parse_rule(token: &str) -> Result<FaultRule, FaultPlanError> {
     let kind = match kind {
         "panic" => FaultKind::Panic,
         "error" => FaultKind::Error,
-        "blowup" => FaultKind::Blowup,
-        other => return Err(plan_err(format!("unknown fault kind {other:?}"))),
+        other => {
+            return Err(plan_err(format!(
+                "unknown fault kind {other:?} (panic|error)"
+            )))
+        }
     };
     let site = match site {
         "start" => FaultSite::JobStart,
         "finish" => FaultSite::JobFinish,
-        "repair" => FaultSite::Repair,
-        other => return Err(plan_err(format!("unknown fault site {other:?}"))),
+        other => {
+            return Err(plan_err(format!(
+                "unknown fault site {other:?} (start|finish)"
+            )))
+        }
     };
     let mut rule = FaultRule {
         kind,
@@ -312,7 +296,7 @@ mod tests {
     fn default_plan_is_inert() {
         let plan = FaultPlan::default();
         assert!(plan.is_empty());
-        for site in [FaultSite::JobStart, FaultSite::JobFinish, FaultSite::Repair] {
+        for site in [FaultSite::JobStart, FaultSite::JobFinish] {
             for job in 0..32 {
                 assert_eq!(plan.decide(site, job, 0), None);
             }
@@ -321,18 +305,27 @@ mod tests {
 
     #[test]
     fn parse_full_chaos_spec() {
-        let plan =
-            FaultPlan::parse("seed=7;panic@start:p=0.4;error@finish:p=0.4;blowup@repair:p=0.5")
-                .unwrap();
+        let plan = FaultPlan::parse("seed=7;panic@start:p=0.4;error@finish:p=0.4,n=2").unwrap();
         assert_eq!(plan.seed, 7);
         let rules: Vec<_> = plan.rules.iter().flatten().collect();
-        assert_eq!(rules.len(), 3);
+        assert_eq!(rules.len(), 2);
         assert_eq!(rules[0].kind, FaultKind::Panic);
         assert_eq!(rules[0].site, FaultSite::JobStart);
         assert!((rules[0].probability - 0.4).abs() < 1e-12);
         assert_eq!(rules[0].doomed_attempts, 1);
-        assert_eq!(rules[2].kind, FaultKind::Blowup);
-        assert_eq!(rules[2].site, FaultSite::Repair);
+        assert_eq!(rules[1].kind, FaultKind::Error);
+        assert_eq!(rules[1].site, FaultSite::JobFinish);
+        assert_eq!(rules[1].doomed_attempts, 2);
+    }
+
+    #[test]
+    fn unknown_kind_or_site_errors_name_the_accepted_values() {
+        let err = FaultPlan::parse("seed=7;blowup@repair:p=0.5")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("\"blowup\" (panic|error)"), "{err}");
+        let err = FaultPlan::parse("panic@repair").unwrap_err().to_string();
+        assert!(err.contains("\"repair\" (start|finish)"), "{err}");
     }
 
     #[test]
@@ -359,8 +352,6 @@ mod tests {
             "panic@start:n=0",
             "panic@start:q=1",
             "seed=abc",
-            "blowup@start",
-            "panic@repair",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -394,7 +385,7 @@ mod tests {
             assert_eq!(plan.decide(FaultSite::JobStart, job, 2), None);
         }
         // No rule covers other sites.
-        assert_eq!(plan.decide(FaultSite::Repair, 0, 0), None);
+        assert_eq!(plan.decide(FaultSite::JobFinish, 0, 0), None);
     }
 
     #[test]

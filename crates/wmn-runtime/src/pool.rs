@@ -11,22 +11,21 @@
 //! what makes the output order (and therefore downstream iteration order)
 //! independent of scheduling.
 //!
-//! Two execution families coexist:
+//! Experiment batches run through the **isolated** entry points
+//! ([`try_execute_isolated`](Runtime::try_execute_isolated) and its
+//! recorded variant): every job attempt runs inside
+//! [`std::panic::catch_unwind`], failures are classified
+//! ([`FailureKind`]), and a bounded [`RetryPolicy`] re-runs failed jobs.
+//! A retried job re-derives its seed from its grid coordinates (seeds
+//! never come from shared state), and each attempt gets a fresh private
+//! [`TelemetryRecorder`] whose contents are merged, in job-index order,
+//! only on the attempt that succeeds — which is why a within-budget faulty
+//! run's results *and telemetry* are byte-identical to a fault-free run.
 //!
-//! * the plain [`execute`](Runtime::execute) family, where a job panic
-//!   propagates to the caller (lock poisoning is recovered via
-//!   [`PoisonError::into_inner`], so a panicking job never corrupts
-//!   another job's completed result);
-//! * the **isolated** family
-//!   ([`try_execute_isolated`](Runtime::try_execute_isolated) and its
-//!   recorded variant), where every job attempt runs inside
-//!   [`std::panic::catch_unwind`], failures are classified
-//!   ([`FailureKind`]), and a bounded [`RetryPolicy`] re-runs failed
-//!   jobs. A retried job re-derives its seed from its grid coordinates
-//!   (seeds never come from shared state), and each attempt gets a fresh
-//!   private [`TelemetryRecorder`] whose contents are merged only on the
-//!   attempt that succeeds — which is why a within-budget faulty run's
-//!   results *and telemetry* are byte-identical to a fault-free run.
+//! Underneath sits the plain [`execute`](Runtime::execute) scheduler,
+//! where a job panic propagates to the caller (lock poisoning is
+//! recovered via [`PoisonError::into_inner`], so a panicking job never
+//! corrupts another job's completed result).
 
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
 use std::collections::VecDeque;
@@ -145,105 +144,21 @@ impl Runtime {
             .collect()
     }
 
-    /// Like [`execute`](Runtime::execute) for fallible jobs: runs the whole
-    /// batch, then returns either every result in job order or the error of
-    /// the **lowest-indexed** failing job.
-    ///
-    /// Taking the lowest index (rather than the first to *arrive*) keeps
-    /// error reporting deterministic across thread counts.
-    ///
-    /// # Errors
-    ///
-    /// The error of the lowest-indexed failing job, if any.
-    pub fn try_execute<T, R, E, F>(&self, jobs: Vec<T>, worker: F) -> Result<Vec<R>, E>
-    where
-        T: Send,
-        R: Send,
-        E: Send,
-        F: Fn(usize, T) -> Result<R, E> + Sync,
-    {
-        self.execute(jobs, worker).into_iter().collect()
-    }
-
-    /// Like [`execute`](Runtime::execute), additionally giving each job a
-    /// private [`TelemetryRecorder`]. The per-job recorders are merged into
-    /// `recorder` in **job-index order** after all workers join, so the
-    /// aggregated telemetry — like the results — is independent of which
-    /// worker ran which job and therefore byte-identical at any thread
-    /// count (provided each job's own emissions are deterministic).
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any worker thread, like
-    /// [`execute`](Runtime::execute).
-    pub fn execute_recorded<T, R, F>(
-        &self,
-        jobs: Vec<T>,
-        recorder: &mut TelemetryRecorder,
-        worker: F,
-    ) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T, &mut dyn Recorder) -> R + Sync,
-    {
-        let out = self.execute(jobs, |i, job| {
-            let mut job_recorder = TelemetryRecorder::new();
-            let result = worker(i, job, &mut job_recorder);
-            (result, job_recorder)
-        });
-        let mut results = Vec::with_capacity(out.len());
-        for (result, job_recorder) in out {
-            recorder.merge(job_recorder);
-            results.push(result);
-        }
-        results
-    }
-
-    /// Fallible variant of [`execute_recorded`](Runtime::execute_recorded):
-    /// the whole batch runs and every job's telemetry is merged (in job
-    /// order) before the result is folded, so telemetry stays deterministic
-    /// even when a job fails; the error returned is the lowest-indexed one,
-    /// like [`try_execute`](Runtime::try_execute).
-    ///
-    /// # Errors
-    ///
-    /// The error of the lowest-indexed failing job, if any.
-    pub fn try_execute_recorded<T, R, E, F>(
-        &self,
-        jobs: Vec<T>,
-        recorder: &mut TelemetryRecorder,
-        worker: F,
-    ) -> Result<Vec<R>, E>
-    where
-        T: Send,
-        R: Send,
-        E: Send,
-        F: Fn(usize, T, &mut dyn Recorder) -> Result<R, E> + Sync,
-    {
-        self.execute_recorded(jobs, recorder, worker)
-            .into_iter()
-            .collect()
-    }
-
     /// Panic-isolated, retrying batch execution.
     ///
-    /// Every attempt of every job runs inside
-    /// [`catch_unwind`](std::panic::catch_unwind); a failed attempt
-    /// (panic, `Err`, or injected fault from `plan`) is retried up to
-    /// `policy.max_attempts` times. The worker receives a [`JobContext`]
-    /// naming the job index, the attempt number, and whether this attempt
-    /// is sabotaged (a `blowup@repair` fault fired — the worker should
-    /// make repair work artificially expensive; the attempt is doomed
-    /// afterwards regardless, so sabotaged results never leak).
+    /// Every attempt of every job runs inside [`catch_unwind`]; a failed
+    /// attempt (panic, `Err`, or injected fault from `plan`) is retried up
+    /// to `policy.max_attempts` times. The worker receives a
+    /// [`JobContext`] naming the job index and the attempt number.
     ///
     /// Jobs are taken by reference so a retry re-runs the *same* job
     /// value; determinism then follows from the caller deriving seeds
-    /// from the job's coordinates, never from shared state. The whole
-    /// batch always runs to completion; on failure the **lowest-indexed**
-    /// exhausted job is reported (deterministic across thread counts),
-    /// and `stats` accumulates the per-job fault/retry counters in job
-    /// order.
+    /// from the job's coordinates, never from shared state. Results come
+    /// back in job order. The whole batch always runs to completion; on
+    /// failure the **lowest-indexed** exhausted job is reported (taking
+    /// the lowest index rather than the first to *arrive* keeps error
+    /// reporting deterministic across thread counts), and `stats`
+    /// accumulates the per-job fault/retry counters in job order.
     ///
     /// # Errors
     ///
@@ -277,12 +192,12 @@ impl Runtime {
     /// per-job telemetry.
     ///
     /// Each *attempt* gets a fresh private [`TelemetryRecorder`]; only
-    /// the succeeding attempt's recorder is merged (in job-index order),
-    /// so the aggregated telemetry of a within-budget faulty run is
-    /// byte-identical to the fault-free run — failed attempts leave no
-    /// trace in the deterministic document. (This deliberately differs
-    /// from [`try_execute_recorded`](Runtime::try_execute_recorded),
-    /// which keeps failed jobs' telemetry.)
+    /// the succeeding attempt's recorder is merged into `recorder`, in
+    /// **job-index order** after all workers join, so the aggregated
+    /// telemetry — like the results — is independent of which worker ran
+    /// which job, and a within-budget faulty run's telemetry is
+    /// byte-identical to the fault-free run's: failed attempts leave no
+    /// trace in the deterministic document.
     ///
     /// # Errors
     ///
@@ -352,11 +267,6 @@ where
         }
         let start_fault = plan.and_then(|p| p.decide(FaultSite::JobStart, index, attempt));
         let finish_fault = plan.and_then(|p| p.decide(FaultSite::JobFinish, index, attempt));
-        let sabotage = plan.and_then(|p| p.decide(FaultSite::Repair, index, attempt))
-            == Some(FaultKind::Blowup);
-        if sabotage {
-            stats.fault.injected_blowups += 1;
-        }
 
         // The injected-fault counters are bumped *inside* the unwind scope
         // (via the captured `&mut stats`) right before the corresponding
@@ -373,34 +283,21 @@ where
                     fault.injected_errors += 1;
                     return Err(FailureKind::Injected("error@start"));
                 }
-                Some(FaultKind::Blowup) | None => {}
+                None => {}
             }
             let mut attempt_recorder = TelemetryRecorder::new();
-            let ctx = JobContext {
-                index,
-                attempt,
-                sabotage,
-            };
-            match worker(ctx, job, &mut attempt_recorder) {
-                Err(e) => Err(FailureKind::Error(e)),
-                Ok(result) => {
-                    if sabotage {
-                        // Sabotaged work may have taken degraded paths;
-                        // never let its result (or telemetry) leak.
-                        return Err(FailureKind::Injected("blowup@repair"));
-                    }
-                    match finish_fault {
-                        Some(FaultKind::Panic) => {
-                            fault.injected_panics += 1;
-                            panic!("injected panic@finish (job {index}, attempt {attempt})");
-                        }
-                        Some(FaultKind::Error) => {
-                            fault.injected_errors += 1;
-                            Err(FailureKind::Injected("error@finish"))
-                        }
-                        Some(FaultKind::Blowup) | None => Ok((result, attempt_recorder)),
-                    }
+            let ctx = JobContext { index, attempt };
+            let result = worker(ctx, job, &mut attempt_recorder).map_err(FailureKind::Error)?;
+            match finish_fault {
+                Some(FaultKind::Panic) => {
+                    fault.injected_panics += 1;
+                    panic!("injected panic@finish (job {index}, attempt {attempt})");
                 }
+                Some(FaultKind::Error) => {
+                    fault.injected_errors += 1;
+                    Err(FailureKind::Injected("error@finish"))
+                }
+                None => Ok((result, attempt_recorder)),
             }
         }));
 
@@ -468,10 +365,6 @@ pub struct JobContext {
     pub index: usize,
     /// Zero-based attempt number (`> 0` means this is a retry).
     pub attempt: u32,
-    /// Whether a `blowup@repair` fault fired for this attempt: the worker
-    /// should make repair artificially expensive (e.g. force connectivity
-    /// fallbacks); the attempt is doomed afterwards either way.
-    pub sabotage: bool,
 }
 
 /// Classification of one failed attempt.
@@ -596,44 +489,25 @@ mod tests {
     }
 
     #[test]
-    fn try_execute_reports_lowest_index_error() {
-        let jobs: Vec<usize> = (0..16).collect();
-        let err = Runtime::new(4)
-            .try_execute(jobs, |_, x| {
-                if x % 5 == 3 {
-                    Err(format!("job {x} failed"))
-                } else {
-                    Ok(x)
-                }
-            })
-            .unwrap_err();
-        assert_eq!(err, "job 3 failed");
-    }
-
-    #[test]
-    fn try_execute_ok_path_preserves_order() {
-        let jobs: Vec<usize> = (0..10).collect();
-        let out: Vec<usize> = Runtime::new(3)
-            .try_execute(jobs, |_, x| Ok::<_, String>(x * 2))
-            .unwrap();
-        assert_eq!(out, (0..10).map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn recorded_telemetry_is_thread_count_invariant() {
         let run = |threads: usize| {
             let mut recorder = TelemetryRecorder::new();
             let jobs: Vec<u64> = (0..32).collect();
-            let out = Runtime::new(threads).execute_recorded(
-                jobs,
-                &mut recorder,
-                |i, x, rec: &mut dyn Recorder| {
-                    rec.counter("jobs", 1);
-                    rec.value("job.payload", x);
-                    rec.counter(if i % 2 == 0 { "even" } else { "odd" }, x);
-                    x * 3
-                },
-            );
+            let out = Runtime::new(threads)
+                .try_execute_isolated_recorded(
+                    jobs,
+                    RetryPolicy::default(),
+                    None,
+                    &mut RobustnessStats::default(),
+                    &mut recorder,
+                    |ctx, x, rec: &mut dyn Recorder| {
+                        rec.counter("jobs", 1);
+                        rec.value("job.payload", *x);
+                        rec.counter(if ctx.index % 2 == 0 { "even" } else { "odd" }, *x);
+                        Ok::<_, String>(x * 3)
+                    },
+                )
+                .unwrap();
             (out, recorder.render_json())
         };
         let (serial_out, serial_json) = run(1);
@@ -712,6 +586,7 @@ mod tests {
                 })
                 .unwrap_err();
             assert_eq!(err.index, 3, "threads = {threads}");
+            assert_eq!(err.kind, FailureKind::Error(String::from("job 3 failed")));
             assert_eq!(stats.retry.exhausted_jobs, 3);
         }
     }
@@ -749,20 +624,15 @@ mod tests {
     #[test]
     fn retried_jobs_recover_and_match_fault_free_output_bytewise() {
         use crate::fault::FaultPlan;
-        // Every job's first attempt is doomed three different ways; with
-        // three attempts allowed, the batch recovers, and both results and
-        // merged telemetry render byte-identically to the fault-free run.
-        let plan =
-            FaultPlan::parse("seed=7;panic@start:p=0.3;error@finish:p=0.3;blowup@repair:p=0.3")
-                .unwrap();
-        let work = |ctx: JobContext, x: &u64, rec: &mut dyn Recorder| -> Result<u64, String> {
+        // Jobs' first attempts are doomed two different ways — a panic
+        // before the work, an error after it (whose telemetry must be
+        // discarded); with three attempts allowed, the batch recovers, and
+        // both results and merged telemetry render byte-identically to the
+        // fault-free run.
+        let plan = FaultPlan::parse("seed=7;panic@start:p=0.3;error@finish:p=0.3").unwrap();
+        let work = |_: JobContext, x: &u64, rec: &mut dyn Recorder| -> Result<u64, String> {
             rec.counter("jobs", 1);
             rec.value("payload", *x);
-            // Sabotaged attempts really do different (more expensive) work —
-            // which must never show up in the surviving telemetry.
-            if ctx.sabotage {
-                rec.counter("expensive_fallbacks", 100);
-            }
             Ok(x * 7)
         };
         let run = |threads: usize, plan: Option<&FaultPlan>| {
@@ -787,7 +657,7 @@ mod tests {
             let (out, json, stats) = run(threads, Some(&plan));
             assert_eq!(out, clean_out, "threads = {threads}");
             assert_eq!(json, clean_json, "threads = {threads}");
-            // Some faults fired (p=0.3 over 24 jobs × 3 rules) and every
+            // Some faults fired (p=0.3 over 24 jobs × 2 rules) and every
             // doomed job recovered.
             assert!(stats.retry.retries > 0, "threads = {threads}");
             assert_eq!(stats.retry.exhausted_jobs, 0);
@@ -847,24 +717,12 @@ mod tests {
 
     #[test]
     fn phase_attribution_merges_thread_invariantly_through_mid_phase_panics() {
-        use crate::fault::FaultPlan;
-        // Each sabotaged first attempt dies by panic while two phase
-        // scopes are still open: the unwind must drop both guards, the
-        // doomed attempt's recorder must be discarded whole, and the
-        // surviving per-job attribution trees must merge (in job-index
-        // order) to the same document the fault-free serial run writes.
-        let plan = FaultPlan::parse("seed=11;blowup@repair:p=0.6,n=1").unwrap();
-        let work = |ctx: JobContext, x: &u64, rec: &mut dyn Recorder| -> Result<u64, String> {
-            let mut job = wmn_obs::phase(rec, "job");
-            job.counter("jobs", 1);
-            let mut evaluate = wmn_obs::phase(&mut job, "evaluate");
-            evaluate.counter("work", x + 1);
-            if ctx.sabotage {
-                panic!("mid-phase panic in job {}", ctx.index);
-            }
-            Ok(x * 2)
-        };
-        let run = |threads: usize, plan: Option<&FaultPlan>| {
+        // Most jobs' first attempts die by panic while two phase scopes
+        // are still open: the unwind must drop both guards, the doomed
+        // attempt's recorder must be discarded whole, and the surviving
+        // per-job attribution trees must merge (in job-index order) to the
+        // same document the fault-free serial run writes.
+        let run = |threads: usize, faulty: bool| {
             let jobs: Vec<u64> = (0..24).collect();
             let mut stats = RobustnessStats::default();
             let mut recorder = TelemetryRecorder::new();
@@ -872,43 +730,34 @@ mod tests {
                 .try_execute_isolated_recorded(
                     jobs,
                     RetryPolicy::new(2),
-                    plan,
+                    None,
                     &mut stats,
                     &mut recorder,
-                    work,
+                    |ctx, x, rec: &mut dyn Recorder| -> Result<u64, String> {
+                        let mut job = wmn_obs::phase(rec, "job");
+                        job.counter("jobs", 1);
+                        let mut evaluate = wmn_obs::phase(&mut job, "evaluate");
+                        evaluate.counter("work", x + 1);
+                        if faulty && ctx.attempt == 0 && ctx.index % 5 < 3 {
+                            panic!("mid-phase panic in job {}", ctx.index);
+                        }
+                        Ok(x * 2)
+                    },
                 )
                 .unwrap();
             (out, recorder.render_json(), stats.fault.caught_panics)
         };
-        let (clean_out, clean_json, clean_panics) = run(1, None);
+        let (clean_out, clean_json, clean_panics) = run(1, false);
         assert_eq!(clean_panics, 0);
         assert!(
             clean_json.contains("\"attribution\":{\"job\":"),
             "{clean_json}"
         );
         for threads in [1, 2, 8] {
-            let (out, json, caught_panics) = run(threads, Some(&plan));
+            let (out, json, caught_panics) = run(threads, true);
             assert_eq!(out, clean_out, "threads = {threads}");
             assert_eq!(json, clean_json, "threads = {threads}");
-            assert!(caught_panics > 0, "threads = {threads}");
+            assert_eq!(caught_panics, 15, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn try_execute_recorded_merges_telemetry_even_on_error() {
-        let mut recorder = TelemetryRecorder::new();
-        let jobs: Vec<usize> = (0..8).collect();
-        let err = Runtime::new(4)
-            .try_execute_recorded(jobs, &mut recorder, |_, x, rec: &mut dyn Recorder| {
-                rec.counter("attempted", 1);
-                if x == 5 {
-                    Err(format!("job {x} failed"))
-                } else {
-                    Ok(x)
-                }
-            })
-            .unwrap_err();
-        assert_eq!(err, "job 5 failed");
-        assert_eq!(recorder.counters().get("attempted"), Some(&8));
     }
 }

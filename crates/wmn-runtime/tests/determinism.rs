@@ -3,8 +3,9 @@
 //! count.
 
 use rand::Rng as _;
+use wmn_obs::RobustnessStats;
 use wmn_runtime::grid::{domain, Cell};
-use wmn_runtime::pool::Runtime;
+use wmn_runtime::pool::{FailureKind, RetryPolicy, Runtime};
 use wmn_runtime::sink::{drain, MemorySink};
 
 /// A miniature "experiment": walk a cell's RNG for a while and digest the
@@ -89,14 +90,25 @@ fn root_seed_selects_a_different_universe() {
 fn errors_are_reported_deterministically() {
     for threads in [1, 2, 8] {
         let err = Runtime::new(threads)
-            .try_execute(grid(), |index, cell| {
-                if index >= 5 {
-                    Err(format!("cell {} failed", cell.label()))
-                } else {
-                    Ok(index)
-                }
-            })
+            .try_execute_isolated(
+                grid(),
+                RetryPolicy::default(),
+                None,
+                &mut RobustnessStats::default(),
+                |ctx, cell| {
+                    if ctx.index >= 5 {
+                        Err(format!("cell {} failed", cell.label()))
+                    } else {
+                        Ok(ctx.index)
+                    }
+                },
+            )
             .unwrap_err();
-        assert_eq!(err, "cell s0-m2-d1 failed", "threads = {threads}");
+        assert_eq!(err.index, 5, "threads = {threads}");
+        assert_eq!(
+            err.kind,
+            FailureKind::Error(String::from("cell s0-m2-d1 failed")),
+            "threads = {threads}"
+        );
     }
 }

@@ -160,7 +160,7 @@ impl<'e, 'i> NeighborhoodSearch<'e, 'i> {
     /// is the initial solution). Lets callers reuse one topology — and its
     /// internal scratch buffers — across many runs, or pin the search to
     /// the full-rebuild reference engine via
-    /// [`WmnTopology::set_rebuild_mode`]; results are identical to
+    /// [`WmnTopology::set_connectivity_mode`]; results are identical to
     /// [`NeighborhoodSearch::run`] either way. The topology is left at the
     /// search's final *current* state.
     pub fn run_with_topology(

@@ -1,7 +1,7 @@
 //! Per-phase search traces (the data behind Figure 4).
 //!
 //! The per-phase record embeds the engine-agnostic
-//! [`ProgressPoint`](wmn_metrics::stats::ProgressPoint) from
+//! [`ProgressPoint`] from
 //! `wmn-metrics`, the same shape the GA's per-generation trace uses — so
 //! figure writers and telemetry consume one type regardless of which
 //! engine produced the run.

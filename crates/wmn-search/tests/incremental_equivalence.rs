@@ -1,9 +1,8 @@
-//! Pins the incremental delta-evaluation engine to its reference oracles:
+//! Pins the incremental delta-evaluation engine to its reference oracle:
 //! every search driver, run over the default dynamic-connectivity topology
 //! ([`ConnectivityMode::Dynamic`]), must produce **bit-identical** outcomes
-//! (best placement, evaluations, full traces) to both the whole-graph
-//! DSU-rescan path ([`ConnectivityMode::DsuRescan`]) and the full-rebuild
-//! reference ([`WmnTopology::set_rebuild_mode`]) — for both movements and
+//! (best placement, evaluations, full traces) to the full-rebuild
+//! reference ([`ConnectivityMode::FullRebuild`]) — for both movements and
 //! under both coverage rules.
 
 use rand::RngCore;
@@ -43,44 +42,27 @@ fn movements(instance: &ProblemInstance) -> Vec<Box<dyn Movement>> {
     ]
 }
 
-/// Builds the (dynamic, dsu-rescan, rebuild-only) topology trio for one
-/// initial placement.
-fn topo_trio(
-    evaluator: &Evaluator<'_>,
-    initial: &Placement,
-) -> (WmnTopology, WmnTopology, WmnTopology) {
-    let inc = evaluator.topology(initial).unwrap();
-    assert_eq!(inc.connectivity_mode(), ConnectivityMode::Dynamic);
-    let mut rescan = evaluator.topology(initial).unwrap();
-    rescan.set_connectivity_mode(ConnectivityMode::DsuRescan);
-    let mut reb = evaluator.topology(initial).unwrap();
-    reb.set_rebuild_mode(true);
-    (inc, rescan, reb)
-}
-
-/// Drives one driver three times — dynamic connectivity vs DSU rescan vs
-/// rebuild-only — with identical RNG streams and asserts the outcomes are
-/// equal.
+/// Drives one driver twice — dynamic connectivity vs rebuild-only — with
+/// identical RNG streams and asserts the outcomes are equal.
 fn assert_driver_equivalence<O: PartialEq + std::fmt::Debug>(
     evaluator: &Evaluator<'_>,
     initial: &Placement,
     seed: u64,
     mut run: impl FnMut(&mut WmnTopology, &mut dyn RngCore) -> O,
 ) {
-    let (mut inc, mut rescan, mut reb) = topo_trio(evaluator, initial);
+    let mut inc = evaluator.topology(initial).unwrap();
+    assert_eq!(inc.connectivity_mode(), ConnectivityMode::Dynamic);
+    let mut reb = evaluator.topology(initial).unwrap();
+    reb.set_connectivity_mode(ConnectivityMode::FullRebuild);
     let out_inc = run(&mut inc, &mut rng_from_seed(seed));
-    let out_rescan = run(&mut rescan, &mut rng_from_seed(seed));
     let out_reb = run(&mut reb, &mut rng_from_seed(seed));
-    assert_eq!(out_inc, out_rescan, "dynamic vs dsu-rescan diverged");
     assert_eq!(out_inc, out_reb, "incremental vs rebuild-only diverged");
     // The final *current* states must agree too.
-    assert_eq!(inc.placement(), rescan.placement());
     assert_eq!(inc.placement(), reb.placement());
     assert_eq!(inc.giant_size(), reb.giant_size());
     assert_eq!(inc.covered_count(), reb.covered_count());
-    assert_eq!(inc.components(), rescan.components());
+    assert_eq!(inc.components(), reb.components());
     inc.assert_consistent();
-    rescan.assert_consistent();
 }
 
 #[test]

@@ -1,5 +1,5 @@
 # Shared helpers for the bench-artifact scripts (bench_move_eval.sh,
-# bench_ga_eval.sh, bench_connectivity.sh): one place for the raw-JSONL
+# bench_ga_eval.sh): one place for the raw-JSONL
 # collection plumbing, the jq median helper, and the schema-assert /
 # summary-print steps every artifact shares.
 #

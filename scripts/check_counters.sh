@@ -18,9 +18,9 @@
 #               and say why in the PR)
 #
 # Environment:
-#   WMN_CHECK_CONNECTIVITY   connectivity mode for the run (default
-#                            "dynamic"; "rescan"/"full" select the oracle
-#                            pipelines — useful as a should-fail probe)
+#   WMN_CHECK_CONNECTIVITY   connectivity mode for the run: "dynamic"
+#                            (default) or "full" (the full-rebuild oracle
+#                            pipeline — useful as a should-fail probe)
 #
 # The comparison and the baseline rewrite both go through the wmn-report
 # binary (crates/wmn-experiments/src/analyze.rs), so this script needs
