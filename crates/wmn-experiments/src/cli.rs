@@ -15,7 +15,7 @@
 //! * `--scale-routers <n>` / `--scale-clients <n>` / `--scale-area <x>` —
 //!   individual multipliers (`WMN_SCALE_ROUTERS` / `WMN_SCALE_CLIENTS` /
 //!   `WMN_SCALE_AREA`).
-//! * `--ns-budget <n>` — neighbors sampled per search phase.
+//! * `--ns-budget <n>` — neighbors sampled per search phase (at least 1).
 //! * `--connectivity <mode>` — connectivity repair strategy
 //!   (`WMN_CONNECTIVITY`): `dynamic` (default) or `full` (full-rebuild
 //!   reference pipeline). Results are bit-identical in both modes; only
@@ -88,7 +88,8 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<
 ///
 /// # Errors
 ///
-/// Returns a usage message on unknown flags or malformed numbers.
+/// Returns a usage message on unknown flags, malformed numbers, or a zero
+/// `--ns-budget`.
 pub fn parse_from<I: IntoIterator<Item = String>>(
     base: ExperimentConfig,
     args: I,
@@ -115,7 +116,12 @@ pub fn parse_from<I: IntoIterator<Item = String>>(
             "--scale-routers" => config.scale.routers = parse_num("--scale-routers", it.next())?,
             "--scale-clients" => config.scale.clients = parse_num("--scale-clients", it.next())?,
             "--scale-area" => config.scale.area = parse_num("--scale-area", it.next())?,
-            "--ns-budget" => config.ns_budget = parse_num("--ns-budget", it.next())?,
+            "--ns-budget" => {
+                config.ns_budget = parse_num("--ns-budget", it.next())?;
+                if config.ns_budget == 0 {
+                    return Err("--ns-budget must be positive (got 0)".to_owned());
+                }
+            }
             "--connectivity" => {
                 let v = it.next().ok_or("--connectivity needs a value")?;
                 config.connectivity = connectivity_mode(&v)?;
@@ -389,6 +395,18 @@ mod tests {
         let opts = parse_vec(&["--threads", "0", "--ga-threads", "0"]).unwrap();
         assert_eq!(opts.config.runner_threads, 0);
         assert_eq!(opts.config.threads, 1);
+    }
+
+    #[test]
+    fn ns_budget_must_be_positive() {
+        assert_eq!(
+            parse_vec(&["--ns-budget", "3"]).unwrap().config.ns_budget,
+            3
+        );
+        let err = parse_vec(&["--ns-budget", "0"]).unwrap_err();
+        assert!(err.contains("--ns-budget"), "{err}");
+        assert!(parse_vec(&["--ns-budget", "-1"]).is_err());
+        assert!(parse_vec(&["--ns-budget"]).is_err());
     }
 
     #[test]

@@ -6,10 +6,20 @@
 //! `ablation_components` bench can compare them; they are verified equal in
 //! tests).
 //!
+//! Each component is labeled by its **representative**: its smallest node
+//! index. That label is a pure function of the partition, so every way of
+//! building or repairing a [`Components`] lands on the same values, and a
+//! repair that changes a few components rewrites only their nodes — the
+//! dynamic connectivity engine
+//! ([`DynamicConnectivity`](crate::connectivity::DynamicConnectivity))
+//! relabels just the components it merged or split. Sizes are indexed by
+//! representative (0 at every other index) and the component count is
+//! kept as a field, so neither needs a pass over the nodes.
+//!
 //! Labels and sizes are stored as flat `u32` arrays (the crate-wide id-width
-//! invariant — see the [`arena`](crate::arena) module docs): component
-//! labels fit u32 because node counts do, and the flat layout makes
-//! `clone_from` two bulk copies.
+//! invariant — see the [`arena`](crate::arena) module docs): representatives
+//! are node indices, which fit u32, and the flat layout makes `clone_from`
+//! two bulk copies.
 
 use crate::adjacency::MeshAdjacency;
 use crate::dsu::UnionFind;
@@ -28,27 +38,33 @@ const NONE: u32 = u32::MAX;
 ///
 /// let area = Area::square(50.0)?;
 /// let positions = vec![
-///     Point::new(0.0, 0.0),
-///     Point::new(6.0, 0.0),   // linked to the first (3 + 3 >= 6)
 ///     Point::new(40.0, 40.0), // isolated
+///     Point::new(0.0, 0.0),
+///     Point::new(6.0, 0.0),   // linked to router 1 (3 + 3 >= 6)
 /// ];
 /// let radii = vec![3.0, 3.0, 3.0];
 /// let adj = MeshAdjacency::build(&area, &positions, &radii, LinkModel::CoverageOverlap);
 /// let comps = Components::from_adjacency(&adj);
 /// assert_eq!(comps.count(), 2);
 /// assert_eq!(comps.giant_size(), 2);
-/// assert!(comps.in_giant(0) && comps.in_giant(1) && !comps.in_giant(2));
+/// assert!(!comps.in_giant(0) && comps.in_giant(1) && comps.in_giant(2));
+/// // Labels are representatives: each component's smallest node index.
+/// assert_eq!((comps.label_of(0), comps.label_of(2)), (0, 1));
+/// assert_eq!(comps.sizes(), &[1, 2, 0]);
 /// # Ok::<(), wmn_model::ModelError>(())
 /// ```
 #[derive(Debug, PartialEq, Eq)]
 pub struct Components {
-    /// Component label per node, labels in `0..count`, assigned in order of
-    /// first appearance (lowest node index first).
+    /// Component label per node: the smallest node index in its component
+    /// (the component's *representative*).
     label: Vec<u32>,
-    /// Size per component label.
+    /// Component size per node index: the size at each representative, 0
+    /// at every other index.
     sizes: Vec<u32>,
-    /// Label of the giant component (lowest label among maxima), or [`NONE`]
-    /// for an empty graph.
+    /// Number of components (of representatives).
+    count: usize,
+    /// Representative of the giant component — the largest, ties to the
+    /// smallest representative — or [`NONE`] for an empty graph.
     giant: u32,
 }
 
@@ -57,6 +73,7 @@ impl Clone for Components {
         Components {
             label: self.label.clone(),
             sizes: self.sizes.clone(),
+            count: self.count,
             giant: self.giant,
         }
     }
@@ -66,6 +83,7 @@ impl Clone for Components {
     fn clone_from(&mut self, src: &Self) {
         self.label.clone_from(&src.label);
         self.sizes.clone_from(&src.sizes);
+        self.count = src.count;
         self.giant = src.giant;
     }
 }
@@ -75,21 +93,23 @@ impl Components {
     pub fn from_adjacency(adj: &MeshAdjacency) -> Components {
         let n = adj.node_count();
         let mut label = vec![NONE; n];
-        let mut sizes: Vec<u32> = Vec::new();
+        let mut sizes = vec![0u32; n];
+        let mut count = 0;
         let mut queue = std::collections::VecDeque::new();
         for start in 0..n {
             if label[start] != NONE {
                 continue;
             }
-            let id = sizes.len();
-            sizes.push(0);
-            label[start] = id as u32;
+            // Every smaller node is already labeled, so `start` is the
+            // smallest node of its component.
+            count += 1;
+            label[start] = start as u32;
             queue.push_back(start);
             while let Some(u) = queue.pop_front() {
-                sizes[id] += 1;
+                sizes[start] += 1;
                 for &v in adj.neighbors(u) {
                     if label[v as usize] == NONE {
-                        label[v as usize] = id as u32;
+                        label[v as usize] = start as u32;
                         queue.push_back(v as usize);
                     }
                 }
@@ -99,6 +119,7 @@ impl Components {
         Components {
             label,
             sizes,
+            count,
             giant,
         }
     }
@@ -106,42 +127,31 @@ impl Components {
     /// Computes components by union–find; result is identical to
     /// [`Components::from_adjacency`] (verified by tests).
     pub fn from_adjacency_dsu(adj: &MeshAdjacency) -> Components {
-        let n = adj.node_count();
-        let mut uf = UnionFind::new(n);
-        for i in 0..n {
-            for &j in adj.neighbors(i) {
-                if j as usize > i {
-                    uf.union(i, j as usize);
-                }
-            }
-        }
-        let label: Vec<u32> = uf.labeling().into_iter().map(|l| l as u32).collect();
-        let mut sizes = vec![0u32; uf.set_count()];
-        for &l in &label {
-            sizes[l as usize] += 1;
-        }
-        let giant = Self::giant_label(&sizes);
-        Components {
-            label,
-            sizes,
-            giant,
-        }
+        let mut components = Components {
+            label: Vec::new(),
+            sizes: Vec::new(),
+            count: 0,
+            giant: NONE,
+        };
+        components.rebuild_incremental(adj, &mut UnionFind::default(), &mut Vec::new());
+        components
     }
 
     /// Recomputes this component structure from `adj` **in place**, using a
-    /// caller-provided [`UnionFind`] and label scratch buffer so that no
-    /// heap allocation happens once the buffers have grown to the graph
-    /// size. This is the per-move connectivity path of the incremental
-    /// topology engine.
+    /// caller-provided [`UnionFind`] and representative scratch buffer so
+    /// that no heap allocation happens once the buffers have grown to the
+    /// graph size. This whole-graph rescan is the dynamic connectivity
+    /// engine's cost-cap fallback and the in-place rebuild behind
+    /// `WmnTopology::reset_placement`.
     ///
-    /// The result is identical to [`Components::from_adjacency`] (the DSU
-    /// labeling is canonicalized to first-appearance order, the same order
-    /// BFS assigns; verified by tests).
+    /// The result is identical to [`Components::from_adjacency`]: the
+    /// ascending node scan meets each set's smallest element first, which
+    /// becomes the set's representative (verified by tests).
     pub fn rebuild_incremental(
         &mut self,
         adj: &MeshAdjacency,
         uf: &mut UnionFind,
-        label_of_root: &mut Vec<u32>,
+        rep_of_root: &mut Vec<u32>,
     ) {
         let n = adj.node_count();
         uf.reset(n);
@@ -152,71 +162,74 @@ impl Components {
                 }
             }
         }
-        label_of_root.clear();
-        label_of_root.resize(n, NONE);
+        rep_of_root.clear();
+        rep_of_root.resize(n, NONE);
         self.label.clear();
         self.sizes.clear();
+        self.sizes.resize(n, 0);
+        self.count = 0;
         for x in 0..n {
             let r = uf.find(x);
-            let l = if label_of_root[r] == NONE {
-                let next = self.sizes.len() as u32;
-                label_of_root[r] = next;
-                self.sizes.push(0);
-                next
-            } else {
-                label_of_root[r]
-            };
-            self.label.push(l);
-            self.sizes[l as usize] += 1;
+            if rep_of_root[r] == NONE {
+                rep_of_root[r] = x as u32;
+                self.count += 1;
+            }
+            let rep = rep_of_root[r];
+            self.label.push(rep);
+            self.sizes[rep as usize] += 1;
         }
         self.giant = Self::giant_label(&self.sizes);
     }
 
-    /// The current label vector (canonical between repairs; the dynamic
-    /// connectivity engine reads component ids per node from here).
+    /// The current label vector: each node's representative (the dynamic
+    /// connectivity engine reads pre-repair component ids from here).
     pub(crate) fn labels(&self) -> &[u32] {
         &self.label
     }
 
-    /// Mutable label access for the dynamic connectivity engine's
-    /// split-relabeling; callers must restore canonical form via
-    /// [`Components::relabel_canonical`] (or a rebuild) before the
-    /// structure is observed again.
-    pub(crate) fn labels_mut(&mut self) -> &mut [u32] {
-        &mut self.label
+    /// The giant's representative, or [`NONE`] for an empty graph.
+    pub(crate) fn giant_rep(&self) -> u32 {
+        self.giant
     }
 
-    /// Rewrites a label vector holding arbitrary working ids (canonical
-    /// pre-repair labels merged through `id_dsu` plus fresh split ids)
-    /// into canonical first-appearance form, recounting sizes and
-    /// re-picking the giant — one O(n·α) pass, allocation-free once
-    /// `label_of_root` has grown to the id-space size. The result is
-    /// exactly what [`Components::from_adjacency`] would assign to the
-    /// same partition.
-    pub(crate) fn relabel_canonical(
-        &mut self,
-        id_dsu: &mut UnionFind,
-        label_of_root: &mut Vec<u32>,
-    ) {
-        label_of_root.clear();
-        label_of_root.resize(id_dsu.len(), NONE);
-        self.sizes.clear();
-        for l in &mut self.label {
-            let r = id_dsu.find(*l as usize);
-            let canon = if label_of_root[r] == NONE {
-                let next = self.sizes.len() as u32;
-                label_of_root[r] = next;
-                self.sizes.push(0);
-                next
-            } else {
-                label_of_root[r]
-            };
-            *l = canon;
-            self.sizes[canon as usize] += 1;
+    /// Component-local relabel, step 1: drops the component represented
+    /// by `rep` from the size table, because the repair merged or split it
+    /// and its nodes are about to be relabeled by
+    /// [`assign`](Components::assign). Until
+    /// [`settle`](Components::settle) runs, the structure is between
+    /// states and must not be observed.
+    pub(crate) fn retire(&mut self, rep: u32) {
+        self.sizes[rep as usize] = 0;
+    }
+
+    /// Component-local relabel, step 2: `members` is one complete
+    /// component of the repaired graph (in any order); labels them with
+    /// their smallest index, records the size there, and returns that
+    /// representative.
+    pub(crate) fn assign(&mut self, members: &[u32]) -> u32 {
+        let rep = members
+            .iter()
+            .copied()
+            .min()
+            .expect("a component has a node");
+        for &x in members {
+            self.label[x as usize] = rep;
         }
-        self.giant = Self::giant_label(&self.sizes);
+        self.sizes[rep as usize] = members.len() as u32;
+        rep
     }
 
+    /// Component-local relabel, step 3: records the repaired component
+    /// count and the giant — `Some(rep)` when the caller has proved which
+    /// component leads, `None` to rescan the size table.
+    pub(crate) fn settle(&mut self, count: usize, giant: Option<u32>) {
+        self.count = count;
+        self.giant = giant.unwrap_or_else(|| Self::giant_label(&self.sizes));
+    }
+
+    /// The giant rule over a size table indexed by representative: the
+    /// largest size, ties to the smallest representative ([`NONE`] when
+    /// every size is 0, i.e. for an empty graph).
     fn giant_label(sizes: &[u32]) -> u32 {
         let mut best = NONE;
         let mut best_size = 0;
@@ -236,10 +249,11 @@ impl Components {
 
     /// Number of components.
     pub fn count(&self) -> usize {
-        self.sizes.len()
+        self.count
     }
 
-    /// Component label of node `i`.
+    /// Component label of node `i`: the smallest node index in its
+    /// component.
     ///
     /// # Panics
     ///
@@ -257,7 +271,8 @@ impl Components {
         self.sizes[self.label[i] as usize] as usize
     }
 
-    /// Component sizes, indexed by label.
+    /// Component sizes indexed by label: one entry per node index, holding
+    /// the component size at each representative and 0 elsewhere.
     pub fn sizes(&self) -> &[u32] {
         &self.sizes
     }
@@ -274,7 +289,8 @@ impl Components {
     }
 
     /// Label of the giant component, or `None` for an empty graph.
-    /// Ties break toward the lowest label (deterministic).
+    /// Ties break toward the lowest label, i.e. the component holding the
+    /// smallest node index (deterministic).
     pub fn giant_label_opt(&self) -> Option<usize> {
         (self.giant != NONE).then_some(self.giant as usize)
     }

@@ -8,12 +8,16 @@
 //! ([`Components::rebuild_incremental`]): reset *n* singletons, re-union
 //! all *m* edges, relabel. [`DynamicConnectivity`] replaces that rescan
 //! with **component-local repair** driven by the edge diff the grid-local
-//! edge repair already computes:
+//! edge repair already computes, at a cost proportional to the components
+//! the diff changes rather than to the router count:
 //!
-//! * **Insertions are pure DSU unions.** Component labels are canonical
-//!   (`0..count`), so an inserted edge `(u, v)` merges the label classes of
-//!   its endpoints in a small union–find over *component ids* — O(α), no
-//!   node is touched.
+//! * **Insertions are pure DSU unions.** Every component is labeled by its
+//!   representative (its smallest router index, see [`Components`]), so an
+//!   inserted edge `(u, v)` merges the label classes of its endpoints in a
+//!   union–find over *representatives* — O(α), no node is touched. That
+//!   union–find is all singletons between repairs: each repair restores
+//!   only the entries its insertions used
+//!   ([`UnionFind::restore_singletons`]).
 //! * **Deletions run a bounded bidirectional BFS** from the severed
 //!   endpoints to decide split-vs-still-connected. The search walks the
 //!   *final* adjacency lists plus an overlay of the not-yet-processed
@@ -26,19 +30,28 @@
 //!   top of the final adjacency.
 //!   If the endpoints meet, the component survived and nothing changes; if
 //!   one frontier exhausts, that side is a complete component of the
-//!   current graph and is split off by relabeling exactly its nodes.
+//!   current graph and the deletion is a split.
 //! * **An explicit cost cap bounds every search.** When a deletion's
 //!   frontier exceeds the cap (default `128 + 8·⌈√n⌉` edge visits, see
 //!   [`DynamicConnectivity::set_cost_cap`]), the engine abandons the batch
 //!   and falls back to the one full [`Components::rebuild_incremental`]
 //!   rescan — correctness never depends on the cap.
 //!
-//! After the diff is applied, one fused O(*n*) pass rewrites the labels in
-//! canonical first-appearance order (the order BFS assigns), recounts the
-//! sizes, and re-picks the giant — so the resulting [`Components`] is
-//! **bit-identical** to a from-scratch build, and every downstream
-//! consumer (coverage rules, fitness, traces) sees exactly the reference
-//! results. The equivalence and proptest suites pin this.
+//! **Only changed components are relabeled.** Merges and splits write no
+//! labels; they record their endpoints as *seeds*. After the diff, one BFS
+//! over the final adjacency from the seeds collects every final component
+//! holding a seed, labels it with its smallest router index, and records
+//! its size there, after the sizes of the pre-repair components holding a
+//! seed were zeroed. The component count moves by splits − merges. The
+//! giant rule — largest, ties to the smallest representative — is then
+//! decided between the relabeled components and the old giant; only when
+//! the old giant lost members does a linear scan of the size table decide
+//! it. The repair reports the routers whose giant membership flipped
+//! ([`DynamicConnectivity::giant_flips`]), so callers update membership
+//! masks and coverage in proportion to the change too. The resulting
+//! [`Components`] equals a from-scratch build field for field, and every
+//! downstream consumer (coverage rules, fitness, traces) sees exactly the
+//! reference results. The equivalence and proptest suites pin this.
 //!
 //! Edge endpoints are `u32` router ids throughout (the crate-wide id-width
 //! invariant), matching the arena-backed adjacency lists; the overlay and
@@ -60,24 +73,43 @@
 //!    `u ~ v` on the remaining `G`. Both endpoints are connected via the
 //!    edge being deleted an instant earlier, so the bidirectional search
 //!    either meets (partition unchanged) or exhausts one side `S`, which
-//!    is then a complete component of `G` and is split off. The partition
-//!    therefore always equals the components of the *current* `G`.
+//!    is then a complete component of `G`, split off with `u` on one side
+//!    and `v` on the other.
 //! 3. *After the last deletion* `G = A`, so the partition is exactly the
-//!    final component structure; the canonicalization pass only renames.
+//!    final component structure, which the relabel reads off `A` directly.
 //!
-//! Because splits happen strictly after all unions, a split's fresh label
-//! never has to be "un-merged" from the id-DSU.
+//! # Invariants (relabel)
+//!
+//! Every component the repair changed holds a seed, before and after:
+//!
+//! * A pre-repair component that merged holds an endpoint of the first
+//!   merging insertion its class took part in (its class was just that
+//!   one representative then). One that split without merging holds the
+//!   endpoints of its splitting deletions.
+//! * A final component that is not a pre-repair component is either a
+//!   merged class that no deletion cut (it holds the merge endpoints) or
+//!   the piece a split left on one side (it holds that split's endpoint
+//!   on its side, or a later split's if it was cut again).
+//!
+//! So zeroing the sizes of the pre-repair components that hold a seed and
+//! relabeling the final components that hold one rewrites exactly the
+//! changed part of the structure; every other label and size stays valid,
+//! because a representative is a pure function of its component. The
+//! nodes relabeled are exactly those of the changed pre-repair
+//! components, so the old giant's members are all among them whenever the
+//! old giant changed.
 //!
 //! # Fallback rule
 //!
 //! The only fallback is the cost cap: a deletion whose bidirectional
 //! frontier scans more than the cap's edge visits aborts the batch, the
 //! overlay is torn down, and [`Components::rebuild_incremental`] repairs
-//! everything in one whole-graph rescan. The cap guarantees every repair
-//! costs at most O(deletions · cap + insertions + n) before the engine
-//! resorts to the O(n + m) rescan, keeping the common case (local churn in
-//! a large graph) sub-linear in deletion count while pathological cuts
-//! (halving a giant component) stay correct.
+//! everything in one whole-graph rescan, with the flips found by two
+//! linear label scans. The cap guarantees every repair costs at most
+//! O(deletions · cap + insertions + relabeled components) before the
+//! engine resorts to the O(n + m) rescan, keeping the common case (local
+//! churn in a large graph) sub-linear while pathological cuts (halving a
+//! giant component) stay correct.
 
 use crate::adjacency::MeshAdjacency;
 use crate::components::Components;
@@ -96,8 +128,8 @@ pub use wmn_obs::ConnectivityStats;
 pub enum RepairOutcome {
     /// The diff was applied component-locally and left the partition
     /// untouched (no merge joined components, no deletion split one): the
-    /// canonical labels, sizes, and giant are provably the pre-repair
-    /// ones, so even the canonicalization pass was skipped.
+    /// labels, sizes, and giant are provably the pre-repair ones, so no
+    /// relabel ran and no router flipped.
     Unchanged,
     /// The diff was applied component-locally and the partition changed.
     Changed,
@@ -109,16 +141,10 @@ pub enum RepairOutcome {
 enum SearchOutcome {
     /// The frontiers met: the endpoints are still connected.
     Connected,
-    /// One side exhausted: its queue holds a complete component.
-    Split(Side),
+    /// One side exhausted: the deletion split a component.
+    Split,
     /// The cost cap was exceeded before a decision.
     CapExceeded,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Side {
-    A,
-    B,
 }
 
 /// Component-local connectivity repair engine (see the module docs for the
@@ -153,23 +179,37 @@ enum Side {
 /// engine.apply_edge_diff(&after, &mut components, &[], &[(0, 1), (1, 2)], &mut uf, &mut scratch);
 /// assert_eq!(components, Components::from_adjacency(&after));
 /// assert_eq!(components.giant_size(), 1);
+/// // Router 0 keeps the giant (a three-way tie goes to the smallest
+/// // representative); routers 1 and 2 left it.
+/// let mut flips = engine.giant_flips().to_vec();
+/// flips.sort_unstable();
+/// assert_eq!(flips, [1, 2]);
 /// # Ok::<(), wmn_model::ModelError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DynamicConnectivity {
-    /// Union–find over component *ids* (not nodes): insertions union here.
+    /// Union–find over component *representatives* (not nodes):
+    /// insertions union here. All singletons between repairs.
     id_dsu: UnionFind,
     /// Pending-deletion overlay adjacency, populated per repair and torn
     /// down before returning (`touched` tracks the dirtied rows).
     extra: Vec<Vec<u32>>,
     touched: Vec<u32>,
-    /// Bidirectional-search visit stamps (`epoch`-based, never refilled in
-    /// the hot path) and the two frontier queues; after an exhausted
-    /// search a queue holds the split side's complete node set.
+    /// Visit stamps (`epoch`-based, never refilled in the hot path) shared
+    /// by the bidirectional searches and the relabel, and the two search
+    /// frontier queues.
     mark: Vec<u32>,
     epoch: u32,
     queue_a: Vec<u32>,
     queue_b: Vec<u32>,
+    /// Endpoints of this repair's merging insertions and splitting
+    /// deletions: every changed component holds one.
+    seeds: Vec<u32>,
+    /// The relabel BFS queue: the nodes of every final component holding a
+    /// seed, one component after another.
+    relabel: Vec<u32>,
+    /// Routers whose giant membership the last repair flipped.
+    flips: Vec<u32>,
     /// `Some(cap)` overrides the default edge-visit budget per deletion.
     cost_cap: Option<usize>,
     stats: ConnectivityStats,
@@ -208,6 +248,14 @@ impl DynamicConnectivity {
         self.stats.reset();
     }
 
+    /// The routers whose giant-component membership the last
+    /// [`apply_edge_diff`](DynamicConnectivity::apply_edge_diff) flipped,
+    /// each once, in no particular order (empty after an
+    /// [`Unchanged`](RepairOutcome::Unchanged) repair).
+    pub fn giant_flips(&self) -> &[u32] {
+        &self.flips
+    }
+
     /// Repairs `components` (which must describe the graph *before* the
     /// diff) to match `adj` (the graph *after* the diff), given the edge
     /// `inserted`/`deleted` lists (u32 endpoints), in any order and with
@@ -215,10 +263,12 @@ impl DynamicConnectivity {
     /// equals "post-graph edges plus deletions" as sets — exactly what
     /// per-node old-vs-new neighbor diffs produce. `fallback_uf` and
     /// `label_scratch` are the caller-owned buffers the whole-graph rescan
-    /// fallback (and the canonicalization pass) reuse.
+    /// fallback reuses.
     ///
     /// Returns how the repair went (see [`RepairOutcome`]); the resulting
-    /// `components` is canonical and identical in every case.
+    /// `components` equals [`Components::from_adjacency`] of `adj` in
+    /// every case, and [`giant_flips`](DynamicConnectivity::giant_flips)
+    /// lists the routers whose giant membership changed.
     ///
     /// # Panics
     ///
@@ -239,28 +289,32 @@ impl DynamicConnectivity {
             "components and adjacency must describe the same node set"
         );
         self.stats.repairs += 1;
+        self.flips.clear();
         if inserted.is_empty() && deleted.is_empty() {
             return RepairOutcome::Unchanged;
         }
         let n = adj.node_count();
         self.ensure_capacity(n);
-        let base = components.count();
-        self.id_dsu.reset(base + deleted.len());
+        self.seeds.clear();
 
-        // Phase 1 — insertions are pure DSU unions over component ids.
+        // Phase 1 — insertions are pure DSU unions over representatives.
         self.stats.insertions += inserted.len() as u64;
         let mut merges = 0;
-        {
-            let labels = components.labels();
-            for &(u, v) in inserted {
-                if self
-                    .id_dsu
-                    .union(labels[u as usize] as usize, labels[v as usize] as usize)
-                {
-                    merges += 1;
-                }
+        let labels = components.labels();
+        for &(u, v) in inserted {
+            if self
+                .id_dsu
+                .union(labels[u as usize] as usize, labels[v as usize] as usize)
+            {
+                merges += 1;
+                self.seeds.extend([u, v]);
             }
         }
+        self.id_dsu.restore_singletons(
+            inserted
+                .iter()
+                .flat_map(|&(u, v)| [labels[u as usize] as usize, labels[v as usize] as usize]),
+        );
         self.stats.merges += merges;
 
         // Phase 2 — deletions, against the final adjacency plus the
@@ -279,7 +333,6 @@ impl DynamicConnectivity {
         let cap = self.cost_cap(n);
         let budget = (2 * (n + 2 * adj.edge_count())).max(cap);
         let mut spent = 0usize;
-        let mut next_fresh = base as u32;
         let mut splits = 0;
         let mut capped = false;
         for &(u, v) in deleted {
@@ -290,17 +343,12 @@ impl DynamicConnectivity {
             // the adjacency or the overlay) just lost its last link, so it
             // is a complete component by itself — and the rest of its old
             // component stays connected, because a degree-one node lies on
-            // no other path. Both-isolated means the component was exactly
-            // the edge's two endpoints; splitting one side off is enough.
-            let u_isolated =
-                adj.neighbors(u as usize).is_empty() && self.extra[u as usize].is_empty();
-            if u_isolated
-                || (adj.neighbors(v as usize).is_empty() && self.extra[v as usize].is_empty())
-            {
-                let lone = if u_isolated { u } else { v };
-                components.labels_mut()[lone as usize] = next_fresh;
-                next_fresh += 1;
+            // no other path.
+            let isolated =
+                |x: u32| adj.neighbors(x as usize).is_empty() && self.extra[x as usize].is_empty();
+            if isolated(u) || isolated(v) {
                 splits += 1;
+                self.seeds.extend([u, v]);
                 continue;
             }
             // Triangle fast path: a neighbor shared by both endpoints in
@@ -321,18 +369,9 @@ impl DynamicConnectivity {
             }
             match self.bidirectional_search(adj, u, v, cap.min(budget - spent + 1), &mut spent) {
                 SearchOutcome::Connected => {}
-                SearchOutcome::Split(side) => {
+                SearchOutcome::Split => {
                     splits += 1;
-                    let fresh = next_fresh;
-                    next_fresh += 1;
-                    let split_nodes = match side {
-                        Side::A => &self.queue_a,
-                        Side::B => &self.queue_b,
-                    };
-                    let labels = components.labels_mut();
-                    for &x in split_nodes {
-                        labels[x as usize] = fresh;
-                    }
+                    self.seeds.extend([u, v]);
                 }
                 SearchOutcome::CapExceeded => {
                     capped = true;
@@ -348,24 +387,171 @@ impl DynamicConnectivity {
 
         if capped {
             self.stats.fallbacks += 1;
-            components.rebuild_incremental(adj, fallback_uf, label_scratch);
+            self.rescan(adj, components, fallback_uf, label_scratch);
             return RepairOutcome::FellBack;
         }
         if merges == 0 && splits == 0 {
-            // No component joined and none split: the pre-repair canonical
-            // labels, sizes, and giant still describe the partition.
+            // No component joined and none split: the pre-repair labels,
+            // sizes, and giant still describe the partition.
             return RepairOutcome::Unchanged;
         }
-        components.relabel_canonical(&mut self.id_dsu, label_scratch);
+        let count = components.count() + splits as usize - merges as usize;
+        self.relabel_changed(adj, components, count);
         RepairOutcome::Changed
+    }
+
+    /// Relabels the final components holding a seed, re-decides the giant,
+    /// and records the membership flips (see the module docs' relabel
+    /// invariants). `count` is the repaired component count.
+    fn relabel_changed(&mut self, adj: &MeshAdjacency, components: &mut Components, count: usize) {
+        let old_giant = components.giant_rep();
+        let old_size = components.giant_size() as u32;
+        let mut giant_touched = false;
+        for &s in &self.seeds {
+            let rep = components.labels()[s as usize];
+            giant_touched |= rep == old_giant;
+            components.retire(rep);
+        }
+
+        // One BFS per final component holding a seed. A visited node is
+        // stamped `was_giant` if it belonged to the old giant (its label is
+        // still the pre-repair one until its component is assigned), and
+        // `plain` otherwise.
+        let base = self.fresh_stamps(3);
+        let (plain, was_giant, member) = (base + 1, base + 2, base + 3);
+        let visited = |m: u32| m == plain || m == was_giant;
+        self.relabel.clear();
+        let mut best = (0u32, u32::MAX);
+        for k in 0..self.seeds.len() {
+            let seed = self.seeds[k];
+            if visited(self.mark[seed as usize]) {
+                continue;
+            }
+            let start = self.relabel.len();
+            let labels = components.labels();
+            let stamp = |x: u32| {
+                if labels[x as usize] == old_giant {
+                    was_giant
+                } else {
+                    plain
+                }
+            };
+            self.mark[seed as usize] = stamp(seed);
+            self.relabel.push(seed);
+            let mut head = start;
+            while let Some(&x) = self.relabel.get(head) {
+                head += 1;
+                for &w in adj.neighbors(x as usize) {
+                    if !visited(self.mark[w as usize]) {
+                        self.mark[w as usize] = stamp(w);
+                        self.relabel.push(w);
+                    }
+                }
+            }
+            let rep = components.assign(&self.relabel[start..]);
+            let size = (self.relabel.len() - start) as u32;
+            if outranks((size, rep), best) {
+                best = (size, rep);
+            }
+        }
+
+        // The giant rule. Untouched components rank at most the old giant:
+        // no larger, and on a tie with a larger representative.
+        let new_giant = if !giant_touched {
+            // The old giant survived whole and still leads the untouched.
+            Some(if outranks(best, (old_size, old_giant)) {
+                best.1
+            } else {
+                old_giant
+            })
+        } else if best.0 > old_size || (best.0 == old_size && best.1 <= old_giant) {
+            Some(best.1)
+        } else {
+            // The old giant lost members: an untouched component may lead.
+            None
+        };
+        components.settle(count, new_giant);
+        let new_giant = components.giant_rep();
+        if !giant_touched && new_giant == old_giant {
+            return;
+        }
+
+        // Relabeled nodes hold every old-giant member whenever the old
+        // giant changed; the members of an untouched component that gained
+        // or lost the giant are collected from its representative.
+        let labels = components.labels();
+        self.flips.extend(self.relabel.iter().copied().filter(|&x| {
+            (self.mark[x as usize] == was_giant) != (labels[x as usize] == new_giant)
+        }));
+        if !giant_touched {
+            self.collect_component(adj, old_giant, member);
+        } else if !visited(self.mark[new_giant as usize]) {
+            self.collect_component(adj, new_giant, member);
+        }
+    }
+
+    /// Appends the nodes of the final component holding `start` to the
+    /// flip list, using the list itself as the BFS queue and `stamp` as a
+    /// fresh visit stamp.
+    fn collect_component(&mut self, adj: &MeshAdjacency, start: u32, stamp: u32) {
+        let mut head = self.flips.len();
+        self.mark[start as usize] = stamp;
+        self.flips.push(start);
+        while let Some(&x) = self.flips.get(head) {
+            head += 1;
+            for &w in adj.neighbors(x as usize) {
+                if self.mark[w as usize] != stamp {
+                    self.mark[w as usize] = stamp;
+                    self.flips.push(w);
+                }
+            }
+        }
+    }
+
+    /// The cost-cap fallback: a whole-graph rescan, with the membership
+    /// flips found by stamping the old giant's members before it and
+    /// comparing after it.
+    fn rescan(
+        &mut self,
+        adj: &MeshAdjacency,
+        components: &mut Components,
+        uf: &mut UnionFind,
+        rep_of_root: &mut Vec<u32>,
+    ) {
+        let old_giant = components.giant_rep();
+        let was_giant = self.fresh_stamps(1) + 1;
+        for (x, &l) in components.labels().iter().enumerate() {
+            if l == old_giant {
+                self.mark[x] = was_giant;
+            }
+        }
+        components.rebuild_incremental(adj, uf, rep_of_root);
+        let new_giant = components.giant_rep();
+        for (x, &l) in components.labels().iter().enumerate() {
+            if (self.mark[x] == was_giant) != (l == new_giant) {
+                self.flips.push(x as u32);
+            }
+        }
+    }
+
+    /// Reserves `k` fresh visit stamps `base + 1 ..= base + k` and returns
+    /// `base`; `mark` is only ever compared against stamps of the current
+    /// reservation, so stale values never alias.
+    fn fresh_stamps(&mut self, k: u32) -> u32 {
+        if self.epoch > u32::MAX - k {
+            self.mark.fill(0);
+            self.epoch = 0;
+        }
+        let base = self.epoch;
+        self.epoch += k;
+        base
     }
 
     /// Bidirectional search from the endpoints of a just-deleted edge over
     /// the final adjacency plus the pending-deletion overlay, alternating
     /// one node expansion per side. Stops at the first cross-side contact
-    /// (still connected), at the first exhausted side (split: that queue
-    /// then holds the side's complete node set), or when more than `cap`
-    /// edges have been visited.
+    /// (still connected), at the first exhausted side (split), or when
+    /// more than `cap` edges have been visited.
     fn bidirectional_search(
         &mut self,
         adj: &MeshAdjacency,
@@ -374,15 +560,8 @@ impl DynamicConnectivity {
         cap: usize,
         spent: &mut usize,
     ) -> SearchOutcome {
-        // Two fresh stamps per search; `mark` is only ever compared against
-        // the current pair, so stale values never alias.
-        if self.epoch >= u32::MAX - 2 {
-            self.mark.fill(0);
-            self.epoch = 0;
-        }
-        let mark_a = self.epoch + 1;
-        let mark_b = self.epoch + 2;
-        self.epoch += 2;
+        let base = self.fresh_stamps(2);
+        let (mark_a, mark_b) = (base + 1, base + 2);
 
         self.queue_a.clear();
         self.queue_b.clear();
@@ -405,7 +584,7 @@ impl DynamicConnectivity {
                 cap,
             ) {
                 StepOutcome::Advanced => {}
-                StepOutcome::Exhausted => break SearchOutcome::Split(Side::A),
+                StepOutcome::Exhausted => break SearchOutcome::Split,
                 StepOutcome::Met => break SearchOutcome::Connected,
                 StepOutcome::Capped => break SearchOutcome::CapExceeded,
             }
@@ -420,7 +599,7 @@ impl DynamicConnectivity {
                 cap,
             ) {
                 StepOutcome::Advanced => {}
-                StepOutcome::Exhausted => break SearchOutcome::Split(Side::B),
+                StepOutcome::Exhausted => break SearchOutcome::Split,
                 StepOutcome::Met => break SearchOutcome::Connected,
                 StepOutcome::Capped => break SearchOutcome::CapExceeded,
             }
@@ -437,7 +616,17 @@ impl DynamicConnectivity {
         if self.mark.len() < n {
             self.mark.resize(n, 0);
         }
+        if self.id_dsu.len() < n {
+            self.id_dsu.reset(n);
+        }
     }
+}
+
+/// Whether component `a` outranks `b` under the giant rule, both given as
+/// `(size, representative)`: larger wins, ties go to the smaller
+/// representative.
+fn outranks(a: (u32, u32), b: (u32, u32)) -> bool {
+    a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
 }
 
 /// One node expansion of one side of the bidirectional search.
@@ -550,9 +739,26 @@ mod tests {
         (ins, del)
     }
 
+    /// The routers whose giant membership differs between two structures,
+    /// ascending.
+    fn membership_diff(before: &Components, after: &Components) -> Vec<u32> {
+        (0..before.node_count())
+            .filter(|&i| before.in_giant(i) != after.in_giant(i))
+            .map(|i| i as u32)
+            .collect()
+    }
+
+    /// The engine's flip list of the last repair, ascending.
+    fn sorted_flips(engine: &DynamicConnectivity) -> Vec<u32> {
+        let mut flips = engine.giant_flips().to_vec();
+        flips.sort_unstable();
+        flips
+    }
+
     /// Drifts a random layout through 30 perturbation rounds, repairing
     /// the component structure through the engine each time and comparing
-    /// against a from-scratch build. Returns the engine's counters.
+    /// it, and the reported membership flips, against a from-scratch
+    /// build. Returns the engine's counters.
     fn drift_and_check(
         model: LinkModel,
         n: usize,
@@ -575,11 +781,17 @@ mod tests {
             }
             let next = MeshAdjacency::build(&area, &pts, &radii, model);
             let (ins, del) = edge_diff(&adj, &next);
+            let before = components.clone();
             engine.apply_edge_diff(&next, &mut components, &ins, &del, &mut uf, &mut scratch);
             assert_eq!(
                 components,
                 Components::from_adjacency(&next),
                 "drift at round {round} under {model}"
+            );
+            assert_eq!(
+                sorted_flips(&engine),
+                membership_diff(&before, &components),
+                "flips at round {round} under {model}"
             );
             adj = next;
         }
@@ -693,6 +905,94 @@ mod tests {
             assert_eq!(components.count(), 3);
             assert_eq!(engine.stats().splits, 2);
         }
+    }
+
+    /// Moves the routers of `before` to `after` (same length) through one
+    /// engine repair and checks the result against a fresh build. Returns
+    /// the structures before and after, the outcome, and the ascending flip
+    /// list.
+    fn repair(
+        before: &[Point],
+        after: &[Point],
+    ) -> (Components, Components, RepairOutcome, Vec<u32>) {
+        let area = Area::square(100.0).unwrap();
+        let radii = vec![3.0; before.len()];
+        let model = LinkModel::CoverageOverlap;
+        let old = MeshAdjacency::build(&area, before, &radii, model);
+        let new = MeshAdjacency::build(&area, after, &radii, model);
+        let (ins, del) = edge_diff(&old, &new);
+        let mut components = Components::from_adjacency(&old);
+        let start = components.clone();
+        let mut engine = DynamicConnectivity::new();
+        let (mut uf, mut scratch) = (UnionFind::default(), Vec::new());
+        let outcome =
+            engine.apply_edge_diff(&new, &mut components, &ins, &del, &mut uf, &mut scratch);
+        assert_eq!(components, Components::from_adjacency(&new));
+        let flips = sorted_flips(&engine);
+        assert_eq!(flips, membership_diff(&start, &components));
+        (start, components, outcome, flips)
+    }
+
+    /// `k` routers in a linked row (5 apart, radius 3) starting at `(x, y)`.
+    fn row(x: f64, y: f64, k: usize) -> Vec<Point> {
+        (0..k).map(|i| Point::new(x + 5.0 * i as f64, y)).collect()
+    }
+
+    #[test]
+    fn giant_shrinking_to_a_tie_hands_over_to_the_smaller_representative() {
+        // {0, 1} (rep 0, untouched) and the giant {2, 3, 4} (rep 2). Router
+        // 4 leaves: {2, 3} ties {0, 1}, and the tie goes to rep 0.
+        let before = [row(10.0, 10.0, 2), row(10.0, 50.0, 3)].concat();
+        let mut after = before.clone();
+        after[4] = Point::new(90.0, 90.0);
+        let (start, components, outcome, flips) = repair(&before, &after);
+        assert_eq!(start.giant_label_opt(), Some(2));
+        assert_eq!(outcome, RepairOutcome::Changed);
+        assert_eq!(components.giant_label_opt(), Some(0));
+        assert_eq!(components.giant_size(), 2);
+        assert_eq!(flips, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn touched_component_outgrowing_an_untouched_giant_takes_over() {
+        // Giant {0, 1, 2} stays untouched; router 7 bridges the pairs
+        // {3, 4} and {5, 6} into a component of 5.
+        let before = [
+            row(10.0, 10.0, 3),
+            row(10.0, 50.0, 2),
+            row(25.0, 50.0, 2),
+            vec![Point::new(90.0, 90.0)],
+        ]
+        .concat();
+        let mut after = before.clone();
+        after[7] = Point::new(20.0, 50.0);
+        let (start, components, outcome, flips) = repair(&before, &after);
+        assert_eq!(start.giant_label_opt(), Some(0));
+        assert_eq!(outcome, RepairOutcome::Changed);
+        assert_eq!(components.giant_label_opt(), Some(3));
+        assert_eq!(components.giant_size(), 5);
+        assert_eq!(components.count(), 2);
+        assert_eq!(flips, [0, 1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn merge_tying_the_giant_with_a_smaller_representative_takes_over() {
+        // Lone router 0 joins the pair {1, 2}: the merged {0, 1, 2} ties
+        // the untouched giant {3, 4, 5} and has the smaller representative.
+        let before = [
+            vec![Point::new(90.0, 90.0)],
+            row(15.0, 10.0, 2),
+            row(10.0, 50.0, 3),
+        ]
+        .concat();
+        let mut after = before.clone();
+        after[0] = Point::new(10.0, 10.0);
+        let (start, components, outcome, flips) = repair(&before, &after);
+        assert_eq!(start.giant_label_opt(), Some(3));
+        assert_eq!(outcome, RepairOutcome::Changed);
+        assert_eq!(components.giant_label_opt(), Some(0));
+        assert_eq!(components.giant_size(), 3);
+        assert_eq!(flips, [0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

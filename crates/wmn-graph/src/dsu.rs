@@ -7,8 +7,8 @@
 //!
 //! Internally the parent and size tables are `u32` (the crate-wide id-width
 //! invariant — element counts fit u32), halving the table footprint so the
-//! per-move `reset` + union sweep stays in cache; the public API keeps
-//! `usize` indices.
+//! whole-graph `reset` + union sweep (`Components::rebuild_incremental`)
+//! stays in cache; the public API keeps `usize` indices.
 
 /// A disjoint-set forest over `0..n`.
 ///
@@ -71,9 +71,11 @@ impl UnionFind {
     }
 
     /// Resets the structure to `n` singleton sets, **reusing** the existing
-    /// buffers. This is the allocation-free path the incremental topology
-    /// engine uses to rebuild connectivity after every router move: after
-    /// the first call at a given `n`, no further heap allocation occurs.
+    /// buffers. This is the allocation-free start of the whole-graph rescan
+    /// (`Components::rebuild_incremental`), which runs only as the dynamic
+    /// connectivity engine's cost-cap fallback and in
+    /// `WmnTopology::reset_placement`: after the first call at a given `n`,
+    /// no further heap allocation occurs.
     ///
     /// # Panics
     ///
@@ -87,6 +89,22 @@ impl UnionFind {
         self.size.clear();
         self.size.resize(n, 1);
         self.sets = n;
+    }
+
+    /// Returns the structure to all singletons in O(`elements`) instead of
+    /// [`reset`](UnionFind::reset)'s O(n), keeping its length. `elements`
+    /// must include every argument passed to [`union`](UnionFind::union)
+    /// since the structure was last all singletons: only those elements
+    /// can hold a non-root parent, a rank, or a merged size (repeats are
+    /// fine). The dynamic connectivity engine restores its id union–find
+    /// this way after every repair's insertion phase.
+    pub fn restore_singletons(&mut self, elements: impl IntoIterator<Item = usize>) {
+        for x in elements {
+            self.parent[x] = x as u32;
+            self.rank[x] = 0;
+            self.size[x] = 1;
+        }
+        self.sets = self.len();
     }
 
     /// Returns `true` if the structure holds no elements.
@@ -188,24 +206,6 @@ impl UnionFind {
             .filter(|&i| self.parent[i] == i as u32)
             .max_by_key(|&i| self.size[i])
     }
-
-    /// Canonical labeling: maps every element to a set label in
-    /// `0..set_count()`, labels assigned in order of first appearance.
-    pub fn labeling(&self) -> Vec<usize> {
-        let n = self.len();
-        let mut label_of_root = vec![usize::MAX; n];
-        let mut labels = Vec::with_capacity(n);
-        let mut next = 0;
-        for x in 0..n {
-            let r = self.root_of(x);
-            if label_of_root[r] == usize::MAX {
-                label_of_root[r] = next;
-                next += 1;
-            }
-            labels.push(label_of_root[r]);
-        }
-        labels
-    }
 }
 
 #[cfg(test)]
@@ -275,23 +275,6 @@ mod tests {
         assert!(uf.is_empty());
         assert_eq!(uf.largest_set_size(), 0);
         assert_eq!(uf.largest_set_root(), None);
-        assert_eq!(uf.labeling(), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn labeling_is_canonical() {
-        let mut uf = UnionFind::new(6);
-        uf.union(4, 5);
-        uf.union(0, 2);
-        let labels = uf.labeling();
-        assert_eq!(labels.len(), 6);
-        assert_eq!(labels[0], labels[2]);
-        assert_eq!(labels[4], labels[5]);
-        assert_ne!(labels[0], labels[4]);
-        // First appearance order: element 0 gets label 0.
-        assert_eq!(labels[0], 0);
-        let distinct: std::collections::HashSet<_> = labels.iter().collect();
-        assert_eq!(distinct.len(), uf.set_count());
     }
 
     #[test]
@@ -325,6 +308,21 @@ mod tests {
         uf.reset(12);
         assert_eq!(uf.len(), 12);
         assert_eq!(uf.set_count(), 12);
+    }
+
+    #[test]
+    fn restore_singletons_undoes_the_listed_unions() {
+        let mut uf = UnionFind::new(10);
+        let pairs = [(1, 2), (2, 3), (7, 3), (8, 9), (1, 3)];
+        for &(a, b) in &pairs {
+            uf.union(a, b);
+        }
+        uf.find(3);
+        uf.restore_singletons(pairs.iter().flat_map(|&(a, b)| [a, b]));
+        assert_eq!(uf.set_count(), 10);
+        assert_eq!(uf.parent, UnionFind::new(10).parent);
+        assert_eq!(uf.rank, vec![0; 10]);
+        assert_eq!(uf.size, vec![1; 10]);
     }
 
     #[test]

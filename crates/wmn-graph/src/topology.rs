@@ -22,11 +22,14 @@
 //!    re-counted). Otherwise the old-vs-new neighbor diffs become an edge
 //!    insert/delete stream for the **dynamic connectivity engine**
 //!    ([`DynamicConnectivity`], the default [`ConnectivityMode::Dynamic`]):
-//!    insertions union component ids, deletions run a bounded
-//!    component-local bidirectional BFS, and a whole-graph
+//!    insertions union component representatives, deletions run a
+//!    bounded component-local bidirectional BFS, and a whole-graph
 //!    [`Components::rebuild_incremental`] rescan remains only as the
-//!    engine's cost-cap fallback. Labels stay canonically equal to the BFS
-//!    labeling of a fresh build.
+//!    engine's cost-cap fallback. Each component is labeled by its
+//!    smallest router index, so a repair relabels only the components it
+//!    merged or split and the labels still equal a fresh build's. The
+//!    engine reports the routers whose giant membership flipped, and the
+//!    giant mask is updated from that list alone.
 //! 3. **Coverage.** Per-client *cover counts* (how many counting routers
 //!    reach each client) are maintained so a move only increments and
 //!    decrements the moved router's old and new disks, flipping `covered`
@@ -46,8 +49,9 @@
 //! * `positions`/`radii`/`router_index` agree at all times (the grid is
 //!   relocated *before* edge repair).
 //! * `adjacency` equals `MeshAdjacency::build` of the current positions;
-//!   `components` equals `Components::from_adjacency(adjacency)`
-//!   (canonical labels); `giant_mask[i] == components.in_giant(i)`.
+//!   `components` equals `Components::from_adjacency(adjacency)` (every
+//!   component labeled by its smallest router index);
+//!   `giant_mask[i] == components.in_giant(i)`.
 //! * `cover_count[c]` equals the number of counting routers whose disk
 //!   holds client `c`; `covered[c] == (cover_count[c] > 0)`;
 //!   `covered_count` equals the number of set bits.
@@ -77,7 +81,7 @@
 use crate::adjacency::{LinkModel, MeshAdjacency};
 use crate::arena::NeighborSlab;
 use crate::components::Components;
-use crate::connectivity::{ConnectivityStats, DynamicConnectivity, RepairOutcome};
+use crate::connectivity::{ConnectivityStats, DynamicConnectivity};
 use crate::dsu::UnionFind;
 use crate::spatial::{DynamicGrid, GridIndex};
 use serde::{Deserialize, Serialize};
@@ -246,8 +250,10 @@ struct MoveScratch {
     new_a: Vec<u32>,
     old_b: Vec<u32>,
     new_b: Vec<u32>,
-    mask: Vec<bool>,
     batch: Vec<BatchEntry>,
+    /// The routers outside the current batch whose giant membership the
+    /// batch's repair flipped.
+    flipped_others: Vec<u32>,
     /// Epoch-stamped batch-membership marks: router `i` belongs to the
     /// current batch iff `moved_stamp[i] == move_epoch`. Starting a batch
     /// bumps the epoch instead of clearing the array (an O(n) fill only on
@@ -505,6 +511,12 @@ impl WmnTopology {
     /// Per-client coverage mask.
     pub fn covered_mask(&self) -> &[bool] {
         &self.covered
+    }
+
+    /// Per-router giant-component membership, maintained incrementally:
+    /// `giant_mask()[i] == in_giant(RouterId(i))`.
+    pub fn giant_mask(&self) -> &[bool] {
+        &self.giant_mask
     }
 
     /// The client positions this topology was built against (fixed per
@@ -789,12 +801,11 @@ impl WmnTopology {
     }
 
     /// Repairs `components` for the current adjacency component-locally
-    /// through the dynamic engine, consuming the recorded edge events.
-    /// Returns `true` when the component partition is **provably
-    /// unchanged** (the engine's [`RepairOutcome::Unchanged`]) — the giant
-    /// mask is then current as-is and the membership-diff pass can be
-    /// skipped.
-    fn repair_components(&mut self) -> bool {
+    /// through the dynamic engine, consuming the recorded edge events, and
+    /// flips `giant_mask` for exactly the routers the engine reports
+    /// ([`DynamicConnectivity::giant_flips`], readable until the next
+    /// repair).
+    fn repair_components(&mut self) {
         let MoveScratch {
             uf,
             label_of_root,
@@ -810,33 +821,21 @@ impl WmnTopology {
             del_events,
             uf,
             label_of_root,
-        ) == RepairOutcome::Unchanged
+        );
+        for &j in conn.giant_flips() {
+            self.giant_mask[j as usize] = !self.giant_mask[j as usize];
+        }
     }
 
-    /// Repairs components and writes the fresh giant mask into
-    /// `scratch.mask`. Returns `true` when any router
-    /// **other than** `moved_a`/`moved_b` changed giant membership — the
-    /// coverage fallback trigger.
-    fn rebuild_components_incremental(&mut self, moved_a: usize, moved_b: usize) -> bool {
-        let unchanged = self.repair_components();
-        let mask = &mut self.scratch.mask;
-        if unchanged {
-            // Partition untouched: the mask is the current one, no
-            // membership diff to scan for.
-            mask.clone_from(&self.giant_mask);
-            return false;
-        }
-        let n = self.positions.len();
-        mask.clear();
-        let mut others_changed = false;
-        for (j, &was) in self.giant_mask.iter().enumerate().take(n) {
-            let is = self.components.in_giant(j);
-            mask.push(is);
-            if is != was && j != moved_a && j != moved_b {
-                others_changed = true;
-            }
-        }
-        others_changed
+    /// Whether the last repair flipped the giant membership of any router
+    /// **other than** `moved_a`/`moved_b` — the single-move coverage
+    /// fallback trigger.
+    fn others_flipped(&self, moved_a: usize, moved_b: usize) -> bool {
+        self.scratch
+            .conn
+            .giant_flips()
+            .iter()
+            .any(|&j| j as usize != moved_a && j as usize != moved_b)
     }
 
     /// Moves router `id` to `new_position` and repairs the network
@@ -886,22 +885,20 @@ impl WmnTopology {
         }
 
         let counted_before = self.is_counted(i);
-        let others_changed = self.rebuild_components_incremental(i, i);
+        self.repair_components();
+        let others_changed = self.others_flipped(i, i);
         match self.config.coverage_rule {
             CoverageRule::AnyRouter => {
                 self.scratch.counters.coverage_delta_repairs += 1;
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
                 self.disk_remove(i);
                 self.disk_add(i);
             }
             CoverageRule::GiantComponentOnly if others_changed => {
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
                 self.recompute_coverage();
             }
             CoverageRule::GiantComponentOnly => {
                 self.scratch.counters.coverage_delta_repairs += 1;
-                let counted_after = self.scratch.mask[i];
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
+                let counted_after = self.giant_mask[i];
                 if counted_before {
                     self.disk_remove(i);
                 }
@@ -973,25 +970,23 @@ impl WmnTopology {
 
         let counted_before_a = self.is_counted(ia);
         let counted_before_b = self.is_counted(ib);
-        let others_changed = self.rebuild_components_incremental(ia, ib);
+        self.repair_components();
+        let others_changed = self.others_flipped(ia, ib);
         match self.config.coverage_rule {
             CoverageRule::AnyRouter => {
                 self.scratch.counters.coverage_delta_repairs += 1;
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
                 self.disk_remove(ia);
                 self.disk_add(ia);
                 self.disk_remove(ib);
                 self.disk_add(ib);
             }
             CoverageRule::GiantComponentOnly if others_changed => {
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
                 self.recompute_coverage();
             }
             CoverageRule::GiantComponentOnly => {
                 self.scratch.counters.coverage_delta_repairs += 1;
-                let counted_after_a = self.scratch.mask[ia];
-                let counted_after_b = self.scratch.mask[ib];
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
+                let counted_after_a = self.giant_mask[ia];
+                let counted_after_b = self.giant_mask[ib];
                 if counted_before_a {
                     self.disk_remove(ia);
                 }
@@ -1095,7 +1090,7 @@ impl WmnTopology {
         // Record each unique moved router with its pre-batch position while
         // updating positions and grid buckets in order; the epoch-stamped
         // `moved_stamp` array is both the O(1) dedup test here and the
-        // batch-membership mask the component rebuild reads later — a new
+        // batch-membership mask the component repair reads later — a new
         // batch bumps `move_epoch` instead of clearing the stamps.
         let mut batch = std::mem::take(&mut self.scratch.batch);
         batch.clear();
@@ -1178,7 +1173,7 @@ impl WmnTopology {
         for e in &mut batch {
             e.counted_before = self.is_counted(e.router as usize);
         }
-        let flipped_others = self.rebuild_components_incremental_batch();
+        let flipped_others = self.repair_components_batch();
         let after_components = self.engine_stats();
         let component_delta = after_components.delta_since(&after_edges);
         self.scratch.phases.component_repair.merge(&component_delta);
@@ -1186,7 +1181,6 @@ impl WmnTopology {
             CoverageRule::AnyRouter => {
                 // Membership is irrelevant: only the moved disks changed.
                 self.scratch.counters.coverage_delta_repairs += 1;
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
                 for &BatchEntry { router: i, .. } in &batch {
                     self.disk_remove(i as usize);
                     self.disk_add_from(i as usize, donor);
@@ -1194,7 +1188,7 @@ impl WmnTopology {
             }
             CoverageRule::GiantComponentOnly => {
                 for e in &mut batch {
-                    e.counted_after = self.scratch.mask[e.router as usize];
+                    e.counted_after = self.giant_mask[e.router as usize];
                 }
                 // Disk-op budget of the exact delta repair (moved disks
                 // plus the non-moved routers whose membership flipped) vs
@@ -1206,37 +1200,31 @@ impl WmnTopology {
                     .map(|e| usize::from(e.counted_before) + usize::from(e.counted_after))
                     .sum();
                 let full_ops = self.components.giant_size();
-                std::mem::swap(&mut self.giant_mask, &mut self.scratch.mask);
                 if flipped_others + moved_ops <= full_ops {
                     self.scratch.counters.coverage_delta_repairs += 1;
                     // Exact delta: removals first, then additions (grouped
-                    // passes; order is irrelevant for counts).
-                    // `scratch.mask` holds the *previous* membership,
-                    // `giant_mask` the new one. Removals and flip-offs run
-                    // off the disk caches; flip-ons of never-moved routers
+                    // passes; order is irrelevant for counts). `giant_mask`
+                    // holds the new membership, so a flipped router that is
+                    // out now was in before. Removals and flip-offs run off
+                    // the disk caches; flip-ons of never-moved routers
                     // usually hit a positionally-valid cache too.
                     for &e in &batch {
                         if e.counted_before {
                             self.disk_remove(e.router as usize);
                         }
                     }
-                    if flipped_others > 0 {
-                        let old_mask = std::mem::take(&mut self.scratch.mask);
-                        let stamps = std::mem::take(&mut self.scratch.moved_stamp);
-                        let epoch = self.scratch.move_epoch;
-                        for j in 0..self.positions.len() {
-                            if stamps[j] != epoch && old_mask[j] && !self.giant_mask[j] {
-                                self.disk_remove(j);
-                            }
+                    let flipped = std::mem::take(&mut self.scratch.flipped_others);
+                    for &j in &flipped {
+                        if !self.giant_mask[j as usize] {
+                            self.disk_remove(j as usize);
                         }
-                        for j in 0..self.positions.len() {
-                            if stamps[j] != epoch && !old_mask[j] && self.giant_mask[j] {
-                                self.disk_add(j);
-                            }
-                        }
-                        self.scratch.mask = old_mask;
-                        self.scratch.moved_stamp = stamps;
                     }
+                    for &j in &flipped {
+                        if self.giant_mask[j as usize] {
+                            self.disk_add(j as usize);
+                        }
+                    }
+                    self.scratch.flipped_others = flipped;
                     for &e in &batch {
                         if e.counted_after {
                             self.disk_add_from(e.router as usize, donor);
@@ -1252,36 +1240,31 @@ impl WmnTopology {
         self.scratch.phases.coverage.merge(&delta);
     }
 
-    /// Like [`rebuild_components_incremental`]
-    /// (WmnTopology::rebuild_components_incremental) but for a batch:
-    /// returns how many routers **outside** the batch changed giant
-    /// membership (the flip count steering the coverage-repair choice).
-    /// Expects `scratch.moved_stamp` to carry the current `move_epoch` on
-    /// exactly the batch's routers — the membership mask
+    /// [`repair_components`](WmnTopology::repair_components) for a batch,
+    /// which also collects the routers **outside** the batch whose giant
+    /// membership flipped into `scratch.flipped_others` and returns how
+    /// many there are (the count steering the coverage-repair choice).
+    /// Expects
+    /// `scratch.moved_stamp` to carry the current `move_epoch` on exactly
+    /// the batch's routers — the membership mask
     /// [`apply_moves`](WmnTopology::apply_moves) stamped while deduplicating.
-    fn rebuild_components_incremental_batch(&mut self) -> usize {
-        let unchanged = self.repair_components();
-        let n = self.positions.len();
+    fn repair_components_batch(&mut self) -> usize {
+        self.repair_components();
         let MoveScratch {
-            mask,
+            conn,
             moved_stamp,
             move_epoch,
+            flipped_others,
             ..
         } = &mut self.scratch;
-        if unchanged {
-            mask.clone_from(&self.giant_mask);
-            return 0;
-        }
-        mask.clear();
-        let mut flipped_others = 0;
-        for (j, &was) in self.giant_mask.iter().enumerate().take(n) {
-            let is = self.components.in_giant(j);
-            mask.push(is);
-            if is != was && moved_stamp[j] != *move_epoch {
-                flipped_others += 1;
-            }
-        }
-        flipped_others
+        flipped_others.clear();
+        flipped_others.extend(
+            conn.giant_flips()
+                .iter()
+                .copied()
+                .filter(|&j| moved_stamp[j as usize] != *move_epoch),
+        );
+        flipped_others.len()
     }
 
     /// Rebuilds the router grid, adjacency, components, and coverage from

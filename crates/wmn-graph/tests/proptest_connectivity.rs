@@ -4,9 +4,13 @@
 //! undo streams must keep both topologies **bit-identical** — labels,
 //! sizes, giant, masks, coverage — across all three [`LinkModel`]s and
 //! both coverage rules, including with a cost cap tiny enough to force the
-//! engine's whole-graph rescan fallback mid-stream.
+//! engine's whole-graph rescan fallback mid-stream. A seeded stream on
+//! ~2,000 routers covers the sparse regime of large neighborhood-search
+//! runs: thousands of components and a small giant among many rivals of
+//! equal size, where the engine's giant hand-off runs.
 
 use proptest::prelude::*;
+use rand::Rng;
 use wmn_graph::adjacency::LinkModel;
 use wmn_graph::topology::{ConnectivityMode, CoverageRule, TopologyConfig, WmnTopology};
 use wmn_model::distribution::ClientDistribution;
@@ -151,6 +155,11 @@ fn assert_identical(topos: &[WmnTopology], context: &str) {
         );
         assert_eq!(lead.giant_size(), t.giant_size(), "{context}: giant {k}");
         assert_eq!(
+            lead.giant_mask(),
+            t.giant_mask(),
+            "{context}: giant mask {k}"
+        );
+        assert_eq!(
             lead.covered_count(),
             t.covered_count(),
             "{context}: covered {k}"
@@ -230,7 +239,6 @@ fn fallback_counter_proves_the_capped_path_ran() {
     let mut topo = WmnTopology::build(&instance, &placement, config).unwrap();
     topo.set_fallback_cap_for_tests(Some(0));
     let mut rng = rng_from_seed(6);
-    use rand::Rng;
     for _ in 0..40 {
         let id = RouterId(rng.gen_range(0..topo.router_count()));
         let to = Point::new(rng.gen_range(0.0..=128.0), rng.gen_range(0.0..=128.0));
@@ -252,7 +260,6 @@ fn dynamic_path_statistics_accumulate() {
     let mut topo =
         WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap();
     let mut rng = rng_from_seed(9);
-    use rand::Rng;
     for _ in 0..60 {
         let id = RouterId(rng.gen_range(0..topo.router_count()));
         let to = Point::new(rng.gen_range(0.0..=128.0), rng.gen_range(0.0..=128.0));
@@ -266,4 +273,95 @@ fn dynamic_path_statistics_accumulate() {
         "60 random moves must churn edges"
     );
     assert_eq!(stats.fallbacks, 0, "default cap must hold at paper scale");
+}
+
+/// A spot within 1.5 of a random router: inside every mutual range (radii
+/// are at least 2), so a router landing there links to that one.
+fn near_a_router(topo: &WmnTopology, rng: &mut impl Rng) -> (f64, f64) {
+    let host = topo.position(RouterId(rng.gen_range(0..topo.router_count())));
+    (
+        host.x + rng.gen_range(-1.5..1.5),
+        host.y + rng.gen_range(-1.5..1.5),
+    )
+}
+
+#[test]
+fn sparse_stream_matches_full_rebuild() {
+    // The paper's router density at 32× the routers: 2048 routers on a
+    // 724 × 724 area (the paper's 128 × 128 scaled by √32).
+    let n = 2048;
+    let side = 724.0;
+    let instance = InstanceSpec::new(
+        Area::square(side).unwrap(),
+        n,
+        3 * n,
+        ClientDistribution::Uniform,
+        RadioProfile::paper_default(),
+    )
+    .unwrap()
+    .generate(41)
+    .unwrap();
+    let placement = instance.random_placement(&mut rng_from_seed(43));
+    let build = || WmnTopology::build(&instance, &placement, TopologyConfig::paper_default());
+    let mut full = build().unwrap();
+    full.set_connectivity_mode(ConnectivityMode::FullRebuild);
+    let mut topos = [build().unwrap(), full];
+    assert!(
+        topos[0].components().count() > n / 2,
+        "the mesh must be sparse"
+    );
+
+    let mut rng = rng_from_seed(47);
+    let mut undo_log = Vec::new();
+    let (mut handoffs, mut batches) = (0, 0);
+    for s in 0..400 {
+        let router = rng.gen_range(0..n);
+        let step = match rng.gen_range(0..20) {
+            0..=6 => {
+                let (x, y) = near_a_router(&topos[0], &mut rng);
+                Step::Move { router, x, y }
+            }
+            7..=9 => Step::Move {
+                router,
+                x: rng.gen_range(0.0..side),
+                y: rng.gen_range(0.0..side),
+            },
+            10 | 11 => {
+                // A giant member leaves: the old giant loses members and
+                // may fall behind (or tie) one of its many small rivals.
+                let members = topos[0].components().giant_members();
+                Step::Move {
+                    router: members[rng.gen_range(0..members.len())],
+                    x: rng.gen_range(0.0..side),
+                    y: rng.gen_range(0.0..side),
+                }
+            }
+            12..=14 => Step::Swap {
+                a: router,
+                b: rng.gen_range(0..n),
+            },
+            15..=17 => Step::UndoLast,
+            _ => {
+                batches += 1;
+                let k = rng.gen_range(2..8);
+                Step::Batch {
+                    moves: (0..k)
+                        .map(|_| {
+                            let (x, y) = near_a_router(&topos[0], &mut rng);
+                            (rng.gen_range(0..n), x, y)
+                        })
+                        .collect(),
+                }
+            }
+        };
+        let giant_before = topos[1].components().giant_label_opt();
+        apply_step(&mut topos, &step, &mut undo_log);
+        assert_identical(&topos, &format!("sparse step {s}"));
+        handoffs += usize::from(topos[1].components().giant_label_opt() != giant_before);
+    }
+    topos[0].assert_consistent();
+    assert!(batches >= 3, "the stream must apply a few batches");
+    assert!(handoffs > 10, "the stream must hand the giant over");
+    let stats = topos[0].connectivity_stats();
+    assert!(stats.merges > 50 && stats.splits > 50, "{stats:?}");
 }
