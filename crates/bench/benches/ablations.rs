@@ -5,14 +5,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, RngCore};
 use wmn_experiments::{Scenario, ScenarioScale};
 use wmn_ga::chromosome::Individual;
-use wmn_ga::parallel::evaluate_population;
+use wmn_ga::parallel::evaluate_initial;
 use wmn_ga::population::Population;
 use wmn_graph::adjacency::{LinkModel, MeshAdjacency};
 use wmn_graph::components::Components;
 use wmn_graph::density::{CellWindow, DensityMap};
 use wmn_graph::spatial::GridIndex;
 use wmn_graph::topology::{ConnectivityMode, WmnTopology};
-use wmn_metrics::Evaluator;
+use wmn_metrics::{EvalWorkspace, Evaluator};
 use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::InstanceSpec;
 use wmn_model::rng::rng_from_seed;
@@ -141,8 +141,7 @@ fn ablation_move_eval(c: &mut Criterion) {
 ///   (buffer-reusing state copy) and repairs the placement diff through
 ///   `WmnTopology::apply_moves` (`GaEvalMode::Incremental`);
 /// * `rebuild` — each child's topology is fully rebuilt in place through a
-///   persistent workspace (`GaEvalMode::Rebuild`, the engine's reference
-///   baseline);
+///   persistent workspace (`Evaluator::evaluate_with`);
 /// * `scratch` — each child allocates and builds a fresh topology
 ///   (`Evaluator::evaluate` — the "Chromosome → fresh topology → scratch
 ///   evaluate" pipeline the topology-backed GA replaces).
@@ -159,9 +158,9 @@ fn ablation_move_eval(c: &mut Criterion) {
 fn ablation_ga_eval(c: &mut Criterion) {
     use wmn_ga::engine::{GaConfig, GaEngine};
     use wmn_ga::init::PopulationInit;
-    use wmn_ga::parallel::{evaluate_generation, evaluate_initial, evaluate_population_with};
+    use wmn_ga::parallel::evaluate_generation;
     use wmn_ga::population::Population;
-    use wmn_metrics::evaluator::EvalWorkspace;
+    use wmn_ga::prelude::NoopRecorder;
     use wmn_placement::registry::AdHocMethod;
 
     /// Re-stales exactly the children that were unevaluated after
@@ -196,7 +195,11 @@ fn ablation_ga_eval(c: &mut Criterion) {
             // spend their time on.
             let mut rng = rng_from_seed(3);
             let mut parents = engine
-                .run(&PopulationInit::AdHoc(AdHocMethod::HotSpot), &mut rng)
+                .run(
+                    &PopulationInit::AdHoc(AdHocMethod::HotSpot),
+                    &mut rng,
+                    &mut NoopRecorder,
+                )
                 .expect("runs")
                 .final_population;
             let mut parent_slots: Vec<EvalWorkspace> = Vec::new();
@@ -233,11 +236,17 @@ fn ablation_ga_eval(c: &mut Criterion) {
             group.bench_function(
                 BenchmarkId::new(&format!("rebuild_{mix}"), scale_label),
                 |b| {
-                    let mut workspaces = Vec::new();
+                    let mut workspace = EvalWorkspace::new();
                     b.iter(|| {
                         invalidate(&mut kids, &stale);
-                        evaluate_population_with(&evaluator, &mut kids, 1, &mut workspaces)
-                            .expect("evaluates");
+                        for ind in kids.individuals_mut() {
+                            if !ind.is_evaluated() {
+                                let e = evaluator
+                                    .evaluate_with(&mut workspace, ind.placement())
+                                    .expect("evaluates");
+                                ind.set_evaluation(e);
+                            }
+                        }
                         kids.best_index()
                     });
                 },
@@ -308,7 +317,8 @@ fn ablation_density(c: &mut Criterion) {
     group.finish();
 }
 
-/// Threaded vs serial GA population evaluation.
+/// Threaded vs serial GA population evaluation (the slot pool's initial
+/// evaluation).
 fn ablation_parallel_eval(c: &mut Criterion) {
     let instance = InstanceSpec::paper_normal()
         .expect("valid spec")
@@ -327,7 +337,9 @@ fn ablation_parallel_eval(c: &mut Criterion) {
             |b, &threads| {
                 b.iter(|| {
                     let mut pop = base.clone();
-                    evaluate_population(&evaluator, &mut pop, threads).expect("evaluates");
+                    let mut slots = Vec::new();
+                    slots.resize_with(pop.len(), EvalWorkspace::new);
+                    evaluate_initial(&evaluator, &mut pop, &mut slots, threads).expect("evaluates");
                     pop.best_index()
                 });
             },

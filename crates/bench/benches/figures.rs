@@ -7,6 +7,7 @@ use wmn_experiments::figures::{run_ga_figure, run_ns_figure};
 use wmn_experiments::scenario::{ExperimentConfig, Scenario};
 use wmn_ga::engine::{GaConfig, GaEngine};
 use wmn_ga::init::PopulationInit;
+use wmn_ga::prelude::NoopRecorder;
 use wmn_metrics::Evaluator;
 use wmn_model::instance::InstanceSpec;
 use wmn_model::rng::rng_from_seed;
@@ -60,6 +61,7 @@ fn bench_units(c: &mut Criterion) {
                 .run(
                     &PopulationInit::AdHoc(AdHocMethod::HotSpot),
                     &mut rng_from_seed(2),
+                    &mut NoopRecorder,
                 )
                 .expect("ga runs")
         });

@@ -285,7 +285,7 @@ pub fn load_doc(path: &Path) -> Result<Doc, ExperimentError> {
         path.to_path_buf()
     };
     let contents =
-        std::fs::read_to_string(&file).map_err(|e| ExperimentError::io(file.clone(), e))?;
+        std::fs::read_to_string(&file).map_err(|e| ExperimentError::read(file.clone(), e))?;
     parse_doc(&file, &contents)
 }
 

@@ -6,7 +6,7 @@ use wmn_experiments::ascii_plot::plot;
 use wmn_experiments::checkpoint::{CellDone, Checkpoint};
 use wmn_experiments::cli::{self, CliOptions};
 use wmn_experiments::error::ExperimentError;
-use wmn_experiments::figures::{run_ga_figure, run_ga_figure_recorded};
+use wmn_experiments::figures::run_ga_figure_recorded;
 use wmn_experiments::report::write_ga_figure;
 use wmn_experiments::scenario::Scenario;
 use wmn_experiments::telemetry;
@@ -23,10 +23,7 @@ fn run(opts: &CliOptions) -> Result<(), ExperimentError> {
         return telemetry::maybe_write(opts, "fig1", &recorder);
     }
     let started = Instant::now();
-    let fig = match recorder.as_mut() {
-        Some(rec) => run_ga_figure_recorded(Scenario::Normal, &opts.config, rec)?,
-        None => run_ga_figure(Scenario::Normal, &opts.config)?,
-    };
+    let fig = run_ga_figure_recorded(Scenario::Normal, &opts.config, recorder.as_mut())?;
     telemetry::finish_span(&mut recorder, "fig1.run", started);
     println!(
         "{}",

@@ -7,7 +7,7 @@ use wmn_experiments::ascii_plot::plot;
 use wmn_experiments::checkpoint::{CellDone, Checkpoint};
 use wmn_experiments::cli::{self, CliOptions};
 use wmn_experiments::error::ExperimentError;
-use wmn_experiments::figures::{run_ns_figure, run_ns_figure_recorded};
+use wmn_experiments::figures::run_ns_figure_recorded;
 use wmn_experiments::report::write_ns_figure;
 use wmn_experiments::telemetry;
 
@@ -23,10 +23,7 @@ fn run(opts: &CliOptions) -> Result<(), ExperimentError> {
         return telemetry::maybe_write(opts, "fig4", &recorder);
     }
     let started = Instant::now();
-    let fig = match recorder.as_mut() {
-        Some(rec) => run_ns_figure_recorded(&opts.config, rec)?,
-        None => run_ns_figure(&opts.config)?,
-    };
+    let fig = run_ns_figure_recorded(&opts.config, recorder.as_mut())?;
     telemetry::finish_span(&mut recorder, "fig4.run", started);
     println!(
         "{}",

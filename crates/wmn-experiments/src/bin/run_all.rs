@@ -40,12 +40,10 @@ use std::time::Instant;
 use wmn_experiments::checkpoint::{CellDone, Checkpoint};
 use wmn_experiments::cli::{self, CliOptions};
 use wmn_experiments::error::ExperimentError;
-use wmn_experiments::figures::{
-    run_ga_figure, run_ga_figure_recorded, run_ns_figure, run_ns_figure_recorded,
-};
+use wmn_experiments::figures::{run_ga_figure_recorded, run_ns_figure_recorded};
 use wmn_experiments::report::{write_ga_figure, write_ns_figure, write_summary, write_table};
 use wmn_experiments::scenario::Scenario;
-use wmn_experiments::tables::{run_table, run_table_recorded, TableResult};
+use wmn_experiments::tables::{run_table_recorded, TableResult};
 use wmn_experiments::telemetry;
 
 fn main() -> ExitCode {
@@ -72,10 +70,7 @@ fn run(opts: &CliOptions) -> Result<(), ExperimentError> {
             }
             None => {
                 let started = Instant::now();
-                let table = match recorder.as_mut() {
-                    Some(rec) => run_table_recorded(scenario, &opts.config, rec)?,
-                    None => run_table(scenario, &opts.config)?,
-                };
+                let table = run_table_recorded(scenario, &opts.config, recorder.as_mut())?;
                 telemetry::finish_span(&mut recorder, "run_all.table", started);
                 write_table(&opts.out_dir, &table)?;
                 checkpoint.record(CellDone {
@@ -98,10 +93,7 @@ fn run(opts: &CliOptions) -> Result<(), ExperimentError> {
             println!("{fig_cell} ({scenario}): complete in checkpoint, skipped");
         } else {
             let started = Instant::now();
-            let fig = match recorder.as_mut() {
-                Some(rec) => run_ga_figure_recorded(scenario, &opts.config, rec)?,
-                None => run_ga_figure(scenario, &opts.config)?,
-            };
+            let fig = run_ga_figure_recorded(scenario, &opts.config, recorder.as_mut())?;
             telemetry::finish_span(&mut recorder, "run_all.ga_figure", started);
             write_ga_figure(&opts.out_dir, &fig)?;
             checkpoint.record(CellDone {
@@ -125,10 +117,7 @@ fn run(opts: &CliOptions) -> Result<(), ExperimentError> {
         println!("fig4: complete in checkpoint, skipped");
     } else {
         let started = Instant::now();
-        let ns = match recorder.as_mut() {
-            Some(rec) => run_ns_figure_recorded(&opts.config, rec)?,
-            None => run_ns_figure(&opts.config)?,
-        };
+        let ns = run_ns_figure_recorded(&opts.config, recorder.as_mut())?;
         telemetry::finish_span(&mut recorder, "run_all.ns_figure", started);
         write_ns_figure(&opts.out_dir, &ns)?;
         checkpoint.record(CellDone {

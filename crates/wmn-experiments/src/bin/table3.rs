@@ -7,7 +7,7 @@ use wmn_experiments::cli::{self, CliOptions};
 use wmn_experiments::error::ExperimentError;
 use wmn_experiments::report::write_table;
 use wmn_experiments::scenario::Scenario;
-use wmn_experiments::tables::{run_table, run_table_recorded};
+use wmn_experiments::tables::run_table_recorded;
 use wmn_experiments::telemetry;
 
 fn main() -> ExitCode {
@@ -24,10 +24,7 @@ fn run(opts: &CliOptions) -> Result<(), ExperimentError> {
         }
         None => {
             let started = Instant::now();
-            let table = match recorder.as_mut() {
-                Some(rec) => run_table_recorded(Scenario::Weibull, &opts.config, rec)?,
-                None => run_table(Scenario::Weibull, &opts.config)?,
-            };
+            let table = run_table_recorded(Scenario::Weibull, &opts.config, recorder.as_mut())?;
             telemetry::finish_span(&mut recorder, "table3.run", started);
             write_table(&opts.out_dir, &table)?;
             checkpoint.record(CellDone {

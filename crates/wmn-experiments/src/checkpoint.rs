@@ -434,6 +434,17 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_refused_not_a_crash() {
+        let dir = tmpdir("deep");
+        std::fs::write(Checkpoint::file(&dir), "[".repeat(200_000)).unwrap();
+        let err = Checkpoint::load(&dir, &ExperimentConfig::quick()).unwrap_err();
+        assert!(matches!(err, ExperimentError::Checkpoint { .. }), "{err:?}");
+        assert!(err.to_string().contains("line 1"), "{err}");
+        assert!(err.to_string().contains("nesting"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn rerecording_a_cell_is_idempotent() {
         let dir = tmpdir("idempotent");
         let config = ExperimentConfig::quick();

@@ -20,8 +20,10 @@ pub enum ExperimentError {
     Model(ModelError),
     /// A filesystem operation failed; the path names the culprit.
     Io {
-        /// The file or directory being written.
+        /// The file or directory being read or written.
         path: PathBuf,
+        /// Whether the failed operation was a read (otherwise a write).
+        read: bool,
         /// The underlying I/O failure.
         source: io::Error,
     },
@@ -55,8 +57,9 @@ impl fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExperimentError::Model(e) => write!(f, "experiment run failed: {e}"),
-            ExperimentError::Io { path, source } => {
-                write!(f, "cannot write {}: {source}", path.display())
+            ExperimentError::Io { path, read, source } => {
+                let verb = if *read { "read" } else { "write" };
+                write!(f, "cannot {verb} {}: {source}", path.display())
             }
             ExperimentError::Cell {
                 cell,
@@ -96,10 +99,20 @@ impl From<ModelError> for ExperimentError {
 }
 
 impl ExperimentError {
-    /// Attaches `path` to an I/O failure.
-    pub fn io(path: impl Into<PathBuf>, source: io::Error) -> Self {
+    /// Attaches `path` to a failed write (or directory creation).
+    pub fn write(path: impl Into<PathBuf>, source: io::Error) -> Self {
         ExperimentError::Io {
             path: path.into(),
+            read: false,
+            source,
+        }
+    }
+
+    /// Attaches `path` to a failed read.
+    pub fn read(path: impl Into<PathBuf>, source: io::Error) -> Self {
+        ExperimentError::Io {
+            path: path.into(),
+            read: true,
             source,
         }
     }
@@ -125,7 +138,7 @@ impl ExperimentError {
 pub fn write_file(path: &Path, contents: &str) -> Result<(), ExperimentError> {
     let mut file = AtomicFile::create(path)?;
     file.write_all(contents.as_bytes())
-        .map_err(|e| ExperimentError::io(path, e))?;
+        .map_err(|e| ExperimentError::write(path, e))?;
     file.commit()
 }
 
@@ -159,7 +172,7 @@ impl AtomicFile {
     /// Returns [`ExperimentError::Io`] naming `path`.
     pub fn create(path: &Path) -> Result<Self, ExperimentError> {
         let tmp_path = tmp_sibling(path);
-        let file = std::fs::File::create(&tmp_path).map_err(|e| ExperimentError::io(path, e))?;
+        let file = std::fs::File::create(&tmp_path).map_err(|e| ExperimentError::write(path, e))?;
         Ok(AtomicFile {
             path: path.to_owned(),
             tmp_path,
@@ -175,9 +188,10 @@ impl AtomicFile {
     pub fn commit(mut self) -> Result<(), ExperimentError> {
         let file = self.file.take().expect("commit consumes the file");
         file.sync_all()
-            .map_err(|e| ExperimentError::io(&self.path, e))?;
+            .map_err(|e| ExperimentError::write(&self.path, e))?;
         drop(file);
-        std::fs::rename(&self.tmp_path, &self.path).map_err(|e| ExperimentError::io(&self.path, e))
+        std::fs::rename(&self.tmp_path, &self.path)
+            .map_err(|e| ExperimentError::write(&self.path, e))
     }
 }
 
@@ -208,7 +222,7 @@ impl Drop for AtomicFile {
 ///
 /// Returns [`ExperimentError::Io`] naming `dir`.
 pub fn create_dir(dir: &Path) -> Result<(), ExperimentError> {
-    std::fs::create_dir_all(dir).map_err(|e| ExperimentError::io(dir, e))
+    std::fs::create_dir_all(dir).map_err(|e| ExperimentError::write(dir, e))
 }
 
 #[cfg(test)]
@@ -220,7 +234,22 @@ mod tests {
         let err =
             write_file(Path::new("/nonexistent-root-dir/wmn/table1.md"), "contents").unwrap_err();
         let msg = err.to_string();
-        assert!(msg.contains("/nonexistent-root-dir/wmn/table1.md"), "{msg}");
+        assert!(
+            msg.starts_with("cannot write /nonexistent-root-dir/wmn/table1.md: "),
+            "{msg}"
+        );
+        assert!(Error::source(&err).is_some());
+    }
+
+    #[test]
+    fn read_errors_say_read() {
+        let path = Path::new("/nonexistent-root-dir/wmn/telemetry.json");
+        let err = crate::analyze::load_doc(path).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with("cannot read /nonexistent-root-dir/wmn/telemetry.json: "),
+            "{msg}"
+        );
         assert!(Error::source(&err).is_some());
     }
 

@@ -16,7 +16,7 @@ use wmn_metrics::stats::Trace;
 use wmn_model::instance::ProblemInstance;
 use wmn_model::placement::Placement;
 use wmn_model::ModelError;
-use wmn_obs::{NoopRecorder, Recorder, RobustnessStats, TelemetryRecorder};
+use wmn_obs::{Recorder, RobustnessStats, TelemetryRecorder};
 use wmn_placement::registry::AdHocMethod;
 use wmn_runtime::grid::{domain, Cell};
 use wmn_search::movement::{Movement, RandomMovement, SwapConfig, SwapMovement};
@@ -72,6 +72,24 @@ pub fn run_ga_figure(
     scenario: Scenario,
     config: &ExperimentConfig,
 ) -> Result<GaFigure, ExperimentError> {
+    run_ga_figure_recorded(scenario, config, None)
+}
+
+/// [`run_ga_figure`], additionally collecting the run's work-counter
+/// telemetry into `recorder` when one is given. Per-attempt recorders
+/// merge in job-index order, succeeding attempts only (see
+/// `wmn-runtime`), so the aggregated counters are byte-identical for
+/// every worker count and any within-budget fault plan; the figure itself
+/// is the same with or without a recorder.
+///
+/// # Errors
+///
+/// Exactly as [`run_ga_figure`].
+pub fn run_ga_figure_recorded(
+    scenario: Scenario,
+    config: &ExperimentConfig,
+    recorder: Option<&mut TelemetryRecorder>,
+) -> Result<GaFigure, ExperimentError> {
     let instance = config.instance(scenario)?;
     let evaluator = Evaluator::paper_default(&instance);
     let ga_config = experiment_ga_config(config);
@@ -80,21 +98,13 @@ pub fn run_ga_figure(
     let mut stats = RobustnessStats::default();
     let series = config
         .runtime()
-        .try_execute_isolated(
+        .run(
             jobs,
-            config.retry_policy(),
-            config.fault_plan.as_ref(),
+            &config.job_policy(),
             &mut stats,
-            |_, (mi, method)| {
-                ga_figure_job(
-                    scenario,
-                    config,
-                    &evaluator,
-                    &ga_config,
-                    *mi,
-                    *method,
-                    &mut NoopRecorder,
-                )
+            recorder,
+            |(mi, method), rec| {
+                ga_figure_job(scenario, config, &evaluator, &ga_config, *mi, *method, rec)
             },
         )
         .map_err(|f| cell_failure(ga_cell_label(scenario, f.index), f));
@@ -112,47 +122,6 @@ fn ga_figure_context(scenario: Scenario) -> String {
         .map_or_else(|| format!("fig-{scenario}"), |n| format!("fig{n}"))
 }
 
-/// Like [`run_ga_figure`], additionally collecting the run's work-counter
-/// telemetry into `recorder`. Per-attempt recorders merge in job-index
-/// order, succeeding attempts only (see `wmn-runtime`), so the aggregated
-/// counters are byte-identical for every worker count and any
-/// within-budget fault plan; the figure itself equals
-/// [`run_ga_figure`]'s exactly.
-///
-/// # Errors
-///
-/// Exactly as [`run_ga_figure`].
-pub fn run_ga_figure_recorded(
-    scenario: Scenario,
-    config: &ExperimentConfig,
-    recorder: &mut TelemetryRecorder,
-) -> Result<GaFigure, ExperimentError> {
-    let instance = config.instance(scenario)?;
-    let evaluator = Evaluator::paper_default(&instance);
-    let ga_config = experiment_ga_config(config);
-
-    let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
-    let mut stats = RobustnessStats::default();
-    let series = config
-        .runtime()
-        .try_execute_isolated_recorded(
-            jobs,
-            config.retry_policy(),
-            config.fault_plan.as_ref(),
-            &mut stats,
-            recorder,
-            |_, (mi, method), rec| {
-                ga_figure_job(scenario, config, &evaluator, &ga_config, *mi, *method, rec)
-            },
-        )
-        .map_err(|f| cell_failure(ga_cell_label(scenario, f.index), f));
-    report_chaos(&ga_figure_context(scenario), &stats);
-    Ok(GaFigure {
-        scenario,
-        series: series?,
-    })
-}
-
 /// One figure curve: the GA run for one ad hoc method, on the same grid
 /// cell as the tables, so Figure N and Table N report the same runs (as in
 /// the paper).
@@ -167,7 +136,7 @@ fn ga_figure_job(
 ) -> Result<Trace, ModelError> {
     let mut rng = ga_cell(scenario, method_index, method).rng(config.run_seed);
     let engine = GaEngine::new(evaluator, ga_config.clone());
-    let outcome = engine.run_recorded(&PopulationInit::AdHoc(method), &mut rng, recorder)?;
+    let outcome = engine.run(&PopulationInit::AdHoc(method), &mut rng, recorder)?;
     Ok(outcome
         .trace
         .giant_series(method.name())
@@ -198,6 +167,29 @@ impl NsFigure {
 /// Propagates instance generation and evaluation failures (none occur for
 /// the built-in configuration).
 pub fn run_ns_figure(config: &ExperimentConfig) -> Result<NsFigure, ExperimentError> {
+    run_ns_figure_recorded(config, None)
+}
+
+/// The label of a Figure 4 grid cell for error reporting.
+fn ns_cell_label(index: usize) -> String {
+    match index {
+        0 => "ns-Swap".to_owned(),
+        _ => "ns-Random".to_owned(),
+    }
+}
+
+/// [`run_ns_figure`], additionally collecting the searches' work-counter
+/// telemetry (`search.ns.*` plus the engine deltas) into `recorder` when
+/// one is given; the figure itself is the same with or without a
+/// recorder.
+///
+/// # Errors
+///
+/// Exactly as [`run_ns_figure`].
+pub fn run_ns_figure_recorded(
+    config: &ExperimentConfig,
+    recorder: Option<&mut TelemetryRecorder>,
+) -> Result<NsFigure, ExperimentError> {
     let scenario = Scenario::Normal;
     let instance = config.instance(scenario)?;
     let evaluator = Evaluator::paper_default(&instance);
@@ -209,70 +201,12 @@ pub fn run_ns_figure(config: &ExperimentConfig) -> Result<NsFigure, ExperimentEr
     let mut stats = RobustnessStats::default();
     let traces = config
         .runtime()
-        .try_execute_isolated(
+        .run(
             jobs,
-            config.retry_policy(),
-            config.fault_plan.as_ref(),
-            &mut stats,
-            |_, (movement_id, label)| {
-                ns_job(
-                    scenario,
-                    config,
-                    &instance,
-                    &evaluator,
-                    &initial,
-                    *movement_id,
-                    label,
-                    &mut NoopRecorder,
-                )
-            },
-        )
-        .map_err(|f| cell_failure(ns_cell_label(f.index), f));
-    report_chaos("fig4", &stats);
-    let mut traces = traces?.into_iter();
-    let (swap, random) = (
-        traces.next().expect("swap trace"),
-        traces.next().expect("random trace"),
-    );
-    Ok(NsFigure { swap, random })
-}
-
-/// The label of a Figure 4 grid cell for error reporting.
-fn ns_cell_label(index: usize) -> String {
-    match index {
-        0 => "ns-Swap".to_owned(),
-        _ => "ns-Random".to_owned(),
-    }
-}
-
-/// Like [`run_ns_figure`], additionally collecting the searches'
-/// work-counter telemetry (`search.ns.*` plus the engine deltas) into
-/// `recorder`; the figure itself equals [`run_ns_figure`]'s exactly.
-///
-/// # Errors
-///
-/// Propagates instance generation and evaluation failures, exactly as
-/// [`run_ns_figure`].
-pub fn run_ns_figure_recorded(
-    config: &ExperimentConfig,
-    recorder: &mut TelemetryRecorder,
-) -> Result<NsFigure, ExperimentError> {
-    let scenario = Scenario::Normal;
-    let instance = config.instance(scenario)?;
-    let evaluator = Evaluator::paper_default(&instance);
-    let initial = ns_initial_placement(config, scenario, &instance);
-
-    let jobs: Vec<(u64, &str)> = vec![(0, "Swap"), (1, "Random")];
-    let mut stats = RobustnessStats::default();
-    let traces = config
-        .runtime()
-        .try_execute_isolated_recorded(
-            jobs,
-            config.retry_policy(),
-            config.fault_plan.as_ref(),
+            &config.job_policy(),
             &mut stats,
             recorder,
-            |_, (movement_id, label), rec| {
+            |(movement_id, label), rec| {
                 ns_job(
                     scenario,
                     config,
@@ -337,7 +271,7 @@ fn ns_job(
     let search = NeighborhoodSearch::new(evaluator, movement, search_config);
     let mut topo = evaluator.topology(initial)?;
     topo.set_connectivity_mode(config.connectivity);
-    let outcome = search.run_with_topology_recorded(&mut topo, &mut rng, recorder);
+    let outcome = search.run(&mut topo, &mut rng, recorder);
     Ok(outcome.trace.giant_series(label))
 }
 
@@ -415,7 +349,7 @@ mod tests {
     fn recorded_figures_match_plain_and_collect_counters() {
         let config = ExperimentConfig::quick();
         let mut recorder = TelemetryRecorder::new();
-        let ga = run_ga_figure_recorded(Scenario::Normal, &config, &mut recorder).unwrap();
+        let ga = run_ga_figure_recorded(Scenario::Normal, &config, Some(&mut recorder)).unwrap();
         assert_eq!(ga, run_ga_figure(Scenario::Normal, &config).unwrap());
         assert_eq!(
             recorder.counters().get("ga.generations"),
@@ -423,7 +357,7 @@ mod tests {
         );
 
         let mut ns_recorder = TelemetryRecorder::new();
-        let ns = run_ns_figure_recorded(&config, &mut ns_recorder).unwrap();
+        let ns = run_ns_figure_recorded(&config, Some(&mut ns_recorder)).unwrap();
         assert_eq!(ns, run_ns_figure(&config).unwrap());
         // Two searches of `ns_phases` each.
         assert_eq!(

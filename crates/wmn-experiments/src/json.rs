@@ -7,7 +7,9 @@
 //! emits: objects, arrays, strings with the standard escapes, numbers,
 //! booleans, and null. It is strict about structure (trailing garbage is
 //! an error) and preserves object key order, which keeps
-//! parse-then-rerender deterministic.
+//! parse-then-rerender deterministic. Arrays and objects nest at most
+//! [`MAX_DEPTH`] levels deep, so a hostile document is an error rather
+//! than a stack overflow.
 
 use std::fmt;
 
@@ -69,6 +71,10 @@ impl JsonValue {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The program's own
+/// documents nest at most a dozen levels (the telemetry attribution tree).
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON syntax error with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -91,11 +97,13 @@ impl std::error::Error for JsonError {}
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] naming the offending byte offset.
+/// Returns a [`JsonError`] naming the offending byte offset, including for
+/// arrays or objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -109,6 +117,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -149,8 +159,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -158,6 +168,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -356,6 +381,18 @@ mod tests {
             let err = parse(bad).unwrap_err();
             assert!(!err.to_string().is_empty(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        let err = parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, 5 * MAX_DEPTH);
+        // The cap itself still parses.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
     }
 
     #[test]

@@ -68,10 +68,10 @@ fn write_series_jsonl(
     let path = dir.join(file);
     let out = AtomicFile::create(&path)?;
     let mut sink = JsonlSink::new(io::BufWriter::new(out));
-    stream_series(&mut sink, header_x, series).map_err(|e| ExperimentError::io(&path, e))?;
+    stream_series(&mut sink, header_x, series).map_err(|e| ExperimentError::write(&path, e))?;
     sink.into_inner()
         .into_inner()
-        .map_err(|e| ExperimentError::io(&path, e.into_error()))?
+        .map_err(|e| ExperimentError::write(&path, e.into_error()))?
         .commit()
 }
 
@@ -213,7 +213,7 @@ pub fn write_summary(dir: &Path, tables: &[TableResult]) -> Result<(), Experimen
     create_dir(dir)?;
     let csv_path = dir.join("summary.csv");
     let mut csv_sink = CsvSink::new(Vec::new());
-    stream_summary(&mut csv_sink, tables).map_err(|e| ExperimentError::io(&csv_path, e))?;
+    stream_summary(&mut csv_sink, tables).map_err(|e| ExperimentError::write(&csv_path, e))?;
     write_file(
         &csv_path,
         &String::from_utf8(csv_sink.into_inner()).expect("CSV output is UTF-8"),
@@ -221,7 +221,7 @@ pub fn write_summary(dir: &Path, tables: &[TableResult]) -> Result<(), Experimen
 
     let jsonl_path = dir.join("summary.jsonl");
     let mut jsonl_sink = JsonlSink::new(Vec::new());
-    stream_summary(&mut jsonl_sink, tables).map_err(|e| ExperimentError::io(&jsonl_path, e))?;
+    stream_summary(&mut jsonl_sink, tables).map_err(|e| ExperimentError::write(&jsonl_path, e))?;
     write_file(
         &jsonl_path,
         &String::from_utf8(jsonl_sink.into_inner()).expect("JSONL output is UTF-8"),

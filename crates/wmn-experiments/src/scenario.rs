@@ -8,7 +8,7 @@ use wmn_model::distribution::ClientDistribution;
 use wmn_model::geometry::Area;
 use wmn_model::instance::{InstanceSpec, ProblemInstance};
 use wmn_model::ModelError;
-use wmn_runtime::{FaultPlan, RetryPolicy, Runtime};
+use wmn_runtime::{FaultPlan, JobPolicy, Runtime};
 
 /// Client distribution scenario, one per paper table/figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -314,11 +314,13 @@ impl ExperimentConfig {
         Runtime::new(self.runner_threads)
     }
 
-    /// The retry policy resolved from [`retries`](ExperimentConfig::retries)
-    /// (`0` clamps to a single attempt).
-    pub fn retry_policy(&self) -> RetryPolicy {
-        RetryPolicy {
+    /// The runtime's job policy: the attempt budget resolved from
+    /// [`retries`](ExperimentConfig::retries) (`0` clamps to a single
+    /// attempt) and the [`fault_plan`](ExperimentConfig::fault_plan).
+    pub fn job_policy(&self) -> JobPolicy {
+        JobPolicy {
             max_attempts: self.retries.max(1),
+            fault_plan: self.fault_plan,
         }
     }
 
@@ -407,11 +409,14 @@ mod tests {
     #[test]
     fn retry_policy_clamps_zero_to_one_attempt() {
         let mut config = ExperimentConfig::quick();
-        assert_eq!(config.retry_policy().max_attempts, 1);
+        assert_eq!(config.job_policy(), JobPolicy::default());
         config.retries = 0;
-        assert_eq!(config.retry_policy().max_attempts, 1);
+        assert_eq!(config.job_policy().max_attempts, 1);
         config.retries = 4;
-        assert_eq!(config.retry_policy().max_attempts, 4);
+        assert_eq!(config.job_policy().max_attempts, 4);
+        let plan = FaultPlan::parse("seed=7;panic@start:p=0.5").unwrap();
+        config.fault_plan = Some(plan);
+        assert_eq!(config.job_policy().fault_plan, Some(plan));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use wmn_ga::init::PopulationInit;
 use wmn_metrics::evaluator::Evaluator;
 use wmn_model::ModelError;
 use wmn_model::ProblemInstance;
-use wmn_obs::{NoopRecorder, Recorder, RobustnessStats, TelemetryRecorder};
+use wmn_obs::{Recorder, RobustnessStats, TelemetryRecorder};
 use wmn_placement::registry::AdHocMethod;
 use wmn_runtime::grid::{domain, Cell};
 use wmn_runtime::JobFailure;
@@ -167,8 +167,8 @@ pub(crate) fn ga_cell_label(scenario: Scenario, index: usize) -> String {
 
 /// One method's table row: the standalone placement (paper scenario 1) and
 /// a GA initialized from the method (paper scenario 2). The GA run feeds
-/// `recorder`; the caller picks [`NoopRecorder`] (free) or a per-job
-/// telemetry recorder.
+/// `recorder`: the runtime hands each attempt a no-op recorder (free) or a
+/// per-attempt telemetry recorder.
 #[allow(clippy::too_many_arguments)]
 fn table_row(
     scenario: Scenario,
@@ -190,7 +190,7 @@ fn table_row(
 
     let mut ga_rng = ga_cell(scenario, method_index, method).rng(config.run_seed);
     let engine = GaEngine::new(evaluator, ga_config.clone());
-    let outcome = engine.run_recorded(&PopulationInit::AdHoc(method), &mut ga_rng, recorder)?;
+    let outcome = engine.run(&PopulationInit::AdHoc(method), &mut ga_rng, recorder)?;
 
     Ok(TableRow {
         method,
@@ -217,51 +217,15 @@ pub fn run_table(
     scenario: Scenario,
     config: &ExperimentConfig,
 ) -> Result<TableResult, ExperimentError> {
-    let instance = config.instance(scenario)?;
-    let evaluator = Evaluator::paper_default(&instance);
-    let ga_config = experiment_ga_config(config);
-
-    let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
-    let mut stats = RobustnessStats::default();
-    let rows = config
-        .runtime()
-        .try_execute_isolated(
-            jobs,
-            config.retry_policy(),
-            config.fault_plan.as_ref(),
-            &mut stats,
-            |_, (mi, method)| {
-                table_row(
-                    scenario,
-                    config,
-                    &instance,
-                    &evaluator,
-                    &ga_config,
-                    *mi,
-                    *method,
-                    &mut NoopRecorder,
-                )
-            },
-        )
-        .map_err(|f| cell_failure(ga_cell_label(scenario, f.index), f));
-    let context = scenario
-        .table_number()
-        .map_or_else(|| format!("table-{scenario}"), |n| format!("table{n}"));
-    report_chaos(&context, &stats);
-    Ok(TableResult {
-        scenario,
-        router_count: instance.router_count(),
-        client_count: instance.client_count(),
-        rows: rows?,
-    })
+    run_table_recorded(scenario, config, None)
 }
 
-/// Like [`run_table`], additionally collecting the run's work-counter
-/// telemetry into `recorder`. Each method row records into a private
-/// per-attempt recorder; only succeeding attempts merge, in job-index
-/// order, so the aggregated counters — like the table itself — are
-/// byte-identical for every worker count and any within-budget fault
-/// plan. The table values equal [`run_table`]'s exactly.
+/// [`run_table`], additionally collecting the run's work-counter
+/// telemetry into `recorder` when one is given. Each method row records
+/// into a private per-attempt recorder; only succeeding attempts merge, in
+/// job-index order, so the aggregated counters — like the table itself —
+/// are byte-identical for every worker count and any within-budget fault
+/// plan. The table is the same with or without a recorder.
 ///
 /// # Errors
 ///
@@ -269,7 +233,7 @@ pub fn run_table(
 pub fn run_table_recorded(
     scenario: Scenario,
     config: &ExperimentConfig,
-    recorder: &mut TelemetryRecorder,
+    recorder: Option<&mut TelemetryRecorder>,
 ) -> Result<TableResult, ExperimentError> {
     let instance = config.instance(scenario)?;
     let evaluator = Evaluator::paper_default(&instance);
@@ -279,13 +243,12 @@ pub fn run_table_recorded(
     let mut stats = RobustnessStats::default();
     let rows = config
         .runtime()
-        .try_execute_isolated_recorded(
+        .run(
             jobs,
-            config.retry_policy(),
-            config.fault_plan.as_ref(),
+            &config.job_policy(),
             &mut stats,
             recorder,
-            |_, (mi, method), rec| {
+            |(mi, method), rec| {
                 table_row(
                     scenario, config, &instance, &evaluator, &ga_config, *mi, *method, rec,
                 )
@@ -369,7 +332,7 @@ mod tests {
     fn recorded_table_matches_plain_and_collects_counters() {
         let config = ExperimentConfig::quick();
         let mut recorder = TelemetryRecorder::new();
-        let recorded = run_table_recorded(Scenario::Normal, &config, &mut recorder).unwrap();
+        let recorded = run_table_recorded(Scenario::Normal, &config, Some(&mut recorder)).unwrap();
         assert_eq!(recorded, run_table(Scenario::Normal, &config).unwrap());
         // Seven GA runs of `generations` each.
         assert_eq!(

@@ -9,8 +9,7 @@
 //!   counts, and the phase-attribution tree (counter deltas rolled up
 //!   under nested phase scopes; see `wmn_obs::PhaseNode`) — so the file
 //!   is **byte-identical for every thread count** (the per-job recorders
-//!   merge in job-index order; see
-//!   `wmn_runtime::pool::Runtime::try_execute_isolated_recorded`). The
+//!   merge in job-index order; see `wmn_runtime::pool::Runtime::run`). The
 //!   `config` block deliberately excludes the thread knobs for the same
 //!   reason: two runs that differ only in parallelism produce the same
 //!   document.

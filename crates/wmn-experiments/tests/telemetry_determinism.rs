@@ -1,14 +1,11 @@
 //! Determinism guarantees of the telemetry layer.
 //!
-//! 1. With the default (incremental/dynamic) pipeline, the rendered
-//!    `telemetry.json` document of a fixed-seed figure run is
-//!    **byte-identical for every thread count** — both experiment-runtime
-//!    workers and GA evaluation threads.
-//! 2. Each connectivity mode (`Dynamic`, `FullRebuild`) produces a
-//!    reproducible counter snapshot at one thread (the `Rebuild`
-//!    pipeline's disk-cache counters depend on worker assignment, so mode
-//!    comparisons are pinned to one thread).
-//! 3. The modes produce the **same figures** but **different work
+//! 1. The rendered `telemetry.json` document of a fixed-seed figure run
+//!    is **byte-identical for every thread count** — both
+//!    experiment-runtime workers and GA evaluation threads — under each
+//!    connectivity mode (`Dynamic`, `FullRebuild`): both GA pipelines
+//!    evaluate child `i` in slot `i`.
+//! 2. The modes produce the **same figures** but **different work
 //!    profiles** — the property `scripts/check_counters.sh` turns into a
 //!    perf-regression gate.
 
@@ -31,7 +28,7 @@ fn small() -> ExperimentConfig {
 
 fn ga_telemetry(config: &ExperimentConfig) -> String {
     let mut recorder = TelemetryRecorder::new();
-    run_ga_figure_recorded(Scenario::Weibull, config, &mut recorder).unwrap();
+    run_ga_figure_recorded(Scenario::Weibull, config, Some(&mut recorder)).unwrap();
     render_telemetry_json("fig3", config, &recorder)
 }
 
@@ -58,7 +55,7 @@ fn ns_figure_telemetry_is_byte_identical_across_thread_counts() {
     let mut config = small();
     let telemetry = |config: &ExperimentConfig| {
         let mut recorder = TelemetryRecorder::new();
-        run_ns_figure_recorded(config, &mut recorder).unwrap();
+        run_ns_figure_recorded(config, Some(&mut recorder)).unwrap();
         render_telemetry_json("fig4", config, &recorder)
     };
     config.runner_threads = 1;
@@ -108,26 +105,32 @@ fn phase_attribution_and_flame_are_thread_invariant() {
 #[test]
 fn connectivity_oracles_are_reproducible_and_distinguishable() {
     let mut config = small();
-    // Mode comparisons run at one thread: the Rebuild pipeline's
-    // per-worker workspaces make its disk-cache counters depend on worker
-    // assignment (see `GaEngine::run_recorded`).
-    config.runner_threads = 1;
-    config.threads = 1;
-
     let mut figures = Vec::new();
     let mut documents = Vec::new();
     for mode in [ConnectivityMode::Dynamic, ConnectivityMode::FullRebuild] {
         config.connectivity = mode;
-        let run = || {
+        let mut reference = None;
+        for (runner, ga) in [(1, 1), (2, 2), (8, 4)] {
+            config.runner_threads = runner;
+            config.threads = ga;
             let mut recorder = TelemetryRecorder::new();
-            let fig = run_ga_figure_recorded(Scenario::Weibull, &config, &mut recorder).unwrap();
-            (fig, render_telemetry_json("fig3", &config, &recorder))
-        };
-        let (fig_a, doc_a) = run();
-        let (_, doc_b) = run();
-        assert_eq!(doc_a, doc_b, "{mode}: counter snapshot not reproducible");
-        figures.push(fig_a);
-        documents.push(doc_a);
+            let fig =
+                run_ga_figure_recorded(Scenario::Weibull, &config, Some(&mut recorder)).unwrap();
+            let doc = render_telemetry_json("fig3", &config, &recorder);
+            match &reference {
+                None => reference = Some((fig, doc)),
+                Some((first_fig, first_doc)) => {
+                    assert_eq!(&fig, first_fig, "{mode}: figure at ({runner}, {ga})");
+                    assert_eq!(
+                        &doc, first_doc,
+                        "{mode}: telemetry at runner_threads = {runner}, ga threads = {ga}"
+                    );
+                }
+            }
+        }
+        let (fig, doc) = reference.expect("three runs");
+        figures.push(fig);
+        documents.push(doc);
     }
 
     // Same results, different work: the figures agree across modes...

@@ -8,14 +8,17 @@
 //!
 //! # Topology-backed evaluation
 //!
-//! Under the default [`GaEvalMode::Incremental`], every individual owns an
-//! `EvalWorkspace` slot holding a **live `WmnTopology`** of its placement.
-//! A child is evaluated as its *lineage parent's* topology plus a delta:
-//! the worker copies the parent's state into the child's slot
-//! (`WmnTopology::clone_from`, buffer-reusing) and repairs the placement
-//! diff — crossover genes and mutation moves folded into one batch —
-//! through the incremental engine (`apply_moves`), instead of rebuilding
-//! adjacency/components/coverage from scratch per child.
+//! Every individual owns an `EvalWorkspace` slot holding a **live
+//! `WmnTopology`** of its placement. A child is evaluated as its *lineage
+//! parent's* topology plus a delta: the worker copies the parent's state
+//! into the child's slot (`WmnTopology::clone_from`, buffer-reusing) and
+//! repairs the placement diff — crossover genes and mutation moves folded
+//! into one batch — through the topology's batch engine (`apply_moves`).
+//! Under the default [`GaEvalMode::Incremental`] that repair is
+//! incremental; under [`GaEvalMode::Rebuild`] every slot topology is
+//! pinned to `ConnectivityMode::FullRebuild` after the initial evaluation
+//! (children inherit the mode through `clone_from`), so each diff is
+//! repaired by a full rebuild — one pool, two repair strategies.
 //!
 //! Invariants of the representation (mirroring the `wmn-graph::topology`
 //! module docs):
@@ -28,9 +31,13 @@
 //!   derived state and never feed back into reproduction;
 //! * reproduction consumes the RNG identically in every mode, and
 //!   evaluation consumes none, so [`GaEvalMode::Rebuild`] (the
-//!   full-rebuild reference pipeline) and any thread count produce
+//!   full-rebuild reference) and any thread count produce
 //!   **bit-identical** outcomes (pinned by the `incremental_equivalence`
-//!   suite; the `ablation_ga_eval` bench measures the gap).
+//!   suite, which also checks every final individual against a fresh
+//!   build; the `ablation_ga_eval` bench measures the gap);
+//! * child `i` is always evaluated in slot `i`, so the work counters the
+//!   slots accumulate — and the telemetry built from them — are
+//!   independent of the thread count in both modes.
 
 use crate::crossover::CrossoverOp;
 use crate::init::PopulationInit;
@@ -41,10 +48,11 @@ use crate::selection::SelectionOp;
 use crate::trace::{GaTrace, GenerationRecord};
 use rand::{Rng, RngCore};
 use std::fmt;
+use wmn_graph::topology::ConnectivityMode;
 use wmn_metrics::evaluator::{EvalWorkspace, Evaluation, Evaluator};
 use wmn_model::placement::Placement;
 use wmn_model::ModelError;
-use wmn_obs::{phase, ApplyPhases, EngineStats, NoopRecorder, Recorder};
+use wmn_obs::{phase, ApplyPhases, EngineStats, Recorder};
 use wmn_search::movement::MoveAction;
 
 /// How the engine evaluates the individuals of each generation.
@@ -55,14 +63,13 @@ pub enum GaEvalMode {
     /// their lineage parent's live topology and repair the placement diff
     /// through the incremental batch engine, with connectivity repaired
     /// component-locally by the dynamic connectivity engine
-    /// ([`ConnectivityMode::Dynamic`](wmn_graph::topology::ConnectivityMode::Dynamic)).
+    /// ([`ConnectivityMode::Dynamic`]).
     #[default]
     Incremental,
-    /// Full-rebuild reference pipeline: every child is evaluated through a
-    /// per-worker workspace whose topology is rebuilt in place per
-    /// candidate — the pre-topology-backed behavior, kept as the
-    /// bit-identical baseline for equivalence tests and the
-    /// `ablation_ga_eval` bench.
+    /// Full-rebuild reference: the same slot pool, with every slot
+    /// topology pinned to [`ConnectivityMode::FullRebuild`], so each
+    /// child's placement diff is repaired by a full rebuild — kept as the
+    /// bit-identical baseline for equivalence tests.
     Rebuild,
 }
 
@@ -242,6 +249,7 @@ pub struct GaOutcome {
 /// use wmn_ga::init::PopulationInit;
 /// use wmn_metrics::Evaluator;
 /// use wmn_model::prelude::*;
+/// use wmn_obs::NoopRecorder;
 /// use wmn_placement::registry::AdHocMethod;
 ///
 /// let instance = InstanceSpec::paper_normal()?.generate(2)?;
@@ -254,7 +262,8 @@ pub struct GaOutcome {
 /// let engine = GaEngine::new(&evaluator, config);
 ///
 /// let mut rng = rng_from_seed(1);
-/// let outcome = engine.run(&PopulationInit::AdHoc(AdHocMethod::HotSpot), &mut rng)?;
+/// let init = PopulationInit::AdHoc(AdHocMethod::HotSpot);
+/// let outcome = engine.run(&init, &mut rng, &mut NoopRecorder)?;
 /// assert_eq!(outcome.trace.len(), 6); // initial + 5 generations
 /// # Ok::<(), wmn_model::ModelError>(())
 /// ```
@@ -369,7 +378,27 @@ impl<'e, 'i> GaEngine<'e, 'i> {
         }
     }
 
-    /// Runs the GA from an initial population built by `init`.
+    /// Runs the GA from an initial population built by `init`, emitting
+    /// run telemetry to `recorder`: `ga.*` counters, per-generation engine
+    /// work deltas (as value histograms), and the total engine
+    /// work-counter profile summed over the evaluation slots in slot order
+    /// — attributed to a nested phase tree. The run opens a `ga` phase
+    /// with `init` / `evaluate` child scopes; inside `evaluate`, the
+    /// batch-repair work reported by the slot topologies' [`ApplyPhases`]
+    /// buckets telescopes into `apply_moves` → `edge_repair` /
+    /// `component_repair` / `coverage` scopes (component repair further
+    /// staged into connectivity `insert` / `delete`; the `Rebuild`
+    /// reference's repairs land in `full_rebuild`), and whatever
+    /// evaluation work the buckets don't cover (`clone_from` state copies,
+    /// single-move diffs) stays attributed to `evaluate` itself. The
+    /// per-phase slices sum to exactly the flat totals. Wall-clock
+    /// reproduce/evaluate spans are recorded under the same phases,
+    /// informational-only.
+    ///
+    /// Results are bit-identical with any recorder; with a disabled one
+    /// the extra cost is one branch per generation. The emitted counters
+    /// are independent of the thread count, because child `i` is always
+    /// evaluated in slot `i`.
     ///
     /// # Errors
     ///
@@ -379,52 +408,26 @@ impl<'e, 'i> GaEngine<'e, 'i> {
         &self,
         init: &PopulationInit,
         rng: &mut dyn RngCore,
-    ) -> Result<GaOutcome, ModelError> {
-        self.run_recorded(init, rng, &mut NoopRecorder)
-    }
-
-    /// Like [`run`](Self::run), additionally emitting run telemetry to
-    /// `recorder`: `ga.*` counters, per-generation engine work deltas (as
-    /// value histograms), and the total engine work-counter profile summed
-    /// over the evaluation slots in slot order — attributed to a nested
-    /// phase tree. The run opens a `ga` phase with `init` / `evaluate`
-    /// child scopes; inside `evaluate`, the batch-repair work reported by
-    /// the slot topologies' [`ApplyPhases`] buckets telescopes into
-    /// `apply_moves` → `edge_repair` / `component_repair` / `coverage`
-    /// scopes (component repair further staged into connectivity
-    /// `insert` / `delete`), and whatever evaluation work the buckets
-    /// don't cover (`clone_from` state copies, single-move diffs, full
-    /// rebuilds of the `Rebuild` oracle) stays attributed to `evaluate`
-    /// itself. The per-phase slices sum to exactly the flat totals, so
-    /// the flat counter profile is byte-identical to what earlier
-    /// versions emitted in one call. Wall-clock reproduce/evaluate spans
-    /// are recorded under the same phases, informational-only.
-    ///
-    /// Results are bit-identical to [`run`](Self::run); with a disabled
-    /// recorder the extra cost is one branch per generation. Under the
-    /// incremental eval mode the emitted counters are also independent of
-    /// the thread count, because child `i` is always evaluated in slot `i`
-    /// (the `Rebuild` oracle's per-worker workspaces make its disk-cache
-    /// counters depend on worker assignment — record it with one thread
-    /// when exact reproducibility matters).
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement validation failures from evaluation, exactly
-    /// as [`run`](Self::run).
-    pub fn run_recorded(
-        &self,
-        init: &PopulationInit,
-        rng: &mut dyn RngCore,
         recorder: &mut dyn Recorder,
     ) -> Result<GaOutcome, ModelError> {
+        let threads = self.config.threads;
         let mut population =
             init.build(self.evaluator.instance(), self.config.population_size, rng);
-        let mut backend = EvalBackend::new(self.config.eval_mode);
+        // One slot per individual of the current population; last
+        // generation's slots are recycled as the next children's lease pool
+        // (their warm topologies get `clone_from`'d over).
+        let mut slots: Vec<EvalWorkspace> = Vec::new();
+        let mut spare: Vec<EvalWorkspace> = Vec::new();
         let init_clock = recorder.enabled().then(std::time::Instant::now);
-        backend.evaluate_initial(self.evaluator, &mut population, self.config.threads)?;
+        slots.resize_with(population.len(), EvalWorkspace::new);
+        parallel::evaluate_initial(self.evaluator, &mut population, &mut slots, threads)?;
+        if self.config.eval_mode == GaEvalMode::Rebuild {
+            for topo in slots.iter_mut().filter_map(EvalWorkspace::topology_mut) {
+                topo.set_connectivity_mode(ConnectivityMode::FullRebuild);
+            }
+        }
         let init_nanos = elapsed_nanos(init_clock);
-        let mut engine_prev = recorder.enabled().then(|| backend.engine_totals());
+        let mut engine_prev = recorder.enabled().then(|| engine_totals(&slots, &spare));
         let init_totals = engine_prev.unwrap_or_default();
         let mut reproduce_nanos = 0u64;
         let mut evaluate_nanos = 0u64;
@@ -444,17 +447,21 @@ impl<'e, 'i> GaEngine<'e, 'i> {
             reproduce_nanos += elapsed_nanos(clock);
             let parents = std::mem::replace(&mut population, next);
             let clock = engine_prev.is_some().then(std::time::Instant::now);
-            backend.evaluate_generation(
+            spare.resize_with(population.len(), EvalWorkspace::new);
+            parallel::evaluate_generation(
                 self.evaluator,
                 &parents,
+                &slots,
                 &mut population,
+                &mut spare,
                 &lineage,
-                self.config.threads,
+                threads,
             )?;
+            std::mem::swap(&mut slots, &mut spare);
             evaluate_nanos += elapsed_nanos(clock);
             self.record(generation, &population, &mut trace);
             if let Some(prev) = engine_prev.as_mut() {
-                let now = backend.engine_totals();
+                let now = engine_totals(&slots, &spare);
                 let delta = now.delta_since(prev);
                 recorder.value(
                     "ga.generation.diff_routers",
@@ -484,8 +491,8 @@ impl<'e, 'i> GaEngine<'e, 'i> {
             // slices that sum to exactly the one-call totals, so the flat
             // counter profile (and any committed baseline of it) is
             // unchanged — only the attribution tree gains structure.
-            let totals = backend.engine_totals();
-            let phases = backend.phase_totals();
+            let totals = engine_totals(&slots, &spare);
+            let phases = phase_totals(&slots, &spare);
             let mut ga = phase(recorder, "ga");
             ga.span("reproduce", reproduce_nanos);
             {
@@ -521,123 +528,33 @@ fn elapsed_nanos(clock: Option<std::time::Instant>) -> u64 {
     })
 }
 
-/// The engine's per-run evaluation state: either the topology-backed slot
-/// pool (one live topology per individual, double-buffered across
-/// generations) or the legacy per-worker workspace set of the rebuild
-/// reference pipeline.
-#[derive(Debug)]
-enum EvalBackend {
-    Incremental {
-        /// One slot per individual of the *current* population.
-        slots: Vec<EvalWorkspace>,
-        /// Last generation's slots, recycled as the next children's lease
-        /// pool (their warm topologies get `clone_from`'d over).
-        spare: Vec<EvalWorkspace>,
-    },
-    Rebuild {
-        /// One workspace per evaluation worker, persistent across
-        /// generations.
-        workspaces: Vec<EvalWorkspace>,
-    },
+/// Sums the slot topologies' always-on work counters, visiting `slots`
+/// then `spare` in index order so the total is deterministic: child `i` is
+/// always evaluated in slot `i` regardless of the thread count.
+fn engine_totals(slots: &[EvalWorkspace], spare: &[EvalWorkspace]) -> EngineStats {
+    let mut total = EngineStats::default();
+    for stats in slots
+        .iter()
+        .chain(spare)
+        .filter_map(EvalWorkspace::engine_stats)
+    {
+        total.merge(&stats);
+    }
+    total
 }
 
-impl EvalBackend {
-    fn new(mode: GaEvalMode) -> Self {
-        match mode {
-            GaEvalMode::Incremental => EvalBackend::Incremental {
-                slots: Vec::new(),
-                spare: Vec::new(),
-            },
-            GaEvalMode::Rebuild => EvalBackend::Rebuild {
-                workspaces: Vec::new(),
-            },
-        }
+/// Sums the slot topologies' batch-repair phase buckets ([`ApplyPhases`])
+/// in the same deterministic order as [`engine_totals`].
+fn phase_totals(slots: &[EvalWorkspace], spare: &[EvalWorkspace]) -> ApplyPhases {
+    let mut total = ApplyPhases::default();
+    for phases in slots
+        .iter()
+        .chain(spare)
+        .filter_map(EvalWorkspace::apply_phases)
+    {
+        total.merge(&phases);
     }
-
-    fn evaluate_initial(
-        &mut self,
-        evaluator: &Evaluator<'_>,
-        population: &mut Population,
-        threads: usize,
-    ) -> Result<(), ModelError> {
-        match self {
-            EvalBackend::Incremental { slots, .. } => {
-                slots.resize_with(population.len(), EvalWorkspace::new);
-                parallel::evaluate_initial(evaluator, population, slots, threads)
-            }
-            EvalBackend::Rebuild { workspaces } => {
-                parallel::evaluate_population_with(evaluator, population, threads, workspaces)
-            }
-        }
-    }
-
-    /// Sums the live topologies' always-on work counters, visiting the
-    /// workspaces in index order so the total is deterministic: under the
-    /// incremental backend child `i` is always evaluated in slot `i`
-    /// regardless of the thread count.
-    fn engine_totals(&self) -> EngineStats {
-        fn sum_into(total: &mut EngineStats, workspaces: &[EvalWorkspace]) {
-            for ws in workspaces {
-                if let Some(stats) = ws.engine_stats() {
-                    total.merge(&stats);
-                }
-            }
-        }
-        let mut total = EngineStats::default();
-        match self {
-            EvalBackend::Incremental { slots, spare, .. } => {
-                sum_into(&mut total, slots);
-                sum_into(&mut total, spare);
-            }
-            EvalBackend::Rebuild { workspaces } => sum_into(&mut total, workspaces),
-        }
-        total
-    }
-
-    /// Sums the live topologies' batch-repair phase buckets
-    /// ([`ApplyPhases`]) in the same deterministic workspace order as
-    /// [`engine_totals`](Self::engine_totals).
-    fn phase_totals(&self) -> ApplyPhases {
-        fn sum_into(total: &mut ApplyPhases, workspaces: &[EvalWorkspace]) {
-            for ws in workspaces {
-                if let Some(phases) = ws.apply_phases() {
-                    total.merge(&phases);
-                }
-            }
-        }
-        let mut total = ApplyPhases::default();
-        match self {
-            EvalBackend::Incremental { slots, spare, .. } => {
-                sum_into(&mut total, slots);
-                sum_into(&mut total, spare);
-            }
-            EvalBackend::Rebuild { workspaces } => sum_into(&mut total, workspaces),
-        }
-        total
-    }
-
-    fn evaluate_generation(
-        &mut self,
-        evaluator: &Evaluator<'_>,
-        parents: &Population,
-        children: &mut Population,
-        lineage: &[Lineage],
-        threads: usize,
-    ) -> Result<(), ModelError> {
-        match self {
-            EvalBackend::Incremental { slots, spare, .. } => {
-                spare.resize_with(children.len(), EvalWorkspace::new);
-                parallel::evaluate_generation(
-                    evaluator, parents, slots, children, spare, lineage, threads,
-                )?;
-                std::mem::swap(slots, spare);
-                Ok(())
-            }
-            EvalBackend::Rebuild { workspaces } => {
-                parallel::evaluate_population_with(evaluator, children, threads, workspaces)
-            }
-        }
-    }
+    total
 }
 
 #[cfg(test)]
@@ -645,6 +562,7 @@ mod tests {
     use super::*;
     use wmn_model::instance::InstanceSpec;
     use wmn_model::rng::rng_from_seed;
+    use wmn_obs::NoopRecorder;
     use wmn_placement::registry::AdHocMethod;
 
     fn quick_config(pop: usize, gens: usize) -> GaConfig {
@@ -678,7 +596,11 @@ mod tests {
         let engine = GaEngine::new(&evaluator, quick_config(12, 15));
         let mut rng = rng_from_seed(2);
         let outcome = engine
-            .run(&PopulationInit::AdHoc(AdHocMethod::HotSpot), &mut rng)
+            .run(
+                &PopulationInit::AdHoc(AdHocMethod::HotSpot),
+                &mut rng,
+                &mut NoopRecorder,
+            )
             .unwrap();
         assert_eq!(outcome.trace.len(), 16);
         // With elitism >= 1 the per-generation best fitness is monotone.
@@ -705,7 +627,7 @@ mod tests {
         let engine = GaEngine::new(&evaluator, quick_config(24, 30));
         let mut rng = rng_from_seed(4);
         let outcome = engine
-            .run(&PopulationInit::UniformRandom, &mut rng)
+            .run(&PopulationInit::UniformRandom, &mut rng, &mut NoopRecorder)
             .unwrap();
         let initial_best = outcome.trace.records()[0].best_fitness();
         assert!(
@@ -726,6 +648,7 @@ mod tests {
                 .run(
                     &PopulationInit::AdHoc(AdHocMethod::Cross),
                     &mut rng_from_seed(seed),
+                    &mut NoopRecorder,
                 )
                 .unwrap()
         };
@@ -747,12 +670,14 @@ mod tests {
             .run(
                 &PopulationInit::AdHoc(AdHocMethod::Near),
                 &mut rng_from_seed(11),
+                &mut NoopRecorder,
             )
             .unwrap();
         let b = parallel_engine
             .run(
                 &PopulationInit::AdHoc(AdHocMethod::Near),
                 &mut rng_from_seed(11),
+                &mut NoopRecorder,
             )
             .unwrap();
         assert_eq!(a.trace, b.trace, "thread count must not affect results");
@@ -774,7 +699,7 @@ mod tests {
         let engine = GaEngine::new(&evaluator, config);
         let mut rng = rng_from_seed(14);
         let outcome = engine
-            .run(&PopulationInit::UniformRandom, &mut rng)
+            .run(&PopulationInit::UniformRandom, &mut rng, &mut NoopRecorder)
             .unwrap();
         let first = outcome.trace.records()[0].best_fitness();
         let last = outcome.trace.last().unwrap().best_fitness();

@@ -19,13 +19,13 @@
 //!   ([`PopulationInit`]).
 //! * [`engine`] — the elitist generational [`GaEngine`] with per-generation
 //!   [`trace`] recording (the Figures 1–3 data). Evaluation is
-//!   **topology-backed** by default ([`GaEvalMode::Incremental`]): each
-//!   individual owns a live `WmnTopology`, and children evaluate as
-//!   "parent state copy + incremental batch repair of the placement diff"
-//!   — bit-identical to the full-rebuild reference
-//!   ([`GaEvalMode::Rebuild`]) at a fraction of the cost (see the
-//!   `ablation_ga_eval` bench).
-//! * [`parallel`] — threaded fitness evaluation (both pipelines).
+//!   **topology-backed**: each individual owns a live `WmnTopology`, and
+//!   children evaluate as "parent state copy + batch repair of the
+//!   placement diff" — incremental by default
+//!   ([`GaEvalMode::Incremental`]), bit-identical to the full-rebuild
+//!   reference ([`GaEvalMode::Rebuild`]) at a fraction of the cost (see
+//!   the `ablation_ga_eval` bench).
+//! * [`parallel`] — threaded evaluation over the slot pool.
 //!
 //! [`MoveAction`]: wmn_search::movement::MoveAction
 //!
@@ -46,7 +46,8 @@
 //!     .expect("valid config");
 //! let engine = GaEngine::new(&evaluator, config);
 //! let mut rng = rng_from_seed(1);
-//! let outcome = engine.run(&PopulationInit::AdHoc(AdHocMethod::HotSpot), &mut rng)?;
+//! let init = PopulationInit::AdHoc(AdHocMethod::HotSpot);
+//! let outcome = engine.run(&init, &mut rng, &mut NoopRecorder)?;
 //! println!("best giant component: {}", outcome.best_evaluation.giant_size());
 //! # Ok::<(), wmn_model::ModelError>(())
 //! ```
@@ -86,4 +87,5 @@ pub mod prelude {
     pub use crate::selection::SelectionOp;
     pub use crate::trace::{GaTrace, GenerationRecord};
     pub use wmn_metrics::stats::ProgressPoint;
+    pub use wmn_obs::NoopRecorder;
 }

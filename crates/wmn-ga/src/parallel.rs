@@ -1,29 +1,28 @@
-//! Threaded population evaluation.
+//! Threaded population evaluation over the GA's slot pool.
 //!
 //! Fitness evaluation dominates GA runtime, and individuals are
 //! independent — a textbook fork/join. Implemented with
 //! `std::thread::scope` so the evaluator (which borrows the instance) can
 //! be shared without `'static` gymnastics or extra dependencies.
 //!
-//! Two evaluation paths exist, and both are deterministic in the thread
-//! count (consuming no RNG, with per-child results a pure function of the
-//! child's placement):
+//! Every individual owns an [`EvalWorkspace`] slot, and slot `i` is always
+//! evaluated by the worker that owns individual `i`'s chunk, so results and
+//! the slots' work counters are deterministic in the thread count
+//! (evaluation consumes no RNG, and each child's result is a pure function
+//! of its placement):
 //!
-//! * [`evaluate_population_with`] — the **rebuild** path: every stale
-//!   individual is evaluated through a per-worker [`EvalWorkspace`] whose
-//!   topology is fully rebuilt in place per candidate. This is the
-//!   reference baseline ([`GaEvalMode::Rebuild`]) and the entry point for
-//!   populations without live topologies.
-//! * [`evaluate_generation`] — the **incremental** path of the
-//!   topology-backed GA ([`GaEvalMode::Incremental`]): every child owns an
-//!   `EvalWorkspace` slot; a worker copies the lineage parent's live
-//!   topology state into the child's slot (`WmnTopology::clone_from`,
-//!   allocation-free once warm) and repairs the placement diff through the
-//!   incremental batch engine instead of rebuilding. Workers only *read*
-//!   the parent generation's slots, so chunks share them freely.
+//! * [`evaluate_initial`] seeds the pool: each individual is evaluated
+//!   through its own slot, leaving a live topology of its placement.
+//! * [`evaluate_generation`] evaluates a reproduced generation: a worker
+//!   copies the lineage parent's live topology state into the child's slot
+//!   (`WmnTopology::clone_from`, allocation-free once warm) and repairs the
+//!   placement diff through the topology's batch engine — incrementally,
+//!   or by a full rebuild when the parents' topologies are pinned to
+//!   `ConnectivityMode::FullRebuild` (the engine's
+//!   [`GaEvalMode::Rebuild`] reference). Workers only *read* the parent
+//!   generation's slots, so chunks share them freely.
 //!
 //! [`GaEvalMode::Rebuild`]: crate::engine::GaEvalMode
-//! [`GaEvalMode::Incremental`]: crate::engine::GaEvalMode
 
 use crate::chromosome::Individual;
 use crate::population::{Lineage, Population};
@@ -31,73 +30,6 @@ use wmn_metrics::evaluator::{EvalWorkspace, Evaluator};
 use wmn_model::geometry::Point;
 use wmn_model::placement::Placement;
 use wmn_model::{ModelError, RouterId};
-
-/// Evaluates every stale individual, using up to `threads` workers and
-/// fresh per-call workspaces; prefer [`evaluate_population_with`] in loops
-/// (the GA engine does) so workspaces persist across generations.
-///
-/// `threads <= 1` evaluates serially. The result is identical to serial
-/// evaluation regardless of thread count (verified by engine tests).
-///
-/// # Errors
-///
-/// Propagates the first placement-validation failure (none occur for
-/// populations built by the provided initializers and operators).
-pub fn evaluate_population(
-    evaluator: &Evaluator<'_>,
-    population: &mut Population,
-    threads: usize,
-) -> Result<(), ModelError> {
-    evaluate_population_with(evaluator, population, threads, &mut Vec::new())
-}
-
-/// Evaluates every stale individual through caller-owned workspaces — one
-/// per worker chunk, grown on demand — so a generational loop pays the
-/// topology build once per worker for the whole run instead of once per
-/// generation.
-///
-/// # Errors
-///
-/// Propagates the first placement-validation failure.
-pub fn evaluate_population_with(
-    evaluator: &Evaluator<'_>,
-    population: &mut Population,
-    threads: usize,
-    workspaces: &mut Vec<EvalWorkspace>,
-) -> Result<(), ModelError> {
-    if threads <= 1 {
-        if workspaces.is_empty() {
-            workspaces.push(EvalWorkspace::new());
-        }
-        return population.evaluate_all_with(evaluator, &mut workspaces[0]);
-    }
-    let individuals = population.individuals_mut();
-    let chunk = individuals.len().div_ceil(threads).max(1);
-    let chunk_count = individuals.len().div_ceil(chunk);
-    if workspaces.len() < chunk_count {
-        workspaces.resize_with(chunk_count, EvalWorkspace::new);
-    }
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (slice, workspace) in individuals.chunks_mut(chunk).zip(workspaces.iter_mut()) {
-            handles.push(scope.spawn(move || -> Result<(), ModelError> {
-                // One workspace per worker: in-place topology reuse across
-                // the whole chunk, no cross-thread sharing needed.
-                for ind in slice {
-                    if !ind.is_evaluated() {
-                        let e = evaluator.evaluate_with(workspace, ind.placement())?;
-                        ind.set_evaluation(e);
-                    }
-                }
-                Ok(())
-            }));
-        }
-        for h in handles {
-            h.join().expect("evaluation worker panicked")?;
-        }
-        Ok(())
-    })
-}
 
 /// Evaluates an initial population **into per-individual workspace slots**:
 /// each individual is evaluated through its own slot, leaving every slot
@@ -180,10 +112,10 @@ fn closer_parent(parents: &Population, lineage: Lineage, child: &Placement) -> u
     }
 }
 
-/// Evaluates one child of a generation through the incremental path: adopt
-/// the lineage parent's live topology, apply the placement diff, evaluate.
-/// Falls back to the workspace rebuild path when the parent has no live
-/// topology (a caller-assembled parent population).
+/// Evaluates one child of a generation: adopt the lineage parent's live
+/// topology, apply the placement diff, evaluate. Falls back to a full
+/// build in the child's slot when the parent has no live topology (a
+/// caller-assembled parent population).
 fn evaluate_child(
     evaluator: &Evaluator<'_>,
     parents: &Population,
@@ -219,18 +151,17 @@ fn evaluate_child(
     Ok(())
 }
 
-/// Evaluates a reproduced generation through the **incremental** path:
-/// every child's slot adopts its lineage parent's live topology (state
-/// copy, buffer-reusing) and repairs the child's placement diff through
-/// `WmnTopology::apply_moves` — one batch repair per child instead of a
-/// full rebuild. Already-evaluated children (elites) skip the fitness
-/// write but still get a live topology, so they can parent the next
-/// generation.
+/// Evaluates a reproduced generation through the slot pool: every child's
+/// slot adopts its lineage parent's live topology (state copy,
+/// buffer-reusing, connectivity mode included) and repairs the child's
+/// placement diff through `WmnTopology::apply_moves` — one batch repair
+/// per child. Already-evaluated children (elites) skip the fitness write
+/// but still get a live topology, so they can parent the next generation.
 ///
-/// Results are bit-identical to [`evaluate_population_with`] on the same
-/// children (pinned by the `incremental_equivalence` suite) for every
-/// thread count: no RNG is consumed and each child's evaluation is a pure
-/// function of its placement.
+/// Results equal a fresh build of each child (pinned by the
+/// `incremental_equivalence` suite) for every thread count: no RNG is
+/// consumed and each child's evaluation is a pure function of its
+/// placement.
 ///
 /// # Errors
 ///
@@ -333,54 +264,82 @@ mod tests {
         (instance, pop)
     }
 
+    /// `evaluate_initial` into fresh slots; returns the slots.
+    fn evaluate(
+        evaluator: &Evaluator<'_>,
+        pop: &mut Population,
+        threads: usize,
+    ) -> Result<Vec<EvalWorkspace>, ModelError> {
+        let mut slots = Vec::new();
+        slots.resize_with(pop.len(), EvalWorkspace::new);
+        evaluate_initial(evaluator, pop, &mut slots, threads)?;
+        Ok(slots)
+    }
+
     #[test]
     fn parallel_equals_serial() {
         let (instance, pop) = population(33, 1);
         let evaluator = Evaluator::paper_default(&instance);
         let mut serial = pop.clone();
-        evaluate_population(&evaluator, &mut serial, 1).unwrap();
+        evaluate(&evaluator, &mut serial, 1).unwrap();
         for threads in [2, 3, 8, 64] {
             let mut par = pop.clone();
-            evaluate_population(&evaluator, &mut par, threads).unwrap();
+            let slots = evaluate(&evaluator, &mut par, threads).unwrap();
             assert_eq!(par, serial, "threads = {threads}");
+            // Every slot holds a live topology of its own individual.
+            for (ind, slot) in par.individuals().iter().zip(&slots) {
+                let topo = slot.topology().expect("slot seeded");
+                assert_eq!(&topo.placement(), ind.placement());
+            }
         }
     }
 
     #[test]
     fn already_evaluated_individuals_are_skipped() {
+        // Cached evaluations are kept: individual 0 carries individual
+        // 1's evaluation, and seeding its slot must not overwrite it.
         let (instance, mut pop) = population(8, 2);
         let evaluator = Evaluator::paper_default(&instance);
-        evaluate_population(&evaluator, &mut pop, 4).unwrap();
-        let snapshot = pop.clone();
+        let foreign = evaluator
+            .evaluate(pop.individuals()[1].placement())
+            .unwrap();
+        pop.individuals_mut()[0].set_evaluation(foreign);
+        let slots = evaluate(&evaluator, &mut pop, 4).unwrap();
+        assert_eq!(pop.individuals()[0].evaluation(), Some(foreign));
+        assert_eq!(
+            &slots[0].topology().unwrap().placement(),
+            pop.individuals()[0].placement()
+        );
         // Re-running is a no-op.
-        evaluate_population(&evaluator, &mut pop, 4).unwrap();
+        let snapshot = pop.clone();
+        evaluate(&evaluator, &mut pop, 4).unwrap();
         assert_eq!(pop, snapshot);
     }
 
     #[test]
     fn persistent_workspaces_match_fresh_across_generations() {
-        let (instance, _) = population(24, 5);
-        let evaluator = Evaluator::paper_default(&instance);
-        let mut workspaces = Vec::new();
+        // Slots reused across rounds (rebuilt in place) evaluate exactly
+        // like fresh ones.
+        let evaluator_instance = population(24, 5).0;
+        let evaluator = Evaluator::paper_default(&evaluator_instance);
+        let mut slots = Vec::new();
+        slots.resize_with(24, EvalWorkspace::new);
         for round in 0..3 {
             // New "generation": same shape, different placements.
             let (_, generation) = population(24, 100 + round);
             let mut fresh = generation.clone();
-            evaluate_population(&evaluator, &mut fresh, 4).unwrap();
+            evaluate(&evaluator, &mut fresh, 4).unwrap();
             let mut reused = generation.clone();
-            evaluate_population_with(&evaluator, &mut reused, 4, &mut workspaces).unwrap();
+            evaluate_initial(&evaluator, &mut reused, &mut slots, 4).unwrap();
             assert_eq!(reused, fresh, "round {round}");
         }
-        // Workspaces were grown once (4 workers over 24 individuals) and
-        // kept across rounds.
-        assert_eq!(workspaces.len(), 4);
     }
 
     #[test]
     fn more_threads_than_individuals_is_fine() {
         let (instance, mut pop) = population(3, 3);
         let evaluator = Evaluator::paper_default(&instance);
-        evaluate_population(&evaluator, &mut pop, 16).unwrap();
+        evaluate(&evaluator, &mut pop, 16).unwrap();
         assert!(pop.individuals().iter().all(|i| i.is_evaluated()));
     }
 
@@ -389,7 +348,7 @@ mod tests {
         let (instance, mut pop) = population(4, 4);
         pop.push(Individual::new(wmn_model::Placement::new())); // wrong length
         let evaluator = Evaluator::paper_default(&instance);
-        assert!(evaluate_population(&evaluator, &mut pop, 4).is_err());
-        assert!(evaluate_population(&evaluator, &mut pop, 1).is_err());
+        assert!(evaluate(&evaluator, &mut pop, 4).is_err());
+        assert!(evaluate(&evaluator, &mut pop, 1).is_err());
     }
 }

@@ -1,8 +1,7 @@
 //! Populations of individuals.
 
 use crate::chromosome::Individual;
-use wmn_metrics::evaluator::{EvalWorkspace, Evaluation, Evaluator};
-use wmn_model::ModelError;
+use wmn_metrics::evaluator::Evaluation;
 
 /// Reproduction metadata for one child of a generation: the indices (into
 /// the parent generation) of the two individuals whose genetic material
@@ -73,39 +72,6 @@ impl Population {
     /// Adds an individual.
     pub fn push(&mut self, individual: Individual) {
         self.individuals.push(individual);
-    }
-
-    /// Evaluates every stale individual with `evaluator`, through one
-    /// fresh [`EvalWorkspace`]; prefer
-    /// [`Population::evaluate_all_with`] in loops so the workspace — and
-    /// its topology buffers — carry over between calls.
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement validation (first failure aborts).
-    pub fn evaluate_all(&mut self, evaluator: &Evaluator<'_>) -> Result<(), ModelError> {
-        self.evaluate_all_with(evaluator, &mut EvalWorkspace::new())
-    }
-
-    /// Evaluates every stale individual through a caller-owned
-    /// [`EvalWorkspace`], so the per-individual topology is rebuilt in
-    /// place with zero allocations once the workspace is warm.
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement validation (first failure aborts).
-    pub fn evaluate_all_with(
-        &mut self,
-        evaluator: &Evaluator<'_>,
-        workspace: &mut EvalWorkspace,
-    ) -> Result<(), ModelError> {
-        for ind in &mut self.individuals {
-            if !ind.is_evaluated() {
-                let e = evaluator.evaluate_with(workspace, ind.placement())?;
-                ind.set_evaluation(e);
-            }
-        }
-        Ok(())
     }
 
     /// Index of the best (highest-fitness) individual, `None` when empty.

@@ -1,15 +1,19 @@
 //! Full-run equivalence suite for the topology-backed GA: complete GA runs
 //! under [`GaEvalMode::Incremental`] (dynamic connectivity) must be
-//! **bit-identical** to the full-rebuild reference pipeline
+//! **bit-identical** to the full-rebuild reference
 //! ([`GaEvalMode::Rebuild`]) — traces, best placements, and final
 //! populations — at every thread count, for ad-hoc and random
-//! initializations.
+//! initializations. Both modes share the engine's slot pool, so every run
+//! is also checked against an independent reference: each final
+//! individual's evaluation must equal a fresh build of its placement
+//! (`Evaluator::evaluate`).
 
 use wmn_ga::engine::{GaConfig, GaEngine, GaEvalMode, GaOutcome};
 use wmn_ga::init::PopulationInit;
 use wmn_metrics::evaluator::Evaluator;
 use wmn_model::instance::ProblemInstance;
 use wmn_model::rng::rng_from_seed;
+use wmn_obs::NoopRecorder;
 use wmn_placement::registry::AdHocMethod;
 
 fn instance(seed: u64) -> ProblemInstance {
@@ -35,7 +39,18 @@ fn run(
         .build()
         .unwrap();
     let engine = GaEngine::new(&evaluator, config);
-    engine.run(init, &mut rng_from_seed(seed)).unwrap()
+    let outcome = engine
+        .run(init, &mut rng_from_seed(seed), &mut NoopRecorder)
+        .unwrap();
+    for (i, ind) in outcome.final_population.individuals().iter().enumerate() {
+        let fresh = evaluator.evaluate(ind.placement()).unwrap();
+        assert_eq!(
+            ind.evaluation(),
+            Some(fresh),
+            "{mode} @{threads} threads: individual {i} differs from a fresh build"
+        );
+    }
+    outcome
 }
 
 fn assert_outcomes_identical(a: &GaOutcome, b: &GaOutcome, context: &str) {

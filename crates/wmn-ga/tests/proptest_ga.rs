@@ -101,7 +101,11 @@ proptest! {
             .unwrap();
         let engine = GaEngine::new(&evaluator, config);
         let outcome = engine
-            .run(&PopulationInit::AdHoc(AdHocMethod::Random), &mut rng_from_seed(seed))
+            .run(
+                &PopulationInit::AdHoc(AdHocMethod::Random),
+                &mut rng_from_seed(seed),
+                &mut wmn_obs::NoopRecorder,
+            )
             .unwrap();
         prop_assert_eq!(outcome.trace.len(), 5);
         prop_assert!(instance.validate_placement(&outcome.best_placement).is_ok());

@@ -20,7 +20,7 @@
 //!    draws from an RNG another job also touches, so scheduling cannot
 //!    perturb a stream.
 //! 2. **Results are collected by job index, not by arrival.**
-//!    [`pool::Runtime::execute`] returns results in submission order
+//!    [`pool::Runtime::run`] returns results in submission order
 //!    regardless of which worker finished first.
 //!
 //! Combined with run functions that are pure in `(instance, config, seed)`,
@@ -30,16 +30,21 @@
 //! # Example
 //!
 //! ```
+//! use wmn_obs::RobustnessStats;
 //! use wmn_runtime::grid::Cell;
-//! use wmn_runtime::pool::Runtime;
+//! use wmn_runtime::pool::{JobPolicy, Runtime};
 //!
 //! // Four cells of a toy grid, each seeded from its own coordinates.
-//! let cells: Vec<Cell> = (0..4).map(|i| Cell::new(format!("cell{i}"), &[i])).collect();
-//! let runtime = Runtime::new(2);
-//! let out = runtime.execute(cells, |_, cell| cell.seed(42));
-//! // Same cells, one thread: identical results in identical order.
-//! let cells: Vec<Cell> = (0..4).map(|i| Cell::new(format!("cell{i}"), &[i])).collect();
-//! assert_eq!(out, Runtime::serial().execute(cells, |_, cell| cell.seed(42)));
+//! let seeds = |runtime: Runtime| {
+//!     let cells: Vec<Cell> = (0..4).map(|i| Cell::new(format!("cell{i}"), &[i])).collect();
+//!     let policy = JobPolicy::default();
+//!     let mut stats = RobustnessStats::default();
+//!     runtime.run(cells, &policy, &mut stats, None, |cell, _| {
+//!         Ok::<_, String>(cell.seed(42))
+//!     })
+//! };
+//! // Two threads and one thread: identical results in identical order.
+//! assert_eq!(seeds(Runtime::new(2)), seeds(Runtime::serial()));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,5 +58,5 @@ pub mod sink;
 
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultSite};
 pub use grid::Cell;
-pub use pool::{FailureKind, JobContext, JobFailure, RetryPolicy, Runtime};
+pub use pool::{FailureKind, JobFailure, JobPolicy, Runtime};
 pub use sink::{MemorySink, RowSink};

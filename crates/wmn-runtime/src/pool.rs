@@ -11,42 +11,49 @@
 //! what makes the output order (and therefore downstream iteration order)
 //! independent of scheduling.
 //!
-//! Experiment batches run through the **isolated** entry points
-//! ([`try_execute_isolated`](Runtime::try_execute_isolated) and its
-//! recorded variant): every job attempt runs inside
-//! [`std::panic::catch_unwind`], failures are classified
-//! ([`FailureKind`]), and a bounded [`RetryPolicy`] re-runs failed jobs.
-//! A retried job re-derives its seed from its grid coordinates (seeds
-//! never come from shared state), and each attempt gets a fresh private
-//! [`TelemetryRecorder`] whose contents are merged, in job-index order,
-//! only on the attempt that succeeds — which is why a within-budget faulty
-//! run's results *and telemetry* are byte-identical to a fault-free run.
+//! Batches run through the one entry point, [`Runtime::run`]: every job
+//! attempt runs inside [`std::panic::catch_unwind`], failures are
+//! classified ([`FailureKind`]), and the [`JobPolicy`]'s attempt budget
+//! re-runs failed jobs, with the policy's fault plan injected into
+//! attempts. A retried job re-derives its seed from its grid coordinates
+//! (seeds never come from shared state). When the caller collects
+//! telemetry, each attempt gets a fresh private [`TelemetryRecorder`]
+//! whose contents are merged, in job-index order, only on the attempt
+//! that succeeds — which is why a within-budget faulty run's results *and
+//! telemetry* are byte-identical to a fault-free run. Otherwise each
+//! attempt records into a [`NoopRecorder`].
 //!
-//! Underneath sits the plain [`execute`](Runtime::execute) scheduler,
-//! where a job panic propagates to the caller (lock poisoning is
-//! recovered via [`PoisonError::into_inner`], so a panicking job never
-//! corrupts another job's completed result).
+//! Lock poisoning inside the scheduler is recovered via
+//! [`PoisonError::into_inner`], so a panicking job never corrupts another
+//! job's completed result.
 
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
-use wmn_obs::{Recorder, RobustnessStats, TelemetryRecorder};
+use wmn_obs::{NoopRecorder, Recorder, RobustnessStats, TelemetryRecorder};
 
 /// A deterministic parallel job executor.
 ///
 /// Construction is cheap (no threads are kept alive between batches);
-/// workers are spawned per [`execute`](Runtime::execute) call and joined
-/// before it returns.
+/// workers are spawned per [`run`](Runtime::run) call and joined before
+/// it returns.
 ///
 /// # Examples
 ///
 /// ```
-/// use wmn_runtime::pool::Runtime;
+/// use wmn_obs::RobustnessStats;
+/// use wmn_runtime::pool::{JobPolicy, Runtime};
 ///
-/// let squares = Runtime::new(4).execute(vec![1u64, 2, 3], |_, x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9]);
+/// let squares = Runtime::new(4).run(
+///     vec![1u64, 2, 3],
+///     &JobPolicy::default(),
+///     &mut RobustnessStats::default(),
+///     None,
+///     |x, _| Ok::<_, String>(x * x),
+/// );
+/// assert_eq!(squares, Ok(vec![1, 4, 9]));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Runtime {
@@ -83,18 +90,15 @@ impl Runtime {
         self.threads
     }
 
-    /// Runs `worker` over every job and returns the results **in job
-    /// order**, regardless of which worker finished first.
+    /// The scheduler: runs `worker` over every job and returns the results
+    /// **in job order**, regardless of which worker finished first.
     ///
     /// `worker` receives the job's index and the job by value. With one
     /// worker (or one job) no threads are spawned at all, so the serial
-    /// path is exactly a `map`.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any worker thread after all workers have
-    /// been joined.
-    pub fn execute<T, R, F>(&self, jobs: Vec<T>, worker: F) -> Vec<R>
+    /// path is exactly a `map`. A panic from any worker thread propagates
+    /// after all workers have been joined ([`run`](Runtime::run) catches
+    /// job panics before they get here).
+    fn execute<T, R, F>(&self, jobs: Vec<T>, worker: F) -> Vec<R>
     where
         T: Send,
         R: Send,
@@ -144,12 +148,22 @@ impl Runtime {
             .collect()
     }
 
-    /// Panic-isolated, retrying batch execution.
+    /// Panic-isolated, retrying batch execution — the runtime's one entry
+    /// point.
     ///
     /// Every attempt of every job runs inside [`catch_unwind`]; a failed
-    /// attempt (panic, `Err`, or injected fault from `plan`) is retried up
-    /// to `policy.max_attempts` times. The worker receives a
-    /// [`JobContext`] naming the job index and the attempt number.
+    /// attempt (panic, `Err`, or a fault injected from
+    /// `policy.fault_plan`) is retried up to `policy.max_attempts` times.
+    /// The worker receives the job and the attempt's recorder.
+    ///
+    /// With `Some(telemetry)`, each *attempt* records into a fresh private
+    /// [`TelemetryRecorder`]; only the succeeding attempt's recorder is
+    /// merged into `telemetry`, in **job-index order** after all workers
+    /// join, so the aggregated telemetry — like the results — is
+    /// independent of which worker ran which job, and a within-budget
+    /// faulty run's telemetry is byte-identical to the fault-free run's:
+    /// failed attempts leave no trace in the deterministic document. With
+    /// `None`, every attempt records into a [`NoopRecorder`].
     ///
     /// Jobs are taken by reference so a retry re-runs the *same* job
     /// value; determinism then follows from the caller deriving seeds
@@ -163,63 +177,24 @@ impl Runtime {
     /// # Errors
     ///
     /// The lowest-indexed job that exhausted its attempt budget.
-    pub fn try_execute_isolated<T, R, E, F>(
+    pub fn run<T, R, E, F>(
         &self,
         jobs: Vec<T>,
-        policy: RetryPolicy,
-        plan: Option<&FaultPlan>,
+        policy: &JobPolicy,
         stats: &mut RobustnessStats,
+        mut telemetry: Option<&mut TelemetryRecorder>,
         worker: F,
     ) -> Result<Vec<R>, JobFailure<E>>
     where
         T: Send,
         R: Send,
         E: Send,
-        F: Fn(JobContext, &T) -> Result<R, E> + Sync,
+        F: Fn(&T, &mut dyn Recorder) -> Result<R, E> + Sync,
     {
-        let mut recorder = TelemetryRecorder::new();
-        self.try_execute_isolated_recorded(
-            jobs,
-            policy,
-            plan,
-            stats,
-            &mut recorder,
-            |ctx, job, _rec| worker(ctx, job),
-        )
-    }
-
-    /// [`try_execute_isolated`](Runtime::try_execute_isolated) with
-    /// per-job telemetry.
-    ///
-    /// Each *attempt* gets a fresh private [`TelemetryRecorder`]; only
-    /// the succeeding attempt's recorder is merged into `recorder`, in
-    /// **job-index order** after all workers join, so the aggregated
-    /// telemetry — like the results — is independent of which worker ran
-    /// which job, and a within-budget faulty run's telemetry is
-    /// byte-identical to the fault-free run's: failed attempts leave no
-    /// trace in the deterministic document.
-    ///
-    /// # Errors
-    ///
-    /// The lowest-indexed job that exhausted its attempt budget.
-    pub fn try_execute_isolated_recorded<T, R, E, F>(
-        &self,
-        jobs: Vec<T>,
-        policy: RetryPolicy,
-        plan: Option<&FaultPlan>,
-        stats: &mut RobustnessStats,
-        recorder: &mut TelemetryRecorder,
-        worker: F,
-    ) -> Result<Vec<R>, JobFailure<E>>
-    where
-        T: Send,
-        R: Send,
-        E: Send,
-        F: Fn(JobContext, &T, &mut dyn Recorder) -> Result<R, E> + Sync,
-    {
+        let record = telemetry.is_some();
         let out = self.execute(jobs, |index, job| {
             let mut job_stats = RobustnessStats::default();
-            let result = run_isolated_job(index, &job, policy, plan, &mut job_stats, &worker);
+            let result = run_job(index, &job, policy, record, &mut job_stats, &worker);
             (result, job_stats)
         });
 
@@ -229,13 +204,15 @@ impl Runtime {
             stats.merge(&job_stats);
             match result {
                 Ok((r, job_recorder)) => {
-                    recorder.merge(job_recorder);
+                    if let (Some(telemetry), Some(job_recorder)) =
+                        (telemetry.as_deref_mut(), job_recorder)
+                    {
+                        telemetry.merge(job_recorder);
+                    }
                     results.push(r);
                 }
                 Err(failure) => {
-                    if first_failure.is_none() {
-                        first_failure = Some(failure);
-                    }
+                    first_failure.get_or_insert(failure);
                 }
             }
         }
@@ -246,20 +223,22 @@ impl Runtime {
     }
 }
 
-/// Runs one job to success or attempt exhaustion; the heart of the
-/// isolated execution family.
-fn run_isolated_job<T, R, E, F>(
+/// Runs one job to success or attempt exhaustion; the heart of
+/// [`Runtime::run`]. A success carries the attempt's recorder when
+/// `record` is set.
+fn run_job<T, R, E, F>(
     index: usize,
     job: &T,
-    policy: RetryPolicy,
-    plan: Option<&FaultPlan>,
+    policy: &JobPolicy,
+    record: bool,
     stats: &mut RobustnessStats,
     worker: &F,
-) -> Result<(R, TelemetryRecorder), JobFailure<E>>
+) -> Result<(R, Option<TelemetryRecorder>), JobFailure<E>>
 where
-    F: Fn(JobContext, &T, &mut dyn Recorder) -> Result<R, E>,
+    F: Fn(&T, &mut dyn Recorder) -> Result<R, E>,
 {
     let max_attempts = policy.max_attempts.max(1);
+    let plan = policy.fault_plan.as_ref();
     for attempt in 0..max_attempts {
         stats.retry.attempts += 1;
         if attempt > 0 {
@@ -285,9 +264,12 @@ where
                 }
                 None => {}
             }
-            let mut attempt_recorder = TelemetryRecorder::new();
-            let ctx = JobContext { index, attempt };
-            let result = worker(ctx, job, &mut attempt_recorder).map_err(FailureKind::Error)?;
+            let mut attempt_recorder = record.then(TelemetryRecorder::new);
+            let recorder: &mut dyn Recorder = match attempt_recorder.as_mut() {
+                Some(recorder) => recorder,
+                None => &mut NoopRecorder,
+            };
+            let result = worker(job, recorder).map_err(FailureKind::Error)?;
             match finish_fault {
                 Some(FaultKind::Panic) => {
                     fault.injected_panics += 1;
@@ -337,34 +319,24 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Bounded retry budget for the isolated execution family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
+/// How [`Runtime::run`] treats failing jobs: the attempt budget, and the
+/// seeded fault plan injected into attempts (chaos runs).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JobPolicy {
     /// Maximum attempts per job (`0` is treated as `1`).
     pub max_attempts: u32,
+    /// Faults to inject into job attempts; `None` injects nothing.
+    pub fault_plan: Option<FaultPlan>,
 }
 
-impl RetryPolicy {
-    /// A policy allowing up to `max_attempts` attempts per job.
-    pub fn new(max_attempts: u32) -> Self {
-        RetryPolicy { max_attempts }
-    }
-}
-
-impl Default for RetryPolicy {
-    /// One attempt, i.e. no retries.
+impl Default for JobPolicy {
+    /// One attempt, i.e. no retries, and no injected faults.
     fn default() -> Self {
-        RetryPolicy { max_attempts: 1 }
+        JobPolicy {
+            max_attempts: 1,
+            fault_plan: None,
+        }
     }
-}
-
-/// What the isolated worker is told about the attempt it is running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobContext {
-    /// The job's index in the batch (its deterministic identity).
-    pub index: usize,
-    /// Zero-based attempt number (`> 0` means this is a retry).
-    pub attempt: u32,
 }
 
 /// Classification of one failed attempt.
@@ -424,6 +396,24 @@ impl Default for Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
+
+    /// A fault-free, unrecorded batch of `work` over `jobs`.
+    fn run_plain<T: Send, R: Send>(
+        runtime: Runtime,
+        jobs: Vec<T>,
+        work: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
+        runtime
+            .run(
+                jobs,
+                &JobPolicy::default(),
+                &mut RobustnessStats::default(),
+                None,
+                |job, _| Ok::<_, String>(work(job)),
+            )
+            .unwrap()
+    }
 
     #[test]
     fn zero_threads_resolves_to_available_parallelism() {
@@ -436,33 +426,33 @@ mod tests {
     fn results_are_in_job_order() {
         // Jobs deliberately finish out of order (larger index = less work).
         let jobs: Vec<u64> = (0..64).collect();
-        let out = Runtime::new(8).execute(jobs, |i, x| {
-            let spins = (64 - i as u64) * 1000;
-            let mut acc = x;
+        let out = run_plain(Runtime::new(8), jobs, |&i| {
+            let spins = (64 - i) * 1000;
+            let mut acc = i;
             for _ in 0..spins {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
             }
             (i, acc)
         });
         for (i, (idx, _)) in out.iter().enumerate() {
-            assert_eq!(i, *idx);
+            assert_eq!(i as u64, *idx);
         }
     }
 
     #[test]
     fn parallel_matches_serial_for_any_thread_count() {
-        let work = |i: usize, x: u64| -> u64 {
-            let mut acc = x.wrapping_add(i as u64);
+        let work = |&(i, x): &(u64, u64)| -> u64 {
+            let mut acc = x.wrapping_add(i);
             for _ in 0..100 {
-                acc = acc.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(i as u64);
+                acc = acc.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(i);
             }
             acc
         };
-        let jobs: Vec<u64> = (0..23).map(|i| i * 7).collect();
-        let reference = Runtime::serial().execute(jobs.clone(), work);
+        let jobs: Vec<(u64, u64)> = (0..23).map(|i| (i, i * 7)).collect();
+        let reference = run_plain(Runtime::serial(), jobs.clone(), work);
         for threads in [2, 3, 8, 32] {
             assert_eq!(
-                Runtime::new(threads).execute(jobs.clone(), work),
+                run_plain(Runtime::new(threads), jobs.clone(), work),
                 reference,
                 "threads = {threads}"
             );
@@ -471,20 +461,20 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let out: Vec<u64> = Runtime::new(4).execute(Vec::<u64>::new(), |_, x| x);
+        let out: Vec<u64> = run_plain(Runtime::new(4), Vec::<u64>::new(), |&x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_threads_than_jobs_is_fine() {
-        let out = Runtime::new(64).execute(vec![1u64, 2], |_, x| x + 1);
+        let out = run_plain(Runtime::new(64), vec![1u64, 2], |&x| x + 1);
         assert_eq!(out, vec![2, 3]);
     }
 
     #[test]
     fn jobs_may_borrow_caller_state() {
         let table = [10u64, 20, 30];
-        let out = Runtime::new(2).execute(vec![0usize, 1, 2], |_, i| table[i]);
+        let out = run_plain(Runtime::new(2), vec![0usize, 1, 2], |&i| table[i]);
         assert_eq!(out, vec![10, 20, 30]);
     }
 
@@ -494,16 +484,15 @@ mod tests {
             let mut recorder = TelemetryRecorder::new();
             let jobs: Vec<u64> = (0..32).collect();
             let out = Runtime::new(threads)
-                .try_execute_isolated_recorded(
+                .run(
                     jobs,
-                    RetryPolicy::default(),
-                    None,
+                    &JobPolicy::default(),
                     &mut RobustnessStats::default(),
-                    &mut recorder,
-                    |ctx, x, rec: &mut dyn Recorder| {
+                    Some(&mut recorder),
+                    |x, rec| {
                         rec.counter("jobs", 1);
                         rec.value("job.payload", *x);
-                        rec.counter(if ctx.index % 2 == 0 { "even" } else { "odd" }, *x);
+                        rec.counter(if x % 2 == 0 { "even" } else { "odd" }, *x);
                         Ok::<_, String>(x * 3)
                     },
                 )
@@ -520,19 +509,33 @@ mod tests {
     }
 
     #[test]
-    fn isolated_matches_plain_execution_without_faults() {
-        let jobs: Vec<u64> = (0..16).map(|i| i * 3).collect();
-        let mut stats = RobustnessStats::default();
-        let out = Runtime::new(4)
-            .try_execute_isolated(
-                jobs.clone(),
-                RetryPolicy::default(),
+    fn unrecorded_attempts_get_a_disabled_recorder() {
+        let enabled = Runtime::new(2)
+            .run(
+                vec![0u8; 4],
+                &JobPolicy::default(),
+                &mut RobustnessStats::default(),
                 None,
-                &mut stats,
-                |ctx, x| Ok::<_, String>(x + ctx.index as u64),
+                |_, rec| Ok::<_, String>(rec.enabled()),
             )
             .unwrap();
-        let expected: Vec<u64> = jobs.iter().enumerate().map(|(i, x)| x + i as u64).collect();
+        assert_eq!(enabled, vec![false; 4]);
+    }
+
+    #[test]
+    fn isolated_matches_plain_execution_without_faults() {
+        let jobs: Vec<(u64, u64)> = (0..16).map(|i| (i, i * 3)).collect();
+        let mut stats = RobustnessStats::default();
+        let out = Runtime::new(4)
+            .run(
+                jobs.clone(),
+                &JobPolicy::default(),
+                &mut stats,
+                None,
+                |&(i, x), _| Ok::<_, String>(x + i),
+            )
+            .unwrap();
+        let expected: Vec<u64> = jobs.iter().map(|(i, x)| x + i).collect();
         assert_eq!(out, expected);
         assert_eq!(stats.retry.attempts, 16);
         assert_eq!(stats.retry.retries, 0);
@@ -541,27 +544,21 @@ mod tests {
 
     #[test]
     fn isolated_failure_at_every_index_selects_that_index_across_thread_counts() {
-        // The satellite's matrix: a single injected failure at each job
-        // index, at 1, 2, and 8 threads, must always report exactly that
-        // index (with one job there is nothing lower to confuse it with).
+        // A single failure at each job index, at 1, 2, and 8 threads, must
+        // always report exactly that index (with one job there is nothing
+        // lower to confuse it with).
         for fail_at in 0..8usize {
             for threads in [1, 2, 8] {
                 let jobs: Vec<usize> = (0..8).collect();
                 let mut stats = RobustnessStats::default();
                 let err = Runtime::new(threads)
-                    .try_execute_isolated(
-                        jobs,
-                        RetryPolicy::default(),
-                        None,
-                        &mut stats,
-                        |ctx, x| {
-                            if ctx.index == fail_at {
-                                Err(format!("boom at {x}"))
-                            } else {
-                                Ok(*x)
-                            }
-                        },
-                    )
+                    .run(jobs, &JobPolicy::default(), &mut stats, None, |&x, _| {
+                        if x == fail_at {
+                            Err(format!("boom at {x}"))
+                        } else {
+                            Ok(x)
+                        }
+                    })
                     .unwrap_err();
                 assert_eq!(err.index, fail_at, "threads = {threads}");
                 assert_eq!(err.attempts, 1);
@@ -577,11 +574,11 @@ mod tests {
             let jobs: Vec<usize> = (0..16).collect();
             let mut stats = RobustnessStats::default();
             let err = Runtime::new(threads)
-                .try_execute_isolated(jobs, RetryPolicy::default(), None, &mut stats, |ctx, _| {
-                    if ctx.index % 5 == 3 {
-                        Err(format!("job {} failed", ctx.index))
+                .run(jobs, &JobPolicy::default(), &mut stats, None, |&x, _| {
+                    if x % 5 == 3 {
+                        Err(format!("job {x} failed"))
                     } else {
-                        Ok(ctx.index)
+                        Ok(x)
                     }
                 })
                 .unwrap_err();
@@ -596,16 +593,16 @@ mod tests {
         let jobs: Vec<usize> = (0..6).collect();
         let mut stats = RobustnessStats::default();
         let err = Runtime::new(3)
-            .try_execute_isolated(
+            .run(
                 jobs,
-                RetryPolicy::default(),
-                None,
+                &JobPolicy::default(),
                 &mut stats,
-                |ctx, _| -> Result<usize, String> {
-                    if ctx.index == 2 {
-                        panic!("organic panic in job {}", ctx.index);
+                None,
+                |&x, _| -> Result<usize, String> {
+                    if x == 2 {
+                        panic!("organic panic in job {x}");
                     }
-                    Ok(ctx.index)
+                    Ok(x)
                 },
             )
             .unwrap_err();
@@ -623,38 +620,34 @@ mod tests {
 
     #[test]
     fn retried_jobs_recover_and_match_fault_free_output_bytewise() {
-        use crate::fault::FaultPlan;
         // Jobs' first attempts are doomed two different ways — a panic
         // before the work, an error after it (whose telemetry must be
         // discarded); with three attempts allowed, the batch recovers, and
         // both results and merged telemetry render byte-identically to the
         // fault-free run.
         let plan = FaultPlan::parse("seed=7;panic@start:p=0.3;error@finish:p=0.3").unwrap();
-        let work = |_: JobContext, x: &u64, rec: &mut dyn Recorder| -> Result<u64, String> {
+        let work = |x: &u64, rec: &mut dyn Recorder| -> Result<u64, String> {
             rec.counter("jobs", 1);
             rec.value("payload", *x);
             Ok(x * 7)
         };
-        let run = |threads: usize, plan: Option<&FaultPlan>| {
+        let run = |threads: usize, fault_plan: Option<FaultPlan>| {
             let jobs: Vec<u64> = (0..24).collect();
             let mut stats = RobustnessStats::default();
             let mut recorder = TelemetryRecorder::new();
+            let policy = JobPolicy {
+                max_attempts: 3,
+                fault_plan,
+            };
             let out = Runtime::new(threads)
-                .try_execute_isolated_recorded(
-                    jobs,
-                    RetryPolicy::new(3),
-                    plan,
-                    &mut stats,
-                    &mut recorder,
-                    work,
-                )
+                .run(jobs, &policy, &mut stats, Some(&mut recorder), work)
                 .unwrap();
             (out, recorder.render_json(), stats)
         };
         let (clean_out, clean_json, clean_stats) = run(1, None);
         assert!(clean_stats.is_zero() || clean_stats.retry.attempts == 24);
         for threads in [1, 2, 8] {
-            let (out, json, stats) = run(threads, Some(&plan));
+            let (out, json, stats) = run(threads, Some(plan));
             assert_eq!(out, clean_out, "threads = {threads}");
             assert_eq!(json, clean_json, "threads = {threads}");
             // Some faults fired (p=0.3 over 24 jobs × 2 rules) and every
@@ -663,27 +656,23 @@ mod tests {
             assert_eq!(stats.retry.exhausted_jobs, 0);
             assert_eq!(stats.retry.recovered_jobs, stats.retry.retries);
             // Fault/retry profiles are themselves thread-invariant.
-            let (_, _, again) = run(1, Some(&plan));
+            let (_, _, again) = run(1, Some(plan));
             assert_eq!(stats, again, "threads = {threads}");
         }
     }
 
     #[test]
     fn exhausted_retry_budget_reports_the_job_deterministically() {
-        use crate::fault::FaultPlan;
         // n=4 doomed attempts > max_attempts=2: job can never recover.
-        let plan = FaultPlan::parse("seed=1;error@start:p=1,n=4").unwrap();
+        let policy = JobPolicy {
+            max_attempts: 2,
+            fault_plan: Some(FaultPlan::parse("seed=1;error@start:p=1,n=4").unwrap()),
+        };
         for threads in [1, 2, 8] {
             let jobs: Vec<u64> = (0..6).collect();
             let mut stats = RobustnessStats::default();
             let err = Runtime::new(threads)
-                .try_execute_isolated(
-                    jobs,
-                    RetryPolicy::new(2),
-                    Some(&plan),
-                    &mut stats,
-                    |_, x| Ok::<_, String>(*x),
-                )
+                .run(jobs, &policy, &mut stats, None, |x, _| Ok::<_, String>(*x))
                 .unwrap_err();
             assert_eq!(err.index, 0, "threads = {threads}");
             assert_eq!(err.attempts, 2);
@@ -695,18 +684,14 @@ mod tests {
 
     #[test]
     fn injected_panic_counters_are_exact() {
-        use crate::fault::FaultPlan;
-        let plan = FaultPlan::parse("seed=3;panic@finish:p=1,n=1").unwrap();
+        let policy = JobPolicy {
+            max_attempts: 2,
+            fault_plan: Some(FaultPlan::parse("seed=3;panic@finish:p=1,n=1").unwrap()),
+        };
         let jobs: Vec<u64> = (0..5).collect();
         let mut stats = RobustnessStats::default();
         let out = Runtime::serial()
-            .try_execute_isolated(
-                jobs,
-                RetryPolicy::new(2),
-                Some(&plan),
-                &mut stats,
-                |_, x| Ok::<_, String>(*x),
-            )
+            .run(jobs, &policy, &mut stats, None, |x, _| Ok::<_, String>(*x))
             .unwrap();
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
         assert_eq!(stats.fault.injected_panics, 5);
@@ -726,20 +711,26 @@ mod tests {
             let jobs: Vec<u64> = (0..24).collect();
             let mut stats = RobustnessStats::default();
             let mut recorder = TelemetryRecorder::new();
+            // Jobs whose first attempt already panicked; the retry of such
+            // a job succeeds.
+            let panicked = Mutex::new(std::collections::BTreeSet::new());
+            let policy = JobPolicy {
+                max_attempts: 2,
+                fault_plan: None,
+            };
             let out = Runtime::new(threads)
-                .try_execute_isolated_recorded(
+                .run(
                     jobs,
-                    RetryPolicy::new(2),
-                    None,
+                    &policy,
                     &mut stats,
-                    &mut recorder,
-                    |ctx, x, rec: &mut dyn Recorder| -> Result<u64, String> {
+                    Some(&mut recorder),
+                    |&x, rec| -> Result<u64, String> {
                         let mut job = wmn_obs::phase(rec, "job");
                         job.counter("jobs", 1);
                         let mut evaluate = wmn_obs::phase(&mut job, "evaluate");
                         evaluate.counter("work", x + 1);
-                        if faulty && ctx.attempt == 0 && ctx.index % 5 < 3 {
-                            panic!("mid-phase panic in job {}", ctx.index);
+                        if faulty && x % 5 < 3 && panicked.lock().unwrap().insert(x) {
+                            panic!("mid-phase panic in job {x}");
                         }
                         Ok(x * 2)
                     },

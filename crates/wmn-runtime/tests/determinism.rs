@@ -5,7 +5,7 @@
 use rand::Rng as _;
 use wmn_obs::RobustnessStats;
 use wmn_runtime::grid::{domain, Cell};
-use wmn_runtime::pool::{FailureKind, RetryPolicy, Runtime};
+use wmn_runtime::pool::{FailureKind, JobFailure, JobPolicy, Runtime};
 use wmn_runtime::sink::{drain, MemorySink};
 
 /// A miniature "experiment": walk a cell's RNG for a while and digest the
@@ -19,6 +19,21 @@ fn simulate(cell: &Cell, root: u64) -> u64 {
             .wrapping_add(rng.gen::<u64>());
     }
     digest
+}
+
+/// Runs `work` over every cell of the grid, fault-free and unrecorded.
+fn run_grid<R: Send>(
+    runtime: Runtime,
+    work: impl Fn(usize, &Cell) -> Result<R, String> + Sync,
+) -> Result<Vec<R>, JobFailure<String>> {
+    let jobs: Vec<(usize, Cell)> = grid().into_iter().enumerate().collect();
+    runtime.run(
+        jobs,
+        &JobPolicy::default(),
+        &mut RobustnessStats::default(),
+        None,
+        |(index, cell), _| work(*index, cell),
+    )
 }
 
 fn grid() -> Vec<Cell> {
@@ -38,32 +53,32 @@ fn grid() -> Vec<Cell> {
 
 #[test]
 fn any_thread_count_is_bit_identical_to_serial() {
-    let reference: Vec<u64> = Runtime::serial().execute(grid(), |_, cell| simulate(&cell, 2009));
+    let run = |runtime| run_grid(runtime, |_, cell| Ok(simulate(cell, 2009))).unwrap();
+    let reference: Vec<u64> = run(Runtime::serial());
     assert_eq!(reference.len(), 42);
     for threads in [2, 4, 8] {
-        let parallel = Runtime::new(threads).execute(grid(), |_, cell| simulate(&cell, 2009));
-        assert_eq!(parallel, reference, "threads = {threads}");
+        assert_eq!(run(Runtime::new(threads)), reference, "threads = {threads}");
     }
 }
 
 #[test]
 fn every_cell_has_a_distinct_stream() {
-    let outputs = Runtime::new(4).execute(grid(), |_, cell| simulate(&cell, 7));
+    let outputs = run_grid(Runtime::new(4), |_, cell| Ok(simulate(cell, 7))).unwrap();
     let unique: std::collections::HashSet<u64> = outputs.iter().copied().collect();
     assert_eq!(unique.len(), outputs.len());
 }
 
 #[test]
 fn sinks_observe_results_in_grid_order() {
-    let cells = grid();
-    let labels: Vec<String> = cells.iter().map(|c| c.label().to_owned()).collect();
-    let results = Runtime::new(8).execute(cells, |index, cell| {
-        vec![
+    let labels: Vec<String> = grid().iter().map(|c| c.label().to_owned()).collect();
+    let results = run_grid(Runtime::new(8), |index, cell| {
+        Ok(vec![
             cell.label().to_owned(),
-            simulate(&cell, 1).to_string(),
+            simulate(cell, 1).to_string(),
             index.to_string(),
-        ]
-    });
+        ])
+    })
+    .unwrap();
 
     let mut sink = MemorySink::new();
     let header: Vec<String> = ["cell", "digest", "index"]
@@ -81,29 +96,22 @@ fn sinks_observe_results_in_grid_order() {
 
 #[test]
 fn root_seed_selects_a_different_universe() {
-    let a = Runtime::new(4).execute(grid(), |_, cell| simulate(&cell, 1));
-    let b = Runtime::new(4).execute(grid(), |_, cell| simulate(&cell, 2));
+    let run = |root| run_grid(Runtime::new(4), |_, cell| Ok(simulate(cell, root))).unwrap();
+    let (a, b) = (run(1), run(2));
     assert_ne!(a, b);
 }
 
 #[test]
 fn errors_are_reported_deterministically() {
     for threads in [1, 2, 8] {
-        let err = Runtime::new(threads)
-            .try_execute_isolated(
-                grid(),
-                RetryPolicy::default(),
-                None,
-                &mut RobustnessStats::default(),
-                |ctx, cell| {
-                    if ctx.index >= 5 {
-                        Err(format!("cell {} failed", cell.label()))
-                    } else {
-                        Ok(ctx.index)
-                    }
-                },
-            )
-            .unwrap_err();
+        let err = run_grid(Runtime::new(threads), |index, cell| {
+            if index >= 5 {
+                Err(format!("cell {} failed", cell.label()))
+            } else {
+                Ok(index)
+            }
+        })
+        .unwrap_err();
         assert_eq!(err.index, 5, "threads = {threads}");
         assert_eq!(
             err.kind,

@@ -6,14 +6,13 @@
 //! (Algorithm 1) stops at. Cooling is geometric.
 
 use crate::movement::Movement;
+use crate::telemetry::{record_run, RunReport};
 use crate::trace::{PhaseRecord, SearchTrace};
 use rand::{Rng, RngCore};
 use wmn_graph::topology::WmnTopology;
 use wmn_metrics::evaluator::{Evaluation, Evaluator};
 use wmn_model::placement::Placement;
-use wmn_model::ModelError;
-use wmn_obs::phase as obs_phase;
-use wmn_obs::{NoopRecorder, Recorder};
+use wmn_obs::Recorder;
 
 /// Configuration for [`SimulatedAnnealing`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,6 +61,7 @@ pub struct AnnealingOutcome {
 /// ```
 /// use wmn_metrics::Evaluator;
 /// use wmn_model::prelude::*;
+/// use wmn_obs::NoopRecorder;
 /// use wmn_search::annealing::{AnnealingConfig, SimulatedAnnealing};
 /// use wmn_search::movement::RandomMovement;
 ///
@@ -74,7 +74,8 @@ pub struct AnnealingOutcome {
 /// );
 /// let mut rng = rng_from_seed(9);
 /// let initial = instance.random_placement(&mut rng);
-/// let outcome = sa.run(&initial, &mut rng)?;
+/// let mut topo = evaluator.topology(&initial)?;
+/// let outcome = sa.run(&mut topo, &mut rng, &mut NoopRecorder);
 /// assert!(outcome.best_evaluation.fitness >= outcome.initial_evaluation.fitness);
 /// # Ok::<(), wmn_model::ModelError>(())
 /// ```
@@ -112,36 +113,11 @@ impl<'e, 'i> SimulatedAnnealing<'e, 'i> {
         }
     }
 
-    /// Runs from `initial`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement validation for `initial`.
+    /// Runs over `topo`, whose current state is the initial solution, and
+    /// emits `search.sa.*` move counters plus the run's engine
+    /// work-counter delta to `recorder`; see
+    /// [`NeighborhoodSearch::run`](crate::search::NeighborhoodSearch::run).
     pub fn run(
-        &self,
-        initial: &Placement,
-        rng: &mut dyn RngCore,
-    ) -> Result<AnnealingOutcome, ModelError> {
-        let mut topo = self.evaluator.topology(initial)?;
-        Ok(self.run_with_topology(&mut topo, rng))
-    }
-
-    /// Runs over a caller-provided topology (its current state is the
-    /// initial solution), reusing the topology's scratch buffers; see
-    /// [`NeighborhoodSearch::run_with_topology`](crate::search::NeighborhoodSearch::run_with_topology).
-    pub fn run_with_topology(
-        &self,
-        topo: &mut WmnTopology,
-        rng: &mut dyn RngCore,
-    ) -> AnnealingOutcome {
-        self.run_with_topology_recorded(topo, rng, &mut NoopRecorder)
-    }
-
-    /// Like [`run_with_topology`](Self::run_with_topology), additionally
-    /// emitting run telemetry to `recorder`: `search.sa.*` move counters
-    /// plus the engine work-counter delta attributable to this run. With a
-    /// disabled recorder the extra cost is one branch per run.
-    pub fn run_with_topology_recorded(
         &self,
         topo: &mut WmnTopology,
         rng: &mut dyn RngCore,
@@ -187,25 +163,16 @@ impl<'e, 'i> SimulatedAnnealing<'e, 'i> {
         }
 
         if let Some(before) = engine_before {
-            let delta = topo.engine_stats().delta_since(&before);
-            let mut scope = obs_phase(recorder, "search");
-            let mut driver = obs_phase(&mut scope, "sa");
-            driver.counter("search.sa.phases", trace.len() as u64);
-            {
-                let mut propose = obs_phase(&mut driver, "propose");
-                propose.counter(
+            let report = RunReport {
+                driver: "sa",
+                phases: ("search.sa.phases", trace.len()),
+                proposed: (
                     "search.sa.moves_proposed",
-                    (self.config.phases * self.config.moves_per_phase) as u64,
-                );
-            }
-            {
-                let mut apply = obs_phase(&mut driver, "apply");
-                delta.record_counters_staged(&mut apply);
-            }
-            {
-                let mut evaluate = obs_phase(&mut driver, "evaluate");
-                evaluate.counter("search.sa.moves_accepted", accepted_moves as u64);
-            }
+                    self.config.phases * self.config.moves_per_phase,
+                ),
+                evaluate: &[("search.sa.moves_accepted", accepted_moves)],
+            };
+            record_run(recorder, &topo.engine_stats().delta_since(&before), report);
         }
 
         AnnealingOutcome {
@@ -223,7 +190,18 @@ mod tests {
     use super::*;
     use crate::movement::{RandomMovement, SwapConfig, SwapMovement};
     use wmn_model::instance::InstanceSpec;
+    use wmn_model::placement::Placement;
     use wmn_model::rng::rng_from_seed;
+
+    /// Runs `sa` from `initial` over a fresh topology, unrecorded.
+    fn run_from(
+        sa: &SimulatedAnnealing<'_, '_>,
+        initial: &Placement,
+        rng: &mut dyn RngCore,
+    ) -> AnnealingOutcome {
+        let mut topo = sa.evaluator.topology(initial).unwrap();
+        sa.run(&mut topo, rng, &mut wmn_obs::NoopRecorder)
+    }
 
     fn quick() -> AnnealingConfig {
         AnnealingConfig {
@@ -244,7 +222,7 @@ mod tests {
         );
         let mut rng = rng_from_seed(2);
         let initial = instance.random_placement(&mut rng);
-        let outcome = sa.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&sa, &initial, &mut rng);
         assert!(outcome.best_evaluation.fitness >= outcome.initial_evaluation.fitness);
         assert!(instance.validate_placement(&outcome.best_placement).is_ok());
         assert_eq!(outcome.trace.len(), 12);
@@ -273,7 +251,7 @@ mod tests {
         );
         let mut rng = rng_from_seed(4);
         let initial = instance.random_placement(&mut rng);
-        let outcome = sa.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&sa, &initial, &mut rng);
         // At T=10 with fitness deltas << 1, acceptance ratio approaches 1.
         assert!(
             outcome.accepted_moves as f64 >= 0.9 * (4.0 * 32.0),
@@ -297,7 +275,7 @@ mod tests {
         );
         let mut rng = rng_from_seed(6);
         let initial = instance.random_placement(&mut rng);
-        let outcome = sa.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&sa, &initial, &mut rng);
         assert!(
             outcome.best_evaluation.giant_size() >= outcome.initial_evaluation.giant_size() + 8,
             "annealed swap should grow the giant component: {} -> {}",

@@ -7,14 +7,13 @@
 //! future work.
 
 use crate::movement::Movement;
+use crate::search::SearchOutcome;
+use crate::telemetry::{record_run, RunReport};
 use crate::trace::{PhaseRecord, SearchTrace};
 use rand::RngCore;
 use wmn_graph::topology::WmnTopology;
-use wmn_metrics::evaluator::{Evaluation, Evaluator};
-use wmn_model::placement::Placement;
-use wmn_model::ModelError;
-use wmn_obs::phase as obs_phase;
-use wmn_obs::{NoopRecorder, Recorder};
+use wmn_metrics::evaluator::Evaluator;
+use wmn_obs::Recorder;
 
 /// Configuration for [`HillClimb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +43,7 @@ impl Default for HillClimbConfig {
 /// ```
 /// use wmn_metrics::Evaluator;
 /// use wmn_model::prelude::*;
+/// use wmn_obs::NoopRecorder;
 /// use wmn_search::hill_climb::{HillClimb, HillClimbConfig};
 /// use wmn_search::movement::{SwapConfig, SwapMovement};
 ///
@@ -56,7 +56,8 @@ impl Default for HillClimbConfig {
 /// });
 /// let mut rng = rng_from_seed(1);
 /// let initial = instance.random_placement(&mut rng);
-/// let outcome = climber.run(&initial, &mut rng)?;
+/// let mut topo = evaluator.topology(&initial)?;
+/// let outcome = climber.run(&mut topo, &mut rng, &mut NoopRecorder);
 /// assert!(outcome.best_evaluation.fitness >= outcome.initial_evaluation.fitness);
 /// # Ok::<(), wmn_model::ModelError>(())
 /// ```
@@ -65,19 +66,6 @@ pub struct HillClimb<'e, 'i> {
     evaluator: &'e Evaluator<'i>,
     movement: Box<dyn Movement>,
     config: HillClimbConfig,
-}
-
-/// Result of a hill-climb run (same shape as neighborhood search).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HillClimbOutcome {
-    /// Best placement found.
-    pub best_placement: Placement,
-    /// Evaluation of the best placement.
-    pub best_evaluation: Evaluation,
-    /// Evaluation of the initial placement.
-    pub initial_evaluation: Evaluation,
-    /// Per-phase history.
-    pub trace: SearchTrace,
 }
 
 impl<'e, 'i> HillClimb<'e, 'i> {
@@ -94,47 +82,22 @@ impl<'e, 'i> HillClimb<'e, 'i> {
         }
     }
 
-    /// Runs from `initial`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement validation for `initial`.
+    /// Runs over `topo`, whose current state is the initial solution, and
+    /// emits `search.hc.*` move counters plus the run's engine
+    /// work-counter delta to `recorder`; see
+    /// [`NeighborhoodSearch::run`](crate::search::NeighborhoodSearch::run).
     pub fn run(
-        &self,
-        initial: &Placement,
-        rng: &mut dyn RngCore,
-    ) -> Result<HillClimbOutcome, ModelError> {
-        let mut topo = self.evaluator.topology(initial)?;
-        Ok(self.run_with_topology(&mut topo, rng))
-    }
-
-    /// Runs over a caller-provided topology (its current state is the
-    /// initial solution), reusing the topology's scratch buffers; see
-    /// [`NeighborhoodSearch::run_with_topology`](crate::search::NeighborhoodSearch::run_with_topology).
-    pub fn run_with_topology(
-        &self,
-        topo: &mut WmnTopology,
-        rng: &mut dyn RngCore,
-    ) -> HillClimbOutcome {
-        self.run_with_topology_recorded(topo, rng, &mut NoopRecorder)
-    }
-
-    /// Like [`run_with_topology`](Self::run_with_topology), additionally
-    /// emitting run telemetry to `recorder`: `search.hc.*` move counters
-    /// plus the engine work-counter delta attributable to this run. With a
-    /// disabled recorder the extra cost is one branch per run.
-    pub fn run_with_topology_recorded(
         &self,
         topo: &mut WmnTopology,
         rng: &mut dyn RngCore,
         recorder: &mut dyn Recorder,
-    ) -> HillClimbOutcome {
+    ) -> SearchOutcome {
         let engine_before = recorder.enabled().then(|| topo.engine_stats());
         let initial_evaluation = self.evaluator.evaluate_topology(topo);
         let mut current = initial_evaluation;
         let mut trace = SearchTrace::new();
         let mut stale_phases = 0usize;
-        let mut proposed = 0u64;
+        let mut proposed = 0;
 
         for phase in 1..=self.config.max_phases {
             let mut accepted = false;
@@ -164,25 +127,16 @@ impl<'e, 'i> HillClimb<'e, 'i> {
         }
 
         if let Some(before) = engine_before {
-            let delta = topo.engine_stats().delta_since(&before);
-            let mut scope = obs_phase(recorder, "search");
-            let mut driver = obs_phase(&mut scope, "hc");
-            driver.counter("search.hc.phases", trace.len() as u64);
-            {
-                let mut propose = obs_phase(&mut driver, "propose");
-                propose.counter("search.hc.moves_proposed", proposed);
-            }
-            {
-                let mut apply = obs_phase(&mut driver, "apply");
-                delta.record_counters_staged(&mut apply);
-            }
-            {
-                let mut evaluate = obs_phase(&mut driver, "evaluate");
-                evaluate.counter("search.hc.moves_accepted", trace.accepted_count() as u64);
-            }
+            let report = RunReport {
+                driver: "hc",
+                phases: ("search.hc.phases", trace.len()),
+                proposed: ("search.hc.moves_proposed", proposed),
+                evaluate: &[("search.hc.moves_accepted", trace.accepted_count())],
+            };
+            record_run(recorder, &topo.engine_stats().delta_since(&before), report);
         }
 
-        HillClimbOutcome {
+        SearchOutcome {
             best_placement: topo.placement(),
             best_evaluation: current,
             initial_evaluation,
@@ -196,7 +150,18 @@ mod tests {
     use super::*;
     use crate::movement::{RandomMovement, SwapConfig, SwapMovement};
     use wmn_model::instance::InstanceSpec;
+    use wmn_model::placement::Placement;
     use wmn_model::rng::rng_from_seed;
+
+    /// Runs `climber` from `initial` over a fresh topology, unrecorded.
+    fn run_from(
+        climber: &HillClimb<'_, '_>,
+        initial: &Placement,
+        rng: &mut dyn RngCore,
+    ) -> SearchOutcome {
+        let mut topo = climber.evaluator.topology(initial).unwrap();
+        climber.run(&mut topo, rng, &mut wmn_obs::NoopRecorder)
+    }
 
     #[test]
     fn never_degrades_and_validates() {
@@ -213,7 +178,7 @@ mod tests {
         );
         let mut rng = rng_from_seed(2);
         let initial = instance.random_placement(&mut rng);
-        let outcome = climber.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&climber, &initial, &mut rng);
         assert!(outcome.best_evaluation.fitness >= outcome.initial_evaluation.fitness);
         assert!(instance.validate_placement(&outcome.best_placement).is_ok());
     }
@@ -252,7 +217,7 @@ mod tests {
         );
         let mut rng = rng_from_seed(4);
         let initial = instance.random_placement(&mut rng);
-        let outcome = climber.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&climber, &initial, &mut rng);
         assert_eq!(
             outcome.trace.len(),
             3,
@@ -276,7 +241,7 @@ mod tests {
         );
         let mut rng = rng_from_seed(6);
         let initial = instance.random_placement(&mut rng);
-        let outcome = climber.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&climber, &initial, &mut rng);
         assert!(outcome.best_evaluation.fitness > outcome.initial_evaluation.fitness);
     }
 }

@@ -30,7 +30,8 @@
 //!
 //! let mut rng = rng_from_seed(7);
 //! let initial = instance.random_placement(&mut rng);
-//! let outcome = search.run(&initial, &mut rng)?;
+//! let mut topo = evaluator.topology(&initial)?;
+//! let outcome = search.run(&mut topo, &mut rng, &mut NoopRecorder);
 //! println!(
 //!     "giant component: {} -> {}",
 //!     outcome.initial_evaluation.giant_size(),
@@ -49,6 +50,7 @@ pub mod movement;
 pub mod neighborhood;
 pub mod search;
 pub mod tabu;
+mod telemetry;
 pub mod trace;
 
 pub use movement::{MoveAction, Movement, RandomMovement, SwapConfig, SwapMovement, UndoAction};
@@ -69,4 +71,5 @@ pub mod prelude {
     pub use crate::tabu::{TabuConfig, TabuSearch};
     pub use crate::trace::{PhaseRecord, SearchTrace};
     pub use wmn_metrics::stats::ProgressPoint;
+    pub use wmn_obs::NoopRecorder;
 }

@@ -9,14 +9,13 @@
 
 use crate::movement::Movement;
 use crate::neighborhood::{best_neighbor, ExplorationBudget};
+use crate::telemetry::{record_run, RunReport};
 use crate::trace::{PhaseRecord, SearchTrace};
 use rand::RngCore;
 use wmn_graph::topology::WmnTopology;
 use wmn_metrics::evaluator::{Evaluation, Evaluator};
 use wmn_model::placement::Placement;
-use wmn_model::ModelError;
-use wmn_obs::phase as obs_phase;
-use wmn_obs::{NoopRecorder, Recorder};
+use wmn_obs::Recorder;
 
 /// Stopping behaviour of the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +64,7 @@ pub struct SearchConfig {
     pub stopping: StoppingCondition,
 }
 
-/// Result of a search run.
+/// Result of a neighborhood search or hill-climb run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// Best placement found.
@@ -92,6 +91,7 @@ impl SearchOutcome {
 /// ```
 /// use wmn_metrics::Evaluator;
 /// use wmn_model::prelude::*;
+/// use wmn_obs::NoopRecorder;
 /// use wmn_search::movement::{SwapConfig, SwapMovement};
 /// use wmn_search::neighborhood::ExplorationBudget;
 /// use wmn_search::search::{NeighborhoodSearch, SearchConfig, StoppingCondition};
@@ -107,7 +107,8 @@ impl SearchOutcome {
 ///
 /// let mut rng = rng_from_seed(3);
 /// let initial = instance.random_placement(&mut rng);
-/// let outcome = search.run(&initial, &mut rng)?;
+/// let mut topo = evaluator.topology(&initial)?;
+/// let outcome = search.run(&mut topo, &mut rng, &mut NoopRecorder);
 /// assert!(outcome.best_evaluation.fitness >= outcome.initial_evaluation.fitness);
 /// # Ok::<(), wmn_model::ModelError>(())
 /// ```
@@ -142,43 +143,20 @@ impl<'e, 'i> NeighborhoodSearch<'e, 'i> {
         self.config
     }
 
-    /// Runs the search from `initial`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement validation for `initial`.
-    pub fn run(
-        &self,
-        initial: &Placement,
-        rng: &mut dyn RngCore,
-    ) -> Result<SearchOutcome, ModelError> {
-        let mut topo = self.evaluator.topology(initial)?;
-        Ok(self.run_with_topology(&mut topo, rng))
-    }
-
-    /// Runs the search over a caller-provided topology (its current state
-    /// is the initial solution). Lets callers reuse one topology — and its
-    /// internal scratch buffers — across many runs, or pin the search to
-    /// the full-rebuild reference engine via
-    /// [`WmnTopology::set_connectivity_mode`]; results are identical to
-    /// [`NeighborhoodSearch::run`] either way. The topology is left at the
+    /// Runs the search over `topo`, whose current state is the initial
+    /// solution; build it with [`Evaluator::topology`], or reuse one (and
+    /// its scratch buffers) across runs. Pin it to the full-rebuild
+    /// reference engine with [`WmnTopology::set_connectivity_mode`] —
+    /// results are identical either way. The topology is left at the
     /// search's final *current* state.
-    pub fn run_with_topology(
-        &self,
-        topo: &mut WmnTopology,
-        rng: &mut dyn RngCore,
-    ) -> SearchOutcome {
-        self.run_with_topology_recorded(topo, rng, &mut NoopRecorder)
-    }
-
-    /// Like [`run_with_topology`](Self::run_with_topology), additionally
-    /// emitting run telemetry to `recorder`: `search.ns.*` move counters
+    ///
+    /// The run emits telemetry to `recorder`: `search.ns.*` move counters
     /// plus the engine work-counter delta (`topology.*` / `connectivity.*`)
-    /// attributable to this run, all attributed under a nested
-    /// `search` → `ns` → propose/apply/evaluate phase scope (flat totals
-    /// unchanged). With a disabled recorder the extra cost is
-    /// one branch per run — results are bit-identical either way.
-    pub fn run_with_topology_recorded(
+    /// of this run, attributed under a nested `search` → `ns` →
+    /// propose/apply/evaluate phase scope (flat totals unchanged). With a
+    /// disabled recorder the extra cost is one branch per run — results
+    /// are bit-identical either way.
+    pub fn run(
         &self,
         topo: &mut WmnTopology,
         rng: &mut dyn RngCore,
@@ -190,7 +168,7 @@ impl<'e, 'i> NeighborhoodSearch<'e, 'i> {
         let mut best_placement = topo.placement();
         let mut best_evaluation = initial_evaluation;
         let mut trace = SearchTrace::new();
-        let mut proposed = 0u64;
+        let mut proposed = 0;
 
         for phase in 1..=self.config.stopping.max_phases {
             let neighbor = best_neighbor(
@@ -200,7 +178,7 @@ impl<'e, 'i> NeighborhoodSearch<'e, 'i> {
                 self.config.budget,
                 rng,
             );
-            proposed += self.config.budget.count() as u64;
+            proposed += self.config.budget.count();
             let accepted = match neighbor {
                 Some(n) if n.evaluation.fitness > current.fitness => {
                     let _ = n.action.apply(topo);
@@ -226,26 +204,13 @@ impl<'e, 'i> NeighborhoodSearch<'e, 'i> {
         }
 
         if let Some(before) = engine_before {
-            // Nested phase attribution (flat totals unchanged): the run's
-            // counters land under `search.ns` with the propose/apply/
-            // evaluate split of the phase loop; the engine-work delta is
-            // the apply stage's, with connectivity staged insert/delete.
-            let delta = topo.engine_stats().delta_since(&before);
-            let mut scope = obs_phase(recorder, "search");
-            let mut driver = obs_phase(&mut scope, "ns");
-            driver.counter("search.ns.phases", trace.len() as u64);
-            {
-                let mut propose = obs_phase(&mut driver, "propose");
-                propose.counter("search.ns.moves_proposed", proposed);
-            }
-            {
-                let mut apply = obs_phase(&mut driver, "apply");
-                delta.record_counters_staged(&mut apply);
-            }
-            {
-                let mut evaluate = obs_phase(&mut driver, "evaluate");
-                evaluate.counter("search.ns.moves_accepted", trace.accepted_count() as u64);
-            }
+            let report = RunReport {
+                driver: "ns",
+                phases: ("search.ns.phases", trace.len()),
+                proposed: ("search.ns.moves_proposed", proposed),
+                evaluate: &[("search.ns.moves_accepted", trace.accepted_count())],
+            };
+            record_run(recorder, &topo.engine_stats().delta_since(&before), report);
         }
 
         SearchOutcome {
@@ -271,6 +236,16 @@ mod tests {
             .unwrap()
     }
 
+    /// Runs `search` from `initial` over a fresh topology, unrecorded.
+    fn run_from(
+        search: &NeighborhoodSearch<'_, '_>,
+        initial: &Placement,
+        rng: &mut dyn RngCore,
+    ) -> SearchOutcome {
+        let mut topo = search.evaluator.topology(initial).unwrap();
+        search.run(&mut topo, rng, &mut wmn_obs::NoopRecorder)
+    }
+
     fn quick_config(phases: usize) -> SearchConfig {
         SearchConfig {
             budget: ExplorationBudget::sampled(8),
@@ -286,7 +261,7 @@ mod tests {
         let search = NeighborhoodSearch::new(&evaluator, Box::new(movement), quick_config(10));
         let mut rng = rng_from_seed(2);
         let initial = instance.random_placement(&mut rng);
-        let outcome = search.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&search, &initial, &mut rng);
         assert!(outcome.improvement() >= 0.0);
         assert!(instance.validate_placement(&outcome.best_placement).is_ok());
     }
@@ -299,7 +274,7 @@ mod tests {
         let search = NeighborhoodSearch::new(&evaluator, Box::new(movement), quick_config(15));
         let mut rng = rng_from_seed(4);
         let initial = instance.random_placement(&mut rng);
-        let outcome = search.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&search, &initial, &mut rng);
         assert_eq!(outcome.trace.len(), 15);
     }
 
@@ -315,7 +290,7 @@ mod tests {
         let search = NeighborhoodSearch::new(&evaluator, Box::new(movement), config);
         let mut rng = rng_from_seed(6);
         let initial = instance.random_placement(&mut rng);
-        let outcome = search.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&search, &initial, &mut rng);
         // Stopped before the cap, and the last phase is the non-improving one.
         assert!(outcome.trace.len() < 200);
         let last = outcome.trace.phases().last().unwrap();
@@ -334,7 +309,7 @@ mod tests {
         let search = NeighborhoodSearch::new(&evaluator, Box::new(movement), quick_config(20));
         let mut rng = rng_from_seed(8);
         let initial = instance.random_placement(&mut rng);
-        let outcome = search.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&search, &initial, &mut rng);
         let mut prev = 0.0f64;
         for p in outcome.trace.phases() {
             assert!(
@@ -361,7 +336,7 @@ mod tests {
         let search = NeighborhoodSearch::new(&evaluator, Box::new(movement), config);
         let mut rng = rng_from_seed(12);
         let initial = instance.random_placement(&mut rng);
-        let outcome = search.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&search, &initial, &mut rng);
         let start = outcome.initial_evaluation.giant_size();
         let end = outcome.best_evaluation.giant_size();
         assert!(
@@ -378,7 +353,7 @@ mod tests {
         let run = |seed: u64| {
             let movement = SwapMovement::new(&instance, SwapConfig::default());
             let search = NeighborhoodSearch::new(&evaluator, Box::new(movement), quick_config(8));
-            search.run(&initial, &mut rng_from_seed(seed)).unwrap()
+            run_from(&search, &initial, &mut rng_from_seed(seed))
         };
         let a = run(5);
         let b = run(5);

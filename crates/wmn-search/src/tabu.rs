@@ -7,15 +7,14 @@
 //! move would beat the best solution ever seen.
 
 use crate::movement::{MoveAction, Movement};
+use crate::telemetry::{record_run, RunReport};
 use crate::trace::{PhaseRecord, SearchTrace};
 use rand::RngCore;
 use wmn_graph::topology::WmnTopology;
 use wmn_metrics::evaluator::{Evaluation, Evaluator};
 use wmn_model::node::RouterId;
 use wmn_model::placement::Placement;
-use wmn_model::ModelError;
-use wmn_obs::phase as obs_phase;
-use wmn_obs::{NoopRecorder, Recorder};
+use wmn_obs::Recorder;
 
 /// Configuration for [`TabuSearch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +59,7 @@ pub struct TabuOutcome {
 /// ```
 /// use wmn_metrics::Evaluator;
 /// use wmn_model::prelude::*;
+/// use wmn_obs::NoopRecorder;
 /// use wmn_search::movement::{SwapConfig, SwapMovement};
 /// use wmn_search::tabu::{TabuConfig, TabuSearch};
 ///
@@ -72,7 +72,8 @@ pub struct TabuOutcome {
 /// );
 /// let mut rng = rng_from_seed(3);
 /// let initial = instance.random_placement(&mut rng);
-/// let outcome = tabu.run(&initial, &mut rng)?;
+/// let mut topo = evaluator.topology(&initial)?;
+/// let outcome = tabu.run(&mut topo, &mut rng, &mut NoopRecorder);
 /// assert!(outcome.best_evaluation.fitness >= outcome.initial_evaluation.fitness);
 /// # Ok::<(), wmn_model::ModelError>(())
 /// ```
@@ -104,32 +105,11 @@ impl<'e, 'i> TabuSearch<'e, 'i> {
         }
     }
 
-    /// Runs from `initial`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement validation for `initial`.
+    /// Runs over `topo`, whose current state is the initial solution, and
+    /// emits `search.tabu.*` move counters plus the run's engine
+    /// work-counter delta to `recorder`; see
+    /// [`NeighborhoodSearch::run`](crate::search::NeighborhoodSearch::run).
     pub fn run(
-        &self,
-        initial: &Placement,
-        rng: &mut dyn RngCore,
-    ) -> Result<TabuOutcome, ModelError> {
-        let mut topo = self.evaluator.topology(initial)?;
-        Ok(self.run_with_topology(&mut topo, rng))
-    }
-
-    /// Runs over a caller-provided topology (its current state is the
-    /// initial solution), reusing the topology's scratch buffers; see
-    /// [`NeighborhoodSearch::run_with_topology`](crate::search::NeighborhoodSearch::run_with_topology).
-    pub fn run_with_topology(&self, topo: &mut WmnTopology, rng: &mut dyn RngCore) -> TabuOutcome {
-        self.run_with_topology_recorded(topo, rng, &mut NoopRecorder)
-    }
-
-    /// Like [`run_with_topology`](Self::run_with_topology), additionally
-    /// emitting run telemetry to `recorder`: `search.tabu.*` move counters
-    /// plus the engine work-counter delta attributable to this run. With a
-    /// disabled recorder the extra cost is one branch per run.
-    pub fn run_with_topology_recorded(
         &self,
         topo: &mut WmnTopology,
         rng: &mut dyn RngCore,
@@ -200,26 +180,19 @@ impl<'e, 'i> TabuSearch<'e, 'i> {
         }
 
         if let Some(before) = engine_before {
-            let delta = topo.engine_stats().delta_since(&before);
-            let mut scope = obs_phase(recorder, "search");
-            let mut driver = obs_phase(&mut scope, "tabu");
-            driver.counter("search.tabu.phases", trace.len() as u64);
-            {
-                let mut propose = obs_phase(&mut driver, "propose");
-                propose.counter(
+            let report = RunReport {
+                driver: "tabu",
+                phases: ("search.tabu.phases", trace.len()),
+                proposed: (
                     "search.tabu.moves_proposed",
-                    (self.config.phases * self.config.candidates_per_phase) as u64,
-                );
-            }
-            {
-                let mut apply = obs_phase(&mut driver, "apply");
-                delta.record_counters_staged(&mut apply);
-            }
-            {
-                let mut evaluate = obs_phase(&mut driver, "evaluate");
-                evaluate.counter("search.tabu.moves_accepted", trace.accepted_count() as u64);
-                evaluate.counter("search.tabu.aspirations", aspirations as u64);
-            }
+                    self.config.phases * self.config.candidates_per_phase,
+                ),
+                evaluate: &[
+                    ("search.tabu.moves_accepted", trace.accepted_count()),
+                    ("search.tabu.aspirations", aspirations),
+                ],
+            };
+            record_run(recorder, &topo.engine_stats().delta_since(&before), report);
         }
 
         TabuOutcome {
@@ -237,7 +210,18 @@ mod tests {
     use super::*;
     use crate::movement::{RandomMovement, SwapConfig, SwapMovement};
     use wmn_model::instance::InstanceSpec;
+    use wmn_model::placement::Placement;
     use wmn_model::rng::rng_from_seed;
+
+    /// Runs `tabu` from `initial` over a fresh topology, unrecorded.
+    fn run_from(
+        tabu: &TabuSearch<'_, '_>,
+        initial: &Placement,
+        rng: &mut dyn RngCore,
+    ) -> TabuOutcome {
+        let mut topo = tabu.evaluator.topology(initial).unwrap();
+        tabu.run(&mut topo, rng, &mut wmn_obs::NoopRecorder)
+    }
 
     #[test]
     fn best_never_below_initial() {
@@ -253,7 +237,7 @@ mod tests {
         );
         let mut rng = rng_from_seed(2);
         let initial = instance.random_placement(&mut rng);
-        let outcome = tabu.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&tabu, &initial, &mut rng);
         assert!(outcome.best_evaluation.fitness >= outcome.initial_evaluation.fitness);
         assert!(instance.validate_placement(&outcome.best_placement).is_ok());
         assert_eq!(outcome.trace.len(), 15);
@@ -274,7 +258,7 @@ mod tests {
         );
         let mut rng = rng_from_seed(4);
         let initial = instance.random_placement(&mut rng);
-        let outcome = tabu.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&tabu, &initial, &mut rng);
         assert!(
             outcome.best_evaluation.giant_size() >= outcome.initial_evaluation.giant_size() + 8
         );
@@ -298,7 +282,7 @@ mod tests {
         );
         let mut rng = rng_from_seed(6);
         let initial = instance.random_placement(&mut rng);
-        let outcome = tabu.run(&initial, &mut rng).unwrap();
+        let outcome = run_from(&tabu, &initial, &mut rng);
         assert_eq!(outcome.trace.accepted_count(), 10);
     }
 
@@ -316,7 +300,7 @@ mod tests {
                     ..TabuConfig::default()
                 },
             );
-            tabu.run(&initial, &mut rng_from_seed(seed)).unwrap()
+            run_from(&tabu, &initial, &mut rng_from_seed(seed))
         };
         assert_eq!(run(9).trace, run(9).trace);
     }

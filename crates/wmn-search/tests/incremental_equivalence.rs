@@ -11,6 +11,7 @@ use wmn_metrics::evaluator::Evaluator;
 use wmn_model::instance::{InstanceSpec, ProblemInstance};
 use wmn_model::placement::Placement;
 use wmn_model::rng::rng_from_seed;
+use wmn_obs::NoopRecorder;
 use wmn_search::annealing::{AnnealingConfig, SimulatedAnnealing};
 use wmn_search::hill_climb::{HillClimb, HillClimbConfig};
 use wmn_search::movement::{Movement, RandomMovement, SwapConfig, SwapMovement};
@@ -85,7 +86,7 @@ fn neighborhood_search_is_bit_identical_to_rebuild_only() {
                 },
             );
             assert_driver_equivalence(&evaluator, &initial, 42 + k as u64, |topo, rng| {
-                search.run_with_topology(topo, rng)
+                search.run(topo, rng, &mut NoopRecorder)
             });
         }
     }
@@ -112,7 +113,7 @@ fn hill_climb_is_bit_identical_to_rebuild_only() {
                 },
             );
             assert_driver_equivalence(&evaluator, &initial, 7 + k as u64, |topo, rng| {
-                climber.run_with_topology(topo, rng)
+                climber.run(topo, rng, &mut NoopRecorder)
             });
         }
     }
@@ -139,7 +140,7 @@ fn annealing_is_bit_identical_to_rebuild_only() {
                 },
             );
             assert_driver_equivalence(&evaluator, &initial, 23 + k as u64, |topo, rng| {
-                sa.run_with_topology(topo, rng)
+                sa.run(topo, rng, &mut NoopRecorder)
             });
         }
     }
@@ -166,29 +167,8 @@ fn tabu_is_bit_identical_to_rebuild_only() {
                 },
             );
             assert_driver_equivalence(&evaluator, &initial, 31 + k as u64, |topo, rng| {
-                tabu.run_with_topology(topo, rng)
+                tabu.run(topo, rng, &mut NoopRecorder)
             });
         }
     }
-}
-
-#[test]
-fn run_and_run_with_topology_agree() {
-    // The convenience `run` entry point must equal an explicit topology.
-    let instance = paper_instance(29);
-    let evaluator = Evaluator::paper_default(&instance);
-    let initial = instance.random_placement(&mut rng_from_seed(5));
-    let movement = SwapMovement::new(&instance, SwapConfig::default());
-    let search = NeighborhoodSearch::new(
-        &evaluator,
-        Box::new(movement),
-        SearchConfig {
-            budget: ExplorationBudget::sampled(8),
-            stopping: StoppingCondition::fixed_phases(8),
-        },
-    );
-    let via_run = search.run(&initial, &mut rng_from_seed(6)).unwrap();
-    let mut topo = evaluator.topology(&initial).unwrap();
-    let via_topo = search.run_with_topology(&mut topo, &mut rng_from_seed(6));
-    assert_eq!(via_run, via_topo);
 }

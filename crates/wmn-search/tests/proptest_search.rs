@@ -95,7 +95,8 @@ proptest! {
                 stopping: StoppingCondition::fixed_phases(5),
             },
         );
-        let outcome = search.run(&initial, &mut rng).unwrap();
+        let mut topo = evaluator.topology(&initial).unwrap();
+        let outcome = search.run(&mut topo, &mut rng, &mut wmn_obs::NoopRecorder);
         // Best never below initial; best placement validates; trace fitness
         // is monotone under strict-improvement acceptance.
         prop_assert!(outcome.best_evaluation.fitness >= outcome.initial_evaluation.fitness);

@@ -79,7 +79,8 @@ fn main() -> Result<(), ModelError> {
             stopping: StoppingCondition::fixed_phases(40),
         },
     );
-    let outcome = search.run(&initial, &mut rng)?;
+    let mut topo = evaluator.topology(&initial)?;
+    let outcome = search.run(&mut topo, &mut rng, &mut NoopRecorder);
     let after = outcome.best_evaluation;
 
     println!("campus: {instance}");

@@ -49,7 +49,7 @@ fn main() -> Result<(), ModelError> {
     for init in inits {
         let mut rng = rng_from_seed(11);
         let engine = GaEngine::new(&evaluator, config.clone());
-        let outcome = engine.run(&init, &mut rng)?;
+        let outcome = engine.run(&init, &mut rng, &mut NoopRecorder)?;
         let first = outcome.trace.records()[0];
         let e = outcome.best_evaluation;
         println!(

@@ -28,7 +28,8 @@ fn main() -> Result<(), ModelError> {
             stopping: StoppingCondition::fixed_phases(61),
         },
     );
-    let outcome = search.run(&initial, &mut rng)?;
+    let mut topo = evaluator.topology(&initial)?;
+    let outcome = search.run(&mut topo, &mut rng, &mut NoopRecorder);
     let nominal = outcome.best_evaluation;
     println!("optimized under the generation-time radii:");
     println!(

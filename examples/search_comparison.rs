@@ -12,6 +12,7 @@ fn main() -> Result<(), ModelError> {
     let instance = InstanceSpec::paper_normal()?.generate(2009)?;
     let evaluator = Evaluator::paper_default(&instance);
     let initial = instance.random_placement(&mut rng_from_seed(1));
+    let topology = || evaluator.topology(&initial);
     let start = evaluator.evaluate(&initial)?;
     println!("instance: {instance}");
     println!(
@@ -39,7 +40,7 @@ fn main() -> Result<(), ModelError> {
                 stopping: StoppingCondition::fixed_phases(phases),
             },
         );
-        let o = search.run(&initial, &mut rng_from_seed(2))?;
+        let o = search.run(&mut topology()?, &mut rng_from_seed(2), &mut NoopRecorder);
         print_row(
             "neighborhood search (swap)",
             &o.best_evaluation,
@@ -57,7 +58,7 @@ fn main() -> Result<(), ModelError> {
                 stopping: StoppingCondition::fixed_phases(phases),
             },
         );
-        let o = search.run(&initial, &mut rng_from_seed(2))?;
+        let o = search.run(&mut topology()?, &mut rng_from_seed(2), &mut NoopRecorder);
         print_row(
             "neighborhood search (random)",
             &o.best_evaluation,
@@ -76,7 +77,7 @@ fn main() -> Result<(), ModelError> {
                 patience: 10,
             },
         );
-        let o = climber.run(&initial, &mut rng_from_seed(2))?;
+        let o = climber.run(&mut topology()?, &mut rng_from_seed(2), &mut NoopRecorder);
         print_row(
             "hill climb (swap, first-improve)",
             &o.best_evaluation,
@@ -94,7 +95,7 @@ fn main() -> Result<(), ModelError> {
                 phases,
             },
         );
-        let o = sa.run(&initial, &mut rng_from_seed(2))?;
+        let o = sa.run(&mut topology()?, &mut rng_from_seed(2), &mut NoopRecorder);
         print_row(
             "simulated annealing (swap)",
             &o.best_evaluation,
@@ -111,7 +112,7 @@ fn main() -> Result<(), ModelError> {
                 phases,
             },
         );
-        let o = tabu.run(&initial, &mut rng_from_seed(2))?;
+        let o = tabu.run(&mut topology()?, &mut rng_from_seed(2), &mut NoopRecorder);
         print_row("tabu search (swap)", &o.best_evaluation, o.trace.len());
     }
 

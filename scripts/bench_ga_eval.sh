@@ -8,7 +8,7 @@
 # crates/bench/benches/ablations.rs:
 #   incremental  parent-topology state copy + batch diff repair (default:
 #                dynamic connectivity + donor-grafted disk caches)
-#   rebuild      per-child in-place full rebuild (GaEvalMode::Rebuild)
+#   rebuild      per-child in-place full rebuild
 #   scratch      per-child fresh topology build (the pre-workspace pipeline)
 # and two child mixes: `generation` (paper operator mix, crossover 0.8) and
 # `mutation` (mutation-only children — the steady-state regime where every
@@ -40,7 +40,7 @@ write_artifact "$out" '
   };
   {
     schema: "wmn-bench-ga-eval/v1",
-    description: "One GA generation of child evaluation (64 children, 40-generation-evolved HotSpot population): topology-backed incremental delta path (dynamic connectivity + donor disk caches) vs per-child in-place full rebuild (GaEvalMode::Rebuild) vs per-child fresh-topology scratch build, for the paper operator mix (generation) and a mutation-only mix (mutation), per scale",
+    description: "One GA generation of child evaluation (64 children, 40-generation-evolved HotSpot population): topology-backed incremental delta path (dynamic connectivity + donor disk caches) vs per-child in-place full rebuild vs per-child fresh-topology scratch build, for the paper operator mix (generation) and a mutation-only mix (mutation), per scale",
     bench: "cargo bench --bench ablations -- ga_eval",
     benches: .,
     speedup_median: { paper: cell("paper"), scale4: cell("scale4") }

@@ -48,7 +48,8 @@
 //!         stopping: StoppingCondition::fixed_phases(10),
 //!     },
 //! );
-//! let improved = search.run(&placement, &mut rng)?;
+//! let mut topo = evaluator.topology(&placement)?;
+//! let improved = search.run(&mut topo, &mut rng, &mut NoopRecorder);
 //! assert!(improved.best_evaluation.fitness >= standalone.fitness);
 //! # Ok::<(), wmn::model::ModelError>(())
 //! ```

@@ -36,7 +36,8 @@ fn full_pipeline_adhoc_search_ga() {
             stopping: StoppingCondition::fixed_phases(10),
         },
     );
-    let searched = search.run(&placement, &mut rng).expect("search runs");
+    let mut topo = evaluator.topology(&placement).expect("valid placement");
+    let searched = search.run(&mut topo, &mut rng, &mut NoopRecorder);
     assert!(searched.best_evaluation.fitness >= adhoc.fitness);
 
     // GA refinement from the same method as initializer.
@@ -47,7 +48,11 @@ fn full_pipeline_adhoc_search_ga() {
         .expect("valid config");
     let engine = GaEngine::new(&evaluator, config);
     let evolved = engine
-        .run(&PopulationInit::AdHoc(AdHocMethod::HotSpot), &mut rng)
+        .run(
+            &PopulationInit::AdHoc(AdHocMethod::HotSpot),
+            &mut rng,
+            &mut NoopRecorder,
+        )
         .expect("ga runs");
     assert!(instance.validate_placement(&evolved.best_placement).is_ok());
     assert_eq!(evolved.trace.len(), 11);
@@ -68,7 +73,8 @@ fn whole_pipeline_is_deterministic_per_seed() {
                 stopping: StoppingCondition::fixed_phases(8),
             },
         );
-        let outcome = search.run(&placement, &mut rng).expect("search runs");
+        let mut topo = evaluator.topology(&placement).expect("valid placement");
+        let outcome = search.run(&mut topo, &mut rng, &mut NoopRecorder);
         (
             placement,
             outcome.best_placement,
@@ -125,7 +131,8 @@ fn every_method_feeds_every_search_algorithm() {
                 patience: 2,
             },
         );
-        let h = hill.run(&placement, &mut rng).expect("hill climb runs");
+        let topology = || evaluator.topology(&placement).expect("valid placement");
+        let h = hill.run(&mut topology(), &mut rng, &mut NoopRecorder);
         assert!(h.best_evaluation.fitness >= h.initial_evaluation.fitness);
 
         let sa = SimulatedAnnealing::new(
@@ -137,7 +144,7 @@ fn every_method_feeds_every_search_algorithm() {
                 ..AnnealingConfig::default()
             },
         );
-        let s = sa.run(&placement, &mut rng).expect("annealing runs");
+        let s = sa.run(&mut topology(), &mut rng, &mut NoopRecorder);
         assert!(s.best_evaluation.fitness >= s.initial_evaluation.fitness);
 
         let tabu = TabuSearch::new(
@@ -149,7 +156,7 @@ fn every_method_feeds_every_search_algorithm() {
                 tenure: 2,
             },
         );
-        let t = tabu.run(&placement, &mut rng).expect("tabu runs");
+        let t = tabu.run(&mut topology(), &mut rng, &mut NoopRecorder);
         assert!(t.best_evaluation.fitness >= t.initial_evaluation.fitness);
     }
 }

@@ -14,6 +14,7 @@ fn swap_movement_beats_random_movement() {
         .expect("generates");
     let evaluator = Evaluator::paper_default(&instance);
     let initial = instance.random_placement(&mut rng_from_seed(1));
+    let topology = || evaluator.topology(&initial).expect("valid placement");
     let config = SearchConfig {
         budget: ExplorationBudget::sampled(8),
         stopping: StoppingCondition::fixed_phases(25),
@@ -24,13 +25,14 @@ fn swap_movement_beats_random_movement() {
         Box::new(SwapMovement::new(&instance, SwapConfig::default())),
         config,
     )
-    .run(&initial, &mut rng_from_seed(2))
-    .expect("swap search runs");
+    .run(&mut topology(), &mut rng_from_seed(2), &mut NoopRecorder);
 
-    let random =
-        NeighborhoodSearch::new(&evaluator, Box::new(RandomMovement::new(&instance)), config)
-            .run(&initial, &mut rng_from_seed(2))
-            .expect("random search runs");
+    let random = NeighborhoodSearch::new(
+        &evaluator,
+        Box::new(RandomMovement::new(&instance)),
+        config,
+    )
+    .run(&mut topology(), &mut rng_from_seed(2), &mut NoopRecorder);
 
     let swap_giant = swap.best_evaluation.giant_size();
     let random_giant = random.best_evaluation.giant_size();
@@ -74,7 +76,11 @@ fn ga_improves_every_adhoc_method() {
             .expect("valid placement");
         let engine = GaEngine::new(&evaluator, config.clone());
         let outcome = engine
-            .run(&PopulationInit::AdHoc(method), &mut rng_from_seed(4))
+            .run(
+                &PopulationInit::AdHoc(method),
+                &mut rng_from_seed(4),
+                &mut NoopRecorder,
+            )
             .expect("ga runs");
         assert!(
             outcome.best_evaluation.giant_size() > standalone.giant_size(),
@@ -105,10 +111,15 @@ fn hotspot_init_beats_uniform_random_init() {
         .run(
             &PopulationInit::AdHoc(AdHocMethod::HotSpot),
             &mut rng_from_seed(5),
+            &mut NoopRecorder,
         )
         .expect("ga runs");
     let uniform = GaEngine::new(&evaluator, config)
-        .run(&PopulationInit::UniformRandom, &mut rng_from_seed(5))
+        .run(
+            &PopulationInit::UniformRandom,
+            &mut rng_from_seed(5),
+            &mut NoopRecorder,
+        )
         .expect("ga runs");
 
     assert!(
