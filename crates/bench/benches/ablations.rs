@@ -1,84 +1,18 @@
-//! Ablation benchmarks for the engine's design choices: each pits the
-//! chosen implementation against its reference alternative.
+//! Ablation benchmarks of the incremental evaluation engine: each pits it
+//! against the full-rebuild reference on one hot loop. `move_eval` and
+//! `ga_eval` back the committed `BENCH_move_eval.json` and
+//! `BENCH_ga_eval.json` (`scripts/bench_move_eval.sh`,
+//! `scripts/bench_ga_eval.sh`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, RngCore};
 use wmn_experiments::{Scenario, ScenarioScale};
-use wmn_ga::chromosome::Individual;
 use wmn_ga::parallel::evaluate_initial;
-use wmn_ga::population::Population;
-use wmn_graph::adjacency::{LinkModel, MeshAdjacency};
-use wmn_graph::components::Components;
-use wmn_graph::density::{CellWindow, DensityMap};
-use wmn_graph::spatial::GridIndex;
 use wmn_graph::topology::{ConnectivityMode, WmnTopology};
 use wmn_metrics::{EvalWorkspace, Evaluator};
-use wmn_model::geometry::{Area, Point};
-use wmn_model::instance::InstanceSpec;
+use wmn_model::geometry::Point;
 use wmn_model::rng::rng_from_seed;
 use wmn_model::RouterId;
-
-fn random_layout(area: &Area, n: usize, seed: u64) -> (Vec<Point>, Vec<f64>) {
-    let mut rng = rng_from_seed(seed);
-    let pts = (0..n)
-        .map(|_| {
-            Point::new(
-                rng.gen_range(0.0..=area.width()),
-                rng.gen_range(0.0..=area.height()),
-            )
-        })
-        .collect();
-    let radii = (0..n).map(|_| rng.gen_range(2.0..=8.0)).collect();
-    (pts, radii)
-}
-
-/// Uniform-grid spatial index vs brute-force O(n²) adjacency construction.
-fn ablation_spatial_index(c: &mut Criterion) {
-    let area = Area::square(256.0).expect("valid area");
-    let mut group = c.benchmark_group("ablation_spatial_index");
-    for n in [64usize, 512] {
-        let (pts, radii) = random_layout(&area, n, 1);
-        group.bench_with_input(BenchmarkId::new("indexed", n), &n, |b, _| {
-            b.iter(|| MeshAdjacency::build(&area, &pts, &radii, LinkModel::MutualRange));
-        });
-        group.bench_with_input(BenchmarkId::new("brute_force", n), &n, |b, _| {
-            b.iter(|| MeshAdjacency::build_brute_force(&pts, &radii, LinkModel::MutualRange));
-        });
-    }
-    group.finish();
-}
-
-/// Incremental topology repair after a single move vs a full rebuild.
-fn ablation_incremental(c: &mut Criterion) {
-    let instance = InstanceSpec::paper_normal()
-        .expect("valid spec")
-        .generate(2)
-        .expect("generates");
-    let evaluator = Evaluator::paper_default(&instance);
-    let placement = instance.random_placement(&mut rng_from_seed(3));
-    let mut group = c.benchmark_group("ablation_incremental_move");
-    group.bench_function("incremental", |b| {
-        let mut topo = evaluator.topology(&placement).expect("builds");
-        let mut rng = rng_from_seed(4);
-        b.iter(|| {
-            let id = wmn_model::RouterId(rng.gen_range(0..64));
-            let to = Point::new(rng.gen_range(0.0..=128.0), rng.gen_range(0.0..=128.0));
-            topo.move_router(id, to)
-        });
-    });
-    group.bench_function("full_rebuild", |b| {
-        let mut topo = evaluator.topology(&placement).expect("builds");
-        let mut rng = rng_from_seed(4);
-        b.iter(|| {
-            let id = wmn_model::RouterId(rng.gen_range(0..64));
-            let to = Point::new(rng.gen_range(0.0..=128.0), rng.gen_range(0.0..=128.0));
-            let old = topo.move_router(id, to);
-            topo.rebuild_full();
-            old
-        });
-    });
-    group.finish();
-}
 
 /// The neighborhood-search inner loop — 1000 iterations of
 /// `propose → apply → evaluate → undo` — with the incremental
@@ -88,8 +22,8 @@ fn ablation_incremental(c: &mut Criterion) {
 /// strategy differs. Run at paper scale (64 routers / 192 clients) and at
 /// `--scale 4` (256 routers / 768 clients, proportional area).
 fn ablation_move_eval(c: &mut Criterion) {
-    /// A hill-climb-shaped inner loop: relocate a random router, evaluate,
-    /// undo by moving it back. 1000 moves ⇒ 2000 `move_router` calls.
+    /// A local-search-shaped inner loop: relocate a random router,
+    /// evaluate, undo by moving it back. 1000 moves ⇒ 2000 `move_router` calls.
     fn thousand_moves(
         topo: &mut WmnTopology,
         evaluator: &Evaluator<'_>,
@@ -139,7 +73,7 @@ fn ablation_move_eval(c: &mut Criterion) {
 ///
 /// * `incremental` — each child adopts its lineage parent's live topology
 ///   (buffer-reusing state copy) and repairs the placement diff through
-///   `WmnTopology::apply_moves` (`GaEvalMode::Incremental`);
+///   `WmnTopology::apply_moves` (`ConnectivityMode::Dynamic`);
 /// * `rebuild` — each child's topology is fully rebuilt in place through a
 ///   persistent workspace (`Evaluator::evaluate_with`);
 /// * `scratch` — each child allocates and builds a fresh topology
@@ -271,115 +205,5 @@ fn ablation_ga_eval(c: &mut Criterion) {
     group.finish();
 }
 
-/// BFS vs union-find for connected components.
-fn ablation_components(c: &mut Criterion) {
-    let area = Area::square(128.0).expect("valid area");
-    let (pts, radii) = random_layout(&area, 1024, 5);
-    let adj = MeshAdjacency::build(&area, &pts, &radii, LinkModel::CoverageOverlap);
-    let mut group = c.benchmark_group("ablation_components_n1024");
-    group.bench_function("bfs", |b| {
-        b.iter(|| Components::from_adjacency(&adj));
-    });
-    group.bench_function("union_find", |b| {
-        b.iter(|| Components::from_adjacency_dsu(&adj));
-    });
-    group.finish();
-}
-
-/// Summed-area-table window sums vs naive rescans.
-fn ablation_density(c: &mut Criterion) {
-    let area = Area::square(128.0).expect("valid area");
-    let instance = InstanceSpec::paper_normal()
-        .expect("valid spec")
-        .generate(6)
-        .expect("generates");
-    let map = DensityMap::from_points(&area, &instance.client_positions(), 32, 32);
-    let windows: Vec<CellWindow> = (0..24)
-        .map(|i| CellWindow {
-            cx: i % 16,
-            cy: (i * 7) % 16,
-            w: 8,
-            h: 8,
-        })
-        .collect();
-    let mut group = c.benchmark_group("ablation_density_window_sum");
-    group.bench_function("summed_area_table", |b| {
-        b.iter(|| windows.iter().map(|w| map.window_count(w)).sum::<u64>());
-    });
-    group.bench_function("naive_rescan", |b| {
-        b.iter(|| {
-            windows
-                .iter()
-                .map(|w| map.window_count_naive(w))
-                .sum::<u64>()
-        });
-    });
-    group.finish();
-}
-
-/// Threaded vs serial GA population evaluation (the slot pool's initial
-/// evaluation).
-fn ablation_parallel_eval(c: &mut Criterion) {
-    let instance = InstanceSpec::paper_normal()
-        .expect("valid spec")
-        .generate(7)
-        .expect("generates");
-    let evaluator = Evaluator::paper_default(&instance);
-    let mut rng = rng_from_seed(8);
-    let base: Population = (0..64)
-        .map(|_| Individual::new(instance.random_placement(&mut rng)))
-        .collect();
-    let mut group = c.benchmark_group("ablation_parallel_eval_pop64");
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    let mut pop = base.clone();
-                    let mut slots = Vec::new();
-                    slots.resize_with(pop.len(), EvalWorkspace::new);
-                    evaluate_initial(&evaluator, &mut pop, &mut slots, threads).expect("evaluates");
-                    pop.best_index()
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// The spatial-index point query vs a linear scan (query path only).
-fn ablation_point_query(c: &mut Criterion) {
-    let area = Area::square(128.0).expect("valid area");
-    let (pts, _) = random_layout(&area, 2048, 9);
-    let index = GridIndex::build(&area, &pts, 8.0);
-    let mut group = c.benchmark_group("ablation_radius_query_n2048");
-    group.bench_function("grid_index", |b| {
-        let mut rng = rng_from_seed(10);
-        b.iter(|| {
-            let center = Point::new(rng.gen_range(0.0..=128.0), rng.gen_range(0.0..=128.0));
-            index.within_radius(center, 8.0).count()
-        });
-    });
-    group.bench_function("linear_scan", |b| {
-        let mut rng = rng_from_seed(10);
-        b.iter(|| {
-            let center = Point::new(rng.gen_range(0.0..=128.0), rng.gen_range(0.0..=128.0));
-            GridIndex::brute_force_within_radius(&pts, center, 8.0).len()
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    ablation_spatial_index,
-    ablation_incremental,
-    ablation_move_eval,
-    ablation_ga_eval,
-    ablation_components,
-    ablation_density,
-    ablation_parallel_eval,
-    ablation_point_query
-);
+criterion_group!(benches, ablation_move_eval, ablation_ga_eval);
 criterion_main!(benches);

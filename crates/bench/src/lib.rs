@@ -1,5 +1,2 @@
-//! Shared helpers for the benchmark crate (benches are self-contained; this
-//! library target exists so `cargo test -p wmn-bench` has something to build).
-
-/// Crate marker used by integration smoke tests.
-pub const BENCH_CRATE: &str = "wmn-bench";
+//! The benchmark crate's library target: empty, because the benches under
+//! `benches/` are self-contained.

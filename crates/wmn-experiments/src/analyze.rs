@@ -143,7 +143,7 @@ fn counters_from(
     for (key, v) in members {
         let n = v.as_u64().ok_or_else(|| {
             ExperimentError::report(format!(
-                "{label}: {what} member {key:?} is not a non-negative integer"
+                "{label}: {what} member {key:?} is not an integer in [0, 2^53)"
             ))
         })?;
         out.insert(key.clone(), n);
@@ -764,6 +764,20 @@ mod tests {
         let no_attribution = "{\"schema\":\"wmn-telemetry/v2\",\"bin\":\"fig3\",\"counters\":{}}";
         let err = parse_doc(&label(), no_attribution).unwrap_err().to_string();
         assert!(err.contains("attribution"), "{err}");
+    }
+
+    #[test]
+    fn counters_past_2_pow_53_are_errors_naming_the_member() {
+        let rendered =
+            render_telemetry_json("fig3", &ExperimentConfig::quick(), &sample_recorder());
+        let huge = rendered.replace(
+            "\"ga.generations\":40",
+            "\"ga.generations\":9007199254740993",
+        );
+        assert_ne!(huge, rendered);
+        let err = parse_doc(&label(), &huge).unwrap_err().to_string();
+        assert!(err.contains("\"ga.generations\""), "{err}");
+        assert!(err.contains("not an integer in [0, 2^53)"), "{err}");
     }
 
     #[test]

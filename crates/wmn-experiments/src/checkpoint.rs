@@ -356,6 +356,178 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_covers_every_output_relevant_field() {
+        use crate::scenario::ScenarioScale;
+        use wmn_graph::topology::ConnectivityMode;
+
+        let base = ExperimentConfig::quick();
+        // No `..` in either pattern: a new field fails to compile here
+        // until it is sorted into one of the two lists below.
+        let ExperimentConfig {
+            instance_seed,
+            run_seed,
+            population,
+            generations,
+            threads,
+            runner_threads,
+            scale,
+            ns_phases,
+            ns_budget,
+            sample_every,
+            connectivity,
+            retries,
+            fault_plan,
+        } = base;
+        let ScenarioScale {
+            routers,
+            clients,
+            area,
+        } = scale;
+        let other_connectivity = if connectivity == ConnectivityMode::Dynamic {
+            ConnectivityMode::FullRebuild
+        } else {
+            ConnectivityMode::Dynamic
+        };
+        let fp = fingerprint(&base);
+
+        let output_relevant = [
+            (
+                "instance_seed",
+                ExperimentConfig {
+                    instance_seed: instance_seed + 1,
+                    ..base
+                },
+            ),
+            (
+                "run_seed",
+                ExperimentConfig {
+                    run_seed: run_seed + 1,
+                    ..base
+                },
+            ),
+            (
+                "population",
+                ExperimentConfig {
+                    population: population + 1,
+                    ..base
+                },
+            ),
+            (
+                "generations",
+                ExperimentConfig {
+                    generations: generations + 1,
+                    ..base
+                },
+            ),
+            (
+                "ns_phases",
+                ExperimentConfig {
+                    ns_phases: ns_phases + 1,
+                    ..base
+                },
+            ),
+            (
+                "ns_budget",
+                ExperimentConfig {
+                    ns_budget: ns_budget + 1,
+                    ..base
+                },
+            ),
+            (
+                "sample_every",
+                ExperimentConfig {
+                    sample_every: sample_every + 1,
+                    ..base
+                },
+            ),
+            (
+                "scale.routers",
+                ExperimentConfig {
+                    scale: ScenarioScale {
+                        routers: routers + 1,
+                        ..scale
+                    },
+                    ..base
+                },
+            ),
+            (
+                "scale.clients",
+                ExperimentConfig {
+                    scale: ScenarioScale {
+                        clients: clients + 1,
+                        ..scale
+                    },
+                    ..base
+                },
+            ),
+            (
+                "scale.area",
+                ExperimentConfig {
+                    scale: ScenarioScale {
+                        area: area * 1.5,
+                        ..scale
+                    },
+                    ..base
+                },
+            ),
+            (
+                "connectivity",
+                ExperimentConfig {
+                    connectivity: other_connectivity,
+                    ..base
+                },
+            ),
+        ];
+        for (field, changed) in output_relevant {
+            assert_ne!(
+                fingerprint(&changed),
+                fp,
+                "{field} must change the fingerprint"
+            );
+        }
+
+        let plan = wmn_runtime::FaultPlan::parse("seed=7;panic@start:p=0.4").unwrap();
+        assert_ne!(fault_plan, Some(plan));
+        let output_invariant = [
+            (
+                "threads",
+                ExperimentConfig {
+                    threads: threads + 3,
+                    ..base
+                },
+            ),
+            (
+                "runner_threads",
+                ExperimentConfig {
+                    runner_threads: runner_threads + 5,
+                    ..base
+                },
+            ),
+            (
+                "retries",
+                ExperimentConfig {
+                    retries: retries + 2,
+                    ..base
+                },
+            ),
+            (
+                "fault_plan",
+                ExperimentConfig {
+                    fault_plan: Some(plan),
+                    ..base
+                },
+            ),
+        ];
+        for (field, changed) in output_invariant {
+            assert_eq!(
+                fingerprint(&changed),
+                fp,
+                "{field} must not change the fingerprint"
+            );
+        }
+    }
+
+    #[test]
     fn record_then_load_roundtrips_table_payloads() {
         let dir = tmpdir("roundtrip");
         let config = ExperimentConfig::quick();

@@ -11,10 +11,10 @@
 //! * `--ga-threads <n>` — evaluation threads inside one GA run
 //!   (`WMN_GA_THREADS`; default 4).
 //! * `--scale <n>` — proportional instance scale-up: `n`× routers and
-//!   clients on `√n`× the area side (`WMN_SCALE`).
+//!   clients on `√n`× the area side (`WMN_SCALE`; at least 1).
 //! * `--scale-routers <n>` / `--scale-clients <n>` / `--scale-area <x>` —
 //!   individual multipliers (`WMN_SCALE_ROUTERS` / `WMN_SCALE_CLIENTS` /
-//!   `WMN_SCALE_AREA`).
+//!   `WMN_SCALE_AREA`; counts at least 1, the area positive and finite).
 //! * `--ns-budget <n>` — neighbors sampled per search phase (at least 1).
 //! * `--connectivity <mode>` — connectivity repair strategy
 //!   (`WMN_CONNECTIVITY`): `dynamic` (default) or `full` (full-rebuild
@@ -82,14 +82,34 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<
     v.parse().map_err(|_| format!("bad {flag} value {v:?}"))
 }
 
+/// Rejects a value that is not above zero, naming `name` (a flag or an
+/// env var).
+fn positive<T: PartialOrd + Default + std::fmt::Display>(name: &str, v: T) -> Result<T, String> {
+    if v > T::default() {
+        Ok(v)
+    } else {
+        Err(format!("{name} must be positive (got {v})"))
+    }
+}
+
+/// Checks an area multiplier: positive and finite.
+fn area_multiplier(name: &str, x: f64) -> Result<f64, String> {
+    if x.is_finite() {
+        positive(name, x)
+    } else {
+        Err(format!("{name} must be finite (got {x})"))
+    }
+}
+
 /// Parses options from an argument iterator (excluding the program name),
 /// on top of `base` — so environment-derived defaults lose to explicit
 /// flags.
 ///
 /// # Errors
 ///
-/// Returns a usage message on unknown flags, malformed numbers, or a zero
-/// `--ns-budget`.
+/// Returns a usage message on unknown flags, malformed numbers, a zero
+/// `--ns-budget` or scale multiplier, or an area multiplier that is not
+/// positive and finite.
 pub fn parse_from<I: IntoIterator<Item = String>>(
     base: ExperimentConfig,
     args: I,
@@ -110,17 +130,23 @@ pub fn parse_from<I: IntoIterator<Item = String>>(
                 config.threads = parse_num::<usize>("--ga-threads", it.next())?.max(1);
             }
             "--scale" => {
-                config.scale =
-                    ScenarioScale::proportional(parse_num::<u32>("--scale", it.next())?.max(1));
+                let n = positive("--scale", parse_num::<u32>("--scale", it.next())?)?;
+                config.scale = ScenarioScale::proportional(n);
             }
-            "--scale-routers" => config.scale.routers = parse_num("--scale-routers", it.next())?,
-            "--scale-clients" => config.scale.clients = parse_num("--scale-clients", it.next())?,
-            "--scale-area" => config.scale.area = parse_num("--scale-area", it.next())?,
+            "--scale-routers" => {
+                config.scale.routers =
+                    positive("--scale-routers", parse_num("--scale-routers", it.next())?)?;
+            }
+            "--scale-clients" => {
+                config.scale.clients =
+                    positive("--scale-clients", parse_num("--scale-clients", it.next())?)?;
+            }
+            "--scale-area" => {
+                config.scale.area =
+                    area_multiplier("--scale-area", parse_num("--scale-area", it.next())?)?;
+            }
             "--ns-budget" => {
-                config.ns_budget = parse_num("--ns-budget", it.next())?;
-                if config.ns_budget == 0 {
-                    return Err("--ns-budget must be positive (got 0)".to_owned());
-                }
+                config.ns_budget = positive("--ns-budget", parse_num("--ns-budget", it.next())?)?;
             }
             "--connectivity" => {
                 let v = it.next().ok_or("--connectivity needs a value")?;
@@ -178,7 +204,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions, Stri
 ///
 /// # Errors
 ///
-/// Returns a message naming the malformed variable.
+/// Returns a message naming the malformed or out-of-range variable.
 pub fn config_from_vars(
     lookup: impl Fn(&str) -> Option<String>,
 ) -> Result<ExperimentConfig, String> {
@@ -200,16 +226,16 @@ pub fn config_from_vars(
         config.threads = n.max(1);
     }
     if let Some(n) = num::<u32>(&lookup, "WMN_SCALE")? {
-        config.scale = ScenarioScale::proportional(n.max(1));
+        config.scale = ScenarioScale::proportional(positive("WMN_SCALE", n)?);
     }
     if let Some(n) = num::<u32>(&lookup, "WMN_SCALE_ROUTERS")? {
-        config.scale.routers = n;
+        config.scale.routers = positive("WMN_SCALE_ROUTERS", n)?;
     }
     if let Some(n) = num::<u32>(&lookup, "WMN_SCALE_CLIENTS")? {
-        config.scale.clients = n;
+        config.scale.clients = positive("WMN_SCALE_CLIENTS", n)?;
     }
     if let Some(x) = num::<f64>(&lookup, "WMN_SCALE_AREA")? {
-        config.scale.area = x;
+        config.scale.area = area_multiplier("WMN_SCALE_AREA", x)?;
     }
     if let Some(v) = lookup("WMN_CONNECTIVITY") {
         config.connectivity =
@@ -418,6 +444,50 @@ mod tests {
         let opts = parse_vec(&["--scale", "4", "--scale-area", "1.5"]).unwrap();
         assert_eq!(opts.config.scale.routers, 4);
         assert!((opts.config.scale.area - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn scale_multipliers_must_be_positive_and_finite() {
+        for (flag, value) in [
+            ("--scale", "0"),
+            ("--scale-routers", "0"),
+            ("--scale-clients", "0"),
+            ("--scale-area", "0"),
+            ("--scale-area", "-1"),
+            ("--scale-area", "nan"),
+            ("--scale-area", "inf"),
+            ("--scale-area", "-inf"),
+        ] {
+            let err = parse_vec(&[flag, value]).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{flag} must be")),
+                "{flag} {value}: {err}"
+            );
+        }
+        // The smallest valid values still parse.
+        let opts = parse_vec(&["--scale", "1", "--scale-area", "0.5"]).unwrap();
+        assert_eq!(opts.config.scale.routers, 1);
+        assert_eq!(opts.config.scale.area, 0.5);
+    }
+
+    #[test]
+    fn scale_env_vars_must_be_positive_and_finite() {
+        for (name, value) in [
+            ("WMN_SCALE", "0"),
+            ("WMN_SCALE_ROUTERS", "0"),
+            ("WMN_SCALE_CLIENTS", "0"),
+            ("WMN_SCALE_AREA", "0"),
+            ("WMN_SCALE_AREA", "-1"),
+            ("WMN_SCALE_AREA", "NaN"),
+            ("WMN_SCALE_AREA", "inf"),
+        ] {
+            let lookup = |n: &str| (n == name).then(|| value.to_owned());
+            let err = config_from_vars(lookup).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{name} must be")),
+                "{name}={value}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -49,12 +49,15 @@ impl JsonValue {
         }
     }
 
-    /// The value as a non-negative integer, if it is a whole number that
-    /// fits `u64` exactly.
+    /// The value as a non-negative integer, if it is a whole number below
+    /// 2^53. Numbers are parsed as `f64`, which holds every integer below
+    /// 2^53 exactly; from 2^53 on, neighbouring integers share one `f64`
+    /// (9007199254740993 parses as 9007199254740992), so those are `None`
+    /// rather than a silently rounded value.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Number(n)
-                if n.fract() == 0.0 && *n >= 0.0 && *n <= 9.007_199_254_740_992e15 =>
+                if n.fract() == 0.0 && *n >= 0.0 && *n < 9_007_199_254_740_992.0 =>
             {
                 Some(*n as u64)
             }
@@ -361,6 +364,19 @@ mod tests {
         assert_eq!(parse("0").unwrap().as_u64(), Some(0));
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("\"64\"").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn u64_extraction_never_rounds_past_2_pow_53() {
+        // 2^53 - 1 is the largest integer an f64 holds exactly.
+        assert_eq!(
+            parse("9007199254740991").unwrap().as_u64(),
+            Some(9_007_199_254_740_991)
+        );
+        // 2^53 + 1 parses to the same f64 as 2^53: neither is exact.
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), None);
+        assert_eq!(parse("12345678901234567").unwrap().as_u64(), None);
     }
 
     #[test]

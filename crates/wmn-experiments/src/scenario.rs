@@ -2,7 +2,6 @@
 
 use std::fmt;
 use std::str::FromStr;
-use wmn_ga::engine::GaEvalMode;
 use wmn_graph::topology::ConnectivityMode;
 use wmn_model::distribution::ClientDistribution;
 use wmn_model::geometry::Area;
@@ -324,15 +323,10 @@ impl ExperimentConfig {
         }
     }
 
-    /// The GA evaluation pipeline implied by
-    /// [`connectivity`](ExperimentConfig::connectivity): the incremental
-    /// topology-backed backend, or the full-rebuild reference pipeline for
-    /// [`ConnectivityMode::FullRebuild`].
-    pub fn ga_eval_mode(&self) -> GaEvalMode {
-        match self.connectivity {
-            ConnectivityMode::FullRebuild => GaEvalMode::Rebuild,
-            _ => GaEvalMode::Incremental,
-        }
+    /// The connectivity repair strategy of GA runs: exactly
+    /// [`connectivity`](ExperimentConfig::connectivity).
+    pub fn ga_eval_mode(&self) -> ConnectivityMode {
+        self.connectivity
     }
 }
 
@@ -525,9 +519,9 @@ mod tests {
     fn connectivity_maps_to_the_ga_eval_pipeline() {
         let mut config = ExperimentConfig::quick();
         assert_eq!(config.connectivity, ConnectivityMode::Dynamic);
-        assert_eq!(config.ga_eval_mode(), GaEvalMode::Incremental);
+        assert_eq!(config.ga_eval_mode(), ConnectivityMode::Dynamic);
         config.connectivity = ConnectivityMode::FullRebuild;
-        assert_eq!(config.ga_eval_mode(), GaEvalMode::Rebuild);
+        assert_eq!(config.ga_eval_mode(), ConnectivityMode::FullRebuild);
         // `quickened` preserves the oracle choice like every other
         // orthogonal knob.
         assert_eq!(

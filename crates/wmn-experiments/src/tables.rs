@@ -115,14 +115,13 @@ pub(crate) fn ga_cell(scenario: Scenario, method_index: usize, method: AdHocMeth
 }
 
 /// The shared GA configuration of the table and figure runners: the
-/// experiment knobs plus the connectivity oracle choice mapped onto the
-/// evaluation pipeline.
+/// experiment knobs plus the connectivity repair strategy.
 pub(crate) fn experiment_ga_config(config: &ExperimentConfig) -> GaConfig {
     GaConfig::builder()
         .population_size(config.population)
         .generations(config.generations)
         .threads(config.threads)
-        .eval_mode(config.ga_eval_mode())
+        .eval_mode(config.connectivity)
         .build()
         .expect("experiment GA config is valid")
 }

@@ -1,163 +1,30 @@
-//! Crossover operators on placement chromosomes.
+//! Single-point crossover on placement chromosomes.
 //!
 //! The chromosome is the vector of router positions, indexed by router id.
-//! All operators produce two children and are **closed over the area**:
-//! children of valid parents are valid (positions are only copied or
-//! convexly combined, never invented outside the area).
+//! Crossover only copies genes between parents, never invents positions,
+//! so children of valid parents are valid.
 
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
-use std::fmt;
-use wmn_model::geometry::{Point, Rect};
+use wmn_model::geometry::Point;
 use wmn_model::placement::Placement;
 
-/// A crossover strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum CrossoverOp {
-    /// Cut the router vector at one point; exchange tails.
-    SinglePoint,
-    /// Cut at two points; exchange the middle segment.
-    TwoPoint,
-    /// Exchange each gene independently with probability 1/2.
-    Uniform,
-    /// Children are convex blends: `c1 = t*a + (1-t)*b` per router with a
-    /// shared random `t` in `[0, 1]` (and the mirror for `c2`).
-    Blend,
-    /// Geographic crossover: pick a random rectangle; routers whose
-    /// position falls inside it (in the respective parent) exchange
-    /// positions between the children.
-    RegionExchange,
-}
-
-impl CrossoverOp {
-    /// The configuration used for the paper reproduction (single point).
-    pub fn paper_default() -> Self {
-        CrossoverOp::SinglePoint
+/// Cuts both router vectors at one uniform point in `0..=n` and exchanges
+/// the tails, producing two children.
+///
+/// # Panics
+///
+/// Panics if the parents have different lengths.
+pub fn single_point(a: &Placement, b: &Placement, rng: &mut dyn RngCore) -> (Placement, Placement) {
+    assert_eq!(a.len(), b.len(), "parents must have equal router counts");
+    let n = a.len();
+    if n == 0 {
+        return (Placement::new(), Placement::new());
     }
-
-    /// Crosses two parents, producing two children.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parents have different lengths.
-    pub fn cross(
-        &self,
-        a: &Placement,
-        b: &Placement,
-        rng: &mut dyn RngCore,
-    ) -> (Placement, Placement) {
-        assert_eq!(a.len(), b.len(), "parents must have equal router counts");
-        let n = a.len();
-        if n == 0 {
-            return (Placement::new(), Placement::new());
-        }
-        let (av, bv) = (a.as_slice(), b.as_slice());
-        match *self {
-            CrossoverOp::SinglePoint => {
-                let cut = rng.gen_range(0..=n);
-                let c1: Vec<Point> = av[..cut].iter().chain(&bv[cut..]).copied().collect();
-                let c2: Vec<Point> = bv[..cut].iter().chain(&av[cut..]).copied().collect();
-                (c1.into(), c2.into())
-            }
-            CrossoverOp::TwoPoint => {
-                let mut i = rng.gen_range(0..=n);
-                let mut j = rng.gen_range(0..=n);
-                if i > j {
-                    std::mem::swap(&mut i, &mut j);
-                }
-                let mut c1 = av.to_vec();
-                let mut c2 = bv.to_vec();
-                c1[i..j].copy_from_slice(&bv[i..j]);
-                c2[i..j].copy_from_slice(&av[i..j]);
-                (c1.into(), c2.into())
-            }
-            CrossoverOp::Uniform => {
-                let mut c1 = Vec::with_capacity(n);
-                let mut c2 = Vec::with_capacity(n);
-                for k in 0..n {
-                    if rng.gen::<bool>() {
-                        c1.push(av[k]);
-                        c2.push(bv[k]);
-                    } else {
-                        c1.push(bv[k]);
-                        c2.push(av[k]);
-                    }
-                }
-                (c1.into(), c2.into())
-            }
-            CrossoverOp::Blend => {
-                let t: f64 = rng.gen();
-                let c1: Vec<Point> = (0..n).map(|k| bv[k].lerp(av[k], t)).collect();
-                let c2: Vec<Point> = (0..n).map(|k| av[k].lerp(bv[k], t)).collect();
-                (c1.into(), c2.into())
-            }
-            CrossoverOp::RegionExchange => {
-                // Random rectangle from two random corners over the parents'
-                // bounding box (keeps the operator area-agnostic).
-                let bounds = bounding_box(av.iter().chain(bv.iter()));
-                let corner = |rng: &mut dyn RngCore| {
-                    Point::new(
-                        rng.gen_range(bounds.min().x..=bounds.max().x),
-                        rng.gen_range(bounds.min().y..=bounds.max().y),
-                    )
-                };
-                let region = Rect::new(corner(rng), corner(rng));
-                let mut c1 = av.to_vec();
-                let mut c2 = bv.to_vec();
-                for k in 0..n {
-                    if region.contains(av[k]) || region.contains(bv[k]) {
-                        c1[k] = bv[k];
-                        c2[k] = av[k];
-                    }
-                }
-                (c1.into(), c2.into())
-            }
-        }
-    }
-}
-
-fn bounding_box<'a, I: Iterator<Item = &'a Point>>(points: I) -> Rect {
-    let mut min = Point::new(f64::INFINITY, f64::INFINITY);
-    let mut max = Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for p in points {
-        min = Point::new(min.x.min(p.x), min.y.min(p.y));
-        max = Point::new(max.x.max(p.x), max.y.max(p.y));
-    }
-    if !min.is_finite() || !max.is_finite() {
-        return Rect::new(Point::origin(), Point::origin());
-    }
-    Rect::new(min, max)
-}
-
-impl Default for CrossoverOp {
-    fn default() -> Self {
-        CrossoverOp::paper_default()
-    }
-}
-
-impl fmt::Display for CrossoverOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            CrossoverOp::SinglePoint => "single-point",
-            CrossoverOp::TwoPoint => "two-point",
-            CrossoverOp::Uniform => "uniform",
-            CrossoverOp::Blend => "blend",
-            CrossoverOp::RegionExchange => "region-exchange",
-        };
-        f.write_str(name)
-    }
-}
-
-/// All built-in crossover operators (for sweeps and ablation benches).
-pub fn all_crossovers() -> [CrossoverOp; 5] {
-    [
-        CrossoverOp::SinglePoint,
-        CrossoverOp::TwoPoint,
-        CrossoverOp::Uniform,
-        CrossoverOp::Blend,
-        CrossoverOp::RegionExchange,
-    ]
+    let (av, bv) = (a.as_slice(), b.as_slice());
+    let cut = rng.gen_range(0..=n);
+    let c1: Vec<Point> = av[..cut].iter().chain(&bv[cut..]).copied().collect();
+    let c2: Vec<Point> = bv[..cut].iter().chain(&av[cut..]).copied().collect();
+    (c1.into(), c2.into())
 }
 
 #[cfg(test)]
@@ -176,48 +43,22 @@ mod tests {
     fn children_inherit_every_gene_from_some_parent() {
         let (a, b) = parents(16);
         let mut rng = rng_from_seed(1);
-        for op in [
-            CrossoverOp::SinglePoint,
-            CrossoverOp::TwoPoint,
-            CrossoverOp::Uniform,
-            CrossoverOp::RegionExchange,
-        ] {
-            let (c1, c2) = op.cross(&a, &b, &mut rng);
-            for k in 0..16 {
-                let (pa, pb) = (a.as_slice()[k], b.as_slice()[k]);
-                for c in [&c1, &c2] {
-                    let g = c.as_slice()[k];
-                    assert!(g == pa || g == pb, "{op}: gene {k} invented {g}");
-                }
-            }
-            // Genes swap pairwise: c1[k] == a[k] iff c2[k] == b[k].
-            for k in 0..16 {
-                let (pa, pb) = (a.as_slice()[k], b.as_slice()[k]);
-                if c1.as_slice()[k] == pa {
-                    assert_eq!(c2.as_slice()[k], pb);
-                } else {
-                    assert_eq!(c2.as_slice()[k], pa);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn blend_children_stay_on_segment() {
-        let (a, b) = parents(8);
-        let mut rng = rng_from_seed(2);
-        let (c1, c2) = CrossoverOp::Blend.cross(&a, &b, &mut rng);
-        for k in 0..8 {
+        let (c1, c2) = single_point(&a, &b, &mut rng);
+        for k in 0..16 {
+            let (pa, pb) = (a.as_slice()[k], b.as_slice()[k]);
             for c in [&c1, &c2] {
                 let g = c.as_slice()[k];
-                assert_eq!(g.x, k as f64, "x is shared by both parents");
-                assert!((0.0..=100.0).contains(&g.y), "convex blend stays in range");
+                assert!(g == pa || g == pb, "gene {k} invented {g}");
             }
         }
-        // Mirror property: c1 + c2 == a + b componentwise.
-        for k in 0..8 {
-            let sum_c = c1.as_slice()[k].y + c2.as_slice()[k].y;
-            assert!((sum_c - 100.0).abs() < 1e-9);
+        // Genes swap pairwise: c1[k] == a[k] iff c2[k] == b[k].
+        for k in 0..16 {
+            let (pa, pb) = (a.as_slice()[k], b.as_slice()[k]);
+            if c1.as_slice()[k] == pa {
+                assert_eq!(c2.as_slice()[k], pb);
+            } else {
+                assert_eq!(c2.as_slice()[k], pa);
+            }
         }
     }
 
@@ -226,11 +67,9 @@ mod tests {
         let area = Area::square(100.0).unwrap();
         let (a, b) = parents(12);
         let mut rng = rng_from_seed(3);
-        for op in all_crossovers() {
-            let (c1, c2) = op.cross(&a, &b, &mut rng);
-            for c in [c1, c2] {
-                assert!(c.validate(&area, 12).is_ok(), "{op} escaped the area");
-            }
+        let (c1, c2) = single_point(&a, &b, &mut rng);
+        for c in [c1, c2] {
+            assert!(c.validate(&area, 12).is_ok(), "child escaped the area");
         }
     }
 
@@ -238,7 +77,7 @@ mod tests {
     fn single_point_preserves_prefix_suffix_structure() {
         let (a, b) = parents(10);
         let mut rng = rng_from_seed(7);
-        let (c1, _) = CrossoverOp::SinglePoint.cross(&a, &b, &mut rng);
+        let (c1, _) = single_point(&a, &b, &mut rng);
         // c1 must be a-prefix then b-suffix: find the switch point and check
         // monotonicity (no interleaving).
         let ys: Vec<f64> = c1.as_slice().iter().map(|p| p.y).collect();
@@ -250,10 +89,8 @@ mod tests {
     #[test]
     fn empty_parents_yield_empty_children() {
         let mut rng = rng_from_seed(1);
-        for op in all_crossovers() {
-            let (c1, c2) = op.cross(&Placement::new(), &Placement::new(), &mut rng);
-            assert!(c1.is_empty() && c2.is_empty(), "{op}");
-        }
+        let (c1, c2) = single_point(&Placement::new(), &Placement::new(), &mut rng);
+        assert!(c1.is_empty() && c2.is_empty());
     }
 
     #[test]
@@ -262,16 +99,14 @@ mod tests {
         let (a, _) = parents(5);
         let (b, _) = parents(6);
         let mut rng = rng_from_seed(1);
-        let _ = CrossoverOp::SinglePoint.cross(&a, &b, &mut rng);
+        let _ = single_point(&a, &b, &mut rng);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let (a, b) = parents(20);
-        for op in all_crossovers() {
-            let r1 = op.cross(&a, &b, &mut rng_from_seed(9));
-            let r2 = op.cross(&a, &b, &mut rng_from_seed(9));
-            assert_eq!(r1, r2, "{op}");
-        }
+        let r1 = single_point(&a, &b, &mut rng_from_seed(9));
+        let r2 = single_point(&a, &b, &mut rng_from_seed(9));
+        assert_eq!(r1, r2);
     }
 }

@@ -1,8 +1,8 @@
 //! The generational GA engine over a **population of live topologies**.
 //!
 //! A classical elitist generational GA over placement chromosomes:
-//! evaluate, record, select (tournament by default), cross (single-point by
-//! default), mutate (jitter + reset stack), repeat. The engine records a
+//! evaluate, record, select (3-tournament), cross (single-point), mutate
+//! (the configured [`MutationOp`] stack), repeat. The engine records a
 //! [`GaTrace`] — per-generation best giant component size — which is
 //! exactly the data plotted in the paper's Figures 1–3.
 //!
@@ -14,11 +14,11 @@
 //! into the child's slot (`WmnTopology::clone_from`, buffer-reusing) and
 //! repairs the placement diff — crossover genes and mutation moves folded
 //! into one batch — through the topology's batch engine (`apply_moves`).
-//! Under the default [`GaEvalMode::Incremental`] that repair is
-//! incremental; under [`GaEvalMode::Rebuild`] every slot topology is
-//! pinned to `ConnectivityMode::FullRebuild` after the initial evaluation
-//! (children inherit the mode through `clone_from`), so each diff is
-//! repaired by a full rebuild — one pool, two repair strategies.
+//! After the initial evaluation every slot topology is set to the
+//! configured [`ConnectivityMode`] (children inherit it through
+//! `clone_from`): under the default [`ConnectivityMode::Dynamic`] that
+//! repair is incremental, under [`ConnectivityMode::FullRebuild`] each diff
+//! is repaired by a full rebuild — one pool, two repair strategies.
 //!
 //! Invariants of the representation (mirroring the `wmn-graph::topology`
 //! module docs):
@@ -30,7 +30,7 @@
 //! * chromosomes (placements) remain the source of truth; topologies are
 //!   derived state and never feed back into reproduction;
 //! * reproduction consumes the RNG identically in every mode, and
-//!   evaluation consumes none, so [`GaEvalMode::Rebuild`] (the
+//!   evaluation consumes none, so [`ConnectivityMode::FullRebuild`] (the
 //!   full-rebuild reference) and any thread count produce
 //!   **bit-identical** outcomes (pinned by the `incremental_equivalence`
 //!   suite, which also checks every final individual against a fresh
@@ -39,15 +39,12 @@
 //!   slots accumulate — and the telemetry built from them — are
 //!   independent of the thread count in both modes.
 
-use crate::crossover::CrossoverOp;
 use crate::init::PopulationInit;
 use crate::mutation::MutationOp;
-use crate::parallel;
 use crate::population::{Lineage, Population};
-use crate::selection::SelectionOp;
 use crate::trace::{GaTrace, GenerationRecord};
+use crate::{crossover, parallel, selection};
 use rand::{Rng, RngCore};
-use std::fmt;
 use wmn_graph::topology::ConnectivityMode;
 use wmn_metrics::evaluator::{EvalWorkspace, Evaluation, Evaluator};
 use wmn_model::placement::Placement;
@@ -55,32 +52,8 @@ use wmn_model::ModelError;
 use wmn_obs::{phase, ApplyPhases, EngineStats, Recorder};
 use wmn_search::movement::MoveAction;
 
-/// How the engine evaluates the individuals of each generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum GaEvalMode {
-    /// Topology-backed delta evaluation (the default): children adopt
-    /// their lineage parent's live topology and repair the placement diff
-    /// through the incremental batch engine, with connectivity repaired
-    /// component-locally by the dynamic connectivity engine
-    /// ([`ConnectivityMode::Dynamic`]).
-    #[default]
-    Incremental,
-    /// Full-rebuild reference: the same slot pool, with every slot
-    /// topology pinned to [`ConnectivityMode::FullRebuild`], so each
-    /// child's placement diff is repaired by a full rebuild — kept as the
-    /// bit-identical baseline for equivalence tests.
-    Rebuild,
-}
-
-impl fmt::Display for GaEvalMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GaEvalMode::Incremental => write!(f, "incremental"),
-            GaEvalMode::Rebuild => write!(f, "rebuild"),
-        }
-    }
-}
+/// Tournament size of parent selection.
+const TOURNAMENT_SIZE: usize = 3;
 
 /// GA parameters (see [`GaConfigBuilder`] for construction).
 #[derive(Debug, Clone, PartialEq)]
@@ -93,17 +66,14 @@ pub struct GaConfig {
     pub crossover_rate: f64,
     /// Number of elites copied unchanged into the next generation.
     pub elitism: usize,
-    /// Parent selection.
-    pub selection: SelectionOp,
-    /// Crossover operator.
-    pub crossover: CrossoverOp,
     /// Mutation stack applied to every non-elite child, in order.
     pub mutations: Vec<MutationOp>,
     /// Worker threads for fitness evaluation (1 = serial).
     pub threads: usize,
-    /// Evaluation pipeline (incremental topology-backed vs full rebuild);
-    /// outcomes are bit-identical either way.
-    pub eval_mode: GaEvalMode,
+    /// Connectivity repair strategy of every slot topology: component-local
+    /// ([`ConnectivityMode::Dynamic`], the default) or the full-rebuild
+    /// reference. Outcomes are bit-identical either way.
+    pub connectivity: ConnectivityMode,
 }
 
 impl GaConfig {
@@ -116,11 +86,9 @@ impl GaConfig {
             generations: 800,
             crossover_rate: 0.8,
             elitism: 2,
-            selection: SelectionOp::paper_default(),
-            crossover: CrossoverOp::paper_default(),
             mutations: MutationOp::paper_default_stack(),
             threads: 1,
-            eval_mode: GaEvalMode::Incremental,
+            connectivity: ConnectivityMode::Dynamic,
         }
     }
 
@@ -169,18 +137,6 @@ impl GaConfigBuilder {
         self
     }
 
-    /// Sets the selection operator.
-    pub fn selection(&mut self, op: SelectionOp) -> &mut Self {
-        self.config.selection = op;
-        self
-    }
-
-    /// Sets the crossover operator.
-    pub fn crossover(&mut self, op: CrossoverOp) -> &mut Self {
-        self.config.crossover = op;
-        self
-    }
-
     /// Replaces the mutation stack.
     pub fn mutations(&mut self, ops: Vec<MutationOp>) -> &mut Self {
         self.config.mutations = ops;
@@ -193,9 +149,10 @@ impl GaConfigBuilder {
         self
     }
 
-    /// Sets the evaluation pipeline (incremental vs full rebuild).
-    pub fn eval_mode(&mut self, mode: GaEvalMode) -> &mut Self {
-        self.config.eval_mode = mode;
+    /// Sets the connectivity repair strategy of every slot topology
+    /// ([`GaConfig::connectivity`]).
+    pub fn eval_mode(&mut self, mode: ConnectivityMode) -> &mut Self {
+        self.config.connectivity = mode;
         self
     }
 
@@ -320,12 +277,12 @@ impl<'e, 'i> GaEngine<'e, 'i> {
         // Offspring.
         let mut actions: Vec<MoveAction> = Vec::new();
         while next.len() < self.config.population_size {
-            let pa = self.config.selection.select(population, rng);
-            let pb = self.config.selection.select(population, rng);
+            let pa = selection::tournament(population, TOURNAMENT_SIZE, rng);
+            let pb = selection::tournament(population, TOURNAMENT_SIZE, rng);
             let (crossed, (mut c1, mut c2)) = if rng.gen::<f64>() < self.config.crossover_rate {
                 (
                     true,
-                    self.config.crossover.cross(
+                    crossover::single_point(
                         population.individuals()[pa].placement(),
                         population.individuals()[pb].placement(),
                         rng,
@@ -387,7 +344,7 @@ impl<'e, 'i> GaEngine<'e, 'i> {
     /// batch-repair work reported by the slot topologies' [`ApplyPhases`]
     /// buckets telescopes into `apply_moves` → `edge_repair` /
     /// `component_repair` / `coverage` scopes (component repair further
-    /// staged into connectivity `insert` / `delete`; the `Rebuild`
+    /// staged into connectivity `insert` / `delete`; the full-rebuild
     /// reference's repairs land in `full_rebuild`), and whatever
     /// evaluation work the buckets don't cover (`clone_from` state copies,
     /// single-move diffs) stays attributed to `evaluate` itself. The
@@ -421,10 +378,8 @@ impl<'e, 'i> GaEngine<'e, 'i> {
         let init_clock = recorder.enabled().then(std::time::Instant::now);
         slots.resize_with(population.len(), EvalWorkspace::new);
         parallel::evaluate_initial(self.evaluator, &mut population, &mut slots, threads)?;
-        if self.config.eval_mode == GaEvalMode::Rebuild {
-            for topo in slots.iter_mut().filter_map(EvalWorkspace::topology_mut) {
-                topo.set_connectivity_mode(ConnectivityMode::FullRebuild);
-            }
+        for topo in slots.iter_mut().filter_map(EvalWorkspace::topology_mut) {
+            topo.set_connectivity_mode(self.config.connectivity);
         }
         let init_nanos = elapsed_nanos(init_clock);
         let mut engine_prev = recorder.enabled().then(|| engine_totals(&slots, &spare));

@@ -8,13 +8,11 @@
 //! * [`chromosome`] / [`population`] — individuals (placement + cached
 //!   evaluation), populations with diversity measures, and per-child
 //!   [`Lineage`] reproduction metadata.
-//! * [`selection`] — tournament (paper default), roulette-wheel, rank.
-//! * [`crossover`] — single-point (paper default), two-point, uniform,
-//!   blend, region-exchange.
-//! * [`mutation`] — Gaussian jitter + uniform reset (paper stack) and a
-//!   swap-pair operator mirroring the paper's swap movement; every
-//!   operator plans its perturbation as `wmn-search` [`MoveAction`]
-//!   deltas.
+//! * [`crossover`] — single-point crossover (parents are picked by
+//!   3-tournament selection).
+//! * [`mutation`] — Gaussian jitter, uniform reset and anchor-attach (the
+//!   paper stack); every operator plans its perturbation as `wmn-search`
+//!   [`MoveAction`] deltas.
 //! * [`init`] — ad-hoc-seeded population initialization
 //!   ([`PopulationInit`]).
 //! * [`engine`] — the elitist generational [`GaEngine`] with per-generation
@@ -22,12 +20,14 @@
 //!   **topology-backed**: each individual owns a live `WmnTopology`, and
 //!   children evaluate as "parent state copy + batch repair of the
 //!   placement diff" — incremental by default
-//!   ([`GaEvalMode::Incremental`]), bit-identical to the full-rebuild
-//!   reference ([`GaEvalMode::Rebuild`]) at a fraction of the cost (see
-//!   the `ablation_ga_eval` bench).
+//!   ([`ConnectivityMode::Dynamic`]), bit-identical to the full-rebuild
+//!   reference ([`ConnectivityMode::FullRebuild`]) at a fraction of the
+//!   cost (see the `ablation_ga_eval` bench).
 //! * [`parallel`] — threaded evaluation over the slot pool.
 //!
 //! [`MoveAction`]: wmn_search::movement::MoveAction
+//! [`ConnectivityMode::Dynamic`]: wmn_graph::topology::ConnectivityMode::Dynamic
+//! [`ConnectivityMode::FullRebuild`]: wmn_graph::topology::ConnectivityMode::FullRebuild
 //!
 //! # Quick start
 //!
@@ -63,28 +63,24 @@ pub mod init;
 pub mod mutation;
 pub mod parallel;
 pub mod population;
-pub mod selection;
+mod selection;
 pub mod trace;
 
 pub use chromosome::Individual;
-pub use crossover::CrossoverOp;
-pub use engine::{GaConfig, GaConfigBuilder, GaEngine, GaEvalMode, GaOutcome};
+pub use engine::{GaConfig, GaConfigBuilder, GaEngine, GaOutcome};
 pub use init::PopulationInit;
 pub use mutation::MutationOp;
 pub use population::{Lineage, Population};
-pub use selection::SelectionOp;
 pub use trace::{GaTrace, GenerationRecord};
 pub use wmn_metrics::stats::ProgressPoint;
 
 /// Convenient glob import of the GA toolkit.
 pub mod prelude {
     pub use crate::chromosome::Individual;
-    pub use crate::crossover::CrossoverOp;
-    pub use crate::engine::{GaConfig, GaConfigBuilder, GaEngine, GaEvalMode, GaOutcome};
+    pub use crate::engine::{GaConfig, GaConfigBuilder, GaEngine, GaOutcome};
     pub use crate::init::PopulationInit;
     pub use crate::mutation::MutationOp;
     pub use crate::population::{Lineage, Population};
-    pub use crate::selection::SelectionOp;
     pub use crate::trace::{GaTrace, GenerationRecord};
     pub use wmn_metrics::stats::ProgressPoint;
     pub use wmn_obs::NoopRecorder;

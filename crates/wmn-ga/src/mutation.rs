@@ -27,7 +27,7 @@ use wmn_model::placement::Placement;
 use wmn_search::movement::MoveAction;
 
 /// A mutation strategy; `rate` fields are probabilities (per gene for the
-/// gene-wise operators, per application for the pairwise ones).
+/// gene-wise operators, per application for anchor-attach).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum MutationOp {
@@ -44,13 +44,6 @@ pub enum MutationOp {
         rate: f64,
         /// Noise standard deviation as a fraction of `min(W, H)`.
         sigma_fraction: f64,
-    },
-    /// With probability `rate` (per application), two random routers
-    /// exchange positions — the GA-side analogue of the paper's swap
-    /// movement.
-    SwapPair {
-        /// Probability that the swap happens at all.
-        rate: f64,
     },
     /// With probability `rate` (per application), a random router relocates
     /// to within mutual link range (`min(r_a, r_b)`) of a **nearby** router
@@ -150,18 +143,6 @@ impl MutationOp {
                 }
                 out.len()
             }
-            MutationOp::SwapPair { rate } => {
-                if n >= 2 && rng.gen::<f64>() < rate {
-                    let (a, b) = pick_distinct_pair(n, rng);
-                    out.push(MoveAction::Swap {
-                        a: wmn_model::RouterId(a),
-                        b: wmn_model::RouterId(b),
-                    });
-                    2
-                } else {
-                    0
-                }
-            }
             MutationOp::AnchorAttach { rate, locality } => {
                 if n >= 2 && rng.gen::<f64>() < rate {
                     let mover = rng.gen_range(0..n);
@@ -223,16 +204,6 @@ impl MutationOp {
     }
 }
 
-/// Two distinct indices in `0..n` (requires `n >= 2`).
-fn pick_distinct_pair(n: usize, rng: &mut dyn RngCore) -> (usize, usize) {
-    let a = rng.gen_range(0..n);
-    let mut b = rng.gen_range(0..n - 1);
-    if b >= a {
-        b += 1;
-    }
-    (a, b)
-}
-
 impl fmt::Display for MutationOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -241,7 +212,6 @@ impl fmt::Display for MutationOp {
                 rate,
                 sigma_fraction,
             } => write!(f, "gaussian-jitter(rate={rate}, sigma={sigma_fraction})"),
-            MutationOp::SwapPair { rate } => write!(f, "swap-pair(rate={rate})"),
             MutationOp::AnchorAttach { rate, locality } => {
                 write!(f, "anchor-attach(rate={rate}, locality={locality})")
             }
@@ -333,34 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_pair_preserves_position_multiset() {
-        let inst = instance(10);
-        let mut p = placement(10);
-        let before = p.clone();
-        let mut rng = rng_from_seed(5);
-        let changed = MutationOp::SwapPair { rate: 1.0 }.mutate(&mut p, &inst, &mut rng);
-        assert_eq!(changed, 2);
-        assert_ne!(p, before, "swap must change the vector");
-        let key = |q: &Point| ((q.x * 1e6) as i64, (q.y * 1e6) as i64);
-        let mut a: Vec<_> = before.as_slice().iter().map(key).collect();
-        let mut b: Vec<_> = p.as_slice().iter().map(key).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "swap is a permutation");
-    }
-
-    #[test]
-    fn swap_pair_on_singleton_is_noop() {
-        let inst = instance(1);
-        let mut p = placement(1);
-        let before = p.clone();
-        let mut rng = rng_from_seed(6);
-        let changed = MutationOp::SwapPair { rate: 1.0 }.mutate(&mut p, &inst, &mut rng);
-        assert_eq!(changed, 0);
-        assert_eq!(p, before);
-    }
-
-    #[test]
     fn anchor_attach_lands_within_mutual_range() {
         let inst = instance(12);
         let mut rng = rng_from_seed(7);
@@ -430,10 +372,7 @@ mod tests {
     #[test]
     fn plan_is_pure_and_matches_mutate_per_seed() {
         let inst = instance(32);
-        for op in MutationOp::paper_default_stack()
-            .into_iter()
-            .chain([MutationOp::SwapPair { rate: 1.0 }])
-        {
+        for op in MutationOp::paper_default_stack() {
             let base = placement(32);
             // Planning must not touch the placement...
             let mut actions = Vec::new();
@@ -450,16 +389,6 @@ mod tests {
             assert_eq!(planned, mutated, "{op}");
             assert_eq!(changed, changed2, "{op}");
             assert!(planned.validate(&inst.area(), 32).is_ok(), "{op}");
-        }
-    }
-
-    #[test]
-    fn pick_distinct_pair_is_distinct() {
-        let mut rng = rng_from_seed(11);
-        for _ in 0..1000 {
-            let (a, b) = pick_distinct_pair(5, &mut rng);
-            assert_ne!(a, b);
-            assert!(a < 5 && b < 5);
         }
     }
 }

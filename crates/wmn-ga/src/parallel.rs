@@ -18,11 +18,9 @@
 //!   (`WmnTopology::clone_from`, allocation-free once warm) and repairs the
 //!   placement diff through the topology's batch engine — incrementally,
 //!   or by a full rebuild when the parents' topologies are pinned to
-//!   `ConnectivityMode::FullRebuild` (the engine's
-//!   [`GaEvalMode::Rebuild`] reference). Workers only *read* the parent
-//!   generation's slots, so chunks share them freely.
-//!
-//! [`GaEvalMode::Rebuild`]: crate::engine::GaEvalMode
+//!   `ConnectivityMode::FullRebuild` (the engine's full-rebuild
+//!   reference). Workers only *read* the parent generation's slots, so
+//!   chunks share them freely.
 
 use crate::chromosome::Individual;
 use crate::population::{Lineage, Population};

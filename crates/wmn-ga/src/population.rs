@@ -13,7 +13,7 @@ use wmn_metrics::evaluator::Evaluation;
 /// plus the diff, instead of rebuilding from scratch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lineage {
-    /// First recorded parent (the prefix donor for positional crossovers).
+    /// First recorded parent (the prefix donor of single-point crossover).
     pub a: usize,
     /// Second recorded parent.
     pub b: usize,

@@ -1,104 +1,28 @@
-//! Parent selection operators.
+//! Parent selection: `k`-tournament (the paper reproduction runs `k = 3`).
 
 use crate::population::Population;
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
-use std::fmt;
 
-/// A parent-selection strategy (all assume an evaluated population).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum SelectionOp {
-    /// `k`-tournament: sample `k` individuals, take the fittest.
-    Tournament {
-        /// Tournament size (`k >= 1`); larger means stronger pressure.
-        k: usize,
-    },
-    /// Fitness-proportional (roulette-wheel) selection. Falls back to
-    /// uniform choice when total fitness is non-positive.
-    RouletteWheel,
-    /// Linear rank selection: probability proportional to `n - rank`.
-    Rank,
-}
-
-impl SelectionOp {
-    /// The configuration used for the paper reproduction (3-tournament).
-    pub fn paper_default() -> Self {
-        SelectionOp::Tournament { k: 3 }
-    }
-
-    /// Selects one parent index from `population`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population is empty, or `k == 0` for tournaments.
-    pub fn select(&self, population: &Population, rng: &mut dyn RngCore) -> usize {
-        let n = population.len();
-        assert!(n > 0, "cannot select from an empty population");
-        match *self {
-            SelectionOp::Tournament { k } => {
-                assert!(k > 0, "tournament size must be positive");
-                let mut best = rng.gen_range(0..n);
-                for _ in 1..k {
-                    let challenger = rng.gen_range(0..n);
-                    if population.individuals()[challenger].fitness()
-                        > population.individuals()[best].fitness()
-                    {
-                        best = challenger;
-                    }
-                }
-                best
-            }
-            SelectionOp::RouletteWheel => {
-                let total: f64 = population
-                    .individuals()
-                    .iter()
-                    .map(|i| i.fitness().max(0.0))
-                    .sum();
-                if total <= 0.0 || !total.is_finite() {
-                    return rng.gen_range(0..n);
-                }
-                let mut spin = rng.gen::<f64>() * total;
-                for (i, ind) in population.individuals().iter().enumerate() {
-                    spin -= ind.fitness().max(0.0);
-                    if spin <= 0.0 {
-                        return i;
-                    }
-                }
-                n - 1
-            }
-            SelectionOp::Rank => {
-                let ranked = population.ranked_indices();
-                // Weight of the r-th ranked individual: n - r.
-                let total = n * (n + 1) / 2;
-                let mut spin = rng.gen_range(0..total);
-                for (r, &idx) in ranked.iter().enumerate() {
-                    let w = n - r;
-                    if spin < w {
-                        return idx;
-                    }
-                    spin -= w;
-                }
-                ranked[n - 1]
-            }
+/// Samples `k` individuals of an evaluated `population` uniformly (with
+/// replacement) and returns the index of the fittest; ties keep the
+/// earliest sample. Larger `k` means stronger selection pressure.
+///
+/// # Panics
+///
+/// Panics if the population is empty or `k == 0`.
+pub(crate) fn tournament(population: &Population, k: usize, rng: &mut dyn RngCore) -> usize {
+    let n = population.len();
+    assert!(n > 0, "cannot select from an empty population");
+    assert!(k > 0, "tournament size must be positive");
+    let mut best = rng.gen_range(0..n);
+    for _ in 1..k {
+        let challenger = rng.gen_range(0..n);
+        if population.individuals()[challenger].fitness() > population.individuals()[best].fitness()
+        {
+            best = challenger;
         }
     }
-}
-
-impl Default for SelectionOp {
-    fn default() -> Self {
-        SelectionOp::paper_default()
-    }
-}
-
-impl fmt::Display for SelectionOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SelectionOp::Tournament { k } => write!(f, "tournament(k={k})"),
-            SelectionOp::RouletteWheel => write!(f, "roulette-wheel"),
-            SelectionOp::Rank => write!(f, "rank"),
-        }
-    }
+    best
 }
 
 #[cfg(test)]
@@ -125,11 +49,11 @@ mod tests {
             .collect()
     }
 
-    fn selection_histogram(op: SelectionOp, pop: &Population, trials: usize) -> Vec<usize> {
+    fn selection_histogram(k: usize, pop: &Population, trials: usize) -> Vec<usize> {
         let mut rng = rng_from_seed(42);
         let mut counts = vec![0usize; pop.len()];
         for _ in 0..trials {
-            counts[op.select(pop, &mut rng)] += 1;
+            counts[tournament(pop, k, &mut rng)] += 1;
         }
         counts
     }
@@ -137,7 +61,7 @@ mod tests {
     #[test]
     fn tournament_prefers_fitter() {
         let pop = population(&[0.1, 0.9, 0.5]);
-        let counts = selection_histogram(SelectionOp::Tournament { k: 3 }, &pop, 3000);
+        let counts = selection_histogram(3, &pop, 3000);
         assert!(counts[1] > counts[2]);
         assert!(counts[2] > counts[0]);
     }
@@ -145,7 +69,7 @@ mod tests {
     #[test]
     fn tournament_k1_is_uniform() {
         let pop = population(&[0.1, 0.9]);
-        let counts = selection_histogram(SelectionOp::Tournament { k: 1 }, &pop, 4000);
+        let counts = selection_histogram(1, &pop, 4000);
         let ratio = counts[0] as f64 / counts[1] as f64;
         assert!(
             (0.85..1.18).contains(&ratio),
@@ -154,47 +78,10 @@ mod tests {
     }
 
     #[test]
-    fn roulette_is_fitness_proportional() {
-        let pop = population(&[1.0, 3.0]);
-        let counts = selection_histogram(SelectionOp::RouletteWheel, &pop, 8000);
-        let ratio = counts[1] as f64 / counts[0] as f64;
-        assert!(
-            (2.5..3.6).contains(&ratio),
-            "3:1 fitness should give ~3x, got {ratio}"
-        );
-    }
-
-    #[test]
-    fn roulette_handles_zero_total() {
-        let pop = population(&[0.0, 0.0, 0.0]);
-        let counts = selection_histogram(SelectionOp::RouletteWheel, &pop, 3000);
-        assert!(counts.iter().all(|&c| c > 500), "uniform fallback expected");
-    }
-
-    #[test]
-    fn rank_prefers_better_but_gentler() {
-        let pop = population(&[0.1, 100.0]);
-        let rank_counts = selection_histogram(SelectionOp::Rank, &pop, 6000);
-        // Rank: weights 2:1 regardless of the huge fitness gap.
-        let ratio = rank_counts[1] as f64 / rank_counts[0] as f64;
-        assert!(
-            (1.7..2.4).contains(&ratio),
-            "rank should be ~2:1, got {ratio}"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "empty")]
     fn empty_population_panics() {
         let pop = Population::new();
         let mut rng = rng_from_seed(0);
-        let _ = SelectionOp::default().select(&pop, &mut rng);
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(SelectionOp::paper_default().to_string(), "tournament(k=3)");
-        assert_eq!(SelectionOp::RouletteWheel.to_string(), "roulette-wheel");
-        assert_eq!(SelectionOp::Rank.to_string(), "rank");
+        let _ = tournament(&pop, 3, &mut rng);
     }
 }

@@ -1,15 +1,16 @@
 //! Full-run equivalence suite for the topology-backed GA: complete GA runs
-//! under [`GaEvalMode::Incremental`] (dynamic connectivity) must be
-//! **bit-identical** to the full-rebuild reference
-//! ([`GaEvalMode::Rebuild`]) — traces, best placements, and final
+//! under [`ConnectivityMode::Dynamic`] must be **bit-identical** to the
+//! full-rebuild reference ([`ConnectivityMode::FullRebuild`]) — traces,
+//! best placements, and final
 //! populations — at every thread count, for ad-hoc and random
 //! initializations. Both modes share the engine's slot pool, so every run
 //! is also checked against an independent reference: each final
 //! individual's evaluation must equal a fresh build of its placement
 //! (`Evaluator::evaluate`).
 
-use wmn_ga::engine::{GaConfig, GaEngine, GaEvalMode, GaOutcome};
+use wmn_ga::engine::{GaConfig, GaEngine, GaOutcome};
 use wmn_ga::init::PopulationInit;
+use wmn_graph::topology::ConnectivityMode;
 use wmn_metrics::evaluator::Evaluator;
 use wmn_model::instance::ProblemInstance;
 use wmn_model::rng::rng_from_seed;
@@ -26,7 +27,7 @@ fn instance(seed: u64) -> ProblemInstance {
 fn run(
     instance: &ProblemInstance,
     init: &PopulationInit,
-    mode: GaEvalMode,
+    mode: ConnectivityMode,
     threads: usize,
     seed: u64,
 ) -> GaOutcome {
@@ -76,15 +77,15 @@ fn incremental_equals_rebuild_across_thread_counts() {
         PopulationInit::AdHoc(AdHocMethod::HotSpot),
         PopulationInit::UniformRandom,
     ] {
-        let baseline = run(&inst, &init, GaEvalMode::Rebuild, 1, 42);
+        let baseline = run(&inst, &init, ConnectivityMode::FullRebuild, 1, 42);
         for threads in [1usize, 2, 8] {
-            let incremental = run(&inst, &init, GaEvalMode::Incremental, threads, 42);
+            let incremental = run(&inst, &init, ConnectivityMode::Dynamic, threads, 42);
             assert_outcomes_identical(
                 &baseline,
                 &incremental,
                 &format!("{} incremental @{threads} threads", init.name()),
             );
-            let rebuild = run(&inst, &init, GaEvalMode::Rebuild, threads, 42);
+            let rebuild = run(&inst, &init, ConnectivityMode::FullRebuild, threads, 42);
             assert_outcomes_identical(
                 &baseline,
                 &rebuild,
@@ -104,8 +105,8 @@ fn equivalence_holds_across_seeds_and_methods() {
     {
         let inst = instance(100 + i as u64);
         let init = PopulationInit::AdHoc(method);
-        let a = run(&inst, &init, GaEvalMode::Incremental, 1, 7 + i as u64);
-        let b = run(&inst, &init, GaEvalMode::Rebuild, 1, 7 + i as u64);
+        let a = run(&inst, &init, ConnectivityMode::Dynamic, 1, 7 + i as u64);
+        let b = run(&inst, &init, ConnectivityMode::FullRebuild, 1, 7 + i as u64);
         assert_outcomes_identical(&a, &b, method.name());
     }
 }
@@ -114,8 +115,11 @@ fn equivalence_holds_across_seeds_and_methods() {
 fn default_mode_is_incremental_and_matches_explicit() {
     let inst = instance(5);
     let init = PopulationInit::AdHoc(AdHocMethod::Cross);
-    assert_eq!(GaConfig::paper_default().eval_mode, GaEvalMode::Incremental);
-    let default_cfg = run(&inst, &init, GaConfig::paper_default().eval_mode, 2, 11);
-    let explicit = run(&inst, &init, GaEvalMode::Incremental, 2, 11);
+    assert_eq!(
+        GaConfig::paper_default().connectivity,
+        ConnectivityMode::Dynamic
+    );
+    let default_cfg = run(&inst, &init, GaConfig::paper_default().connectivity, 2, 11);
+    let explicit = run(&inst, &init, ConnectivityMode::Dynamic, 2, 11);
     assert_outcomes_identical(&default_cfg, &explicit, "default mode");
 }

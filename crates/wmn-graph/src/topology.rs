@@ -149,8 +149,10 @@ impl fmt::Display for ConnectivityMode {
 }
 
 /// Link model + coverage rule: everything configurable about how a
-/// placement is turned into a network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+/// placement is turned into a network. It has no `Default`, so every
+/// caller names its network model; the paper's is
+/// [`TopologyConfig::paper_default`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TopologyConfig {
     /// Router–router link rule.
     pub link_model: LinkModel,
@@ -1386,7 +1388,7 @@ mod tests {
     fn build_validates_placement() {
         let instance = InstanceSpec::paper_normal().unwrap().generate(1).unwrap();
         let bad = Placement::from_points(vec![Point::new(1.0, 1.0)]);
-        assert!(WmnTopology::build(&instance, &bad, TopologyConfig::default()).is_err());
+        assert!(WmnTopology::build(&instance, &bad, TopologyConfig::paper_default()).is_err());
     }
 
     #[test]
@@ -1441,7 +1443,7 @@ mod tests {
             &placement,
             TopologyConfig {
                 coverage_rule: CoverageRule::GiantComponentOnly,
-                ..TopologyConfig::default()
+                ..TopologyConfig::paper_default()
             },
         )
         .unwrap();
@@ -1457,7 +1459,7 @@ mod tests {
             &placement,
             TopologyConfig {
                 coverage_rule: CoverageRule::AnyRouter,
-                ..TopologyConfig::default()
+                ..TopologyConfig::paper_default()
             },
         )
         .unwrap();

@@ -1,11 +1,12 @@
 //! Instance-bound placement evaluation.
 //!
-//! [`Evaluator`] binds a problem instance, a topology configuration, and a
-//! fitness function, turning a [`Placement`] into an [`Evaluation`] in one
-//! call. It is the single entry point the search and GA crates use, so
-//! every algorithm measures solutions identically.
+//! [`Evaluator`] binds a problem instance and a topology configuration,
+//! turning a [`Placement`] into an [`Evaluation`] (scored by
+//! [`fitness::score`]) in one call. It is the single entry point the
+//! search and GA crates use, so every algorithm measures solutions
+//! identically.
 
-use crate::fitness::FitnessFunction;
+use crate::fitness;
 use crate::measurement::NetworkMeasurement;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -21,7 +22,7 @@ use wmn_model::ModelError;
 pub struct Evaluation {
     /// The raw network measurement.
     pub measurement: NetworkMeasurement,
-    /// Scalar fitness under the evaluator's fitness function.
+    /// Scalar fitness ([`fitness::score`]).
     pub fitness: f64,
 }
 
@@ -160,33 +161,22 @@ impl EvalWorkspace {
 pub struct Evaluator<'a> {
     instance: &'a ProblemInstance,
     topology_config: TopologyConfig,
-    fitness: FitnessFunction,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an evaluator with explicit configuration.
-    pub fn new(
-        instance: &'a ProblemInstance,
-        topology_config: TopologyConfig,
-        fitness: FitnessFunction,
-    ) -> Self {
+    /// Creates an evaluator with an explicit topology configuration.
+    pub fn new(instance: &'a ProblemInstance, topology_config: TopologyConfig) -> Self {
         Evaluator {
             instance,
             topology_config,
-            fitness,
         }
     }
 
     /// Creates an evaluator with the calibrated reproduction configuration
-    /// (mutual-range links, giant-only coverage, lexicographic fitness —
-    /// see [`TopologyConfig::paper_default`] and
-    /// [`FitnessFunction::paper_default`] for the calibration rationale).
+    /// (mutual-range links and giant-only coverage — see
+    /// [`TopologyConfig::paper_default`] for the calibration rationale).
     pub fn paper_default(instance: &'a ProblemInstance) -> Self {
-        Evaluator::new(
-            instance,
-            TopologyConfig::paper_default(),
-            FitnessFunction::paper_default(),
-        )
+        Evaluator::new(instance, TopologyConfig::paper_default())
     }
 
     /// The bound instance.
@@ -197,11 +187,6 @@ impl<'a> Evaluator<'a> {
     /// The topology configuration.
     pub fn topology_config(&self) -> TopologyConfig {
         self.topology_config
-    }
-
-    /// The fitness function.
-    pub fn fitness_function(&self) -> FitnessFunction {
-        self.fitness
     }
 
     /// Builds the topology for `placement` (for callers that need the full
@@ -342,13 +327,8 @@ impl<'a> Evaluator<'a> {
         let measurement = NetworkMeasurement::from_topology(topo);
         Evaluation {
             measurement,
-            fitness: self.fitness.score(&measurement),
+            fitness: fitness::score(&measurement),
         }
-    }
-
-    /// Evaluates a measurement (for callers that already extracted one).
-    pub fn score(&self, measurement: &NetworkMeasurement) -> f64 {
-        self.fitness.score(measurement)
     }
 }
 

@@ -8,8 +8,8 @@
 //!   evaluated network.
 //! * [`objective`] — the two paper objectives as [`Objective`]
 //!   implementations.
-//! * [`fitness`] — composite [`FitnessFunction`]s (lexicographic — the
-//!   calibrated default — and weighted).
+//! * [`fitness`] — the lexicographic fitness (connectivity first,
+//!   coverage breaks ties).
 //! * [`evaluator`] — [`Evaluator`], the single evaluation entry point used
 //!   by every search algorithm in the workspace.
 //! * [`stats`] — streaming statistics and trace series for experiments.
@@ -39,7 +39,6 @@ pub mod objective;
 pub mod stats;
 
 pub use evaluator::{EvalWorkspace, Evaluation, Evaluator};
-pub use fitness::FitnessFunction;
 pub use measurement::NetworkMeasurement;
 pub use objective::{GiantComponentSize, Objective, UserCoverage};
 pub use stats::{ProgressPoint, RunningStats, Trace};

@@ -3,8 +3,8 @@
 //! The paper optimizes two objectives: the size of the giant component
 //! (network connectivity) and the number of covered clients (user
 //! coverage), with connectivity "considered as more important". Objectives
-//! are small stateless types implementing [`Objective`]; composites live in
-//! [`fitness`](crate::fitness).
+//! are small stateless types implementing [`Objective`]; the fitness that
+//! combines them lives in [`fitness`](crate::fitness).
 
 use crate::measurement::NetworkMeasurement;
 use std::fmt::Debug;
@@ -12,7 +12,7 @@ use std::fmt::Debug;
 /// A scalar objective over network measurements (maximization).
 ///
 /// Implementors return both a raw value (in natural units — routers,
-/// clients) and a normalized value in `[0, 1]` used by weighted composites.
+/// clients) and a normalized value in `[0, 1]`.
 pub trait Objective: Debug {
     /// Raw objective value in natural units.
     fn raw(&self, m: &NetworkMeasurement) -> f64;

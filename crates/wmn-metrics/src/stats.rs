@@ -169,13 +169,13 @@ impl fmt::Display for RunningStats {
 /// One solver progress sample: the solution quality observed at a step of
 /// an optimization run.
 ///
-/// This is the shared per-phase record shape: the neighborhood-search
-/// drivers' per-phase trace and the GA's per-generation trace both embed a
+/// This is the shared per-phase record shape: the neighborhood search's
+/// per-phase trace and the GA's per-generation trace both embed a
 /// `ProgressPoint`, so figure writers and telemetry consume one type
 /// regardless of which engine produced the run.
 ///
-/// `step` is engine-defined — annealing/tabu/hill-climbing phases for the
-/// search drivers, generations for the GA.
+/// `step` is engine-defined — phases for the neighborhood search,
+/// generations for the GA.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProgressPoint {
     /// Engine-defined step index (search phase or GA generation).

@@ -264,7 +264,7 @@ impl ClientDistribution {
         ClientDistribution::try_weibull(1.5, area.width() / 3.0)
     }
 
-    /// Short lowercase name used by file formats and experiment reports.
+    /// Short lowercase name used by experiment reports.
     pub fn name(&self) -> &'static str {
         match self {
             ClientDistribution::Uniform => "uniform",

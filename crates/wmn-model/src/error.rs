@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced while constructing or parsing model values.
+/// Errors produced while constructing model values.
 ///
 /// All variants are self-describing through [`Display`](fmt::Display); the
 /// type implements [`std::error::Error`] and is `Send + Sync + 'static` so it
@@ -54,13 +54,6 @@ pub enum ModelError {
         /// Offending y coordinate.
         y: f64,
     },
-    /// Failure while parsing the `.wmn` text format.
-    Parse {
-        /// 1-based line number where parsing failed.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
 }
 
 impl fmt::Display for ModelError {
@@ -88,9 +81,6 @@ impl fmt::Display for ModelError {
                 f,
                 "router {index} placed at ({x}, {y}), outside the deployment area"
             ),
-            ModelError::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
-            }
         }
     }
 }
@@ -133,10 +123,6 @@ mod tests {
                 index: 0,
                 x: -1.0,
                 y: 0.0,
-            },
-            ModelError::Parse {
-                line: 3,
-                message: "bad token".to_owned(),
             },
         ];
         for e in samples {

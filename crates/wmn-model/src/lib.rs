@@ -15,8 +15,6 @@
 //! * [`instance`] — [`ProblemInstance`], its declarative [`InstanceSpec`]
 //!   (including the paper's evaluation presets) and an [`InstanceBuilder`].
 //! * [`placement`] — [`Placement`], the candidate-solution position vector.
-//! * [`format`](mod@format) — a plain-text `.wmn` file format for instances and
-//!   placements.
 //! * [`rng`] — deterministic seed plumbing ([`SeedSequence`]).
 //!
 //! # Quick start
@@ -42,7 +40,6 @@
 
 pub mod distribution;
 pub mod error;
-pub mod format;
 pub mod geometry;
 pub mod instance;
 pub mod node;

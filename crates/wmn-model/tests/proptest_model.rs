@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use wmn_model::distribution::ClientDistribution;
-use wmn_model::format;
 use wmn_model::geometry::{Area, Point, Rect};
-use wmn_model::instance::InstanceSpec;
 use wmn_model::placement::Placement;
 use wmn_model::radio::RadioProfile;
 use wmn_model::rng::{rng_from_seed, SeedSequence};
@@ -113,32 +111,6 @@ proptest! {
         let seeds: Vec<u64> = (0..64).map(|_| seq.next_seed()).collect();
         let unique: std::collections::HashSet<_> = seeds.iter().collect();
         prop_assert_eq!(unique.len(), seeds.len());
-    }
-
-    #[test]
-    fn instance_roundtrips_through_text_format(
-        seed in any::<u64>(),
-        routers in 1usize..20,
-        clients in 1usize..30,
-    ) {
-        let area = Area::square(64.0).unwrap();
-        let spec = InstanceSpec::new(
-            area,
-            routers,
-            clients,
-            ClientDistribution::Uniform,
-            RadioProfile::paper_default(),
-        ).unwrap();
-        let inst = spec.generate(seed).unwrap();
-        let parsed = format::parse_instance(&format::write_instance(&inst)).unwrap();
-        prop_assert_eq!(parsed, inst);
-    }
-
-    #[test]
-    fn placement_roundtrips_through_text_format(points in proptest::collection::vec(point(), 0..40)) {
-        let p = Placement::from_points(points);
-        let parsed = format::parse_placement(&format::write_placement(&p)).unwrap();
-        prop_assert_eq!(parsed, p);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! * [`search`] — the phase-loop driver (Algorithm 1), with strict
 //!   (paper) and fixed-length (Figure 4) stopping modes.
 //! * [`trace`] — per-phase history (the data behind Figure 4).
-//! * Extensions (the paper's "full featured local search" future work):
-//!   [`hill_climb`], [`annealing`], [`tabu`].
 //!
 //! # Quick start
 //!
@@ -44,13 +42,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod annealing;
-pub mod hill_climb;
 pub mod movement;
 pub mod neighborhood;
 pub mod search;
-pub mod tabu;
-mod telemetry;
 pub mod trace;
 
 pub use movement::{MoveAction, Movement, RandomMovement, SwapConfig, SwapMovement, UndoAction};
@@ -61,14 +55,11 @@ pub use wmn_metrics::stats::ProgressPoint;
 
 /// Convenient glob import of the search toolkit.
 pub mod prelude {
-    pub use crate::annealing::{AnnealingConfig, SimulatedAnnealing};
-    pub use crate::hill_climb::{HillClimb, HillClimbConfig};
     pub use crate::movement::{
         MoveAction, Movement, RandomMovement, SwapConfig, SwapMovement, UndoAction,
     };
     pub use crate::neighborhood::{best_neighbor, BestNeighbor, ExplorationBudget};
     pub use crate::search::{NeighborhoodSearch, SearchConfig, SearchOutcome, StoppingCondition};
-    pub use crate::tabu::{TabuConfig, TabuSearch};
     pub use crate::trace::{PhaseRecord, SearchTrace};
     pub use wmn_metrics::stats::ProgressPoint;
     pub use wmn_obs::NoopRecorder;

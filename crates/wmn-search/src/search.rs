@@ -9,13 +9,12 @@
 
 use crate::movement::Movement;
 use crate::neighborhood::{best_neighbor, ExplorationBudget};
-use crate::telemetry::{record_run, RunReport};
 use crate::trace::{PhaseRecord, SearchTrace};
 use rand::RngCore;
 use wmn_graph::topology::WmnTopology;
 use wmn_metrics::evaluator::{Evaluation, Evaluator};
 use wmn_model::placement::Placement;
-use wmn_obs::Recorder;
+use wmn_obs::{phase, Recorder};
 
 /// Stopping behaviour of the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +63,7 @@ pub struct SearchConfig {
     pub stopping: StoppingCondition,
 }
 
-/// Result of a neighborhood search or hill-climb run.
+/// Result of a neighborhood search run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// Best placement found.
@@ -204,13 +203,17 @@ impl<'e, 'i> NeighborhoodSearch<'e, 'i> {
         }
 
         if let Some(before) = engine_before {
-            let report = RunReport {
-                driver: "ns",
-                phases: ("search.ns.phases", trace.len()),
-                proposed: ("search.ns.moves_proposed", proposed),
-                evaluate: &[("search.ns.moves_accepted", trace.accepted_count())],
-            };
-            record_run(recorder, &topo.engine_stats().delta_since(&before), report);
+            // The engine delta is the `apply` stage's, with connectivity
+            // work staged into `insert` / `delete`; flat totals are the
+            // plain counter sums.
+            let engine = topo.engine_stats().delta_since(&before);
+            let mut scope = phase(recorder, "search");
+            let mut ns = phase(&mut scope, "ns");
+            ns.counter("search.ns.phases", trace.len() as u64);
+            phase(&mut ns, "propose").counter("search.ns.moves_proposed", proposed as u64);
+            engine.record_counters_staged(&mut phase(&mut ns, "apply"));
+            phase(&mut ns, "evaluate")
+                .counter("search.ns.moves_accepted", trace.accepted_count() as u64);
         }
 
         SearchOutcome {

@@ -41,7 +41,7 @@ fn main() -> Result<(), ModelError> {
 
     println!();
     println!("Ad hoc methods are fast but far from optimal (paper §3);");
-    println!("see the `search_comparison` and `municipal_rollout` examples");
+    println!("see the `campus_wifi` and `municipal_rollout` examples");
     println!("for the neighborhood search and GA that refine them.");
     Ok(())
 }

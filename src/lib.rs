@@ -17,9 +17,9 @@
 //! |---|---|
 //! | [`model`] | geometry, radio model, client distributions, instances |
 //! | [`graph`] | union–find, spatial index, mesh topology, density maps |
-//! | [`metrics`] | objectives, fitness functions, the [`Evaluator`] |
+//! | [`metrics`] | objectives, the lexicographic fitness, the [`Evaluator`] |
 //! | [`placement`] | the seven ad hoc heuristics ([`AdHocMethod`]) |
-//! | [`search`] | neighborhood search: swap & random movements, SA, tabu |
+//! | [`search`] | neighborhood search: swap & random movements |
 //! | [`ga`] | the genetic algorithm with ad-hoc-seeded populations |
 //! | [`runtime`] | deterministic parallel experiment execution ([`Runtime`]) |
 //!
@@ -80,9 +80,7 @@ pub mod prelude {
     pub use wmn_graph::{
         ConnectivityMode, CoverageRule, DynamicConnectivity, LinkModel, TopologyConfig, WmnTopology,
     };
-    pub use wmn_metrics::{
-        EvalWorkspace, Evaluation, Evaluator, FitnessFunction, NetworkMeasurement,
-    };
+    pub use wmn_metrics::{EvalWorkspace, Evaluation, Evaluator, NetworkMeasurement};
     pub use wmn_model::prelude::*;
     pub use wmn_placement::prelude::*;
     pub use wmn_runtime::{Cell, MemorySink, RowSink, Runtime};

@@ -89,75 +89,32 @@ fn whole_pipeline_is_deterministic_per_seed() {
 }
 
 #[test]
-fn instance_text_format_roundtrips_through_evaluation() {
-    let instance = quick_instance(5);
-    let text = wmn::model::format::write_instance(&instance);
-    let parsed = wmn::model::format::parse_instance(&text).expect("parses");
-    assert_eq!(parsed, instance);
-
-    // Evaluations agree between the original and the round-tripped copy.
-    let mut rng = rng_from_seed(6);
-    let placement = instance.random_placement(&mut rng);
-    let e1 = Evaluator::paper_default(&instance)
-        .evaluate(&placement)
-        .expect("evaluates");
-    let e2 = Evaluator::paper_default(&parsed)
-        .evaluate(&placement)
-        .expect("evaluates");
-    assert_eq!(e1, e2);
-
-    // Placements round-trip too.
-    let ptext = wmn::model::format::write_placement(&placement);
-    assert_eq!(
-        wmn::model::format::parse_placement(&ptext).expect("parses"),
-        placement
-    );
-}
-
-#[test]
 fn every_method_feeds_every_search_algorithm() {
     let instance = quick_instance(7);
     let evaluator = Evaluator::paper_default(&instance);
+    let config = SearchConfig {
+        budget: ExplorationBudget::sampled(4),
+        stopping: StoppingCondition::fixed_phases(4),
+    };
     for method in AdHocMethod::all() {
         let mut rng = rng_from_seed(method.name().len() as u64);
         let placement = method.heuristic().place(&instance, &mut rng);
-
-        let hill = HillClimb::new(
-            &evaluator,
+        let movements: [Box<dyn Movement>; 2] = [
+            Box::new(SwapMovement::new(&instance, SwapConfig::default())),
             Box::new(RandomMovement::new(&instance)),
-            HillClimbConfig {
-                max_phases: 4,
-                samples_per_phase: 4,
-                patience: 2,
-            },
-        );
-        let topology = || evaluator.topology(&placement).expect("valid placement");
-        let h = hill.run(&mut topology(), &mut rng, &mut NoopRecorder);
-        assert!(h.best_evaluation.fitness >= h.initial_evaluation.fitness);
-
-        let sa = SimulatedAnnealing::new(
-            &evaluator,
-            Box::new(SwapMovement::new(&instance, SwapConfig::default())),
-            AnnealingConfig {
-                phases: 4,
-                moves_per_phase: 4,
-                ..AnnealingConfig::default()
-            },
-        );
-        let s = sa.run(&mut topology(), &mut rng, &mut NoopRecorder);
-        assert!(s.best_evaluation.fitness >= s.initial_evaluation.fitness);
-
-        let tabu = TabuSearch::new(
-            &evaluator,
-            Box::new(SwapMovement::new(&instance, SwapConfig::default())),
-            TabuConfig {
-                phases: 4,
-                candidates_per_phase: 4,
-                tenure: 2,
-            },
-        );
-        let t = tabu.run(&mut topology(), &mut rng, &mut NoopRecorder);
-        assert!(t.best_evaluation.fitness >= t.initial_evaluation.fitness);
+        ];
+        for movement in movements {
+            let search = NeighborhoodSearch::new(&evaluator, movement, config);
+            let mut topo = evaluator.topology(&placement).expect("valid placement");
+            let outcome = search.run(&mut topo, &mut rng, &mut NoopRecorder);
+            assert!(
+                outcome.best_evaluation.fitness >= outcome.initial_evaluation.fitness,
+                "{method} / {}",
+                search.movement_name()
+            );
+            assert_eq!(outcome.trace.len(), 4);
+            assert!(instance.validate_placement(&outcome.best_placement).is_ok());
+        }
     }
 }
 
