@@ -104,6 +104,7 @@ impl std::error::Error for JsonError {}
 /// arrays or objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -118,6 +119,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around the current position.
@@ -265,13 +267,17 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = self
+                            // Exactly four hex digits (no sign, no
+                            // shorter form).
+                            let code = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
+                                .ok_or_else(|| self.error("truncated \\u escape"))?
+                                .iter()
+                                .try_fold(0, |code, &h| {
+                                    Some(code * 16 + char::from(h).to_digit(16)?)
+                                })
+                                .ok_or_else(|| self.error("bad \\u escape"))?;
                             self.pos += 4;
                             // Surrogates never appear in our own output;
                             // map unpaired ones to the replacement char.
@@ -281,16 +287,15 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.error("unterminated string"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of plain characters up to the next quote
+                    // or backslash at once. Both are ASCII, so the run ends
+                    // on a character boundary of the `&str` input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -352,6 +357,29 @@ mod tests {
     }
 
     #[test]
+    fn parses_a_long_mixed_string_exactly() {
+        // Over 1 MiB of ASCII, multi-byte characters and escapes in one
+        // string: the parse must be exact, and linear in the input.
+        let pieces = [
+            ("plain ascii ", "plain ascii "),
+            ("ü€𝄞", "ü€𝄞"),
+            ("\"", "\\\""),
+            ("\\", "\\\\"),
+            ("A\n", "\\u0041\\n"),
+            ("é", "\\u00E9"),
+        ];
+        let (mut expected, mut doc) = (String::new(), String::from('"'));
+        while doc.len() <= 1 << 20 {
+            for (value, encoded) in pieces {
+                expected.push_str(value);
+                doc.push_str(encoded);
+            }
+        }
+        doc.push('"');
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(expected.as_str()));
+    }
+
+    #[test]
     fn empty_containers() {
         assert_eq!(parse("{}").unwrap(), JsonValue::Object(vec![]));
         assert_eq!(parse("[]").unwrap(), JsonValue::Array(vec![]));
@@ -397,6 +425,9 @@ mod tests {
             let err = parse(bad).unwrap_err();
             assert!(!err.to_string().is_empty(), "{bad:?}");
         }
+        // A `\u` escape takes exactly four hex digits: no sign.
+        let signed = parse("\"\\u+041\"").unwrap_err();
+        assert!(signed.to_string().contains("bad \\u escape"), "{signed}");
     }
 
     #[test]

@@ -343,8 +343,7 @@ impl<'e, 'i> GaEngine<'e, 'i> {
     /// with `init` / `evaluate` child scopes; inside `evaluate`, the
     /// batch-repair work reported by the slot topologies' [`ApplyPhases`]
     /// buckets telescopes into `apply_moves` → `edge_repair` /
-    /// `component_repair` / `coverage` scopes (component repair further
-    /// staged into connectivity `insert` / `delete`; the full-rebuild
+    /// `component_repair` / `coverage` scopes (the full-rebuild
     /// reference's repairs land in `full_rebuild`), and whatever
     /// evaluation work the buckets don't cover (`clone_from` state copies,
     /// single-move diffs) stays attributed to `evaluate` itself. The

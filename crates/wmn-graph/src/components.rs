@@ -2,9 +2,11 @@
 //!
 //! The paper's primary objective is the **size of the giant component** of
 //! the router mesh. This module computes component structure from a
-//! [`MeshAdjacency`], either by BFS or by union–find (both kept so the
-//! `ablation_components` bench can compare them; they are verified equal in
-//! tests).
+//! [`MeshAdjacency`] by BFS, into fresh buffers
+//! ([`Components::from_adjacency`]) or in place (`rebuild_in_place`,
+//! behind `WmnTopology::reset_placement`). A union–find build
+//! ([`Components::from_adjacency_dsu`]) is kept as the oracle the tests
+//! check the BFS against.
 //!
 //! Each component is labeled by its **representative**: its smallest node
 //! index. That label is a pure function of the partition, so every way of
@@ -12,7 +14,7 @@
 //! repair that changes a few components rewrites only their nodes — the
 //! dynamic connectivity engine
 //! ([`DynamicConnectivity`](crate::connectivity::DynamicConnectivity))
-//! relabels just the components it merged or split. Sizes are indexed by
+//! relabels just the components an edge diff touched. Sizes are indexed by
 //! representative (0 at every other index) and the component count is
 //! kept as a field, so neither needs a pass over the nodes.
 //!
@@ -91,70 +93,55 @@ impl Clone for Components {
 impl Components {
     /// Computes components by breadth-first search.
     pub fn from_adjacency(adj: &MeshAdjacency) -> Components {
+        let mut components = Components::empty();
+        components.rebuild_in_place(adj, &mut Vec::new());
+        components
+    }
+
+    /// Recomputes this component structure from `adj` by breadth-first
+    /// search **in place**, reusing its own buffers and the caller's BFS
+    /// `queue`, so no heap allocation happens once the buffers have grown
+    /// to the graph size. This is the rebuild behind
+    /// [`Components::from_adjacency`] and `WmnTopology::reset_placement`.
+    pub(crate) fn rebuild_in_place(&mut self, adj: &MeshAdjacency, queue: &mut Vec<u32>) {
         let n = adj.node_count();
-        let mut label = vec![NONE; n];
-        let mut sizes = vec![0u32; n];
-        let mut count = 0;
-        let mut queue = std::collections::VecDeque::new();
+        self.label.clear();
+        self.label.resize(n, NONE);
+        self.sizes.clear();
+        self.sizes.resize(n, 0);
+        self.count = 0;
         for start in 0..n {
-            if label[start] != NONE {
+            if self.label[start] != NONE {
                 continue;
             }
             // Every smaller node is already labeled, so `start` is the
             // smallest node of its component.
-            count += 1;
-            label[start] = start as u32;
-            queue.push_back(start);
-            while let Some(u) = queue.pop_front() {
-                sizes[start] += 1;
-                for &v in adj.neighbors(u) {
-                    if label[v as usize] == NONE {
-                        label[v as usize] = start as u32;
-                        queue.push_back(v as usize);
+            self.count += 1;
+            self.label[start] = start as u32;
+            queue.clear();
+            queue.push(start as u32);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                for &v in adj.neighbors(u as usize) {
+                    if self.label[v as usize] == NONE {
+                        self.label[v as usize] = start as u32;
+                        queue.push(v);
                     }
                 }
             }
+            self.sizes[start] = queue.len() as u32;
         }
-        let giant = Self::giant_label(&sizes);
-        Components {
-            label,
-            sizes,
-            count,
-            giant,
-        }
+        self.giant = Self::giant_label(&self.sizes);
     }
 
-    /// Computes components by union–find; result is identical to
-    /// [`Components::from_adjacency`] (verified by tests).
+    /// Computes components by union–find — the test oracle for the BFS
+    /// builds, whose result it equals: the ascending node scan meets each
+    /// set's smallest element first, which becomes the set's
+    /// representative.
     pub fn from_adjacency_dsu(adj: &MeshAdjacency) -> Components {
-        let mut components = Components {
-            label: Vec::new(),
-            sizes: Vec::new(),
-            count: 0,
-            giant: NONE,
-        };
-        components.rebuild_incremental(adj, &mut UnionFind::default(), &mut Vec::new());
-        components
-    }
-
-    /// Recomputes this component structure from `adj` **in place**, using a
-    /// caller-provided [`UnionFind`] and representative scratch buffer so
-    /// that no heap allocation happens once the buffers have grown to the
-    /// graph size. This whole-graph rescan is the dynamic connectivity
-    /// engine's cost-cap fallback and the in-place rebuild behind
-    /// `WmnTopology::reset_placement`.
-    ///
-    /// The result is identical to [`Components::from_adjacency`]: the
-    /// ascending node scan meets each set's smallest element first, which
-    /// becomes the set's representative (verified by tests).
-    pub fn rebuild_incremental(
-        &mut self,
-        adj: &MeshAdjacency,
-        uf: &mut UnionFind,
-        rep_of_root: &mut Vec<u32>,
-    ) {
         let n = adj.node_count();
-        uf.reset(n);
+        let mut uf = UnionFind::new(n);
         for i in 0..n {
             for &j in adj.neighbors(i) {
                 if j as usize > i {
@@ -162,23 +149,31 @@ impl Components {
                 }
             }
         }
-        rep_of_root.clear();
-        rep_of_root.resize(n, NONE);
-        self.label.clear();
-        self.sizes.clear();
-        self.sizes.resize(n, 0);
-        self.count = 0;
+        let mut rep_of_root = vec![NONE; n];
+        let mut components = Components::empty();
+        components.sizes.resize(n, 0);
         for x in 0..n {
             let r = uf.find(x);
             if rep_of_root[r] == NONE {
                 rep_of_root[r] = x as u32;
-                self.count += 1;
+                components.count += 1;
             }
             let rep = rep_of_root[r];
-            self.label.push(rep);
-            self.sizes[rep as usize] += 1;
+            components.label.push(rep);
+            components.sizes[rep as usize] += 1;
         }
-        self.giant = Self::giant_label(&self.sizes);
+        components.giant = Self::giant_label(&components.sizes);
+        components
+    }
+
+    /// A structure over no nodes, to be filled by a build.
+    fn empty() -> Components {
+        Components {
+            label: Vec::new(),
+            sizes: Vec::new(),
+            count: 0,
+            giant: NONE,
+        }
     }
 
     /// The current label vector: each node's representative (the dynamic
@@ -193,13 +188,14 @@ impl Components {
     }
 
     /// Component-local relabel, step 1: drops the component represented
-    /// by `rep` from the size table, because the repair merged or split it
-    /// and its nodes are about to be relabeled by
-    /// [`assign`](Components::assign). Until
+    /// by `rep` from the size table, because an edge diff touched it and
+    /// its nodes are about to be relabeled by
+    /// [`assign`](Components::assign). Returns whether the component was
+    /// still in the table (`false` if an earlier call retired it). Until
     /// [`settle`](Components::settle) runs, the structure is between
     /// states and must not be observed.
-    pub(crate) fn retire(&mut self, rep: u32) {
-        self.sizes[rep as usize] = 0;
+    pub(crate) fn retire(&mut self, rep: u32) -> bool {
+        std::mem::take(&mut self.sizes[rep as usize]) != 0
     }
 
     /// Component-local relabel, step 2: `members` is one complete
@@ -377,18 +373,23 @@ mod tests {
         let area = Area::square(100.0).unwrap();
         let mut rng = rng_from_seed(33);
         let mut reused = Components::from_adjacency(&MeshAdjacency::default());
-        let mut uf = UnionFind::new(0);
-        let mut scratch = Vec::new();
-        for trial in 0..20 {
+        let mut queue = Vec::new();
+        // Sizes grow, then shrink, so the reused buffers carry stale
+        // entries from larger graphs.
+        for trial in (0..20).chain((0..20).rev()) {
             let n = 50 + trial * 17;
             let pts: Vec<Point> = (0..n)
                 .map(|_| Point::new(rng.gen_range(0.0..=100.0), rng.gen_range(0.0..=100.0)))
                 .collect();
             let radii: Vec<f64> = (0..n).map(|_| rng.gen_range(2.0..8.0)).collect();
             let adj = MeshAdjacency::build(&area, &pts, &radii, LinkModel::MutualRange);
-            reused.rebuild_incremental(&adj, &mut uf, &mut scratch);
-            let bfs = Components::from_adjacency(&adj);
-            assert_eq!(reused, bfs, "trial {trial}");
+            reused.rebuild_in_place(&adj, &mut queue);
+            assert_eq!(reused, Components::from_adjacency(&adj), "trial {trial}");
+            assert_eq!(
+                reused,
+                Components::from_adjacency_dsu(&adj),
+                "trial {trial}"
+            );
         }
     }
 

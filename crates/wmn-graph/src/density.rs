@@ -159,7 +159,7 @@ impl DensityMap {
     }
 
     /// Reference implementation of [`DensityMap::window_count`] (direct
-    /// rescan); used by tests and the `ablation_density` bench.
+    /// rescan); used by tests.
     pub fn window_count_naive(&self, w: &CellWindow) -> u64 {
         let mut sum = 0u64;
         for cy in w.cy..w.cy + w.h {

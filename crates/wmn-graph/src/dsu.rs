@@ -5,10 +5,14 @@
 //! tracks set sizes so the giant component is available in O(1) after the
 //! merge phase.
 //!
+//! No production path runs it: components are built and repaired by BFS.
+//! It is the independent oracle behind
+//! [`Components::from_adjacency_dsu`](crate::components::Components::from_adjacency_dsu),
+//! which the tests check every BFS build against.
+//!
 //! Internally the parent and size tables are `u32` (the crate-wide id-width
-//! invariant — element counts fit u32), halving the table footprint so the
-//! whole-graph `reset` + union sweep (`Components::rebuild_incremental`)
-//! stays in cache; the public API keeps `usize` indices.
+//! invariant — element counts fit u32); the public API keeps `usize`
+//! indices.
 
 /// A disjoint-set forest over `0..n`.
 ///
@@ -16,10 +20,8 @@
 /// constant amortized operations. Compression happens on the `&mut`
 /// mutation path ([`UnionFind::find`] / [`UnionFind::union`]); read-side
 /// queries ([`UnionFind::root_of`], [`UnionFind::connected`], …) walk
-/// without compressing, keeping the type free of interior mutability — so
-/// structures that embed it (`WmnTopology` and the GA's live-topology
-/// population) stay `Sync` and can be shared read-only across evaluation
-/// workers.
+/// without compressing, keeping the type free of interior mutability, so
+/// it stays `Sync`.
 ///
 /// # Examples
 ///
@@ -71,11 +73,8 @@ impl UnionFind {
     }
 
     /// Resets the structure to `n` singleton sets, **reusing** the existing
-    /// buffers. This is the allocation-free start of the whole-graph rescan
-    /// (`Components::rebuild_incremental`), which runs only as the dynamic
-    /// connectivity engine's cost-cap fallback and in
-    /// `WmnTopology::reset_placement`: after the first call at a given `n`,
-    /// no further heap allocation occurs.
+    /// buffers: after the first call at a given `n`, no further heap
+    /// allocation occurs.
     ///
     /// # Panics
     ///
@@ -89,22 +88,6 @@ impl UnionFind {
         self.size.clear();
         self.size.resize(n, 1);
         self.sets = n;
-    }
-
-    /// Returns the structure to all singletons in O(`elements`) instead of
-    /// [`reset`](UnionFind::reset)'s O(n), keeping its length. `elements`
-    /// must include every argument passed to [`union`](UnionFind::union)
-    /// since the structure was last all singletons: only those elements
-    /// can hold a non-root parent, a rank, or a merged size (repeats are
-    /// fine). The dynamic connectivity engine restores its id union–find
-    /// this way after every repair's insertion phase.
-    pub fn restore_singletons(&mut self, elements: impl IntoIterator<Item = usize>) {
-        for x in elements {
-            self.parent[x] = x as u32;
-            self.rank[x] = 0;
-            self.size[x] = 1;
-        }
-        self.sets = self.len();
     }
 
     /// Returns `true` if the structure holds no elements.
@@ -308,21 +291,6 @@ mod tests {
         uf.reset(12);
         assert_eq!(uf.len(), 12);
         assert_eq!(uf.set_count(), 12);
-    }
-
-    #[test]
-    fn restore_singletons_undoes_the_listed_unions() {
-        let mut uf = UnionFind::new(10);
-        let pairs = [(1, 2), (2, 3), (7, 3), (8, 9), (1, 3)];
-        for &(a, b) in &pairs {
-            uf.union(a, b);
-        }
-        uf.find(3);
-        uf.restore_singletons(pairs.iter().flat_map(|&(a, b)| [a, b]));
-        assert_eq!(uf.set_count(), 10);
-        assert_eq!(uf.parent, UnionFind::new(10).parent);
-        assert_eq!(uf.rank, vec![0; 10]);
-        assert_eq!(uf.size, vec![1; 10]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   adjacency lists and disk-client caches: per-node spans over one flat
 //!   `u32` buffer with power-of-two size-class free lists, cloneable with
 //!   a handful of bulk copies.
-//! * [`dsu`] — union–find with rank + path compression, resettable in
-//!   place for the allocation-free per-move connectivity rebuild.
+//! * [`dsu`] — union–find with rank + path compression, the test oracle
+//!   for the BFS component builds.
 //! * [`spatial`] — a uniform-grid index for radius/rectangle queries
 //!   (lazy, allocation-free iteration) plus the mutable
 //!   [`DynamicGrid`] the topology keeps in sync across router moves.
@@ -16,11 +16,11 @@
 //!   with per-node edge replacement (`replace_node_edges`, a merge-diff
 //!   of old vs new neighbor lists) and whole-graph rebuild.
 //! * [`components`] — connected components and the giant component (the
-//!   paper's connectivity objective), rebuildable through reusable scratch.
+//!   paper's connectivity objective), rebuildable in place by BFS.
 //! * [`connectivity`] — [`DynamicConnectivity`], component-local repair of
-//!   the component structure under edge insertions (pure DSU unions) and
-//!   deletions (bounded bidirectional BFS with a whole-graph-rescan
-//!   fallback) — the sub-linear engine behind per-move connectivity.
+//!   the component structure under an edge diff: one BFS relabels the
+//!   components holding an endpoint of a changed edge — the engine behind
+//!   per-move connectivity.
 //! * [`density`] — client-density cell grids with summed-area tables
 //!   (HotSpot's zone ranking and the swap movement's dense/sparse areas).
 //! * [`topology`] — [`WmnTopology`], the materialized network with the
@@ -58,7 +58,7 @@ pub mod topology;
 pub use adjacency::{LinkModel, MeshAdjacency};
 pub use arena::NeighborSlab;
 pub use components::Components;
-pub use connectivity::{ConnectivityStats, DynamicConnectivity, RepairOutcome};
+pub use connectivity::{ConnectivityStats, DynamicConnectivity};
 pub use density::{CellWindow, DensityMap, ZoneBins};
 pub use dsu::UnionFind;
 pub use spatial::{DynamicGrid, GridIndex};

@@ -4,8 +4,7 @@
 //! within distance `r` of `p`" queries. A uniform bucket grid over the
 //! deployment area answers these in output-sensitive time for the densities
 //! this problem works at (the alternative — an O(n²) scan — is kept around
-//! in tests and the `ablation_spatial_index` bench as the reference
-//! implementation).
+//! in tests as the reference implementation).
 //!
 //! Both indexes follow the crate-wide id-width invariant (u32 point ids)
 //! and store **no per-bucket allocations**:

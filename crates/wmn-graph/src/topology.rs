@@ -22,14 +22,12 @@
 //!    re-counted). Otherwise the old-vs-new neighbor diffs become an edge
 //!    insert/delete stream for the **dynamic connectivity engine**
 //!    ([`DynamicConnectivity`], the default [`ConnectivityMode::Dynamic`]):
-//!    insertions union component representatives, deletions run a
-//!    bounded component-local bidirectional BFS, and a whole-graph
-//!    [`Components::rebuild_incremental`] rescan remains only as the
-//!    engine's cost-cap fallback. Each component is labeled by its
-//!    smallest router index, so a repair relabels only the components it
-//!    merged or split and the labels still equal a fresh build's. The
-//!    engine reports the routers whose giant membership flipped, and the
-//!    giant mask is updated from that list alone.
+//!    one BFS over the new adjacency relabels the components holding an
+//!    endpoint of a changed edge, and every other component is provably
+//!    unchanged. Each component is labeled by its smallest router index,
+//!    so the labels still equal a fresh build's. The engine reports the
+//!    routers whose giant membership flipped, and the giant mask is
+//!    updated from that list alone.
 //! 3. **Coverage.** Per-client *cover counts* (how many counting routers
 //!    reach each client) are maintained so a move only increments and
 //!    decrements the moved router's old and new disks, flipping `covered`
@@ -82,7 +80,6 @@ use crate::adjacency::{LinkModel, MeshAdjacency};
 use crate::arena::NeighborSlab;
 use crate::components::Components;
 use crate::connectivity::{ConnectivityStats, DynamicConnectivity};
-use crate::dsu::UnionFind;
 use crate::spatial::{DynamicGrid, GridIndex};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -127,11 +124,9 @@ impl fmt::Display for CoverageRule {
 #[non_exhaustive]
 pub enum ConnectivityMode {
     /// Component-local dynamic repair (the default): the edge diff of the
-    /// grid-local edge repair drives [`DynamicConnectivity`] — insertions
-    /// are pure DSU unions over component ids, deletions run a bounded
-    /// bidirectional component-local BFS, and the whole-graph rescan
-    /// ([`Components::rebuild_incremental`]) remains only as the engine's
-    /// cost-cap fallback.
+    /// grid-local edge repair drives [`DynamicConnectivity`], which
+    /// relabels only the components holding an endpoint of a changed
+    /// edge.
     #[default]
     Dynamic,
     /// Full rebuild of grid, adjacency, components, and coverage on every
@@ -246,8 +241,8 @@ pub struct WmnTopology {
 /// after a handful of moves, making the hot loop allocation-free.
 #[derive(Debug, Clone, Default)]
 struct MoveScratch {
-    uf: UnionFind,
-    label_of_root: Vec<u32>,
+    /// BFS queue of the in-place component rebuild.
+    bfs_queue: Vec<u32>,
     old_a: Vec<u32>,
     new_a: Vec<u32>,
     old_b: Vec<u32>,
@@ -438,11 +433,8 @@ impl WmnTopology {
             self.config.link_model,
             &self.router_index,
         );
-        self.components.rebuild_incremental(
-            &self.adjacency,
-            &mut self.scratch.uf,
-            &mut self.scratch.label_of_root,
-        );
+        self.components
+            .rebuild_in_place(&self.adjacency, &mut self.scratch.bfs_queue);
         self.refresh_giant_mask();
         self.recompute_coverage();
     }
@@ -596,17 +588,6 @@ impl WmnTopology {
         self.scratch.counters.reset();
         self.scratch.conn.reset_stats();
         self.scratch.phases.reset();
-    }
-
-    /// Test hook: overrides the dynamic engine's per-deletion edge-visit
-    /// budget (`None` restores the default; `Some(0)` forces the
-    /// whole-graph rescan fallback on every deletion that requires a
-    /// search — see [`DynamicConnectivity::set_cost_cap`]). The override
-    /// is scratch state: `clone` starts without it and `clone_from` does
-    /// not copy it.
-    #[doc(hidden)]
-    pub fn set_fallback_cap_for_tests(&mut self, cap: Option<usize>) {
-        self.scratch.conn.set_cost_cap(cap);
     }
 
     /// Whether router `i`'s disk currently counts toward client coverage,
@@ -809,8 +790,6 @@ impl WmnTopology {
     /// repair).
     fn repair_components(&mut self) {
         let MoveScratch {
-            uf,
-            label_of_root,
             conn,
             ins_events,
             del_events,
@@ -821,8 +800,6 @@ impl WmnTopology {
             &mut self.components,
             ins_events,
             del_events,
-            uf,
-            label_of_root,
         );
         for &j in conn.giant_flips() {
             self.giant_mask[j as usize] = !self.giant_mask[j as usize];

@@ -9,9 +9,9 @@
 //! global allocator: it warms a topology through each cycle, switches the
 //! counter on, replays the identical cycles, and asserts the allocation
 //! count stayed at zero. The single-move cycles run on a sparse mesh where
-//! most components are singletons, and must merge or split components, so
-//! the connectivity engine's component-local relabel and giant hand-off
-//! run under the gate.
+//! most components are singletons, and must hand the giant to a rival and
+//! back, so the connectivity engine's component-local relabel and giant
+//! hand-off run under the gate.
 //!
 //! This file holds exactly one `#[test]` on purpose: the libtest harness
 //! runs tests of a binary concurrently, and any neighbor test's
@@ -136,11 +136,15 @@ fn steady_state_clone_from_and_apply_moves_allocate_nothing() {
     assert!(sparse.in_giant(host) && sparse.in_giant(hop));
     sparse.move_router(hop, home);
     assert!(!sparse.in_giant(host) && !sparse.in_giant(hop));
+    // Returns whether the giant went to the rival and came back.
     let single_cycles = |t: &mut WmnTopology| {
         t.move_router(hop, next_to_host);
+        let handed_over = t.in_giant(host) && t.in_giant(hop);
         t.move_router(hop, home);
+        let handed_back = !t.in_giant(host) && !t.in_giant(hop);
         t.swap_routers(hop, far);
         t.swap_routers(hop, far);
+        (handed_over, handed_back)
     };
     for _ in 0..2 {
         single_cycles(&mut sparse);
@@ -156,7 +160,7 @@ fn steady_state_clone_from_and_apply_moves_allocate_nothing() {
     let before = sparse.connectivity_stats();
     HEAP_OPS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    single_cycles(&mut sparse);
+    let hand_off = single_cycles(&mut sparse);
     ARMED.store(false, Ordering::SeqCst);
     let single_ops = HEAP_OPS.load(Ordering::SeqCst);
     let after = sparse.connectivity_stats();
@@ -171,11 +175,17 @@ fn steady_state_clone_from_and_apply_moves_allocate_nothing() {
     );
 
     // The gated cycles really did the work: state matches a fresh rebuild,
-    // and the single moves changed the component partition.
+    // and the single moves relabeled components and handed the giant to
+    // the rival and back.
     work.assert_consistent();
     sparse.assert_consistent();
+    assert_eq!(
+        hand_off,
+        (true, true),
+        "the single-move cycles must hand the giant over and back"
+    );
     assert!(
-        after.merges > before.merges && after.splits > before.splits,
-        "the single-move cycles must merge and split components"
+        after.bfs_edge_visits > before.bfs_edge_visits,
+        "the single-move cycles must relabel components"
     );
 }

@@ -35,9 +35,8 @@
 //! committed as an artifact, and can gate CI. Emission sites telescope
 //! deltas: an engine-work total that used to be emitted in one call is
 //! emitted as per-phase slices that sum to the same flat counts (see
-//! [`ApplyPhases`] and [`EngineStats::record_counters_staged`]), which
-//! is what keeps committed counter baselines valid across
-//! instrumentation changes. `wmn-report flame` renders the tree as a
+//! [`ApplyPhases`]), which is what keeps committed counter baselines
+//! valid across instrumentation changes. `wmn-report flame` renders the tree as a
 //! text flamegraph with percentages.
 //!
 //! The crate is dependency-free and sits below `wmn-graph`, so every

@@ -14,29 +14,21 @@
 //! be added without breaking anyone.
 
 /// Cumulative counters of the dynamic-connectivity repair engine
-/// (`wmn-graph`'s `DynamicConnectivity`), proving which repair path ran.
+/// (`wmn-graph`'s `DynamicConnectivity`): how many edge diffs it applied
+/// and how much of the graph it scanned to apply them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ConnectivityStats {
     /// Diff applications attempted (calls to `apply_edge_diff`).
     pub repairs: u64,
-    /// Edge insertions processed (each a DSU union over component ids).
+    /// Inserted edges in the applied diffs.
     pub insertions: u64,
-    /// Edge deletions processed (each a bounded bidirectional search).
+    /// Deleted edges in the applied diffs.
     pub deletions: u64,
-    /// Label-class merges that actually joined two components.
-    pub merges: u64,
-    /// Deletions that split a component.
-    pub splits: u64,
-    /// Total edge visits performed by the bidirectional searches.
+    /// Adjacency entries the repairs scanned: the relabel BFS over every
+    /// component holding an endpoint of a changed edge, plus the
+    /// collection of an untouched component that gained or lost the giant.
     pub bfs_edge_visits: u64,
-    /// Deletions settled by the triangle fast path: a neighbor shared by
-    /// both endpoints in the final adjacency proves they stay connected,
-    /// so no search runs at all.
-    pub triangle_shortcuts: u64,
-    /// Repairs that exceeded the cost cap and fell back to the
-    /// whole-graph DSU rescan.
-    pub fallbacks: u64,
 }
 
 impl ConnectivityStats {
@@ -51,11 +43,7 @@ impl ConnectivityStats {
         self.repairs += other.repairs;
         self.insertions += other.insertions;
         self.deletions += other.deletions;
-        self.merges += other.merges;
-        self.splits += other.splits;
         self.bfs_edge_visits += other.bfs_edge_visits;
-        self.triangle_shortcuts += other.triangle_shortcuts;
-        self.fallbacks += other.fallbacks;
     }
 
     /// The counts accumulated since `earlier` was captured (saturating,
@@ -66,13 +54,7 @@ impl ConnectivityStats {
             repairs: self.repairs.saturating_sub(earlier.repairs),
             insertions: self.insertions.saturating_sub(earlier.insertions),
             deletions: self.deletions.saturating_sub(earlier.deletions),
-            merges: self.merges.saturating_sub(earlier.merges),
-            splits: self.splits.saturating_sub(earlier.splits),
             bfs_edge_visits: self.bfs_edge_visits.saturating_sub(earlier.bfs_edge_visits),
-            triangle_shortcuts: self
-                .triangle_shortcuts
-                .saturating_sub(earlier.triangle_shortcuts),
-            fallbacks: self.fallbacks.saturating_sub(earlier.fallbacks),
         }
     }
 
@@ -82,36 +64,7 @@ impl ConnectivityStats {
         f("repairs", self.repairs);
         f("insertions", self.insertions);
         f("deletions", self.deletions);
-        f("merges", self.merges);
-        f("splits", self.splits);
         f("bfs_edge_visits", self.bfs_edge_visits);
-        f("triangle_shortcuts", self.triangle_shortcuts);
-        f("fallbacks", self.fallbacks);
-    }
-
-    /// Splits the profile into its two repair stages — the phase
-    /// taxonomy of `DynamicConnectivity::repair`. Every counter belongs
-    /// statically to exactly one stage: insertions and the merges they
-    /// cause happen in the insert sweep; deletions and everything they
-    /// trigger (splits, search edge visits, triangle shortcuts, rescan
-    /// fallbacks) in the delete sweep. `repairs` counts whole calls and
-    /// belongs to neither stage (attribute it to the parent phase).
-    #[must_use]
-    pub fn stage_split(&self) -> (ConnectivityStats, ConnectivityStats) {
-        let insert = ConnectivityStats {
-            insertions: self.insertions,
-            merges: self.merges,
-            ..ConnectivityStats::default()
-        };
-        let delete = ConnectivityStats {
-            deletions: self.deletions,
-            splits: self.splits,
-            bfs_edge_visits: self.bfs_edge_visits,
-            triangle_shortcuts: self.triangle_shortcuts,
-            fallbacks: self.fallbacks,
-            ..ConnectivityStats::default()
-        };
-        (insert, delete)
     }
 }
 
@@ -414,33 +367,6 @@ impl EngineStats {
             }
         });
     }
-
-    /// Like [`record_counters`](EngineStats::record_counters), but
-    /// attributes connectivity work one level deeper: topology and
-    /// `connectivity.repairs` counters emit at the recorder's current
-    /// phase, while the per-stage connectivity
-    /// counters (see [`ConnectivityStats::stage_split`]) emit under
-    /// child phases `insert` / `delete`. Flat totals are identical to a
-    /// single `record_counters` call — only the attribution differs.
-    pub fn record_counters_staged(&self, recorder: &mut dyn crate::Recorder) {
-        let parent = EngineStats::new(
-            self.topology,
-            ConnectivityStats {
-                repairs: self.connectivity.repairs,
-                ..ConnectivityStats::default()
-            },
-        );
-        parent.record_counters(recorder);
-        let (insert, delete) = self.connectivity.stage_split();
-        if insert != ConnectivityStats::default() {
-            let mut g = crate::recorder::phase(recorder, "insert");
-            EngineStats::new(TopologyStats::default(), insert).record_counters(&mut g);
-        }
-        if delete != ConnectivityStats::default() {
-            let mut g = crate::recorder::phase(recorder, "delete");
-            EngineStats::new(TopologyStats::default(), delete).record_counters(&mut g);
-        }
-    }
 }
 
 /// Per-phase work buckets of `WmnTopology::apply_moves` — the batch
@@ -457,8 +383,8 @@ impl EngineStats {
 pub struct ApplyPhases {
     /// Per-router grid-local link recomputation and edge diffing.
     pub edge_repair: EngineStats,
-    /// Incremental component repair (the connectivity engine's insert /
-    /// delete sweeps, including any cost-cap rescan fallback).
+    /// Incremental component repair (the connectivity engine's relabel of
+    /// the components the edge diff touched).
     pub component_repair: EngineStats,
     /// Coverage maintenance: disk-cache refills and the per-disk delta
     /// vs. full-recompute coverage repair.
@@ -515,21 +441,13 @@ impl ApplyPhases {
     }
 
     /// Emits every non-zero bucket into `recorder`, each under a child
-    /// phase named after its pipeline section; the `component_repair`
-    /// bucket additionally splits its connectivity work into `insert` /
-    /// `delete` stage phases. Flat counter totals equal one
-    /// `attributed().record_counters(..)` call — only attribution
+    /// phase named after its pipeline section. Flat counter totals equal
+    /// one `attributed().record_counters(..)` call — only attribution
     /// differs.
     pub fn record_counters(&self, recorder: &mut dyn crate::Recorder) {
         self.for_each_bucket(|name, bucket| {
-            if *bucket == EngineStats::default() {
-                return;
-            }
-            let mut g = crate::recorder::phase(&mut *recorder, name);
-            if name == "component_repair" {
-                bucket.record_counters_staged(&mut g);
-            } else {
-                bucket.record_counters(&mut g);
+            if *bucket != EngineStats::default() {
+                bucket.record_counters(&mut crate::recorder::phase(&mut *recorder, name));
             }
         });
     }
@@ -562,11 +480,7 @@ fn qualified_connectivity_name(name: &'static str) -> &'static str {
         "repairs" => "connectivity.repairs",
         "insertions" => "connectivity.insertions",
         "deletions" => "connectivity.deletions",
-        "merges" => "connectivity.merges",
-        "splits" => "connectivity.splits",
         "bfs_edge_visits" => "connectivity.bfs_edge_visits",
-        "triangle_shortcuts" => "connectivity.triangle_shortcuts",
-        "fallbacks" => "connectivity.fallbacks",
         other => other,
     }
 }
@@ -625,8 +539,8 @@ mod tests {
         let b = sample_connectivity();
         a.merge(&b);
         assert_eq!(a.repairs, 10);
+        assert_eq!(a.insertions, 6);
         assert_eq!(a.bfs_edge_visits, 80);
-        assert_eq!(a.fallbacks, 0);
     }
 
     #[test]
@@ -651,7 +565,7 @@ mod tests {
         e.connectivity.repairs = 2;
         let mut names = Vec::new();
         e.for_each(|name, _| names.push(name));
-        assert_eq!(names.len(), 12 + 8, "every field appears exactly once");
+        assert_eq!(names.len(), 12 + 4, "every field appears exactly once");
         assert_eq!(names[0], "topology.single_moves");
         assert_eq!(names[12], "connectivity.repairs");
         let mut sorted = names.clone();

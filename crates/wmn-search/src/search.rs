@@ -203,15 +203,13 @@ impl<'e, 'i> NeighborhoodSearch<'e, 'i> {
         }
 
         if let Some(before) = engine_before {
-            // The engine delta is the `apply` stage's, with connectivity
-            // work staged into `insert` / `delete`; flat totals are the
-            // plain counter sums.
+            // The engine delta is the `apply` stage's.
             let engine = topo.engine_stats().delta_since(&before);
             let mut scope = phase(recorder, "search");
             let mut ns = phase(&mut scope, "ns");
             ns.counter("search.ns.phases", trace.len() as u64);
             phase(&mut ns, "propose").counter("search.ns.moves_proposed", proposed as u64);
-            engine.record_counters_staged(&mut phase(&mut ns, "apply"));
+            engine.record_counters(&mut phase(&mut ns, "apply"));
             phase(&mut ns, "evaluate")
                 .counter("search.ns.moves_accepted", trace.accepted_count() as u64);
         }
