@@ -14,12 +14,14 @@ use wmn_model::geometry::Point;
 use wmn_model::rng::rng_from_seed;
 use wmn_model::RouterId;
 
-/// The neighborhood-search inner loop — 1000 iterations of
-/// `propose → apply → evaluate → undo` — with the incremental
-/// delta-evaluation engine vs the full-rebuild reference
-/// (`ConnectivityMode::FullRebuild`). Identical RNG streams and identical results
-/// (pinned by the `incremental_equivalence` test suite); only the repair
-/// strategy differs. Run at paper scale (64 routers / 192 clients) and at
+/// The apply → evaluate → undo core of the neighborhood-search inner loop,
+/// 1000 times, with the incremental delta-evaluation engine vs the
+/// full-rebuild reference (`ConnectivityMode::FullRebuild`). Each move is
+/// a uniformly random relocation drawn inline — no `Movement` proposes it
+/// — so the loop times `move_router` and scoring, not proposals. Identical
+/// RNG streams and identical results (pinned by the
+/// `incremental_equivalence` test suite); only the repair strategy
+/// differs. Run at paper scale (64 routers / 192 clients) and at
 /// `--scale 4` (256 routers / 768 clients, proportional area).
 fn ablation_move_eval(c: &mut Criterion) {
     /// A local-search-shaped inner loop: relocate a random router,

@@ -273,15 +273,19 @@ impl DensityMap {
     /// Panics if a window exceeds the grid.
     pub fn zone_bins(&self, zones: &[CellWindow]) -> ZoneBins {
         let mut cell_zone = vec![NO_ZONE; self.cols * self.rows];
+        let mut disjoint = true;
         // Reverse rank order, so a cell covered by several windows ends up
         // owned by the first of them.
         for (zi, z) in zones.iter().enumerate().rev() {
             let zi = u32::try_from(zi).expect("fewer zones than u32::MAX");
             for cy in z.cy..z.cy + z.h {
-                cell_zone[cy * self.cols + z.cx..][..z.w].fill(zi);
+                let row = &mut cell_zone[cy * self.cols + z.cx..][..z.w];
+                disjoint &= row.iter().all(|&zone| zone == NO_ZONE);
+                row.fill(zi);
             }
         }
         ZoneBins {
+            disjoint,
             cols: self.cols,
             rows: self.rows,
             inv_cell_w: 1.0 / self.cell_w,
@@ -315,7 +319,8 @@ const NO_ZONE: u32 = u32::MAX;
 /// `k·cell_w` and `k·cell_h`, so a point strictly between two adjacent edges
 /// on both axes lies in exactly the rects whose windows cover its cell, and
 /// a cell → zone table answers it. A point on a cell edge or off the grid
-/// takes the rank-order `Rect::contains` scan instead.
+/// takes the rank-order `Rect::contains` scan instead. A
+/// [`census`](ZoneBins::census_into) of a point set uses the same split.
 ///
 /// # Examples
 ///
@@ -335,6 +340,9 @@ const NO_ZONE: u32 = u32::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ZoneBins {
+    /// Whether no two zones share a cell, so a point strictly inside a
+    /// cell lies in at most one zone rect.
+    disjoint: bool,
     cols: usize,
     rows: usize,
     inv_cell_w: f64,
@@ -393,34 +401,108 @@ impl ZoneBins {
         }
     }
 
-    /// Counts `points` per zone into `occupancy` (resized to
-    /// [`len`](ZoneBins::len)), each point toward the zone
-    /// [`zone_of`](ZoneBins::zone_of) gives it. One pass bins the points
-    /// into `cell_hist` (a caller-owned scratch buffer, so warm calls do not
-    /// allocate); a second sums the cells into their zones.
-    pub fn occupancy_into(
-        &self,
-        points: impl IntoIterator<Item = Point>,
-        cell_hist: &mut Vec<u32>,
-        occupancy: &mut Vec<usize>,
-    ) {
-        cell_hist.clear();
-        cell_hist.resize(self.cell_zone.len(), 0);
+    /// Takes the census of `points` (numbered in iteration order) into
+    /// `census`, reusing its buffers: every zone's occupancy, which counts
+    /// each point toward the zone [`zone_of`](ZoneBins::zone_of) gives it,
+    /// and every zone's members, the points its closed rect contains in
+    /// ascending order. Two passes over the points (count, then fill); a
+    /// point strictly inside a cell of disjoint zones takes its zone from
+    /// the cell table, any other point scans the zone rects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a point's index does not fit u32.
+    pub fn census_into<I>(&self, points: I, census: &mut ZoneCensus)
+    where
+        I: IntoIterator<Item = Point>,
+        I::IntoIter: Clone,
+    {
+        let ZoneCensus {
+            occupancy,
+            starts,
+            members,
+        } = census;
+        let zones = self.len();
+        // The cell-table points in no zone go to one extra zone, `zones`,
+        // dropped at the end, so that path has no branch on whether a cell
+        // has a zone (on a random placement, that branch mispredicts).
         occupancy.clear();
-        occupancy.resize(self.rects.len(), 0);
-        for p in points {
-            match self.interior_cell(p) {
-                Some(cell) => cell_hist[cell] += 1,
-                None => {
-                    if let Some(zone) = self.scan(p) {
-                        occupancy[zone] += 1;
+        occupancy.resize(zones + 1, 0);
+        // Counting pass: zone `z`'s member count goes to `starts[z + 1]`.
+        starts.clear();
+        starts.resize(zones + 2, 0);
+        let points = points.into_iter();
+        for p in points.clone() {
+            let mut first = true;
+            self.for_each_zone_of(p, |z| {
+                starts[z + 1] += 1;
+                occupancy[z] += u32::from(first);
+                first = false;
+            });
+        }
+        for z in 0..=zones {
+            starts[z + 1] += starts[z];
+        }
+        // Fill pass, with `starts[z]` as zone `z`'s write cursor; it ends at
+        // the old `starts[z + 1]`, so one shift restores the offsets.
+        members.clear();
+        members.resize(starts[zones + 1] as usize, 0);
+        for (i, p) in points.enumerate() {
+            let i = u32::try_from(i).expect("point index fits u32");
+            self.for_each_zone_of(p, |z| {
+                members[starts[z] as usize] = i;
+                starts[z] += 1;
+            });
+        }
+        starts.copy_within(0..=zones, 1);
+        starts[0] = 0;
+        occupancy.truncate(zones);
+        starts.truncate(zones + 1);
+        members.truncate(starts[zones] as usize);
+    }
+
+    /// Updates `census`, taken by [`census_into`](ZoneBins::census_into),
+    /// for point `i` moved from `from` to `to`: it becomes the census of the
+    /// moved point set. Costs a binary search and a shift of the flat member
+    /// array per zone left or joined, not a pass over the points.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `census` does not hold point `i` at `from` (it was taken
+    /// of other points, or by other zones).
+    pub fn census_move(&self, census: &mut ZoneCensus, i: u32, from: Point, to: Point) {
+        let zones = self.len();
+        let mut first = true;
+        self.for_each_zone_of(from, |z| {
+            if z < zones {
+                census.occupancy[z] -= u32::from(first);
+                census.leave(z, i);
+            }
+            first = false;
+        });
+        let mut first = true;
+        self.for_each_zone_of(to, |z| {
+            if z < zones {
+                census.occupancy[z] += u32::from(first);
+                census.join(z, i);
+            }
+            first = false;
+        });
+    }
+
+    /// Calls `f` with every zone whose rect contains `p`, in rank order,
+    /// except that a point strictly inside a cell of disjoint zones that
+    /// no zone covers goes to `len()`.
+    #[inline]
+    fn for_each_zone_of(&self, p: Point, mut f: impl FnMut(usize)) {
+        match self.interior_cell(p) {
+            Some(cell) if self.disjoint => f((self.cell_zone[cell] as usize).min(self.len())),
+            _ => {
+                for (zone, rect) in self.rects.iter().enumerate() {
+                    if rect.contains(p) {
+                        f(zone);
                     }
                 }
-            }
-        }
-        for (&zone, &count) in self.cell_zone.iter().zip(cell_hist.iter()) {
-            if zone != NO_ZONE {
-                occupancy[zone as usize] += count as usize;
             }
         }
     }
@@ -448,6 +530,67 @@ impl ZoneBins {
     /// The rank-order scan: the first zone whose rect contains `p`.
     fn scan(&self, p: Point) -> Option<usize> {
         self.rects.iter().position(|r| r.contains(p))
+    }
+}
+
+/// Where a point set sits among the zones of a [`ZoneBins`] (taken by
+/// [`ZoneBins::census_into`]): each zone's occupancy and its members.
+///
+/// A point on an edge two zone rects share is a member of both, but
+/// occupies only the first in rank order. The member lists of all zones
+/// share one flat u32 array, cut by zone offsets, so a census of `n`
+/// points over disjoint zones holds at most `4n` ids (a point on a grid
+/// corner touches at most four cells).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ZoneCensus {
+    /// Per zone, the points whose first containing zone it is.
+    occupancy: Vec<u32>,
+    /// Zone `z`'s members are `members[starts[z]..starts[z + 1]]`.
+    starts: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl ZoneCensus {
+    /// How many points [`ZoneBins::zone_of`] assigns to zone `zone`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `zone` is out of range.
+    pub fn occupancy(&self, zone: usize) -> usize {
+        self.occupancy[zone] as usize
+    }
+
+    /// The points inside zone `zone`'s closed rect, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `zone` is out of range.
+    pub fn members(&self, zone: usize) -> &[u32] {
+        &self.members[self.starts[zone] as usize..self.starts[zone + 1] as usize]
+    }
+
+    /// Removes point `i` from zone `zone`'s members.
+    fn leave(&mut self, zone: usize, i: u32) {
+        let at = self
+            .members(zone)
+            .binary_search(&i)
+            .expect("a member leaves");
+        self.members.remove(self.starts[zone] as usize + at);
+        for start in &mut self.starts[zone + 1..] {
+            *start -= 1;
+        }
+    }
+
+    /// Adds point `i` to zone `zone`'s members, keeping them ascending.
+    fn join(&mut self, zone: usize, i: u32) {
+        let at = self
+            .members(zone)
+            .binary_search(&i)
+            .expect_err("a non-member joins");
+        self.members.insert(self.starts[zone] as usize + at, i);
+        for start in &mut self.starts[zone + 1..] {
+            *start += 1;
+        }
     }
 }
 
@@ -662,11 +805,55 @@ mod tests {
                 expected[z] += 1;
             }
         }
-        let (mut cell_hist, mut occupancy) = (Vec::new(), Vec::new());
-        bins.occupancy_into(points.iter().copied(), &mut cell_hist, &mut occupancy);
-        assert_eq!(occupancy, expected);
+        let mut census = ZoneCensus::default();
+        bins.census_into(points.iter().copied(), &mut census);
+        for (z, window) in zones.iter().enumerate() {
+            assert_eq!(census.occupancy(z), expected[z], "zone {z}");
+            let rect = map.window_rect(window);
+            let members: Vec<u32> = (0..points.len() as u32)
+                .filter(|&i| rect.contains(points[i as usize]))
+                .collect();
+            assert_eq!(census.members(z), members, "zone {z}");
+        }
         assert_eq!(bins.clients(1), 1);
         assert_eq!(bins.rect(2), map.window_rect(&zones[2]));
+    }
+
+    #[test]
+    fn census_moves_match_a_fresh_census() {
+        // Overlapping and disjoint windows; points on cell edges, on grid
+        // corners, off the grid and inside cells. After every move the
+        // updated census equals one taken afresh.
+        let area = Area::new(33.0, 21.0).unwrap();
+        let map = DensityMap::from_points(&area, &[Point::new(20.0, 10.0)], 7, 5);
+        let win = |cx, cy, w, h| CellWindow { cx, cy, w, h };
+        let overlapping = [win(1, 1, 3, 2), win(3, 0, 2, 4), win(5, 3, 2, 2)];
+        let disjoint = [win(0, 0, 2, 2), win(2, 0, 2, 2), win(2, 2, 2, 2)];
+        let mut rng = rng_from_seed(5);
+        let mut pool: Vec<Point> = vec![Point::new(-1.0, 3.0), Point::new(40.0, 40.0)];
+        for (k, j) in [(0, 0), (3, 2), (2, 2), (4, 4), (5, 3)] {
+            let (x, y) = (k as f64 * (33.0 / 7.0), j as f64 * (21.0 / 5.0));
+            pool.extend([Point::new(x, y), Point::new(x, y.next_up())]);
+            pool.push(Point::new(x.next_down(), (j as f64 + 0.5) * (21.0 / 5.0)));
+        }
+        pool.extend(
+            (0..20).map(|_| Point::new(rng.gen_range(0.0..=33.0), rng.gen_range(0.0..=21.0))),
+        );
+        for zones in [&overlapping[..], &disjoint[..]] {
+            let bins = map.zone_bins(zones);
+            let mut points: Vec<Point> = (0..24).map(|k| pool[k % pool.len()]).collect();
+            let mut census = ZoneCensus::default();
+            bins.census_into(points.iter().copied(), &mut census);
+            for step in 0..300 {
+                let i = rng.gen_range(0..points.len());
+                let to = pool[rng.gen_range(0..pool.len())];
+                bins.census_move(&mut census, i as u32, points[i], to);
+                points[i] = to;
+                let mut fresh = ZoneCensus::default();
+                bins.census_into(points.iter().copied(), &mut fresh);
+                assert_eq!(census, fresh, "step {step}");
+            }
+        }
     }
 
     #[test]

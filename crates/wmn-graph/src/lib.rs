@@ -22,11 +22,14 @@
 //!   components holding an endpoint of a changed edge — the engine behind
 //!   per-move connectivity.
 //! * [`density`] — client-density cell grids with summed-area tables
-//!   (HotSpot's zone ranking and the swap movement's dense/sparse areas).
+//!   (HotSpot's zone ranking and the swap movement's dense/sparse areas),
+//!   [`ZoneBins`] for point → zone lookup, and [`ZoneCensus`], the
+//!   per-zone routers of one placement.
 //! * [`topology`] — [`WmnTopology`], the materialized network with the
 //!   **delta-evaluation engine**: incremental, allocation-free repair of
 //!   edges, connectivity, and coverage after every router move (see the
-//!   [`topology`] module docs for the invariants and fallback rules).
+//!   [`topology`] module docs for the invariants and fallback rules), and
+//!   a placement stamp that caches of position-derived data key on.
 //!
 //! # Quick start
 //!
@@ -59,7 +62,7 @@ pub use adjacency::{LinkModel, MeshAdjacency};
 pub use arena::NeighborSlab;
 pub use components::Components;
 pub use connectivity::{ConnectivityStats, DynamicConnectivity};
-pub use density::{CellWindow, DensityMap, ZoneBins};
+pub use density::{CellWindow, DensityMap, ZoneBins, ZoneCensus};
 pub use dsu::UnionFind;
 pub use spatial::{DynamicGrid, GridIndex};
 pub use topology::{ConnectivityMode, CoverageRule, TopologyConfig, WmnTopology};

@@ -22,6 +22,37 @@ use wmn_model::geometry::{Area, Point, Rect};
 /// Sentinel for "no point" / "no cell" in the intrusive grid lists.
 const NIL: u32 = u32::MAX;
 
+/// The most cells a grid may have: both grids store cell ids as u32, and
+/// [`DynamicGrid`] reserves `u32::MAX` to mean "no cell".
+pub(crate) const MAX_GRID_CELLS: usize = u32::MAX as usize;
+
+/// `(columns, rows)` of the grid of square `cell_size` cells that
+/// [`GridIndex::build`] and [`DynamicGrid::new`] lay over `area`.
+pub(crate) fn grid_shape(area: &Area, cell_size: f64) -> (usize, usize) {
+    // The float-to-int casts saturate, so a huge area gives `usize::MAX`
+    // columns rather than a wrapped count.
+    let cols = (area.width() / cell_size).ceil().max(1.0) as usize;
+    let rows = (area.height() / cell_size).ceil().max(1.0) as usize;
+    (cols, rows)
+}
+
+/// The cell count of a `cols × rows` grid, or `None` when it exceeds
+/// [`MAX_GRID_CELLS`] (including when the product overflows `usize`).
+pub(crate) fn grid_cell_count(cols: usize, rows: usize) -> Option<usize> {
+    cols.checked_mul(rows)
+        .filter(|&cells| cells <= MAX_GRID_CELLS)
+}
+
+/// [`grid_shape`] and [`grid_cell_count`], panicking on a grid beyond the
+/// u32 cell-id space.
+fn checked_grid(area: &Area, cell_size: f64) -> (usize, usize, usize) {
+    let (cols, rows) = grid_shape(area, cell_size);
+    let cells = grid_cell_count(cols, rows).unwrap_or_else(|| {
+        panic!("a {cols} x {rows} cell grid exceeds the u32 cell-id space ({MAX_GRID_CELLS} cells)")
+    });
+    (cols, rows, cells)
+}
+
 /// A uniform-grid index over a fixed slice of points, in CSR layout.
 ///
 /// The index stores point *indices* (into the original slice) bucketed by
@@ -96,8 +127,9 @@ impl GridIndex {
     ///
     /// # Panics
     ///
-    /// Panics if `cell_size` is not positive and finite, or if the point
-    /// count does not fit u32 ids.
+    /// Panics if `cell_size` is not positive and finite, if the point
+    /// count does not fit u32 ids, or if the grid has more than
+    /// `u32::MAX` cells.
     pub fn build(area: &Area, points: &[Point], cell_size: f64) -> Self {
         assert!(
             cell_size.is_finite() && cell_size > 0.0,
@@ -107,10 +139,8 @@ impl GridIndex {
             points.len() < u32::MAX as usize,
             "point count exceeds u32 id space"
         );
-        let cols = (area.width() / cell_size).ceil().max(1.0) as usize;
-        let rows = (area.height() / cell_size).ceil().max(1.0) as usize;
+        let (cols, rows, nb) = checked_grid(area, cell_size);
         let inv_cell_size = cell_size.recip();
-        let nb = cols * rows;
         // Counting pass, prefix sum, fill pass (ascending point order, so
         // within-bucket order matches what per-bucket pushes produced).
         let mut starts = vec![0u32; nb + 1];
@@ -505,20 +535,20 @@ impl DynamicGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `cell_size` is not positive and finite.
+    /// Panics if `cell_size` is not positive and finite, or if the grid
+    /// has more than `u32::MAX` cells.
     pub fn new(area: &Area, cell_size: f64) -> Self {
         assert!(
             cell_size.is_finite() && cell_size > 0.0,
             "cell_size must be positive and finite, got {cell_size}"
         );
-        let cols = (area.width() / cell_size).ceil().max(1.0) as usize;
-        let rows = (area.height() / cell_size).ceil().max(1.0) as usize;
+        let (cols, rows, cells) = checked_grid(area, cell_size);
         DynamicGrid {
             cell_size,
             inv_cell_size: cell_size.recip(),
             cols,
             rows,
-            head: vec![NIL; cols * rows],
+            head: vec![NIL; cells],
             next: Vec::new(),
             prev: Vec::new(),
             cell: Vec::new(),
@@ -978,6 +1008,30 @@ mod tests {
     #[should_panic(expected = "cell_size")]
     fn rejects_nonpositive_cell_size() {
         let _ = GridIndex::build(&area100(), &[], 0.0);
+    }
+
+    #[test]
+    fn grid_cell_count_stops_at_the_u32_id_space() {
+        assert_eq!(grid_cell_count(65_535, 65_537), Some(MAX_GRID_CELLS));
+        assert_eq!(grid_cell_count(65_536, 65_536), None);
+        assert_eq!(grid_cell_count(usize::MAX, 2), None);
+        // The casts saturate instead of wrapping.
+        let huge = Area::square(1e300).unwrap();
+        assert_eq!(grid_shape(&huge, 1.0), (usize::MAX, usize::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "65537 x 65537 cell grid exceeds the u32 cell-id space")]
+    fn grid_index_refuses_more_cells_than_u32_ids() {
+        // 2^32 + 2^17 + 1 cells: past the u32 ids, far from overflowing.
+        let _ = GridIndex::build(&Area::square(65_537.0).unwrap(), &[], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cell grid exceeds the u32 cell-id space")]
+    fn dynamic_grid_refuses_a_cell_count_that_overflows() {
+        // `usize::MAX` columns and rows: the unchecked product wraps to 1.
+        let _ = DynamicGrid::new(&Area::square(1e300).unwrap(), 1.0);
     }
 
     #[test]

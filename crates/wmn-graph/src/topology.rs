@@ -53,6 +53,9 @@
 //! * `cover_count[c]` equals the number of counting routers whose disk
 //!   holds client `c`; `covered[c] == (cover_count[c] > 0)`;
 //!   `covered_count` equals the number of set bits.
+//! * Equal [`placement_stamp`]s mean bit-identical `positions`: every
+//!   position write takes a fresh stamp, except that an exact undo of the
+//!   previous write restores the stamp from before it.
 //!
 //! ## When the full-rebuild fallback triggers
 //!
@@ -73,6 +76,7 @@
 //! [`swap_routers`]: WmnTopology::swap_routers
 //! [`apply_moves`]: WmnTopology::apply_moves
 //! [`set_connectivity_mode`]: WmnTopology::set_connectivity_mode
+//! [`placement_stamp`]: WmnTopology::placement_stamp
 //! [`DynamicConnectivity`]: crate::connectivity::DynamicConnectivity
 //! [`DynamicGrid`]: crate::spatial::DynamicGrid
 
@@ -80,9 +84,10 @@ use crate::adjacency::{LinkModel, MeshAdjacency};
 use crate::arena::NeighborSlab;
 use crate::components::Components;
 use crate::connectivity::{ConnectivityStats, DynamicConnectivity};
-use crate::spatial::{DynamicGrid, GridIndex};
+use crate::spatial::{grid_cell_count, grid_shape, DynamicGrid, GridIndex, MAX_GRID_CELLS};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use wmn_model::geometry::{Area, Point};
@@ -234,7 +239,60 @@ pub struct WmnTopology {
     disk_cached: Vec<bool>,
     /// Connectivity repair strategy (see [`ConnectivityMode`]).
     connectivity_mode: ConnectivityMode,
+    /// See [`placement_stamp`](WmnTopology::placement_stamp).
+    placement_stamp: u64,
+    /// The last position write, if a later `move_router` or
+    /// `swap_routers` may still revert it exactly, with the stamp from
+    /// before it.
+    last_write: Option<(PositionWrite, u64)>,
     scratch: MoveScratch,
+}
+
+/// The next [`WmnTopology::placement_stamp`] value. One counter for the
+/// whole process, so no two position writes anywhere take the same value.
+static NEXT_PLACEMENT_STAMP: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_placement_stamp() -> u64 {
+    NEXT_PLACEMENT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
+
+/// A position write that a later one can revert exactly.
+#[derive(Debug, Clone, Copy)]
+enum PositionWrite {
+    /// `router` moved from `from` to `to` (positions as stored, clamped).
+    Move {
+        router: usize,
+        from: Point,
+        to: Point,
+    },
+    /// Routers `a < b` exchanged positions.
+    Swap { a: usize, b: usize },
+}
+
+impl PositionWrite {
+    /// Whether this write, made right after `prev`, puts every position
+    /// back bit for bit: the same router moved back to where it came from,
+    /// or the same pair swapped again.
+    fn reverts(&self, prev: &PositionWrite) -> bool {
+        match (*self, *prev) {
+            (
+                PositionWrite::Move { router, to, .. },
+                PositionWrite::Move {
+                    router: prev_router,
+                    from,
+                    ..
+                },
+            ) => {
+                router == prev_router
+                    && to.x.to_bits() == from.x.to_bits()
+                    && to.y.to_bits() == from.y.to_bits()
+            }
+            (PositionWrite::Swap { a, b }, PositionWrite::Swap { a: pa, b: pb }) => {
+                (a, b) == (pa, pb)
+            }
+            _ => false,
+        }
+    }
 }
 
 /// Reusable per-move scratch state; all buffers reach steady-state capacity
@@ -308,6 +366,8 @@ impl Clone for WmnTopology {
             disk_clients: self.disk_clients.clone(),
             disk_cached: self.disk_cached.clone(),
             connectivity_mode: self.connectivity_mode,
+            placement_stamp: self.placement_stamp,
+            last_write: None,
             scratch: MoveScratch::default(),
         }
     }
@@ -337,6 +397,8 @@ impl Clone for WmnTopology {
         self.disk_clients.clone_from(&src.disk_clients);
         self.disk_cached.clone_from(&src.disk_cached);
         self.connectivity_mode = src.connectivity_mode;
+        self.placement_stamp = src.placement_stamp;
+        self.last_write = None;
     }
 }
 
@@ -347,7 +409,11 @@ impl WmnTopology {
     ///
     /// Propagates placement validation
     /// ([`ModelError`](wmn_model::ModelError)) — length mismatch or
-    /// out-of-area positions.
+    /// out-of-area positions. Refuses with `ModelError::InvalidSpec` an
+    /// instance whose router or client ids would not fit u32, or whose
+    /// client or router grid would have more cells than u32 ids can number
+    /// (an area far larger than the radio range, such as `--scale-area
+    /// 1000000`).
     pub fn build(
         instance: &ProblemInstance,
         placement: &Placement,
@@ -377,6 +443,25 @@ impl WmnTopology {
             });
         }
         let max_radius = radii.iter().copied().fold(1.0_f64, f64::max);
+        // The grid-width invariant: both grid kinds store u32 cell ids. The
+        // router grids are checked at the finer of their two cell sizes
+        // (`MeshAdjacency::build` sizes its grid by the largest radius, the
+        // router index by at least 1).
+        let finest_router_cell = config
+            .link_model
+            .grid_cell_size(radii.iter().copied().fold(0.0_f64, f64::max));
+        for (grid, cell_size) in [("client", max_radius), ("router", finest_router_cell)] {
+            let (cols, rows) = grid_shape(&area, cell_size);
+            if grid_cell_count(cols, rows).is_none() {
+                return Err(wmn_model::ModelError::InvalidSpec {
+                    reason: format!(
+                        "the {grid} grid would need {cols} x {rows} = {} cells, beyond the \
+                         u32 cell-id space (at most {MAX_GRID_CELLS} cells)",
+                        cols as u128 * rows as u128
+                    ),
+                });
+            }
+        }
         let client_index = Arc::new(GridIndex::build(&area, &clients, max_radius));
         let mut router_index =
             DynamicGrid::new(&area, config.link_model.grid_cell_size(max_radius));
@@ -400,6 +485,8 @@ impl WmnTopology {
             disk_clients: NeighborSlab::with_nodes(positions_len),
             disk_cached: vec![false; positions_len],
             connectivity_mode: ConnectivityMode::default(),
+            placement_stamp: fresh_placement_stamp(),
+            last_write: None,
             scratch: MoveScratch::default(),
         };
         topo.refresh_giant_mask();
@@ -425,6 +512,7 @@ impl WmnTopology {
         );
         self.scratch.counters.full_rebuilds += 1;
         self.positions.copy_from_slice(placement.as_slice());
+        self.stamp_fresh();
         self.disk_cached.fill(false);
         self.router_index.rebuild(&self.positions);
         self.adjacency.rebuild_in_place(
@@ -527,6 +615,75 @@ impl WmnTopology {
     /// Panics if `id` is out of range.
     pub fn in_giant(&self, id: RouterId) -> bool {
         self.components.in_giant(id.index())
+    }
+
+    /// An identity for the current router positions. **Invariant:** two
+    /// equal stamps — of this topology or of any other, read at any two
+    /// times in one process — mean bit-identical positions, so a cache of
+    /// anything derived from positions alone can be keyed by the stamp
+    /// (the swap movement keys its zone census this way).
+    ///
+    /// * Every position write takes a fresh value from one process-wide
+    ///   counter: [`build`](WmnTopology::build),
+    ///   [`reset_placement`](WmnTopology::reset_placement),
+    ///   [`move_router`](WmnTopology::move_router),
+    ///   [`swap_routers`](WmnTopology::swap_routers) and a batch of two or
+    ///   more moves in [`apply_moves_from`](WmnTopology::apply_moves_from).
+    /// * A `move_router` or `swap_routers` that exactly reverts this
+    ///   topology's previous write — the same router back to its
+    ///   bit-identical previous position, or the same pair swapped again —
+    ///   restores the stamp from before that write. Undoing a move this
+    ///   way gives back the stamp it started from.
+    /// * `clone` and `clone_from` copy the stamp and forget the previous
+    ///   write: the first write after a copy never restores a stamp.
+    ///
+    /// A write that leaves the positions unchanged may still take a fresh
+    /// stamp: equal positions do not imply equal stamps. Stamp values
+    /// depend on how many topologies the process wrote before, so they
+    /// differ between runs and thread counts: no artifact may contain one.
+    pub fn placement_stamp(&self) -> u64 {
+        self.placement_stamp
+    }
+
+    /// The routers that the last position write moved, each with its
+    /// position before that write, when the write was a
+    /// [`move_router`](WmnTopology::move_router) or
+    /// [`swap_routers`](WmnTopology::swap_routers) made at stamp `stamp`;
+    /// otherwise `None`. Moving the reported routers of the placement
+    /// stamped `stamp` to their current positions gives the current
+    /// placement, so a cache keyed by the stamp can be brought up to date
+    /// at the cost of one or two routers rather than all of them.
+    pub fn moves_since(&self, stamp: u64) -> Option<impl Iterator<Item = (RouterId, Point)>> {
+        let (write, before) = self.last_write?;
+        if before != stamp {
+            return None;
+        }
+        let moves = match write {
+            PositionWrite::Move { router, from, .. } => [Some((router, from)), None],
+            PositionWrite::Swap { a, b } => {
+                [Some((a, self.positions[b])), Some((b, self.positions[a]))]
+            }
+        };
+        Some(moves.into_iter().flatten().map(|(i, p)| (RouterId(i), p)))
+    }
+
+    /// Stamps a write that no later one reverts (see
+    /// [`placement_stamp`](WmnTopology::placement_stamp)).
+    fn stamp_fresh(&mut self) {
+        self.placement_stamp = fresh_placement_stamp();
+        self.last_write = None;
+    }
+
+    /// Stamps `write`, just made: it restores the stamp from before the
+    /// previous write when it exactly reverts that write, and takes a fresh
+    /// one otherwise.
+    fn stamp_write(&mut self, write: PositionWrite) {
+        let before = self.placement_stamp;
+        self.placement_stamp = match self.last_write {
+            Some((prev, stamp)) if write.reverts(&prev) => stamp,
+            _ => fresh_placement_stamp(),
+        };
+        self.last_write = Some((write, before));
     }
 
     /// Selects the connectivity repair strategy (see [`ConnectivityMode`]):
@@ -836,6 +993,11 @@ impl WmnTopology {
         let old = self.positions[i];
         let new = self.area.clamp_point(new_position);
         self.positions[i] = new;
+        self.stamp_write(PositionWrite::Move {
+            router: i,
+            from: old,
+            to: new,
+        });
         self.disk_cached[i] = false;
         self.router_index.relocate(i, old, new);
         if self.connectivity_mode == ConnectivityMode::FullRebuild {
@@ -905,6 +1067,10 @@ impl WmnTopology {
         let (ia, ib) = (a.index(), b.index());
         let (pa, pb) = (self.positions[ia], self.positions[ib]);
         self.positions.swap(ia, ib);
+        self.stamp_write(PositionWrite::Swap {
+            a: ia.min(ib),
+            b: ia.max(ib),
+        });
         self.disk_cached[ia] = false;
         self.disk_cached[ib] = false;
         self.router_index.relocate(ia, pa, pb);
@@ -1100,6 +1266,7 @@ impl WmnTopology {
                 });
             }
         }
+        self.stamp_fresh();
         self.scratch.counters.batch_repairs += 1;
         self.scratch.counters.batch_moved_routers += batch.len() as u64;
         if self.connectivity_mode == ConnectivityMode::FullRebuild {
@@ -1366,6 +1533,35 @@ mod tests {
         let instance = InstanceSpec::paper_normal().unwrap().generate(1).unwrap();
         let bad = Placement::from_points(vec![Point::new(1.0, 1.0)]);
         assert!(WmnTopology::build(&instance, &bad, TopologyConfig::paper_default()).is_err());
+    }
+
+    #[test]
+    fn build_refuses_grids_beyond_the_u32_cell_space() {
+        let refusal = |side: f64, radius: f64| {
+            let instance = InstanceBuilder::new(Area::square(side).unwrap())
+                .routers(RadioProfile::fixed(radius).unwrap(), 1)
+                .client(Point::new(2.0, 2.0))
+                .build()
+                .unwrap();
+            let placement = Placement::from_points(vec![Point::new(1.0, 1.0)]);
+            match WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()) {
+                Err(wmn_model::ModelError::InvalidSpec { reason }) => reason,
+                other => panic!("expected a grid-size refusal, got {other:?}"),
+            }
+        };
+        // Client cells of side 8: 125,000² cells.
+        let reason = refusal(1e6, 8.0);
+        assert!(
+            reason.contains("client grid would need 125000 x 125000 = 15625000000 cells"),
+            "{reason}"
+        );
+        // Radius 0.25: client cells of side 1 (40,000² fit), but the
+        // adjacency grid's cells of side 0.5 do not (80,000²).
+        let reason = refusal(40_000.0, 0.25);
+        assert!(
+            reason.contains("router grid would need 80000 x 80000"),
+            "{reason}"
+        );
     }
 
     #[test]

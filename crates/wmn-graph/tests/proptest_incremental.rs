@@ -3,9 +3,13 @@
 //! `move_router` / `swap_routers` / undo sequences must keep
 //! `assert_consistent` green under **both** coverage rules and **all**
 //! link models, and the in-place workspace rebuild must equal a fresh
-//! build.
+//! build. A last property pins the placement-stamp invariant: equal stamps
+//! mean bit-identical positions, and `moves_since` reports exactly the
+//! routers a move or swap changed.
 
 use proptest::prelude::*;
+use rand::{Rng, RngCore};
+use std::collections::HashMap;
 use wmn_graph::adjacency::LinkModel;
 use wmn_graph::topology::{ConnectivityMode, CoverageRule, TopologyConfig, WmnTopology};
 use wmn_model::distribution::ClientDistribution;
@@ -132,6 +136,306 @@ fn run_sequence(instance: &ProblemInstance, config: TopologyConfig, steps: &[Ste
     assert_eq!(topo.giant_size(), initial.giant_size());
     assert_eq!(topo.covered_count(), initial.covered_count());
     assert_eq!(topo.covered_mask(), initial.covered_mask());
+}
+
+/// A position write as [`WmnTopology::placement_stamp`] defines exact
+/// reverts: a router's move between two bit patterns, or a swap of a pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Write {
+    Move {
+        router: usize,
+        from: (u64, u64),
+        to: (u64, u64),
+    },
+    Swap(usize, usize),
+}
+
+impl Write {
+    fn reverts(&self, prev: &Write) -> bool {
+        match (*self, *prev) {
+            (
+                Write::Move { router, to, .. },
+                Write::Move {
+                    router: r, from, ..
+                },
+            ) => router == r && to == from,
+            (Write::Swap(a, b), Write::Swap(c, d)) => (a, b) == (c, d),
+            _ => false,
+        }
+    }
+}
+
+fn bits(p: Point) -> (u64, u64) {
+    (p.x.to_bits(), p.y.to_bits())
+}
+
+/// How the stream last changed a topology's routers, so it can undo it.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    MoveBack { router: usize, to: Point },
+    SwapAgain(usize, usize),
+}
+
+type Seen = HashMap<u64, Vec<(u64, u64)>>;
+
+/// Records `topo`'s positions under its stamp the first time the stamp
+/// appears, and asserts they are bit-identical every later time.
+fn check_stamp(topo: &WmnTopology, seen: &mut Seen) {
+    let positions: Vec<(u64, u64)> = topo
+        .placement()
+        .as_slice()
+        .iter()
+        .map(|&p| bits(p))
+        .collect();
+    let stamp = topo.placement_stamp();
+    let first = seen.entry(stamp).or_insert_with(|| positions.clone());
+    assert_eq!(
+        *first, positions,
+        "stamp {stamp} recurred with other positions"
+    );
+}
+
+/// Applies one move or swap and checks its stamp against the contract,
+/// given the topology's previous revertible write `prev` (updated).
+/// Returns whether the write exactly reverted `prev`, and its own undo.
+fn stamped_write(
+    topo: &mut WmnTopology,
+    prev: &mut Option<(Write, u64)>,
+    seen: &mut Seen,
+    op: Undo,
+) -> (bool, Undo) {
+    let before = topo.placement_stamp();
+    let (write, undo) = match op {
+        Undo::MoveBack { router, to } => {
+            let from = topo.move_router(RouterId(router), to);
+            let to = topo.position(RouterId(router));
+            let write = Write::Move {
+                router,
+                from: bits(from),
+                to: bits(to),
+            };
+            (write, Undo::MoveBack { router, to: from })
+        }
+        Undo::SwapAgain(a, b) => {
+            topo.swap_routers(RouterId(a), RouterId(b));
+            (Write::Swap(a.min(b), a.max(b)), op)
+        }
+    };
+    let after = topo.placement_stamp();
+    let exact = match *prev {
+        Some((p, stamp)) if write.reverts(&p) => {
+            assert_eq!(after, stamp, "an exact revert must restore the stamp");
+            true
+        }
+        _ => {
+            assert!(
+                !seen.contains_key(&after),
+                "a write must take a fresh stamp"
+            );
+            false
+        }
+    };
+    *prev = Some((write, before));
+    check_stamp(topo, seen);
+    check_moves_since(topo, before, seen);
+    (exact, undo)
+}
+
+/// Asserts that `moves_since(before)`, just after a move or swap made at
+/// stamp `before`, reports what it changed: the positions first seen under
+/// `before`, with the reported routers moved from their reported positions
+/// to their current ones, are the current positions.
+fn check_moves_since(topo: &WmnTopology, before: u64, seen: &Seen) {
+    let mut positions = seen[&before].clone();
+    let moves = topo
+        .moves_since(before)
+        .expect("a move or swap reports its routers");
+    for (id, from) in moves {
+        assert_eq!(
+            positions[id.index()],
+            bits(from),
+            "router {id:?}'s previous position"
+        );
+        positions[id.index()] = bits(topo.position(id));
+    }
+    let current: Vec<(u64, u64)> = topo
+        .placement()
+        .as_slice()
+        .iter()
+        .map(|&p| bits(p))
+        .collect();
+    assert_eq!(
+        positions, current,
+        "the reported moves must give the current positions"
+    );
+    assert!(
+        topo.moves_since(topo.placement_stamp()).is_none(),
+        "no write was made at the current stamp"
+    );
+}
+
+/// Runs `ops` seeded writes over two topologies of `instance`, checking
+/// every stamp against the contract of [`WmnTopology::placement_stamp`].
+/// Returns how many exact reverts restored a stamp, and how many reverts
+/// were inexact (one ulp off, another swap pair, after an intervening
+/// write, or after a copy).
+fn run_stamp_stream(instance: &ProblemInstance, seed: u64, ops: usize) -> (usize, usize) {
+    let config = TopologyConfig::paper_default();
+    let mut rng = rng_from_seed(seed);
+    let area = instance.area();
+    let n = instance.router_count();
+    let mut topos = [(); 2].map(|()| {
+        WmnTopology::build(instance, &instance.random_placement(&mut rng), config).unwrap()
+    });
+    let mut seen = Seen::new();
+    // Per topology: its previous move or swap while no other write has
+    // followed it (with the stamp from before it), and an undo log that
+    // outlives other writes and copies.
+    let mut prev: [Option<(Write, u64)>; 2] = [None, None];
+    let mut log: [Vec<Undo>; 2] = [Vec::new(), Vec::new()];
+    let (mut restored, mut inexact) = (0, 0);
+    for topo in &topos {
+        check_stamp(topo, &mut seen);
+    }
+    let random_point = |rng: &mut dyn RngCore| {
+        Point::new(
+            rng.gen_range(-5.0..area.width() + 5.0),
+            rng.gen_range(-5.0..area.height() + 5.0),
+        )
+    };
+    let random_pair = |rng: &mut dyn RngCore| {
+        let a = rng.gen_range(0..n);
+        (a, (a + rng.gen_range(1..n)) % n)
+    };
+    for _ in 0..ops {
+        let t = rng.gen_range(0..2);
+        let [a, b] = &mut topos;
+        let (topo, other) = if t == 0 { (a, b) } else { (b, a) };
+        let stamp_before = topo.placement_stamp();
+        match rng.gen_range(0..14) {
+            // A search probe: a move or swap, then its undo.
+            0..=2 => {
+                let op = if rng.gen_bool(0.5) {
+                    let router = rng.gen_range(0..n);
+                    Undo::MoveBack {
+                        router,
+                        to: random_point(&mut rng),
+                    }
+                } else {
+                    let (a, b) = random_pair(&mut rng);
+                    Undo::SwapAgain(a, b)
+                };
+                let (_, undo) = stamped_write(topo, &mut prev[t], &mut seen, op);
+                let (exact, _) = stamped_write(topo, &mut prev[t], &mut seen, undo);
+                assert!(exact, "undoing the previous write must be an exact revert");
+                restored += 1;
+            }
+            // A logged move or swap.
+            3..=5 => {
+                let op = if rng.gen_bool(0.7) {
+                    let router = rng.gen_range(0..n);
+                    Undo::MoveBack {
+                        router,
+                        to: random_point(&mut rng),
+                    }
+                } else {
+                    let (a, b) = random_pair(&mut rng);
+                    Undo::SwapAgain(a, b)
+                };
+                let (_, undo) = stamped_write(topo, &mut prev[t], &mut seen, op);
+                log[t].push(undo);
+            }
+            // The last logged undo: exact unless another write or a copy
+            // came between.
+            6..=7 => {
+                if let Some(undo) = log[t].pop() {
+                    let (exact, _) = stamped_write(topo, &mut prev[t], &mut seen, undo);
+                    restored += usize::from(exact);
+                    inexact += usize::from(!exact);
+                }
+            }
+            // The last logged undo one ulp off, or a swap of another pair.
+            8 => {
+                let off = match log[t].pop() {
+                    Some(Undo::MoveBack { router, to }) => {
+                        let x = if to.x > 0.0 {
+                            to.x.next_down()
+                        } else {
+                            to.x.next_up()
+                        };
+                        Some(Undo::MoveBack {
+                            router,
+                            to: Point::new(x, to.y),
+                        })
+                    }
+                    Some(Undo::SwapAgain(a, b)) if n >= 3 => {
+                        let c = (0..n).find(|&c| c != a && c != b).unwrap();
+                        Some(Undo::SwapAgain(a, c))
+                    }
+                    _ => None,
+                };
+                if let Some(off) = off {
+                    // Exact only if it happens to revert a later write
+                    // (say, a probe that swapped `a` and `c`).
+                    let (exact, _) = stamped_write(topo, &mut prev[t], &mut seen, off);
+                    restored += usize::from(exact);
+                    inexact += usize::from(!exact);
+                }
+            }
+            // The undo of the logged write before the last one.
+            9 => {
+                if log[t].len() >= 2 {
+                    let undo = log[t].remove(log[t].len() - 2);
+                    let (exact, _) = stamped_write(topo, &mut prev[t], &mut seen, undo);
+                    restored += usize::from(exact);
+                    inexact += usize::from(!exact);
+                }
+            }
+            // A batch of two to five moves, with or without a donor.
+            10 => {
+                let moves: Vec<(RouterId, Point)> = (0..rng.gen_range(2..6))
+                    .map(|_| (RouterId(rng.gen_range(0..n)), random_point(&mut rng)))
+                    .collect();
+                topo.apply_moves_from(&moves, rng.gen_bool(0.5).then_some(&*other));
+                assert!(
+                    !seen.contains_key(&topo.placement_stamp()),
+                    "a batch reused a stamp"
+                );
+                assert!(topo.moves_since(stamp_before).is_none());
+                prev[t] = None;
+                check_stamp(topo, &mut seen);
+            }
+            // A whole new placement, in place or in a new topology.
+            11 => {
+                let placement = instance.random_placement(&mut rng);
+                if rng.gen_bool(0.5) {
+                    topo.reset_placement(&placement);
+                } else {
+                    *topo = WmnTopology::build(instance, &placement, config).unwrap();
+                }
+                assert!(
+                    !seen.contains_key(&topo.placement_stamp()),
+                    "a rebuild reused a stamp"
+                );
+                assert!(topo.moves_since(stamp_before).is_none());
+                prev[t] = None;
+                check_stamp(topo, &mut seen);
+            }
+            // A copy of the other topology.
+            _ => {
+                if rng.gen_bool(0.5) {
+                    *topo = other.clone();
+                } else {
+                    topo.clone_from(other);
+                }
+                assert_eq!(topo.placement_stamp(), other.placement_stamp());
+                assert!(topo.moves_since(stamp_before).is_none());
+                prev[t] = None;
+                check_stamp(topo, &mut seen);
+            }
+        }
+    }
+    (restored, inexact)
 }
 
 proptest! {
@@ -265,6 +569,16 @@ proptest! {
                 prop_assert_eq!(leased.covered_mask(), fresh.covered_mask());
             }
         }
+    }
+
+    #[test]
+    fn equal_placement_stamps_mean_bit_identical_positions(
+        instance in instance_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let (restored, inexact) = run_stamp_stream(&instance, seed, 300);
+        prop_assert!(restored >= 50, "only {} exact reverts restored a stamp", restored);
+        prop_assert!(inexact >= 10, "only {} inexact reverts", inexact);
     }
 
     #[test]

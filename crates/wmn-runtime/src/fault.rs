@@ -25,6 +25,9 @@
 //! * `:p=F` — firing probability per job (default 1.0);
 //! * `,n=K` — number of doomed attempts per firing job (default 1).
 //!
+//! Each key appears at most once: a second `seed=`, or a second `p=` or
+//! `n=` within one rule, is an error naming it, not a silent override.
+//!
 //! Everything is off by default: a `None` plan (or an empty rule table)
 //! injects nothing and costs one branch per site.
 
@@ -181,12 +184,17 @@ impl FaultPlan {
     /// Describes the offending token on any syntax or validity problem.
     pub fn parse(spec: &str) -> Result<FaultPlan, FaultPlanError> {
         let mut plan = FaultPlan::default();
+        let mut seed_given = false;
         for token in spec.split(';') {
             let token = token.trim();
             if token.is_empty() {
                 continue;
             }
             if let Some(value) = token.strip_prefix("seed=") {
+                if seed_given {
+                    return Err(plan_err(format!("repeated seed= in {token:?}")));
+                }
+                seed_given = true;
                 plan.seed = value
                     .parse()
                     .map_err(|_| plan_err(format!("bad seed {value:?}")))?;
@@ -259,12 +267,17 @@ fn parse_rule(token: &str) -> Result<FaultRule, FaultPlanError> {
         doomed_attempts: 1,
     };
     if let Some(opts) = opts {
+        let (mut p_given, mut n_given) = (false, false);
         for opt in opts.split(',') {
             let opt = opt.trim();
             if opt.is_empty() {
                 continue;
             }
+            let repeated = || plan_err(format!("repeated rule option {opt:?} in {token:?}"));
             if let Some(value) = opt.strip_prefix("p=") {
+                if std::mem::replace(&mut p_given, true) {
+                    return Err(repeated());
+                }
                 let p: f64 = value
                     .parse()
                     .map_err(|_| plan_err(format!("bad probability {value:?}")))?;
@@ -273,6 +286,9 @@ fn parse_rule(token: &str) -> Result<FaultRule, FaultPlanError> {
                 }
                 rule.probability = p;
             } else if let Some(value) = opt.strip_prefix("n=") {
+                if std::mem::replace(&mut n_given, true) {
+                    return Err(repeated());
+                }
                 let n: u32 = value
                     .parse()
                     .map_err(|_| plan_err(format!("bad attempt count {value:?}")))?;
@@ -354,6 +370,15 @@ mod tests {
             "seed=abc",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted {bad:?}");
+        }
+        // A repeated key is an error naming it, not a silent last-wins.
+        for (bad, named) in [
+            ("seed=1;seed=2;panic@start", "repeated seed="),
+            ("panic@start:p=0.5,p=0.6", "repeated rule option \"p=0.6\""),
+            ("error@finish:n=2,p=1,n=3", "repeated rule option \"n=3\""),
+        ] {
+            let err = FaultPlan::parse(bad).unwrap_err().to_string();
+            assert!(err.contains(named), "{bad:?}: {err}");
         }
     }
 

@@ -16,7 +16,7 @@
 use rand::{Rng, RngCore};
 use std::cell::RefCell;
 use std::fmt;
-use wmn_graph::density::{DensityMap, ZoneBins};
+use wmn_graph::density::{DensityMap, ZoneBins, ZoneCensus};
 use wmn_graph::topology::WmnTopology;
 use wmn_model::geometry::Point;
 use wmn_model::instance::ProblemInstance;
@@ -180,14 +180,22 @@ impl Default for SwapConfig {
 ///
 /// # Cost
 ///
-/// The zones are binned once per instance ([`ZoneBins`]), so a proposal
-/// costs O(routers + cells), independent of the zone count: one pass bins
-/// every router into its density cell, one pass over the `cells × cells`
-/// grid sums the cells into zone occupancy, and one more pass over the
-/// routers collects those inside the dense and sparse zone rects. A router
-/// on a cell edge or off the grid scans the zones in rank order instead of
-/// taking its cell. A relocation into a zone that holds no router adds one
-/// pass to find the giant-component member nearest to it.
+/// A proposal reads a zone census of the topology's placement
+/// ([`ZoneCensus`]): each zone's router occupancy, and the routers inside
+/// each zone rect. Choosing the dense and sparse zones reads the
+/// occupancies, O(zones); then only those two zones' router lists are read.
+/// The census is keyed by the topology's
+/// [`placement_stamp`](WmnTopology::placement_stamp). Algorithm 2 applies
+/// and undoes every candidate, and the undo restores the stamp, so within a
+/// phase the census is reused as it stands. An accepted phase's move was
+/// made at the census's stamp, so the next proposal follows only the one or
+/// two routers it moved ([`WmnTopology::moves_since`]). Only a placement
+/// reached another way — the first proposal, a rebuild, a copy — retakes
+/// the census: O(routers + zones), through the zones binned once per
+/// instance ([`ZoneBins`]). A search phase therefore costs the same whether
+/// or not the previous one was accepted. A relocation into a zone that
+/// holds no other router adds one pass over the routers to find the
+/// giant-component member nearest to it.
 ///
 /// # Examples
 ///
@@ -216,23 +224,29 @@ pub struct SwapMovement {
     total_clients: u64,
     /// The move proposed when the zones offer no swap.
     fallback: RandomMovement,
-    /// Per-proposal scratch buffers (interior mutability because
-    /// [`Movement::propose`] takes `&self`): once warm, a proposal
-    /// performs zero heap allocations, keeping the whole search inner
-    /// loop allocation-free.
+    /// State kept between proposals (interior mutability because
+    /// [`Movement::propose`] takes `&self`).
     scratch: RefCell<ProposeScratch>,
 }
 
-/// Reusable buffers for one [`SwapMovement::propose`] call.
+/// What [`SwapMovement::propose`] keeps between calls: the zone census of
+/// the last placement it saw, and reusable candidate buffers. Every buffer
+/// only grows, to a size the instance bounds (the zones are disjoint, so
+/// the census holds at most four ids per router; a pool holds one entry per
+/// zone, `anchors` one zone's routers), so once warm a proposal performs
+/// zero heap allocations, keeping the whole search inner loop
+/// allocation-free.
 #[derive(Debug, Clone, Default)]
 struct ProposeScratch {
-    cell_hist: Vec<u32>,
-    routers_per_zone: Vec<usize>,
+    /// The census of the placement stamped `census_stamp`.
+    census: ZoneCensus,
+    /// The [`WmnTopology::placement_stamp`] of the placement the census
+    /// describes, or `None` before the first proposal.
+    census_stamp: Option<u64>,
     dense_pool: Vec<usize>,
     sparse_pool: Vec<usize>,
-    sparse_routers: Vec<RouterId>,
-    dense_routers: Vec<RouterId>,
-    non_giant: Vec<RouterId>,
+    /// The dense zone's routers other than the strong one (relocate mode).
+    anchors: Vec<RouterId>,
 }
 
 impl SwapMovement {
@@ -261,8 +275,8 @@ impl SwapMovement {
     }
 }
 
-fn weakest(topo: &WmnTopology, ids: &[RouterId]) -> Option<RouterId> {
-    ids.iter().copied().min_by(|&a, &b| {
+fn weakest(topo: &WmnTopology, ids: impl IntoIterator<Item = RouterId>) -> Option<RouterId> {
+    ids.into_iter().min_by(|&a, &b| {
         topo.radius(a)
             .partial_cmp(&topo.radius(b))
             .unwrap_or(std::cmp::Ordering::Equal)
@@ -270,8 +284,8 @@ fn weakest(topo: &WmnTopology, ids: &[RouterId]) -> Option<RouterId> {
     })
 }
 
-fn strongest(topo: &WmnTopology, ids: &[RouterId]) -> Option<RouterId> {
-    ids.iter().copied().max_by(|&a, &b| {
+fn strongest(topo: &WmnTopology, ids: impl IntoIterator<Item = RouterId>) -> Option<RouterId> {
+    ids.into_iter().max_by(|&a, &b| {
         topo.radius(a)
             .partial_cmp(&topo.radius(b))
             .unwrap_or(std::cmp::Ordering::Equal)
@@ -287,23 +301,37 @@ impl Movement for SwapMovement {
     fn propose(&self, topo: &WmnTopology, rng: &mut dyn RngCore) -> MoveAction {
         let mut scratch = self.scratch.borrow_mut();
         let ProposeScratch {
-            cell_hist,
-            routers_per_zone,
+            census,
+            census_stamp,
             dense_pool,
             sparse_pool,
-            sparse_routers,
-            dense_routers,
-            non_giant,
+            anchors,
         } = &mut *scratch;
         let routers = (0..topo.router_count()).map(RouterId);
 
-        // Current router occupancy per zone: each router counts toward the
-        // first zone, in rank order, whose rect contains it.
-        self.zones.occupancy_into(
-            routers.clone().map(|id| topo.position(id)),
-            cell_hist,
-            routers_per_zone,
-        );
+        // Router occupancy per zone (each router counts toward the first
+        // zone, in rank order, whose rect contains it) and the routers
+        // inside each zone rect. When the placement stamp differs from the
+        // census's, the census follows the one or two routers the last
+        // write moved if that write was made at the census's stamp (an
+        // accepted move), and is retaken otherwise.
+        let stamp = topo.placement_stamp();
+        if *census_stamp != Some(stamp) {
+            match census_stamp.and_then(|s| topo.moves_since(s)) {
+                Some(moves) => {
+                    for (id, from) in moves {
+                        let i = u32::try_from(id.index()).expect("router ids fit u32");
+                        self.zones.census_move(census, i, from, topo.position(id));
+                    }
+                }
+                None => self
+                    .zones
+                    .census_into(routers.clone().map(|id| topo.position(id)), census),
+            }
+            *census_stamp = Some(stamp);
+        }
+        let census = &*census;
+        let zone_routers = |zi: usize| census.members(zi).iter().map(|&i| RouterId(i as usize));
 
         // The paper's "dense threshold", operationalized as a router
         // deficit: a dense zone keeps attracting routers while it holds
@@ -314,13 +342,13 @@ impl Movement for SwapMovement {
         let kappa = (total_clients / topo.router_count() as f64).max(1.0);
         dense_pool.clear();
         let dense_cap = self.config.dense_candidates.max(1);
-        for (zi, &occupancy) in routers_per_zone.iter().enumerate() {
+        for zi in 0..self.zones.len() {
             if dense_pool.len() == dense_cap {
                 break;
             }
             let clients = self.zones.clients(zi);
             if clients >= self.config.dense_threshold.max(1)
-                && (clients as f64) / kappa > occupancy as f64
+                && (clients as f64) / kappa > census.occupancy(zi) as f64
             {
                 dense_pool.push(zi);
             }
@@ -333,7 +361,7 @@ impl Movement for SwapMovement {
         let dense_zi = if relocate_mode {
             *pick(dense_pool, rng).expect("nonempty pool")
         } else {
-            match (0..self.zones.len()).find(|&zi| routers_per_zone[zi] > 0) {
+            match (0..self.zones.len()).find(|&zi| census.occupancy(zi) > 0) {
                 Some(zi) => zi,
                 None => return self.fallback.propose(topo, rng),
             }
@@ -350,7 +378,7 @@ impl Movement for SwapMovement {
             }
             if zi != dense_zi
                 && self.zones.clients(zi) <= self.config.sparse_threshold
-                && routers_per_zone[zi] > 0
+                && census.occupancy(zi) > 0
             {
                 sparse_pool.push(zi);
             }
@@ -364,41 +392,20 @@ impl Movement for SwapMovement {
         if self.zones.clients(sparse_zi) > self.zones.clients(dense_zi) {
             return self.fallback.propose(topo, rng);
         }
-        let sparse_rect = self.zones.rect(sparse_zi);
-
-        // The routers inside each rect, in one pass. The rects are closed,
-        // so a router on an edge the two share is in both lists. Each id is
-        // written unconditionally and kept only when inside, so the loop has
-        // no branch on the rect tests, which mispredict on a random
-        // placement.
-        let (mut n_sparse, mut n_dense) = (0, 0);
-        sparse_routers.resize(topo.router_count(), RouterId(0));
-        dense_routers.resize(topo.router_count(), RouterId(0));
-        for id in routers.clone() {
-            let p = topo.position(id);
-            sparse_routers[n_sparse] = id;
-            n_sparse += usize::from(sparse_rect.contains(p));
-            dense_routers[n_dense] = id;
-            n_dense += usize::from(dense_rect.contains(p));
-        }
-        sparse_routers.truncate(n_sparse);
-        dense_routers.truncate(n_dense);
 
         // Step 6: most powerful router within the sparse area. In relocate
         // mode prefer a router *outside* the giant component — pulling a
         // giant member out would tear down the connectivity the move is
-        // meant to build.
+        // meant to build. The rects are closed, so a router on an edge the
+        // two zones share is inside both.
         let strong = if relocate_mode {
-            non_giant.clear();
-            non_giant.extend(
-                sparse_routers
-                    .iter()
-                    .copied()
-                    .filter(|&id| !topo.in_giant(id)),
-            );
-            strongest(topo, non_giant).or_else(|| strongest(topo, sparse_routers))
+            strongest(
+                topo,
+                zone_routers(sparse_zi).filter(|&id| !topo.in_giant(id)),
+            )
+            .or_else(|| strongest(topo, zone_routers(sparse_zi)))
         } else {
-            strongest(topo, sparse_routers)
+            strongest(topo, zone_routers(sparse_zi))
         };
         let Some(strong) = strong else {
             return self.fallback.propose(topo, rng);
@@ -416,8 +423,9 @@ impl Movement for SwapMovement {
             // links under the mutual-range rule and would be rejected by
             // the improvement-only acceptance of Algorithm 1.
             let center = dense_rect.center();
-            dense_routers.retain(|&id| id != strong);
-            let anchor = pick(dense_routers, rng).copied().or_else(|| {
+            anchors.clear();
+            anchors.extend(zone_routers(dense_zi).filter(|&id| id != strong));
+            let anchor = pick(anchors, rng).copied().or_else(|| {
                 routers
                     .filter(|&id| id != strong && topo.in_giant(id))
                     .min_by(|&a, &b| {
@@ -447,7 +455,7 @@ impl Movement for SwapMovement {
 
         // Step 4 + 7: the literal Algorithm 3 swap — weakest router of the
         // dense zone exchanges positions with the strong one.
-        match weakest(topo, dense_routers) {
+        match weakest(topo, zone_routers(dense_zi)) {
             Some(weak) if weak != strong => MoveAction::Swap { a: weak, b: strong },
             _ => self.fallback.propose(topo, rng),
         }
@@ -612,9 +620,10 @@ mod tests {
                     .copied()
                     .filter(|&id| !topo.in_giant(id))
                     .collect();
-                strongest(topo, &non_giant).or_else(|| strongest(topo, &sparse_routers))
+                strongest(topo, non_giant)
+                    .or_else(|| strongest(topo, sparse_routers.iter().copied()))
             } else {
-                strongest(topo, &sparse_routers)
+                strongest(topo, sparse_routers.iter().copied())
             };
             let Some(strong) = strong else {
                 return self.fallback.propose(topo, rng);
@@ -651,7 +660,7 @@ mod tests {
                 };
                 return MoveAction::Relocate { router: strong, to };
             }
-            match weakest(topo, &Self::routers_in(topo, &dense_rect)) {
+            match weakest(topo, Self::routers_in(topo, &dense_rect)) {
                 Some(weak) if weak != strong => MoveAction::Swap { a: weak, b: strong },
                 _ => self.fallback.propose(topo, rng),
             }
@@ -701,24 +710,43 @@ mod tests {
                     expected[z] += 1;
                 }
             }
-            let (mut cell_hist, mut occupancy) = (Vec::new(), Vec::new());
+            let mut census = ZoneCensus::default();
             movement
                 .zones
-                .occupancy_into(points.iter().copied(), &mut cell_hist, &mut occupancy);
-            assert_eq!(occupancy, expected, "scale {scale}");
+                .census_into(points.iter().copied(), &mut census);
+            for (z, window) in reference.ranked_zones.iter().enumerate() {
+                assert_eq!(census.occupancy(z), expected[z], "scale {scale}, zone {z}");
+                let rect = reference.client_map.window_rect(window);
+                let members: Vec<u32> = (0..points.len() as u32)
+                    .filter(|&i| rect.contains(points[i as usize]))
+                    .collect();
+                assert_eq!(census.members(z), members, "scale {scale}, zone {z}");
+            }
         }
     }
 
     #[test]
     fn binned_proposals_match_the_rank_order_reference() {
-        // 500 proposals per run, each applied, scored, and kept unless it
-        // lowers fitness (else undone): the binned proposal must equal
-        // the reference's move for move and leave the RNG in the same
-        // state. An unreachable dense threshold forces literal swap mode.
+        // One movement proposes against three topologies of one instance:
+        // two built from different placements, and a third overwritten
+        // every 48 proposals by `clone_from` of one of the others, between
+        // two proposals on it. Each proposal is applied, scored, and kept
+        // unless it lowers its topology's fitness (else undone). The
+        // binned proposal must equal the reference's move for move and
+        // leave the RNG in the same state. A census keyed by the
+        // topology's address goes stale after an accepted move; one keyed
+        // by a count of the topology's own writes is reused across
+        // topologies with equal counts; one that follows an accepted move
+        // or swap wrongly (or follows a write not made at its stamp)
+        // drifts from the reference. An unreachable dense threshold
+        // forces literal swap mode.
         let swap_only = SwapConfig {
             dense_threshold: u64::MAX,
             ..SwapConfig::default()
         };
+        // Which topology each proposal targets: runs of one to four
+        // proposals on the same one.
+        const SCHEDULE: [usize; 12] = [0, 0, 0, 0, 1, 2, 2, 1, 1, 1, 0, 2];
         for scale in [4, 16] {
             let instance = scaled_normal(scale, 40 + scale as u64);
             let evaluator = Evaluator::paper_default(&instance);
@@ -726,26 +754,39 @@ mod tests {
                 let movement = SwapMovement::new(&instance, config);
                 let reference = RankOrderSwap::new(&instance, config);
                 let mut rng = rng_from_seed(scale as u64);
-                let placement = instance.random_placement(&mut rng);
-                let mut topo = evaluator.topology(&placement).unwrap();
-                let mut current = evaluator.evaluate_topology(&topo).fitness;
+                let mut topos = [(); 3].map(|()| {
+                    evaluator
+                        .topology(&instance.random_placement(&mut rng))
+                        .unwrap()
+                });
+                let mut current = topos
+                    .each_ref()
+                    .map(|topo| evaluator.evaluate_topology(topo).fitness);
                 let mut ref_rng = rng.clone();
                 let (mut swaps, mut accepted) = (0, 0);
-                for step in 0..500 {
-                    let action = movement.propose(&topo, &mut rng);
-                    let expected = reference.propose(&topo, &mut ref_rng);
+                for step in 0..600 {
+                    if step % 48 == 6 {
+                        let source = (step / 48) % 2;
+                        let [a, b, copy] = &mut topos;
+                        copy.clone_from(if source == 0 { a } else { b });
+                        current[2] = current[source];
+                    }
+                    let which = SCHEDULE[step % SCHEDULE.len()];
+                    let topo = &mut topos[which];
+                    let action = movement.propose(topo, &mut rng);
+                    let expected = reference.propose(topo, &mut ref_rng);
                     assert_eq!(
                         action, expected,
-                        "scale {scale}, {config:?}, proposal {step}"
+                        "scale {scale}, {config:?}, proposal {step} on topology {which}"
                     );
                     swaps += usize::from(matches!(action, MoveAction::Swap { .. }));
-                    let undo = action.apply(&mut topo);
-                    let fitness = evaluator.evaluate_topology(&topo).fitness;
-                    if fitness >= current {
-                        current = fitness;
+                    let undo = action.apply(topo);
+                    let fitness = evaluator.evaluate_topology(topo).fitness;
+                    if fitness >= current[which] {
+                        current[which] = fitness;
                         accepted += 1;
                     } else {
-                        undo.undo(&mut topo);
+                        undo.undo(topo);
                     }
                 }
                 assert_eq!(rng, ref_rng, "scale {scale}, {config:?}");

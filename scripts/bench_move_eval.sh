@@ -15,7 +15,7 @@ run_bench_jsonl bench-move-eval.jsonl "$@" move_eval
 write_artifact "$out" '
   {
     schema: "wmn-bench-move-eval/v1",
-    description: "1000-move neighborhood-search inner loop (propose→apply→evaluate→undo): incremental delta-evaluation engine vs full-rebuild reference, per scale",
+    description: "1000 random relocations, each applied, evaluated and undone by moving the router back (drawn inline; no Movement is called): incremental delta-evaluation engine vs full-rebuild reference, per scale",
     bench: "cargo bench --bench ablations -- move_eval",
     benches: .,
     speedup_median: {
