@@ -1,24 +1,30 @@
 #!/usr/bin/env bash
 # Deterministic perf-regression gate over the engine's work counters.
 #
-# Runs the fixed-seed fig3 --quick workload (seeds 2009/42, one runner
-# thread, one GA thread) with --telemetry, and compares the resulting
-# counter profile against the committed COUNTERS_baseline.json with
-# `wmn-report diff`. Because every counter is a deterministic work
-# count — moves applied, coverage repairs by strategy, disk-cache hits,
-# connectivity BFS edge visits — the snapshot is byte-stable across
-# machines and thread counts, so any drift is a real change in how much
-# work the engine does, not timing noise. A pessimized build (e.g.
-# WMN_CHECK_CONNECTIVITY=full, which forces the full-rebuild oracle)
-# fails the gate; CI relies on that as the negative test.
+# Runs two fixed-seed workloads with --telemetry and compares each run's
+# counter profile against its committed baseline with `wmn-report diff`:
+#
+#   fig3 --quick --threads 1 --ga-threads 1       COUNTERS_baseline.json
+#     (seeds 2009/42: the GA, one batch repair per child)
+#   fig4 --scale 64 --scale-area 2 --threads 1    COUNTERS_baseline_fig4.json
+#     (seeds 2009/42: neighborhood search on a percolated mesh, one move
+#     or swap repair per proposal)
+#
+# Because every counter is a deterministic work count — moves applied,
+# coverage repairs by strategy, disk-cache hits, connectivity BFS edge
+# visits — the snapshots are byte-stable across machines and thread
+# counts, so any drift is a real change in how much work the engine does,
+# not timing noise. A pessimized build (e.g. WMN_CHECK_CONNECTIVITY=full,
+# which forces the full-rebuild oracle) fails the gate on both workloads;
+# CI relies on that as the negative test.
 #
 # Usage: scripts/check_counters.sh [--refresh]
-#   --refresh   rewrite COUNTERS_baseline.json from the current build
-#               (do this when a PR intentionally changes the work profile,
-#               and say why in the PR)
+#   --refresh   rewrite both baselines from the current build (do this
+#               when a PR intentionally changes the work profile, and say
+#               why in the PR)
 #
 # Environment:
-#   WMN_CHECK_CONNECTIVITY   connectivity mode for the run: "dynamic"
+#   WMN_CHECK_CONNECTIVITY   connectivity mode for the runs: "dynamic"
 #                            (default) or "full" (the full-rebuild oracle
 #                            pipeline — useful as a should-fail probe)
 #
@@ -29,7 +35,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-baseline=COUNTERS_baseline.json
 mode="${WMN_CHECK_CONNECTIVITY:-dynamic}"
 refresh=0
 for arg in "$@"; do
@@ -44,30 +49,48 @@ done
 
 tmp="$PWD/target/check-counters"
 rm -rf "$tmp"
-cargo run --release -p wmn-experiments --bin fig3 -- \
-  --quick --threads 1 --ga-threads 1 --connectivity "$mode" \
-  --telemetry "$tmp/telemetry" --out "$tmp/results" >/dev/null
-
-telemetry="$tmp/telemetry/telemetry.json"
 report() {
   cargo run --release -q -p wmn-experiments --bin wmn-report -- "$@"
 }
 
-if [ "$refresh" -eq 1 ]; then
-  report baseline "$telemetry" --out "$baseline"
-  echo "refreshed $baseline (connectivity=$mode)"
-  exit 0
-fi
+# check <baseline> <workload description> <bin> <args...>: runs the
+# workload and compares (or, with --refresh, rewrites) its baseline.
+failed=0
+check() {
+  local baseline="$1" workload="$2" bin="$3"
+  shift 3
+  local dir="$tmp/${baseline%.json}"
+  cargo run --release -q -p wmn-experiments --bin "$bin" -- "$@" \
+    --connectivity "$mode" --telemetry "$dir/telemetry" --out "$dir/results" >/dev/null
+  local telemetry="$dir/telemetry/telemetry.json"
 
-status=0
-report diff "$baseline" "$telemetry" >"$tmp/diff.txt" || status=$?
-case "$status" in
-  0) echo "counter profile matches $baseline" ;;
-  1)
-    echo "counter profile drifted from $baseline:" >&2
-    cat "$tmp/diff.txt" >&2
-    echo "if the new work profile is intentional: scripts/check_counters.sh --refresh" >&2
-    exit 1
-    ;;
-  *) exit "$status" ;;
-esac
+  if [ "$refresh" -eq 1 ]; then
+    report baseline "$telemetry" --out "$baseline" --workload "$workload"
+    echo "refreshed $baseline (connectivity=$mode)"
+    return
+  fi
+
+  local status=0
+  report diff "$baseline" "$telemetry" >"$dir/diff.txt" || status=$?
+  case "$status" in
+    0) echo "counter profile matches $baseline" ;;
+    1)
+      echo "counter profile drifted from $baseline:" >&2
+      cat "$dir/diff.txt" >&2
+      failed=1
+      ;;
+    *) exit "$status" ;;
+  esac
+}
+
+check COUNTERS_baseline.json \
+  "fig3 --quick --threads 1 --ga-threads 1 (fixed seeds 2009/42)" \
+  fig3 --quick --threads 1 --ga-threads 1
+check COUNTERS_baseline_fig4.json \
+  "fig4 --scale 64 --scale-area 2 --threads 1 (fixed seeds 2009/42)" \
+  fig4 --scale 64 --scale-area 2 --threads 1
+
+if [ "$failed" -eq 1 ]; then
+  echo "if the new work profile is intentional: scripts/check_counters.sh --refresh" >&2
+  exit 1
+fi
