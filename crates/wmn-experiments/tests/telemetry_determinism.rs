@@ -144,3 +144,63 @@ fn connectivity_oracles_are_reproducible_and_distinguishable() {
     assert!(!documents[1].contains("\"connectivity.bfs_edge_visits\""));
     assert!(documents[1].contains("\"topology.full_rebuilds\""));
 }
+
+/// The counter names attributed to `ga > evaluate` itself and to each
+/// scope under `ga > evaluate > apply_moves`.
+fn evaluate_scopes(config: &ExperimentConfig) -> (Vec<String>, Vec<(String, Vec<String>)>) {
+    let rendered = ga_telemetry(config);
+    let doc = parse_doc(Path::new("fig3.json"), &rendered).unwrap();
+    let evaluate = &doc.attribution.children["ga"].children["evaluate"];
+    let own = evaluate.counters.keys().map(|k| k.to_string()).collect();
+    let apply = &evaluate.children["apply_moves"];
+    assert!(apply.counters.is_empty(), "apply_moves holds only sections");
+    let sections = apply
+        .children
+        .iter()
+        .map(|(name, node)| {
+            assert!(node.children.is_empty(), "{name} is a leaf");
+            (
+                name.to_string(),
+                node.counters.keys().map(|k| k.to_string()).collect(),
+            )
+        })
+        .collect();
+    (own, sections)
+}
+
+/// Every child repairs its diff through the topology's one repair
+/// routine — one-gene children included (`fig3 --quick` has some) — so
+/// the only engine work left on `evaluate` itself is the state copies.
+#[test]
+fn evaluate_holds_only_state_copies() {
+    let mut config = ExperimentConfig::quick();
+    config.runner_threads = 1;
+    config.threads = 1;
+    let (own, sections) = evaluate_scopes(&config);
+    assert_eq!(own, ["topology.clone_from_reuses"]);
+    let names: Vec<&str> = sections.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["component_repair", "coverage", "edge_repair"]);
+    for (name, counters) in &sections {
+        for counter in counters {
+            assert_eq!(
+                wmn_obs::repair_section(counter, false),
+                Some(name.as_str()),
+                "{counter} under {name}"
+            );
+        }
+    }
+}
+
+/// Under the full-rebuild reference every child's repair is a rebuild,
+/// so `apply_moves` holds the one `full_rebuild` section.
+#[test]
+fn full_rebuild_reference_attributes_every_repair_to_full_rebuild() {
+    let mut config = small();
+    config.connectivity = ConnectivityMode::FullRebuild;
+    let (own, sections) = evaluate_scopes(&config);
+    assert_eq!(own, ["topology.clone_from_reuses"]);
+    assert_eq!(sections.len(), 1);
+    let (name, counters) = &sections[0];
+    assert_eq!(name, "full_rebuild");
+    assert!(counters.contains(&"topology.full_rebuilds".to_owned()));
+}

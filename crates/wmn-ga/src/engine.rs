@@ -49,7 +49,7 @@ use wmn_graph::topology::ConnectivityMode;
 use wmn_metrics::evaluator::{EvalWorkspace, Evaluation, Evaluator};
 use wmn_model::placement::Placement;
 use wmn_model::ModelError;
-use wmn_obs::{phase, ApplyPhases, EngineStats, Recorder};
+use wmn_obs::{phase, EngineStats, Recorder};
 use wmn_search::movement::MoveAction;
 
 /// Tournament size of parent selection.
@@ -340,16 +340,16 @@ impl<'e, 'i> GaEngine<'e, 'i> {
     /// work deltas (as value histograms), and the total engine
     /// work-counter profile summed over the evaluation slots in slot order
     /// — attributed to a nested phase tree. The run opens a `ga` phase
-    /// with `init` / `evaluate` child scopes; inside `evaluate`, the
-    /// batch-repair work reported by the slot topologies' [`ApplyPhases`]
-    /// buckets telescopes into `apply_moves` → `edge_repair` /
-    /// `component_repair` / `coverage` scopes (the full-rebuild
-    /// reference's repairs land in `full_rebuild`), and whatever
-    /// evaluation work the buckets don't cover (`clone_from` state copies,
-    /// single-move diffs) stays attributed to `evaluate` itself. The
-    /// per-phase slices sum to exactly the flat totals. Wall-clock
-    /// reproduce/evaluate spans are recorded under the same phases,
-    /// informational-only.
+    /// with `init` / `evaluate` child scopes. Inside `evaluate` the work is
+    /// attributed **by counter name** ([`wmn_obs::repair_section`]): every
+    /// child repairs its placement diff through the topology's one repair
+    /// routine, so every engine counter of the generations but the state
+    /// copies lands under `apply_moves` → `edge_repair` /
+    /// `component_repair` / `coverage` (under the full-rebuild reference,
+    /// `full_rebuild`), and only the `clone_from` state copies stay on
+    /// `evaluate` itself. The per-phase slices sum to exactly the flat
+    /// totals. Wall-clock reproduce/evaluate spans are recorded under the
+    /// same phases, informational-only.
     ///
     /// Results are bit-identical with any recorder; with a disabled one
     /// the extra cost is one branch per generation. The emitted counters
@@ -446,7 +446,6 @@ impl<'e, 'i> GaEngine<'e, 'i> {
             // counter profile (and any committed baseline of it) is
             // unchanged — only the attribution tree gains structure.
             let totals = engine_totals(&slots, &spare);
-            let phases = phase_totals(&slots, &spare);
             let mut ga = phase(recorder, "ga");
             ga.span("reproduce", reproduce_nanos);
             {
@@ -457,11 +456,10 @@ impl<'e, 'i> GaEngine<'e, 'i> {
             {
                 let mut eval = phase(&mut ga, "evaluate");
                 eval.span("evaluate_generations", evaluate_nanos);
-                let generation_work = totals.delta_since(&init_totals);
-                let residual = generation_work.delta_since(&phases.attributed());
-                residual.record_counters(&mut eval);
-                let mut apply = phase(&mut eval, "apply_moves");
-                phases.record_counters(&mut apply);
+                totals.delta_since(&init_totals).record_evaluate_counters(
+                    &mut eval,
+                    self.config.connectivity == ConnectivityMode::FullRebuild,
+                );
             }
         }
 
@@ -493,20 +491,6 @@ fn engine_totals(slots: &[EvalWorkspace], spare: &[EvalWorkspace]) -> EngineStat
         .filter_map(EvalWorkspace::engine_stats)
     {
         total.merge(&stats);
-    }
-    total
-}
-
-/// Sums the slot topologies' batch-repair phase buckets ([`ApplyPhases`])
-/// in the same deterministic order as [`engine_totals`].
-fn phase_totals(slots: &[EvalWorkspace], spare: &[EvalWorkspace]) -> ApplyPhases {
-    let mut total = ApplyPhases::default();
-    for phases in slots
-        .iter()
-        .chain(spare)
-        .filter_map(EvalWorkspace::apply_phases)
-    {
-        total.merge(&phases);
     }
     total
 }

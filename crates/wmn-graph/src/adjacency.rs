@@ -1,11 +1,7 @@
-//! Geometric link models and router-mesh adjacency construction.
+//! Router-mesh adjacency under the mutual-range link rule.
 //!
-//! Two routers are neighbors when the [`LinkModel`] says their positions and
-//! current radii admit a wireless link. The default model —
-//! [`LinkModel::CoverageOverlap`] — links routers whose coverage disks
-//! intersect (`d ≤ r_i + r_j`), the standard geometric model in the WMN
-//! placement literature and the one that keeps heterogeneous ("oscillating")
-//! radii meaningful.
+//! Two routers are neighbors when each lies within the other's current
+//! radius ([`links`]).
 //!
 //! Adjacency lists live in a [`NeighborSlab`] arena (u32 router ids, one
 //! flat element array, free-list-recycled blocks — see the
@@ -14,78 +10,34 @@
 
 use crate::arena::NeighborSlab;
 use crate::spatial::GridIndex;
-use serde::{Deserialize, Serialize};
-use std::fmt;
 use wmn_model::geometry::{Area, Point};
 
-/// Rule deciding whether two routers can form a wireless link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-#[non_exhaustive]
-pub enum LinkModel {
-    /// Link iff the coverage disks intersect: `d(i, j) <= r_i + r_j`.
-    #[default]
-    CoverageOverlap,
-    /// Link iff each router hears the other: `d(i, j) <= min(r_i, r_j)`.
-    MutualRange,
-    /// Link iff within a fixed range, ignoring per-router radii.
-    FixedRange(f64),
+/// Returns `true` if routers at squared distance `d2` with current radii
+/// `ri`, `rj` are linked: **mutual range**, `d <= min(r_i, r_j)` — a
+/// bidirectional link needs both endpoints in range. A router's links
+/// therefore all lie within its own radius, which is the spatial-index
+/// query radius.
+///
+/// Mutual range, not disk overlap, is what reproduces the paper's regime:
+/// its standalone giant components are small for *every* ad hoc method
+/// (3–26 of 64), which only holds under a link rule strict enough that
+/// regular patterns at 3–9 unit spacing do not trivially chain together.
+#[inline]
+pub fn links(d2: f64, ri: f64, rj: f64) -> bool {
+    let range = ri.min(rj);
+    d2 <= range * range
 }
 
-impl LinkModel {
-    /// Returns `true` if routers at squared distance `d2` with current radii
-    /// `ri`, `rj` are linked.
-    #[inline]
-    pub fn links(&self, d2: f64, ri: f64, rj: f64) -> bool {
-        let range = self.link_range(ri, rj);
-        d2 <= range * range
-    }
-
-    /// The effective link range for a router pair.
-    #[inline]
-    pub fn link_range(&self, ri: f64, rj: f64) -> f64 {
-        match self {
-            LinkModel::CoverageOverlap => ri + rj,
-            LinkModel::MutualRange => ri.min(rj),
-            LinkModel::FixedRange(r) => *r,
-        }
-    }
-
-    /// Upper bound on the link range of router `i` against *any* partner
-    /// whose radius is at most `max_other`; the query radius used with the
-    /// spatial index.
-    #[inline]
-    pub fn max_link_range(&self, ri: f64, max_other: f64) -> f64 {
-        match self {
-            LinkModel::CoverageOverlap => ri + max_other,
-            LinkModel::MutualRange => ri.min(max_other).max(ri), // min(ri, rj) <= ri is not a bound on range; range <= min <= ri
-            LinkModel::FixedRange(r) => *r,
-        }
-    }
-
-    /// The spatial-index cell size adjacency construction uses for a point
-    /// set whose largest radius is `max_radius` — near the typical query
-    /// radius, so bucket scans stay tight. Shared between
-    /// [`MeshAdjacency::build`] and the router-side
-    /// [`DynamicGrid`](crate::spatial::DynamicGrid) that
-    /// [`WmnTopology`](crate::topology::WmnTopology) keeps in sync across
-    /// moves, so both paths see the same candidate structure.
-    #[inline]
-    pub fn grid_cell_size(&self, max_radius: f64) -> f64 {
-        match self {
-            LinkModel::FixedRange(r) => r.max(1e-9),
-            _ => (2.0 * max_radius).max(1e-9),
-        }
-    }
-}
-
-impl fmt::Display for LinkModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LinkModel::CoverageOverlap => write!(f, "coverage-overlap"),
-            LinkModel::MutualRange => write!(f, "mutual-range"),
-            LinkModel::FixedRange(r) => write!(f, "fixed-range({r})"),
-        }
-    }
+/// The spatial-index cell size adjacency construction uses for a point
+/// set whose largest radius is `max_radius` — near the typical query
+/// radius, so bucket scans stay tight. Shared between
+/// [`MeshAdjacency::build`] and the router-side
+/// [`DynamicGrid`](crate::spatial::DynamicGrid) that
+/// [`WmnTopology`](crate::topology::WmnTopology) keeps in sync across
+/// moves, so both paths see the same candidate structure.
+#[inline]
+pub fn grid_cell_size(max_radius: f64) -> f64 {
+    (2.0 * max_radius).max(1e-9)
 }
 
 /// Undirected adjacency lists of the router mesh, stored in a
@@ -117,19 +69,14 @@ impl Clone for MeshAdjacency {
 }
 
 impl MeshAdjacency {
-    /// Builds adjacency for routers at `positions` with current `radii`
-    /// under `model`, using a spatial index over `area`.
+    /// Builds adjacency for routers at `positions` with current `radii`,
+    /// using a spatial index over `area`.
     ///
     /// # Panics
     ///
     /// Panics if `positions.len() != radii.len()` or the router count does
     /// not fit u32 ids.
-    pub fn build(
-        area: &Area,
-        positions: &[Point],
-        radii: &[f64],
-        model: LinkModel,
-    ) -> MeshAdjacency {
+    pub fn build(area: &Area, positions: &[Point], radii: &[f64]) -> MeshAdjacency {
         assert_eq!(
             positions.len(),
             radii.len(),
@@ -140,18 +87,17 @@ impl MeshAdjacency {
             return MeshAdjacency::default();
         }
         let max_radius = radii.iter().copied().fold(0.0_f64, f64::max);
-        let index = GridIndex::build(area, positions, model.grid_cell_size(max_radius));
+        let index = GridIndex::build(area, positions, grid_cell_size(max_radius));
 
         let mut neighbors = NeighborSlab::with_nodes(n);
         let mut edge_count = 0;
         for i in 0..n {
-            let query_r = model.max_link_range(radii[i], max_radius);
-            for j in index.within_radius(positions[i], query_r) {
+            for j in index.within_radius(positions[i], radii[i]) {
                 if j <= i {
                     continue; // handle each unordered pair once
                 }
                 let d2 = positions[i].distance_squared(positions[j]);
-                if model.links(d2, radii[i], radii[j]) {
+                if links(d2, radii[i], radii[j]) {
                     neighbors.push(i, j as u32);
                     neighbors.push(j, i as u32);
                     edge_count += 1;
@@ -167,12 +113,8 @@ impl MeshAdjacency {
         }
     }
 
-    /// Reference O(n²) construction; used by tests and ablation benches.
-    pub fn build_brute_force(
-        positions: &[Point],
-        radii: &[f64],
-        model: LinkModel,
-    ) -> MeshAdjacency {
+    /// Reference O(n²) construction, the oracle of the adjacency tests.
+    pub fn build_brute_force(positions: &[Point], radii: &[f64]) -> MeshAdjacency {
         assert_eq!(positions.len(), radii.len());
         let n = positions.len();
         let mut neighbors = NeighborSlab::with_nodes(n);
@@ -180,7 +122,7 @@ impl MeshAdjacency {
         for i in 0..n {
             for j in (i + 1)..n {
                 let d2 = positions[i].distance_squared(positions[j]);
-                if model.links(d2, radii[i], radii[j]) {
+                if links(d2, radii[i], radii[j]) {
                     neighbors.push(i, j as u32);
                     neighbors.push(j, i as u32);
                     edge_count += 1;
@@ -289,8 +231,8 @@ impl MeshAdjacency {
         self.edge_count += 1;
     }
 
-    /// Recomputes the whole adjacency **in place** for `positions`/`radii`
-    /// under `model`, taking candidate pairs from `grid` (which must be in
+    /// Recomputes the whole adjacency **in place** for `positions`/`radii`,
+    /// taking candidate pairs from `grid` (which must be in
     /// sync with `positions`). Produces exactly the result of
     /// [`MeshAdjacency::build`] while reusing the slab's blocks — the
     /// workspace path behind `Evaluator::evaluate_with` in `wmn-metrics`.
@@ -302,7 +244,6 @@ impl MeshAdjacency {
         &mut self,
         positions: &[Point],
         radii: &[f64],
-        model: LinkModel,
         grid: &crate::spatial::DynamicGrid,
     ) {
         assert_eq!(
@@ -313,15 +254,13 @@ impl MeshAdjacency {
         let n = positions.len();
         self.neighbors.clear_lists(n);
         self.edge_count = 0;
-        let max_radius = radii.iter().copied().fold(0.0_f64, f64::max);
         for i in 0..n {
-            let query_r = model.max_link_range(radii[i], max_radius);
-            for j in grid.candidates(positions[i], query_r) {
+            for j in grid.candidates(positions[i], radii[i]) {
                 if j <= i {
                     continue; // handle each unordered pair once
                 }
                 let d2 = positions[i].distance_squared(positions[j]);
-                if model.links(d2, radii[i], radii[j]) {
+                if links(d2, radii[i], radii[j]) {
                     self.neighbors.push(i, j as u32);
                     self.neighbors.push(j, i as u32);
                     self.edge_count += 1;
@@ -378,57 +317,34 @@ mod tests {
         let pts = (0..n)
             .map(|_| Point::new(rng.gen_range(0.0..=100.0), rng.gen_range(0.0..=100.0)))
             .collect();
-        let radii = (0..n).map(|_| rng.gen_range(2.0..=8.0)).collect();
+        // Radii twice the paper's, so that mutual-range graphs on this
+        // 100 × 100 area still give most routers a few neighbors.
+        let radii = (0..n).map(|_| rng.gen_range(4.0..=16.0)).collect();
         (pts, radii)
     }
 
     #[test]
-    fn coverage_overlap_links_touching_disks() {
-        let m = LinkModel::CoverageOverlap;
-        assert!(m.links(100.0, 5.0, 5.0)); // d = 10 = 5 + 5
-        assert!(!m.links(101.0, 5.0, 5.0));
-    }
-
-    #[test]
     fn mutual_range_requires_both_to_hear() {
-        let m = LinkModel::MutualRange;
-        assert!(m.links(9.0, 3.0, 8.0)); // d = 3 <= min = 3
-        assert!(!m.links(16.0, 3.0, 8.0)); // d = 4 > 3
+        assert!(links(9.0, 3.0, 8.0)); // d = 3 <= min = 3
+        assert!(!links(16.0, 3.0, 8.0)); // d = 4 > 3
     }
 
     #[test]
-    fn fixed_range_ignores_radii() {
-        let m = LinkModel::FixedRange(10.0);
-        assert!(m.links(100.0, 0.1, 0.1));
-        assert!(!m.links(100.1, 50.0, 50.0));
-    }
-
-    #[test]
-    fn default_model_is_coverage_overlap() {
-        assert_eq!(LinkModel::default(), LinkModel::CoverageOverlap);
-    }
-
-    #[test]
-    fn indexed_build_matches_brute_force_all_models() {
+    fn indexed_build_matches_brute_force() {
         let area = area100();
         let (pts, radii) = random_layout(300, 9);
-        for model in [
-            LinkModel::CoverageOverlap,
-            LinkModel::MutualRange,
-            LinkModel::FixedRange(12.0),
-        ] {
-            let fast = MeshAdjacency::build(&area, &pts, &radii, model);
-            let slow = MeshAdjacency::build_brute_force(&pts, &radii, model);
-            assert_eq!(fast, slow, "model {model}");
-            fast.assert_arena_invariants();
-        }
+        let fast = MeshAdjacency::build(&area, &pts, &radii);
+        let slow = MeshAdjacency::build_brute_force(&pts, &radii);
+        assert_eq!(fast, slow);
+        assert!(fast.edge_count() > 300, "the layout must be well linked");
+        fast.assert_arena_invariants();
     }
 
     #[test]
     fn adjacency_is_symmetric() {
         let area = area100();
         let (pts, radii) = random_layout(200, 4);
-        let adj = MeshAdjacency::build(&area, &pts, &radii, LinkModel::CoverageOverlap);
+        let adj = MeshAdjacency::build(&area, &pts, &radii);
         for i in 0..adj.node_count() {
             for &j in adj.neighbors(i) {
                 assert!(
@@ -444,7 +360,7 @@ mod tests {
     fn edge_count_matches_lists() {
         let area = area100();
         let (pts, radii) = random_layout(150, 5);
-        let adj = MeshAdjacency::build(&area, &pts, &radii, LinkModel::CoverageOverlap);
+        let adj = MeshAdjacency::build(&area, &pts, &radii);
         let total: usize = (0..adj.node_count()).map(|i| adj.degree(i)).sum();
         assert_eq!(total, 2 * adj.edge_count());
         assert!((adj.mean_degree() - total as f64 / 150.0).abs() < 1e-12);
@@ -452,7 +368,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let adj = MeshAdjacency::build(&area100(), &[], &[], LinkModel::CoverageOverlap);
+        let adj = MeshAdjacency::build(&area100(), &[], &[]);
         assert_eq!(adj.node_count(), 0);
         assert_eq!(adj.edge_count(), 0);
         assert_eq!(adj.mean_degree(), 0.0);
@@ -462,31 +378,25 @@ mod tests {
     fn two_isolated_routers() {
         let pts = vec![Point::new(0.0, 0.0), Point::new(100.0, 100.0)];
         let radii = vec![5.0, 5.0];
-        let adj = MeshAdjacency::build(&area100(), &pts, &radii, LinkModel::CoverageOverlap);
+        let adj = MeshAdjacency::build(&area100(), &pts, &radii);
         assert_eq!(adj.edge_count(), 0);
         assert_eq!(adj.degree(0), 0);
     }
 
     #[test]
-    fn rebuild_in_place_matches_build_all_models() {
+    fn rebuild_in_place_matches_build() {
         use crate::spatial::DynamicGrid;
         let area = area100();
-        for model in [
-            LinkModel::CoverageOverlap,
-            LinkModel::MutualRange,
-            LinkModel::FixedRange(12.0),
-        ] {
-            let mut adj = MeshAdjacency::default();
-            for trial in 0..5u64 {
-                let (pts, radii) = random_layout(60 + trial as usize * 40, 100 + trial);
-                let max_r = radii.iter().copied().fold(0.0_f64, f64::max);
-                let mut grid = DynamicGrid::new(&area, model.grid_cell_size(max_r));
-                grid.rebuild(&pts);
-                adj.rebuild_in_place(&pts, &radii, model, &grid);
-                let fresh = MeshAdjacency::build(&area, &pts, &radii, model);
-                assert_eq!(adj, fresh, "model {model} trial {trial}");
-                adj.assert_arena_invariants();
-            }
+        let mut adj = MeshAdjacency::default();
+        for trial in 0..5u64 {
+            let (pts, radii) = random_layout(60 + trial as usize * 40, 100 + trial);
+            let max_r = radii.iter().copied().fold(0.0_f64, f64::max);
+            let mut grid = DynamicGrid::new(&area, grid_cell_size(max_r));
+            grid.rebuild(&pts);
+            adj.rebuild_in_place(&pts, &radii, &grid);
+            let fresh = MeshAdjacency::build(&area, &pts, &radii);
+            assert_eq!(adj, fresh, "trial {trial}");
+            adj.assert_arena_invariants();
         }
     }
 
@@ -494,7 +404,7 @@ mod tests {
     fn replace_node_edges_detach_and_reattach_round_trip() {
         let area = area100();
         let (pts, radii) = random_layout(80, 14);
-        let original = MeshAdjacency::build(&area, &pts, &radii, LinkModel::CoverageOverlap);
+        let original = MeshAdjacency::build(&area, &pts, &radii);
         let mut adj = original.clone();
         let old: Vec<u32> = adj.neighbors(23).to_vec();
         assert!(old.windows(2).all(|w| w[0] < w[1]), "sorted neighbors");
@@ -514,7 +424,7 @@ mod tests {
     fn replace_node_edges_partial_overlap_touches_only_the_delta() {
         let area = area100();
         let (pts, radii) = random_layout(80, 14);
-        let mut adj = MeshAdjacency::build(&area, &pts, &radii, LinkModel::CoverageOverlap);
+        let mut adj = MeshAdjacency::build(&area, &pts, &radii);
         let node = (0..80usize)
             .max_by_key(|&i| adj.degree(i))
             .expect("nonempty layout");
@@ -546,7 +456,7 @@ mod tests {
     fn replace_node_edges_identical_lists_is_a_noop() {
         let pts = vec![Point::new(0.0, 0.0), Point::new(50.0, 50.0)];
         let radii = vec![1.0, 1.0];
-        let mut adj = MeshAdjacency::build(&area100(), &pts, &radii, LinkModel::CoverageOverlap);
+        let mut adj = MeshAdjacency::build(&area100(), &pts, &radii);
         adj.replace_node_edges(0, &[], &[]);
         assert_eq!(adj.edge_count(), 0);
         assert_eq!(adj.degree(0), 0);

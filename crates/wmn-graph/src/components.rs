@@ -34,7 +34,7 @@ const NONE: u32 = u32::MAX;
 /// # Examples
 ///
 /// ```
-/// use wmn_graph::adjacency::{LinkModel, MeshAdjacency};
+/// use wmn_graph::adjacency::MeshAdjacency;
 /// use wmn_graph::components::Components;
 /// use wmn_model::geometry::{Area, Point};
 ///
@@ -42,10 +42,10 @@ const NONE: u32 = u32::MAX;
 /// let positions = vec![
 ///     Point::new(40.0, 40.0), // isolated
 ///     Point::new(0.0, 0.0),
-///     Point::new(6.0, 0.0),   // linked to router 1 (3 + 3 >= 6)
+///     Point::new(6.0, 0.0),   // linked to router 1 (6 <= min(6, 6))
 /// ];
-/// let radii = vec![3.0, 3.0, 3.0];
-/// let adj = MeshAdjacency::build(&area, &positions, &radii, LinkModel::CoverageOverlap);
+/// let radii = vec![6.0, 6.0, 6.0];
+/// let adj = MeshAdjacency::build(&area, &positions, &radii);
 /// let comps = Components::from_adjacency(&adj);
 /// assert_eq!(comps.count(), 2);
 /// assert_eq!(comps.giant_size(), 2);
@@ -319,7 +319,6 @@ impl Components {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjacency::LinkModel;
     use rand::Rng;
     use wmn_model::geometry::{Area, Point};
     use wmn_model::rng::rng_from_seed;
@@ -330,12 +329,12 @@ mod tests {
             .map(|i| Point::new(i as f64 * spacing + 1.0, 1.0))
             .collect();
         let radii = vec![radius; n];
-        MeshAdjacency::build(&area, &pts, &radii, LinkModel::CoverageOverlap)
+        MeshAdjacency::build(&area, &pts, &radii)
     }
 
     #[test]
     fn connected_chain_is_one_component() {
-        let adj = chain(10, 5.0, 3.0); // 3 + 3 = 6 >= 5 spacing
+        let adj = chain(10, 5.0, 6.0); // 5 spacing <= min(6, 6)
         let c = Components::from_adjacency(&adj);
         assert_eq!(c.count(), 1);
         assert_eq!(c.giant_size(), 10);
@@ -345,7 +344,7 @@ mod tests {
 
     #[test]
     fn broken_chain_has_singletons() {
-        let adj = chain(10, 5.0, 2.0); // 2 + 2 = 4 < 5 spacing
+        let adj = chain(10, 5.0, 4.0); // 5 spacing > min(4, 4)
         let c = Components::from_adjacency(&adj);
         assert_eq!(c.count(), 10);
         assert_eq!(c.giant_size(), 1);
@@ -360,8 +359,8 @@ mod tests {
             let pts: Vec<Point> = (0..n)
                 .map(|_| Point::new(rng.gen_range(0.0..=100.0), rng.gen_range(0.0..=100.0)))
                 .collect();
-            let radii: Vec<f64> = (0..n).map(|_| rng.gen_range(2.0..8.0)).collect();
-            let adj = MeshAdjacency::build(&area, &pts, &radii, LinkModel::CoverageOverlap);
+            let radii: Vec<f64> = (0..n).map(|_| rng.gen_range(4.0..16.0)).collect();
+            let adj = MeshAdjacency::build(&area, &pts, &radii);
             let bfs = Components::from_adjacency(&adj);
             let dsu = Components::from_adjacency_dsu(&adj);
             assert_eq!(bfs, dsu, "trial {trial}");
@@ -382,7 +381,7 @@ mod tests {
                 .map(|_| Point::new(rng.gen_range(0.0..=100.0), rng.gen_range(0.0..=100.0)))
                 .collect();
             let radii: Vec<f64> = (0..n).map(|_| rng.gen_range(2.0..8.0)).collect();
-            let adj = MeshAdjacency::build(&area, &pts, &radii, LinkModel::MutualRange);
+            let adj = MeshAdjacency::build(&area, &pts, &radii);
             reused.rebuild_in_place(&adj, &mut queue);
             assert_eq!(reused, Components::from_adjacency(&adj), "trial {trial}");
             assert_eq!(
@@ -404,7 +403,7 @@ mod tests {
             Point::new(91.0, 90.0),
         ];
         let radii = vec![2.0; 4];
-        let adj = MeshAdjacency::build(&area, &pts, &radii, LinkModel::CoverageOverlap);
+        let adj = MeshAdjacency::build(&area, &pts, &radii);
         let c = Components::from_adjacency(&adj);
         assert_eq!(c.count(), 2);
         assert_eq!(c.giant_size(), 2);
@@ -425,7 +424,7 @@ mod tests {
 
     #[test]
     fn sizes_sum_to_node_count() {
-        let adj = chain(17, 5.0, 2.4); // some links hold (4.8 < 5.0 — none hold)
+        let adj = chain(17, 5.0, 4.8); // 5 spacing > 4.8: no link holds
         let c = Components::from_adjacency(&adj);
         assert_eq!(c.sizes().iter().map(|&s| s as usize).sum::<usize>(), 17);
         assert_eq!(c.node_count(), 17);
@@ -433,7 +432,7 @@ mod tests {
 
     #[test]
     fn size_of_matches_label_sizes() {
-        let adj = chain(6, 5.0, 3.0);
+        let adj = chain(6, 5.0, 6.0);
         let c = Components::from_adjacency(&adj);
         for i in 0..6 {
             assert_eq!(c.size_of(i), c.sizes()[c.label_of(i)] as usize);

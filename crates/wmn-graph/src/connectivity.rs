@@ -81,21 +81,21 @@ pub use wmn_obs::ConnectivityStats;
 /// # Examples
 ///
 /// ```
-/// use wmn_graph::adjacency::{LinkModel, MeshAdjacency};
+/// use wmn_graph::adjacency::MeshAdjacency;
 /// use wmn_graph::components::Components;
 /// use wmn_graph::connectivity::DynamicConnectivity;
 /// use wmn_model::geometry::{Area, Point};
 ///
 /// let area = Area::square(50.0)?;
-/// let radii = vec![3.0; 3];
+/// let radii = vec![6.0; 3];
 /// let chain = vec![Point::new(0.0, 0.0), Point::new(5.0, 0.0), Point::new(10.0, 0.0)];
-/// let before = MeshAdjacency::build(&area, &chain, &radii, LinkModel::CoverageOverlap);
+/// let before = MeshAdjacency::build(&area, &chain, &radii);
 /// let mut components = Components::from_adjacency(&before);
 /// assert_eq!(components.giant_size(), 3);
 ///
 /// // Move the middle router away: both its edges disappear.
 /// let moved = vec![chain[0], Point::new(40.0, 40.0), chain[2]];
-/// let after = MeshAdjacency::build(&area, &moved, &radii, LinkModel::CoverageOverlap);
+/// let after = MeshAdjacency::build(&area, &moved, &radii);
 /// let mut engine = DynamicConnectivity::new();
 /// engine.apply_edge_diff(&after, &mut components, &[], &[(0, 1), (1, 2)]);
 /// assert_eq!(components, Components::from_adjacency(&after));
@@ -334,7 +334,6 @@ fn outranks(a: (u32, u32), b: (u32, u32)) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjacency::LinkModel;
     use rand::Rng;
     use wmn_model::geometry::{Area, Point};
     use wmn_model::rng::rng_from_seed;
@@ -344,7 +343,7 @@ mod tests {
         let pts = (0..n)
             .map(|_| Point::new(rng.gen_range(0.0..=side), rng.gen_range(0.0..=side)))
             .collect();
-        let radii = (0..n).map(|_| rng.gen_range(2.0..=8.0)).collect();
+        let radii = (0..n).map(|_| rng.gen_range(4.0..=16.0)).collect();
         (pts, radii)
     }
 
@@ -389,10 +388,10 @@ mod tests {
     /// the component structure through the engine each time and comparing
     /// it, and the reported membership flips, against a from-scratch
     /// build. Returns the engine's counters.
-    fn drift_and_check(model: LinkModel, n: usize, seed: u64) -> ConnectivityStats {
+    fn drift_and_check(n: usize, seed: u64) -> ConnectivityStats {
         let area = Area::square(100.0).unwrap();
         let (mut pts, radii) = layout(n, seed, 100.0);
-        let mut adj = MeshAdjacency::build(&area, &pts, &radii, model);
+        let mut adj = MeshAdjacency::build(&area, &pts, &radii);
         let mut components = Components::from_adjacency(&adj);
         let mut engine = DynamicConnectivity::new();
         let mut rng = rng_from_seed(seed ^ 0xC0FFEE);
@@ -402,19 +401,19 @@ mod tests {
                 let i = rng.gen_range(0..n);
                 pts[i] = Point::new(rng.gen_range(0.0..=100.0), rng.gen_range(0.0..=100.0));
             }
-            let next = MeshAdjacency::build(&area, &pts, &radii, model);
+            let next = MeshAdjacency::build(&area, &pts, &radii);
             let (ins, del) = edge_diff(&adj, &next);
             let before = components.clone();
             engine.apply_edge_diff(&next, &mut components, &ins, &del);
             assert_eq!(
                 components,
                 Components::from_adjacency(&next),
-                "drift at round {round} under {model}"
+                "drift at round {round}"
             );
             assert_eq!(
                 sorted_flips(&engine),
                 membership_diff(&before, &components),
-                "flips at round {round} under {model}"
+                "flips at round {round}"
             );
             adj = next;
         }
@@ -422,15 +421,9 @@ mod tests {
     }
 
     #[test]
-    fn random_drift_matches_oracle_all_models() {
-        for model in [
-            LinkModel::CoverageOverlap,
-            LinkModel::MutualRange,
-            LinkModel::FixedRange(11.0),
-        ] {
-            for seed in 0..4 {
-                drift_and_check(model, 60, seed);
-            }
+    fn random_drift_matches_oracle() {
+        for seed in 0..4 {
+            drift_and_check(60, seed);
         }
     }
 
@@ -438,7 +431,7 @@ mod tests {
     fn empty_diff_is_noop() {
         let area = Area::square(60.0).unwrap();
         let (pts, radii) = layout(20, 3, 60.0);
-        let adj = MeshAdjacency::build(&area, &pts, &radii, LinkModel::CoverageOverlap);
+        let adj = MeshAdjacency::build(&area, &pts, &radii);
         let mut components = Components::from_adjacency(&adj);
         let reference = components.clone();
         let mut engine = DynamicConnectivity::new();
@@ -456,8 +449,8 @@ mod tests {
         // batch, re-created by a later one) must resolve to "still there".
         let area = Area::square(50.0).unwrap();
         let pts = vec![Point::new(0.0, 0.0), Point::new(5.0, 0.0)];
-        let radii = vec![3.0; 2];
-        let adj = MeshAdjacency::build(&area, &pts, &radii, LinkModel::CoverageOverlap);
+        let radii = vec![6.0; 2];
+        let adj = MeshAdjacency::build(&area, &pts, &radii);
         assert_eq!(adj.edge_count(), 1);
         let mut components = Components::from_adjacency(&adj);
         let mut engine = DynamicConnectivity::new();
@@ -476,14 +469,10 @@ mod tests {
             Point::new(5.0, 0.0),
             Point::new(10.0, 0.0),
         ];
-        let radii = vec![3.0; 3];
-        let before = MeshAdjacency::build(&area, &chain, &radii, LinkModel::CoverageOverlap);
-        let gone = MeshAdjacency::build(
-            &area,
-            &[chain[0], Point::new(40.0, 40.0), chain[2]],
-            &radii,
-            LinkModel::CoverageOverlap,
-        );
+        let radii = vec![6.0; 3];
+        let before = MeshAdjacency::build(&area, &chain, &radii);
+        let gone =
+            MeshAdjacency::build(&area, &[chain[0], Point::new(40.0, 40.0), chain[2]], &radii);
         for deletions in [[(0, 1), (1, 2)], [(1, 2), (0, 1)]] {
             let mut components = Components::from_adjacency(&before);
             let mut engine = DynamicConnectivity::new();
@@ -498,10 +487,9 @@ mod tests {
     /// the structures before and after and the ascending flip list.
     fn repair(before: &[Point], after: &[Point]) -> (Components, Components, Vec<u32>) {
         let area = Area::square(100.0).unwrap();
-        let radii = vec![3.0; before.len()];
-        let model = LinkModel::CoverageOverlap;
-        let old = MeshAdjacency::build(&area, before, &radii, model);
-        let new = MeshAdjacency::build(&area, after, &radii, model);
+        let radii = vec![6.0; before.len()];
+        let old = MeshAdjacency::build(&area, before, &radii);
+        let new = MeshAdjacency::build(&area, after, &radii);
         let (ins, del) = edge_diff(&old, &new);
         let mut components = Components::from_adjacency(&old);
         let start = components.clone();
@@ -513,7 +501,7 @@ mod tests {
         (start, components, flips)
     }
 
-    /// `k` routers in a linked row (5 apart, radius 3) starting at `(x, y)`.
+    /// `k` routers in a linked row (5 apart, radius 6) starting at `(x, y)`.
     fn row(x: f64, y: f64, k: usize) -> Vec<Point> {
         (0..k).map(|i| Point::new(x + 5.0 * i as f64, y)).collect()
     }
@@ -581,10 +569,9 @@ mod tests {
         // it: each costs exactly the adjacency entries of the final
         // components holding an endpoint of a changed edge.
         let area = Area::square(100.0).unwrap();
-        let model = LinkModel::CoverageOverlap;
         let mut pts = [row(10.0, 10.0, 6), row(10.0, 60.0, 4)].concat();
-        let radii = vec![3.0; pts.len()];
-        let mut adj = MeshAdjacency::build(&area, &pts, &radii, model);
+        let radii = vec![6.0; pts.len()];
+        let mut adj = MeshAdjacency::build(&area, &pts, &radii);
         let mut components = Components::from_adjacency(&adj);
         let mut engine = DynamicConnectivity::new();
         for (router, to, count) in [
@@ -592,7 +579,7 @@ mod tests {
             (7, Point::new(60.0, 90.0), 4),
         ] {
             pts[router] = to;
-            let next = MeshAdjacency::build(&area, &pts, &radii, model);
+            let next = MeshAdjacency::build(&area, &pts, &radii);
             let (ins, del) = edge_diff(&adj, &next);
             assert!(!del.is_empty(), "router {router} must change an edge");
             let before = engine.stats().bfs_edge_visits;
@@ -625,7 +612,7 @@ mod tests {
             DynamicConnectivity::new().stats(),
             ConnectivityStats::default()
         );
-        let stats = drift_and_check(LinkModel::CoverageOverlap, 60, 5);
+        let stats = drift_and_check(60, 5);
         assert_eq!(stats.repairs, 30);
         assert!(stats.insertions > 0, "drift must insert edges");
         assert!(stats.deletions > 0, "drift must delete edges");

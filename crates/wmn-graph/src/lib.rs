@@ -12,8 +12,8 @@
 //! * [`spatial`] — a uniform-grid index for radius/rectangle queries
 //!   (lazy, allocation-free iteration) plus the mutable
 //!   [`DynamicGrid`] the topology keeps in sync across router moves.
-//! * [`adjacency`] — geometric link models and mesh adjacency construction,
-//!   with per-node edge replacement (`replace_node_edges`, a merge-diff
+//! * [`adjacency`] — the mutual-range link rule and mesh adjacency
+//!   construction, with per-node edge replacement (`replace_node_edges`, a merge-diff
 //!   of old vs new neighbor lists) and whole-graph rebuild.
 //! * [`components`] — connected components and the giant component (the
 //!   paper's connectivity objective), rebuildable in place by BFS.
@@ -26,21 +26,22 @@
 //!   [`ZoneBins`] for point → zone lookup, and [`ZoneCensus`], the
 //!   per-zone routers of one placement.
 //! * [`topology`] — [`WmnTopology`], the materialized network with the
-//!   **delta-evaluation engine**: incremental, allocation-free repair of
-//!   edges, connectivity, and coverage after every router move (see the
-//!   [`topology`] module docs for the invariants and fallback rules), and
-//!   a placement stamp that caches of position-derived data key on.
+//!   **delta-evaluation engine**: one incremental, allocation-free repair
+//!   of edges, connectivity, and coverage after every position write (see
+//!   the [`topology`] module docs for the invariants and the coverage
+//!   choice), and a placement stamp that caches of position-derived data
+//!   key on.
 //!
 //! # Quick start
 //!
 //! ```
-//! use wmn_graph::topology::{TopologyConfig, WmnTopology};
+//! use wmn_graph::topology::WmnTopology;
 //! use wmn_model::prelude::*;
 //!
 //! let instance = InstanceSpec::paper_normal()?.generate(7)?;
 //! let mut rng = rng_from_seed(1);
 //! let placement = instance.random_placement(&mut rng);
-//! let topo = WmnTopology::build(&instance, &placement, TopologyConfig::paper_default())?;
+//! let topo = WmnTopology::build(&instance, &placement)?;
 //! println!("giant = {}, covered = {}", topo.giant_size(), topo.covered_count());
 //! # Ok::<(), wmn_model::ModelError>(())
 //! ```
@@ -58,12 +59,12 @@ pub mod dsu;
 pub mod spatial;
 pub mod topology;
 
-pub use adjacency::{LinkModel, MeshAdjacency};
+pub use adjacency::MeshAdjacency;
 pub use arena::NeighborSlab;
 pub use components::Components;
 pub use connectivity::{ConnectivityStats, DynamicConnectivity};
 pub use density::{CellWindow, DensityMap, ZoneBins, ZoneCensus};
 pub use dsu::UnionFind;
 pub use spatial::{DynamicGrid, GridIndex};
-pub use topology::{ConnectivityMode, CoverageRule, TopologyConfig, WmnTopology};
-pub use wmn_obs::{ApplyPhases, EngineStats, TopologyStats};
+pub use topology::{ConnectivityMode, WmnTopology};
+pub use wmn_obs::{EngineStats, TopologyStats};

@@ -327,7 +327,7 @@ impl GridIndex {
     }
 
     /// Reference implementation of [`GridIndex::within_radius`]: a full
-    /// scan. Used by tests and the ablation bench.
+    /// scan, the oracle of the spatial-index tests.
     pub fn brute_force_within_radius(points: &[Point], center: Point, radius: f64) -> Vec<usize> {
         if radius < 0.0 {
             return Vec::new();

@@ -2,24 +2,30 @@
 //!
 //! [`WmnTopology`] is the evaluated "network state" behind every fitness
 //! computation: given an instance and a placement it derives the
-//! router–router mesh (under a [`LinkModel`]), its connected components,
-//! and which clients are covered (under a [`CoverageRule`]).
+//! router–router mesh (mutual-range links, see [`adjacency::links`]),
+//! its connected components, and which clients are covered — a client
+//! counts when it lies within the radius of a router of the **giant
+//! component**, the paper's operational mesh.
 //!
 //! # The delta-evaluation engine
 //!
 //! The paper's Algorithm 3 ends with *"re-establish mesh nodes network
-//! connections"* after swapping two routers. The neighborhood-search hot
-//! loop is `propose → apply → evaluate → undo`, so [`move_router`] and
-//! [`swap_routers`] repair the network **incrementally** and — once the
-//! internal scratch buffers are warm — without heap allocation:
+//! connections"* after swapping two routers. Every position write —
+//! [`move_router`] and [`swap_routers`] (the neighborhood-search hot loop
+//! `propose → apply → evaluate → undo`) and [`apply_moves`] (the GA's
+//! placement diffs, many routers at once) — first updates the moved
+//! routers' positions and grid buckets, then runs **one repair pass**,
+//! which is allocation-free once the internal scratch buffers are warm:
 //!
 //! 1. **Edges.** A router-side [`DynamicGrid`] is kept in sync with every
-//!    move (one bucket relocation), so re-deriving the moved router's edges
-//!    queries only nearby routers instead of scanning all *n*.
-//! 2. **Connectivity.** When the moved router's sorted neighbor set is
-//!    unchanged, the graph is identical and component/coverage work is
-//!    skipped entirely (the *no-op early-out*; only the moved disk is
-//!    re-counted). Otherwise the old-vs-new neighbor diffs become an edge
+//!    write (one bucket relocation per moved router), so re-deriving a
+//!    moved router's edges queries only nearby routers instead of scanning
+//!    all *n*. Any changed edge is incident to a moved router, so one
+//!    grid-local re-derivation per moved router finds every change.
+//! 2. **Connectivity.** When no moved router's sorted neighbor set
+//!    changed, the graph is identical and component work is skipped
+//!    entirely (the *no-op early-out*; only the moved disks are
+//!    re-counted). Otherwise the old-vs-new neighbor diffs become one edge
 //!    insert/delete stream for the **dynamic connectivity engine**
 //!    ([`DynamicConnectivity`], the default [`ConnectivityMode::Dynamic`]):
 //!    one BFS over the new adjacency relabels the components holding an
@@ -28,19 +34,17 @@
 //!    so the labels still equal a fresh build's. The engine reports the
 //!    routers whose giant membership flipped, and the giant mask is
 //!    updated from that list alone.
-//! 3. **Coverage.** Per-client *cover counts* (how many counting routers
-//!    reach each client) are maintained so a move only increments and
-//!    decrements the moved router's old and new disks, flipping `covered`
-//!    bits — and the covered total — exactly at 0↔1 transitions.
+//! 3. **Coverage.** Per-client *cover counts* (how many giant routers
+//!    reach each client) let a repair decrement and increment only the
+//!    disks that changed: the moved routers' old and new disks, and the
+//!    disks of unmoved routers whose giant membership flipped. Each repair
+//!    picks the cheaper of that delta and one full in-place pass over
+//!    every giant router's disk, by counting the disk operations each
+//!    would take; cover counts commute, so both land the identical state.
 //!
-//! Population-based methods (the GA) perturb **many** genes at once, so
-//! [`apply_moves`] generalizes the same three steps to a batch: all
-//! positions and grid buckets update first, then *one* repair pass — one
-//! grid-local edge re-derivation per moved router, one connectivity
-//! rebuild, one coverage delta over the moved disks (or one full in-place
-//! pass when the fallback below triggers). Combined with the
-//! buffer-reusing [`Clone::clone_from`], a GA child evaluates as "copy
-//! parent state + apply the placement diff" instead of a full rebuild.
+//! Combined with the buffer-reusing [`Clone::clone_from`], a GA child
+//! evaluates as "copy parent state + apply the placement diff" instead of
+//! a full rebuild.
 //!
 //! ## Invariants
 //!
@@ -50,27 +54,21 @@
 //!   `components` equals `Components::from_adjacency(adjacency)` (every
 //!   component labeled by its smallest router index);
 //!   `giant_mask[i] == components.in_giant(i)`.
-//! * `cover_count[c]` equals the number of counting routers whose disk
+//! * `cover_count[c]` equals the number of giant routers whose disk
 //!   holds client `c`; `covered[c] == (cover_count[c] > 0)`;
 //!   `covered_count` equals the number of set bits.
 //! * Equal [`placement_stamp`]s mean bit-identical `positions`: every
-//!   position write takes a fresh stamp, except that an exact undo of the
-//!   previous write restores the stamp from before it.
+//!   position write takes a fresh stamp, except that a `move_router` or
+//!   `swap_routers` that exactly undoes the previous one restores the
+//!   stamp from before it. Every [`apply_moves`] takes a fresh stamp.
 //!
-//! ## When the full-rebuild fallback triggers
+//! ## The full-rebuild reference
 //!
-//! Under [`CoverageRule::GiantComponentOnly`], a changed edge set can flip
-//! the giant-component membership of routers that did not move; their disks
-//! would all need re-counting, so when any **non-moved** router's
-//! membership changes, coverage falls back to the one full
-//! [`recompute`](WmnTopology::rebuild_full)-style pass (still in place, no
-//! allocation). Under [`CoverageRule::AnyRouter`] membership is irrelevant
-//! and the delta path always applies. [`set_connectivity_mode`] with
-//! [`ConnectivityMode::FullRebuild`] disables the incremental engine
-//! wholesale — every move then runs
+//! [`set_connectivity_mode`] with [`ConnectivityMode::FullRebuild`]
+//! disables the incremental repair wholesale — every write then runs
 //! [`rebuild_full`](WmnTopology::rebuild_full) — which is the reference
-//! baseline the equivalence tests and the `ablation_move_eval` bench
-//! compare against.
+//! baseline the equivalence tests and the `move_eval` bench compare
+//! against.
 //!
 //! [`move_router`]: WmnTopology::move_router
 //! [`swap_routers`]: WmnTopology::swap_routers
@@ -80,12 +78,11 @@
 //! [`DynamicConnectivity`]: crate::connectivity::DynamicConnectivity
 //! [`DynamicGrid`]: crate::spatial::DynamicGrid
 
-use crate::adjacency::{LinkModel, MeshAdjacency};
+use crate::adjacency::{self, MeshAdjacency};
 use crate::arena::NeighborSlab;
 use crate::components::Components;
 use crate::connectivity::{ConnectivityStats, DynamicConnectivity};
 use crate::spatial::{grid_cell_count, grid_shape, DynamicGrid, GridIndex, MAX_GRID_CELLS};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -94,31 +91,7 @@ use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::ProblemInstance;
 use wmn_model::node::RouterId;
 use wmn_model::placement::Placement;
-use wmn_obs::{ApplyPhases, EngineStats, TopologyStats};
-
-/// Which routers count for client coverage.
-///
-/// The paper defines user coverage as clients "connected to the WMN"; the
-/// operational mesh is the giant component, hence the default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-#[non_exhaustive]
-pub enum CoverageRule {
-    /// A client is covered iff it lies within the radius of at least one
-    /// router belonging to the **giant component**.
-    #[default]
-    GiantComponentOnly,
-    /// A client is covered iff it lies within the radius of **any** router.
-    AnyRouter,
-}
-
-impl fmt::Display for CoverageRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CoverageRule::GiantComponentOnly => write!(f, "giant-component-only"),
-            CoverageRule::AnyRouter => write!(f, "any-router"),
-        }
-    }
-}
+use wmn_obs::{EngineStats, TopologyStats};
 
 /// How a topology repairs connectivity (components + giant) after each
 /// move, swap, or batch application. Both strategies produce
@@ -148,50 +121,20 @@ impl fmt::Display for ConnectivityMode {
     }
 }
 
-/// Link model + coverage rule: everything configurable about how a
-/// placement is turned into a network. It has no `Default`, so every
-/// caller names its network model; the paper's is
-/// [`TopologyConfig::paper_default`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TopologyConfig {
-    /// Router–router link rule.
-    pub link_model: LinkModel,
-    /// Client coverage rule.
-    pub coverage_rule: CoverageRule,
-}
-
-impl TopologyConfig {
-    /// The calibrated reproduction configuration: **mutual-range** links
-    /// (`d <= min(r_i, r_j)` — a bidirectional link needs both endpoints in
-    /// range) and giant-component-only client coverage.
-    ///
-    /// Mutual range, not disk overlap, is what reproduces the paper's
-    /// regime: its standalone giant components are small for *every* ad hoc
-    /// method (3–26 of 64), which only holds under a link rule strict
-    /// enough that regular patterns at 3–9 unit spacing do not trivially
-    /// chain together.
-    pub fn paper_default() -> Self {
-        TopologyConfig {
-            link_model: LinkModel::MutualRange,
-            coverage_rule: CoverageRule::GiantComponentOnly,
-        }
-    }
-}
-
 /// A materialized network: mesh adjacency, components, and client coverage
 /// for one (instance, placement) pair.
 ///
 /// # Examples
 ///
 /// ```
-/// use wmn_graph::topology::{TopologyConfig, WmnTopology};
+/// use wmn_graph::topology::WmnTopology;
 /// use wmn_model::prelude::*;
 ///
 /// let instance = InstanceSpec::paper_normal()?.generate(1)?;
 /// let mut rng = rng_from_seed(2);
 /// let placement = instance.random_placement(&mut rng);
 ///
-/// let topo = WmnTopology::build(&instance, &placement, TopologyConfig::paper_default())?;
+/// let topo = WmnTopology::build(&instance, &placement)?;
 /// assert!(topo.giant_size() >= 1);
 /// assert!(topo.covered_count() <= instance.client_count());
 /// # Ok::<(), wmn_model::ModelError>(())
@@ -199,10 +142,8 @@ impl TopologyConfig {
 #[derive(Debug)]
 pub struct WmnTopology {
     area: Area,
-    config: TopologyConfig,
     positions: Vec<Point>,
     radii: Vec<f64>,
-    max_radius: f64,
     /// Client-side spatial index. Clients never move, so the index is
     /// shared (`Arc`) between topologies of the same instance — state
     /// copies between population-pool members are a pointer clone.
@@ -215,16 +156,16 @@ pub struct WmnTopology {
     /// `giant_mask[i] == components.in_giant(i)`, maintained so the
     /// coverage delta can see *previous* membership during a move.
     giant_mask: Vec<bool>,
-    /// Per-client count of counting routers whose disk holds the client.
+    /// Per-client count of giant routers whose disk holds the client.
     cover_count: Vec<u32>,
     covered: Vec<bool>,
     covered_count: usize,
     /// Per-router disk cache: the clients inside router `i`'s disk. Two
     /// invariants make coverage repair mostly query-free:
     ///
-    /// * if router `i` is currently *counted* (its disk contributes to
-    ///   `cover_count`), `disk_clients[i]` holds exactly the counted set —
-    ///   so removals never re-query the client grid;
+    /// * if router `i` is currently *counted* (in the giant, so its disk
+    ///   contributes to `cover_count`), `disk_clients[i]` holds exactly the
+    ///   counted set — so removals never re-query the client grid;
     /// * if `disk_cached[i]` is set, `disk_clients[i]` equals the clients
     ///   within `radii[i]` of the *current* `positions[i]` — so re-adding
     ///   an unmoved router's disk (a giant-membership flip) is free. The
@@ -295,24 +236,26 @@ impl PositionWrite {
     }
 }
 
-/// Reusable per-move scratch state; all buffers reach steady-state capacity
-/// after a handful of moves, making the hot loop allocation-free.
+/// Reusable per-write scratch state; all buffers reach steady-state
+/// capacity after a handful of writes, making the hot loop
+/// allocation-free.
 #[derive(Debug, Clone, Default)]
 struct MoveScratch {
     /// BFS queue of the in-place component rebuild.
     bfs_queue: Vec<u32>,
-    old_a: Vec<u32>,
-    new_a: Vec<u32>,
-    old_b: Vec<u32>,
-    new_b: Vec<u32>,
+    /// The previous and the re-derived sorted neighbor list of the router
+    /// whose edges are being repaired.
+    old_n: Vec<u32>,
+    new_n: Vec<u32>,
+    /// The routers the current write moved, each once, in first-move
+    /// order.
     batch: Vec<BatchEntry>,
-    /// The routers outside the current batch whose giant membership the
-    /// batch's repair flipped.
+    /// The routers outside the current write whose giant membership its
+    /// repair flipped.
     flipped_others: Vec<u32>,
-    /// Epoch-stamped batch-membership marks: router `i` belongs to the
-    /// current batch iff `moved_stamp[i] == move_epoch`. Starting a batch
-    /// bumps the epoch instead of clearing the array (an O(n) fill only on
-    /// the u32 wrap, every ~4 billion batches).
+    /// Epoch-stamped write-membership marks: router `i` belongs to the
+    /// current write iff `moved_stamp[i] == move_epoch`. Starting a write
+    /// bumps the epoch instead of clearing the array.
     moved_stamp: Vec<u32>,
     move_epoch: u32,
     /// Reusable disk-query buffer for cache-miss fills of the disk slab.
@@ -328,17 +271,12 @@ struct MoveScratch {
     /// like the connectivity engine's: zeroed by `clone`, kept running by
     /// `clone_from` (so per-slot totals accumulate across a GA run).
     counters: TopologyStats,
-    /// Per-phase buckets partitioning the batch-repair engine work
-    /// (edge repair / component repair / coverage, see [`ApplyPhases`]);
-    /// scratch like `counters`, and always-on for the same reason: the
-    /// buckets are snapshots of counters the engine maintains anyway.
-    phases: ApplyPhases,
 }
 
-/// One unique moved router of a batch application
-/// ([`WmnTopology::apply_moves`]): whether its disk counted toward
-/// coverage before and after the repair (its pre-batch counted client set
-/// survives in the disk cache, so no pre-batch position is needed).
+/// One router moved by the current write: whether its disk counted
+/// toward coverage before and after the repair (its pre-write counted
+/// client set survives in the disk cache, so no pre-write position is
+/// needed).
 #[derive(Debug, Clone, Copy)]
 struct BatchEntry {
     router: u32,
@@ -351,10 +289,8 @@ impl Clone for WmnTopology {
         // Scratch state is not copied.
         WmnTopology {
             area: self.area,
-            config: self.config,
             positions: self.positions.clone(),
             radii: self.radii.clone(),
-            max_radius: self.max_radius,
             client_index: self.client_index.clone(),
             router_index: self.router_index.clone(),
             adjacency: self.adjacency.clone(),
@@ -381,10 +317,8 @@ impl Clone for WmnTopology {
     fn clone_from(&mut self, src: &Self) {
         self.scratch.counters.clone_from_reuses += 1;
         self.area = src.area;
-        self.config = src.config;
         self.positions.clone_from(&src.positions);
         self.radii.clone_from(&src.radii);
-        self.max_radius = src.max_radius;
         // Pointer copy: the client index is immutable and shared.
         self.client_index = Arc::clone(&src.client_index);
         self.router_index.clone_from(&src.router_index);
@@ -417,7 +351,6 @@ impl WmnTopology {
     pub fn build(
         instance: &ProblemInstance,
         placement: &Placement,
-        config: TopologyConfig,
     ) -> Result<WmnTopology, wmn_model::ModelError> {
         instance.validate_placement(placement)?;
         let area = instance.area();
@@ -447,9 +380,8 @@ impl WmnTopology {
         // router grids are checked at the finer of their two cell sizes
         // (`MeshAdjacency::build` sizes its grid by the largest radius, the
         // router index by at least 1).
-        let finest_router_cell = config
-            .link_model
-            .grid_cell_size(radii.iter().copied().fold(0.0_f64, f64::max));
+        let finest_router_cell =
+            adjacency::grid_cell_size(radii.iter().copied().fold(0.0_f64, f64::max));
         for (grid, cell_size) in [("client", max_radius), ("router", finest_router_cell)] {
             let (cols, rows) = grid_shape(&area, cell_size);
             if grid_cell_count(cols, rows).is_none() {
@@ -463,17 +395,14 @@ impl WmnTopology {
             }
         }
         let client_index = Arc::new(GridIndex::build(&area, &clients, max_radius));
-        let mut router_index =
-            DynamicGrid::new(&area, config.link_model.grid_cell_size(max_radius));
+        let mut router_index = DynamicGrid::new(&area, adjacency::grid_cell_size(max_radius));
         router_index.rebuild(&positions);
-        let adjacency = MeshAdjacency::build(&area, &positions, &radii, config.link_model);
+        let adjacency = MeshAdjacency::build(&area, &positions, &radii);
         let components = Components::from_adjacency(&adjacency);
         let mut topo = WmnTopology {
             area,
-            config,
             positions,
             radii,
-            max_radius,
             client_index,
             router_index,
             adjacency,
@@ -515,21 +444,12 @@ impl WmnTopology {
         self.stamp_fresh();
         self.disk_cached.fill(false);
         self.router_index.rebuild(&self.positions);
-        self.adjacency.rebuild_in_place(
-            &self.positions,
-            &self.radii,
-            self.config.link_model,
-            &self.router_index,
-        );
+        self.adjacency
+            .rebuild_in_place(&self.positions, &self.radii, &self.router_index);
         self.components
             .rebuild_in_place(&self.adjacency, &mut self.scratch.bfs_queue);
         self.refresh_giant_mask();
         self.recompute_coverage();
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> TopologyConfig {
-        self.config
     }
 
     /// The deployment area.
@@ -627,8 +547,8 @@ impl WmnTopology {
     ///   counter: [`build`](WmnTopology::build),
     ///   [`reset_placement`](WmnTopology::reset_placement),
     ///   [`move_router`](WmnTopology::move_router),
-    ///   [`swap_routers`](WmnTopology::swap_routers) and a batch of two or
-    ///   more moves in [`apply_moves_from`](WmnTopology::apply_moves_from).
+    ///   [`swap_routers`](WmnTopology::swap_routers) and every non-empty
+    ///   [`apply_moves`](WmnTopology::apply_moves).
     /// * A `move_router` or `swap_routers` that exactly reverts this
     ///   topology's previous write — the same router back to its
     ///   bit-identical previous position, or the same pair swapped again —
@@ -723,38 +643,12 @@ impl WmnTopology {
         EngineStats::new(self.scratch.counters, self.scratch.conn.stats())
     }
 
-    /// The per-phase buckets partitioning the engine work done *inside*
-    /// batch repairs ([`apply_moves`](WmnTopology::apply_moves) with ≥ 2
-    /// distinct routers): edge repair, component repair, coverage, and
-    /// the `FullRebuild`-mode escape hatch. Buckets are scratch state
-    /// with the same lifecycle as
-    /// [`engine_stats`](WmnTopology::engine_stats) — zeroed on
-    /// construction and `clone`, kept running by `clone_from` — and
-    /// always sum to at most the engine-stats totals; the difference is
-    /// work done outside batch repairs (single moves, `clone_from` copies,
-    /// `reset_placement`).
-    pub fn apply_phases(&self) -> ApplyPhases {
-        self.scratch.phases
-    }
-
-    /// Zeroes every engine counter (topology and connectivity) and the
-    /// per-phase batch-repair buckets, starting a fresh measurement
-    /// window — per-generation or per-phase deltas without lifetime
-    /// bookkeeping.
+    /// Zeroes every engine counter (topology and connectivity), starting
+    /// a fresh measurement window — per-generation or per-phase deltas
+    /// without lifetime bookkeeping.
     pub fn reset_engine_stats(&mut self) {
         self.scratch.counters.reset();
         self.scratch.conn.reset_stats();
-        self.scratch.phases.reset();
-    }
-
-    /// Whether router `i`'s disk currently counts toward client coverage,
-    /// per the *current* `giant_mask`.
-    #[inline]
-    fn is_counted(&self, i: usize) -> bool {
-        match self.config.coverage_rule {
-            CoverageRule::GiantComponentOnly => self.giant_mask[i],
-            CoverageRule::AnyRouter => true,
-        }
     }
 
     fn refresh_giant_mask(&mut self) {
@@ -851,14 +745,14 @@ impl WmnTopology {
 
     /// [`recompute_coverage`](WmnTopology::recompute_coverage) with an
     /// optional disk-cache donor (see
-    /// [`apply_moves_from`](WmnTopology::apply_moves_from)).
+    /// [`apply_moves`](WmnTopology::apply_moves)).
     fn recompute_coverage_from(&mut self, donor: Option<&WmnTopology>) {
         self.scratch.counters.coverage_full_recomputes += 1;
         self.cover_count.fill(0);
         self.covered.fill(false);
         self.covered_count = 0;
         for i in 0..self.positions.len() {
-            if self.is_counted(i) {
+            if self.giant_mask[i] {
                 self.disk_add_from(i, donor);
             }
         }
@@ -871,18 +765,16 @@ impl WmnTopology {
         old.clear();
         old.extend_from_slice(self.adjacency.neighbors(i));
         new.clear();
-        let model = self.config.link_model;
         let pi = self.positions[i];
         let ri = self.radii[i];
-        let query_r = model.max_link_range(ri, self.max_radius);
         let positions = &self.positions;
         let radii = &self.radii;
-        self.router_index.for_each_candidate(pi, query_r, |j| {
+        self.router_index.for_each_candidate(pi, ri, |j| {
             if j == i {
                 return;
             }
             let d2 = pi.distance_squared(positions[j]);
-            if model.links(d2, ri, radii[j]) {
+            if adjacency::links(d2, ri, radii[j]) {
                 new.push(j as u32);
             }
         });
@@ -894,9 +786,9 @@ impl WmnTopology {
         }
     }
 
-    /// Resets the per-repair edge-event streams; every mutation entry
-    /// point calls this before its first edge repair so stale events can
-    /// never leak across operations (or across mode switches).
+    /// Resets the per-repair edge-event streams before the first edge
+    /// repair of a write, so stale events can never leak across writes
+    /// (or across mode switches).
     fn begin_edge_recording(&mut self) {
         self.scratch.ins_events.clear();
         self.scratch.del_events.clear();
@@ -941,15 +833,21 @@ impl WmnTopology {
     }
 
     /// Repairs `components` for the current adjacency component-locally
-    /// through the dynamic engine, consuming the recorded edge events, and
+    /// through the dynamic engine, consuming the recorded edge events,
     /// flips `giant_mask` for exactly the routers the engine reports
-    /// ([`DynamicConnectivity::giant_flips`], readable until the next
-    /// repair).
-    fn repair_components(&mut self) {
+    /// ([`DynamicConnectivity::giant_flips`]), and collects the flipped
+    /// routers **outside** the current write into `scratch.flipped_others`.
+    /// Returns how many there are, the count steering the coverage-repair
+    /// choice. Expects `scratch.moved_stamp` to carry the current
+    /// `move_epoch` on exactly the written routers.
+    fn repair_components(&mut self) -> usize {
         let MoveScratch {
             conn,
             ins_events,
             del_events,
+            moved_stamp,
+            move_epoch,
+            flipped_others,
             ..
         } = &mut self.scratch;
         conn.apply_edge_diff(
@@ -958,27 +856,19 @@ impl WmnTopology {
             ins_events,
             del_events,
         );
+        flipped_others.clear();
         for &j in conn.giant_flips() {
             self.giant_mask[j as usize] = !self.giant_mask[j as usize];
+            if moved_stamp[j as usize] != *move_epoch {
+                flipped_others.push(j);
+            }
         }
-    }
-
-    /// Whether the last repair flipped the giant membership of any router
-    /// **other than** `moved_a`/`moved_b` — the single-move coverage
-    /// fallback trigger.
-    fn others_flipped(&self, moved_a: usize, moved_b: usize) -> bool {
-        self.scratch
-            .conn
-            .giant_flips()
-            .iter()
-            .any(|&j| j as usize != moved_a && j as usize != moved_b)
+        flipped_others.len()
     }
 
     /// Moves router `id` to `new_position` and repairs the network
-    /// incrementally ("re-establish mesh nodes network connections"):
-    /// grid-local edge repair, scratch-buffer connectivity, and delta
-    /// coverage — see the module docs for the invariants and when the full
-    /// fallback triggers.
+    /// incrementally ("re-establish mesh nodes network connections") —
+    /// the one repair pass of the module docs.
     ///
     /// Returns the previous position, so callers can undo the move by
     /// moving back.
@@ -990,71 +880,23 @@ impl WmnTopology {
     pub fn move_router(&mut self, id: RouterId, new_position: Point) -> Point {
         self.scratch.counters.single_moves += 1;
         let i = id.index();
-        let old = self.positions[i];
         let new = self.area.clamp_point(new_position);
-        self.positions[i] = new;
+        self.begin_write();
+        let old = self.write_position(i, new);
         self.stamp_write(PositionWrite::Move {
             router: i,
             from: old,
             to: new,
         });
-        self.disk_cached[i] = false;
-        self.router_index.relocate(i, old, new);
-        if self.connectivity_mode == ConnectivityMode::FullRebuild {
-            self.rebuild_full();
-            return old;
-        }
-
-        self.begin_edge_recording();
-        let mut old_n = std::mem::take(&mut self.scratch.old_a);
-        let mut new_n = std::mem::take(&mut self.scratch.new_a);
-        self.recompute_router_edges_into(i, &mut old_n, &mut new_n);
-        self.record_edge_diff(i, &old_n, &new_n);
-        let links_changed = old_n != new_n;
-        self.scratch.old_a = old_n;
-        self.scratch.new_a = new_n;
-
-        if !links_changed {
-            // Identical graph ⇒ identical components and membership; only
-            // the moved disk needs re-counting.
-            self.scratch.counters.link_noop_repairs += 1;
-            if self.is_counted(i) {
-                self.disk_remove(i);
-                self.disk_add(i);
-            }
-            return old;
-        }
-
-        let counted_before = self.is_counted(i);
-        self.repair_components();
-        let others_changed = self.others_flipped(i, i);
-        match self.config.coverage_rule {
-            CoverageRule::AnyRouter => {
-                self.scratch.counters.coverage_delta_repairs += 1;
-                self.disk_remove(i);
-                self.disk_add(i);
-            }
-            CoverageRule::GiantComponentOnly if others_changed => {
-                self.recompute_coverage();
-            }
-            CoverageRule::GiantComponentOnly => {
-                self.scratch.counters.coverage_delta_repairs += 1;
-                let counted_after = self.giant_mask[i];
-                if counted_before {
-                    self.disk_remove(i);
-                }
-                if counted_after {
-                    self.disk_add(i);
-                }
-            }
-        }
+        self.repair(None);
         old
     }
 
     /// Exchanges the positions of two routers (the paper's swap movement)
     /// and repairs the network incrementally, exactly like
-    /// [`move_router`](WmnTopology::move_router) but with two moved disks.
-    /// Swapping a router with itself is a no-op.
+    /// [`move_router`](WmnTopology::move_router) but with two moved routers.
+    /// Radii travel with the router id. Swapping a router with itself is a
+    /// no-op.
     ///
     /// # Panics
     ///
@@ -1066,86 +908,14 @@ impl WmnTopology {
         self.scratch.counters.swaps += 1;
         let (ia, ib) = (a.index(), b.index());
         let (pa, pb) = (self.positions[ia], self.positions[ib]);
-        self.positions.swap(ia, ib);
+        self.begin_write();
+        self.write_position(ia, pb);
+        self.write_position(ib, pa);
         self.stamp_write(PositionWrite::Swap {
             a: ia.min(ib),
             b: ia.max(ib),
         });
-        self.disk_cached[ia] = false;
-        self.disk_cached[ib] = false;
-        self.router_index.relocate(ia, pa, pb);
-        self.router_index.relocate(ib, pb, pa);
-        if self.connectivity_mode == ConnectivityMode::FullRebuild {
-            self.rebuild_full();
-            return;
-        }
-
-        self.begin_edge_recording();
-        let mut old_a = std::mem::take(&mut self.scratch.old_a);
-        let mut new_a = std::mem::take(&mut self.scratch.new_a);
-        let mut old_b = std::mem::take(&mut self.scratch.old_b);
-        let mut new_b = std::mem::take(&mut self.scratch.new_b);
-        self.recompute_router_edges_into(ia, &mut old_a, &mut new_a);
-        self.record_edge_diff(ia, &old_a, &new_a);
-        self.recompute_router_edges_into(ib, &mut old_b, &mut new_b);
-        self.record_edge_diff(ib, &old_b, &new_b);
-        // If `ia`'s repair was a no-op, `old_b` reflects the pre-swap graph,
-        // so both comparisons together certify the graph is unchanged.
-        let links_changed = old_a != new_a || old_b != new_b;
-        self.scratch.old_a = old_a;
-        self.scratch.new_a = new_a;
-        self.scratch.old_b = old_b;
-        self.scratch.new_b = new_b;
-
-        // Radii travel with the router id: `a` now sits at `pb`, `b` at
-        // `pa`; each disk cache still holds its router's pre-swap counted
-        // set, so removals stay query-free.
-        if !links_changed {
-            self.scratch.counters.link_noop_repairs += 1;
-            if self.is_counted(ia) {
-                self.disk_remove(ia);
-                self.disk_add(ia);
-            }
-            if self.is_counted(ib) {
-                self.disk_remove(ib);
-                self.disk_add(ib);
-            }
-            return;
-        }
-
-        let counted_before_a = self.is_counted(ia);
-        let counted_before_b = self.is_counted(ib);
-        self.repair_components();
-        let others_changed = self.others_flipped(ia, ib);
-        match self.config.coverage_rule {
-            CoverageRule::AnyRouter => {
-                self.scratch.counters.coverage_delta_repairs += 1;
-                self.disk_remove(ia);
-                self.disk_add(ia);
-                self.disk_remove(ib);
-                self.disk_add(ib);
-            }
-            CoverageRule::GiantComponentOnly if others_changed => {
-                self.recompute_coverage();
-            }
-            CoverageRule::GiantComponentOnly => {
-                self.scratch.counters.coverage_delta_repairs += 1;
-                let counted_after_a = self.giant_mask[ia];
-                let counted_after_b = self.giant_mask[ib];
-                if counted_before_a {
-                    self.disk_remove(ia);
-                }
-                if counted_after_a {
-                    self.disk_add(ia);
-                }
-                if counted_before_b {
-                    self.disk_remove(ib);
-                }
-                if counted_after_b {
-                    self.disk_add(ib);
-                }
-            }
-        }
+        self.repair(None);
     }
 
     /// Writes the per-router relocations that morph this topology's current
@@ -1177,37 +947,32 @@ impl WmnTopology {
     /// first, then each unique moved router's edges are re-derived
     /// grid-locally, and connectivity + coverage are repaired **once** —
     /// instead of once per move as a [`move_router`](WmnTopology::move_router)
-    /// loop would. This is the batch path population-based methods use for
-    /// multi-gene deltas (GA crossover/mutation diffs).
+    /// loop would. This is the path population-based methods use for
+    /// placement diffs (GA crossover/mutation children).
     ///
     /// Semantics are exactly "set each listed router to its target
-    /// position": later entries for the same router win, an empty batch is
-    /// a no-op, and a single-entry batch delegates to `move_router` (so it
-    /// keeps that path's early-outs). The resulting state is identical to a
-    /// full rebuild at the final positions (pinned by tests); undoing is
-    /// applying the inverse batch of previous positions.
+    /// position": later entries for the same router win, and an empty
+    /// batch is a no-op. The resulting state is identical to a full
+    /// rebuild at the final positions (pinned by tests); undoing is
+    /// applying the inverse batch of previous positions. Every non-empty
+    /// batch takes a fresh [`placement_stamp`](WmnTopology::placement_stamp).
+    ///
+    /// With a coverage **donor**, when a moved router's target position
+    /// matches the donor's current position for the same router, the
+    /// donor's cached disk is copied instead of re-queried from the client
+    /// grid. This is the crossover-child evaluation path — the recombined
+    /// genes' targets are verbatim the other parent's positions, so their
+    /// disks come for free. A donor of a different instance (different
+    /// client index or router count) is ignored; results are identical with
+    /// or without a donor (pinned by tests), only the query count differs.
     ///
     /// # Panics
     ///
     /// Panics if any router id is out of range.
-    pub fn apply_moves(&mut self, moves: &[(RouterId, Point)]) {
-        self.apply_moves_from(moves, None);
-    }
-
-    /// [`apply_moves`](WmnTopology::apply_moves) with a coverage **donor**:
-    /// when a moved router's target position matches the donor's current
-    /// position for the same router, the donor's cached disk is copied
-    /// instead of re-queried from the client grid. This is the
-    /// crossover-child evaluation path — the recombined genes' targets are
-    /// verbatim the other parent's positions, so their disks come for
-    /// free. A donor of a different instance (different client index or
-    /// router count) is ignored; results are identical with or without a
-    /// donor (pinned by tests), only the query count differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any router id is out of range.
-    pub fn apply_moves_from(&mut self, moves: &[(RouterId, Point)], donor: Option<&WmnTopology>) {
+    pub fn apply_moves(&mut self, moves: &[(RouterId, Point)], donor: Option<&WmnTopology>) {
+        if moves.is_empty() {
+            return;
+        }
         let donor = donor.filter(|d| {
             // Same instance: the shared-Arc check catches topologies related
             // by adoption (the steady-state GA population); the structural
@@ -1219,198 +984,162 @@ impl WmnTopology {
                 && d.positions.len() == self.positions.len()
                 && d.radii == self.radii
         });
-        match moves {
-            [] => return,
-            [(id, to)] => {
-                self.move_router(*id, *to);
-                return;
-            }
-            _ => {}
-        }
-        // Section boundaries of the phase buckets: every engine counter
-        // incremented between two snapshots is attributed to the section
-        // that ran in between (`scratch.phases`). The snapshots are Copy
-        // struct reads, amortized over the whole batch repair.
-        let section_start = self.engine_stats();
-        // Record each unique moved router with its pre-batch position while
-        // updating positions and grid buckets in order; the epoch-stamped
-        // `moved_stamp` array is both the O(1) dedup test here and the
-        // batch-membership mask the component repair reads later — a new
-        // batch bumps `move_epoch` instead of clearing the stamps.
-        let mut batch = std::mem::take(&mut self.scratch.batch);
-        batch.clear();
-        if self.scratch.moved_stamp.len() != self.positions.len() {
-            self.scratch.moved_stamp.clear();
-            self.scratch.moved_stamp.resize(self.positions.len(), 0);
-            self.scratch.move_epoch = 0;
-        }
-        if self.scratch.move_epoch == u32::MAX {
-            self.scratch.moved_stamp.fill(0);
-            self.scratch.move_epoch = 0;
-        }
-        self.scratch.move_epoch += 1;
-        let epoch = self.scratch.move_epoch;
+        self.begin_write();
         for &(id, to) in moves {
-            let i = id.index();
-            let old = self.positions[i];
             let new = self.area.clamp_point(to);
-            self.positions[i] = new;
-            self.disk_cached[i] = false;
-            self.router_index.relocate(i, old, new);
-            if self.scratch.moved_stamp[i] != epoch {
-                self.scratch.moved_stamp[i] = epoch;
-                batch.push(BatchEntry {
-                    router: i as u32,
-                    counted_before: false,
-                    counted_after: false,
-                });
-            }
+            self.write_position(id.index(), new);
         }
         self.stamp_fresh();
         self.scratch.counters.batch_repairs += 1;
-        self.scratch.counters.batch_moved_routers += batch.len() as u64;
+        self.scratch.counters.batch_moved_routers += self.scratch.batch.len() as u64;
+        self.repair(donor);
+    }
+
+    /// Starts a position write: empties the list of moved routers and
+    /// bumps `move_epoch`, which unmarks every router at once (an O(n) fill
+    /// only on the u32 wrap, every ~4 billion writes).
+    fn begin_write(&mut self) {
+        let n = self.positions.len();
+        let MoveScratch {
+            batch,
+            moved_stamp,
+            move_epoch,
+            ..
+        } = &mut self.scratch;
+        batch.clear();
+        if moved_stamp.len() != n {
+            moved_stamp.clear();
+            moved_stamp.resize(n, 0);
+            *move_epoch = 0;
+        }
+        if *move_epoch == u32::MAX {
+            moved_stamp.fill(0);
+            *move_epoch = 0;
+        }
+        *move_epoch += 1;
+    }
+
+    /// Moves router `i` to `new` (already clamped) within the current
+    /// write: position, grid bucket, and — the first time the write moves
+    /// `i` — its entry in the moved-router list and its epoch mark.
+    /// Returns the previous position.
+    fn write_position(&mut self, i: usize, new: Point) -> Point {
+        let old = self.positions[i];
+        self.positions[i] = new;
+        self.disk_cached[i] = false;
+        self.router_index.relocate(i, old, new);
+        let MoveScratch {
+            batch,
+            moved_stamp,
+            move_epoch,
+            ..
+        } = &mut self.scratch;
+        if moved_stamp[i] != *move_epoch {
+            moved_stamp[i] = *move_epoch;
+            batch.push(BatchEntry {
+                router: i as u32,
+                counted_before: false,
+                counted_after: false,
+            });
+        }
+        old
+    }
+
+    /// The one repair pass behind every position write (see the module
+    /// docs), over the routers the write moved (`scratch.batch`): edges,
+    /// the no-op early-out, one component repair, and the cheaper of the
+    /// two coverage repairs. `donor` grafts disk caches as in
+    /// [`apply_moves`](WmnTopology::apply_moves).
+    fn repair(&mut self, donor: Option<&WmnTopology>) {
         if self.connectivity_mode == ConnectivityMode::FullRebuild {
-            self.scratch.batch = batch;
             self.rebuild_full();
-            let delta = self.engine_stats().delta_since(&section_start);
-            self.scratch.phases.full_rebuild.merge(&delta);
             return;
         }
-
-        // One grid-local edge repair per unique moved router, against the
-        // final positions. Any edge change is incident to a moved router
-        // and shows up in at least one old-vs-new comparison (a repair by
-        // an earlier-processed moved router that alters a later one's list
-        // is caught by the earlier router's own comparison) — so the
-        // recorded insert/delete streams carry each changed edge exactly
-        // once.
+        // One grid-local edge repair per moved router, against the final
+        // positions. Any edge change is incident to a moved router and
+        // shows up in at least one old-vs-new comparison (a repair by an
+        // earlier-processed moved router that alters a later one's list is
+        // caught by the earlier router's own comparison) — so the recorded
+        // insert/delete streams carry each changed edge exactly once.
+        let mut batch = std::mem::take(&mut self.scratch.batch);
         self.begin_edge_recording();
-        let mut old_n = std::mem::take(&mut self.scratch.old_a);
-        let mut new_n = std::mem::take(&mut self.scratch.new_a);
+        let mut old_n = std::mem::take(&mut self.scratch.old_n);
+        let mut new_n = std::mem::take(&mut self.scratch.new_n);
         let mut links_changed = false;
         for e in &batch {
             self.recompute_router_edges_into(e.router as usize, &mut old_n, &mut new_n);
             self.record_edge_diff(e.router as usize, &old_n, &new_n);
             links_changed |= old_n != new_n;
         }
-        self.scratch.old_a = old_n;
-        self.scratch.new_a = new_n;
-        let after_edges = self.engine_stats();
-        let edge_delta = after_edges.delta_since(&section_start);
-        self.scratch.phases.edge_repair.merge(&edge_delta);
+        self.scratch.old_n = old_n;
+        self.scratch.new_n = new_n;
 
         if !links_changed {
             // Identical graph ⇒ identical components and membership; only
-            // the moved disks need re-counting.
+            // the moved disks need re-counting. Each disk cache still holds
+            // its router's counted set from before the write, so removals
+            // stay query-free.
             self.scratch.counters.link_noop_repairs += 1;
             for &BatchEntry { router: i, .. } in &batch {
                 let i = i as usize;
-                if self.is_counted(i) {
+                if self.giant_mask[i] {
                     self.disk_remove(i);
                     self.disk_add_from(i, donor);
                 }
             }
             self.scratch.batch = batch;
-            let delta = self.engine_stats().delta_since(&after_edges);
-            self.scratch.phases.coverage.merge(&delta);
             return;
         }
 
         for e in &mut batch {
-            e.counted_before = self.is_counted(e.router as usize);
+            e.counted_before = self.giant_mask[e.router as usize];
         }
-        let flipped_others = self.repair_components_batch();
-        let after_components = self.engine_stats();
-        let component_delta = after_components.delta_since(&after_edges);
-        self.scratch.phases.component_repair.merge(&component_delta);
-        match self.config.coverage_rule {
-            CoverageRule::AnyRouter => {
-                // Membership is irrelevant: only the moved disks changed.
-                self.scratch.counters.coverage_delta_repairs += 1;
-                for &BatchEntry { router: i, .. } in &batch {
-                    self.disk_remove(i as usize);
-                    self.disk_add_from(i as usize, donor);
+        let flipped_others = self.repair_components();
+        for e in &mut batch {
+            e.counted_after = self.giant_mask[e.router as usize];
+        }
+        // Disk-op budget of the exact delta repair (moved disks plus the
+        // unmoved routers whose membership flipped) vs the one full
+        // in-place pass (every giant router's disk). Cover counts commute,
+        // so both paths land the identical state; pick the cheaper one.
+        let moved_ops: usize = batch
+            .iter()
+            .map(|e| usize::from(e.counted_before) + usize::from(e.counted_after))
+            .sum();
+        if flipped_others + moved_ops <= self.components.giant_size() {
+            self.scratch.counters.coverage_delta_repairs += 1;
+            // Exact delta: removals first, then additions (grouped passes;
+            // order is irrelevant for counts). `giant_mask` holds the new
+            // membership, so a flipped router that is out now was in
+            // before. Removals and flip-offs run off the disk caches;
+            // flip-ons of unmoved routers usually hit a positionally-valid
+            // cache too.
+            for &e in &batch {
+                if e.counted_before {
+                    self.disk_remove(e.router as usize);
                 }
             }
-            CoverageRule::GiantComponentOnly => {
-                for e in &mut batch {
-                    e.counted_after = self.giant_mask[e.router as usize];
-                }
-                // Disk-op budget of the exact delta repair (moved disks
-                // plus the non-moved routers whose membership flipped) vs
-                // the one full in-place pass (every counting router's
-                // disk). Cover counts commute, so both paths land the
-                // identical state; pick the cheaper one.
-                let moved_ops: usize = batch
-                    .iter()
-                    .map(|e| usize::from(e.counted_before) + usize::from(e.counted_after))
-                    .sum();
-                let full_ops = self.components.giant_size();
-                if flipped_others + moved_ops <= full_ops {
-                    self.scratch.counters.coverage_delta_repairs += 1;
-                    // Exact delta: removals first, then additions (grouped
-                    // passes; order is irrelevant for counts). `giant_mask`
-                    // holds the new membership, so a flipped router that is
-                    // out now was in before. Removals and flip-offs run off
-                    // the disk caches; flip-ons of never-moved routers
-                    // usually hit a positionally-valid cache too.
-                    for &e in &batch {
-                        if e.counted_before {
-                            self.disk_remove(e.router as usize);
-                        }
-                    }
-                    let flipped = std::mem::take(&mut self.scratch.flipped_others);
-                    for &j in &flipped {
-                        if !self.giant_mask[j as usize] {
-                            self.disk_remove(j as usize);
-                        }
-                    }
-                    for &j in &flipped {
-                        if self.giant_mask[j as usize] {
-                            self.disk_add(j as usize);
-                        }
-                    }
-                    self.scratch.flipped_others = flipped;
-                    for &e in &batch {
-                        if e.counted_after {
-                            self.disk_add_from(e.router as usize, donor);
-                        }
-                    }
-                } else {
-                    self.recompute_coverage_from(donor);
+            let flipped = std::mem::take(&mut self.scratch.flipped_others);
+            for &j in &flipped {
+                if !self.giant_mask[j as usize] {
+                    self.disk_remove(j as usize);
                 }
             }
+            for &j in &flipped {
+                if self.giant_mask[j as usize] {
+                    self.disk_add(j as usize);
+                }
+            }
+            self.scratch.flipped_others = flipped;
+            for &e in &batch {
+                if e.counted_after {
+                    self.disk_add_from(e.router as usize, donor);
+                }
+            }
+        } else {
+            self.recompute_coverage_from(donor);
         }
         self.scratch.batch = batch;
-        let delta = self.engine_stats().delta_since(&after_components);
-        self.scratch.phases.coverage.merge(&delta);
-    }
-
-    /// [`repair_components`](WmnTopology::repair_components) for a batch,
-    /// which also collects the routers **outside** the batch whose giant
-    /// membership flipped into `scratch.flipped_others` and returns how
-    /// many there are (the count steering the coverage-repair choice).
-    /// Expects
-    /// `scratch.moved_stamp` to carry the current `move_epoch` on exactly
-    /// the batch's routers — the membership mask
-    /// [`apply_moves`](WmnTopology::apply_moves) stamped while deduplicating.
-    fn repair_components_batch(&mut self) -> usize {
-        self.repair_components();
-        let MoveScratch {
-            conn,
-            moved_stamp,
-            move_epoch,
-            flipped_others,
-            ..
-        } = &mut self.scratch;
-        flipped_others.clear();
-        flipped_others.extend(
-            conn.giant_flips()
-                .iter()
-                .copied()
-                .filter(|&j| moved_stamp[j as usize] != *move_epoch),
-        );
-        flipped_others.len()
     }
 
     /// Rebuilds the router grid, adjacency, components, and coverage from
@@ -1419,12 +1148,7 @@ impl WmnTopology {
     pub fn rebuild_full(&mut self) {
         self.scratch.counters.full_rebuilds += 1;
         self.router_index.rebuild(&self.positions);
-        self.adjacency = MeshAdjacency::build(
-            &self.area,
-            &self.positions,
-            &self.radii,
-            self.config.link_model,
-        );
+        self.adjacency = MeshAdjacency::build(&self.area, &self.positions, &self.radii);
         self.components = Components::from_adjacency(&self.adjacency);
         self.refresh_giant_mask();
         self.recompute_coverage();
@@ -1447,7 +1171,7 @@ impl WmnTopology {
         // counted router's cache — must hold exactly the clients of the
         // router's current disk.
         for i in 0..self.positions.len() {
-            if !self.disk_cached[i] && !self.is_counted(i) {
+            if !self.disk_cached[i] && !self.giant_mask[i] {
                 continue;
             }
             let mut expect: Vec<u32> = self
@@ -1523,8 +1247,7 @@ mod tests {
             .unwrap();
         let mut rng = rng_from_seed(seed ^ 0xABCD);
         let placement = instance.random_placement(&mut rng);
-        let topo =
-            WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap();
+        let topo = WmnTopology::build(&instance, &placement).unwrap();
         (instance, topo)
     }
 
@@ -1532,7 +1255,7 @@ mod tests {
     fn build_validates_placement() {
         let instance = InstanceSpec::paper_normal().unwrap().generate(1).unwrap();
         let bad = Placement::from_points(vec![Point::new(1.0, 1.0)]);
-        assert!(WmnTopology::build(&instance, &bad, TopologyConfig::paper_default()).is_err());
+        assert!(WmnTopology::build(&instance, &bad).is_err());
     }
 
     #[test]
@@ -1544,7 +1267,7 @@ mod tests {
                 .build()
                 .unwrap();
             let placement = Placement::from_points(vec![Point::new(1.0, 1.0)]);
-            match WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()) {
+            match WmnTopology::build(&instance, &placement) {
                 Err(wmn_model::ModelError::InvalidSpec { reason }) => reason,
                 other => panic!("expected a grid-size refusal, got {other:?}"),
             }
@@ -1588,8 +1311,7 @@ mod tests {
         let placement: Placement = (0..8)
             .map(|i| Point::new(10.0 + 9.0 * i as f64, 5.0))
             .collect();
-        let topo =
-            WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap();
+        let topo = WmnTopology::build(&instance, &placement).unwrap();
         assert_eq!(topo.giant_size(), 8);
         // The client at (50, 4) sits within 5 of the router at (46, 5).
         assert_eq!(topo.covered_count(), 1);
@@ -1611,32 +1333,13 @@ mod tests {
             Point::new(15.0, 10.0),
             Point::new(88.0, 90.0),
         ]);
-        let giant_only = WmnTopology::build(
-            &instance,
-            &placement,
-            TopologyConfig {
-                coverage_rule: CoverageRule::GiantComponentOnly,
-                ..TopologyConfig::paper_default()
-            },
-        )
-        .unwrap();
-        assert_eq!(giant_only.giant_size(), 2);
+        let topo = WmnTopology::build(&instance, &placement).unwrap();
+        assert_eq!(topo.giant_size(), 2);
         assert_eq!(
-            giant_only.covered_count(),
+            topo.covered_count(),
             0,
-            "isolated router's client must not count under giant-only"
+            "isolated router's client must not count"
         );
-
-        let any = WmnTopology::build(
-            &instance,
-            &placement,
-            TopologyConfig {
-                coverage_rule: CoverageRule::AnyRouter,
-                ..TopologyConfig::paper_default()
-            },
-        )
-        .unwrap();
-        assert_eq!(any.covered_count(), 1);
     }
 
     #[test]
@@ -1764,7 +1467,7 @@ mod tests {
                     )
                 })
                 .collect();
-            topo.apply_moves(&moves);
+            topo.apply_moves(&moves, None);
             topo.assert_consistent();
             let mut fresh = topo.clone();
             fresh.rebuild_full();
@@ -1791,7 +1494,7 @@ mod tests {
                     )
                 })
                 .collect();
-            batch.apply_moves(&moves);
+            batch.apply_moves(&moves, None);
             for &(id, to) in &moves {
                 single.move_router(id, to);
             }
@@ -1806,7 +1509,7 @@ mod tests {
     fn apply_moves_empty_is_noop_and_inverse_batch_undoes() {
         let (_instance, mut topo) = paper_topology(47);
         let before = (topo.giant_size(), topo.covered_count(), topo.placement());
-        topo.apply_moves(&[]);
+        topo.apply_moves(&[], None);
         assert_eq!(
             (topo.giant_size(), topo.covered_count(), topo.placement()),
             before
@@ -1823,10 +1526,10 @@ mod tests {
             (RouterId(9), Point::new(100.0, 100.0)),
             (RouterId(21), Point::new(64.0, 64.0)),
         ];
-        topo.apply_moves(&moves);
+        topo.apply_moves(&moves, None);
         topo.assert_consistent();
         assert_eq!(topo.position(RouterId(9)), Point::new(100.0, 100.0));
-        topo.apply_moves(&undo);
+        topo.apply_moves(&undo, None);
         topo.assert_consistent();
         assert_eq!(
             (topo.giant_size(), topo.covered_count(), topo.placement()),
@@ -1842,7 +1545,7 @@ mod tests {
         for _ in 0..5 {
             let target = instance.random_placement(&mut rng);
             topo.diff_placement_into(&target, &mut moves);
-            topo.apply_moves(&moves);
+            topo.apply_moves(&moves, None);
             topo.assert_consistent();
             assert_eq!(topo.placement(), target);
             // A second diff against the reached target is empty.
@@ -1857,7 +1560,7 @@ mod tests {
         let mut rng = rng_from_seed(17);
         // `b` starts from a different placement, then adopts `a`'s state.
         let other = instance.random_placement(&mut rng);
-        let mut b = WmnTopology::build(&instance, &other, TopologyConfig::paper_default()).unwrap();
+        let mut b = WmnTopology::build(&instance, &other).unwrap();
         a.move_router(RouterId(0), Point::new(64.0, 64.0));
         b.clone_from(&a);
         b.assert_consistent();
@@ -1879,17 +1582,15 @@ mod tests {
         let (instance, base) = paper_topology(67);
         let mut rng = rng_from_seed(23);
         let other_placement = instance.random_placement(&mut rng);
-        let donor =
-            WmnTopology::build(&instance, &other_placement, TopologyConfig::paper_default())
-                .unwrap();
+        let donor = WmnTopology::build(&instance, &other_placement).unwrap();
         let moves: Vec<(RouterId, Point)> = (0..24)
             .map(|i| (RouterId(i), donor.position(RouterId(i))))
             .collect();
         let mut with_donor = base.clone();
-        with_donor.apply_moves_from(&moves, Some(&donor));
+        with_donor.apply_moves(&moves, Some(&donor));
         with_donor.assert_consistent();
         let mut without = base.clone();
-        without.apply_moves(&moves);
+        without.apply_moves(&moves, None);
         assert_eq!(with_donor.placement(), without.placement());
         assert_eq!(with_donor.giant_size(), without.giant_size());
         assert_eq!(with_donor.covered_count(), without.covered_count());
@@ -1897,14 +1598,9 @@ mod tests {
         // A donor from a different instance is ignored, not trusted.
         let foreign_instance = InstanceSpec::paper_normal().unwrap().generate(999).unwrap();
         let foreign_placement = foreign_instance.random_placement(&mut rng);
-        let foreign = WmnTopology::build(
-            &foreign_instance,
-            &foreign_placement,
-            TopologyConfig::paper_default(),
-        )
-        .unwrap();
+        let foreign = WmnTopology::build(&foreign_instance, &foreign_placement).unwrap();
         let mut guarded = base.clone();
-        guarded.apply_moves_from(&moves, Some(&foreign));
+        guarded.apply_moves(&moves, Some(&foreign));
         guarded.assert_consistent();
         assert_eq!(guarded.covered_count(), without.covered_count());
     }
@@ -1925,8 +1621,8 @@ mod tests {
                     )
                 })
                 .collect();
-            inc.apply_moves(&moves);
-            reb.apply_moves(&moves);
+            inc.apply_moves(&moves, None);
+            reb.apply_moves(&moves, None);
             assert_eq!(inc.placement(), reb.placement());
             assert_eq!(inc.giant_size(), reb.giant_size());
             assert_eq!(inc.covered_count(), reb.covered_count());
@@ -1988,53 +1684,59 @@ mod tests {
     }
 
     #[test]
-    fn apply_phases_partition_the_batch_repair_work() {
+    fn moves_swaps_and_batches_share_one_repair() {
         let (_instance, mut topo) = paper_topology(41);
         topo.reset_engine_stats();
         let mut rng = rng_from_seed(11);
-        for _ in 0..12 {
-            let k = rng.gen_range(2..8);
-            let moves: Vec<(RouterId, Point)> = (0..k)
-                .map(|_| {
-                    (
-                        RouterId(rng.gen_range(0..topo.router_count())),
-                        Point::new(rng.gen_range(0.0..=128.0), rng.gen_range(0.0..=128.0)),
-                    )
-                })
-                .collect();
-            topo.apply_moves(&moves);
+        let n = topo.router_count();
+        for step in 0..60 {
+            let id = RouterId(rng.gen_range(0..n));
+            let p = Point::new(rng.gen_range(0.0..=128.0), rng.gen_range(0.0..=128.0));
+            match step % 3 {
+                0 => {
+                    topo.move_router(id, p);
+                }
+                1 => topo.swap_routers(id, RouterId((id.index() + 1) % n)),
+                _ => topo.apply_moves(&[(id, p)], None),
+            }
         }
-        let totals = topo.engine_stats();
-        let phases = topo.apply_phases();
-        // Every move went through the batch path, so the buckets account
-        // for all engine work; generally they only lower-bound it.
-        assert_eq!(phases.attributed(), totals);
+        topo.assert_consistent();
+        let stats = topo.engine_stats();
+        let t = stats.topology;
+        // Each entry point keeps its own counter; a one-entry batch is a
+        // batch of one router.
+        assert_eq!((t.single_moves, t.swaps, t.batch_repairs), (20, 20, 20));
+        assert_eq!(t.batch_moved_routers, 20);
+        // Every write ends in exactly one of the no-op early-out, the
+        // coverage delta and the full coverage pass, and every other
+        // write repairs components once.
         assert_eq!(
-            phases.edge_repair.topology.batch_repairs, 12,
-            "batch bookkeeping lands in the edge-repair section"
+            t.link_noop_repairs + t.coverage_delta_repairs + t.coverage_full_recomputes,
+            60
         );
-        assert!(phases.component_repair.connectivity.repairs > 0);
-        assert!(
-            phases.coverage.topology.disk_grid_queries > 0
-                || phases.coverage.topology.disk_cache_hits > 0
-        );
-        assert_eq!(phases.full_rebuild, EngineStats::default());
-        // Single moves bypass the batch pipeline: totals grow, buckets
-        // don't — the residual is the caller's to attribute.
-        topo.move_router(RouterId(0), Point::new(5.0, 5.0));
-        assert_eq!(topo.apply_phases(), phases);
-        assert_ne!(topo.engine_stats(), totals);
-        // `reset_engine_stats` opens a fresh window for the buckets too.
+        assert_eq!(stats.connectivity.repairs, 60 - t.link_noop_repairs);
+        assert!(t.coverage_delta_repairs > 0 && t.link_noop_repairs > 0);
+
+        // A batch takes a fresh stamp even when it undoes the previous one.
+        let (id, home) = (RouterId(0), topo.position(RouterId(0)));
+        let stamp = topo.placement_stamp();
+        topo.apply_moves(&[(id, Point::new(5.0, 5.0))], None);
+        topo.apply_moves(&[(id, home)], None);
+        assert_eq!(topo.position(id), home);
+        assert_ne!(topo.placement_stamp(), stamp);
+        assert!(topo.moves_since(stamp).is_none());
+
+        // Under the reference every write is one full rebuild.
         topo.reset_engine_stats();
-        assert_eq!(topo.apply_phases(), ApplyPhases::default());
-        // `FullRebuild` mode routes batch work into its escape bucket.
         topo.set_connectivity_mode(ConnectivityMode::FullRebuild);
-        topo.apply_moves(&[
-            (RouterId(1), Point::new(20.0, 20.0)),
-            (RouterId(2), Point::new(30.0, 30.0)),
-        ]);
-        let phases = topo.apply_phases();
-        assert_eq!(phases.full_rebuild.topology.full_rebuilds, 1);
-        assert_eq!(phases.attributed(), topo.engine_stats());
+        topo.move_router(RouterId(1), Point::new(20.0, 20.0));
+        topo.swap_routers(RouterId(1), RouterId(2));
+        topo.apply_moves(&[(RouterId(3), Point::new(30.0, 30.0))], None);
+        let stats = topo.engine_stats();
+        assert_eq!(stats.topology.full_rebuilds, 3);
+        assert_eq!(stats.topology.coverage_full_recomputes, 3);
+        assert_eq!(stats.topology.coverage_delta_repairs, 0);
+        assert_eq!(stats.connectivity.repairs, 0);
+        topo.assert_consistent();
     }
 }

@@ -25,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use rand::Rng;
-use wmn_graph::topology::{TopologyConfig, WmnTopology};
+use wmn_graph::topology::WmnTopology;
 use wmn_model::distribution::ClientDistribution;
 use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::InstanceSpec;
@@ -69,7 +69,7 @@ fn steady_state_clone_from_and_apply_moves_allocate_nothing() {
     let instance = spec.generate(11).unwrap();
     let mut rng = rng_from_seed(17);
     let placement = instance.random_placement(&mut rng);
-    let base = WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap();
+    let base = WmnTopology::build(&instance, &placement).unwrap();
 
     // A GA-child-shaped batch: a handful of routers jump anywhere in the
     // area, exercising grid relocation, edge repair, the connectivity
@@ -89,7 +89,7 @@ fn steady_state_clone_from_and_apply_moves_allocate_nothing() {
     // first's repair path with capacities already grown.
     for _ in 0..2 {
         work.clone_from(&base);
-        work.apply_moves(&moves);
+        work.apply_moves(&moves, None);
     }
 
     // The paper density at 16× the routers: 1024 routers on a 512 × 512
@@ -105,12 +105,7 @@ fn steady_state_clone_from_and_apply_moves_allocate_nothing() {
     // Seeds picked so the giant (4 routers) has rivals of its size.
     let sparse_instance = sparse_spec.generate(28).unwrap();
     let sparse_placement = sparse_instance.random_placement(&mut rng_from_seed(128));
-    let mut sparse = WmnTopology::build(
-        &sparse_instance,
-        &sparse_placement,
-        TopologyConfig::paper_default(),
-    )
-    .unwrap();
+    let mut sparse = WmnTopology::build(&sparse_instance, &sparse_placement).unwrap();
     assert!(
         sparse.components().count() > sparse.router_count() / 2,
         "the single-move gate needs a sparse mesh"
@@ -153,7 +148,7 @@ fn steady_state_clone_from_and_apply_moves_allocate_nothing() {
     HEAP_OPS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     work.clone_from(&base);
-    work.apply_moves(&moves);
+    work.apply_moves(&moves, None);
     ARMED.store(false, Ordering::SeqCst);
     let batch_ops = HEAP_OPS.load(Ordering::SeqCst);
 

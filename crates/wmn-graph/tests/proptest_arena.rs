@@ -12,7 +12,7 @@
 //! lists it corrupts happen to read back correctly.
 
 use proptest::prelude::*;
-use wmn_graph::topology::{TopologyConfig, WmnTopology};
+use wmn_graph::topology::WmnTopology;
 use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::InstanceSpec;
 use wmn_model::node::RouterId;
@@ -77,7 +77,7 @@ fn build_topology(seed: u64) -> WmnTopology {
     let instance = spec.generate(seed).unwrap();
     let mut rng = rng_from_seed(seed ^ 0x2a);
     let placement = instance.random_placement(&mut rng);
-    WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap()
+    WmnTopology::build(&instance, &placement).unwrap()
 }
 
 fn to_batch(moves: &[(usize, f64, f64)]) -> Vec<(RouterId, Point)> {
@@ -117,7 +117,7 @@ proptest! {
                     prop_assert_eq!(topo.position(RouterId(*b)), pa);
                 }
                 Op::Batch { moves } => {
-                    topo.apply_moves(&to_batch(moves));
+                    topo.apply_moves(&to_batch(moves), None);
                 }
                 Op::BatchUndo { moves } => {
                     // Inverse batch: each touched router back to where it
@@ -130,8 +130,8 @@ proptest! {
                         .collect();
                     let before: Vec<Point> =
                         (0..topo.router_count()).map(|i| topo.position(RouterId(i))).collect();
-                    topo.apply_moves(&batch);
-                    topo.apply_moves(&inverse);
+                    topo.apply_moves(&batch, None);
+                    topo.apply_moves(&inverse, None);
                     for (i, &p) in before.iter().enumerate() {
                         prop_assert_eq!(topo.position(RouterId(i)), p);
                     }

@@ -2,16 +2,17 @@
 //! ([`ConnectivityMode::Dynamic`]) against the full-rebuild reference
 //! ([`ConnectivityMode::FullRebuild`]): interleaved move / swap / batch /
 //! undo streams must keep both topologies **bit-identical** — labels,
-//! sizes, giant, masks, coverage — across all three [`LinkModel`]s and
-//! both coverage rules. A seeded stream on
+//! sizes, giant, masks, coverage. Instance sides reach down to 15, where
+//! the mutual-range mesh is mostly one giant component. A seeded stream on
 //! ~2,000 routers covers the sparse regime of large neighborhood-search
 //! runs: thousands of components and a small giant among many rivals of
-//! equal size, where the engine's giant hand-off runs.
+//! equal size, where the engine's giant hand-off runs. A seeded stream of
+//! moves and swaps on a percolated mesh checks that single writes take
+//! the cheaper coverage repair, delta or full pass.
 
 use proptest::prelude::*;
 use rand::Rng;
-use wmn_graph::adjacency::LinkModel;
-use wmn_graph::topology::{ConnectivityMode, CoverageRule, TopologyConfig, WmnTopology};
+use wmn_graph::topology::{ConnectivityMode, WmnTopology};
 use wmn_model::distribution::ClientDistribution;
 use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::{InstanceSpec, ProblemInstance};
@@ -52,38 +53,24 @@ fn step_strategy(side: f64) -> impl Strategy<Value = Step> {
 }
 
 fn instance_strategy() -> impl Strategy<Value = ProblemInstance> {
-    (60.0..160.0f64, 3usize..26, 1usize..40, any::<u64>()).prop_map(
-        |(side, routers, clients, seed)| {
-            let area = Area::square(side).unwrap();
-            InstanceSpec::new(
-                area,
-                routers,
-                clients,
-                ClientDistribution::Uniform,
-                RadioProfile::paper_default(),
-            )
-            .unwrap()
-            .generate(seed)
-            .unwrap()
-        },
-    )
-}
-
-fn all_configs() -> Vec<TopologyConfig> {
-    let mut configs = Vec::new();
-    for link_model in [
-        LinkModel::CoverageOverlap,
-        LinkModel::MutualRange,
-        LinkModel::FixedRange(9.0),
-    ] {
-        for coverage_rule in [CoverageRule::GiantComponentOnly, CoverageRule::AnyRouter] {
-            configs.push(TopologyConfig {
-                link_model,
-                coverage_rule,
-            });
-        }
-    }
-    configs
+    // Log-uniform sides from 15 to 160: the small areas give
+    // mutual-range meshes whose giant holds most routers, so writes flip
+    // the giant membership of routers they did not move; the large ones
+    // give sparse meshes of many components.
+    (0.0..1.0f64, 3usize..26, 1usize..40, any::<u64>()).prop_map(|(u, routers, clients, seed)| {
+        let side = 15.0 * (160.0 / 15.0f64).powf(u);
+        let area = Area::square(side).unwrap();
+        InstanceSpec::new(
+            area,
+            routers,
+            clients,
+            ClientDistribution::Uniform,
+            RadioProfile::paper_default(),
+        )
+        .unwrap()
+        .generate(seed)
+        .unwrap()
+    })
 }
 
 /// Applies the same step to every topology in `topos`.
@@ -125,7 +112,7 @@ fn apply_step(topos: &mut [WmnTopology], step: &Step, undo_log: &mut Vec<Step>) 
                 }
             }
             for t in topos.iter_mut() {
-                t.apply_moves(&batch);
+                t.apply_moves(&batch, None);
             }
             undo_log.push(Step::Batch {
                 moves: inverse
@@ -167,10 +154,10 @@ fn assert_identical(topos: &[WmnTopology], context: &str) {
     }
 }
 
-fn run_pair(instance: &ProblemInstance, config: TopologyConfig, steps: &[Step], seed: u64) {
+fn run_pair(instance: &ProblemInstance, steps: &[Step], seed: u64) {
     let mut rng = rng_from_seed(seed);
     let placement = instance.random_placement(&mut rng);
-    let build = || WmnTopology::build(instance, &placement, config).unwrap();
+    let build = || WmnTopology::build(instance, &placement).unwrap();
     let dynamic = build();
     assert_eq!(dynamic.connectivity_mode(), ConnectivityMode::Dynamic);
     let mut full = build();
@@ -188,14 +175,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn dynamic_equals_full_rebuild_all_configs(
+    fn dynamic_equals_full_rebuild(
         instance in instance_strategy(),
         steps in proptest::collection::vec(step_strategy(160.0), 1..16),
         seed in any::<u64>(),
     ) {
-        for config in all_configs() {
-            run_pair(&instance, config, &steps, seed);
-        }
+        run_pair(&instance, &steps, seed);
     }
 }
 
@@ -203,8 +188,7 @@ proptest! {
 fn dynamic_path_statistics_accumulate() {
     let instance = InstanceSpec::paper_normal().unwrap().generate(7).unwrap();
     let placement = instance.random_placement(&mut rng_from_seed(8));
-    let mut topo =
-        WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap();
+    let mut topo = WmnTopology::build(&instance, &placement).unwrap();
     let mut rng = rng_from_seed(9);
     for _ in 0..60 {
         let id = RouterId(rng.gen_range(0..topo.router_count()));
@@ -248,7 +232,7 @@ fn sparse_stream_matches_full_rebuild() {
     .generate(41)
     .unwrap();
     let placement = instance.random_placement(&mut rng_from_seed(43));
-    let build = || WmnTopology::build(&instance, &placement, TopologyConfig::paper_default());
+    let build = || WmnTopology::build(&instance, &placement);
     let mut full = build().unwrap();
     full.set_connectivity_mode(ConnectivityMode::FullRebuild);
     let mut topos = [build().unwrap(), full];
@@ -315,5 +299,82 @@ fn sparse_stream_matches_full_rebuild() {
     assert!(
         merges > 50 && splits > 50,
         "the stream must join and cut components: {merges} merging and {splits} splitting steps"
+    );
+}
+
+#[test]
+fn single_writes_take_the_cheaper_coverage_repair() {
+    // 1,024 routers on a 160 × 160 area: the mesh percolates, so a move or
+    // swap often flips the giant membership of routers it did not move.
+    // Each such write must pick the cheaper coverage repair: the delta
+    // over the changed disks when few routers flipped, one full pass when
+    // the giant changed wholesale.
+    let n = 1024;
+    let side = 160.0;
+    let instance = InstanceSpec::new(
+        Area::square(side).unwrap(),
+        n,
+        3 * n,
+        ClientDistribution::Uniform,
+        RadioProfile::paper_default(),
+    )
+    .unwrap()
+    .generate(41)
+    .unwrap();
+    let placement = instance.random_placement(&mut rng_from_seed(43));
+    let build = || WmnTopology::build(&instance, &placement);
+    let mut full = build().unwrap();
+    full.set_connectivity_mode(ConnectivityMode::FullRebuild);
+    let mut topos = [build().unwrap(), full];
+
+    let mut rng = rng_from_seed(47);
+    let mut undo_log = Vec::new();
+    let (mut delta, mut full_pass) = (0, 0);
+    for s in 0..600 {
+        let router = rng.gen_range(0..n);
+        let step = match rng.gen_range(0..10) {
+            0..=3 => {
+                let (x, y) = near_a_router(&topos[0], &mut rng);
+                Step::Move { router, x, y }
+            }
+            4 | 5 => Step::Move {
+                router,
+                x: rng.gen_range(0.0..side),
+                y: rng.gen_range(0.0..side),
+            },
+            6 => {
+                let members = topos[0].components().giant_members();
+                Step::Move {
+                    router: members[rng.gen_range(0..members.len())],
+                    x: rng.gen_range(0.0..side),
+                    y: rng.gen_range(0.0..side),
+                }
+            }
+            7 | 8 => Step::Swap {
+                a: router,
+                b: rng.gen_range(0..n),
+            },
+            _ => Step::UndoLast,
+        };
+        let positions = topos[0].placement();
+        let mask = topos[0].giant_mask().to_vec();
+        let full_passes = topos[0].engine_stats().topology.coverage_full_recomputes;
+        apply_step(&mut topos, &step, &mut undo_log);
+        assert_identical(&topos, &format!("percolated step {s}"));
+        let moved = topos[0].placement();
+        let flipped_unmoved = (0..n).any(|i| {
+            mask[i] != topos[0].giant_mask()[i] && positions.as_slice()[i] == moved.as_slice()[i]
+        });
+        if flipped_unmoved {
+            let took_full = topos[0].engine_stats().topology.coverage_full_recomputes > full_passes;
+            full_pass += usize::from(took_full);
+            delta += usize::from(!took_full);
+        }
+    }
+    topos[0].assert_consistent();
+    assert!(
+        delta > 0 && full_pass > 0,
+        "writes flipping unmoved routers must take both repairs: \
+         {delta} deltas, {full_pass} full passes"
     );
 }

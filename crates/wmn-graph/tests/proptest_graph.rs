@@ -1,12 +1,12 @@
 //! Property-based tests for the graph substrate.
 
 use proptest::prelude::*;
-use wmn_graph::adjacency::{LinkModel, MeshAdjacency};
+use wmn_graph::adjacency::MeshAdjacency;
 use wmn_graph::components::Components;
 use wmn_graph::density::{CellWindow, DensityMap};
 use wmn_graph::dsu::UnionFind;
 use wmn_graph::spatial::GridIndex;
-use wmn_graph::topology::{TopologyConfig, WmnTopology};
+use wmn_graph::topology::WmnTopology;
 use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::InstanceSpec;
 use wmn_model::node::RouterId;
@@ -88,23 +88,22 @@ proptest! {
     #[test]
     fn adjacency_indexed_equals_brute_force(
         (pts, radii) in layout(100.0, 100),
-        which in 0usize..3,
+        side in 20.0..100.0f64,
     ) {
+        // Points drawn over 100 × 100 and squeezed into a `side` corner:
+        // from sparse meshes to nearly complete ones.
         let area = Area::square(100.0).unwrap();
-        let model = match which {
-            0 => LinkModel::CoverageOverlap,
-            1 => LinkModel::MutualRange,
-            _ => LinkModel::FixedRange(9.0),
-        };
-        let fast = MeshAdjacency::build(&area, &pts, &radii, model);
-        let slow = MeshAdjacency::build_brute_force(&pts, &radii, model);
+        let scale = side / 100.0;
+        let pts: Vec<Point> = pts.iter().map(|p| Point::new(p.x * scale, p.y * scale)).collect();
+        let fast = MeshAdjacency::build(&area, &pts, &radii);
+        let slow = MeshAdjacency::build_brute_force(&pts, &radii);
         prop_assert_eq!(fast, slow);
     }
 
     #[test]
-    fn components_bfs_equals_dsu((pts, radii) in layout(100.0, 100)) {
+    fn components_bfs_equals_dsu((pts, radii) in layout(50.0, 100)) {
         let area = Area::square(100.0).unwrap();
-        let adj = MeshAdjacency::build(&area, &pts, &radii, LinkModel::CoverageOverlap);
+        let adj = MeshAdjacency::build(&area, &pts, &radii);
         prop_assert_eq!(
             Components::from_adjacency(&adj),
             Components::from_adjacency_dsu(&adj)
@@ -112,9 +111,9 @@ proptest! {
     }
 
     #[test]
-    fn giant_size_bounds((pts, radii) in layout(100.0, 100)) {
+    fn giant_size_bounds((pts, radii) in layout(50.0, 100)) {
         let area = Area::square(100.0).unwrap();
-        let adj = MeshAdjacency::build(&area, &pts, &radii, LinkModel::CoverageOverlap);
+        let adj = MeshAdjacency::build(&area, &pts, &radii);
         let c = Components::from_adjacency(&adj);
         prop_assert!(c.giant_size() >= 1);
         prop_assert!(c.giant_size() <= pts.len());
@@ -179,7 +178,7 @@ proptest! {
         let instance = spec.generate(seed).unwrap();
         let mut rng = rng_from_seed(seed ^ 0x55);
         let placement = instance.random_placement(&mut rng);
-        let mut topo = WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap();
+        let mut topo = WmnTopology::build(&instance, &placement).unwrap();
         for (i, x, y) in moves {
             topo.move_router(RouterId(i), Point::new(x, y));
             let incr = (topo.giant_size(), topo.covered_count());

@@ -1,17 +1,18 @@
 //! Property-based tests pinning the incremental (delta-evaluation) engine
 //! of [`WmnTopology`] to the full-rebuild ground truth: random interleaved
 //! `move_router` / `swap_routers` / undo sequences must keep
-//! `assert_consistent` green under **both** coverage rules and **all**
-//! link models, and the in-place workspace rebuild must equal a fresh
-//! build. A last property pins the placement-stamp invariant: equal stamps
-//! mean bit-identical positions, and `moves_since` reports exactly the
-//! routers a move or swap changed.
+//! `assert_consistent` green, and the in-place workspace rebuild must
+//! equal a fresh build. Instance sides reach down to 15, where the
+//! mutual-range mesh is mostly one giant component, so moves flip the
+//! giant membership of routers they did not move. A last property pins
+//! the placement-stamp invariant: equal stamps mean bit-identical
+//! positions, and `moves_since` reports exactly the routers a move or
+//! swap changed.
 
 use proptest::prelude::*;
 use rand::{Rng, RngCore};
 use std::collections::HashMap;
-use wmn_graph::adjacency::LinkModel;
-use wmn_graph::topology::{ConnectivityMode, CoverageRule, TopologyConfig, WmnTopology};
+use wmn_graph::topology::{ConnectivityMode, WmnTopology};
 use wmn_model::distribution::ClientDistribution;
 use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::{InstanceSpec, ProblemInstance};
@@ -46,46 +47,32 @@ fn step_strategy(side: f64) -> impl Strategy<Value = Step> {
 }
 
 fn instance_strategy() -> impl Strategy<Value = ProblemInstance> {
-    (60.0..160.0f64, 2usize..24, 1usize..48, any::<u64>()).prop_map(
-        |(side, routers, clients, seed)| {
-            let area = Area::square(side).unwrap();
-            InstanceSpec::new(
-                area,
-                routers,
-                clients,
-                ClientDistribution::Uniform,
-                RadioProfile::paper_default(),
-            )
-            .unwrap()
-            .generate(seed)
-            .unwrap()
-        },
-    )
-}
-
-fn all_configs() -> Vec<TopologyConfig> {
-    let mut configs = Vec::new();
-    for link_model in [
-        LinkModel::CoverageOverlap,
-        LinkModel::MutualRange,
-        LinkModel::FixedRange(9.0),
-    ] {
-        for coverage_rule in [CoverageRule::GiantComponentOnly, CoverageRule::AnyRouter] {
-            configs.push(TopologyConfig {
-                link_model,
-                coverage_rule,
-            });
-        }
-    }
-    configs
+    // Log-uniform sides from 15 to 160: the small areas give
+    // mutual-range meshes whose giant holds most routers, so writes flip
+    // the giant membership of routers they did not move; the large ones
+    // give sparse meshes of many components.
+    (0.0..1.0f64, 2usize..24, 1usize..48, any::<u64>()).prop_map(|(u, routers, clients, seed)| {
+        let side = 15.0 * (160.0 / 15.0f64).powf(u);
+        let area = Area::square(side).unwrap();
+        InstanceSpec::new(
+            area,
+            routers,
+            clients,
+            ClientDistribution::Uniform,
+            RadioProfile::paper_default(),
+        )
+        .unwrap()
+        .generate(seed)
+        .unwrap()
+    })
 }
 
 /// Applies `steps` to a topology, tracking undo tokens, checking the full
 /// invariant set after every mutation.
-fn run_sequence(instance: &ProblemInstance, config: TopologyConfig, steps: &[Step], seed: u64) {
+fn run_sequence(instance: &ProblemInstance, steps: &[Step], seed: u64) {
     let mut rng = rng_from_seed(seed);
     let placement = instance.random_placement(&mut rng);
-    let mut topo = WmnTopology::build(instance, &placement, config).unwrap();
+    let mut topo = WmnTopology::build(instance, &placement).unwrap();
     let n = topo.router_count();
     // Undo log: either "move router back to point" or "re-swap the pair".
     let mut undo_log: Vec<Step> = Vec::new();
@@ -121,7 +108,7 @@ fn run_sequence(instance: &ProblemInstance, config: TopologyConfig, steps: &[Ste
         topo.assert_consistent();
     }
     // Unwind whatever is left: the state must return to the initial one.
-    let initial = WmnTopology::build(instance, &placement, config).unwrap();
+    let initial = WmnTopology::build(instance, &placement).unwrap();
     while let Some(undo) = undo_log.pop() {
         match undo {
             Step::Move { router, x, y } => {
@@ -280,13 +267,11 @@ fn check_moves_since(topo: &WmnTopology, before: u64, seen: &Seen) {
 /// were inexact (one ulp off, another swap pair, after an intervening
 /// write, or after a copy).
 fn run_stamp_stream(instance: &ProblemInstance, seed: u64, ops: usize) -> (usize, usize) {
-    let config = TopologyConfig::paper_default();
     let mut rng = rng_from_seed(seed);
     let area = instance.area();
     let n = instance.router_count();
-    let mut topos = [(); 2].map(|()| {
-        WmnTopology::build(instance, &instance.random_placement(&mut rng), config).unwrap()
-    });
+    let mut topos = [(); 2]
+        .map(|()| WmnTopology::build(instance, &instance.random_placement(&mut rng)).unwrap());
     let mut seen = Seen::new();
     // Per topology: its previous move or swap while no other write has
     // followed it (with the stamp from before it), and an undo log that
@@ -391,12 +376,12 @@ fn run_stamp_stream(instance: &ProblemInstance, seed: u64, ops: usize) -> (usize
                     inexact += usize::from(!exact);
                 }
             }
-            // A batch of two to five moves, with or without a donor.
+            // A batch of one to five moves, with or without a donor.
             10 => {
-                let moves: Vec<(RouterId, Point)> = (0..rng.gen_range(2..6))
+                let moves: Vec<(RouterId, Point)> = (0..rng.gen_range(1..6))
                     .map(|_| (RouterId(rng.gen_range(0..n)), random_point(&mut rng)))
                     .collect();
-                topo.apply_moves_from(&moves, rng.gen_bool(0.5).then_some(&*other));
+                topo.apply_moves(&moves, rng.gen_bool(0.5).then_some(&*other));
                 assert!(
                     !seen.contains_key(&topo.placement_stamp()),
                     "a batch reused a stamp"
@@ -411,7 +396,7 @@ fn run_stamp_stream(instance: &ProblemInstance, seed: u64, ops: usize) -> (usize
                 if rng.gen_bool(0.5) {
                     topo.reset_placement(&placement);
                 } else {
-                    *topo = WmnTopology::build(instance, &placement, config).unwrap();
+                    *topo = WmnTopology::build(instance, &placement).unwrap();
                 }
                 assert!(
                     !seen.contains_key(&topo.placement_stamp()),
@@ -442,14 +427,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn interleaved_sequences_stay_consistent_all_configs(
+    fn interleaved_sequences_stay_consistent(
         instance in instance_strategy(),
         steps in proptest::collection::vec(step_strategy(160.0), 1..24),
         seed in any::<u64>(),
     ) {
-        for config in all_configs() {
-            run_sequence(&instance, config, &steps, seed);
-        }
+        run_sequence(&instance, &steps, seed);
     }
 
     #[test]
@@ -460,9 +443,8 @@ proptest! {
     ) {
         let mut rng = rng_from_seed(seed);
         let placement = instance.random_placement(&mut rng);
-        let config = TopologyConfig::paper_default();
-        let mut inc = WmnTopology::build(&instance, &placement, config).unwrap();
-        let mut reb = WmnTopology::build(&instance, &placement, config).unwrap();
+        let mut inc = WmnTopology::build(&instance, &placement).unwrap();
+        let mut reb = WmnTopology::build(&instance, &placement).unwrap();
         reb.set_connectivity_mode(ConnectivityMode::FullRebuild);
         prop_assert_eq!(reb.connectivity_mode(), ConnectivityMode::FullRebuild);
         let n = inc.router_count();
@@ -487,7 +469,7 @@ proptest! {
     }
 
     #[test]
-    fn batch_apply_matches_fresh_build_all_configs(
+    fn batch_apply_matches_fresh_build(
         instance in instance_strategy(),
         batches in proptest::collection::vec(
             proptest::collection::vec(
@@ -498,44 +480,42 @@ proptest! {
         ),
         seed in any::<u64>(),
     ) {
-        for config in all_configs() {
-            let mut rng = rng_from_seed(seed);
-            let placement = instance.random_placement(&mut rng);
-            let mut topo = WmnTopology::build(&instance, &placement, config).unwrap();
-            let n = topo.router_count();
-            let mut moves = Vec::new();
-            for batch in &batches {
-                moves.clear();
-                moves.extend(
-                    batch
-                        .iter()
-                        .map(|&(r, x, y)| (RouterId(r % n), Point::new(x, y))),
-                );
-                // The inverse batch: each unique router back to where it was.
-                let mut undo: Vec<(RouterId, Point)> = Vec::new();
-                for &(id, _) in &moves {
-                    if !undo.iter().any(|&(u, _)| u == id) {
-                        undo.push((id, topo.position(id)));
-                    }
+        let mut rng = rng_from_seed(seed);
+        let placement = instance.random_placement(&mut rng);
+        let mut topo = WmnTopology::build(&instance, &placement).unwrap();
+        let n = topo.router_count();
+        let mut moves = Vec::new();
+        for batch in &batches {
+            moves.clear();
+            moves.extend(
+                batch
+                    .iter()
+                    .map(|&(r, x, y)| (RouterId(r % n), Point::new(x, y))),
+            );
+            // The inverse batch: each unique router back to where it was.
+            let mut undo: Vec<(RouterId, Point)> = Vec::new();
+            for &(id, _) in &moves {
+                if !undo.iter().any(|&(u, _)| u == id) {
+                    undo.push((id, topo.position(id)));
                 }
-                let before = (topo.giant_size(), topo.covered_count(), topo.placement());
-                topo.apply_moves(&moves);
-                topo.assert_consistent();
-                let fresh =
-                    WmnTopology::build(&instance, &topo.placement(), config).unwrap();
-                prop_assert_eq!(topo.giant_size(), fresh.giant_size());
-                prop_assert_eq!(topo.covered_count(), fresh.covered_count());
-                prop_assert_eq!(topo.covered_mask(), fresh.covered_mask());
-                topo.apply_moves(&undo);
-                topo.assert_consistent();
-                prop_assert_eq!(
-                    (topo.giant_size(), topo.covered_count(), topo.placement()),
-                    before
-                );
-                // Leave the batch applied for the next round.
-                topo.apply_moves(&moves);
-                topo.assert_consistent();
             }
+            let before = (topo.giant_size(), topo.covered_count(), topo.placement());
+            topo.apply_moves(&moves, None);
+            topo.assert_consistent();
+            let fresh =
+                WmnTopology::build(&instance, &topo.placement()).unwrap();
+            prop_assert_eq!(topo.giant_size(), fresh.giant_size());
+            prop_assert_eq!(topo.covered_count(), fresh.covered_count());
+            prop_assert_eq!(topo.covered_mask(), fresh.covered_mask());
+            topo.apply_moves(&undo, None);
+            topo.assert_consistent();
+            prop_assert_eq!(
+                (topo.giant_size(), topo.covered_count(), topo.placement()),
+                before
+            );
+            // Leave the batch applied for the next round.
+            topo.apply_moves(&moves, None);
+            topo.assert_consistent();
         }
     }
 
@@ -547,27 +527,25 @@ proptest! {
     ) {
         // The GA child-evaluation shape: copy a parent's state, apply the
         // placement diff, compare against a from-scratch build.
-        for config in all_configs() {
-            let mut rng = rng_from_seed(seed);
-            let parent_placement = instance.random_placement(&mut rng);
-            let parent = WmnTopology::build(&instance, &parent_placement, config).unwrap();
-            let mut leased =
-                WmnTopology::build(&instance, &instance.random_placement(&mut rng), config)
-                    .unwrap();
-            let mut moves = Vec::new();
-            for child_seed in &seeds {
-                let child: Placement =
-                    instance.random_placement(&mut rng_from_seed(*child_seed));
-                leased.clone_from(&parent);
-                leased.diff_placement_into(&child, &mut moves);
-                leased.apply_moves(&moves);
-                leased.assert_consistent();
-                let fresh = WmnTopology::build(&instance, &child, config).unwrap();
-                prop_assert_eq!(leased.placement(), child);
-                prop_assert_eq!(leased.giant_size(), fresh.giant_size());
-                prop_assert_eq!(leased.covered_count(), fresh.covered_count());
-                prop_assert_eq!(leased.covered_mask(), fresh.covered_mask());
-            }
+        let mut rng = rng_from_seed(seed);
+        let parent_placement = instance.random_placement(&mut rng);
+        let parent = WmnTopology::build(&instance, &parent_placement).unwrap();
+        let mut leased =
+            WmnTopology::build(&instance, &instance.random_placement(&mut rng))
+                .unwrap();
+        let mut moves = Vec::new();
+        for child_seed in &seeds {
+            let child: Placement =
+                instance.random_placement(&mut rng_from_seed(*child_seed));
+            leased.clone_from(&parent);
+            leased.diff_placement_into(&child, &mut moves);
+            leased.apply_moves(&moves, None);
+            leased.assert_consistent();
+            let fresh = WmnTopology::build(&instance, &child).unwrap();
+            prop_assert_eq!(leased.placement(), child);
+            prop_assert_eq!(leased.giant_size(), fresh.giant_size());
+            prop_assert_eq!(leased.covered_count(), fresh.covered_count());
+            prop_assert_eq!(leased.covered_mask(), fresh.covered_mask());
         }
     }
 
@@ -586,16 +564,15 @@ proptest! {
         instance in instance_strategy(),
         seeds in proptest::collection::vec(any::<u64>(), 1..6),
     ) {
-        let config = TopologyConfig::paper_default();
         let mut rng = rng_from_seed(1);
         let mut workspace =
-            WmnTopology::build(&instance, &instance.random_placement(&mut rng), config).unwrap();
+            WmnTopology::build(&instance, &instance.random_placement(&mut rng)).unwrap();
         for seed in seeds {
             let placement: Placement =
                 instance.random_placement(&mut rng_from_seed(seed));
             workspace.reset_placement(&placement);
             workspace.assert_consistent();
-            let fresh = WmnTopology::build(&instance, &placement, config).unwrap();
+            let fresh = WmnTopology::build(&instance, &placement).unwrap();
             prop_assert_eq!(workspace.giant_size(), fresh.giant_size());
             prop_assert_eq!(workspace.covered_count(), fresh.covered_count());
             prop_assert_eq!(workspace.covered_mask(), fresh.covered_mask());

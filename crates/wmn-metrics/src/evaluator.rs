@@ -1,7 +1,7 @@
 //! Instance-bound placement evaluation.
 //!
-//! [`Evaluator`] binds a problem instance and a topology configuration,
-//! turning a [`Placement`] into an [`Evaluation`] (scored by
+//! [`Evaluator`] binds a problem instance, turning a [`Placement`] into
+//! an [`Evaluation`] (scored by
 //! [`fitness::score`]) in one call. It is the single entry point the
 //! search and GA crates use, so every algorithm measures solutions
 //! identically.
@@ -10,7 +10,7 @@ use crate::fitness;
 use crate::measurement::NetworkMeasurement;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use wmn_graph::topology::{TopologyConfig, WmnTopology};
+use wmn_graph::topology::WmnTopology;
 use wmn_graph::EngineStats;
 use wmn_model::instance::ProblemInstance;
 use wmn_model::placement::Placement;
@@ -51,9 +51,8 @@ impl fmt::Display for Evaluation {
 /// no per-candidate topology allocation.
 ///
 /// A workspace adapts automatically: if it was last used against a
-/// different instance or configuration (detected by comparing router
-/// radii, client positions, and the topology config), the stored topology
-/// is discarded and rebuilt from scratch.
+/// different instance (detected by comparing router radii and client
+/// positions), the stored topology is discarded and rebuilt from scratch.
 ///
 /// # Examples
 ///
@@ -123,14 +122,6 @@ impl EvalWorkspace {
         self.topo.as_ref().map(WmnTopology::engine_stats)
     }
 
-    /// The stored topology's per-phase batch-repair buckets (edge repair
-    /// / component repair / coverage — see
-    /// [`ApplyPhases`](wmn_graph::ApplyPhases)), if a topology exists.
-    /// Same lifecycle as [`engine_stats`](Self::engine_stats).
-    pub fn apply_phases(&self) -> Option<wmn_graph::ApplyPhases> {
-        self.topo.as_ref().map(WmnTopology::apply_phases)
-    }
-
     /// Zeroes the stored topology's work counters, starting a fresh
     /// measurement window (e.g. per GA generation instead of lifetime
     /// totals). A no-op when no topology has been built yet.
@@ -141,7 +132,7 @@ impl EvalWorkspace {
     }
 }
 
-/// Evaluates placements against one instance under a fixed configuration.
+/// Evaluates placements against one instance.
 ///
 /// # Examples
 ///
@@ -160,33 +151,19 @@ impl EvalWorkspace {
 #[derive(Debug, Clone)]
 pub struct Evaluator<'a> {
     instance: &'a ProblemInstance,
-    topology_config: TopologyConfig,
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates an evaluator with an explicit topology configuration.
-    pub fn new(instance: &'a ProblemInstance, topology_config: TopologyConfig) -> Self {
-        Evaluator {
-            instance,
-            topology_config,
-        }
-    }
-
-    /// Creates an evaluator with the calibrated reproduction configuration
-    /// (mutual-range links and giant-only coverage — see
-    /// [`TopologyConfig::paper_default`] for the calibration rationale).
+    /// Creates an evaluator of `instance` on the paper's network model:
+    /// mutual-range links (see `wmn_graph::adjacency::links` for the
+    /// calibration rationale) and giant-component coverage.
     pub fn paper_default(instance: &'a ProblemInstance) -> Self {
-        Evaluator::new(instance, TopologyConfig::paper_default())
+        Evaluator { instance }
     }
 
     /// The bound instance.
     pub fn instance(&self) -> &'a ProblemInstance {
         self.instance
-    }
-
-    /// The topology configuration.
-    pub fn topology_config(&self) -> TopologyConfig {
-        self.topology_config
     }
 
     /// Builds the topology for `placement` (for callers that need the full
@@ -196,7 +173,7 @@ impl<'a> Evaluator<'a> {
     ///
     /// Propagates placement validation.
     pub fn topology(&self, placement: &Placement) -> Result<WmnTopology, ModelError> {
-        WmnTopology::build(self.instance, placement, self.topology_config)
+        WmnTopology::build(self.instance, placement)
     }
 
     /// Evaluates a placement.
@@ -232,19 +209,18 @@ impl<'a> Evaluator<'a> {
             topo.reset_placement(placement);
             return Ok(self.evaluate_topology(topo));
         }
-        let topo = WmnTopology::build(self.instance, placement, self.topology_config)?;
+        let topo = WmnTopology::build(self.instance, placement)?;
         let evaluation = self.evaluate_topology(&topo);
         workspace.topo = Some(topo);
         Ok(evaluation)
     }
 
     /// Whether a stored workspace topology is still valid for this
-    /// evaluator: same config, same router radii, same client positions.
+    /// evaluator: same router radii, same client positions.
     /// O(routers + clients) float compares — negligible next to an
     /// evaluation, and it makes cross-instance workspace reuse safe.
     fn workspace_matches(&self, topo: &WmnTopology) -> bool {
-        topo.config() == self.topology_config
-            && topo.router_count() == self.instance.router_count()
+        topo.router_count() == self.instance.router_count()
             && topo.client_count() == self.instance.client_count()
             && self
                 .instance
@@ -272,9 +248,13 @@ impl<'a> Evaluator<'a> {
     /// mode; only the repair cost differs — proportional to the diff, not
     /// the instance.
     ///
-    /// This is the evaluation entry point for delta-backed individuals:
-    /// the topology-backed GA copies a parent's topology state into a
-    /// leased one and calls this with the child's placement.
+    /// An optional coverage **donor** — another live topology of the same
+    /// instance — lends its disk caches for moved routers landing on its
+    /// exact positions. The topology-backed GA copies a parent's topology
+    /// state into a leased one, calls this with the child's placement, and
+    /// passes the non-lineage parent as the donor, so a crossover child's
+    /// recombined disks are grafted instead of re-queried. Results are
+    /// identical with or without a donor.
     ///
     /// # Errors
     ///
@@ -285,30 +265,6 @@ impl<'a> Evaluator<'a> {
     /// Panics if `topo` does not have this instance's router count (a
     /// validated `target` and a topology of the same instance never
     /// mismatch).
-    pub fn evaluate_moves_to(
-        &self,
-        topo: &mut WmnTopology,
-        target: &Placement,
-        moves: &mut Vec<(wmn_model::RouterId, wmn_model::geometry::Point)>,
-    ) -> Result<Evaluation, ModelError> {
-        self.evaluate_moves_to_from(topo, target, moves, None)
-    }
-
-    /// [`evaluate_moves_to`](Evaluator::evaluate_moves_to) with an optional
-    /// coverage **donor**: another live topology of the same instance whose
-    /// disk caches are copied for moved routers landing on its exact
-    /// positions (`WmnTopology::apply_moves_from`). The topology-backed GA
-    /// passes the non-lineage parent here, so a crossover child's
-    /// recombined disks are grafted instead of re-queried. Results are
-    /// identical with or without a donor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement validation. The topology is untouched on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topo` does not have this instance's router count.
     pub fn evaluate_moves_to_from(
         &self,
         topo: &mut WmnTopology,
@@ -318,7 +274,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Evaluation, ModelError> {
         self.instance.validate_placement(target)?;
         topo.diff_placement_into(target, moves);
-        topo.apply_moves_from(moves, donor);
+        topo.apply_moves(moves, donor);
         Ok(self.evaluate_topology(topo))
     }
 
@@ -449,14 +405,14 @@ mod tests {
         for round in 0..5 {
             let target = instance.random_placement(&mut rng);
             let delta = ev
-                .evaluate_moves_to(&mut topo, &target, &mut moves)
+                .evaluate_moves_to_from(&mut topo, &target, &mut moves, None)
                 .unwrap();
             assert_eq!(delta, ev.evaluate(&target).unwrap(), "round {round}");
         }
         // Invalid target leaves the topology untouched.
         let held = topo.placement();
         assert!(ev
-            .evaluate_moves_to(&mut topo, &Placement::new(), &mut moves)
+            .evaluate_moves_to_from(&mut topo, &Placement::new(), &mut moves, None)
             .is_err());
         assert_eq!(topo.placement(), held);
     }
@@ -476,10 +432,10 @@ mod tests {
         for round in 0..4 {
             let target = instance.random_placement(&mut rng);
             let a = ev
-                .evaluate_moves_to(&mut dynamic, &target, &mut moves)
+                .evaluate_moves_to_from(&mut dynamic, &target, &mut moves, None)
                 .unwrap();
             let b = ev
-                .evaluate_moves_to(&mut full, &target, &mut moves)
+                .evaluate_moves_to_from(&mut full, &target, &mut moves, None)
                 .unwrap();
             assert_eq!(a, b, "round {round}");
             assert_eq!(a, ev.evaluate(&target).unwrap(), "round {round} vs fresh");

@@ -6,8 +6,6 @@
 //!
 //! * [`measurement`] — [`NetworkMeasurement`], the raw summary of an
 //!   evaluated network.
-//! * [`objective`] — the two paper objectives as [`Objective`]
-//!   implementations.
 //! * [`fitness`] — the lexicographic fitness (connectivity first,
 //!   coverage breaks ties).
 //! * [`evaluator`] — [`Evaluator`], the single evaluation entry point used
@@ -35,10 +33,8 @@
 pub mod evaluator;
 pub mod fitness;
 pub mod measurement;
-pub mod objective;
 pub mod stats;
 
 pub use evaluator::{EvalWorkspace, Evaluation, Evaluator};
 pub use measurement::NetworkMeasurement;
-pub use objective::{GiantComponentSize, Objective, UserCoverage};
 pub use stats::{ProgressPoint, RunningStats, Trace};

@@ -4,26 +4,26 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use wmn_graph::topology::WmnTopology;
 
-/// Everything the objectives need to know about one evaluated network.
+/// Everything the fitness needs to know about one evaluated network.
 ///
 /// A measurement is a cheap, copyable summary taken from a
-/// [`WmnTopology`]; it decouples objective arithmetic from the topology
+/// [`WmnTopology`]; it decouples fitness arithmetic from the topology
 /// lifetime.
 ///
 /// # Examples
 ///
 /// ```
-/// use wmn_graph::topology::{TopologyConfig, WmnTopology};
+/// use wmn_graph::topology::WmnTopology;
 /// use wmn_metrics::measurement::NetworkMeasurement;
 /// use wmn_model::prelude::*;
 ///
 /// let instance = InstanceSpec::paper_normal()?.generate(1)?;
 /// let mut rng = rng_from_seed(2);
 /// let placement = instance.random_placement(&mut rng);
-/// let topo = WmnTopology::build(&instance, &placement, TopologyConfig::paper_default())?;
+/// let topo = WmnTopology::build(&instance, &placement)?;
 /// let m = NetworkMeasurement::from_topology(&topo);
 /// assert_eq!(m.router_count, 64);
-/// assert!(m.giant_ratio() <= 1.0);
+/// assert!(m.giant_size <= m.router_count);
 /// # Ok::<(), wmn_model::ModelError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -52,26 +52,6 @@ impl NetworkMeasurement {
             client_count: topo.client_count(),
             component_count: topo.components().count(),
             link_count: topo.adjacency().edge_count(),
-        }
-    }
-
-    /// Giant component size normalized to `[0, 1]` (0 when the instance has
-    /// no routers).
-    pub fn giant_ratio(&self) -> f64 {
-        if self.router_count == 0 {
-            0.0
-        } else {
-            self.giant_size as f64 / self.router_count as f64
-        }
-    }
-
-    /// Covered clients normalized to `[0, 1]` (0 when the instance has no
-    /// clients).
-    pub fn coverage_ratio(&self) -> f64 {
-        if self.client_count == 0 {
-            0.0
-        } else {
-            self.covered_clients as f64 / self.client_count as f64
         }
     }
 
@@ -112,23 +92,9 @@ mod tests {
     }
 
     #[test]
-    fn ratios() {
-        let m = sample();
-        assert_eq!(m.giant_ratio(), 0.5);
-        assert_eq!(m.coverage_ratio(), 0.5);
-        assert!(!m.fully_connected());
-    }
-
-    #[test]
-    fn degenerate_ratios_are_zero() {
-        let m = NetworkMeasurement::default();
-        assert_eq!(m.giant_ratio(), 0.0);
-        assert_eq!(m.coverage_ratio(), 0.0);
-    }
-
-    #[test]
     fn fully_connected_detection() {
         let mut m = sample();
+        assert!(!m.fully_connected());
         m.giant_size = 64;
         assert!(m.fully_connected());
     }

@@ -34,10 +34,14 @@
 //! byte-identical across runs and thread counts for a fixed seed, can be
 //! committed as an artifact, and can gate CI. Emission sites telescope
 //! deltas: an engine-work total that used to be emitted in one call is
-//! emitted as per-phase slices that sum to the same flat counts (see
-//! [`ApplyPhases`]), which is what keeps committed counter baselines
-//! valid across instrumentation changes. `wmn-report flame` renders the tree as a
-//! text flamegraph with percentages.
+//! emitted as per-phase slices that sum to the same flat counts, which is
+//! what keeps committed counter baselines valid across instrumentation
+//! changes. The GA's child evaluations are attributed **by counter
+//! name** ([`repair_section`]): every engine counter but the state copies
+//! comes from the topology's one repair routine, so its name fixes the
+//! repair section it lands in, and only state copies stay on `evaluate`
+//! itself. `wmn-report flame` renders the tree as a text flamegraph with
+//! percentages.
 //!
 //! The crate is dependency-free and sits below `wmn-graph`, so every
 //! layer of the engine can report through it.
@@ -66,6 +70,6 @@ pub use recorder::{
     TelemetryRecorder,
 };
 pub use stats::{
-    ApplyPhases, ConnectivityStats, EngineStats, FaultStats, RetryStats, RobustnessStats,
+    repair_section, ConnectivityStats, EngineStats, FaultStats, RetryStats, RobustnessStats,
     TopologyStats,
 };

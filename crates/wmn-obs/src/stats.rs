@@ -13,6 +13,8 @@
 //! that) but construct them only through `Default`, so new counters can
 //! be added without breaking anyone.
 
+use crate::recorder::{phase, Recorder};
+
 /// Cumulative counters of the dynamic-connectivity repair engine
 /// (`wmn-graph`'s `DynamicConnectivity`): how many edge diffs it applied
 /// and how much of the graph it scanned to apply them.
@@ -348,7 +350,7 @@ impl EngineStats {
 
     /// Visits every counter as a dot-qualified `(name, value)` pair
     /// (`topology.*`, then `connectivity.*`) in a fixed order — the shape
-    /// the [`Recorder`](crate::Recorder) layer and telemetry JSON use.
+    /// the [`Recorder`] layer and telemetry JSON use.
     pub fn for_each(&self, mut f: impl FnMut(&'static str, u64)) {
         self.topology.for_each(|name, v| {
             f(qualified_topology_name(name), v);
@@ -360,7 +362,7 @@ impl EngineStats {
 
     /// Emits every counter into `recorder` under `topology.*` /
     /// `connectivity.*` names, skipping zeros (deltas are sparse).
-    pub fn record_counters(&self, recorder: &mut dyn crate::Recorder) {
+    pub fn record_counters(&self, recorder: &mut dyn Recorder) {
         self.for_each(|name, v| {
             if v != 0 {
                 recorder.counter(name, v);
@@ -369,85 +371,54 @@ impl EngineStats {
     }
 }
 
-/// Per-phase work buckets of `WmnTopology::apply_moves` — the batch
-/// repair pipeline split along its three sections (plus the
-/// `FullRebuild`-mode escape hatch). Buckets are always-on scratch
-/// state like the flat counters they partition: each bucket is the
-/// [`EngineStats`] delta accumulated while its section ran, so the four
-/// buckets sum to exactly the engine work done inside batch repairs.
-/// Work done outside `apply_moves` (single-router moves, `clone_from`
-/// copies, full `reset_placement` rebuilds) lands in no bucket and is
-/// the caller's to attribute.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ApplyPhases {
-    /// Per-router grid-local link recomputation and edge diffing.
-    pub edge_repair: EngineStats,
-    /// Incremental component repair (the connectivity engine's relabel of
-    /// the components the edge diff touched).
-    pub component_repair: EngineStats,
-    /// Coverage maintenance: disk-cache refills and the per-disk delta
-    /// vs. full-recompute coverage repair.
-    pub coverage: EngineStats,
-    /// Whole-topology rebuilds taken instead of the incremental pipeline
-    /// (`FullRebuild` connectivity mode). Zero on the default pipeline.
-    pub full_rebuild: EngineStats,
+/// The phase scope a GA generation's [`EngineStats`] counter is
+/// attributed to inside `ga > evaluate`, fixed by the counter's name:
+/// `None` for the state copies (`topology.clone_from_reuses`), which stay
+/// on `evaluate` itself, otherwise the section of the one repair routine
+/// (`WmnTopology`'s shared repair behind `apply_moves`) under
+/// `apply_moves`:
+///
+/// * `edge_repair` — the write bookkeeping (`topology.batch_*`, and the
+///   `single_moves`/`swaps` counters of the search-side entry points);
+/// * `component_repair` — every `connectivity.*` counter;
+/// * `coverage` — the coverage strategy and disk-cache counters, and the
+///   no-op early-outs (`topology.link_noop_repairs`), whose only work is
+///   re-counting the moved disks;
+/// * `full_rebuild` — `topology.full_rebuilds`, and under the full-rebuild
+///   reference (`reference`) every repair counter, since the reference
+///   rebuilds instead of repairing.
+pub fn repair_section(name: &str, reference: bool) -> Option<&'static str> {
+    match name {
+        "topology.clone_from_reuses" => None,
+        _ if reference => Some("full_rebuild"),
+        "topology.full_rebuilds" => Some("full_rebuild"),
+        "topology.single_moves"
+        | "topology.swaps"
+        | "topology.batch_repairs"
+        | "topology.batch_moved_routers" => Some("edge_repair"),
+        _ if name.starts_with("connectivity.") => Some("component_repair"),
+        _ => Some("coverage"),
+    }
 }
 
-impl ApplyPhases {
-    /// Resets every bucket to zero.
-    pub fn reset(&mut self) {
-        *self = ApplyPhases::default();
-    }
-
-    /// Adds `other`'s buckets into `self` (order-independent).
-    pub fn merge(&mut self, other: &ApplyPhases) {
-        self.edge_repair.merge(&other.edge_repair);
-        self.component_repair.merge(&other.component_repair);
-        self.coverage.merge(&other.coverage);
-        self.full_rebuild.merge(&other.full_rebuild);
-    }
-
-    /// The buckets accumulated since `earlier` was captured (saturating).
-    #[must_use]
-    pub fn delta_since(&self, earlier: &ApplyPhases) -> ApplyPhases {
-        ApplyPhases {
-            edge_repair: self.edge_repair.delta_since(&earlier.edge_repair),
-            component_repair: self.component_repair.delta_since(&earlier.component_repair),
-            coverage: self.coverage.delta_since(&earlier.coverage),
-            full_rebuild: self.full_rebuild.delta_since(&earlier.full_rebuild),
-        }
-    }
-
-    /// The sum of all buckets: the engine work that happened *inside*
-    /// batch repairs. Subtract from an overall [`EngineStats`] delta to
-    /// get the unattributed residual.
-    #[must_use]
-    pub fn attributed(&self) -> EngineStats {
-        let mut sum = self.edge_repair;
-        sum.merge(&self.component_repair);
-        sum.merge(&self.coverage);
-        sum.merge(&self.full_rebuild);
-        sum
-    }
-
-    /// Visits every bucket as a `(phase-name, bucket)` pair in pipeline
-    /// order. Names are single phase segments (no dots).
-    pub fn for_each_bucket(&self, mut f: impl FnMut(&'static str, &EngineStats)) {
-        f("edge_repair", &self.edge_repair);
-        f("component_repair", &self.component_repair);
-        f("coverage", &self.coverage);
-        f("full_rebuild", &self.full_rebuild);
-    }
-
-    /// Emits every non-zero bucket into `recorder`, each under a child
-    /// phase named after its pipeline section. Flat counter totals equal
-    /// one `attributed().record_counters(..)` call — only attribution
-    /// differs.
-    pub fn record_counters(&self, recorder: &mut dyn crate::Recorder) {
-        self.for_each_bucket(|name, bucket| {
-            if *bucket != EngineStats::default() {
-                bucket.record_counters(&mut crate::recorder::phase(&mut *recorder, name));
+impl EngineStats {
+    /// Emits a GA generation's engine work into `evaluate` (a recorder
+    /// with the `ga > evaluate` phase open), each non-zero counter under
+    /// the scope [`repair_section`] names: state copies on `evaluate`
+    /// itself, everything else under `apply_moves > {section}`. Flat
+    /// totals equal one [`record_counters`](EngineStats::record_counters)
+    /// call; only the attribution differs.
+    pub fn record_evaluate_counters(&self, evaluate: &mut dyn Recorder, reference: bool) {
+        self.for_each(|name, v| {
+            if v == 0 {
+                return;
+            }
+            match repair_section(name, reference) {
+                None => evaluate.counter(name, v),
+                Some(section) => {
+                    let mut apply = phase(&mut *evaluate, "apply_moves");
+                    phase(&mut apply, section).counter(name, v);
+                }
             }
         });
     }
@@ -618,6 +589,76 @@ mod tests {
         assert_eq!(a.fault.caught_panics, 3);
         assert_eq!(a.retry.retries, 3);
         assert_eq!(a.retry.recovered_jobs, 5);
+    }
+
+    /// An engine profile with every counter set, each to its own value.
+    fn every_counter() -> EngineStats {
+        EngineStats::new(
+            TopologyStats {
+                single_moves: 1,
+                swaps: 2,
+                batch_repairs: 3,
+                batch_moved_routers: 4,
+                link_noop_repairs: 5,
+                coverage_delta_repairs: 6,
+                coverage_full_recomputes: 7,
+                disk_grid_queries: 8,
+                disk_cache_hits: 9,
+                disk_cache_grafts: 10,
+                full_rebuilds: 11,
+                clone_from_reuses: 12,
+            },
+            ConnectivityStats {
+                repairs: 13,
+                insertions: 14,
+                deletions: 15,
+                bfs_edge_visits: 16,
+            },
+        )
+    }
+
+    #[test]
+    fn evaluate_attribution_puts_every_counter_in_one_scope() {
+        let e = every_counter();
+        let mut flat = crate::TelemetryRecorder::new();
+        e.record_counters(&mut flat);
+        for reference in [false, true] {
+            let mut rec = crate::TelemetryRecorder::new();
+            e.record_evaluate_counters(&mut phase(&mut rec, "evaluate"), reference);
+            assert_eq!(rec.counters(), flat.counters(), "flat totals are unchanged");
+            let mut attributed = Vec::new();
+            rec.attribution()
+                .for_each_flat(&mut |key, v| attributed.push((key.to_owned(), v)));
+            assert_eq!(attributed.len(), 16, "every counter lands exactly once");
+            e.for_each(|name, v| {
+                let scope = match repair_section(name, reference) {
+                    None => "phase.evaluate".to_owned(),
+                    Some(section) => format!("phase.evaluate.apply_moves.{section}"),
+                };
+                assert!(
+                    attributed.contains(&(format!("{scope}.{name}"), v)),
+                    "{name} belongs in {scope}"
+                );
+            });
+        }
+        let section = |name| repair_section(name, false);
+        assert_eq!(section("topology.clone_from_reuses"), None);
+        assert_eq!(section("topology.batch_repairs"), Some("edge_repair"));
+        assert_eq!(section("topology.batch_moved_routers"), Some("edge_repair"));
+        assert_eq!(
+            section("connectivity.bfs_edge_visits"),
+            Some("component_repair")
+        );
+        assert_eq!(section("topology.disk_cache_grafts"), Some("coverage"));
+        assert_eq!(
+            section("topology.coverage_full_recomputes"),
+            Some("coverage")
+        );
+        assert_eq!(
+            repair_section("topology.coverage_full_recomputes", true),
+            Some("full_rebuild")
+        );
+        assert_eq!(repair_section("topology.clone_from_reuses", true), None);
     }
 
     #[test]

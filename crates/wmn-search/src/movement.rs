@@ -201,13 +201,13 @@ impl Default for SwapConfig {
 ///
 /// ```
 /// use wmn_search::movement::{Movement, SwapMovement};
-/// use wmn_graph::topology::{TopologyConfig, WmnTopology};
+/// use wmn_graph::topology::WmnTopology;
 /// use wmn_model::prelude::*;
 ///
 /// let instance = InstanceSpec::paper_normal()?.generate(1)?;
 /// let mut rng = rng_from_seed(2);
 /// let placement = instance.random_placement(&mut rng);
-/// let topo = WmnTopology::build(&instance, &placement, TopologyConfig::paper_default())?;
+/// let topo = WmnTopology::build(&instance, &placement)?;
 ///
 /// let movement = SwapMovement::new(&instance, Default::default());
 /// let action = movement.propose(&topo, &mut rng);
@@ -475,7 +475,6 @@ fn pick<'a, T>(pool: &'a [T], rng: &mut dyn RngCore) -> Option<&'a T> {
 mod tests {
     use super::*;
     use wmn_graph::density::CellWindow;
-    use wmn_graph::topology::TopologyConfig;
     use wmn_metrics::evaluator::Evaluator;
     use wmn_model::distribution::ClientDistribution;
     use wmn_model::geometry::Rect;
@@ -490,8 +489,7 @@ mod tests {
             .unwrap();
         let mut rng = rng_from_seed(seed ^ 0xF00D);
         let placement = instance.random_placement(&mut rng);
-        let topo =
-            WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap();
+        let topo = WmnTopology::build(&instance, &placement).unwrap();
         (instance, topo)
     }
 
@@ -916,8 +914,7 @@ mod tests {
             Point::new(12.0, 4.0),
             Point::new(104.0, 104.0),
         ]);
-        let topo =
-            WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap();
+        let topo = WmnTopology::build(&instance, &placement).unwrap();
         let movement = SwapMovement::new(&instance, SwapConfig::default());
         let mut rng = rng_from_seed(1);
         let mut saw_target_swap = false;
@@ -949,8 +946,7 @@ mod tests {
             .build()
             .unwrap();
         let placement = Placement::from_points(vec![Point::new(100.0, 100.0)]);
-        let topo =
-            WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap();
+        let topo = WmnTopology::build(&instance, &placement).unwrap();
         let movement = SwapMovement::new(&instance, SwapConfig::default());
         let mut rng = rng_from_seed(1);
         let mut landed_in_cluster_window = false;
@@ -985,8 +981,7 @@ mod tests {
             .unwrap();
         let placement =
             Placement::from_points(vec![Point::new(8.0, 8.0), Point::new(100.0, 100.0)]);
-        let topo =
-            WmnTopology::build(&instance, &placement, TopologyConfig::paper_default()).unwrap();
+        let topo = WmnTopology::build(&instance, &placement).unwrap();
         let movement = SwapMovement::new(&instance, SwapConfig::default());
         let mut rng = rng_from_seed(2);
         let mut anchored = 0;

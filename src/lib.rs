@@ -77,9 +77,7 @@ pub use wmn_runtime::Runtime;
 /// One-stop import for applications: the preludes of every crate.
 pub mod prelude {
     pub use wmn_ga::prelude::*;
-    pub use wmn_graph::{
-        ConnectivityMode, CoverageRule, DynamicConnectivity, LinkModel, TopologyConfig, WmnTopology,
-    };
+    pub use wmn_graph::{ConnectivityMode, DynamicConnectivity, WmnTopology};
     pub use wmn_metrics::{EvalWorkspace, Evaluation, Evaluator, NetworkMeasurement};
     pub use wmn_model::prelude::*;
     pub use wmn_placement::prelude::*;

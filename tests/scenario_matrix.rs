@@ -62,54 +62,3 @@ fn matrix_results_are_deterministic() {
         }
     }
 }
-
-#[test]
-fn coverage_rules_nest_and_link_models_order() {
-    // Structural sanity over the matrix: any-router coverage dominates
-    // giant-only coverage, and coverage-overlap produces at least as many
-    // links as mutual-range (min(a,b) <= a+b).
-    for (name, spec) in scenarios() {
-        let instance = spec.generate(7).expect("generates");
-        let placement = instance.random_placement(&mut rng_from_seed(8));
-        let giant_only = WmnTopology::build(
-            &instance,
-            &placement,
-            TopologyConfig {
-                link_model: LinkModel::MutualRange,
-                coverage_rule: CoverageRule::GiantComponentOnly,
-            },
-        )
-        .expect("builds");
-        let any_router = WmnTopology::build(
-            &instance,
-            &placement,
-            TopologyConfig {
-                link_model: LinkModel::MutualRange,
-                coverage_rule: CoverageRule::AnyRouter,
-            },
-        )
-        .expect("builds");
-        assert!(
-            any_router.covered_count() >= giant_only.covered_count(),
-            "{name}: any-router coverage must dominate"
-        );
-
-        let overlap = WmnTopology::build(
-            &instance,
-            &placement,
-            TopologyConfig {
-                link_model: LinkModel::CoverageOverlap,
-                coverage_rule: CoverageRule::GiantComponentOnly,
-            },
-        )
-        .expect("builds");
-        assert!(
-            overlap.adjacency().edge_count() >= giant_only.adjacency().edge_count(),
-            "{name}: overlap links must be a superset of mutual-range links"
-        );
-        assert!(
-            overlap.giant_size() >= giant_only.giant_size(),
-            "{name}: more links cannot shrink the giant component"
-        );
-    }
-}
