@@ -520,10 +520,6 @@ pub fn summarize(doc: &Doc) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Renders `doc`'s counters as a `wmn-counters-baseline/v1` document,
 /// byte-compatible with the `jq` output the old refresh path produced
 /// (2-space pretty print, trailing newline).
@@ -531,12 +527,12 @@ pub fn render_baseline(doc: &Doc, workload: &str) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"{BASELINE_SCHEMA}\",");
-    let _ = writeln!(out, "  \"workload\": \"{}\",", json_escape(workload));
+    let _ = writeln!(out, "  \"workload\": \"{}\",", json::escape(workload));
     let _ = writeln!(out, "  \"refresh\": \"{BASELINE_REFRESH}\",");
     let _ = writeln!(
         out,
         "  \"connectivity\": \"{}\",",
-        json_escape(doc.connectivity.as_deref().unwrap_or("dynamic"))
+        json::escape(doc.connectivity.as_deref().unwrap_or("dynamic"))
     );
     if doc.counters.is_empty() {
         out.push_str("  \"counters\": {}\n");
@@ -545,7 +541,7 @@ pub fn render_baseline(doc: &Doc, workload: &str) -> String {
         let last = doc.counters.len() - 1;
         for (i, (key, value)) in doc.counters.iter().enumerate() {
             let comma = if i == last { "" } else { "," };
-            let _ = writeln!(out, "    \"{}\": {value}{comma}", json_escape(key));
+            let _ = writeln!(out, "    \"{}\": {value}{comma}", json::escape(key));
         }
         out.push_str("  }\n");
     }
@@ -789,6 +785,23 @@ mod tests {
         assert_eq!(baseline.counters, doc.counters);
         assert_eq!(baseline.connectivity.as_deref(), Some("dynamic"));
         assert!(baseline.attribution.is_empty());
+    }
+
+    #[test]
+    fn baseline_with_control_characters_round_trips() {
+        let workload = "a\tb\nc";
+        let rendered = render_baseline(&sample_doc(), workload);
+        assert!(
+            rendered.contains("\"workload\": \"a\\tb\\nc\","),
+            "{rendered}"
+        );
+        let value = json::parse(&rendered).unwrap();
+        assert_eq!(
+            value.get("workload").and_then(JsonValue::as_str),
+            Some(workload)
+        );
+        let baseline = parse_doc(Path::new("b.json"), &rendered).unwrap();
+        assert_eq!(baseline.counters, sample_doc().counters);
     }
 
     #[test]

@@ -29,119 +29,18 @@
 //!
 //! Every run maintains `checkpoint.jsonl` in the output directory: one
 //! line per completed cell (table1–3, fig1–4), written after that cell's
-//! artifacts land on disk. `--resume <dir>` reloads it (validating that
+//! artifacts land on disk. Every binary runs through the same artifact
+//! driver, so the single `table1`…`fig4` binaries can fill one directory
+//! cell by cell and `run_all --resume` finishes it. `--resume <dir>` reloads it (validating that
 //! the configuration fingerprint matches) and skips completed cells, so
 //! an interrupted long run finishes the remaining work and produces a
 //! byte-identical output directory. Thread counts are excluded from the
 //! fingerprint — a run may be resumed with a different `--threads`.
 
 use std::process::ExitCode;
-use std::time::Instant;
-use wmn_experiments::checkpoint::{CellDone, Checkpoint};
-use wmn_experiments::cli::{self, CliOptions};
-use wmn_experiments::error::ExperimentError;
-use wmn_experiments::figures::{run_ga_figure_recorded, run_ns_figure_recorded};
-use wmn_experiments::report::{write_ga_figure, write_ns_figure, write_summary, write_table};
-use wmn_experiments::scenario::Scenario;
-use wmn_experiments::tables::{run_table_recorded, TableResult};
-use wmn_experiments::telemetry;
+use wmn_experiments::artifact::{self, PAPER};
+use wmn_experiments::cli;
 
 fn main() -> ExitCode {
-    cli::run(run)
-}
-
-fn run(opts: &CliOptions) -> Result<(), ExperimentError> {
-    let t0 = Instant::now();
-    let mut recorder = telemetry::recorder_if_requested(opts);
-    println!(
-        "experiment runtime: {} worker thread(s)",
-        opts.config.runtime().threads()
-    );
-
-    let mut checkpoint = Checkpoint::open(opts)?;
-    let mut tables: Vec<TableResult> = Vec::with_capacity(3);
-    for scenario in Scenario::paper_tables() {
-        let n = scenario.table_number().expect("paper scenario");
-        let table_cell = format!("table{n}");
-        let table = match checkpoint.table(&table_cell) {
-            Some(done) => {
-                println!("{table_cell} ({scenario}): complete in checkpoint, skipped");
-                done.clone()
-            }
-            None => {
-                let started = Instant::now();
-                let table = run_table_recorded(scenario, &opts.config, recorder.as_mut())?;
-                telemetry::finish_span(&mut recorder, "run_all.table", started);
-                write_table(&opts.out_dir, &table)?;
-                checkpoint.record(CellDone {
-                    cell: table_cell.clone(),
-                    files: vec![format!("table{n}.md"), format!("table{n}.csv")],
-                    table: Some(table.clone()),
-                })?;
-                println!(
-                    "{table_cell} ({scenario}): done in {:.1?}; best GA method = {}",
-                    started.elapsed(),
-                    table.best_ga_method().map(|m| m.name()).unwrap_or("n/a")
-                );
-                table
-            }
-        };
-        tables.push(table);
-
-        let fig_cell = format!("fig{n}");
-        if checkpoint.contains(&fig_cell) {
-            println!("{fig_cell} ({scenario}): complete in checkpoint, skipped");
-        } else {
-            let started = Instant::now();
-            let fig = run_ga_figure_recorded(scenario, &opts.config, recorder.as_mut())?;
-            telemetry::finish_span(&mut recorder, "run_all.ga_figure", started);
-            write_ga_figure(&opts.out_dir, &fig)?;
-            checkpoint.record(CellDone {
-                cell: fig_cell.clone(),
-                files: vec![
-                    format!("fig{n}.csv"),
-                    format!("fig{n}.jsonl"),
-                    format!("fig{n}.txt"),
-                ],
-                table: None,
-            })?;
-            println!(
-                "{fig_cell} ({scenario}): done in {:.1?}; best final curve = {}",
-                started.elapsed(),
-                fig.best_final_method().unwrap_or("n/a")
-            );
-        }
-    }
-
-    if checkpoint.contains("fig4") {
-        println!("fig4: complete in checkpoint, skipped");
-    } else {
-        let started = Instant::now();
-        let ns = run_ns_figure_recorded(&opts.config, recorder.as_mut())?;
-        telemetry::finish_span(&mut recorder, "run_all.ns_figure", started);
-        write_ns_figure(&opts.out_dir, &ns)?;
-        checkpoint.record(CellDone {
-            cell: "fig4".to_owned(),
-            files: vec![
-                "fig4.csv".to_owned(),
-                "fig4.jsonl".to_owned(),
-                "fig4.txt".to_owned(),
-            ],
-            table: None,
-        })?;
-        println!(
-            "fig4: done in {:.1?}; swap = {}, random = {}",
-            started.elapsed(),
-            ns.swap.last_y().unwrap_or(0.0),
-            ns.random.last_y().unwrap_or(0.0)
-        );
-    }
-
-    write_summary(&opts.out_dir, &tables)?;
-    println!(
-        "all artifacts written to {}/ in {:.1?}",
-        opts.out_dir.display(),
-        t0.elapsed()
-    );
-    telemetry::maybe_write(opts, "run_all", &recorder)
+    cli::run(|opts| artifact::run("run_all", &PAPER, opts))
 }

@@ -1,9 +1,9 @@
 //! Checkpoint/resume for long experiment runs (`--resume <dir>`).
 //!
-//! Every experiment binary appends one line to `<out>/checkpoint.jsonl`
-//! after each completed cell (a table or figure), rewriting the whole file
-//! atomically (write `*.tmp`, fsync, rename — see
-//! [`crate::error::AtomicFile`]) so an interrupted run can never leave a
+//! The artifact driver ([`crate::artifact::run`]) appends one line to
+//! `<out>/checkpoint.jsonl` after each completed cell (a table or figure),
+//! rewriting the whole file atomically (write `*.tmp`, fsync, rename — see
+//! [`crate::error::write_file`]) so an interrupted run can never leave a
 //! torn checkpoint. A later `--resume <dir>` run loads the file, skips
 //! every recorded cell, and re-runs only the rest; because all cell
 //! outputs are pure functions of `(config, seed)` and artifact writes are
@@ -23,7 +23,8 @@
 //!   rather than silently mixing incompatible artifacts; resuming with a
 //!   different thread count is fine, because outputs are thread-invariant.
 //! * `files` — the artifact files the cell wrote, relative to the
-//!   directory (informational; each was written atomically).
+//!   directory, in write order (informational; each was written
+//!   atomically).
 //! * `table` — table cells carry their [`TableResult`] payload so a
 //!   resumed `run_all` can rebuild `summary.csv` without re-running the
 //!   skipped tables. Figure cells omit it.
@@ -85,7 +86,7 @@ impl Checkpoint {
         dir.join("checkpoint.jsonl")
     }
 
-    /// The binaries' entry point: [`load`](Self::load) when `--resume`
+    /// The artifact driver's entry point: [`load`](Self::load) when `--resume`
     /// was given, else a fresh [`start`](Self::start). Every run keeps a
     /// checkpoint — a non-resumed run's file is what a later `--resume`
     /// picks up, and its content is deterministic, so output directories
@@ -531,7 +532,7 @@ mod tests {
     fn record_then_load_roundtrips_table_payloads() {
         let dir = tmpdir("roundtrip");
         let config = ExperimentConfig::quick();
-        let table = run_table(Scenario::Normal, &config).unwrap();
+        let table = run_table(Scenario::Normal, &config, None).unwrap();
 
         let mut cp = Checkpoint::start(&dir, &config);
         cp.record(CellDone {

@@ -3,7 +3,9 @@
 //! Flags (all optional; the thread and scale flags each override their
 //! `WMN_*` env var — the other flags have no env counterpart):
 //!
-//! * `--quick` — reduced scale (`ExperimentConfig::quick()`).
+//! * `--quick` — reduced search effort (`ExperimentConfig::quickened`),
+//!   applied before every other flag wherever it appears, so an explicit
+//!   `--ns-budget` wins in either order.
 //! * `--seed <n>` — algorithm run seed (default 42).
 //! * `--instance-seed <n>` — instance generation seed (default 2009).
 //! * `--threads <n>` — experiment-runtime workers (`WMN_THREADS`;
@@ -115,6 +117,8 @@ pub fn parse_from<I: IntoIterator<Item = String>>(
     args: I,
 ) -> Result<CliOptions, String> {
     let mut config = base;
+    let mut quick = false;
+    let mut ns_budget = None;
     let mut out_dir = PathBuf::from("results");
     let mut out_flag = false;
     let mut telemetry = None;
@@ -122,7 +126,7 @@ pub fn parse_from<I: IntoIterator<Item = String>>(
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => config = config.quickened(),
+            "--quick" => quick = true,
             "--seed" => config.run_seed = parse_num("--seed", it.next())?,
             "--instance-seed" => config.instance_seed = parse_num("--instance-seed", it.next())?,
             "--threads" => config.runner_threads = parse_num("--threads", it.next())?,
@@ -146,7 +150,10 @@ pub fn parse_from<I: IntoIterator<Item = String>>(
                     area_multiplier("--scale-area", parse_num("--scale-area", it.next())?)?;
             }
             "--ns-budget" => {
-                config.ns_budget = positive("--ns-budget", parse_num("--ns-budget", it.next())?)?;
+                ns_budget = Some(positive(
+                    "--ns-budget",
+                    parse_num("--ns-budget", it.next())?,
+                )?);
             }
             "--connectivity" => {
                 let v = it.next().ok_or("--connectivity needs a value")?;
@@ -171,6 +178,12 @@ pub fn parse_from<I: IntoIterator<Item = String>>(
             "--help" | "-h" => return Err(USAGE.to_owned()),
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
+    }
+    if quick {
+        config = config.quickened();
+    }
+    if let Some(budget) = ns_budget {
+        config.ns_budget = budget;
     }
     if resume && out_flag {
         return Err("--resume implies the output directory; drop --out".to_owned());
@@ -391,6 +404,18 @@ mod tests {
             ExperimentConfig::quick().generations
         );
         assert_eq!(opts.config.run_seed, 7);
+    }
+
+    #[test]
+    fn quick_never_overrides_an_explicit_ns_budget() {
+        let mut expected = ExperimentConfig::paper().quickened();
+        expected.ns_budget = 3;
+        for args in [
+            ["--ns-budget", "3", "--quick"],
+            ["--quick", "--ns-budget", "3"],
+        ] {
+            assert_eq!(parse_vec(&args).unwrap().config, expected, "{args:?}");
+        }
     }
 
     #[test]

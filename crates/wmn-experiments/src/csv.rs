@@ -1,7 +1,12 @@
-//! Minimal CSV rendering (no external dependency).
+//! Minimal CSV and JSON Lines rendering (no external dependency).
 //!
-//! Experiment outputs are small, simple tables; quoting handles commas,
-//! quotes, and newlines per RFC 4180.
+//! Experiment outputs are small, simple tables of header-plus-rows
+//! records, rendered as CSV ([`render`], quoting commas, quotes and
+//! newlines per RFC 4180) and as JSON Lines ([`render_jsonl`]) from the
+//! same rows.
+
+use crate::json;
+use wmn_metrics::stats::Trace;
 
 /// Escapes one CSV field.
 fn escape(field: &str) -> String {
@@ -27,47 +32,61 @@ where
     out
 }
 
-/// Header row for aligned-series output: the x label, then one column per
-/// series name. The single row-shaping implementation shared by
-/// [`render_series`] and the streaming
-/// [`stream_series`](crate::report::stream_series).
-pub fn series_header(header_x: &str, series: &[wmn_metrics::stats::Trace]) -> Vec<String> {
-    let mut header: Vec<String> = vec![header_x.to_owned()];
+/// Renders rows (first row = header) as JSON Lines: one object per data
+/// row, each header column mapped to its field as a JSON string. The
+/// JSON Lines twin of [`render`] over the same rows.
+pub fn render_jsonl<R, F>(rows: &[R]) -> String
+where
+    R: AsRef<[F]>,
+    F: AsRef<str>,
+{
+    let Some((header, data)) = rows.split_first() else {
+        return String::new();
+    };
+    let mut out = String::new();
+    for row in data {
+        let members: Vec<String> = header
+            .as_ref()
+            .iter()
+            .zip(row.as_ref())
+            .map(|(k, v)| {
+                format!(
+                    "\"{}\":\"{}\"",
+                    json::escape(k.as_ref()),
+                    json::escape(v.as_ref())
+                )
+            })
+            .collect();
+        out.push('{');
+        out.push_str(&members.join(","));
+        out.push_str("}\n");
+    }
+    out
+}
+
+/// Aligned series as rows: the header (the x label, then one column per
+/// series name), then one row per point index with the shared x value
+/// (taken from the first series that has a point there) and each series'
+/// y. Series must share x values; a shorter series renders empty
+/// trailing fields.
+pub fn series_rows(header_x: &str, series: &[Trace]) -> Vec<Vec<String>> {
+    let mut header = vec![header_x.to_owned()];
     header.extend(series.iter().map(|s| s.name().to_owned()));
-    header
-}
-
-/// Number of data rows aligned series produce (the longest series wins;
-/// shorter series render empty trailing fields).
-pub fn series_row_count(series: &[wmn_metrics::stats::Trace]) -> usize {
-    series.iter().map(|s| s.len()).max().unwrap_or(0)
-}
-
-/// The `i`-th aligned data row: the shared x value (taken from the first
-/// series that has a point at `i`), then each series' y (empty when
-/// absent).
-pub fn series_row(series: &[wmn_metrics::stats::Trace], i: usize) -> Vec<String> {
-    let x = series
-        .iter()
-        .find_map(|s| s.points().get(i).map(|&(x, _)| x));
-    let mut row = vec![x.map_or(String::new(), trim_float)];
-    for s in series {
-        row.push(
+    let len = series.iter().map(Trace::len).max().unwrap_or(0);
+    let mut rows = vec![header];
+    rows.extend((0..len).map(|i| {
+        let x = series
+            .iter()
+            .find_map(|s| s.points().get(i).map(|&(x, _)| x));
+        let mut row = vec![x.map_or(String::new(), trim_float)];
+        row.extend(series.iter().map(|s| {
             s.points()
                 .get(i)
-                .map_or(String::new(), |&(_, y)| trim_float(y)),
-        );
-    }
-    row
-}
-
-/// Renders aligned series as CSV: the first column is x, then one column
-/// per series (y values matched by position). Series must share x values;
-/// missing trailing points render as empty fields.
-pub fn render_series(header_x: &str, series: &[wmn_metrics::stats::Trace]) -> String {
-    let mut rows: Vec<Vec<String>> = vec![series_header(header_x, series)];
-    rows.extend((0..series_row_count(series)).map(|i| series_row(series, i)));
-    render(&rows)
+                .map_or(String::new(), |&(_, y)| trim_float(y))
+        }));
+        row
+    }));
+    rows
 }
 
 /// Formats a float without trailing zeros (`5` not `5.000`).
@@ -82,7 +101,6 @@ pub fn trim_float(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wmn_metrics::stats::Trace;
 
     #[test]
     fn renders_simple_rows() {
@@ -104,7 +122,7 @@ mod tests {
         a.push(2.0, 5.0);
         let mut b = Trace::new("random");
         b.push(1.0, 2.0);
-        let out = render_series("phase", &[a, b]);
+        let out = render(&series_rows("phase", &[a, b]));
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], "phase,swap,random");
         assert_eq!(lines[1], "1,3,2");
@@ -120,7 +138,33 @@ mod tests {
 
     #[test]
     fn empty_series_renders_header_only() {
-        let out = render_series("x", &[]);
-        assert_eq!(out, "x\n");
+        let rows = series_rows("x", &[]);
+        assert_eq!(render(&rows), "x\n");
+        assert_eq!(render_jsonl(&rows), "");
+    }
+
+    #[test]
+    fn jsonl_writes_one_object_per_row() {
+        let rows = vec![
+            vec!["method", "giant"],
+            vec!["HotSpot", "55"],
+            vec!["Random", "30"],
+        ];
+        assert_eq!(
+            render_jsonl(&rows),
+            "{\"method\":\"HotSpot\",\"giant\":\"55\"}\n{\"method\":\"Random\",\"giant\":\"30\"}\n"
+        );
+    }
+
+    #[test]
+    fn jsonl_escapes_special_characters() {
+        let rows = vec![vec!["k"], vec!["a\"b\\c\nd\te\u{1}"]];
+        let out = render_jsonl(&rows);
+        assert_eq!(out, "{\"k\":\"a\\\"b\\\\c\\nd\\te\\u0001\"}\n");
+        let parsed = json::parse(out.trim_end()).unwrap();
+        assert_eq!(
+            parsed.get("k").and_then(json::JsonValue::as_str),
+            Some(rows[1][0])
+        );
     }
 }

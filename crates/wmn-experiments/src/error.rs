@@ -128,21 +128,30 @@ impl ExperimentError {
 /// Atomically replaces `path` with `contents`: the bytes are written to a
 /// `*.tmp` sibling, fsynced, and renamed into place, so a crash (or an
 /// injected fault) mid-write can never leave a truncated artifact — the
-/// old file survives intact or the new one appears whole. This is what
-/// makes `--resume` safe: every artifact a checkpoint refers to is either
-/// complete or absent.
+/// old file survives intact or the new one appears whole. If any step
+/// fails, the tmp sibling is removed. This is what makes `--resume` safe:
+/// every artifact a checkpoint refers to is either complete or absent.
 ///
 /// # Errors
 ///
 /// Returns [`ExperimentError::Io`] naming `path`.
 pub fn write_file(path: &Path, contents: &str) -> Result<(), ExperimentError> {
-    let mut file = AtomicFile::create(path)?;
-    file.write_all(contents.as_bytes())
-        .map_err(|e| ExperimentError::write(path, e))?;
-    file.commit()
+    let tmp = tmp_sibling(path);
+    write_then_rename(&tmp, path, contents).map_err(|e| {
+        let _ = std::fs::remove_file(&tmp);
+        ExperimentError::write(path, e)
+    })
 }
 
-/// The `*.tmp` sibling a pending [`AtomicFile`] writes into.
+fn write_then_rename(tmp: &Path, path: &Path, contents: &str) -> io::Result<()> {
+    let mut file = std::fs::File::create(tmp)?;
+    file.write_all(contents.as_bytes())?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(tmp, path)
+}
+
+/// The `*.tmp` sibling [`write_file`] writes into.
 fn tmp_sibling(path: &Path) -> PathBuf {
     let mut name = path
         .file_name()
@@ -150,70 +159,6 @@ fn tmp_sibling(path: &Path) -> PathBuf {
         .unwrap_or_default();
     name.push(".tmp");
     path.with_file_name(name)
-}
-
-/// A file that only appears at its final path once fully written: bytes go
-/// to a `*.tmp` sibling and [`commit`](AtomicFile::commit) fsyncs + renames
-/// it into place. Dropping without committing removes the temporary, so an
-/// abandoned write leaves no debris. Implements [`io::Write`], so streamed
-/// writers (`BufWriter`, `JsonlSink`) can layer on top.
-#[derive(Debug)]
-pub struct AtomicFile {
-    path: PathBuf,
-    tmp_path: PathBuf,
-    file: Option<std::fs::File>,
-}
-
-impl AtomicFile {
-    /// Opens the temporary sibling of `path` for writing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError::Io`] naming `path`.
-    pub fn create(path: &Path) -> Result<Self, ExperimentError> {
-        let tmp_path = tmp_sibling(path);
-        let file = std::fs::File::create(&tmp_path).map_err(|e| ExperimentError::write(path, e))?;
-        Ok(AtomicFile {
-            path: path.to_owned(),
-            tmp_path,
-            file: Some(file),
-        })
-    }
-
-    /// Fsyncs the temporary and renames it to the final path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError::Io`] naming the final path.
-    pub fn commit(mut self) -> Result<(), ExperimentError> {
-        let file = self.file.take().expect("commit consumes the file");
-        file.sync_all()
-            .map_err(|e| ExperimentError::write(&self.path, e))?;
-        drop(file);
-        std::fs::rename(&self.tmp_path, &self.path)
-            .map_err(|e| ExperimentError::write(&self.path, e))
-    }
-}
-
-impl io::Write for AtomicFile {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.file
-            .as_mut()
-            .expect("file open until commit")
-            .write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.file.as_mut().expect("file open until commit").flush()
-    }
-}
-
-impl Drop for AtomicFile {
-    fn drop(&mut self) {
-        if self.file.take().is_some() {
-            let _ = std::fs::remove_file(&self.tmp_path);
-        }
-    }
 }
 
 /// `fs::create_dir_all` with the path attached to any failure.
@@ -266,20 +211,23 @@ mod tests {
     }
 
     #[test]
-    fn abandoned_atomic_file_removes_its_tmp_and_keeps_the_original() {
-        let dir = std::env::temp_dir().join(format!("wmn-atomic-drop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn failed_rename_removes_the_tmp_and_keeps_the_target() {
+        let dir = std::env::temp_dir().join(format!("wmn-atomic-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A non-empty directory at the target path: the tmp is written and
+        // fsynced, then the rename onto the directory fails.
         let path = dir.join("artifact.txt");
-        std::fs::write(&path, "old contents").unwrap();
-        {
-            let mut file = AtomicFile::create(&path).unwrap();
-            file.write_all(b"half-writ").unwrap();
-            // Dropped without commit — simulates a crash mid-write.
-        }
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "old contents");
+        std::fs::create_dir_all(path.join("inside")).unwrap();
+        let err = write_file(&path, "new contents").unwrap_err();
+        assert!(
+            err.to_string()
+                .starts_with(&format!("cannot write {}: ", path.display())),
+            "{err}"
+        );
+        assert!(path.join("inside").is_dir(), "the target must stay intact");
         assert!(
             !tmp_sibling(&path).exists(),
-            "abandoned tmp must be removed"
+            "a failed write must remove its tmp"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,17 +1,39 @@
 //! A minimal hand-rolled JSON parser for reading back the harness's own
-//! artifacts (notably `checkpoint.jsonl`, see [`crate::checkpoint`]).
+//! artifacts (notably `checkpoint.jsonl`, see [`crate::checkpoint`]), and
+//! the one string escaper its writers share ([`escape`]).
 //!
 //! The workspace's JSON *writers* are all hand-rolled `format!` calls (the
 //! vendored `serde` is a no-op shim), so reading our own documents back
 //! needs a real parser. This one covers exactly the JSON this repository
 //! emits: objects, arrays, strings with the standard escapes, numbers,
-//! booleans, and null. It is strict about structure (trailing garbage is
-//! an error) and preserves object key order, which keeps
-//! parse-then-rerender deterministic. Arrays and objects nest at most
-//! [`MAX_DEPTH`] levels deep, so a hostile document is an error rather
-//! than a stack overflow.
+//! booleans, and null. It is strict about structure (trailing garbage and
+//! raw control characters inside strings are errors) and preserves object
+//! key order, which keeps parse-then-rerender deterministic. Arrays and
+//! objects nest at most [`MAX_DEPTH`] levels deep, so a hostile document
+//! is an error rather than a stack overflow.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Escapes `s` for the inside of a JSON string literal: the quote, the
+/// backslash and every control character (U+0000–U+001F), which JSON
+/// forbids raw.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -286,13 +308,17 @@ impl Parser<'_> {
                         other => return Err(self.error(format!("bad escape \\{}", other as char))),
                     }
                 }
+                Some(byte) if byte < 0x20 => {
+                    return Err(self.error(format!("raw control character U+{byte:04X} in string")));
+                }
                 Some(_) => {
-                    // Copy the run of plain characters up to the next quote
-                    // or backslash at once. Both are ASCII, so the run ends
-                    // on a character boundary of the `&str` input.
+                    // Copy the run of plain characters up to the next quote,
+                    // backslash or control character at once. All are ASCII,
+                    // so the run ends on a character boundary of the `&str`
+                    // input.
                     let run = self.bytes[self.pos..]
                         .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                         .unwrap_or(self.bytes.len() - self.pos);
                     out.push_str(&self.text[self.pos..self.pos + run]);
                     self.pos += run;
@@ -428,6 +454,27 @@ mod tests {
         // A `\u` escape takes exactly four hex digits: no sign.
         let signed = parse("\"\\u+041\"").unwrap_err();
         assert!(signed.to_string().contains("bad \\u escape"), "{signed}");
+        // JSON forbids raw control characters inside a string; the error
+        // names the offending byte.
+        for (bad, offset, code) in [("\"a\tb\"", 2, "U+0009"), ("{\"k\":\"x\ny\"}", 7, "U+000A")] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.offset, offset, "{bad:?}");
+            assert!(err.to_string().contains(code), "{err}");
+        }
+    }
+
+    #[test]
+    fn escape_round_trips_every_control_character() {
+        let raw: String = (0u8..0x20)
+            .map(char::from)
+            .chain("\"\\/ü".chars())
+            .collect();
+        let escaped = escape(&raw);
+        assert!(escaped.bytes().all(|b| b >= 0x20), "{escaped:?}");
+        assert!(escaped.starts_with("\\u0000\\u0001"), "{escaped:?}");
+        assert!(escaped.contains("\\t\\n\\u000b\\u000c\\r"), "{escaped:?}");
+        let parsed = parse(&format!("\"{escaped}\"")).unwrap();
+        assert_eq!(parsed.as_str(), Some(raw.as_str()));
     }
 
     #[test]

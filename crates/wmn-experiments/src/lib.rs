@@ -1,23 +1,28 @@
 //! Experiment harness reproducing every table and figure of the paper.
 //!
-//! | Artifact | Runner | Binary |
-//! |---|---|---|
-//! | Table 1 (Normal) | [`tables::run_table`] | `table1` |
-//! | Table 2 (Exponential) | [`tables::run_table`] | `table2` |
-//! | Table 3 (Weibull) | [`tables::run_table`] | `table3` |
-//! | Figure 1 (GA evolution, Normal) | [`figures::run_ga_figure`] | `fig1` |
-//! | Figure 2 (GA evolution, Exponential) | [`figures::run_ga_figure`] | `fig2` |
-//! | Figure 3 (GA evolution, Weibull) | [`figures::run_ga_figure`] | `fig3` |
-//! | Figure 4 (NS swap vs random) | [`figures::run_ns_figure`] | `fig4` |
+//! | Artifact | [`artifact::Artifact`] | Runner | Binary |
+//! |---|---|---|---|
+//! | Table 1 (Normal) | `Table(Normal)` | [`tables::run_table`] | `table1` |
+//! | Table 2 (Exponential) | `Table(Exponential)` | [`tables::run_table`] | `table2` |
+//! | Table 3 (Weibull) | `Table(Weibull)` | [`tables::run_table`] | `table3` |
+//! | Figure 1 (GA evolution, Normal) | `GaFigure(Normal)` | [`figures::run_ga_figure`] | `fig1` |
+//! | Figure 2 (GA evolution, Exponential) | `GaFigure(Exponential)` | [`figures::run_ga_figure`] | `fig2` |
+//! | Figure 3 (GA evolution, Weibull) | `GaFigure(Weibull)` | [`figures::run_ga_figure`] | `fig3` |
+//! | Figure 4 (NS swap vs random) | `NsFigure` | [`figures::run_ns_figure`] | `fig4` |
+//!
+//! Every binary is one call to the artifact driver, [`artifact::run`]: it
+//! skips what the checkpoint records, runs the rest, writes their files
+//! ([`report`]), checkpoints each cell ([`checkpoint`]) and prints one
+//! progress line per artifact. `run_all` passes [`artifact::PAPER`], all
+//! seven in order, and also gets the cross-table `summary.{csv,jsonl}`.
 //!
 //! Every binary accepts `--quick` (reduced scale), `--seed <n>` (run seed),
 //! `--threads <n>` (parallel experiment workers; results are identical for
 //! every value), `--telemetry <dir>` (structured work-counter telemetry,
 //! see [`telemetry`]), `--connectivity <mode>` (repair-strategy oracle
-//! selection) and `--out <dir>` (default `results/`). `run_all`
-//! regenerates everything. See [`cli`] for the full flag and `WMN_*`
-//! environment-variable reference, and [`scenario::ScenarioScale`] for
-//! running beyond-paper instance sizes.
+//! selection) and `--out <dir>` (default `results/`). See [`cli`] for the
+//! full flag and `WMN_*` environment-variable reference, and
+//! [`scenario::ScenarioScale`] for running beyond-paper instance sizes.
 //!
 //! ```bash
 //! cargo run --release -p wmn-experiments --bin run_all
@@ -40,6 +45,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analyze;
+pub mod artifact;
 pub mod ascii_plot;
 pub mod checkpoint;
 pub mod cli;

@@ -1,78 +1,73 @@
 //! Writing experiment outputs to the `results/` directory.
 //!
-//! File writes route through [`crate::error::ExperimentError`], so a
-//! failure names the offending path instead of panicking. The cross-table
-//! summary streams through `wmn-runtime`'s [`RowSink`] abstraction — to
-//! CSV via this crate's RFC-4180 renderer and to JSON Lines via
-//! [`JsonlSink`] — so downstream tooling can consume one file covering
-//! every (scenario, method) cell.
+//! Each writer renders its artifact in memory, writes every file
+//! atomically through [`write_file`], and returns the names it wrote, in
+//! write order: the `files` of the artifact's checkpoint line (see
+//! [`crate::artifact`]). A failure names the offending path instead of
+//! panicking. Figures and the cross-table summary write the same rows
+//! twice, as CSV ([`csv::render`]) and as JSON Lines
+//! ([`csv::render_jsonl`]), so downstream tooling can read one file
+//! covering every (scenario, method) cell.
 
 use crate::ascii_plot::plot;
-use crate::csv::render_series;
-use crate::error::{create_dir, write_file, AtomicFile, ExperimentError};
+use crate::csv;
+use crate::error::{create_dir, write_file, ExperimentError};
 use crate::figures::{GaFigure, NsFigure};
 use crate::tables::TableResult;
-use std::io::{self, Write};
 use std::path::Path;
-use wmn_runtime::sink::{JsonlSink, RowSink};
+use wmn_metrics::stats::Trace;
+
+/// Writes each `(name, contents)` pair into `dir`, in order, and returns
+/// the names.
+fn write_files(dir: &Path, files: Vec<(String, String)>) -> Result<Vec<String>, ExperimentError> {
+    create_dir(dir)?;
+    files
+        .into_iter()
+        .map(|(name, contents)| write_file(&dir.join(&name), &contents).map(|()| name))
+        .collect()
+}
 
 /// Writes a reproduced table as `tableN.md` and `tableN.csv`.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors, naming the path.
-pub fn write_table(dir: &Path, table: &TableResult) -> Result<(), ExperimentError> {
-    create_dir(dir)?;
+pub fn write_table(dir: &Path, table: &TableResult) -> Result<Vec<String>, ExperimentError> {
     let n = table.scenario.table_number().unwrap_or(0);
     let title = format!(
         "# Table {} — {} distribution ({} routers, {} clients)\n\n",
         n, table.scenario, table.router_count, table.client_count
     );
-    write_file(
-        &dir.join(format!("table{n}.md")),
-        &format!("{title}{}", table.to_markdown()),
-    )?;
-    write_file(&dir.join(format!("table{n}.csv")), &table.to_csv())
+    write_files(
+        dir,
+        vec![
+            (
+                format!("table{n}.md"),
+                format!("{title}{}", table.to_markdown()),
+            ),
+            (format!("table{n}.csv"), table.to_csv()),
+        ],
+    )
 }
 
-/// Streams aligned series through a [`RowSink`], one row per x value
-/// (header `[x, name…]`, the JSONL/CSV twin of
-/// [`render_series`]). This is what lets the
-/// `--scale 8`+ figure runs emit machine-readable output incrementally
-/// through [`JsonlSink`] instead of accumulating a rendered document.
-///
-/// # Errors
-///
-/// Propagates the sink's I/O failures.
-pub fn stream_series<S: RowSink + ?Sized>(
-    sink: &mut S,
-    header_x: &str,
-    series: &[wmn_metrics::stats::Trace],
-) -> io::Result<()> {
-    sink.header(&crate::csv::series_header(header_x, series))?;
-    for i in 0..crate::csv::series_row_count(series) {
-        sink.row(&crate::csv::series_row(series, i))?;
-    }
-    sink.finish()
-}
-
-/// Streams `series` into `path` as JSON Lines, row by row through a
-/// buffered [`AtomicFile`] sink (no in-memory document; the file appears
-/// at its final path only once complete).
-fn write_series_jsonl(
+/// Writes aligned `series` as `{stem}.csv`, `{stem}.jsonl`, and an ASCII
+/// plot titled `title` as `{stem}.txt`.
+fn write_series(
     dir: &Path,
-    file: &str,
+    stem: &str,
     header_x: &str,
-    series: &[wmn_metrics::stats::Trace],
-) -> Result<(), ExperimentError> {
-    let path = dir.join(file);
-    let out = AtomicFile::create(&path)?;
-    let mut sink = JsonlSink::new(io::BufWriter::new(out));
-    stream_series(&mut sink, header_x, series).map_err(|e| ExperimentError::write(&path, e))?;
-    sink.into_inner()
-        .into_inner()
-        .map_err(|e| ExperimentError::write(&path, e.into_error()))?
-        .commit()
+    series: &[Trace],
+    title: &str,
+) -> Result<Vec<String>, ExperimentError> {
+    let rows = csv::series_rows(header_x, series);
+    write_files(
+        dir,
+        vec![
+            (format!("{stem}.csv"), csv::render(&rows)),
+            (format!("{stem}.jsonl"), csv::render_jsonl(&rows)),
+            (format!("{stem}.txt"), plot(title, series, 72, 20)),
+        ],
+    )
 }
 
 /// Writes a GA-evolution figure as `figN.csv`, `figN.jsonl`, and an ASCII
@@ -81,21 +76,18 @@ fn write_series_jsonl(
 /// # Errors
 ///
 /// Propagates filesystem errors, naming the path.
-pub fn write_ga_figure(dir: &Path, figure: &GaFigure) -> Result<(), ExperimentError> {
-    create_dir(dir)?;
+pub fn write_ga_figure(dir: &Path, figure: &GaFigure) -> Result<Vec<String>, ExperimentError> {
     let n = figure.figure_number().unwrap_or(0);
-    write_file(
-        &dir.join(format!("fig{n}.csv")),
-        &render_series("generation", &figure.series),
-    )?;
-    write_series_jsonl(dir, &format!("fig{n}.jsonl"), "generation", &figure.series)?;
     let title = format!(
         "Figure {n}: size of giant component vs GA generations ({} clients)",
         figure.scenario
     );
-    write_file(
-        &dir.join(format!("fig{n}.txt")),
-        &plot(&title, &figure.series, 72, 20),
+    write_series(
+        dir,
+        &format!("fig{n}"),
+        "generation",
+        &figure.series,
+        &title,
     )
 }
 
@@ -104,63 +96,20 @@ pub fn write_ga_figure(dir: &Path, figure: &GaFigure) -> Result<(), ExperimentEr
 /// # Errors
 ///
 /// Propagates filesystem errors, naming the path.
-pub fn write_ns_figure(dir: &Path, figure: &NsFigure) -> Result<(), ExperimentError> {
-    create_dir(dir)?;
-    let series = [figure.swap.clone(), figure.random.clone()];
-    write_file(&dir.join("fig4.csv"), &render_series("phase", &series))?;
-    write_series_jsonl(dir, "fig4.jsonl", "phase", &series)?;
-    write_file(
-        &dir.join("fig4.txt"),
-        &plot(
-            "Figure 4: neighborhood search, swap vs random movement (normal clients)",
-            &series,
-            72,
-            20,
-        ),
+pub fn write_ns_figure(dir: &Path, figure: &NsFigure) -> Result<Vec<String>, ExperimentError> {
+    write_series(
+        dir,
+        "fig4",
+        "phase",
+        &[figure.swap.clone(), figure.random.clone()],
+        "Figure 4: neighborhood search, swap vs random movement (normal clients)",
     )
 }
 
-/// A [`RowSink`] rendering rows as RFC-4180 CSV through this crate's
-/// renderer ([`crate::csv`]).
-#[derive(Debug)]
-pub struct CsvSink<W: Write> {
-    writer: W,
-}
-
-impl<W: Write> CsvSink<W> {
-    /// A sink writing CSV to `writer`.
-    pub fn new(writer: W) -> Self {
-        CsvSink { writer }
-    }
-
-    /// Consumes the sink and returns the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-
-    fn write_record(&mut self, fields: &[String]) -> io::Result<()> {
-        self.writer
-            .write_all(crate::csv::render(&[fields]).as_bytes())
-    }
-}
-
-impl<W: Write> RowSink for CsvSink<W> {
-    fn header(&mut self, columns: &[String]) -> io::Result<()> {
-        self.write_record(columns)
-    }
-
-    fn row(&mut self, fields: &[String]) -> io::Result<()> {
-        self.write_record(fields)
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-}
-
-/// The summary header: one column per [`summary_rows`] field.
-fn summary_header() -> Vec<String> {
-    [
+/// The summary rows: a header, then one record per (scenario, method)
+/// cell, in table order.
+fn summary_rows(tables: &[TableResult]) -> Vec<Vec<String>> {
+    let header = [
         "table",
         "scenario",
         "method",
@@ -168,16 +117,8 @@ fn summary_header() -> Vec<String> {
         "coverage_by_ga",
         "giant_standalone",
         "coverage_standalone",
-    ]
-    .iter()
-    .map(|s| (*s).to_owned())
-    .collect()
-}
-
-/// Flattens every table into summary records, one per (scenario, method)
-/// cell, in table order.
-fn summary_rows(tables: &[TableResult]) -> Vec<Vec<String>> {
-    let mut rows = Vec::new();
+    ];
+    let mut rows = vec![header.map(str::to_owned).to_vec()];
     for table in tables {
         let n = table.scenario.table_number().unwrap_or(0);
         for r in &table.rows {
@@ -195,36 +136,19 @@ fn summary_rows(tables: &[TableResult]) -> Vec<Vec<String>> {
     rows
 }
 
-/// Streams every table's rows into `sink` (header, rows, finish).
-///
-/// # Errors
-///
-/// Propagates the sink's I/O failures.
-pub fn stream_summary<S: RowSink + ?Sized>(sink: &mut S, tables: &[TableResult]) -> io::Result<()> {
-    wmn_runtime::sink::drain(sink, &summary_header(), &summary_rows(tables))
-}
-
 /// Writes the cross-scenario summary as `summary.csv` and `summary.jsonl`.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors, naming the path.
-pub fn write_summary(dir: &Path, tables: &[TableResult]) -> Result<(), ExperimentError> {
-    create_dir(dir)?;
-    let csv_path = dir.join("summary.csv");
-    let mut csv_sink = CsvSink::new(Vec::new());
-    stream_summary(&mut csv_sink, tables).map_err(|e| ExperimentError::write(&csv_path, e))?;
-    write_file(
-        &csv_path,
-        &String::from_utf8(csv_sink.into_inner()).expect("CSV output is UTF-8"),
-    )?;
-
-    let jsonl_path = dir.join("summary.jsonl");
-    let mut jsonl_sink = JsonlSink::new(Vec::new());
-    stream_summary(&mut jsonl_sink, tables).map_err(|e| ExperimentError::write(&jsonl_path, e))?;
-    write_file(
-        &jsonl_path,
-        &String::from_utf8(jsonl_sink.into_inner()).expect("JSONL output is UTF-8"),
+pub fn write_summary(dir: &Path, tables: &[TableResult]) -> Result<Vec<String>, ExperimentError> {
+    let rows = summary_rows(tables);
+    write_files(
+        dir,
+        vec![
+            ("summary.csv".to_owned(), csv::render(&rows)),
+            ("summary.jsonl".to_owned(), csv::render_jsonl(&rows)),
+        ],
     )
 }
 
@@ -246,8 +170,8 @@ mod tests {
     #[test]
     fn writes_table_files() {
         let dir = tmpdir("table");
-        let t = run_table(Scenario::Normal, &ExperimentConfig::quick()).unwrap();
-        write_table(&dir, &t).unwrap();
+        let t = run_table(Scenario::Normal, &ExperimentConfig::quick(), None).unwrap();
+        assert_eq!(write_table(&dir, &t).unwrap(), ["table1.md", "table1.csv"]);
         assert!(dir.join("table1.md").exists());
         assert!(dir.join("table1.csv").exists());
         let md = fs::read_to_string(dir.join("table1.md")).unwrap();
@@ -259,7 +183,10 @@ mod tests {
     fn writes_figure_files() {
         let dir = tmpdir("figs");
         let fig = run_ga_figure(Scenario::Weibull, &ExperimentConfig::quick()).unwrap();
-        write_ga_figure(&dir, &fig).unwrap();
+        assert_eq!(
+            write_ga_figure(&dir, &fig).unwrap(),
+            ["fig3.csv", "fig3.jsonl", "fig3.txt"]
+        );
         assert!(dir.join("fig3.csv").exists());
         assert!(dir.join("fig3.txt").exists());
         let jsonl = fs::read_to_string(dir.join("fig3.jsonl")).unwrap();
@@ -271,7 +198,10 @@ mod tests {
         assert!(jsonl.lines().all(|l| l.starts_with("{\"generation\":")));
 
         let ns = run_ns_figure(&ExperimentConfig::quick()).unwrap();
-        write_ns_figure(&dir, &ns).unwrap();
+        assert_eq!(
+            write_ns_figure(&dir, &ns).unwrap(),
+            ["fig4.csv", "fig4.jsonl", "fig4.txt"]
+        );
         let csv = fs::read_to_string(dir.join("fig4.csv")).unwrap();
         assert!(csv.starts_with("phase,Swap,Random"));
         let jsonl = fs::read_to_string(dir.join("fig4.jsonl")).unwrap();
@@ -281,21 +211,26 @@ mod tests {
     }
 
     #[test]
-    fn streamed_series_rows_match_csv_rendering() {
+    fn figure_jsonl_and_csv_render_the_same_rows() {
+        let dir = tmpdir("rows");
         let fig = run_ga_figure(Scenario::Normal, &ExperimentConfig::quick()).unwrap();
-        let mut sink = CsvSink::new(Vec::new());
-        stream_series(&mut sink, "generation", &fig.series).unwrap();
-        let streamed = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(
-            streamed,
-            crate::csv::render_series("generation", &fig.series),
-            "streaming and document rendering must agree"
-        );
+        write_ga_figure(&dir, &fig).unwrap();
+        let csv = fs::read_to_string(dir.join("fig1.csv")).unwrap();
+        let jsonl = fs::read_to_string(dir.join("fig1.jsonl")).unwrap();
+        let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
+        assert_eq!(csv.lines().count(), 1 + jsonl.lines().count());
+        for (csv_line, json_line) in csv.lines().skip(1).zip(jsonl.lines()) {
+            let object = crate::json::parse(json_line).unwrap();
+            for (column, field) in header.iter().zip(csv_line.split(',')) {
+                assert_eq!(object.get(column).unwrap().as_str(), Some(field));
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn write_failure_names_the_path() {
-        let t = run_table(Scenario::Normal, &ExperimentConfig::quick()).unwrap();
+        let t = run_table(Scenario::Normal, &ExperimentConfig::quick(), None).unwrap();
         // A directory path that cannot be created (parent is a file).
         let file = std::env::temp_dir().join(format!("wmn-not-a-dir-{}", std::process::id()));
         fs::write(&file, "occupied").unwrap();
@@ -310,9 +245,12 @@ mod tests {
         let config = ExperimentConfig::quick();
         let tables: Vec<TableResult> = Scenario::paper_tables()
             .into_iter()
-            .map(|s| run_table(s, &config).unwrap())
+            .map(|s| run_table(s, &config, None).unwrap())
             .collect();
-        write_summary(&dir, &tables).unwrap();
+        assert_eq!(
+            write_summary(&dir, &tables).unwrap(),
+            ["summary.csv", "summary.jsonl"]
+        );
 
         let csv = fs::read_to_string(dir.join("summary.csv")).unwrap();
         assert!(csv.starts_with("table,scenario,method,"));

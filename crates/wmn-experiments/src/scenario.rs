@@ -286,10 +286,10 @@ impl ExperimentConfig {
     /// routers / 1536 clients on a ~362×362 area — is the shape CI runs
     /// fig3/fig4 at (via those CLI flags) to prove beyond-paper-scale GA
     /// and search runs stay affordable now that evaluation is
-    /// topology-backed and figures stream JSONL; `quick_scale(16)` — 1024
-    /// routers / 3072 clients on a ~512×512 area — is the rural-deployment
-    /// shape CI runs fig3 at to prove the dynamic-connectivity repair path
-    /// at scale.
+    /// topology-backed, and that the figure writers emit JSONL alongside
+    /// CSV; `quick_scale(16)` — 1024 routers / 3072 clients on a ~512×512
+    /// area — is the rural-deployment shape CI runs fig3 at to prove the
+    /// dynamic-connectivity repair path at scale.
     pub fn quick_scale(n: u32) -> Self {
         let mut config = ExperimentConfig::quick();
         config.scale = ScenarioScale::proportional(n.max(1));

@@ -207,29 +207,19 @@ fn table_row(
 /// fault plan — byte-identical to a fault-free run (retried cells
 /// re-derive the same coordinate seeds).
 ///
+/// With a `recorder`, the run's work-counter telemetry is collected too.
+/// Each method row records into a private per-attempt recorder; only
+/// succeeding attempts merge, in job-index order, so the aggregated
+/// counters — like the table itself — are byte-identical for every worker
+/// count and any within-budget fault plan. The table is the same with or
+/// without a recorder.
+///
 /// # Errors
 ///
 /// Propagates instance generation failures, and reports the
 /// lowest-indexed grid cell that exhausted its retry budget
 /// ([`ExperimentError::Cell`]).
 pub fn run_table(
-    scenario: Scenario,
-    config: &ExperimentConfig,
-) -> Result<TableResult, ExperimentError> {
-    run_table_recorded(scenario, config, None)
-}
-
-/// [`run_table`], additionally collecting the run's work-counter
-/// telemetry into `recorder` when one is given. Each method row records
-/// into a private per-attempt recorder; only succeeding attempts merge, in
-/// job-index order, so the aggregated counters — like the table itself —
-/// are byte-identical for every worker count and any within-budget fault
-/// plan. The table is the same with or without a recorder.
-///
-/// # Errors
-///
-/// Exactly as [`run_table`].
-pub fn run_table_recorded(
     scenario: Scenario,
     config: &ExperimentConfig,
     recorder: Option<&mut TelemetryRecorder>,
@@ -271,7 +261,7 @@ mod tests {
     use super::*;
 
     fn quick_table(scenario: Scenario) -> TableResult {
-        run_table(scenario, &ExperimentConfig::quick()).unwrap()
+        run_table(scenario, &ExperimentConfig::quick(), None).unwrap()
     }
 
     #[test]
@@ -331,8 +321,11 @@ mod tests {
     fn recorded_table_matches_plain_and_collects_counters() {
         let config = ExperimentConfig::quick();
         let mut recorder = TelemetryRecorder::new();
-        let recorded = run_table_recorded(Scenario::Normal, &config, Some(&mut recorder)).unwrap();
-        assert_eq!(recorded, run_table(Scenario::Normal, &config).unwrap());
+        let recorded = run_table(Scenario::Normal, &config, Some(&mut recorder)).unwrap();
+        assert_eq!(
+            recorded,
+            run_table(Scenario::Normal, &config, None).unwrap()
+        );
         // Seven GA runs of `generations` each.
         assert_eq!(
             recorder.counters().get("ga.generations"),

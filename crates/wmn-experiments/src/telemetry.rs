@@ -1,7 +1,8 @@
 //! Structured run telemetry artifacts (`--telemetry <dir>`).
 //!
-//! Every experiment binary can collect the engine-wide work-counter
-//! profile of its run into a [`TelemetryRecorder`] and write two files:
+//! With `--telemetry <dir>`, the artifact driver ([`crate::artifact::run`])
+//! collects the engine-wide work-counter profile of the binary's run into
+//! one [`TelemetryRecorder`] and writes two files:
 //!
 //! * `telemetry.json` — one JSON object:
 //!   `{"schema":"wmn-telemetry/v2","bin":...,"config":{...},"counters":{...},"histograms":{...},"attribution":{...}}`.
@@ -29,11 +30,9 @@
 //! spans), so readers reject mismatched schema strings loudly instead of
 //! guessing.
 
-use crate::cli::CliOptions;
 use crate::error::{create_dir, write_file, ExperimentError};
 use crate::scenario::ExperimentConfig;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 use wmn_obs::TelemetryRecorder;
 
 /// Identifier (and version) of the `telemetry.json` document shape.
@@ -100,41 +99,6 @@ pub fn write_telemetry(
     write_file(&json_path, &doc)?;
     write_file(&dir.join("spans.jsonl"), &recorder.render_spans_jsonl())?;
     Ok(json_path)
-}
-
-/// A recorder when `--telemetry` was given, else `None` — the binaries'
-/// single opt-in point (a `None` keeps every run on the zero-overhead
-/// [`wmn_obs::NoopRecorder`] path).
-pub fn recorder_if_requested(opts: &CliOptions) -> Option<TelemetryRecorder> {
-    opts.telemetry.as_ref().map(|_| TelemetryRecorder::new())
-}
-
-/// Records the wall-clock span `name` started at `started`, when
-/// telemetry is enabled.
-pub fn finish_span(recorder: &mut Option<TelemetryRecorder>, name: &'static str, started: Instant) {
-    use wmn_obs::Recorder;
-    if let Some(rec) = recorder.as_mut() {
-        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        rec.span(name, nanos);
-    }
-}
-
-/// The binaries' shared tail: writes the telemetry artifacts when
-/// `--telemetry <dir>` was given, reporting the written path on stdout.
-///
-/// # Errors
-///
-/// Returns [`ExperimentError::Io`] naming the offending path.
-pub fn maybe_write(
-    opts: &CliOptions,
-    bin: &str,
-    recorder: &Option<TelemetryRecorder>,
-) -> Result<(), ExperimentError> {
-    if let (Some(dir), Some(rec)) = (&opts.telemetry, recorder) {
-        let path = write_telemetry(dir, bin, &opts.config, rec)?;
-        println!("wrote {} and {}/spans.jsonl", path.display(), dir.display());
-    }
-    Ok(())
 }
 
 #[cfg(test)]

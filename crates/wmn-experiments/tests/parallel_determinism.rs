@@ -17,9 +17,9 @@ fn config_with_threads(threads: usize) -> ExperimentConfig {
 #[test]
 fn run_table_is_identical_for_1_2_and_8_threads() {
     for scenario in Scenario::paper_tables() {
-        let serial = run_table(scenario, &config_with_threads(1)).unwrap();
+        let serial = run_table(scenario, &config_with_threads(1), None).unwrap();
         for threads in [2, 8] {
-            let parallel = run_table(scenario, &config_with_threads(threads)).unwrap();
+            let parallel = run_table(scenario, &config_with_threads(threads), None).unwrap();
             assert_eq!(parallel, serial, "{scenario} with {threads} threads");
             // Struct equality is necessary; rendered artifacts must be
             // byte-identical too.
@@ -51,8 +51,8 @@ fn run_ns_figure_is_identical_for_1_2_and_8_threads() {
 fn auto_thread_count_matches_serial() {
     // runner_threads = 0 resolves to available parallelism; output must
     // still match the serial reference bit for bit.
-    let serial = run_table(Scenario::Exponential, &config_with_threads(1)).unwrap();
-    let auto = run_table(Scenario::Exponential, &config_with_threads(0)).unwrap();
+    let serial = run_table(Scenario::Exponential, &config_with_threads(1), None).unwrap();
+    let auto = run_table(Scenario::Exponential, &config_with_threads(0), None).unwrap();
     assert_eq!(auto, serial);
 }
 
@@ -61,7 +61,7 @@ fn table_and_figure_report_the_same_ga_runs() {
     // Paper invariant preserved by the grid-cell seeding: Figure N's final
     // giant size per method equals Table N's giant_by_ga.
     let config = config_with_threads(2);
-    let table = run_table(Scenario::Normal, &config).unwrap();
+    let table = run_table(Scenario::Normal, &config, None).unwrap();
     let figure = run_ga_figure(Scenario::Normal, &config).unwrap();
     for row in &table.rows {
         let trace = figure.series_for(row.method).unwrap();
@@ -89,9 +89,9 @@ fn scaled_scenarios_run_on_the_parallel_engine() {
     assert_eq!(instance.client_count(), 384);
 
     config.runner_threads = 1;
-    let serial = run_table(Scenario::Normal, &config).unwrap();
+    let serial = run_table(Scenario::Normal, &config, None).unwrap();
     config.runner_threads = 4;
-    let parallel = run_table(Scenario::Normal, &config).unwrap();
+    let parallel = run_table(Scenario::Normal, &config, None).unwrap();
     assert_eq!(parallel, serial);
     for row in &serial.rows {
         assert!(row.giant_by_ga <= 128);

@@ -1,13 +1,16 @@
 //! The robustness acceptance contract: a fixed seed plus any
 //! within-retry-budget fault plan leaves every artifact byte-identical to
 //! the fault-free run (at 1 and 2 threads); an exhausted budget fails
-//! loudly naming the cell; and an interrupted run resumed from its
-//! checkpoint produces a byte-identical output directory.
+//! loudly naming the cell; and a run interrupted at any cell boundary and
+//! resumed from its checkpoint produces a byte-identical output directory.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use wmn_experiments::artifact::{self, PAPER};
+use wmn_experiments::cli::CliOptions;
 use wmn_experiments::figures::{run_ga_figure, run_ns_figure};
+use wmn_experiments::json;
 use wmn_experiments::scenario::{ExperimentConfig, Scenario};
 use wmn_experiments::tables::run_table;
 use wmn_runtime::FaultPlan;
@@ -34,9 +37,9 @@ fn chaos_config(threads: usize) -> ExperimentConfig {
 #[test]
 fn faulty_tables_match_fault_free_at_1_and_2_threads() {
     for scenario in Scenario::paper_tables() {
-        let reference = run_table(scenario, &clean_config(1)).unwrap();
+        let reference = run_table(scenario, &clean_config(1), None).unwrap();
         for threads in [1, 2] {
-            let faulty = run_table(scenario, &chaos_config(threads)).unwrap();
+            let faulty = run_table(scenario, &chaos_config(threads), None).unwrap();
             assert_eq!(faulty, reference, "{scenario} with {threads} threads");
             assert_eq!(faulty.to_csv(), reference.to_csv());
             assert_eq!(faulty.to_markdown(), reference.to_markdown());
@@ -63,7 +66,7 @@ fn exhausted_retry_budget_fails_naming_the_cell_and_attempts() {
     let mut config = clean_config(2);
     config.retries = 2;
     config.fault_plan = Some(FaultPlan::parse("error@start:p=1,n=9").unwrap());
-    let message = run_table(Scenario::Normal, &config)
+    let message = run_table(Scenario::Normal, &config, None)
         .unwrap_err()
         .to_string();
     assert!(message.contains("ga-normal-"), "{message}");
@@ -218,4 +221,81 @@ fn resume_rejects_a_mismatched_configuration() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot resume"), "{stderr}");
     let _ = fs::remove_dir_all(&dir);
+}
+
+// --- in-process: resume from every cell boundary ---
+
+/// Options for an in-process `run_all` over `dir`, at an effort small
+/// enough to run the whole paper fifteen times.
+fn tiny_run_all(dir: &Path, resume: bool) -> CliOptions {
+    let mut config = ExperimentConfig::quick();
+    config.population = 6;
+    config.generations = 4;
+    config.ns_phases = 4;
+    config.ns_budget = 3;
+    config.runner_threads = 1;
+    CliOptions {
+        config,
+        out_dir: dir.to_owned(),
+        telemetry: None,
+        resume,
+    }
+}
+
+/// The `files` a checkpoint line lists.
+fn checkpoint_files(line: &str) -> Vec<String> {
+    json::parse(line)
+        .unwrap()
+        .get("files")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|f| f.as_str().unwrap().to_owned())
+        .collect()
+}
+
+/// Builds every state a run can be stopped in between two writes of
+/// different cells: the first `k` checkpoint lines plus the files they
+/// list (k = 0..=7), and the same plus cell k+1's files without its line
+/// (k = 0..=6). Resuming each must reproduce the clean directory,
+/// `checkpoint.jsonl` and `summary.*` included.
+#[test]
+fn resume_from_every_cell_boundary_matches_a_clean_run() {
+    let scratch = fresh_dir(&format!("wmn-robustness-boundaries-{}", std::process::id()));
+    let clean = scratch.join("clean");
+    artifact::run("run_all", &PAPER, &tiny_run_all(&clean, false)).unwrap();
+    let checkpoint = fs::read_to_string(clean.join("checkpoint.jsonl")).unwrap();
+    let lines: Vec<&str> = checkpoint.lines().collect();
+    assert_eq!(lines.len(), PAPER.len());
+
+    let mut states = 0;
+    for k in 0..=lines.len() {
+        for with_next_files in [false, true] {
+            if with_next_files && k == lines.len() {
+                continue;
+            }
+            let dir = scratch.join(format!("k{k}-{with_next_files}"));
+            fs::create_dir_all(&dir).unwrap();
+            let mut files: Vec<String> = lines[..k]
+                .iter()
+                .flat_map(|l| checkpoint_files(l))
+                .collect();
+            if with_next_files {
+                files.extend(checkpoint_files(lines[k]));
+            }
+            for name in &files {
+                fs::copy(clean.join(name), dir.join(name)).unwrap();
+            }
+            if k > 0 {
+                let head: String = lines[..k].iter().map(|l| format!("{l}\n")).collect();
+                fs::write(dir.join("checkpoint.jsonl"), head).unwrap();
+            }
+            artifact::run("run_all", &PAPER, &tiny_run_all(&dir, true)).unwrap();
+            assert_dirs_identical(&dir, &clean);
+            states += 1;
+        }
+    }
+    assert_eq!(states, 15);
+    let _ = fs::remove_dir_all(&scratch);
 }

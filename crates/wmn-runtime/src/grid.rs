@@ -48,7 +48,7 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// A cell at `coords` with a human-readable `label` (used by sinks and
+    /// A cell at `coords` with a human-readable `label` (used by error and
     /// progress reporting; the label does **not** influence the seed).
     pub fn new(label: impl Into<String>, coords: &[u64]) -> Self {
         Cell {

@@ -4,9 +4,8 @@
 //! ad hoc methods × optimizers × seeds — and this crate is the engine that
 //! executes such grids on every available core **without changing a single
 //! output bit** relative to a serial run. It is std-only: a scoped worker
-//! pool over a shared job queue ([`pool::Runtime`]), a job-coordinate
-//! abstraction with deterministic per-cell seed derivation ([`grid::Cell`]),
-//! and pluggable result sinks ([`sink`]).
+//! pool over a shared job queue ([`pool::Runtime`]) and a job-coordinate
+//! abstraction with deterministic per-cell seed derivation ([`grid::Cell`]).
 //!
 //! # The determinism guarantee
 //!
@@ -54,9 +53,7 @@
 pub mod fault;
 pub mod grid;
 pub mod pool;
-pub mod sink;
 
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultSite};
 pub use grid::Cell;
 pub use pool::{FailureKind, JobFailure, JobPolicy, Runtime};
-pub use sink::{MemorySink, RowSink};

@@ -81,6 +81,6 @@ pub mod prelude {
     pub use wmn_metrics::{EvalWorkspace, Evaluation, Evaluator, NetworkMeasurement};
     pub use wmn_model::prelude::*;
     pub use wmn_placement::prelude::*;
-    pub use wmn_runtime::{Cell, MemorySink, RowSink, Runtime};
+    pub use wmn_runtime::{Cell, Runtime};
     pub use wmn_search::prelude::*;
 }
