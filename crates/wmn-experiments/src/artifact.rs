@@ -3,8 +3,9 @@
 //!
 //! For each [`Artifact`] in order, [`run`] does one of two things:
 //!
-//! * If the checkpoint records the artifact, it skips it, restoring a
-//!   table's payload for the summary.
+//! * If the checkpoint records the artifact and every file its line lists
+//!   is still in the output directory, it skips it, restoring a table's
+//!   payload for the summary.
 //! * Otherwise it runs the artifact on the shared telemetry recorder,
 //!   writes its files through the [`crate::report`] writers (each returns
 //!   the names it wrote, in write order; that list becomes the checkpoint
@@ -103,10 +104,14 @@ pub fn run(bin: &str, artifacts: &[Artifact], opts: &CliOptions) -> Result<(), E
     let mut tables = Vec::new();
     for artifact in artifacts {
         let cell = artifact.cell();
-        // A table is done only with its payload: the summary needs it.
+        // A cell is done only while its files are all there, and a table
+        // only with its payload: the summary needs it.
+        let line = checkpoint
+            .get(&cell)
+            .filter(|line| line.files.iter().all(|f| dir.join(f).is_file()));
         let done = match artifact {
-            Artifact::Table(_) => checkpoint.table(&cell).cloned().map(Some),
-            _ => checkpoint.contains(&cell).then_some(None),
+            Artifact::Table(_) => line.and_then(|line| line.table.clone()).map(Some),
+            _ => line.map(|_| None),
         };
         if let Some(table) = done {
             tables.extend(table);

@@ -162,17 +162,9 @@ impl Checkpoint {
         })
     }
 
-    /// Whether `cell` is already recorded as complete.
-    pub fn contains(&self, cell: &str) -> bool {
-        self.entries.iter().any(|e| e.cell == cell)
-    }
-
-    /// The recorded table payload for `cell`, if any.
-    pub fn table(&self, cell: &str) -> Option<&TableResult> {
-        self.entries
-            .iter()
-            .find(|e| e.cell == cell)
-            .and_then(|e| e.table.as_ref())
+    /// The line recording `cell` as complete, if any.
+    pub fn get(&self, cell: &str) -> Option<&CellDone> {
+        self.entries.iter().find(|e| e.cell == cell)
     }
 
     /// Records a completed cell and atomically rewrites the checkpoint
@@ -183,7 +175,7 @@ impl Checkpoint {
     ///
     /// Propagates the atomic file write, naming the checkpoint path.
     pub fn record(&mut self, entry: CellDone) -> Result<(), ExperimentError> {
-        if !self.contains(&entry.cell) {
+        if self.get(&entry.cell).is_none() {
             self.entries.push(entry);
         }
         write_file(&self.path, &self.render())
@@ -549,11 +541,10 @@ mod tests {
         .unwrap();
 
         let loaded = Checkpoint::load(&dir, &config).unwrap();
-        assert!(loaded.contains("table1"));
-        assert!(loaded.contains("fig1"));
-        assert!(!loaded.contains("fig4"));
-        assert_eq!(loaded.table("table1"), Some(&table));
-        assert_eq!(loaded.table("fig1"), None);
+        assert_eq!(loaded.get("table1").unwrap().table, Some(table));
+        assert_eq!(loaded.get("fig1").unwrap().files, ["fig1.csv"]);
+        assert_eq!(loaded.get("fig1").unwrap().table, None);
+        assert!(loaded.get("fig4").is_none());
         // Rendering the loaded state reproduces the file byte-for-byte.
         assert_eq!(
             loaded.render(),
@@ -566,7 +557,7 @@ mod tests {
     fn missing_file_is_an_empty_checkpoint() {
         let dir = tmpdir("missing");
         let cp = Checkpoint::load(&dir, &ExperimentConfig::quick()).unwrap();
-        assert!(!cp.contains("table1"));
+        assert!(cp.get("table1").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -590,7 +581,10 @@ mod tests {
         // Same config at a different thread count loads fine.
         let mut threaded = config;
         threaded.runner_threads = 7;
-        assert!(Checkpoint::load(&dir, &threaded).unwrap().contains("fig1"));
+        assert!(Checkpoint::load(&dir, &threaded)
+            .unwrap()
+            .get("fig1")
+            .is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

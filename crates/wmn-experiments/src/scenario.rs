@@ -142,14 +142,21 @@ impl FromStr for Scenario {
 }
 
 /// Instance-size multipliers over the paper's fixed 64-router /
-/// 192-client / 128×128 family — the escape hatch for exercising the
-/// runtime on 2×/4× (and beyond) paper-scale instances.
+/// 192-client / 128×128 family.
 ///
 /// `routers` and `clients` multiply the counts; `area` stretches the
 /// square's **side length** (so `area: 2.0` quadruples the surface). The
 /// radio profile is deliberately left at the paper's `[2, 8]`: larger
 /// areas with unchanged radios are genuinely harder connectivity
-/// instances, which is the point of scaling up.
+/// instances.
+///
+/// A scale multiplies routers, clients and area, but not the search
+/// effort (population, generations, phases, neighbors per phase). So a
+/// beyond-paper scale measures throughput, not placement quality: at
+/// [`ExperimentConfig::quick_scale`]`(16)` the GA's best giant component
+/// is 4.6% of the 1024 routers (`e2ebench` workload `ga-s16`, seed 1:
+/// `quality.giant_frac` 0.0458), and Figure 4 at `--scale 256` ends with
+/// giant components of 7 (swap) and 8 (random) of its 16,384 routers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioScale {
     /// Router-count multiplier (≥ 1 for a usable instance).
@@ -280,16 +287,22 @@ impl ExperimentConfig {
         }
     }
 
-    /// The large-instance smoke preset for library callers: exactly the
+    /// The large-instance preset for library callers: exactly the
     /// configuration the `--quick --scale n` CLI flags produce (pinned by
-    /// a test, so the two surfaces cannot drift). `quick_scale(8)` — 512
-    /// routers / 1536 clients on a ~362×362 area — is the shape CI runs
-    /// fig3/fig4 at (via those CLI flags) to prove beyond-paper-scale GA
-    /// and search runs stay affordable now that evaluation is
-    /// topology-backed, and that the figure writers emit JSONL alongside
-    /// CSV; `quick_scale(16)` — 1024 routers / 3072 clients on a ~512×512
-    /// area — is the rural-deployment shape CI runs fig3 at to prove the
-    /// dynamic-connectivity repair path at scale.
+    /// a test, so the two surfaces cannot drift). It places `n`× the
+    /// routers and clients on `√n`× the side, at
+    /// [`quick`](ExperimentConfig::quick)'s search effort. `--scale` does
+    /// not multiply that effort, so these runs measure throughput, not
+    /// placement quality (see [`ScenarioScale`]).
+    ///
+    /// CI runs three of them through the CLI flags:
+    /// - `quick_scale(8)`, 512 routers / 1536 clients on a ~362×362 area:
+    ///   fig3 and fig4, checking that both write their JSONL series;
+    /// - `quick_scale(16)`, 1024 routers / 3072 clients on a ~512×512
+    ///   area: fig3 with `--telemetry`, the smoke test of the telemetry
+    ///   schema and of `wmn-report`;
+    /// - `quick_scale(64)`, 4096 routers / 12288 clients: fig3, the
+    ///   large-arena smoke.
     pub fn quick_scale(n: u32) -> Self {
         let mut config = ExperimentConfig::quick();
         config.scale = ScenarioScale::proportional(n.max(1));

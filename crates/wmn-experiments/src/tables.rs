@@ -184,7 +184,7 @@ fn table_row(
         &[domain::STANDALONE, scenario.grid_id(), method_index as u64],
     );
     let mut standalone_rng = standalone_cell.rng(config.run_seed);
-    let standalone = method.heuristic().place(instance, &mut standalone_rng);
+    let standalone = method.place(instance, &mut standalone_rng);
     let standalone_eval = evaluator.evaluate(&standalone)?;
 
     let mut ga_rng = ga_cell(scenario, method_index, method).rng(config.run_seed);

@@ -226,7 +226,7 @@ fn resume_rejects_a_mismatched_configuration() {
 // --- in-process: resume from every cell boundary ---
 
 /// Options for an in-process `run_all` over `dir`, at an effort small
-/// enough to run the whole paper fifteen times.
+/// enough to run the whole paper over twenty times.
 fn tiny_run_all(dir: &Path, resume: bool) -> CliOptions {
     let mut config = ExperimentConfig::quick();
     config.population = 6;
@@ -258,8 +258,10 @@ fn checkpoint_files(line: &str) -> Vec<String> {
 /// Builds every state a run can be stopped in between two writes of
 /// different cells: the first `k` checkpoint lines plus the files they
 /// list (k = 0..=7), and the same plus cell k+1's files without its line
-/// (k = 0..=6). Resuming each must reproduce the clean directory,
-/// `checkpoint.jsonl` and `summary.*` included.
+/// (k = 0..=6). It adds the states where a cell's file went missing after
+/// its line was written: the first `k` lines and their files, less cell
+/// k's first file (k = 1..=7). Resuming each must reproduce the clean
+/// directory, `checkpoint.jsonl` and `summary.*` included.
 #[test]
 fn resume_from_every_cell_boundary_matches_a_clean_run() {
     let scratch = fresh_dir(&format!("wmn-robustness-boundaries-{}", std::process::id()));
@@ -271,19 +273,22 @@ fn resume_from_every_cell_boundary_matches_a_clean_run() {
 
     let mut states = 0;
     for k in 0..=lines.len() {
-        for with_next_files in [false, true] {
-            if with_next_files && k == lines.len() {
-                continue;
-            }
-            let dir = scratch.join(format!("k{k}-{with_next_files}"));
-            fs::create_dir_all(&dir).unwrap();
+        for variant in ["boundary", "next-files", "missing-file"] {
             let mut files: Vec<String> = lines[..k]
                 .iter()
                 .flat_map(|l| checkpoint_files(l))
                 .collect();
-            if with_next_files {
-                files.extend(checkpoint_files(lines[k]));
+            match variant {
+                "boundary" => {}
+                "next-files" if k < lines.len() => files.extend(checkpoint_files(lines[k])),
+                "missing-file" if k > 0 => {
+                    let gone = checkpoint_files(lines[k - 1]).remove(0);
+                    files.retain(|name| *name != gone);
+                }
+                _ => continue,
             }
+            let dir = scratch.join(format!("k{k}-{variant}"));
+            fs::create_dir_all(&dir).unwrap();
             for name in &files {
                 fs::copy(clean.join(name), dir.join(name)).unwrap();
             }
@@ -296,6 +301,6 @@ fn resume_from_every_cell_boundary_matches_a_clean_run() {
             states += 1;
         }
     }
-    assert_eq!(states, 15);
+    assert_eq!(states, 22);
     let _ = fs::remove_dir_all(&scratch);
 }

@@ -35,11 +35,6 @@ impl Individual {
         &mut self.placement
     }
 
-    /// Consumes the individual, returning the chromosome.
-    pub fn into_placement(self) -> Placement {
-        self.placement
-    }
-
     /// The cached evaluation, if still valid.
     pub fn evaluation(&self) -> Option<Evaluation> {
         self.evaluation
@@ -106,6 +101,6 @@ mod tests {
     fn conversions() {
         let p = Placement::from_points(vec![Point::new(3.0, 4.0)]);
         let ind: Individual = p.clone().into();
-        assert_eq!(ind.clone().into_placement(), p);
+        assert_eq!(ind.placement(), &p);
     }
 }

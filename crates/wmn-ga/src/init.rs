@@ -3,9 +3,9 @@
 //! The paper's second evaluation scenario uses the ad hoc methods "for
 //! generating the initial population of GA", observing that their solution
 //! diversity drives the GA's convergence (Figures 1–3). [`PopulationInit`]
-//! reproduces that: every individual is an independent run of the chosen
-//! method (each with its own RNG stream, so pattern adherence and jitter
-//! diversify the population).
+//! reproduces that: every individual is one [`AdHocMethod::place`] call
+//! of the chosen method, each on its own RNG stream, so the methods'
+//! pattern breakers and jitter diversify the population.
 
 use crate::chromosome::Individual;
 use crate::population::Population;
@@ -49,12 +49,10 @@ impl PopulationInit {
         for i in 0..size {
             let mut stream = rng_from_seed(rng.next_u64() ^ (i as u64).wrapping_mul(0x9E37));
             let placement = match self {
-                PopulationInit::AdHoc(method) => method.heuristic().place(instance, &mut stream),
+                PopulationInit::AdHoc(method) => method.place(instance, &mut stream),
                 PopulationInit::Mixed(methods) => {
                     assert!(!methods.is_empty(), "mixed init needs at least one method");
-                    methods[i % methods.len()]
-                        .heuristic()
-                        .place(instance, &mut stream)
+                    methods[i % methods.len()].place(instance, &mut stream)
                 }
                 PopulationInit::UniformRandom => instance.random_placement(&mut stream),
             };

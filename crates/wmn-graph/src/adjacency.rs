@@ -164,14 +164,6 @@ impl MeshAdjacency {
         self.neighbors.len_of(i)
     }
 
-    /// Mean node degree (0 for an empty graph).
-    pub fn mean_degree(&self) -> f64 {
-        if self.neighbors.node_count() == 0 {
-            return 0.0;
-        }
-        2.0 * self.edge_count as f64 / self.neighbors.node_count() as f64
-    }
-
     /// Rewrites node `i`'s neighbor set from `old` (its current list) to
     /// `new`, touching only the **changed** neighbors: a linear merge-diff
     /// over the two sorted, duplicate-free slices removes `i` from dropped
@@ -363,7 +355,6 @@ mod tests {
         let adj = MeshAdjacency::build(&area, &pts, &radii);
         let total: usize = (0..adj.node_count()).map(|i| adj.degree(i)).sum();
         assert_eq!(total, 2 * adj.edge_count());
-        assert!((adj.mean_degree() - total as f64 / 150.0).abs() < 1e-12);
     }
 
     #[test]
@@ -371,7 +362,6 @@ mod tests {
         let adj = MeshAdjacency::build(&area100(), &[], &[]);
         assert_eq!(adj.node_count(), 0);
         assert_eq!(adj.edge_count(), 0);
-        assert_eq!(adj.mean_degree(), 0.0);
     }
 
     #[test]

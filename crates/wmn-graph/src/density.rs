@@ -99,22 +99,6 @@ impl DensityMap {
         }
     }
 
-    /// Bins points using square cells of side `cell_size` (last row/column
-    /// may be fractionally larger to cover the area exactly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell_size` is not positive and finite.
-    pub fn with_cell_size(area: &Area, points: &[Point], cell_size: f64) -> DensityMap {
-        assert!(
-            cell_size.is_finite() && cell_size > 0.0,
-            "cell_size must be positive and finite"
-        );
-        let cols = (area.width() / cell_size).round().max(1.0) as usize;
-        let rows = (area.height() / cell_size).round().max(1.0) as usize;
-        DensityMap::from_points(area, points, cols, rows)
-    }
-
     /// Grid shape as `(columns, rows)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.cols, self.rows)
@@ -754,15 +738,6 @@ mod tests {
         assert_eq!(map.cell_of(Point::new(-5.0, 100.0)), (0, 3));
         assert_eq!(map.cell_of(Point::new(40.0, 40.0)), (3, 3));
         assert_eq!(map.cell_of(Point::new(0.0, 0.0)), (0, 0));
-    }
-
-    #[test]
-    fn with_cell_size_shapes_grid() {
-        let area = area40();
-        let map = DensityMap::with_cell_size(&area, &[], 10.0);
-        assert_eq!(map.shape(), (4, 4));
-        let map = DensityMap::with_cell_size(&area, &[], 7.0);
-        assert_eq!(map.shape(), (6, 6));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   `head` slot per cell and `next`/`prev`/`cell` words per point, making
 //!   insert/remove/relocate O(1) with zero allocation.
 
-use wmn_model::geometry::{Area, Point, Rect};
+use wmn_model::geometry::{Area, Point};
 
 /// Sentinel for "no point" / "no cell" in the intrusive grid lists.
 const NIL: u32 = u32::MAX;
@@ -254,75 +254,6 @@ impl GridIndex {
                     }
                 }
             }
-        }
-    }
-
-    /// Indices of all points inside `rect` (closed), ascending.
-    pub fn within_rect(&self, rect: &Rect) -> Vec<usize> {
-        if self.points.is_empty() {
-            return Vec::new();
-        }
-        let min_cx = ((rect.min().x / self.cell_size).floor().max(0.0) as usize).min(self.cols - 1);
-        let max_cx = ((rect.max().x / self.cell_size).floor().max(0.0) as usize).min(self.cols - 1);
-        let min_cy = ((rect.min().y / self.cell_size).floor().max(0.0) as usize).min(self.rows - 1);
-        let max_cy = ((rect.max().y / self.cell_size).floor().max(0.0) as usize).min(self.rows - 1);
-        let mut found = Vec::new();
-        for cy in min_cy..=max_cy {
-            for cx in min_cx..=max_cx {
-                for &i in self.bucket(cy * self.cols + cx) {
-                    if rect.contains(self.points[i as usize]) {
-                        found.push(i as usize);
-                    }
-                }
-            }
-        }
-        found.sort_unstable();
-        found
-    }
-
-    /// Index of a nearest point to `center`, or `None` when empty.
-    /// Ties break toward the lowest index.
-    pub fn nearest(&self, center: Point) -> Option<usize> {
-        if self.points.is_empty() {
-            return None;
-        }
-        // Expanding-ring search: try increasing radii until something is hit,
-        // then verify with one extra ring to guarantee true nearest.
-        let mut radius = self.cell_size;
-        let max_radius = {
-            let w = self.cols as f64 * self.cell_size;
-            let h = self.rows as f64 * self.cell_size;
-            (w * w + h * h).sqrt() + self.cell_size
-        };
-        loop {
-            let best = self.within_radius(center, radius).min_by(|&a, &b| {
-                let da = self.points[a].distance_squared(center);
-                let db = self.points[b].distance_squared(center);
-                da.partial_cmp(&db).unwrap().then(a.cmp(&b))
-            });
-            if let Some(best) = best {
-                // Points one ring further out could still be closer than the
-                // farthest current hit; re-query with the best hit distance.
-                let best_d = self.points[best].distance(center);
-                return self
-                    .within_radius(center, best_d)
-                    .min_by(|&a, &b| {
-                        let da = self.points[a].distance_squared(center);
-                        let db = self.points[b].distance_squared(center);
-                        da.partial_cmp(&db).unwrap().then(a.cmp(&b))
-                    })
-                    .or(Some(best));
-            }
-            if radius > max_radius {
-                // All points are clamped into the grid, so this is unreachable
-                // for a non-empty index; guard against float pathology anyway.
-                return (0..self.points.len()).min_by(|&a, &b| {
-                    let da = self.points[a].distance_squared(center);
-                    let db = self.points[b].distance_squared(center);
-                    da.partial_cmp(&db).unwrap().then(a.cmp(&b))
-                });
-            }
-            radius *= 2.0;
         }
     }
 
@@ -840,22 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn rect_query_matches_filter() {
-        let area = area100();
-        let pts = random_points(300, 7);
-        let index = GridIndex::build(&area, &pts, 5.0);
-        let rect = Rect::new(Point::new(20.0, 30.0), Point::new(60.0, 70.0));
-        let fast = index.within_rect(&rect);
-        let slow: Vec<usize> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| rect.contains(**p))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
     fn zero_radius_finds_exact_point() {
         let area = area100();
         let pts = vec![Point::new(10.0, 10.0), Point::new(20.0, 20.0)];
@@ -878,31 +793,6 @@ mod tests {
         let index = GridIndex::build(&area, &[], 4.0);
         assert!(index.is_empty());
         assert_eq!(index.within_radius(Point::new(1.0, 1.0), 50.0).count(), 0);
-        assert_eq!(index.nearest(Point::new(1.0, 1.0)), None);
-    }
-
-    #[test]
-    fn nearest_matches_brute_force() {
-        let area = area100();
-        let pts = random_points(200, 11);
-        let index = GridIndex::build(&area, &pts, 6.0);
-        let mut rng = rng_from_seed(2);
-        for _ in 0..100 {
-            let c = Point::new(rng.gen_range(0.0..=100.0), rng.gen_range(0.0..=100.0));
-            let fast = index.nearest(c).unwrap();
-            let slow = (0..pts.len())
-                .min_by(|&a, &b| {
-                    let da = pts[a].distance_squared(c);
-                    let db = pts[b].distance_squared(c);
-                    da.partial_cmp(&db).unwrap().then(a.cmp(&b))
-                })
-                .unwrap();
-            assert_eq!(
-                pts[fast].distance(c),
-                pts[slow].distance(c),
-                "nearest distance mismatch at {c}"
-            );
-        }
     }
 
     #[test]
@@ -914,7 +804,6 @@ mod tests {
         let index = GridIndex::build(&area, &pts, 10.0);
         let hits: Vec<usize> = index.within_radius(Point::new(150.0, 150.0), 1.0).collect();
         assert_eq!(hits, vec![0]);
-        assert_eq!(index.nearest(Point::new(0.0, 0.0)), Some(0));
     }
 
     #[test]

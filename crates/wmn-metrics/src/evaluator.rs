@@ -97,11 +97,6 @@ impl EvalWorkspace {
         self.topo.as_mut()
     }
 
-    /// Stores `topo` as the workspace topology, replacing any previous one.
-    pub fn set_topology(&mut self, topo: WmnTopology) {
-        self.topo = Some(topo);
-    }
-
     /// Makes this workspace's topology an exact state copy of `src`,
     /// reusing the stored topology's buffers when one exists (see
     /// `WmnTopology::clone_from`) and cloning `src` otherwise.

@@ -19,7 +19,7 @@ use std::fmt;
 ///     s.push(v);
 /// }
 /// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RunningStats {
@@ -81,20 +81,6 @@ impl RunningStats {
         self.sample_variance().sqrt()
     }
 
-    /// Population variance (0 when empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Minimum observation (`None` when empty).
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -103,16 +89,6 @@ impl RunningStats {
     /// Maximum observation (`None` when empty).
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Half-width of the ~95% normal-approximation confidence interval for
-    /// the mean (`1.96 * s / sqrt(n)`; 0 with fewer than two observations).
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            1.96 * self.sample_std_dev() / (self.count as f64).sqrt()
-        }
     }
 
     /// Merges another accumulator into this one (parallel aggregation).
@@ -202,11 +178,6 @@ impl ProgressPoint {
     /// `(step, giant_size)` as a [`Trace`] point.
     pub fn giant_xy(&self) -> (f64, f64) {
         (self.step as f64, self.giant_size as f64)
-    }
-
-    /// `(step, covered_clients)` as a [`Trace`] point.
-    pub fn coverage_xy(&self) -> (f64, f64) {
-        (self.step as f64, self.covered_clients as f64)
     }
 
     /// `(step, fitness)` as a [`Trace`] point.
@@ -306,16 +277,6 @@ impl Trace {
             points,
         }
     }
-
-    /// The y value at the largest x not exceeding `x`, if any (step
-    /// interpolation; assumes points are pushed with ascending x).
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .take_while(|&&(px, _)| px <= x)
-            .last()
-            .map(|&(_, y)| y)
-    }
 }
 
 #[cfg(test)]
@@ -339,7 +300,6 @@ mod tests {
         assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -347,7 +307,6 @@ mod tests {
         let s: RunningStats = [7.0].into_iter().collect();
         assert_eq!(s.mean(), 7.0);
         assert_eq!(s.sample_std_dev(), 0.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -375,13 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn ci_shrinks_with_samples() {
-        let small: RunningStats = (0..10).map(|i| i as f64).collect();
-        let large: RunningStats = (0..1000).map(|i| (i % 10) as f64).collect();
-        assert!(large.ci95_half_width() < small.ci95_half_width());
-    }
-
-    #[test]
     fn trace_push_and_query() {
         let mut t = Trace::new("swap");
         for i in 0..10 {
@@ -390,8 +342,6 @@ mod tests {
         assert_eq!(t.len(), 10);
         assert_eq!(t.last_y(), Some(81.0));
         assert_eq!(t.max_y(), Some(81.0));
-        assert_eq!(t.y_at(3.5), Some(9.0));
-        assert_eq!(t.y_at(-1.0), None);
         assert_eq!(t.name(), "swap");
     }
 
@@ -420,7 +370,6 @@ mod tests {
     fn progress_point_xy_projections() {
         let p = ProgressPoint::new(7, 0.75, 120, 980);
         assert_eq!(p.giant_xy(), (7.0, 120.0));
-        assert_eq!(p.coverage_xy(), (7.0, 980.0));
         assert_eq!(p.fitness_xy(), (7.0, 0.75));
     }
 

@@ -70,24 +70,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Chebyshev (L∞) distance to `other`; used by cell-window computations.
-    #[inline]
-    pub fn chebyshev_distance(self, other: Point) -> f64 {
-        (self.x - other.x).abs().max((self.y - other.y).abs())
-    }
-
-    /// Manhattan (L1) distance to `other`.
-    #[inline]
-    pub fn manhattan_distance(self, other: Point) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-
-    /// Component-wise translation by `(dx, dy)`.
-    #[inline]
-    pub fn translated(self, dx: f64, dy: f64) -> Point {
-        Point::new(self.x + dx, self.y + dy)
-    }
-
     /// Midpoint of the segment between `self` and `other`.
     #[inline]
     pub fn midpoint(self, other: Point) -> Point {
@@ -254,20 +236,6 @@ impl Rect {
             p.y.clamp(self.min.y, self.max.y),
         )
     }
-
-    /// Shrinks the rectangle by `margin` on every side.
-    ///
-    /// If the margin exceeds half the width/height the result collapses to
-    /// the center point (zero-area rectangle) rather than inverting.
-    pub fn shrunk(&self, margin: f64) -> Rect {
-        let c = self.center();
-        let half_w = ((self.width() / 2.0) - margin).max(0.0);
-        let half_h = ((self.height() / 2.0) - margin).max(0.0);
-        Rect {
-            min: Point::new(c.x - half_w, c.y - half_h),
-            max: Point::new(c.x + half_w, c.y + half_h),
-        }
-    }
 }
 
 impl fmt::Display for Rect {
@@ -416,28 +384,12 @@ mod tests {
     }
 
     #[test]
-    fn chebyshev_and_manhattan() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(3.0, -4.0);
-        assert_eq!(a.chebyshev_distance(b), 4.0);
-        assert_eq!(a.manhattan_distance(b), 7.0);
-    }
-
-    #[test]
     fn point_midpoint_and_lerp_agree() {
         let a = Point::new(2.0, 2.0);
         let b = Point::new(4.0, 8.0);
         assert_eq!(a.midpoint(b), a.lerp(b, 0.5));
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
-    }
-
-    #[test]
-    fn point_translated() {
-        assert_eq!(
-            Point::new(1.0, 2.0).translated(-1.0, 3.0),
-            Point::new(0.0, 5.0)
-        );
     }
 
     #[test]
@@ -489,17 +441,6 @@ mod tests {
         let r = Rect::from_origin_size(Point::origin(), 10.0, 10.0);
         assert_eq!(r.clamp_point(Point::new(-1.0, 11.0)), Point::new(0.0, 10.0));
         assert_eq!(r.clamp_point(Point::new(5.0, 5.0)), Point::new(5.0, 5.0));
-    }
-
-    #[test]
-    fn rect_shrunk_collapses_gracefully() {
-        let r = Rect::from_origin_size(Point::origin(), 10.0, 10.0);
-        let s = r.shrunk(2.0);
-        assert_eq!(s.min(), Point::new(2.0, 2.0));
-        assert_eq!(s.max(), Point::new(8.0, 8.0));
-        let collapsed = r.shrunk(100.0);
-        assert_eq!(collapsed.area(), 0.0);
-        assert_eq!(collapsed.center(), r.center());
     }
 
     #[test]

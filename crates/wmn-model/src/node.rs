@@ -148,11 +148,6 @@ impl Router {
         self.current_radius
     }
 
-    /// Sets the current radius, clamping into the profile interval.
-    pub fn set_current_radius(&mut self, radius: f64) {
-        self.current_radius = self.profile.clamp(radius);
-    }
-
     /// "Power" ordering key used by HotSpot and the swap movement: a router
     /// is more powerful than another if its current radius is larger.
     #[inline]
@@ -257,16 +252,6 @@ mod tests {
             let r = Router::with_sampled_radius(RouterId(i), p, &mut rng);
             assert!(p.contains(r.current_radius()));
         }
-    }
-
-    #[test]
-    fn set_current_radius_clamps() {
-        let p = RadioProfile::new(2.0, 8.0).unwrap();
-        let mut r = Router::new(RouterId(0), p, 5.0);
-        r.set_current_radius(1.0);
-        assert_eq!(r.current_radius(), 2.0);
-        r.set_current_radius(6.5);
-        assert_eq!(r.current_radius(), 6.5);
     }
 
     #[test]

@@ -54,11 +54,6 @@ impl Placement {
         Placement { positions }
     }
 
-    /// Extracts the underlying position vector.
-    pub fn into_points(self) -> Vec<Point> {
-        self.positions
-    }
-
     /// Number of placed routers.
     #[inline]
     pub fn len(&self) -> usize {
@@ -144,37 +139,6 @@ impl Placement {
             }
         }
         Ok(())
-    }
-
-    /// Centroid of all router positions, or `None` when empty.
-    pub fn centroid(&self) -> Option<Point> {
-        if self.positions.is_empty() {
-            return None;
-        }
-        let (sx, sy) = self
-            .positions
-            .iter()
-            .fold((0.0, 0.0), |(sx, sy), p| (sx + p.x, sy + p.y));
-        let n = self.positions.len() as f64;
-        Some(Point::new(sx / n, sy / n))
-    }
-
-    /// Mean pairwise distance between routers; a dispersion measure used by
-    /// diversity reports. `None` when fewer than two routers.
-    pub fn mean_pairwise_distance(&self) -> Option<f64> {
-        let n = self.positions.len();
-        if n < 2 {
-            return None;
-        }
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                sum += self.positions[i].distance(self.positions[j]);
-                count += 1;
-            }
-        }
-        Some(sum / count as f64)
     }
 }
 
@@ -298,24 +262,6 @@ mod tests {
         let moved = p.clamp_into(&area);
         assert_eq!(moved, 1);
         assert!(p.validate(&area, 3).is_ok());
-    }
-
-    #[test]
-    fn centroid_of_symmetric_points() {
-        let p = Placement::from_points(vec![Point::new(0.0, 0.0), Point::new(2.0, 4.0)]);
-        assert_eq!(p.centroid(), Some(Point::new(1.0, 2.0)));
-        assert_eq!(Placement::new().centroid(), None);
-    }
-
-    #[test]
-    fn mean_pairwise_distance_basics() {
-        let p = Placement::from_points(vec![Point::new(0.0, 0.0), Point::new(3.0, 4.0)]);
-        assert_eq!(p.mean_pairwise_distance(), Some(5.0));
-        assert_eq!(Placement::new().mean_pairwise_distance(), None);
-        assert_eq!(
-            Placement::from_points(vec![Point::origin()]).mean_pairwise_distance(),
-            None
-        );
     }
 
     #[test]

@@ -105,7 +105,6 @@ pub fn stream_seed(root: u64, coords: &[u64]) -> u64 {
 pub struct SeedSequence {
     state: u64,
     master: u64,
-    drawn: u64,
 }
 
 impl SeedSequence {
@@ -114,7 +113,6 @@ impl SeedSequence {
         SeedSequence {
             state: master_seed,
             master: master_seed,
-            drawn: 0,
         }
     }
 
@@ -123,21 +121,9 @@ impl SeedSequence {
         self.master
     }
 
-    /// Number of child seeds drawn so far.
-    pub fn seeds_drawn(&self) -> u64 {
-        self.drawn
-    }
-
     /// Draws the next child seed.
     pub fn next_seed(&mut self) -> u64 {
-        self.drawn += 1;
         splitmix64(&mut self.state)
-    }
-
-    /// Draws the next child RNG (convenience for
-    /// `rng_from_seed(self.next_seed())`).
-    pub fn next_rng(&mut self) -> Rng {
-        rng_from_seed(self.next_seed())
     }
 
     /// Derives a named sub-sequence: the same `label` always yields the same
@@ -227,7 +213,6 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(a.next_seed(), b.next_seed());
         }
-        assert_eq!(a.seeds_drawn(), 16);
     }
 
     #[test]
@@ -268,12 +253,5 @@ mod tests {
         let xs: Vec<u32> = (0..8).map(|_| a.gen()).collect();
         let ys: Vec<u32> = (0..8).map(|_| b.gen()).collect();
         assert_eq!(xs, ys);
-    }
-
-    #[test]
-    fn next_rng_advances_sequence() {
-        let mut seq = SeedSequence::new(3);
-        let _ = seq.next_rng();
-        assert_eq!(seq.seeds_drawn(), 1);
     }
 }

@@ -39,8 +39,7 @@ proptest! {
     #[test]
     fn every_method_is_total_and_valid(instance in arbitrary_instance(), seed in any::<u64>()) {
         for method in AdHocMethod::all() {
-            let h = method.heuristic();
-            let placement = h.place(&instance, &mut rng_from_seed(seed));
+            let placement = method.place(&instance, &mut rng_from_seed(seed));
             prop_assert!(
                 instance.validate_placement(&placement).is_ok(),
                 "{method} invalid on {instance}"
@@ -52,9 +51,8 @@ proptest! {
     #[test]
     fn every_method_is_deterministic(instance in arbitrary_instance(), seed in any::<u64>()) {
         for method in AdHocMethod::all() {
-            let h = method.heuristic();
-            let a = h.place(&instance, &mut rng_from_seed(seed));
-            let b = h.place(&instance, &mut rng_from_seed(seed));
+            let a = method.place(&instance, &mut rng_from_seed(seed));
+            let b = method.place(&instance, &mut rng_from_seed(seed));
             prop_assert_eq!(a, b, "{} not deterministic", method);
         }
     }
@@ -66,9 +64,8 @@ proptest! {
         // never coincide on multi-router instances.
         prop_assume!(instance.router_count() >= 8);
         for method in AdHocMethod::all() {
-            let h = method.heuristic();
-            let a = h.place(&instance, &mut rng_from_seed(seed));
-            let b = h.place(&instance, &mut rng_from_seed(seed ^ 0xDEAD_BEEF));
+            let a = method.place(&instance, &mut rng_from_seed(seed));
+            let b = method.place(&instance, &mut rng_from_seed(seed ^ 0xDEAD_BEEF));
             prop_assert_ne!(a, b, "{} ignored its rng", method);
         }
     }

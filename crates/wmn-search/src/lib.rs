@@ -5,8 +5,8 @@
 //!   the sparsest zone) and the [`RandomMovement`] baseline.
 //! * [`neighborhood`] — best-neighbor selection (Algorithm 2) under a
 //!   sampled exploration budget.
-//! * [`search`] — the phase-loop driver (Algorithm 1), with strict
-//!   (paper) and fixed-length (Figure 4) stopping modes.
+//! * [`search`] — the phase-loop driver (Algorithm 1), run for a fixed
+//!   number of phases (Figure 4).
 //! * [`trace`] — per-phase history (the data behind Figure 4).
 //!
 //! # Quick start

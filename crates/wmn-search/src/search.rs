@@ -2,10 +2,10 @@
 //!
 //! Starting from an initial solution (typically produced by an ad hoc
 //! method), each **phase** computes the best neighbor under the configured
-//! movement and moves to it if it improves the current solution. The paper
-//! variant stops at the first non-improving phase; for figure generation
-//! the driver can also run a fixed number of phases, recording the
-//! evolution of the giant component ([`SearchTrace`]).
+//! movement and moves to it if it improves the current solution. The
+//! driver runs a fixed number of phases, recording the evolution of the
+//! giant component ([`SearchTrace`]); a phase that finds no improvement
+//! keeps the current solution and leaves a flat trace segment.
 
 use crate::movement::Movement;
 use crate::neighborhood::{best_neighbor, ExplorationBudget};
@@ -16,34 +16,18 @@ use wmn_metrics::evaluator::{Evaluation, Evaluator};
 use wmn_model::placement::Placement;
 use wmn_obs::{phase, Recorder};
 
-/// Stopping behaviour of the search.
+/// How long the search runs: exactly `max_phases` phases, each recorded,
+/// whether or not it improves the current solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoppingCondition {
-    /// Hard cap on the number of phases.
+    /// Number of phases.
     pub max_phases: usize,
-    /// Stop at the first phase whose best neighbor does not improve the
-    /// current solution (the literal Algorithm 1 behaviour). When `false`,
-    /// non-improving phases are recorded (flat trace segments) and the
-    /// search continues until `max_phases` — the Figure 4 mode.
-    pub stop_on_first_non_improving: bool,
 }
 
 impl StoppingCondition {
-    /// The paper's Algorithm 1: stop when the best neighbor stops
-    /// improving, with a safety cap.
-    pub fn paper_strict(max_phases: usize) -> Self {
-        StoppingCondition {
-            max_phases,
-            stop_on_first_non_improving: true,
-        }
-    }
-
     /// Fixed-length run (Figure 4: 61 phases).
     pub fn fixed_phases(max_phases: usize) -> Self {
-        StoppingCondition {
-            max_phases,
-            stop_on_first_non_improving: false,
-        }
+        StoppingCondition { max_phases }
     }
 }
 
@@ -197,9 +181,6 @@ impl<'e, 'i> NeighborhoodSearch<'e, 'i> {
                 current.covered_clients(),
                 accepted,
             ));
-            if !accepted && self.config.stopping.stop_on_first_non_improving {
-                break;
-            }
         }
 
         if let Some(before) = engine_before {
@@ -277,29 +258,6 @@ mod tests {
         let initial = instance.random_placement(&mut rng);
         let outcome = run_from(&search, &initial, &mut rng);
         assert_eq!(outcome.trace.len(), 15);
-    }
-
-    #[test]
-    fn strict_mode_stops_at_first_non_improving_phase() {
-        let instance = paper_setup(5);
-        let evaluator = Evaluator::paper_default(&instance);
-        let movement = RandomMovement::new(&instance);
-        let config = SearchConfig {
-            budget: ExplorationBudget::sampled(4),
-            stopping: StoppingCondition::paper_strict(200),
-        };
-        let search = NeighborhoodSearch::new(&evaluator, Box::new(movement), config);
-        let mut rng = rng_from_seed(6);
-        let initial = instance.random_placement(&mut rng);
-        let outcome = run_from(&search, &initial, &mut rng);
-        // Stopped before the cap, and the last phase is the non-improving one.
-        assert!(outcome.trace.len() < 200);
-        let last = outcome.trace.phases().last().unwrap();
-        assert!(!last.accepted);
-        // Every earlier phase improved.
-        for p in &outcome.trace.phases()[..outcome.trace.len() - 1] {
-            assert!(p.accepted, "phase {} should have improved", p.phase());
-        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn main() -> Result<(), ModelError> {
     // HotSpot is the natural fit: strongest routers onto the busiest
     // buildings.
     let mut rng = rng_from_seed(5);
-    let initial = AdHocMethod::HotSpot.heuristic().place(&instance, &mut rng);
+    let initial = AdHocMethod::HotSpot.place(&instance, &mut rng);
     let before = evaluator.evaluate(&initial)?;
 
     // Refine with the swap movement (paper Algorithm 3).

@@ -19,7 +19,7 @@ fn main() -> Result<(), ModelError> {
 
     // Optimize once with HotSpot + swap search.
     let mut rng = rng_from_seed(3);
-    let initial = AdHocMethod::HotSpot.heuristic().place(&instance, &mut rng);
+    let initial = AdHocMethod::HotSpot.place(&instance, &mut rng);
     let search = NeighborhoodSearch::new(
         &evaluator,
         Box::new(SwapMovement::new(&instance, SwapConfig::default())),

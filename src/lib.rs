@@ -18,7 +18,7 @@
 //! | [`model`] | geometry, radio model, client distributions, instances |
 //! | [`graph`] | union–find, spatial index, mesh topology, density maps |
 //! | [`metrics`] | objectives, the lexicographic fitness, the [`Evaluator`] |
-//! | [`placement`] | the seven ad hoc heuristics ([`AdHocMethod`]) |
+//! | [`placement`] | the seven ad hoc methods ([`AdHocMethod`]) |
 //! | [`search`] | neighborhood search: swap & random movements |
 //! | [`ga`] | the genetic algorithm with ad-hoc-seeded populations |
 //! | [`runtime`] | deterministic parallel experiment execution ([`Runtime`]) |
@@ -35,7 +35,7 @@
 //!
 //! // 1. Place routers with an ad hoc method.
 //! let mut rng = rng_from_seed(7);
-//! let placement = AdHocMethod::HotSpot.heuristic().place(&instance, &mut rng);
+//! let placement = AdHocMethod::HotSpot.place(&instance, &mut rng);
 //! let standalone = evaluator.evaluate(&placement)?;
 //!
 //! // 2. Improve it with swap-movement neighborhood search.
@@ -80,7 +80,7 @@ pub mod prelude {
     pub use wmn_graph::{ConnectivityMode, DynamicConnectivity, WmnTopology};
     pub use wmn_metrics::{EvalWorkspace, Evaluation, Evaluator, NetworkMeasurement};
     pub use wmn_model::prelude::*;
-    pub use wmn_placement::prelude::*;
+    pub use wmn_placement::AdHocMethod;
     pub use wmn_runtime::{Cell, Runtime};
     pub use wmn_search::prelude::*;
 }

@@ -33,7 +33,7 @@ fn all_adhoc_methods_place_in_bounds() {
     assert_eq!(methods.len(), 7, "the paper defines seven ad hoc methods");
 
     for method in methods {
-        let placement = method.heuristic().place(&instance, &mut rng_from_seed(11));
+        let placement = method.place(&instance, &mut rng_from_seed(11));
         assert_eq!(
             placement.len(),
             instance.router_count(),

@@ -24,7 +24,7 @@ fn full_pipeline_adhoc_search_ga() {
     let mut rng = rng_from_seed(2);
 
     // Ad hoc placement.
-    let placement = AdHocMethod::HotSpot.heuristic().place(&instance, &mut rng);
+    let placement = AdHocMethod::HotSpot.place(&instance, &mut rng);
     let adhoc = evaluator.evaluate(&placement).expect("valid placement");
 
     // Neighborhood search refinement.
@@ -64,7 +64,7 @@ fn whole_pipeline_is_deterministic_per_seed() {
         let instance = quick_instance(3);
         let evaluator = Evaluator::paper_default(&instance);
         let mut rng = rng_from_seed(4);
-        let placement = AdHocMethod::Cross.heuristic().place(&instance, &mut rng);
+        let placement = AdHocMethod::Cross.place(&instance, &mut rng);
         let search = NeighborhoodSearch::new(
             &evaluator,
             Box::new(SwapMovement::new(&instance, SwapConfig::default())),
@@ -98,7 +98,7 @@ fn every_method_feeds_every_search_algorithm() {
     };
     for method in AdHocMethod::all() {
         let mut rng = rng_from_seed(method.name().len() as u64);
-        let placement = method.heuristic().place(&instance, &mut rng);
+        let placement = method.place(&instance, &mut rng);
         let movements: [Box<dyn Movement>; 2] = [
             Box::new(SwapMovement::new(&instance, SwapConfig::default())),
             Box::new(RandomMovement::new(&instance)),

@@ -72,7 +72,7 @@ fn ga_improves_every_adhoc_method() {
     for method in AdHocMethod::all() {
         let mut rng = rng_from_seed(3);
         let standalone = evaluator
-            .evaluate(&method.heuristic().place(&instance, &mut rng))
+            .evaluate(&method.place(&instance, &mut rng))
             .expect("valid placement");
         let engine = GaEngine::new(&evaluator, config.clone());
         let outcome = engine
@@ -147,7 +147,7 @@ fn standalone_placements_are_subcritical() {
         let instance = spec.generate(2009).expect("generates");
         let evaluator = Evaluator::paper_default(&instance);
         for method in AdHocMethod::all() {
-            let placement = method.heuristic().place(&instance, &mut rng_from_seed(6));
+            let placement = method.place(&instance, &mut rng_from_seed(6));
             let eval = evaluator.evaluate(&placement).expect("valid placement");
             assert!(
                 eval.giant_size() <= 32,

@@ -23,7 +23,7 @@ fn every_method_on_every_scenario_is_valid_and_bounded() {
         let instance = spec.generate(99).expect("generates");
         let evaluator = Evaluator::paper_default(&instance);
         for method in AdHocMethod::all() {
-            let placement = method.heuristic().place(&instance, &mut rng_from_seed(1));
+            let placement = method.place(&instance, &mut rng_from_seed(1));
             instance
                 .validate_placement(&placement)
                 .unwrap_or_else(|e| panic!("{name}/{method}: {e}"));
@@ -52,8 +52,8 @@ fn matrix_results_are_deterministic() {
         let instance = spec.generate(123).expect("generates");
         let evaluator = Evaluator::paper_default(&instance);
         for method in AdHocMethod::all() {
-            let a = method.heuristic().place(&instance, &mut rng_from_seed(5));
-            let b = method.heuristic().place(&instance, &mut rng_from_seed(5));
+            let a = method.place(&instance, &mut rng_from_seed(5));
+            let b = method.place(&instance, &mut rng_from_seed(5));
             assert_eq!(a, b, "{method} not deterministic");
             assert_eq!(
                 evaluator.evaluate(&a).expect("evaluates"),
