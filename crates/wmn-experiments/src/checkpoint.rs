@@ -196,14 +196,14 @@ fn render_entry(out: &mut String, fingerprint: &str, entry: &CellDone) {
     write!(
         out,
         "{{\"schema\":\"{SCHEMA}\",\"fingerprint\":\"{fingerprint}\",\"cell\":\"{}\",\"files\":[",
-        entry.cell
+        json::escape(&entry.cell)
     )
     .expect("writing to a String cannot fail");
     for (i, file) in entry.files.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write!(out, "\"{file}\"").expect("writing to a String cannot fail");
+        write!(out, "\"{}\"", json::escape(file)).expect("writing to a String cannot fail");
     }
     out.push(']');
     if let Some(table) = &entry.table {

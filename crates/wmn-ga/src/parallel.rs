@@ -334,6 +334,59 @@ mod tests {
     }
 
     #[test]
+    fn every_topology_of_an_instance_shares_its_client_index() {
+        use crate::population::Lineage;
+        use wmn_graph::topology::WmnTopology;
+        let (instance, pop) = population(8, 6);
+        let evaluator = Evaluator::paper_default(&instance);
+        let built = WmnTopology::build(&instance, pop.individuals()[0].placement()).unwrap();
+        let clients = built.client_index().points().as_ptr();
+        for threads in [1, 4] {
+            let mut parents = pop.clone();
+            let parent_slots = evaluate(&evaluator, &mut parents, threads).unwrap();
+            // Crossover children: parent i's first half, parent i + 1's
+            // second half.
+            let n = parents.len();
+            let lineage: Vec<Lineage> = (0..n)
+                .map(|i| Lineage {
+                    a: i,
+                    b: (i + 1) % n,
+                })
+                .collect();
+            let mut children: Population = lineage
+                .iter()
+                .map(|line| {
+                    let a = parents.individuals()[line.a].placement().as_slice();
+                    let b = parents.individuals()[line.b].placement().as_slice();
+                    let half = a.len() / 2;
+                    let genes = a[..half].iter().chain(&b[half..]).copied().collect();
+                    Individual::new(Placement::from_points(genes))
+                })
+                .collect();
+            let mut child_slots = Vec::new();
+            child_slots.resize_with(n, EvalWorkspace::new);
+            evaluate_generation(
+                &evaluator,
+                &parents,
+                &parent_slots,
+                &mut children,
+                &mut child_slots,
+                &lineage,
+                threads,
+            )
+            .unwrap();
+            for (i, slot) in parent_slots.iter().chain(&child_slots).enumerate() {
+                let topo = slot.topology().expect("slot holds a topology");
+                assert_eq!(
+                    topo.client_index().points().as_ptr(),
+                    clients,
+                    "slot {i}, threads {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn more_threads_than_individuals_is_fine() {
         let (instance, mut pop) = population(3, 3);
         let evaluator = Evaluator::paper_default(&instance);

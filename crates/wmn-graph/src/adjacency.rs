@@ -9,8 +9,8 @@
 //! and neighbor walks stay inside one allocation.
 
 use crate::arena::NeighborSlab;
-use crate::spatial::GridIndex;
 use wmn_model::geometry::{Area, Point};
+use wmn_model::spatial::DynamicGrid;
 
 /// Returns `true` if routers at squared distance `d2` with current radii
 /// `ri`, `rj` are linked: **mutual range**, `d <= min(r_i, r_j)` — a
@@ -28,13 +28,11 @@ pub fn links(d2: f64, ri: f64, rj: f64) -> bool {
     d2 <= range * range
 }
 
-/// The spatial-index cell size adjacency construction uses for a point
-/// set whose largest radius is `max_radius` — near the typical query
-/// radius, so bucket scans stay tight. Shared between
-/// [`MeshAdjacency::build`] and the router-side
-/// [`DynamicGrid`](crate::spatial::DynamicGrid) that
-/// [`WmnTopology`](crate::topology::WmnTopology) keeps in sync across
-/// moves, so both paths see the same candidate structure.
+/// The cell size of the router [`DynamicGrid`] for a point set whose
+/// largest radius is `max_radius` — near the typical query radius, so
+/// bucket scans stay tight. [`MeshAdjacency::build`] and
+/// [`WmnTopology`](crate::topology::WmnTopology) both size their router
+/// grid with it.
 #[inline]
 pub fn grid_cell_size(max_radius: f64) -> f64 {
     (2.0 * max_radius).max(1e-9)
@@ -69,48 +67,22 @@ impl Clone for MeshAdjacency {
 }
 
 impl MeshAdjacency {
-    /// Builds adjacency for routers at `positions` with current `radii`,
-    /// using a spatial index over `area`.
+    /// Builds adjacency for routers at `positions` with current `radii`:
+    /// a router [`DynamicGrid`] over `area`, sized like a topology's
+    /// (largest radius, at least 1), and
+    /// [`rebuild_in_place`](MeshAdjacency::rebuild_in_place) on it.
     ///
     /// # Panics
     ///
     /// Panics if `positions.len() != radii.len()` or the router count does
     /// not fit u32 ids.
     pub fn build(area: &Area, positions: &[Point], radii: &[f64]) -> MeshAdjacency {
-        assert_eq!(
-            positions.len(),
-            radii.len(),
-            "positions and radii must be parallel vectors"
-        );
-        let n = positions.len();
-        if n == 0 {
-            return MeshAdjacency::default();
-        }
-        let max_radius = radii.iter().copied().fold(0.0_f64, f64::max);
-        let index = GridIndex::build(area, positions, grid_cell_size(max_radius));
-
-        let mut neighbors = NeighborSlab::with_nodes(n);
-        let mut edge_count = 0;
-        for i in 0..n {
-            for j in index.within_radius(positions[i], radii[i]) {
-                if j <= i {
-                    continue; // handle each unordered pair once
-                }
-                let d2 = positions[i].distance_squared(positions[j]);
-                if links(d2, radii[i], radii[j]) {
-                    neighbors.push(i, j as u32);
-                    neighbors.push(j, i as u32);
-                    edge_count += 1;
-                }
-            }
-        }
-        for i in 0..n {
-            neighbors.get_mut(i).sort_unstable();
-        }
-        MeshAdjacency {
-            neighbors,
-            edge_count,
-        }
+        let max_radius = radii.iter().copied().fold(1.0_f64, f64::max);
+        let mut grid = DynamicGrid::new(area, grid_cell_size(max_radius));
+        grid.rebuild(positions);
+        let mut adjacency = MeshAdjacency::default();
+        adjacency.rebuild_in_place(positions, radii, &grid);
+        adjacency
     }
 
     /// Reference O(n²) construction, the oracle of the adjacency tests.
@@ -224,20 +196,14 @@ impl MeshAdjacency {
     }
 
     /// Recomputes the whole adjacency **in place** for `positions`/`radii`,
-    /// taking candidate pairs from `grid` (which must be in
-    /// sync with `positions`). Produces exactly the result of
-    /// [`MeshAdjacency::build`] while reusing the slab's blocks — the
-    /// workspace path behind `Evaluator::evaluate_with` in `wmn-metrics`.
+    /// taking candidate pairs from `grid` (which must be in sync with
+    /// `positions`) and reusing the slab's blocks. Every topology build and
+    /// rebuild runs it, on the router grid the topology keeps.
     ///
     /// # Panics
     ///
     /// Panics if `positions.len() != radii.len()`.
-    pub fn rebuild_in_place(
-        &mut self,
-        positions: &[Point],
-        radii: &[f64],
-        grid: &crate::spatial::DynamicGrid,
-    ) {
+    pub fn rebuild_in_place(&mut self, positions: &[Point], radii: &[f64], grid: &DynamicGrid) {
         assert_eq!(
             positions.len(),
             radii.len(),
@@ -375,7 +341,6 @@ mod tests {
 
     #[test]
     fn rebuild_in_place_matches_build() {
-        use crate::spatial::DynamicGrid;
         let area = area100();
         let mut adj = MeshAdjacency::default();
         for trial in 0..5u64 {

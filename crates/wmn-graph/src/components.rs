@@ -4,7 +4,7 @@
 //! the router mesh. This module computes component structure from a
 //! [`MeshAdjacency`] by BFS, into fresh buffers
 //! ([`Components::from_adjacency`]) or in place (`rebuild_in_place`,
-//! behind `WmnTopology::reset_placement`). A union–find build
+//! behind every `WmnTopology` build and rebuild). A union–find build
 //! ([`Components::from_adjacency_dsu`]) is kept as the oracle the tests
 //! check the BFS against.
 //!
@@ -102,7 +102,8 @@ impl Components {
     /// search **in place**, reusing its own buffers and the caller's BFS
     /// `queue`, so no heap allocation happens once the buffers have grown
     /// to the graph size. This is the rebuild behind
-    /// [`Components::from_adjacency`] and `WmnTopology::reset_placement`.
+    /// [`Components::from_adjacency`] and every `WmnTopology` build and
+    /// rebuild.
     pub(crate) fn rebuild_in_place(&mut self, adj: &MeshAdjacency, queue: &mut Vec<u32>) {
         let n = adj.node_count();
         self.label.clear();
@@ -167,7 +168,7 @@ impl Components {
     }
 
     /// A structure over no nodes, to be filled by a build.
-    fn empty() -> Components {
+    pub(crate) fn empty() -> Components {
         Components {
             label: Vec::new(),
             sizes: Vec::new(),

@@ -9,12 +9,11 @@
 //!   a handful of bulk copies.
 //! * [`dsu`] — union–find with rank + path compression, the test oracle
 //!   for the BFS component builds.
-//! * [`spatial`] — a uniform-grid index for radius/rectangle queries
-//!   (lazy, allocation-free iteration) plus the mutable
-//!   [`DynamicGrid`] the topology keeps in sync across router moves.
 //! * [`adjacency`] — the mutual-range link rule and mesh adjacency
-//!   construction, with per-node edge replacement (`replace_node_edges`, a merge-diff
-//!   of old vs new neighbor lists) and whole-graph rebuild.
+//!   construction on a router [`DynamicGrid`](wmn_model::spatial::DynamicGrid)
+//!   (the grid a topology keeps), with per-node edge replacement
+//!   (`replace_node_edges`, a merge-diff of old vs new neighbor lists) and
+//!   whole-graph rebuild in place.
 //! * [`components`] — connected components and the giant component (the
 //!   paper's connectivity objective), rebuildable in place by BFS.
 //! * [`connectivity`] — [`DynamicConnectivity`], component-local repair of
@@ -30,7 +29,10 @@
 //!   of edges, connectivity, and coverage after every position write (see
 //!   the [`topology`] module docs for the invariants and the coverage
 //!   choice), and a placement stamp that caches of position-derived data
-//!   key on.
+//!   key on. Every topology of an instance shares the instance's client
+//!   index ([`ProblemInstance::client_index`](wmn_model::ProblemInstance::client_index)),
+//!   and `build`, `reset_placement` and `rebuild_full` derive the network
+//!   through one routine.
 //!
 //! # Quick start
 //!
@@ -56,7 +58,6 @@ pub mod components;
 pub mod connectivity;
 pub mod density;
 pub mod dsu;
-pub mod spatial;
 pub mod topology;
 
 pub use adjacency::MeshAdjacency;
@@ -65,6 +66,5 @@ pub use components::Components;
 pub use connectivity::{ConnectivityStats, DynamicConnectivity};
 pub use density::{CellWindow, DensityMap, ZoneBins, ZoneCensus};
 pub use dsu::UnionFind;
-pub use spatial::{DynamicGrid, GridIndex};
 pub use topology::{ConnectivityMode, WmnTopology};
 pub use wmn_obs::{EngineStats, TopologyStats};

@@ -48,6 +48,11 @@
 //!
 //! ## Invariants
 //!
+//! * `client_index` is the instance's own client index
+//!   ([`ProblemInstance::client_index`]), shared by every topology of the
+//!   instance, and `radii` are the radii it was built for. Two topologies
+//!   holding the same index `Arc` index the same clients with the same
+//!   radii, so one may lend the other its disk caches.
 //! * `positions`/`radii`/`router_index` agree at all times (the grid is
 //!   relocated *before* edge repair).
 //! * `adjacency` equals `MeshAdjacency::build` of the current positions;
@@ -68,7 +73,10 @@
 //! disables the incremental repair wholesale — every write then runs
 //! [`rebuild_full`](WmnTopology::rebuild_full) — which is the reference
 //! baseline the equivalence tests and the `move_eval` bench compare
-//! against.
+//! against. It derives the network through the same routine as
+//! [`build`](WmnTopology::build) and
+//! [`reset_placement`](WmnTopology::reset_placement): the router grid, the
+//! adjacency on it, components, and coverage, all rebuilt in place.
 //!
 //! [`move_router`]: WmnTopology::move_router
 //! [`swap_routers`]: WmnTopology::swap_routers
@@ -76,13 +84,12 @@
 //! [`set_connectivity_mode`]: WmnTopology::set_connectivity_mode
 //! [`placement_stamp`]: WmnTopology::placement_stamp
 //! [`DynamicConnectivity`]: crate::connectivity::DynamicConnectivity
-//! [`DynamicGrid`]: crate::spatial::DynamicGrid
+//! [`DynamicGrid`]: wmn_model::spatial::DynamicGrid
 
 use crate::adjacency::{self, MeshAdjacency};
 use crate::arena::NeighborSlab;
 use crate::components::Components;
 use crate::connectivity::{ConnectivityStats, DynamicConnectivity};
-use crate::spatial::{grid_cell_count, grid_shape, DynamicGrid, GridIndex, MAX_GRID_CELLS};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -91,6 +98,7 @@ use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::ProblemInstance;
 use wmn_model::node::RouterId;
 use wmn_model::placement::Placement;
+use wmn_model::spatial::{check_cell_space, DynamicGrid, GridIndex};
 use wmn_obs::{EngineStats, TopologyStats};
 
 /// How a topology repairs connectivity (components + giant) after each
@@ -144,12 +152,14 @@ pub struct WmnTopology {
     area: Area,
     positions: Vec<Point>,
     radii: Vec<f64>,
-    /// Client-side spatial index. Clients never move, so the index is
-    /// shared (`Arc`) between topologies of the same instance — state
-    /// copies between population-pool members are a pointer clone.
+    /// The instance's client index ([`ProblemInstance::client_index`]).
+    /// Clients never move, so every topology of the instance shares this
+    /// one `Arc`: a build takes it with a pointer clone instead of
+    /// indexing the clients, and so does every state copy.
     client_index: Arc<GridIndex>,
     /// Router-side mutable grid, kept in sync with `positions` on every
-    /// move/swap so edge repair queries only nearby routers.
+    /// move/swap so edge repair queries only nearby routers; whole-mesh
+    /// builds run on it too.
     router_index: DynamicGrid,
     adjacency: MeshAdjacency,
     components: Components,
@@ -343,83 +353,45 @@ impl WmnTopology {
     ///
     /// Propagates placement validation
     /// ([`ModelError`](wmn_model::ModelError)) — length mismatch or
-    /// out-of-area positions. Refuses with `ModelError::InvalidSpec` an
-    /// instance whose router or client ids would not fit u32, or whose
-    /// client or router grid would have more cells than u32 ids can number
-    /// (an area far larger than the radio range, such as `--scale-area
-    /// 1000000`).
+    /// out-of-area positions — and the refusals of
+    /// [`ProblemInstance::client_index`]: router or client ids beyond u32,
+    /// or a client grid with more cells than u32 ids can number (an area
+    /// far larger than the radio range, such as `--scale-area 1000000`).
+    /// Refuses the router grid the same way.
     pub fn build(
         instance: &ProblemInstance,
         placement: &Placement,
     ) -> Result<WmnTopology, wmn_model::ModelError> {
         instance.validate_placement(placement)?;
+        let client_index = Arc::clone(instance.client_index()?);
         let area = instance.area();
-        let positions: Vec<Point> = placement.as_slice().to_vec();
-        let positions_len = positions.len();
-        let radii: Vec<f64> = instance
-            .routers()
-            .iter()
-            .map(|r| r.current_radius())
-            .collect();
-        let clients = instance.client_positions();
-        // The id-width invariant: router and client ids are u32 throughout
-        // the arena-backed storage (adjacency, disk caches, edge streams).
-        if positions_len >= u32::MAX as usize || clients.len() >= u32::MAX as usize {
-            return Err(wmn_model::ModelError::InvalidSpec {
-                reason: format!(
-                    "instance exceeds the u32 id space: {} routers / {} clients \
-                     (at most {} of each supported)",
-                    positions_len,
-                    clients.len(),
-                    u32::MAX - 1
-                ),
-            });
-        }
-        let max_radius = radii.iter().copied().fold(1.0_f64, f64::max);
-        // The grid-width invariant: both grid kinds store u32 cell ids. The
-        // router grids are checked at the finer of their two cell sizes
-        // (`MeshAdjacency::build` sizes its grid by the largest radius, the
-        // router index by at least 1).
-        let finest_router_cell =
-            adjacency::grid_cell_size(radii.iter().copied().fold(0.0_f64, f64::max));
-        for (grid, cell_size) in [("client", max_radius), ("router", finest_router_cell)] {
-            let (cols, rows) = grid_shape(&area, cell_size);
-            if grid_cell_count(cols, rows).is_none() {
-                return Err(wmn_model::ModelError::InvalidSpec {
-                    reason: format!(
-                        "the {grid} grid would need {cols} x {rows} = {} cells, beyond the \
-                         u32 cell-id space (at most {MAX_GRID_CELLS} cells)",
-                        cols as u128 * rows as u128
-                    ),
-                });
-            }
-        }
-        let client_index = Arc::new(GridIndex::build(&area, &clients, max_radius));
-        let mut router_index = DynamicGrid::new(&area, adjacency::grid_cell_size(max_radius));
-        router_index.rebuild(&positions);
-        let adjacency = MeshAdjacency::build(&area, &positions, &radii);
-        let components = Components::from_adjacency(&adjacency);
+        let router_cell = adjacency::grid_cell_size(client_index.cell_size());
+        check_cell_space(&area, router_cell, "router")?;
+        let (routers, clients) = (placement.len(), client_index.len());
         let mut topo = WmnTopology {
             area,
-            positions,
-            radii,
+            positions: placement.as_slice().to_vec(),
+            radii: instance
+                .routers()
+                .iter()
+                .map(|r| r.current_radius())
+                .collect(),
             client_index,
-            router_index,
-            adjacency,
-            components,
+            router_index: DynamicGrid::new(&area, router_cell),
+            adjacency: MeshAdjacency::default(),
+            components: Components::empty(),
             giant_mask: Vec::new(),
-            cover_count: vec![0; clients.len()],
-            covered: vec![false; clients.len()],
+            cover_count: vec![0; clients],
+            covered: vec![false; clients],
             covered_count: 0,
-            disk_clients: NeighborSlab::with_nodes(positions_len),
-            disk_cached: vec![false; positions_len],
+            disk_clients: NeighborSlab::with_nodes(routers),
+            disk_cached: vec![false; routers],
             connectivity_mode: ConnectivityMode::default(),
             placement_stamp: fresh_placement_stamp(),
             last_write: None,
             scratch: MoveScratch::default(),
         };
-        topo.refresh_giant_mask();
-        topo.recompute_coverage();
+        topo.rebuild_network();
         Ok(topo)
     }
 
@@ -443,6 +415,16 @@ impl WmnTopology {
         self.positions.copy_from_slice(placement.as_slice());
         self.stamp_fresh();
         self.disk_cached.fill(false);
+        self.rebuild_network();
+    }
+
+    /// Derives the whole network from the current positions, in place:
+    /// the router grid, the adjacency on it, components, the giant mask,
+    /// and coverage (re-querying only routers whose disk cache is stale).
+    /// [`build`](WmnTopology::build),
+    /// [`reset_placement`](WmnTopology::reset_placement) and
+    /// [`rebuild_full`](WmnTopology::rebuild_full) all end here.
+    fn rebuild_network(&mut self) {
         self.router_index.rebuild(&self.positions);
         self.adjacency
             .rebuild_in_place(&self.positions, &self.radii, &self.router_index);
@@ -521,11 +503,12 @@ impl WmnTopology {
         &self.giant_mask
     }
 
-    /// The client positions this topology was built against (fixed per
-    /// instance). Lets workspace reuse verify a topology still matches an
-    /// instance without rebuilding.
-    pub fn client_points(&self) -> &[Point] {
-        self.client_index.points()
+    /// The instance's client index this topology was built on
+    /// ([`ProblemInstance::client_index`]). `Arc::ptr_eq` against another
+    /// topology's, or against the instance's, tells whether both index the
+    /// same clients with the same radii.
+    pub fn client_index(&self) -> &Arc<GridIndex> {
+        &self.client_index
     }
 
     /// Returns `true` if router `id` is in the giant component.
@@ -668,8 +651,8 @@ impl WmnTopology {
     }
 
     /// [`disk_add`](WmnTopology::disk_add) with a donor: on a cache miss,
-    /// a donor topology holding router `i` at the **same position** (same
-    /// instance — the caller verifies the shared client index) donates its
+    /// a donor topology holding router `i` at the **same position** (on the
+    /// same client index — the caller verifies it) donates its
     /// cached disk instead of a grid query. This is the crossover-child
     /// path: a moved gene's target position is verbatim the other parent's,
     /// whose cache holds exactly the right client set.
@@ -962,9 +945,11 @@ impl WmnTopology {
     /// donor's cached disk is copied instead of re-queried from the client
     /// grid. This is the crossover-child evaluation path — the recombined
     /// genes' targets are verbatim the other parent's positions, so their
-    /// disks come for free. A donor of a different instance (different
-    /// client index or router count) is ignored; results are identical with
-    /// or without a donor (pinned by tests), only the query count differs.
+    /// disks come for free. A donor on another client index `Arc` (another
+    /// instance, or the same one before or after
+    /// [`ProblemInstance::oscillate_radii`]) or with another router count
+    /// is ignored; results are identical with or without a donor (pinned by
+    /// tests), only the query count differs.
     ///
     /// # Panics
     ///
@@ -973,16 +958,11 @@ impl WmnTopology {
         if moves.is_empty() {
             return;
         }
+        // The shared index means the same clients and radii, so the donor's
+        // disk caches hold the right client sets.
         let donor = donor.filter(|d| {
-            // Same instance: the shared-Arc check catches topologies related
-            // by adoption (the steady-state GA population); the structural
-            // fallback admits independently built topologies of the same
-            // instance (a first generation after `evaluate_initial`, or any
-            // caller-assembled population), whose grafts are just as valid.
-            (Arc::ptr_eq(&d.client_index, &self.client_index)
-                || d.client_index == self.client_index)
+            Arc::ptr_eq(&d.client_index, &self.client_index)
                 && d.positions.len() == self.positions.len()
-                && d.radii == self.radii
         });
         self.begin_write();
         for &(id, to) in moves {
@@ -1143,15 +1123,14 @@ impl WmnTopology {
     }
 
     /// Rebuilds the router grid, adjacency, components, and coverage from
-    /// scratch. The reference path: tests, the `FullRebuild` baseline, and
-    /// the `ablation_move_eval` bench run it to pin the incremental engine.
+    /// the current positions, in place, through the routine behind
+    /// [`build`](WmnTopology::build); disk caches still valid for their
+    /// router's position are kept. The reference path: tests, the
+    /// `FullRebuild` baseline, and the `ablation_move_eval` bench run it to
+    /// pin the incremental engine.
     pub fn rebuild_full(&mut self) {
         self.scratch.counters.full_rebuilds += 1;
-        self.router_index.rebuild(&self.positions);
-        self.adjacency = MeshAdjacency::build(&self.area, &self.positions, &self.radii);
-        self.components = Components::from_adjacency(&self.adjacency);
-        self.refresh_giant_mask();
-        self.recompute_coverage();
+        self.rebuild_network();
     }
 
     /// Debug helper: asserts the incremental state — adjacency, components,
@@ -1272,17 +1251,11 @@ mod tests {
                 other => panic!("expected a grid-size refusal, got {other:?}"),
             }
         };
-        // Client cells of side 8: 125,000² cells.
+        // Client cells of side 8: 125,000² cells. The router grid's cells
+        // are twice as wide, so it fits whenever the client grid does.
         let reason = refusal(1e6, 8.0);
         assert!(
             reason.contains("client grid would need 125000 x 125000 = 15625000000 cells"),
-            "{reason}"
-        );
-        // Radius 0.25: client cells of side 1 (40,000² fit), but the
-        // adjacency grid's cells of side 0.5 do not (80,000²).
-        let reason = refusal(40_000.0, 0.25);
-        assert!(
-            reason.contains("router grid would need 80000 x 80000"),
             "{reason}"
         );
     }

@@ -5,12 +5,12 @@ use wmn_graph::adjacency::MeshAdjacency;
 use wmn_graph::components::Components;
 use wmn_graph::density::{CellWindow, DensityMap};
 use wmn_graph::dsu::UnionFind;
-use wmn_graph::spatial::GridIndex;
 use wmn_graph::topology::WmnTopology;
 use wmn_model::geometry::{Area, Point};
 use wmn_model::instance::InstanceSpec;
 use wmn_model::node::RouterId;
 use wmn_model::rng::rng_from_seed;
+use wmn_model::spatial::GridIndex;
 
 fn in_area_point(side: f64) -> impl Strategy<Value = Point> {
     (0.0..side, 0.0..side).prop_map(|(x, y)| Point::new(x, y))
@@ -78,7 +78,7 @@ proptest! {
         cell in 1.0..30.0f64,
     ) {
         let area = Area::square(100.0).unwrap();
-        let index = GridIndex::build(&area, &pts, cell);
+        let index = GridIndex::build(&area, pts.clone(), cell);
         let mut fast: Vec<usize> = index.within_radius(center, radius).collect();
         fast.sort_unstable();
         let slow = GridIndex::brute_force_within_radius(&pts, center, radius);

@@ -10,6 +10,7 @@ use crate::fitness;
 use crate::measurement::NetworkMeasurement;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 use wmn_graph::topology::WmnTopology;
 use wmn_graph::EngineStats;
 use wmn_model::instance::ProblemInstance;
@@ -50,9 +51,9 @@ impl fmt::Display for Evaluation {
 /// GA's per-generation population, a batch of ad hoc placements) performs
 /// no per-candidate topology allocation.
 ///
-/// A workspace adapts automatically: if it was last used against a
-/// different instance (detected by comparing router radii and client
-/// positions), the stored topology is discarded and rebuilt from scratch.
+/// A workspace adapts automatically: if its topology was not built on this
+/// instance's current client index (another instance, or radii oscillated
+/// since), the stored topology is discarded and rebuilt from scratch.
 ///
 /// # Examples
 ///
@@ -211,24 +212,17 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Whether a stored workspace topology is still valid for this
-    /// evaluator: same router radii, same client positions.
-    /// O(routers + clients) float compares — negligible next to an
-    /// evaluation, and it makes cross-instance workspace reuse safe.
+    /// evaluator: it has the instance's router count and holds the
+    /// instance's client index, which means the same clients and radii
+    /// (see `ProblemInstance::client_index`). One pointer compare. An
+    /// index the instance refuses to build matches nothing, so the build
+    /// that follows reports the refusal.
     fn workspace_matches(&self, topo: &WmnTopology) -> bool {
         topo.router_count() == self.instance.router_count()
-            && topo.client_count() == self.instance.client_count()
             && self
                 .instance
-                .routers()
-                .iter()
-                .enumerate()
-                .all(|(i, r)| topo.radius(wmn_model::RouterId(i)) == r.current_radius())
-            && self
-                .instance
-                .clients()
-                .iter()
-                .zip(topo.client_points())
-                .all(|(c, p)| c.position() == *p)
+                .client_index()
+                .is_ok_and(|index| Arc::ptr_eq(index, topo.client_index()))
     }
 
     /// Evaluates `target` by **delta-morphing** an existing topology
@@ -286,6 +280,7 @@ impl<'a> Evaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmn_graph::topology::WmnTopology;
     use wmn_model::geometry::Point;
     use wmn_model::instance::{InstanceBuilder, InstanceSpec};
     use wmn_model::node::RouterId;
@@ -373,6 +368,70 @@ mod tests {
                 "round {round} instance b"
             );
         }
+    }
+
+    #[test]
+    fn workspace_rebuilds_a_topology_from_before_an_oscillation() {
+        let mut instance = InstanceSpec::paper_normal().unwrap().generate(3).unwrap();
+        let placement = instance.random_placement(&mut rng_from_seed(4));
+        let before = WmnTopology::build(&instance, &placement).unwrap();
+        instance.oscillate_radii(&mut rng_from_seed(5));
+        let ev = Evaluator::paper_default(&instance);
+        let mut ws = EvalWorkspace::new();
+        ws.adopt_topology(&before);
+        ws.reset_engine_stats();
+        let got = ev.evaluate_with(&mut ws, &placement).unwrap();
+        assert_eq!(got, ev.evaluate(&placement).unwrap());
+        let topo = ws.topology().unwrap();
+        assert_eq!(
+            topo.engine_stats().topology.full_rebuilds,
+            0,
+            "the stale topology must be replaced by a fresh build, not reset"
+        );
+        assert!(Arc::ptr_eq(
+            topo.client_index(),
+            instance.client_index().unwrap()
+        ));
+        for (i, r) in instance.routers().iter().enumerate() {
+            assert_eq!(topo.radius(RouterId(i)), r.current_radius());
+        }
+    }
+
+    #[test]
+    fn a_donor_from_before_an_oscillation_lends_nothing() {
+        // Eight routers packed within 0.7 of each other form one component
+        // at any radius in [2, 8], and clients on a spiral out to 8 make
+        // every disk's client set depend on its radius: a graft from
+        // before the oscillation would carry a stale client set.
+        let profile = RadioProfile::new(2.0, 8.0).unwrap();
+        let mut builder = InstanceBuilder::new(Area::square(100.0).unwrap());
+        for _ in 0..8 {
+            builder = builder.router(profile, 5.0);
+        }
+        let mut instance = builder
+            .clients((0..120).map(|k| {
+                let (r, a) = (2.0 + k as f64 * 0.05, k as f64 * 0.7);
+                Point::new(50.0 + r * a.cos(), 50.0 + r * a.sin())
+            }))
+            .build()
+            .unwrap();
+        let cluster = |dx: f64| -> Placement {
+            (0..8)
+                .map(|i| Point::new(50.0 + dx + 0.1 * i as f64, 50.0))
+                .collect()
+        };
+        let before = WmnTopology::build(&instance, &cluster(0.0)).unwrap();
+        instance.oscillate_radii(&mut rng_from_seed(5));
+        let ev = Evaluator::paper_default(&instance);
+        let mut topo = ev.topology(&cluster(20.0)).unwrap();
+        let target = cluster(0.0);
+        let mut moves = Vec::new();
+        let got = ev
+            .evaluate_moves_to_from(&mut topo, &target, &mut moves, Some(&before))
+            .unwrap();
+        assert_eq!(got, ev.evaluate(&target).unwrap());
+        assert_eq!(topo.engine_stats().topology.disk_cache_grafts, 0);
+        topo.assert_consistent();
     }
 
     #[test]

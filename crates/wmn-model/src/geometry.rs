@@ -332,30 +332,6 @@ impl Area {
     pub fn clamp_point(&self, p: Point) -> Point {
         Point::new(p.x.clamp(0.0, self.width), p.y.clamp(0.0, self.height))
     }
-
-    /// Length of the main diagonal.
-    #[inline]
-    pub fn diagonal(&self) -> f64 {
-        (self.width * self.width + self.height * self.height).sqrt()
-    }
-
-    /// Relative width/height imbalance in `[0, 1]`:
-    /// `|W - H| / max(W, H)`.
-    ///
-    /// The paper's Diag and Cross methods require a *near-square* area; they
-    /// consider a 10% difference acceptable. See
-    /// [`Area::is_near_square`].
-    #[inline]
-    pub fn aspect_imbalance(&self) -> f64 {
-        (self.width - self.height).abs() / self.width.max(self.height)
-    }
-
-    /// Returns `true` if the width and height differ by at most
-    /// `tolerance` (relative, e.g. `0.1` for the paper's 10% rule).
-    #[inline]
-    pub fn is_near_square(&self, tolerance: f64) -> bool {
-        self.aspect_imbalance() <= tolerance
-    }
 }
 
 impl fmt::Display for Area {
@@ -465,16 +441,6 @@ mod tests {
         assert_eq!(a.height(), 128.0);
         assert_eq!(a.surface(), 128.0 * 128.0);
         assert_eq!(a.center(), Point::new(64.0, 64.0));
-        assert!((a.diagonal() - 181.019).abs() < 1e-2);
-    }
-
-    #[test]
-    fn area_near_square_tolerance() {
-        let a = Area::new(100.0, 92.0).unwrap();
-        assert!(a.is_near_square(0.10));
-        assert!(!a.is_near_square(0.05));
-        let b = Area::new(100.0, 50.0).unwrap();
-        assert!(!b.is_near_square(0.10));
     }
 
     #[test]

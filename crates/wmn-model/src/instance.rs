@@ -13,15 +13,20 @@ use crate::node::{Client, ClientId, Router, RouterId};
 use crate::placement::Placement;
 use crate::radio::RadioProfile;
 use crate::rng::{rng_from_seed, SeedSequence};
+use crate::spatial::{self, GridIndex};
 use crate::ModelError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A complete instance of the mesh router placement problem.
 ///
 /// Routers do not carry positions; candidate positions are a separate
 /// [`Placement`] so that one instance can be shared by many solutions.
+/// Clients never move, so the instance also holds their spatial index,
+/// built once ([`ProblemInstance::client_index`]); equality and `Debug`
+/// ignore it.
 ///
 /// # Examples
 ///
@@ -35,11 +40,32 @@ use std::fmt;
 /// assert_eq!(instance.client_count(), 192);
 /// # Ok::<(), wmn_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct ProblemInstance {
     area: Area,
     routers: Vec<Router>,
     clients: Vec<Client>,
+    /// Filled by [`client_index`](ProblemInstance::client_index) and
+    /// emptied by [`oscillate_radii`](ProblemInstance::oscillate_radii). A
+    /// clone shares the built index.
+    #[serde(skip)]
+    client_index: OnceLock<Arc<GridIndex>>,
+}
+
+impl PartialEq for ProblemInstance {
+    fn eq(&self, other: &Self) -> bool {
+        self.area == other.area && self.routers == other.routers && self.clients == other.clients
+    }
+}
+
+impl fmt::Debug for ProblemInstance {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProblemInstance")
+            .field("area", &self.area)
+            .field("routers", &self.routers)
+            .field("clients", &self.clients)
+            .finish()
+    }
 }
 
 impl ProblemInstance {
@@ -69,6 +95,7 @@ impl ProblemInstance {
             area,
             routers,
             clients,
+            client_index: OnceLock::new(),
         })
     }
 
@@ -127,9 +154,53 @@ impl ProblemInstance {
         self.clients.iter().map(|c| c.position()).collect()
     }
 
+    /// The clients' spatial index: a [`GridIndex`] whose cells are as wide
+    /// as the largest current router radius, at least 1. The first call
+    /// builds it; every later call, and every topology of this instance,
+    /// shares that one `Arc` until
+    /// [`oscillate_radii`](ProblemInstance::oscillate_radii) drops it. So
+    /// two topologies share an index exactly when they were built on the
+    /// same clients and radii of one instance.
+    ///
+    /// # Errors
+    ///
+    /// Refuses with [`ModelError::InvalidSpec`] an instance whose router or
+    /// client ids would not fit u32, or whose client grid would have more
+    /// cells than u32 ids can number ([`spatial::check_cell_space`]).
+    pub fn client_index(&self) -> Result<&Arc<GridIndex>, ModelError> {
+        if let Some(index) = self.client_index.get() {
+            return Ok(index);
+        }
+        // The id-width invariant: router and client ids are u32 throughout
+        // a topology's arena-backed storage.
+        let (routers, clients) = (self.routers.len(), self.clients.len());
+        if routers >= u32::MAX as usize || clients >= u32::MAX as usize {
+            return Err(ModelError::InvalidSpec {
+                reason: format!(
+                    "instance exceeds the u32 id space: {routers} routers / {clients} clients \
+                     (at most {} of each supported)",
+                    u32::MAX - 1
+                ),
+            });
+        }
+        let cell_size = self
+            .routers
+            .iter()
+            .map(Router::current_radius)
+            .fold(1.0_f64, f64::max);
+        spatial::check_cell_space(&self.area, cell_size, "client")?;
+        Ok(self.client_index.get_or_init(|| {
+            let points = self.clients.iter().map(Client::position).collect();
+            Arc::new(GridIndex::build(&self.area, points, cell_size))
+        }))
+    }
+
     /// Re-draws every router's current radius from its oscillation interval
-    /// (models the paper's radius oscillation between evaluations).
+    /// (models the paper's radius oscillation between evaluations). It
+    /// drops the client index, whose cells the radii size, so topologies
+    /// built before and after an oscillation never share one.
     pub fn oscillate_radii<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        self.client_index = OnceLock::new();
         for r in &mut self.routers {
             r.oscillate(rng);
         }
@@ -563,6 +634,48 @@ mod tests {
         for r in inst.routers() {
             assert!(r.profile().contains(r.current_radius()));
         }
+    }
+
+    #[test]
+    fn client_index_is_built_once_and_shared_by_clones() {
+        let inst = InstanceSpec::paper_normal().unwrap().generate(4).unwrap();
+        let index = Arc::clone(inst.client_index().unwrap());
+        assert!(Arc::ptr_eq(&index, inst.client_index().unwrap()));
+        assert!(Arc::ptr_eq(&index, inst.clone().client_index().unwrap()));
+        assert_eq!(index.points(), inst.client_positions().as_slice());
+        let largest = inst
+            .routers()
+            .iter()
+            .map(Router::current_radius)
+            .fold(1.0_f64, f64::max);
+        assert_eq!(index.cell_size(), largest);
+    }
+
+    #[test]
+    fn oscillate_radii_drops_the_client_index() {
+        let mut inst = InstanceSpec::paper_normal().unwrap().generate(4).unwrap();
+        let before = Arc::clone(inst.client_index().unwrap());
+        inst.oscillate_radii(&mut rng_from_seed(9));
+        let after = inst.client_index().unwrap();
+        assert!(!Arc::ptr_eq(&before, after));
+        let largest = inst
+            .routers()
+            .iter()
+            .map(Router::current_radius)
+            .fold(1.0_f64, f64::max);
+        assert_eq!(after.cell_size(), largest);
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_the_client_index() {
+        let spec = InstanceSpec::paper_normal().unwrap();
+        let (a, b) = (spec.generate(7).unwrap(), spec.generate(7).unwrap());
+        a.client_index().unwrap();
+        assert_eq!(a, b, "built vs not built");
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        b.client_index().unwrap();
+        assert_eq!(a, b, "two separately built indexes");
+        assert_ne!(a, spec.generate(8).unwrap());
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //! * [`distribution`] — the client position distributions evaluated by the
 //!   paper (Uniform, Normal, Exponential, Weibull) plus a hotspot mixture,
 //!   all sampled from scratch.
-//! * [`instance`] — [`ProblemInstance`], its declarative [`InstanceSpec`]
+//! * [`instance`] — [`ProblemInstance`] (which indexes its clients once,
+//!   [`ProblemInstance::client_index`]), its declarative [`InstanceSpec`]
 //!   (including the paper's evaluation presets) and an [`InstanceBuilder`].
+//! * [`spatial`] — the uniform-grid indexes [`GridIndex`] (clients) and
+//!   [`DynamicGrid`] (a topology's routers).
 //! * [`placement`] — [`Placement`], the candidate-solution position vector.
 //! * [`rng`] — deterministic seed plumbing ([`SeedSequence`]).
 //!
@@ -46,6 +49,7 @@ pub mod node;
 pub mod placement;
 pub mod radio;
 pub mod rng;
+pub mod spatial;
 
 pub use distribution::ClientDistribution;
 pub use error::ModelError;
@@ -55,6 +59,7 @@ pub use node::{Client, ClientId, Router, RouterId};
 pub use placement::Placement;
 pub use radio::RadioProfile;
 pub use rng::SeedSequence;
+pub use spatial::{DynamicGrid, GridIndex};
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {

@@ -6,29 +6,37 @@
 //! this problem works at (the alternative — an O(n²) scan — is kept around
 //! in tests as the reference implementation).
 //!
-//! Both indexes follow the crate-wide id-width invariant (u32 point ids)
-//! and store **no per-bucket allocations**:
+//! The indexes live in the model crate because the client index belongs
+//! to the instance: clients never move, so
+//! [`ProblemInstance::client_index`](crate::instance::ProblemInstance::client_index)
+//! builds one [`GridIndex`] over them on first use, and every topology of
+//! that instance shares it. The router mesh is built on a [`DynamicGrid`]
+//! that its topology (`wmn_graph::WmnTopology`) keeps in sync across moves.
+//!
+//! Both indexes use u32 point ids and u32 cell ids, and store **no
+//! per-bucket allocations**:
 //!
 //! * [`GridIndex`] (immutable) is CSR — one `starts` offset array plus one
 //!   flat `entries` array, built in two counting passes. Within a bucket,
-//!   entries are in ascending point order (the order the old per-bucket
-//!   `Vec` push produced), so query iteration order is unchanged.
+//!   entries are in ascending point order, so query iteration order is a
+//!   pure function of the points.
 //! * [`DynamicGrid`] (mutable) keeps intrusive doubly-linked lists: one
 //!   `head` slot per cell and `next`/`prev`/`cell` words per point, making
 //!   insert/remove/relocate O(1) with zero allocation.
 
-use wmn_model::geometry::{Area, Point};
+use crate::geometry::{Area, Point};
+use crate::ModelError;
 
 /// Sentinel for "no point" / "no cell" in the intrusive grid lists.
 const NIL: u32 = u32::MAX;
 
 /// The most cells a grid may have: both grids store cell ids as u32, and
 /// [`DynamicGrid`] reserves `u32::MAX` to mean "no cell".
-pub(crate) const MAX_GRID_CELLS: usize = u32::MAX as usize;
+const MAX_GRID_CELLS: usize = u32::MAX as usize;
 
 /// `(columns, rows)` of the grid of square `cell_size` cells that
 /// [`GridIndex::build`] and [`DynamicGrid::new`] lay over `area`.
-pub(crate) fn grid_shape(area: &Area, cell_size: f64) -> (usize, usize) {
+fn grid_shape(area: &Area, cell_size: f64) -> (usize, usize) {
     // The float-to-int casts saturate, so a huge area gives `usize::MAX`
     // columns rather than a wrapped count.
     let cols = (area.width() / cell_size).ceil().max(1.0) as usize;
@@ -38,9 +46,30 @@ pub(crate) fn grid_shape(area: &Area, cell_size: f64) -> (usize, usize) {
 
 /// The cell count of a `cols × rows` grid, or `None` when it exceeds
 /// [`MAX_GRID_CELLS`] (including when the product overflows `usize`).
-pub(crate) fn grid_cell_count(cols: usize, rows: usize) -> Option<usize> {
+fn grid_cell_count(cols: usize, rows: usize) -> Option<usize> {
     cols.checked_mul(rows)
         .filter(|&cells| cells <= MAX_GRID_CELLS)
+}
+
+/// Checks that a grid of square `cell_size` cells over `area` can number
+/// its cells with u32 ids, before anything is allocated for it.
+///
+/// # Errors
+///
+/// [`ModelError::InvalidSpec`] naming the `grid` and its cell count, for an
+/// area far larger than the radio range, such as `--scale-area 1000000`.
+pub fn check_cell_space(area: &Area, cell_size: f64, grid: &str) -> Result<(), ModelError> {
+    let (cols, rows) = grid_shape(area, cell_size);
+    if grid_cell_count(cols, rows).is_some() {
+        return Ok(());
+    }
+    Err(ModelError::InvalidSpec {
+        reason: format!(
+            "the {grid} grid would need {cols} x {rows} = {} cells, beyond the \
+             u32 cell-id space (at most {MAX_GRID_CELLS} cells)",
+            cols as u128 * rows as u128
+        ),
+    })
 }
 
 /// [`grid_shape`] and [`grid_cell_count`], panicking on a grid beyond the
@@ -55,19 +84,19 @@ fn checked_grid(area: &Area, cell_size: f64) -> (usize, usize, usize) {
 
 /// A uniform-grid index over a fixed slice of points, in CSR layout.
 ///
-/// The index stores point *indices* (into the original slice) bucketed by
-/// grid cell. It is immutable after construction — placement algorithms
-/// rebuild indices over new position sets, which is cheap (two passes).
+/// The index owns its points and stores their *indices* bucketed by grid
+/// cell. It is immutable after construction: the client index of an
+/// instance is built once and shared (see the module docs).
 ///
 /// # Examples
 ///
 /// ```
-/// use wmn_graph::spatial::GridIndex;
 /// use wmn_model::geometry::{Area, Point};
+/// use wmn_model::spatial::GridIndex;
 ///
 /// let area = Area::square(100.0)?;
 /// let points = vec![Point::new(10.0, 10.0), Point::new(11.0, 10.0), Point::new(90.0, 90.0)];
-/// let index = GridIndex::build(&area, &points, 8.0);
+/// let index = GridIndex::build(&area, points, 8.0);
 ///
 /// let mut near: Vec<usize> = index.within_radius(Point::new(10.0, 10.0), 2.0).collect();
 /// near.sort_unstable();
@@ -90,38 +119,12 @@ pub struct GridIndex {
     points: Vec<Point>,
 }
 
-impl Clone for GridIndex {
-    fn clone(&self) -> Self {
-        GridIndex {
-            cell_size: self.cell_size,
-            inv_cell_size: self.inv_cell_size,
-            cols: self.cols,
-            rows: self.rows,
-            starts: self.starts.clone(),
-            entries: self.entries.clone(),
-            points: self.points.clone(),
-        }
-    }
-
-    /// Buffer-reusing copy — three flat bulk copies; once `self` has seen a
-    /// grid of the same shape, no heap allocation happens.
-    fn clone_from(&mut self, src: &Self) {
-        self.cell_size = src.cell_size;
-        self.inv_cell_size = src.inv_cell_size;
-        self.cols = src.cols;
-        self.rows = src.rows;
-        self.starts.clone_from(&src.starts);
-        self.entries.clone_from(&src.entries);
-        self.points.clone_from(&src.points);
-    }
-}
-
 impl GridIndex {
     /// Builds an index over `points` living in `area`, with square cells of
-    /// side `cell_size`.
+    /// side `cell_size`; the index keeps `points`.
     ///
-    /// A good `cell_size` is the typical query radius; the paper instances
-    /// use the routers' maximum radius. Out-of-area points are clamped into
+    /// A good `cell_size` is the typical query radius; the client index
+    /// uses the routers' largest radius. Out-of-area points are clamped into
     /// the boundary cells (queries remain correct because the real point
     /// coordinates are used for the distance filter).
     ///
@@ -130,7 +133,7 @@ impl GridIndex {
     /// Panics if `cell_size` is not positive and finite, if the point
     /// count does not fit u32 ids, or if the grid has more than
     /// `u32::MAX` cells.
-    pub fn build(area: &Area, points: &[Point], cell_size: f64) -> Self {
+    pub fn build(area: &Area, points: Vec<Point>, cell_size: f64) -> Self {
         assert!(
             cell_size.is_finite() && cell_size > 0.0,
             "cell_size must be positive and finite, got {cell_size}"
@@ -145,7 +148,7 @@ impl GridIndex {
         // within-bucket order matches what per-bucket pushes produced).
         let mut starts = vec![0u32; nb + 1];
         let mut bucket_of = Vec::with_capacity(points.len());
-        for p in points {
+        for p in &points {
             let (cx, cy) = Self::cell_of(p, inv_cell_size, cols, rows);
             let b = cy * cols + cx;
             bucket_of.push(b as u32);
@@ -167,7 +170,7 @@ impl GridIndex {
             rows,
             starts,
             entries,
-            points: points.to_vec(),
+            points,
         }
     }
 
@@ -184,6 +187,11 @@ impl GridIndex {
     /// Grid shape as `(columns, rows)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.cols, self.rows)
+    }
+
+    /// The side of the square cells.
+    pub fn cell_size(&self) -> f64 {
+        self.cell_size
     }
 
     /// The indexed points.
@@ -209,9 +217,7 @@ impl GridIndex {
     /// Results come out in grid-cell order (row-major over the touched
     /// cells, ascending within a cell), which is deterministic but
     /// **not sorted by index** — callers that need ascending order must
-    /// collect and sort. The hot coverage-delta path of
-    /// [`WmnTopology`](crate::topology::WmnTopology) iterates this directly,
-    /// so a radius query performs zero heap allocations.
+    /// collect and sort. The iterator performs no heap allocation.
     pub fn within_radius(&self, center: Point, radius: f64) -> WithinRadius<'_> {
         if radius < 0.0 || self.points.is_empty() {
             return WithinRadius {
@@ -237,7 +243,7 @@ impl GridIndex {
     /// grid-cell order — the same order [`GridIndex::within_radius`]
     /// yields. The tight nested-loop fill beats the lazy iterator's
     /// state-machine overhead on the coverage hot path (the disk-cache
-    /// fills of [`WmnTopology`](crate::topology::WmnTopology)).
+    /// fills of `WmnTopology`).
     pub fn within_radius_into(&self, center: Point, radius: f64, out: &mut Vec<u32>) {
         out.clear();
         if radius < 0.0 || self.points.is_empty() {
@@ -382,9 +388,9 @@ impl Iterator for WithinRadius<'_> {
 ///
 /// Unlike [`GridIndex`] (immutable, owns a snapshot of the points), a
 /// `DynamicGrid` stores only bucket membership and is kept in sync by its
-/// owner as points move — the router-side index of
-/// [`WmnTopology`](crate::topology::WmnTopology) relocates exactly one
-/// entry per router move instead of rebuilding the index. Membership lives
+/// owner as points move — the router-side index of `WmnTopology`
+/// relocates exactly one entry per router move instead of rebuilding the
+/// index, and builds the mesh on it. Membership lives
 /// in intrusive doubly-linked lists (`head` per cell, `next`/`prev`/`cell`
 /// per point), so insert, remove, and relocate are O(1) pointer splices
 /// with zero allocation, and a state copy is four flat bulk copies.
@@ -397,8 +403,8 @@ impl Iterator for WithinRadius<'_> {
 /// # Examples
 ///
 /// ```
-/// use wmn_graph::spatial::DynamicGrid;
 /// use wmn_model::geometry::{Area, Point};
+/// use wmn_model::spatial::DynamicGrid;
 ///
 /// let area = Area::square(100.0)?;
 /// let mut pts = vec![Point::new(10.0, 10.0), Point::new(90.0, 90.0)];
@@ -624,8 +630,7 @@ impl DynamicGrid {
     /// `center`/`radius` (the same candidate set
     /// [`DynamicGrid::candidates`] yields, in the same order), through a
     /// tight nested loop instead of the lazy iterator — the per-move edge
-    /// repair of [`WmnTopology`](crate::topology::WmnTopology) calls this
-    /// once per moved router.
+    /// repair of `WmnTopology` calls this once per moved router.
     pub fn for_each_candidate(&self, center: Point, radius: f64, mut f: impl FnMut(usize)) {
         if radius < 0.0 {
             return;
@@ -709,8 +714,8 @@ impl Iterator for Candidates<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::rng_from_seed;
     use rand::Rng;
-    use wmn_model::rng::rng_from_seed;
 
     fn area100() -> Area {
         Area::square(100.0).unwrap()
@@ -727,7 +732,7 @@ mod tests {
     fn radius_query_matches_brute_force() {
         let area = area100();
         let pts = random_points(500, 42);
-        let index = GridIndex::build(&area, &pts, 7.0);
+        let index = GridIndex::build(&area, pts.clone(), 7.0);
         let mut rng = rng_from_seed(1);
         for _ in 0..100 {
             let c = Point::new(rng.gen_range(0.0..=100.0), rng.gen_range(0.0..=100.0));
@@ -743,7 +748,7 @@ mod tests {
     fn within_radius_into_matches_iterator_order() {
         let area = area100();
         let pts = random_points(300, 77);
-        let index = GridIndex::build(&area, &pts, 6.0);
+        let index = GridIndex::build(&area, pts.clone(), 6.0);
         let mut rng = rng_from_seed(9);
         let mut buf = Vec::new();
         for _ in 0..50 {
@@ -759,7 +764,7 @@ mod tests {
     fn csr_buckets_are_ascending_within_cell() {
         let area = area100();
         let pts = random_points(400, 55);
-        let index = GridIndex::build(&area, &pts, 9.0);
+        let index = GridIndex::build(&area, pts.clone(), 9.0);
         for b in 0..index.cols * index.rows {
             let bucket = index.bucket(b);
             assert!(
@@ -774,7 +779,7 @@ mod tests {
     fn zero_radius_finds_exact_point() {
         let area = area100();
         let pts = vec![Point::new(10.0, 10.0), Point::new(20.0, 20.0)];
-        let index = GridIndex::build(&area, &pts, 4.0);
+        let index = GridIndex::build(&area, pts.clone(), 4.0);
         let hits: Vec<usize> = index.within_radius(Point::new(10.0, 10.0), 0.0).collect();
         assert_eq!(hits, vec![0]);
     }
@@ -783,14 +788,14 @@ mod tests {
     fn negative_radius_is_empty() {
         let area = area100();
         let pts = random_points(10, 3);
-        let index = GridIndex::build(&area, &pts, 4.0);
+        let index = GridIndex::build(&area, pts.clone(), 4.0);
         assert_eq!(index.within_radius(Point::new(5.0, 5.0), -1.0).count(), 0);
     }
 
     #[test]
     fn empty_index_behaves() {
         let area = area100();
-        let index = GridIndex::build(&area, &[], 4.0);
+        let index = GridIndex::build(&area, Vec::new(), 4.0);
         assert!(index.is_empty());
         assert_eq!(index.within_radius(Point::new(1.0, 1.0), 50.0).count(), 0);
     }
@@ -801,7 +806,7 @@ mod tests {
         // Point outside the nominal area gets clamped into a boundary cell
         // but keeps its true coordinates for distance filtering.
         let pts = vec![Point::new(150.0, 150.0)];
-        let index = GridIndex::build(&area, &pts, 10.0);
+        let index = GridIndex::build(&area, pts.clone(), 10.0);
         let hits: Vec<usize> = index.within_radius(Point::new(150.0, 150.0), 1.0).collect();
         assert_eq!(hits, vec![0]);
     }
@@ -810,8 +815,8 @@ mod tests {
     fn coarse_and_fine_cells_agree() {
         let area = area100();
         let pts = random_points(400, 13);
-        let coarse = GridIndex::build(&area, &pts, 50.0);
-        let fine = GridIndex::build(&area, &pts, 1.0);
+        let coarse = GridIndex::build(&area, pts.clone(), 50.0);
+        let fine = GridIndex::build(&area, pts.clone(), 1.0);
         let c = Point::new(33.0, 66.0);
         let mut a: Vec<usize> = coarse.within_radius(c, 12.5).collect();
         let mut b: Vec<usize> = fine.within_radius(c, 12.5).collect();
@@ -825,7 +830,7 @@ mod tests {
         // Taking only the first hit must not disturb later fresh queries.
         let area = area100();
         let pts = random_points(200, 17);
-        let index = GridIndex::build(&area, &pts, 5.0);
+        let index = GridIndex::build(&area, pts.clone(), 5.0);
         let c = Point::new(40.0, 40.0);
         let first = index.within_radius(c, 25.0).next();
         assert!(first.is_some());
@@ -896,7 +901,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cell_size")]
     fn rejects_nonpositive_cell_size() {
-        let _ = GridIndex::build(&area100(), &[], 0.0);
+        let _ = GridIndex::build(&area100(), Vec::new(), 0.0);
     }
 
     #[test]
@@ -910,10 +915,23 @@ mod tests {
     }
 
     #[test]
+    fn check_cell_space_names_the_refused_grid() {
+        let area = Area::square(40_000.0).unwrap();
+        assert!(check_cell_space(&area, 1.0, "client").is_ok());
+        let Err(ModelError::InvalidSpec { reason }) = check_cell_space(&area, 0.5, "router") else {
+            panic!("80,000² cells must be refused");
+        };
+        assert!(
+            reason.contains("router grid would need 80000 x 80000 = 6400000000 cells"),
+            "{reason}"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "65537 x 65537 cell grid exceeds the u32 cell-id space")]
     fn grid_index_refuses_more_cells_than_u32_ids() {
         // 2^32 + 2^17 + 1 cells: past the u32 ids, far from overflowing.
-        let _ = GridIndex::build(&Area::square(65_537.0).unwrap(), &[], 1.0);
+        let _ = GridIndex::build(&Area::square(65_537.0).unwrap(), Vec::new(), 1.0);
     }
 
     #[test]
@@ -925,9 +943,9 @@ mod tests {
 
     #[test]
     fn shape_reflects_cell_size() {
-        let index = GridIndex::build(&area100(), &[], 10.0);
+        let index = GridIndex::build(&area100(), Vec::new(), 10.0);
         assert_eq!(index.shape(), (10, 10));
-        let index = GridIndex::build(&area100(), &[], 33.0);
+        let index = GridIndex::build(&area100(), Vec::new(), 33.0);
         assert_eq!(index.shape(), (4, 4));
     }
 }
