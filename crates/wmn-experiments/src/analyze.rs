@@ -83,8 +83,7 @@ impl AttributionNode {
         }
     }
 
-    /// Flattens the tree to `phase.<path>.<counter>` keys (the same form
-    /// `wmn_obs::PhaseNode::for_each_flat` emits).
+    /// Flattens the tree to `phase.<path>.<counter>` keys.
     pub fn flatten(&self) -> BTreeMap<String, u64> {
         let mut out = BTreeMap::new();
         for (name, child) in &self.children {

@@ -60,8 +60,8 @@ impl Artifact {
     /// The artifact's checkpoint cell: `table1`, `fig3`, `fig4`, ….
     pub fn cell(&self) -> String {
         match self {
-            Artifact::Table(s) => format!("table{}", s.table_number().unwrap_or(0)),
-            Artifact::GaFigure(s) => format!("fig{}", s.table_number().unwrap_or(0)),
+            Artifact::Table(s) => format!("table{}", s.table_number()),
+            Artifact::GaFigure(s) => format!("fig{}", s.table_number()),
             Artifact::NsFigure => "fig4".to_owned(),
         }
     }

@@ -42,6 +42,7 @@ use crate::scenario::{ExperimentConfig, ScenarioScale};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use wmn_graph::topology::ConnectivityMode;
+use wmn_runtime::FaultPlan;
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,11 +73,6 @@ fn connectivity_mode(value: &str) -> Result<ConnectivityMode, String> {
             "unknown connectivity mode {other:?} (dynamic|full)"
         )),
     }
-}
-
-/// Parses a fault-plan spec (shared by the flag and env paths).
-fn fault_plan(value: &str) -> Result<wmn_runtime::FaultPlan, String> {
-    wmn_runtime::FaultPlan::parse(value).map_err(|e| format!("bad fault plan: {e}"))
 }
 
 fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
@@ -157,12 +153,15 @@ pub fn parse_from<I: IntoIterator<Item = String>>(
             }
             "--connectivity" => {
                 let v = it.next().ok_or("--connectivity needs a value")?;
-                config.connectivity = connectivity_mode(&v)?;
+                config.connectivity =
+                    connectivity_mode(&v).map_err(|e| format!("bad --connectivity value: {e}"))?;
             }
             "--retries" => config.retries = parse_num("--retries", it.next())?,
             "--fault-plan" => {
                 let v = it.next().ok_or("--fault-plan needs a value")?;
-                config.fault_plan = Some(fault_plan(&v)?);
+                let plan =
+                    FaultPlan::parse(&v).map_err(|e| format!("bad --fault-plan value: {e}"))?;
+                config.fault_plan = Some(plan);
             }
             "--telemetry" => {
                 telemetry = Some(PathBuf::from(it.next().ok_or("--telemetry needs a value")?));
@@ -258,8 +257,8 @@ pub fn config_from_vars(
         config.retries = n;
     }
     if let Some(v) = lookup("WMN_FAULT_PLAN") {
-        config.fault_plan =
-            Some(fault_plan(&v).map_err(|e| format!("bad WMN_FAULT_PLAN value: {e}"))?);
+        let plan = FaultPlan::parse(&v).map_err(|e| format!("bad WMN_FAULT_PLAN value: {e}"))?;
+        config.fault_plan = Some(plan);
     }
     Ok(config)
 }

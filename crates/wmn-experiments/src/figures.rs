@@ -34,14 +34,9 @@ pub struct GaFigure {
 }
 
 impl GaFigure {
-    /// The paper figure number (`None` for Uniform).
-    pub fn figure_number(&self) -> Option<usize> {
+    /// The paper figure number.
+    pub fn figure_number(&self) -> usize {
         self.scenario.table_number()
-    }
-
-    /// The series for a method, if present.
-    pub fn series_for(&self, method: AdHocMethod) -> Option<&Trace> {
-        self.series.iter().find(|t| t.name() == method.name())
     }
 
     /// The method whose curve ends highest (the paper: HotSpot).
@@ -108,18 +103,11 @@ pub fn run_ga_figure_recorded(
             },
         )
         .map_err(|f| cell_failure(ga_cell_label(scenario, f.index), f));
-    report_chaos(&ga_figure_context(scenario), &stats);
+    report_chaos(&format!("fig{}", scenario.table_number()), &stats);
     Ok(GaFigure {
         scenario,
         series: series?,
     })
-}
-
-/// The chaos-report context of a GA figure run.
-fn ga_figure_context(scenario: Scenario) -> String {
-    scenario
-        .table_number()
-        .map_or_else(|| format!("fig-{scenario}"), |n| format!("fig{n}"))
 }
 
 /// One figure curve: the GA run for one ad hoc method, on the same grid
@@ -283,7 +271,7 @@ mod tests {
     fn ga_figure_has_one_series_per_method() {
         let fig = run_ga_figure(Scenario::Normal, &ExperimentConfig::quick()).unwrap();
         assert_eq!(fig.series.len(), 7);
-        assert_eq!(fig.figure_number(), Some(1));
+        assert_eq!(fig.figure_number(), 1);
         for t in &fig.series {
             assert!(!t.is_empty());
             // Downsampling keeps the final generation.
@@ -292,7 +280,10 @@ mod tests {
                 ExperimentConfig::quick().generations as f64
             );
         }
-        assert!(fig.series_for(AdHocMethod::HotSpot).is_some());
+        assert!(fig
+            .series
+            .iter()
+            .any(|t| t.name() == AdHocMethod::HotSpot.name()));
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn write_files(dir: &Path, files: Vec<(String, String)>) -> Result<Vec<String>, 
 ///
 /// Propagates filesystem errors, naming the path.
 pub fn write_table(dir: &Path, table: &TableResult) -> Result<Vec<String>, ExperimentError> {
-    let n = table.scenario.table_number().unwrap_or(0);
+    let n = table.scenario.table_number();
     let title = format!(
         "# Table {} — {} distribution ({} routers, {} clients)\n\n",
         n, table.scenario, table.router_count, table.client_count
@@ -77,7 +77,7 @@ fn write_series(
 ///
 /// Propagates filesystem errors, naming the path.
 pub fn write_ga_figure(dir: &Path, figure: &GaFigure) -> Result<Vec<String>, ExperimentError> {
-    let n = figure.figure_number().unwrap_or(0);
+    let n = figure.figure_number();
     let title = format!(
         "Figure {n}: size of giant component vs GA generations ({} clients)",
         figure.scenario
@@ -120,7 +120,7 @@ fn summary_rows(tables: &[TableResult]) -> Vec<Vec<String>> {
     ];
     let mut rows = vec![header.map(str::to_owned).to_vec()];
     for table in tables {
-        let n = table.scenario.table_number().unwrap_or(0);
+        let n = table.scenario.table_number();
         for r in &table.rows {
             rows.push(vec![
                 n.to_string(),
@@ -243,7 +243,7 @@ mod tests {
     fn summary_covers_every_cell() {
         let dir = tmpdir("summary");
         let config = ExperimentConfig::quick();
-        let tables: Vec<TableResult> = Scenario::paper_tables()
+        let tables: Vec<TableResult> = [Scenario::Normal, Scenario::Exponential, Scenario::Weibull]
             .into_iter()
             .map(|s| run_table(s, &config, None).unwrap())
             .collect();

@@ -18,16 +18,9 @@ pub enum Scenario {
     Exponential,
     /// Table 3 / Figure 3: Weibull clients.
     Weibull,
-    /// §2 also lists Uniform (no dedicated table); kept for completeness.
-    Uniform,
 }
 
 impl Scenario {
-    /// The three scenarios with dedicated tables/figures, in paper order.
-    pub fn paper_tables() -> [Scenario; 3] {
-        [Scenario::Normal, Scenario::Exponential, Scenario::Weibull]
-    }
-
     /// The scenario's instance family (64 routers, 192 clients, 128×128).
     ///
     /// # Errors
@@ -39,7 +32,6 @@ impl Scenario {
             Scenario::Normal => InstanceSpec::paper_normal(),
             Scenario::Exponential => InstanceSpec::paper_exponential(),
             Scenario::Weibull => InstanceSpec::paper_weibull(),
-            Scenario::Uniform => InstanceSpec::paper_uniform(),
         }
     }
 
@@ -77,7 +69,6 @@ impl Scenario {
             Scenario::Normal => ClientDistribution::paper_normal(&area)?,
             Scenario::Exponential => ClientDistribution::paper_exponential(&area)?,
             Scenario::Weibull => ClientDistribution::paper_weibull(&area)?,
-            Scenario::Uniform => ClientDistribution::Uniform,
         };
         InstanceSpec::new(
             area,
@@ -94,7 +85,6 @@ impl Scenario {
             Scenario::Normal => "normal",
             Scenario::Exponential => "exponential",
             Scenario::Weibull => "weibull",
-            Scenario::Uniform => "uniform",
         }
     }
 
@@ -106,17 +96,15 @@ impl Scenario {
             Scenario::Normal => 0,
             Scenario::Exponential => 1,
             Scenario::Weibull => 2,
-            Scenario::Uniform => 3,
         }
     }
 
-    /// The paper table this scenario reproduces (`None` for Uniform).
-    pub fn table_number(&self) -> Option<usize> {
+    /// The paper table (and figure) this scenario reproduces.
+    pub fn table_number(&self) -> usize {
         match self {
-            Scenario::Normal => Some(1),
-            Scenario::Exponential => Some(2),
-            Scenario::Weibull => Some(3),
-            Scenario::Uniform => None,
+            Scenario::Normal => 1,
+            Scenario::Exponential => 2,
+            Scenario::Weibull => 3,
         }
     }
 }
@@ -135,7 +123,6 @@ impl FromStr for Scenario {
             "normal" => Ok(Scenario::Normal),
             "exponential" | "exp" => Ok(Scenario::Exponential),
             "weibull" => Ok(Scenario::Weibull),
-            "uniform" => Ok(Scenario::Uniform),
             other => Err(format!("unknown scenario {other:?}")),
         }
     }
@@ -355,12 +342,7 @@ mod tests {
 
     #[test]
     fn scenarios_produce_paper_instances() {
-        for s in [
-            Scenario::Normal,
-            Scenario::Exponential,
-            Scenario::Weibull,
-            Scenario::Uniform,
-        ] {
+        for s in [Scenario::Normal, Scenario::Exponential, Scenario::Weibull] {
             let inst = s.instance(1).unwrap();
             assert_eq!(inst.router_count(), 64);
             assert_eq!(inst.client_count(), 192);
@@ -369,17 +351,17 @@ mod tests {
 
     #[test]
     fn table_numbers() {
-        assert_eq!(Scenario::Normal.table_number(), Some(1));
-        assert_eq!(Scenario::Exponential.table_number(), Some(2));
-        assert_eq!(Scenario::Weibull.table_number(), Some(3));
-        assert_eq!(Scenario::Uniform.table_number(), None);
+        assert_eq!(Scenario::Normal.table_number(), 1);
+        assert_eq!(Scenario::Exponential.table_number(), 2);
+        assert_eq!(Scenario::Weibull.table_number(), 3);
     }
 
     #[test]
     fn parse_roundtrip() {
-        for s in Scenario::paper_tables() {
+        for s in [Scenario::Normal, Scenario::Exponential, Scenario::Weibull] {
             assert_eq!(s.name().parse::<Scenario>().unwrap(), s);
         }
+        assert!("uniform".parse::<Scenario>().is_err());
         assert_eq!("exp".parse::<Scenario>().unwrap(), Scenario::Exponential);
         assert!("bogus".parse::<Scenario>().is_err());
     }
@@ -458,7 +440,7 @@ mod tests {
 
     #[test]
     fn identity_scale_is_exactly_the_paper_spec() {
-        for s in Scenario::paper_tables() {
+        for s in [Scenario::Normal, Scenario::Exponential, Scenario::Weibull] {
             assert_eq!(
                 s.scaled_spec(ScenarioScale::identity()).unwrap(),
                 s.spec().unwrap()
@@ -521,11 +503,26 @@ mod tests {
     }
 
     #[test]
+    fn an_instance_beyond_the_u32_ids_is_refused_before_allocation() {
+        // 64 x (2^32 - 1) routers: refused from the counts alone.
+        let config = ExperimentConfig {
+            scale: ScenarioScale::proportional(u32::MAX),
+            ..ExperimentConfig::quick()
+        };
+        let Err(ModelError::InvalidSpec { reason }) = config.instance(Scenario::Normal) else {
+            panic!("an instance beyond the u32 ids must be refused");
+        };
+        assert!(
+            reason.starts_with("instance exceeds the u32 id space: 274877906880 routers"),
+            "{reason}"
+        );
+    }
+
+    #[test]
     fn grid_ids_are_stable_and_distinct() {
         assert_eq!(Scenario::Normal.grid_id(), 0);
         assert_eq!(Scenario::Exponential.grid_id(), 1);
         assert_eq!(Scenario::Weibull.grid_id(), 2);
-        assert_eq!(Scenario::Uniform.grid_id(), 3);
     }
 
     #[test]

@@ -244,10 +244,7 @@ pub fn run_table(
             },
         )
         .map_err(|f| cell_failure(ga_cell_label(scenario, f.index), f));
-    let context = scenario
-        .table_number()
-        .map_or_else(|| format!("table-{scenario}"), |n| format!("table{n}"));
-    report_chaos(&context, &stats);
+    report_chaos(&format!("table{}", scenario.table_number()), &stats);
     Ok(TableResult {
         scenario,
         router_count: instance.router_count(),

@@ -36,7 +36,7 @@ fn chaos_config(threads: usize) -> ExperimentConfig {
 
 #[test]
 fn faulty_tables_match_fault_free_at_1_and_2_threads() {
-    for scenario in Scenario::paper_tables() {
+    for scenario in [Scenario::Normal, Scenario::Exponential, Scenario::Weibull] {
         let reference = run_table(scenario, &clean_config(1), None).unwrap();
         for threads in [1, 2] {
             let faulty = run_table(scenario, &chaos_config(threads), None).unwrap();

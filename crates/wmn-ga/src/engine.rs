@@ -317,9 +317,9 @@ impl<'e, 'i> GaEngine<'e, 'i> {
         (next, lineage)
     }
 
-    /// Applies the configured mutation stack to one chromosome through the
-    /// plan-then-apply path, reusing `actions` as scratch. RNG consumption
-    /// is identical to calling `MutationOp::mutate` per operator.
+    /// Applies the configured mutation stack to one chromosome: each
+    /// operator plans its actions into `actions` (reused scratch), and the
+    /// actions are applied before the next operator plans.
     fn mutate_stack(
         &self,
         placement: &mut Placement,
@@ -565,7 +565,11 @@ mod tests {
         let engine = GaEngine::new(&evaluator, quick_config(24, 30));
         let mut rng = rng_from_seed(4);
         let outcome = engine
-            .run(&PopulationInit::UniformRandom, &mut rng, &mut NoopRecorder)
+            .run(
+                &PopulationInit::AdHoc(AdHocMethod::Random),
+                &mut rng,
+                &mut NoopRecorder,
+            )
             .unwrap();
         let initial_best = outcome.trace.records()[0].best_fitness();
         assert!(
@@ -637,7 +641,11 @@ mod tests {
         let engine = GaEngine::new(&evaluator, config);
         let mut rng = rng_from_seed(14);
         let outcome = engine
-            .run(&PopulationInit::UniformRandom, &mut rng, &mut NoopRecorder)
+            .run(
+                &PopulationInit::AdHoc(AdHocMethod::Random),
+                &mut rng,
+                &mut NoopRecorder,
+            )
             .unwrap();
         let first = outcome.trace.records()[0].best_fitness();
         let last = outcome.trace.last().unwrap().best_fitness();

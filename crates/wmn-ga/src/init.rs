@@ -14,18 +14,14 @@ use wmn_model::instance::ProblemInstance;
 use wmn_model::rng::rng_from_seed;
 use wmn_placement::registry::AdHocMethod;
 
-/// Strategy for building the initial population.
+/// Strategy for building the initial population: every individual from
+/// one ad hoc method, the paper's scenario. The paper's pure random start
+/// is `AdHoc(AdHocMethod::Random)`.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum PopulationInit {
-    /// Every individual from one ad hoc method (the paper's scenario).
+    /// Every individual from one ad hoc method.
     AdHoc(AdHocMethod),
-    /// Individuals cycle through several methods (a diversity-maximizing
-    /// extension).
-    Mixed(Vec<AdHocMethod>),
-    /// Uniform random placements (the "pure random generation" the paper
-    /// compares ad hoc initialization against).
-    UniformRandom,
 }
 
 impl PopulationInit {
@@ -37,7 +33,7 @@ impl PopulationInit {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is zero, or a `Mixed` list is empty.
+    /// Panics if `size` is zero.
     pub fn build(
         &self,
         instance: &ProblemInstance,
@@ -50,11 +46,6 @@ impl PopulationInit {
             let mut stream = rng_from_seed(rng.next_u64() ^ (i as u64).wrapping_mul(0x9E37));
             let placement = match self {
                 PopulationInit::AdHoc(method) => method.place(instance, &mut stream),
-                PopulationInit::Mixed(methods) => {
-                    assert!(!methods.is_empty(), "mixed init needs at least one method");
-                    methods[i % methods.len()].place(instance, &mut stream)
-                }
-                PopulationInit::UniformRandom => instance.random_placement(&mut stream),
             };
             population.push(Individual::new(placement));
         }
@@ -65,11 +56,6 @@ impl PopulationInit {
     pub fn name(&self) -> String {
         match self {
             PopulationInit::AdHoc(m) => m.name().to_owned(),
-            PopulationInit::Mixed(ms) => {
-                let names: Vec<&str> = ms.iter().map(|m| m.name()).collect();
-                format!("Mixed({})", names.join("+"))
-            }
-            PopulationInit::UniformRandom => "UniformRandom".to_owned(),
         }
     }
 }
@@ -88,8 +74,7 @@ mod tests {
         let inst = instance();
         for init in [
             PopulationInit::AdHoc(AdHocMethod::HotSpot),
-            PopulationInit::Mixed(vec![AdHocMethod::Diag, AdHocMethod::Cross]),
-            PopulationInit::UniformRandom,
+            PopulationInit::AdHoc(AdHocMethod::Random),
         ] {
             let pop = init.build(&inst, 16, &mut rng_from_seed(1));
             assert_eq!(pop.len(), 16);
@@ -129,35 +114,16 @@ mod tests {
     }
 
     #[test]
-    fn mixed_cycles_methods() {
-        let inst = instance();
-        let init = PopulationInit::Mixed(vec![AdHocMethod::Corners, AdHocMethod::Near]);
-        let pop = init.build(&inst, 4, &mut rng_from_seed(7));
-        // Even indices: Corners (corner mass); odd: Near (central mass).
-        let corner_mass = |p: &wmn_model::Placement| {
-            p.as_slice()
-                .iter()
-                .filter(|q| (q.x < 40.0 || q.x > 88.0) && (q.y < 40.0 || q.y > 88.0))
-                .count()
-        };
-        assert!(corner_mass(pop.individuals()[0].placement()) > 40);
-        assert!(corner_mass(pop.individuals()[1].placement()) < 20);
-    }
-
-    #[test]
     fn names() {
         assert_eq!(PopulationInit::AdHoc(AdHocMethod::Diag).name(), "Diag");
-        assert_eq!(PopulationInit::UniformRandom.name(), "UniformRandom");
-        assert_eq!(
-            PopulationInit::Mixed(vec![AdHocMethod::Diag, AdHocMethod::Cross]).name(),
-            "Mixed(Diag+Cross)"
-        );
+        assert_eq!(PopulationInit::AdHoc(AdHocMethod::Random).name(), "Random");
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_size_panics() {
         let inst = instance();
-        let _ = PopulationInit::UniformRandom.build(&inst, 0, &mut rng_from_seed(0));
+        let init = PopulationInit::AdHoc(AdHocMethod::Random);
+        let _ = init.build(&inst, 0, &mut rng_from_seed(0));
     }
 }

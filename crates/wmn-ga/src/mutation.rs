@@ -12,10 +12,9 @@
 //!
 //! Every operator is expressed as a **plan of [`MoveAction`] deltas**
 //! ([`MutationOp::plan`]) — the same move vocabulary `wmn-search` uses —
-//! which the topology-backed GA engine applies to chromosomes and folds
-//! into the incremental batch repair of the evaluation topology.
-//! [`MutationOp::mutate`] is plan-then-apply, so the two paths cannot
-//! drift.
+//! which the topology-backed GA engine applies to chromosomes with
+//! [`MoveAction::apply_to_placement`] and folds into the incremental batch
+//! repair of the evaluation topology.
 
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
@@ -85,12 +84,9 @@ impl MutationOp {
     /// `out` (cleared first). Returns the number of genes the actions will
     /// change.
     ///
-    /// The RNG stream is consumed exactly as [`MutationOp::mutate`]
-    /// consumes it (`mutate` *is* plan-then-apply), so planning callers —
-    /// the topology-backed GA engine routes every mutation through here and
-    /// applies the actions with [`MoveAction::apply_to_placement`] — stay
-    /// bit-identical to in-place mutation. Relocation targets are already
-    /// clamped into the deployment area.
+    /// The topology-backed GA engine routes every mutation through here
+    /// and applies the actions with [`MoveAction::apply_to_placement`].
+    /// Relocation targets are already clamped into the deployment area.
     ///
     /// Actions are planned against the *incoming* placement: within one
     /// operator no action's target depends on another's effect, so applying
@@ -183,25 +179,6 @@ impl MutationOp {
             }
         }
     }
-
-    /// Applies the mutation in place. Returns the number of genes changed.
-    ///
-    /// Implemented as [`plan`](MutationOp::plan) followed by placement-level
-    /// application, so the two paths cannot drift; loops that care about
-    /// allocations should call `plan` with a reused buffer instead.
-    pub fn mutate(
-        &self,
-        placement: &mut Placement,
-        instance: &ProblemInstance,
-        rng: &mut dyn RngCore,
-    ) -> usize {
-        let mut actions = Vec::new();
-        let changed = self.plan(placement, instance, rng, &mut actions);
-        for action in &actions {
-            action.apply_to_placement(placement);
-        }
-        changed
-    }
 }
 
 impl fmt::Display for MutationOp {
@@ -243,12 +220,12 @@ mod tests {
     #[test]
     fn uniform_reset_rate_zero_changes_nothing() {
         let inst = instance(20);
-        let mut p = placement(20);
-        let before = p.clone();
-        let mut rng = rng_from_seed(1);
-        let changed = MutationOp::UniformReset { rate: 0.0 }.mutate(&mut p, &inst, &mut rng);
+        let p = placement(20);
+        let mut actions = Vec::new();
+        let op = MutationOp::UniformReset { rate: 0.0 };
+        let changed = op.plan(&p, &inst, &mut rng_from_seed(1), &mut actions);
         assert_eq!(changed, 0);
-        assert_eq!(p, before);
+        assert!(actions.is_empty());
     }
 
     #[test]
@@ -256,8 +233,12 @@ mod tests {
         let inst = instance(20);
         let mut p = placement(20);
         let before = p.clone();
-        let mut rng = rng_from_seed(2);
-        let changed = MutationOp::UniformReset { rate: 1.0 }.mutate(&mut p, &inst, &mut rng);
+        let mut actions = Vec::new();
+        let op = MutationOp::UniformReset { rate: 1.0 };
+        let changed = op.plan(&p, &inst, &mut rng_from_seed(2), &mut actions);
+        for action in &actions {
+            action.apply_to_placement(&mut p);
+        }
         assert_eq!(changed, 20);
         assert_ne!(p, before);
         assert!(p.validate(&inst.area(), 20).is_ok());
@@ -268,12 +249,16 @@ mod tests {
         let inst = instance(50);
         let mut p = placement(50);
         let mut rng = rng_from_seed(3);
+        let mut actions = Vec::new();
+        let op = MutationOp::GaussianJitter {
+            rate: 1.0,
+            sigma_fraction: 0.2,
+        };
         for _ in 0..50 {
-            MutationOp::GaussianJitter {
-                rate: 1.0,
-                sigma_fraction: 0.2,
+            op.plan(&p, &inst, &mut rng, &mut actions);
+            for action in &actions {
+                action.apply_to_placement(&mut p);
             }
-            .mutate(&mut p, &inst, &mut rng);
             assert!(p.validate(&inst.area(), 50).is_ok());
         }
     }
@@ -283,22 +268,26 @@ mod tests {
         let inst = instance(100);
         let mut p = placement(100);
         let before = p.clone();
-        let mut rng = rng_from_seed(4);
-        MutationOp::GaussianJitter {
+        let mut actions = Vec::new();
+        let op = MutationOp::GaussianJitter {
             rate: 1.0,
             sigma_fraction: 0.01, // sigma = 1 unit
+        };
+        op.plan(&p, &inst, &mut rng_from_seed(4), &mut actions);
+        for action in &actions {
+            action.apply_to_placement(&mut p);
         }
-        .mutate(&mut p, &inst, &mut rng);
-        let max_shift = p
+        let max_shift2 = p
             .as_slice()
             .iter()
             .zip(before.as_slice())
-            .map(|(a, b)| a.distance(*b))
+            .map(|(a, b)| a.distance_squared(*b))
             .fold(0.0f64, f64::max);
-        assert!(max_shift > 0.0);
+        assert!(max_shift2 > 0.0);
         assert!(
-            max_shift < 10.0,
-            "sigma=1 should rarely shift 10 units, got {max_shift}"
+            max_shift2 < 10.0 * 10.0,
+            "sigma=1 should rarely shift 10 units, got {}",
+            max_shift2.sqrt()
         );
     }
 
@@ -306,14 +295,18 @@ mod tests {
     fn anchor_attach_lands_within_mutual_range() {
         let inst = instance(12);
         let mut rng = rng_from_seed(7);
+        let mut actions = Vec::new();
+        let op = MutationOp::AnchorAttach {
+            rate: 1.0,
+            locality: 30.0,
+        };
         for _ in 0..100 {
             let mut p = placement(12);
             let before = p.clone();
-            let changed = MutationOp::AnchorAttach {
-                rate: 1.0,
-                locality: 30.0,
+            let changed = op.plan(&p, &inst, &mut rng, &mut actions);
+            for action in &actions {
+                action.apply_to_placement(&mut p);
             }
-            .mutate(&mut p, &inst, &mut rng);
             assert_eq!(changed, 1);
             // Exactly one router moved; it must sit within min-radius reach
             // of some other router (modulo area clamping at the boundary).
@@ -323,9 +316,9 @@ mod tests {
             assert_eq!(moved.len(), 1);
             let m = moved[0];
             let max_reach = inst.routers()[m].profile().max_radius();
-            let near = (0..12)
-                .filter(|&j| j != m)
-                .any(|j| p.as_slice()[m].distance(p.as_slice()[j]) <= max_reach);
+            let near = (0..12).filter(|&j| j != m).any(|j| {
+                p.as_slice()[m].distance_squared(p.as_slice()[j]) <= max_reach * max_reach
+            });
             assert!(near, "attached router must be near an anchor");
             assert!(p.validate(&inst.area(), 12).is_ok());
         }
@@ -334,25 +327,24 @@ mod tests {
     #[test]
     fn anchor_attach_on_singleton_is_noop() {
         let inst = instance(1);
-        let mut p = placement(1);
-        let mut rng = rng_from_seed(8);
-        assert_eq!(
-            MutationOp::AnchorAttach {
-                rate: 1.0,
-                locality: 30.0
-            }
-            .mutate(&mut p, &inst, &mut rng),
-            0
-        );
+        let mut actions = Vec::new();
+        let op = MutationOp::AnchorAttach {
+            rate: 1.0,
+            locality: 30.0,
+        };
+        let changed = op.plan(&placement(1), &inst, &mut rng_from_seed(8), &mut actions);
+        assert_eq!(changed, 0);
+        assert!(actions.is_empty());
     }
 
     #[test]
     fn empty_placement_is_noop_for_all_ops() {
         let inst = instance(2);
         let mut rng = rng_from_seed(9);
+        let mut actions = Vec::new();
         for op in MutationOp::paper_default_stack() {
-            let mut p = Placement::new();
-            assert_eq!(op.mutate(&mut p, &inst, &mut rng), 0);
+            assert_eq!(op.plan(&Placement::new(), &inst, &mut rng, &mut actions), 0);
+            assert!(actions.is_empty());
         }
     }
 
@@ -361,33 +353,37 @@ mod tests {
         let inst = instance(64);
         let mut p = placement(64);
         let mut rng = rng_from_seed(10);
+        let mut actions = Vec::new();
         for _ in 0..100 {
             for op in MutationOp::paper_default_stack() {
-                op.mutate(&mut p, &inst, &mut rng);
+                op.plan(&p, &inst, &mut rng, &mut actions);
+                for action in &actions {
+                    action.apply_to_placement(&mut p);
+                }
             }
         }
         assert!(p.validate(&inst.area(), 64).is_ok());
     }
 
     #[test]
-    fn plan_is_pure_and_matches_mutate_per_seed() {
+    fn plan_is_pure_and_deterministic_per_seed() {
         let inst = instance(32);
         for op in MutationOp::paper_default_stack() {
             let base = placement(32);
             // Planning must not touch the placement...
-            let mut actions = Vec::new();
+            let (mut first, mut second) = (Vec::new(), Vec::new());
             let probe = base.clone();
-            let changed = op.plan(&probe, &inst, &mut rng_from_seed(77), &mut actions);
+            let changed = op.plan(&probe, &inst, &mut rng_from_seed(77), &mut first);
             assert_eq!(probe, base, "{op}: plan mutated the placement");
-            // ...and plan-then-apply must equal mutate on the same stream.
+            // ...and the same stream plans the same actions.
+            let again = op.plan(&probe, &inst, &mut rng_from_seed(77), &mut second);
+            assert_eq!(first, second, "{op}");
+            assert_eq!(changed, again, "{op}");
+            assert_eq!(changed, first.len(), "{op}");
             let mut planned = base.clone();
-            for a in &actions {
-                a.apply_to_placement(&mut planned);
+            for action in &first {
+                action.apply_to_placement(&mut planned);
             }
-            let mut mutated = base.clone();
-            let changed2 = op.mutate(&mut mutated, &inst, &mut rng_from_seed(77));
-            assert_eq!(planned, mutated, "{op}");
-            assert_eq!(changed, changed2, "{op}");
             assert!(planned.validate(&inst.area(), 32).is_ok(), "{op}");
         }
     }

@@ -34,8 +34,8 @@ use wmn_model::{ModelError, RouterId};
 /// holding a live topology of that individual's placement — the seed state
 /// of the topology-backed generational loop.
 ///
-/// `threads <= 1` evaluates serially; results are identical for every
-/// thread count.
+/// `threads <= 1` evaluates on the calling thread; results are identical
+/// for every thread count.
 ///
 /// # Errors
 ///
@@ -63,23 +63,42 @@ pub fn evaluate_initial(
     }
     let individuals = population.individuals_mut();
     assert_eq!(individuals.len(), slots.len(), "one slot per individual");
-    if threads <= 1 || individuals.len() <= 1 {
-        for (ind, slot) in individuals.iter_mut().zip(slots.iter_mut()) {
+    let chunk = chunk_len(individuals.len(), threads);
+    let work = individuals.chunks_mut(chunk).zip(slots.chunks_mut(chunk));
+    in_parallel(work, |(inds, slot_chunk)| {
+        for (ind, slot) in inds.iter_mut().zip(slot_chunk) {
             seed_slot(evaluator, ind, slot)?;
         }
+        Ok(())
+    })
+}
+
+/// The chunk length that splits `len` items over `threads` workers: all of
+/// them in one chunk at one thread.
+fn chunk_len(len: usize, threads: usize) -> usize {
+    len.div_ceil(threads.max(1)).max(1)
+}
+
+/// Runs `work` on every chunk: a single chunk on the calling thread, more
+/// on one scoped thread each. Returns the error of the lowest failing
+/// chunk, so the result does not depend on the thread count.
+fn in_parallel<T: Send>(
+    chunks: impl Iterator<Item = T>,
+    work: impl Fn(T) -> Result<(), ModelError> + Sync,
+) -> Result<(), ModelError> {
+    let mut chunks = chunks.peekable();
+    let Some(first) = chunks.next() else {
         return Ok(());
+    };
+    if chunks.peek().is_none() {
+        return work(first);
     }
-    let chunk = individuals.len().div_ceil(threads).max(1);
+    let work = &work;
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (inds, slot_chunk) in individuals.chunks_mut(chunk).zip(slots.chunks_mut(chunk)) {
-            handles.push(scope.spawn(move || -> Result<(), ModelError> {
-                for (ind, slot) in inds.iter_mut().zip(slot_chunk.iter_mut()) {
-                    seed_slot(evaluator, ind, slot)?;
-                }
-                Ok(())
-            }));
-        }
+        let handles: Vec<_> = std::iter::once(first)
+            .chain(chunks)
+            .map(|chunk| scope.spawn(move || work(chunk)))
+            .collect();
         for h in handles {
             h.join().expect("evaluation worker panicked")?;
         }
@@ -191,13 +210,14 @@ pub fn evaluate_generation(
         "one slot per child individual"
     );
     assert_eq!(individuals.len(), lineage.len(), "one lineage per child");
-    if threads <= 1 || individuals.len() <= 1 {
+    let chunk = chunk_len(individuals.len(), threads);
+    let work = individuals
+        .chunks_mut(chunk)
+        .zip(child_slots.chunks_mut(chunk))
+        .zip(lineage.chunks(chunk));
+    in_parallel(work, |((inds, slot_chunk), line_chunk)| {
         let mut moves = Vec::new();
-        for ((ind, slot), &line) in individuals
-            .iter_mut()
-            .zip(child_slots.iter_mut())
-            .zip(lineage)
-        {
+        for ((ind, slot), &line) in inds.iter_mut().zip(slot_chunk).zip(line_chunk) {
             evaluate_child(
                 evaluator,
                 parents,
@@ -207,37 +227,6 @@ pub fn evaluate_generation(
                 line,
                 &mut moves,
             )?;
-        }
-        return Ok(());
-    }
-    let chunk = individuals.len().div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for ((inds, slot_chunk), line_chunk) in individuals
-            .chunks_mut(chunk)
-            .zip(child_slots.chunks_mut(chunk))
-            .zip(lineage.chunks(chunk))
-        {
-            handles.push(scope.spawn(move || -> Result<(), ModelError> {
-                let mut moves = Vec::new();
-                for ((ind, slot), &line) in
-                    inds.iter_mut().zip(slot_chunk.iter_mut()).zip(line_chunk)
-                {
-                    evaluate_child(
-                        evaluator,
-                        parents,
-                        parent_slots,
-                        ind,
-                        slot,
-                        line,
-                        &mut moves,
-                    )?;
-                }
-                Ok(())
-            }));
-        }
-        for h in handles {
-            h.join().expect("evaluation worker panicked")?;
         }
         Ok(())
     })

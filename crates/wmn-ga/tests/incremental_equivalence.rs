@@ -75,7 +75,7 @@ fn incremental_equals_rebuild_across_thread_counts() {
     let inst = instance(2009);
     for init in [
         PopulationInit::AdHoc(AdHocMethod::HotSpot),
-        PopulationInit::UniformRandom,
+        PopulationInit::AdHoc(AdHocMethod::Random),
     ] {
         let baseline = run(&inst, &init, ConnectivityMode::FullRebuild, 1, 42);
         for threads in [1usize, 2, 8] {

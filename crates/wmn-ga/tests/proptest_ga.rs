@@ -56,9 +56,13 @@ proptest! {
     ) {
         let mut rng = rng_from_seed(seed);
         let mut placement = instance.random_placement(&mut rng);
+        let mut actions = Vec::new();
         for _ in 0..rounds {
             for op in MutationOp::paper_default_stack() {
-                op.mutate(&mut placement, &instance, &mut rng);
+                op.plan(&placement, &instance, &mut rng, &mut actions);
+                for action in &actions {
+                    action.apply_to_placement(&mut placement);
+                }
             }
         }
         prop_assert!(instance.validate_placement(&placement).is_ok());

@@ -95,16 +95,23 @@ proptest! {
         let mut rng = rng_from_seed(seed);
         let parent = instance.random_placement(&mut rng);
         let evaluator = Evaluator::paper_default(&instance);
+        let mut actions = Vec::new();
         for op in all_mutations() {
             let mut child = parent.clone();
-            op.mutate(&mut child, &instance, &mut rng);
+            op.plan(&child, &instance, &mut rng, &mut actions);
+            for action in &actions {
+                action.apply_to_placement(&mut child);
+            }
             assert_delta_eval_matches(&evaluator, &parent, &child, &format!("{op}"));
         }
         // The whole paper stack, applied repeatedly (deep drift).
         let mut child = parent.clone();
         for _ in 0..4 {
             for op in MutationOp::paper_default_stack() {
-                op.mutate(&mut child, &instance, &mut rng);
+                op.plan(&child, &instance, &mut rng, &mut actions);
+                for action in &actions {
+                    action.apply_to_placement(&mut child);
+                }
             }
         }
         assert_delta_eval_matches(&evaluator, &parent, &child, "paper stack x4");
@@ -122,8 +129,12 @@ proptest! {
         let pb = instance.random_placement(&mut rng);
         let evaluator = Evaluator::paper_default(&instance);
         let (mut c1, _) = crossover::single_point(&pa, &pb, &mut rng);
+        let mut actions = Vec::new();
         for op in MutationOp::paper_default_stack() {
-            op.mutate(&mut c1, &instance, &mut rng);
+            op.plan(&c1, &instance, &mut rng, &mut actions);
+            for action in &actions {
+                action.apply_to_placement(&mut c1);
+            }
         }
         assert_delta_eval_matches(&evaluator, &pa, &c1, "engine child vs pa");
         assert_delta_eval_matches(&evaluator, &pb, &c1, "engine child vs pb");

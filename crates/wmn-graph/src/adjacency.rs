@@ -127,15 +127,6 @@ impl MeshAdjacency {
         self.neighbors.get(i)
     }
 
-    /// Degree of node `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn degree(&self, i: usize) -> usize {
-        self.neighbors.len_of(i)
-    }
-
     /// Rewrites node `i`'s neighbor set from `old` (its current list) to
     /// `new`, touching only the **changed** neighbors: a linear merge-diff
     /// over the two sorted, duplicate-free slices removes `i` from dropped
@@ -212,18 +203,19 @@ impl MeshAdjacency {
         let n = positions.len();
         self.neighbors.clear_lists(n);
         self.edge_count = 0;
+        let (neighbors, edge_count) = (&mut self.neighbors, &mut self.edge_count);
         for i in 0..n {
-            for j in grid.candidates(positions[i], radii[i]) {
+            grid.for_each_candidate(positions[i], radii[i], |j| {
                 if j <= i {
-                    continue; // handle each unordered pair once
+                    return; // handle each unordered pair once
                 }
                 let d2 = positions[i].distance_squared(positions[j]);
                 if links(d2, radii[i], radii[j]) {
-                    self.neighbors.push(i, j as u32);
-                    self.neighbors.push(j, i as u32);
-                    self.edge_count += 1;
+                    neighbors.push(i, j as u32);
+                    neighbors.push(j, i as u32);
+                    *edge_count += 1;
                 }
-            }
+            });
         }
         for i in 0..n {
             self.neighbors.get_mut(i).sort_unstable();
@@ -319,7 +311,7 @@ mod tests {
         let area = area100();
         let (pts, radii) = random_layout(150, 5);
         let adj = MeshAdjacency::build(&area, &pts, &radii);
-        let total: usize = (0..adj.node_count()).map(|i| adj.degree(i)).sum();
+        let total: usize = (0..adj.node_count()).map(|i| adj.neighbors(i).len()).sum();
         assert_eq!(total, 2 * adj.edge_count());
     }
 
@@ -336,7 +328,7 @@ mod tests {
         let radii = vec![5.0, 5.0];
         let adj = MeshAdjacency::build(&area100(), &pts, &radii);
         assert_eq!(adj.edge_count(), 0);
-        assert_eq!(adj.degree(0), 0);
+        assert_eq!(adj.neighbors(0).len(), 0);
     }
 
     #[test]
@@ -364,7 +356,7 @@ mod tests {
         let old: Vec<u32> = adj.neighbors(23).to_vec();
         assert!(old.windows(2).all(|w| w[0] < w[1]), "sorted neighbors");
         adj.replace_node_edges(23, &old, &[]);
-        assert_eq!(adj.degree(23), 0);
+        assert_eq!(adj.neighbors(23).len(), 0);
         assert_eq!(
             adj.edge_count(),
             original.edge_count() - old.len(),
@@ -381,10 +373,10 @@ mod tests {
         let (pts, radii) = random_layout(80, 14);
         let mut adj = MeshAdjacency::build(&area, &pts, &radii);
         let node = (0..80usize)
-            .max_by_key(|&i| adj.degree(i))
+            .max_by_key(|&i| adj.neighbors(i).len())
             .expect("nonempty layout");
         assert!(
-            adj.degree(node) >= 2,
+            adj.neighbors(node).len() >= 2,
             "layout must give some node neighbors"
         );
         let old: Vec<u32> = adj.neighbors(node).to_vec();
@@ -414,6 +406,6 @@ mod tests {
         let mut adj = MeshAdjacency::build(&area100(), &pts, &radii);
         adj.replace_node_edges(0, &[], &[]);
         assert_eq!(adj.edge_count(), 0);
-        assert_eq!(adj.degree(0), 0);
+        assert_eq!(adj.neighbors(0).len(), 0);
     }
 }

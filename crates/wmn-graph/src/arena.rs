@@ -199,16 +199,6 @@ impl NeighborSlab {
         &mut self.data[s.off as usize..(s.off + s.len) as usize]
     }
 
-    /// Length of node `i`'s list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[inline]
-    pub fn len_of(&self, i: usize) -> usize {
-        self.spans[i].len as usize
-    }
-
     /// Appends `v` to node `i`'s list.
     ///
     /// # Panics
@@ -419,7 +409,6 @@ mod tests {
         assert_eq!(slab.total_len(), 0);
         for i in 0..4 {
             assert!(slab.get(i).is_empty());
-            assert_eq!(slab.len_of(i), 0);
         }
         slab.assert_invariants();
     }

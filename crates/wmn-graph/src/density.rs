@@ -44,8 +44,9 @@ impl CellWindow {
 /// let clients = vec![Point::new(5.0, 5.0), Point::new(6.0, 6.0), Point::new(35.0, 35.0)];
 /// let map = DensityMap::from_points(&area, &clients, 4, 4); // 10x10 cells
 ///
-/// let dense = map.densest_window(1, 1);
-/// assert_eq!(map.window_count(&dense), 2); // the two near (5, 5)
+/// let zones = map.ranked_disjoint_windows(1, 1, 2);
+/// assert_eq!(map.window_count(&zones[0]), 2); // the two near (5, 5)
+/// assert_eq!(map.window_count(&zones[1]), 1); // the one near (35, 35)
 /// # Ok::<(), wmn_model::ModelError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -156,37 +157,6 @@ impl DensityMap {
 
     fn clamp_window(&self, w_cells: usize, h_cells: usize) -> (usize, usize) {
         (w_cells.clamp(1, self.cols), h_cells.clamp(1, self.rows))
-    }
-
-    /// The window of the given size with the **maximum** count. Ties break
-    /// toward the lowest `(cy, cx)` (deterministic).
-    ///
-    /// Window dimensions are clamped into the grid.
-    pub fn densest_window(&self, w_cells: usize, h_cells: usize) -> CellWindow {
-        self.extreme_window(w_cells, h_cells, true)
-    }
-
-    /// The window of the given size with the **minimum** count. Ties break
-    /// toward the lowest `(cy, cx)` (deterministic).
-    pub fn sparsest_window(&self, w_cells: usize, h_cells: usize) -> CellWindow {
-        self.extreme_window(w_cells, h_cells, false)
-    }
-
-    fn extreme_window(&self, w_cells: usize, h_cells: usize, max: bool) -> CellWindow {
-        let (w, h) = self.clamp_window(w_cells, h_cells);
-        let mut best = CellWindow { cx: 0, cy: 0, w, h };
-        let mut best_count = self.window_count(&best);
-        for cy in 0..=(self.rows - h) {
-            for cx in 0..=(self.cols - w) {
-                let cand = CellWindow { cx, cy, w, h };
-                let c = self.window_count(&cand);
-                if (max && c > best_count) || (!max && c < best_count) {
-                    best = cand;
-                    best_count = c;
-                }
-            }
-        }
-        best
     }
 
     /// Up to `k` pairwise-disjoint windows of the given size, ordered by
@@ -635,7 +605,7 @@ mod tests {
             Point::new(2.0, 2.0),
         ];
         let map = DensityMap::from_points(&area, &pts, 10, 10);
-        let dense = map.densest_window(1, 1);
+        let dense = map.ranked_disjoint_windows(1, 1, 1)[0];
         assert_eq!(map.window_count(&dense), 5);
         let rect = map.window_rect(&dense);
         assert!(rect.contains(Point::new(38.0, 38.0)));
@@ -648,30 +618,31 @@ mod tests {
             .map(|i| Point::new(1.0 + (i % 5) as f64 * 0.5, 1.0 + (i / 5) as f64 * 0.5))
             .collect();
         let map = DensityMap::from_points(&area, &pts, 4, 4);
-        let sparse = map.sparsest_window(1, 1);
-        assert_eq!(map.window_count(&sparse), 0);
-        let dense = map.densest_window(1, 1);
-        assert_eq!(map.window_count(&dense), 50);
+        // All 16 one-cell windows are disjoint, so the ranking ends at the
+        // sparsest.
+        let ranked = map.ranked_disjoint_windows(1, 1, 16);
+        assert_eq!(ranked.len(), 16);
+        assert_eq!(map.window_count(&ranked[15]), 0);
+        assert_eq!(map.window_count(&ranked[0]), 50);
     }
 
     #[test]
     fn ties_break_deterministically() {
         let area = area40();
         let map = DensityMap::from_points(&area, &[], 4, 4);
-        let w = map.densest_window(2, 2);
-        assert_eq!((w.cx, w.cy), (0, 0));
-        let s = map.sparsest_window(2, 2);
-        assert_eq!((s.cx, s.cy), (0, 0));
+        let ranked = map.ranked_disjoint_windows(2, 2, 4);
+        let corners: Vec<_> = ranked.iter().map(|w| (w.cx, w.cy)).collect();
+        assert_eq!(corners, vec![(0, 0), (2, 0), (0, 2), (2, 2)]);
     }
 
     #[test]
     fn window_dimensions_are_clamped() {
         let area = area40();
         let map = DensityMap::from_points(&area, &[Point::new(1.0, 1.0)], 4, 4);
-        let w = map.densest_window(100, 100);
+        let w = map.ranked_disjoint_windows(100, 100, 1)[0];
         assert_eq!((w.w, w.h), (4, 4));
         assert_eq!(map.window_count(&w), 1);
-        let z = map.densest_window(0, 0);
+        let z = map.ranked_disjoint_windows(0, 0, 1)[0];
         assert_eq!((z.w, z.h), (1, 1));
     }
 

@@ -49,10 +49,11 @@
 //! ## Invariants
 //!
 //! * `client_index` is the instance's own client index
-//!   ([`ProblemInstance::client_index`]), shared by every topology of the
-//!   instance, and `radii` are the radii it was built for. Two topologies
-//!   holding the same index `Arc` index the same clients with the same
-//!   radii, so one may lend the other its disk caches.
+//!   ([`ProblemInstance::client_index`]), one per instance and shared by
+//!   every topology of it, and `radii` are that instance's radii. An
+//!   instance never changes once built, so two topologies holding the same
+//!   index `Arc` index the same clients with the same radii, and one may
+//!   lend the other its disk caches.
 //! * `positions`/`radii`/`router_index` agree at all times (the grid is
 //!   relocated *before* edge repair).
 //! * `adjacency` equals `MeshAdjacency::build` of the current positions;
@@ -89,7 +90,7 @@
 use crate::adjacency::{self, MeshAdjacency};
 use crate::arena::NeighborSlab;
 use crate::components::Components;
-use crate::connectivity::{ConnectivityStats, DynamicConnectivity};
+use crate::connectivity::DynamicConnectivity;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -353,11 +354,12 @@ impl WmnTopology {
     ///
     /// Propagates placement validation
     /// ([`ModelError`](wmn_model::ModelError)) — length mismatch or
-    /// out-of-area positions — and the refusals of
-    /// [`ProblemInstance::client_index`]: router or client ids beyond u32,
-    /// or a client grid with more cells than u32 ids can number (an area
-    /// far larger than the radio range, such as `--scale-area 1000000`).
-    /// Refuses the router grid the same way.
+    /// out-of-area positions — and the refusal of
+    /// [`ProblemInstance::client_index`]: a client grid with more cells
+    /// than u32 ids can number (an area far larger than the radio range,
+    /// such as `--scale-area 1000000`). Refuses the router grid the same
+    /// way. Router and client ids fit u32, because
+    /// [`ProblemInstance::new`] refuses any instance whose ids would not.
     pub fn build(
         instance: &ProblemInstance,
         placement: &Placement,
@@ -431,7 +433,7 @@ impl WmnTopology {
         self.components
             .rebuild_in_place(&self.adjacency, &mut self.scratch.bfs_queue);
         self.refresh_giant_mask();
-        self.recompute_coverage();
+        self.recompute_coverage_from(None);
     }
 
     /// The deployment area.
@@ -608,20 +610,11 @@ impl WmnTopology {
         self.connectivity_mode
     }
 
-    /// Cumulative counters of this topology's dynamic connectivity engine
-    /// (zeroed on construction and on `clone`; scratch state, so
-    /// `clone_from` leaves them running).
-    pub fn connectivity_stats(&self) -> ConnectivityStats {
-        self.scratch.conn.stats()
-    }
-
     /// The unified work profile of this topology's evaluation engine:
     /// topology-level counters (moves, coverage strategy, disk caches)
-    /// plus the connectivity engine's. Like
-    /// [`connectivity_stats`](WmnTopology::connectivity_stats), the
-    /// counters are scratch state — zeroed on construction and `clone`,
-    /// kept running by `clone_from` — and deterministic for a fixed seed
-    /// at any thread count.
+    /// plus the connectivity engine's. The counters are scratch state —
+    /// zeroed on construction and `clone`, kept running by `clone_from` —
+    /// and deterministic for a fixed seed at any thread count.
     pub fn engine_stats(&self) -> EngineStats {
         EngineStats::new(self.scratch.counters, self.scratch.conn.stats())
     }
@@ -644,18 +637,14 @@ impl WmnTopology {
     /// Adds router `i`'s disk (at its **current** position) to the
     /// per-client cover counts, flipping `covered` bits and the covered
     /// total at 0→1 transitions. Uses the positionally-valid disk cache
-    /// when available and (re)fills it otherwise, so re-adding an unmoved
-    /// router's disk — a giant-membership flip — performs no grid query.
-    fn disk_add(&mut self, i: usize) {
-        self.disk_add_from(i, None);
-    }
-
-    /// [`disk_add`](WmnTopology::disk_add) with a donor: on a cache miss,
-    /// a donor topology holding router `i` at the **same position** (on the
-    /// same client index — the caller verifies it) donates its
-    /// cached disk instead of a grid query. This is the crossover-child
-    /// path: a moved gene's target position is verbatim the other parent's,
-    /// whose cache holds exactly the right client set.
+    /// when available, so re-adding an unmoved router's disk — a
+    /// giant-membership flip — performs no grid query. On a cache miss, a
+    /// `donor` topology holding router `i` at the **same position** (on
+    /// the same client index — the caller verifies it) donates its cached
+    /// disk; without one, the disk is queried from the client grid. The
+    /// donor is the crossover-child path: a moved gene's target position
+    /// is verbatim the other parent's, whose cache holds exactly the right
+    /// client set.
     fn disk_add_from(&mut self, i: usize, donor: Option<&WmnTopology>) {
         let WmnTopology {
             client_index,
@@ -721,13 +710,8 @@ impl WmnTopology {
     /// Full coverage recomputation, in place: rebuilds cover counts, the
     /// covered mask, and the covered total (maintained incrementally as
     /// bits flip — no trailing count scan) from the current `giant_mask`,
-    /// re-querying only routers whose disk cache is positionally stale.
-    fn recompute_coverage(&mut self) {
-        self.recompute_coverage_from(None);
-    }
-
-    /// [`recompute_coverage`](WmnTopology::recompute_coverage) with an
-    /// optional disk-cache donor (see
+    /// re-querying only routers whose disk cache is positionally stale and
+    /// that an optional `donor` cannot fill (see
     /// [`apply_moves`](WmnTopology::apply_moves)).
     fn recompute_coverage_from(&mut self, donor: Option<&WmnTopology>) {
         self.scratch.counters.coverage_full_recomputes += 1;
@@ -946,10 +930,9 @@ impl WmnTopology {
     /// grid. This is the crossover-child evaluation path — the recombined
     /// genes' targets are verbatim the other parent's positions, so their
     /// disks come for free. A donor on another client index `Arc` (another
-    /// instance, or the same one before or after
-    /// [`ProblemInstance::oscillate_radii`]) or with another router count
-    /// is ignored; results are identical with or without a donor (pinned by
-    /// tests), only the query count differs.
+    /// instance) or with another router count is ignored; results are
+    /// identical with or without a donor (pinned by tests), only the query
+    /// count differs.
     ///
     /// # Panics
     ///
@@ -1107,7 +1090,7 @@ impl WmnTopology {
             }
             for &j in &flipped {
                 if self.giant_mask[j as usize] {
-                    self.disk_add(j as usize);
+                    self.disk_add_from(j as usize, None);
                 }
             }
             self.scratch.flipped_others = flipped;
@@ -1153,11 +1136,9 @@ impl WmnTopology {
             if !self.disk_cached[i] && !self.giant_mask[i] {
                 continue;
             }
-            let mut expect: Vec<u32> = self
-                .client_index
-                .within_radius(self.positions[i], self.radii[i])
-                .map(|c| c as u32)
-                .collect();
+            let mut expect = Vec::new();
+            self.client_index
+                .within_radius_into(self.positions[i], self.radii[i], &mut expect);
             expect.sort_unstable();
             let mut got = self.disk_clients.get(i).to_vec();
             got.sort_unstable();

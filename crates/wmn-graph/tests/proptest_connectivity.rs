@@ -196,7 +196,7 @@ fn dynamic_path_statistics_accumulate() {
         topo.move_router(id, to);
     }
     topo.assert_consistent();
-    let stats = topo.connectivity_stats();
+    let stats = topo.engine_stats().connectivity;
     assert!(stats.repairs > 0);
     assert!(
         stats.insertions + stats.deletions > 0,

@@ -79,10 +79,11 @@ proptest! {
     ) {
         let area = Area::square(100.0).unwrap();
         let index = GridIndex::build(&area, pts.clone(), cell);
-        let mut fast: Vec<usize> = index.within_radius(center, radius).collect();
+        let mut fast = Vec::new();
+        index.within_radius_into(center, radius, &mut fast);
         fast.sort_unstable();
         let slow = GridIndex::brute_force_within_radius(&pts, center, radius);
-        prop_assert_eq!(fast, slow);
+        prop_assert_eq!(fast.iter().map(|&i| i as usize).collect::<Vec<_>>(), slow);
     }
 
     #[test]
@@ -149,15 +150,13 @@ proptest! {
     ) {
         let area = Area::square(64.0).unwrap();
         let map = DensityMap::from_points(&area, &pts, 8, 8);
-        let dense = map.densest_window(w, h);
-        let sparse = map.sparsest_window(w, h);
+        // The first ranked window is the densest of its size.
+        let dense = map.ranked_disjoint_windows(w, h, 1)[0];
         let dense_count = map.window_count(&dense);
-        let sparse_count = map.window_count(&sparse);
         for cy in 0..=(8 - h) {
             for cx in 0..=(8 - w) {
                 let c = map.window_count(&CellWindow { cx, cy, w, h });
                 prop_assert!(c <= dense_count);
-                prop_assert!(c >= sparse_count);
             }
         }
     }

@@ -52,8 +52,8 @@ impl fmt::Display for Evaluation {
 /// no per-candidate topology allocation.
 ///
 /// A workspace adapts automatically: if its topology was not built on this
-/// instance's current client index (another instance, or radii oscillated
-/// since), the stored topology is discarded and rebuilt from scratch.
+/// instance's client index (it belongs to another instance), the stored
+/// topology is discarded and rebuilt from scratch.
 ///
 /// # Examples
 ///
@@ -213,10 +213,10 @@ impl<'a> Evaluator<'a> {
 
     /// Whether a stored workspace topology is still valid for this
     /// evaluator: it has the instance's router count and holds the
-    /// instance's client index, which means the same clients and radii
-    /// (see `ProblemInstance::client_index`). One pointer compare. An
-    /// index the instance refuses to build matches nothing, so the build
-    /// that follows reports the refusal.
+    /// instance's client index, one per instance, which means the same
+    /// clients and radii (see `ProblemInstance::client_index`). One pointer
+    /// compare. An index the instance refuses to build matches nothing, so
+    /// the build that follows reports the refusal.
     fn workspace_matches(&self, topo: &WmnTopology) -> bool {
         topo.router_count() == self.instance.router_count()
             && self
@@ -372,10 +372,16 @@ mod tests {
 
     #[test]
     fn workspace_rebuilds_a_topology_from_before_an_oscillation() {
-        let mut instance = InstanceSpec::paper_normal().unwrap().generate(3).unwrap();
+        // Another instance on the same clients with the same router count,
+        // every radius 2: its topology must not pass for this instance's.
+        let instance = InstanceSpec::paper_normal().unwrap().generate(3).unwrap();
+        let other = InstanceBuilder::new(instance.area())
+            .routers(RadioProfile::fixed(2.0).unwrap(), instance.router_count())
+            .clients(instance.client_positions())
+            .build()
+            .unwrap();
         let placement = instance.random_placement(&mut rng_from_seed(4));
-        let before = WmnTopology::build(&instance, &placement).unwrap();
-        instance.oscillate_radii(&mut rng_from_seed(5));
+        let before = WmnTopology::build(&other, &placement).unwrap();
         let ev = Evaluator::paper_default(&instance);
         let mut ws = EvalWorkspace::new();
         ws.adopt_topology(&before);
@@ -401,27 +407,29 @@ mod tests {
     fn a_donor_from_before_an_oscillation_lends_nothing() {
         // Eight routers packed within 0.7 of each other form one component
         // at any radius in [2, 8], and clients on a spiral out to 8 make
-        // every disk's client set depend on its radius: a graft from
-        // before the oscillation would carry a stale client set.
+        // every disk's client set depend on its radius: a graft from an
+        // instance with other radii would carry a stale client set.
         let profile = RadioProfile::new(2.0, 8.0).unwrap();
-        let mut builder = InstanceBuilder::new(Area::square(100.0).unwrap());
-        for _ in 0..8 {
-            builder = builder.router(profile, 5.0);
-        }
-        let mut instance = builder
-            .clients((0..120).map(|k| {
-                let (r, a) = (2.0 + k as f64 * 0.05, k as f64 * 0.7);
-                Point::new(50.0 + r * a.cos(), 50.0 + r * a.sin())
-            }))
-            .build()
-            .unwrap();
+        let with_radii = |radius: f64| {
+            let mut builder = InstanceBuilder::new(Area::square(100.0).unwrap());
+            for _ in 0..8 {
+                builder = builder.router(profile, radius);
+            }
+            builder
+                .clients((0..120).map(|k| {
+                    let (r, a) = (2.0 + k as f64 * 0.05, k as f64 * 0.7);
+                    Point::new(50.0 + r * a.cos(), 50.0 + r * a.sin())
+                }))
+                .build()
+                .unwrap()
+        };
+        let (instance, other) = (with_radii(5.0), with_radii(3.0));
         let cluster = |dx: f64| -> Placement {
             (0..8)
                 .map(|i| Point::new(50.0 + dx + 0.1 * i as f64, 50.0))
                 .collect()
         };
-        let before = WmnTopology::build(&instance, &cluster(0.0)).unwrap();
-        instance.oscillate_radii(&mut rng_from_seed(5));
+        let before = WmnTopology::build(&other, &cluster(0.0)).unwrap();
         let ev = Evaluator::paper_default(&instance);
         let mut topo = ev.topology(&cluster(20.0)).unwrap();
         let target = cluster(0.0);
@@ -494,7 +502,7 @@ mod tests {
             assert_eq!(a, b, "round {round}");
             assert_eq!(a, ev.evaluate(&target).unwrap(), "round {round} vs fresh");
         }
-        let stats = dynamic.connectivity_stats();
+        let stats = dynamic.engine_stats().connectivity;
         assert!(
             stats.repairs > 0 && stats.insertions + stats.deletions > 0,
             "the dynamic engine must have processed the diffs"
@@ -542,7 +550,7 @@ mod tests {
             topo.move_router(RouterId(i), Point::new(64.0 + a.cos(), 64.0 + a.sin()));
         }
         let after = ev.evaluate_topology(&topo);
-        assert!(after.measurement.fully_connected());
+        assert_eq!(after.giant_size(), instance.router_count());
         assert!(after.fitness >= before.fitness);
     }
 }

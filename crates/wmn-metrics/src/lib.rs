@@ -10,7 +10,7 @@
 //!   coverage breaks ties).
 //! * [`evaluator`] — [`Evaluator`], the single evaluation entry point used
 //!   by every search algorithm in the workspace.
-//! * [`stats`] — streaming statistics and trace series for experiments.
+//! * [`stats`] — progress samples and trace series for experiments.
 //!
 //! # Quick start
 //!
@@ -37,4 +37,4 @@ pub mod stats;
 
 pub use evaluator::{EvalWorkspace, Evaluation, Evaluator};
 pub use measurement::NetworkMeasurement;
-pub use stats::{ProgressPoint, RunningStats, Trace};
+pub use stats::{ProgressPoint, Trace};

@@ -54,11 +54,6 @@ impl NetworkMeasurement {
             link_count: topo.adjacency().edge_count(),
         }
     }
-
-    /// Returns `true` if every router belongs to one connected mesh.
-    pub fn fully_connected(&self) -> bool {
-        self.giant_size == self.router_count
-    }
 }
 
 impl fmt::Display for NetworkMeasurement {
@@ -89,14 +84,6 @@ mod tests {
             component_count: 5,
             link_count: 80,
         }
-    }
-
-    #[test]
-    fn fully_connected_detection() {
-        let mut m = sample();
-        assert!(!m.fully_connected());
-        m.giant_size = 64;
-        assert!(m.fully_connected());
     }
 
     #[test]

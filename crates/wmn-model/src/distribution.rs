@@ -76,21 +76,9 @@ pub fn weibull<R: Rng + ?Sized>(shape: f64, scale: f64, rng: &mut R) -> f64 {
     scale * (-u.ln()).powf(1.0 / shape)
 }
 
-/// A fixed hotspot for the [`ClientDistribution::Hotspots`] mixture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Hotspot {
-    /// Center of the hotspot.
-    pub center: Point,
-    /// Gaussian spread of clients around the center.
-    pub sigma: f64,
-    /// Relative weight (share of clients attracted), need not be normalized.
-    pub weight: f64,
-}
-
 /// A spatial distribution for client positions over a deployment area.
 ///
-/// The four paper distributions plus a hotspot mixture used by examples and
-/// extension experiments. Construct validated instances through the
+/// The four paper distributions. Construct validated instances through the
 /// `try_*` constructors or the `paper_*` presets.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
@@ -119,12 +107,6 @@ pub enum ClientDistribution {
         shape: f64,
         /// Scale λ (> 0), in length units.
         scale: f64,
-    },
-    /// A mixture of Gaussian hotspots (extension; models the "users cluster
-    /// to hotspots" observation the paper cites for real deployments).
-    Hotspots {
-        /// The mixture components; must be non-empty.
-        spots: Vec<Hotspot>,
     },
 }
 
@@ -195,36 +177,6 @@ impl ClientDistribution {
         Ok(ClientDistribution::Weibull { shape, scale })
     }
 
-    /// A validated hotspot mixture.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidDistribution`] if `spots` is empty, or
-    /// any spot has a non-positive sigma or weight.
-    pub fn try_hotspots(spots: Vec<Hotspot>) -> Result<Self, ModelError> {
-        if spots.is_empty() {
-            return Err(ModelError::InvalidDistribution {
-                parameter: "spots.len",
-                value: 0.0,
-            });
-        }
-        for s in &spots {
-            if !s.sigma.is_finite() || s.sigma <= 0.0 {
-                return Err(ModelError::InvalidDistribution {
-                    parameter: "spot.sigma",
-                    value: s.sigma,
-                });
-            }
-            if !s.weight.is_finite() || s.weight <= 0.0 {
-                return Err(ModelError::InvalidDistribution {
-                    parameter: "spot.weight",
-                    value: s.weight,
-                });
-            }
-        }
-        Ok(ClientDistribution::Hotspots { spots })
-    }
-
     /// The paper's Table 1 / Figure 1 distribution on the given area:
     /// per-axis `N(μ = W/2, σ = W/10)` — `N(64, 12.8)` for `128 × 128`.
     ///
@@ -271,7 +223,6 @@ impl ClientDistribution {
             ClientDistribution::Normal { .. } => "normal",
             ClientDistribution::Exponential { .. } => "exponential",
             ClientDistribution::Weibull { .. } => "weibull",
-            ClientDistribution::Hotspots { .. } => "hotspots",
         }
     }
 
@@ -291,22 +242,6 @@ impl ClientDistribution {
             }
             ClientDistribution::Weibull { shape, scale } => {
                 Point::new(weibull(*shape, *scale, rng), weibull(*shape, *scale, rng))
-            }
-            ClientDistribution::Hotspots { spots } => {
-                let total: f64 = spots.iter().map(|s| s.weight).sum();
-                let mut pick = rng.gen::<f64>() * total;
-                let mut chosen = &spots[spots.len() - 1];
-                for s in spots {
-                    if pick < s.weight {
-                        chosen = s;
-                        break;
-                    }
-                    pick -= s.weight;
-                }
-                Point::new(
-                    chosen.center.x + chosen.sigma * standard_normal(rng),
-                    chosen.center.y + chosen.sigma * standard_normal(rng),
-                )
             }
         }
     }
@@ -347,7 +282,6 @@ impl fmt::Display for ClientDistribution {
             ClientDistribution::Weibull { shape, scale } => {
                 write!(f, "weibull(shape={shape}, scale={scale})")
             }
-            ClientDistribution::Hotspots { spots } => write!(f, "hotspots(n={})", spots.len()),
         }
     }
 }
@@ -446,7 +380,7 @@ mod tests {
         // ~99.99% of N(64, 12.8) mass is inside [64 - 4σ, 64 + 4σ] ⊂ area.
         let far = pts
             .iter()
-            .filter(|p| p.distance(area.center()) > 6.0 * 12.8)
+            .filter(|p| p.distance_squared(area.center()) > (6.0 * 12.8) * (6.0 * 12.8))
             .count();
         assert_eq!(far, 0, "normal cluster should not reach the far boundary");
     }
@@ -480,40 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn hotspot_mixture_respects_weights() {
-        let area = area128();
-        let dist = ClientDistribution::try_hotspots(vec![
-            Hotspot {
-                center: Point::new(20.0, 20.0),
-                sigma: 4.0,
-                weight: 3.0,
-            },
-            Hotspot {
-                center: Point::new(100.0, 100.0),
-                sigma: 4.0,
-                weight: 1.0,
-            },
-        ])
-        .unwrap();
-        let mut rng = rng_from_seed(5);
-        let pts = dist.sample_points(&area, 4000, &mut rng);
-        let near_a = pts
-            .iter()
-            .filter(|p| p.distance(Point::new(20.0, 20.0)) < 20.0)
-            .count();
-        let near_b = pts
-            .iter()
-            .filter(|p| p.distance(Point::new(100.0, 100.0)) < 20.0)
-            .count();
-        assert!(near_a + near_b > 3900, "mixture should hit its two spots");
-        let ratio = near_a as f64 / near_b as f64;
-        assert!(
-            (2.0..4.5).contains(&ratio),
-            "3:1 weights should yield ~3x samples, got ratio {ratio}"
-        );
-    }
-
-    #[test]
     fn constructor_validation() {
         assert!(ClientDistribution::try_normal(0.0, 0.0, 0.0).is_err());
         assert!(ClientDistribution::try_normal(f64::NAN, 0.0, 1.0).is_err());
@@ -522,19 +422,6 @@ mod tests {
         assert!(ClientDistribution::try_exponential(-1.0).is_err());
         assert!(ClientDistribution::try_weibull(0.0, 1.0).is_err());
         assert!(ClientDistribution::try_weibull(1.0, 0.0).is_err());
-        assert!(ClientDistribution::try_hotspots(vec![]).is_err());
-        assert!(ClientDistribution::try_hotspots(vec![Hotspot {
-            center: Point::origin(),
-            sigma: 0.0,
-            weight: 1.0
-        }])
-        .is_err());
-        assert!(ClientDistribution::try_hotspots(vec![Hotspot {
-            center: Point::origin(),
-            sigma: 1.0,
-            weight: -1.0
-        }])
-        .is_err());
     }
 
     #[test]

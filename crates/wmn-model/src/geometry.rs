@@ -22,7 +22,7 @@ use std::fmt;
 ///
 /// let a = Point::new(0.0, 0.0);
 /// let b = Point::new(3.0, 4.0);
-/// assert_eq!(a.distance(b), 5.0);
+/// assert_eq!(a.distance_squared(b), 25.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Point {
@@ -45,24 +45,8 @@ impl Point {
         Point { x: 0.0, y: 0.0 }
     }
 
-    /// Euclidean distance to `other`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use wmn_model::geometry::Point;
-    /// let d = Point::new(1.0, 1.0).distance(Point::new(4.0, 5.0));
-    /// assert_eq!(d, 5.0);
-    /// ```
-    #[inline]
-    pub fn distance(self, other: Point) -> f64 {
-        self.distance_squared(other).sqrt()
-    }
-
-    /// Squared Euclidean distance to `other`.
-    ///
-    /// Cheaper than [`Point::distance`]; prefer it for comparisons against a
-    /// squared threshold (links, coverage tests).
+    /// Squared Euclidean distance to `other`: links and coverage compare
+    /// it against a squared radius, so no square root is taken.
     #[inline]
     pub fn distance_squared(self, other: Point) -> f64 {
         let dx = self.x - other.x;
@@ -200,12 +184,6 @@ impl Rect {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
 
-    /// Returns `true` if `other` lies entirely inside `self`.
-    #[inline]
-    pub fn contains_rect(&self, other: &Rect) -> bool {
-        self.contains(other.min) && self.contains(other.max)
-    }
-
     /// Returns `true` if the two rectangles overlap (closed-set semantics:
     /// touching edges count as an intersection).
     #[inline]
@@ -214,17 +192,6 @@ impl Rect {
             && self.max.x >= other.min.x
             && self.min.y <= other.max.y
             && self.max.y >= other.min.y
-    }
-
-    /// The overlapping region of two rectangles, or `None` when disjoint.
-    pub fn intersection(&self, other: &Rect) -> Option<Rect> {
-        if !self.intersects(other) {
-            return None;
-        }
-        Some(Rect {
-            min: Point::new(self.min.x.max(other.min.x), self.min.y.max(other.min.y)),
-            max: Point::new(self.max.x.min(other.max.x), self.max.y.min(other.max.y)),
-        })
     }
 
     /// Clamps a point into the rectangle (projects it onto the closest point
@@ -309,12 +276,6 @@ impl Area {
         Point::new(self.width / 2.0, self.height / 2.0)
     }
 
-    /// Surface area `W * H`.
-    #[inline]
-    pub fn surface(&self) -> f64 {
-        self.width * self.height
-    }
-
     /// The bounding rectangle `[(0,0) .. (W,H)]`.
     #[inline]
     pub fn bounds(&self) -> Rect {
@@ -348,15 +309,14 @@ mod tests {
     fn point_distance_is_euclidean() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(3.0, 4.0);
-        assert_eq!(a.distance(b), 5.0);
         assert_eq!(a.distance_squared(b), 25.0);
-        assert_eq!(b.distance(a), 5.0);
+        assert_eq!(b.distance_squared(a), 25.0);
     }
 
     #[test]
     fn point_distance_to_self_is_zero() {
         let p = Point::new(-2.5, 7.0);
-        assert_eq!(p.distance(p), 0.0);
+        assert_eq!(p.distance_squared(p), 0.0);
     }
 
     #[test]
@@ -399,17 +359,16 @@ mod tests {
     fn rect_intersection_touching_edges() {
         let a = Rect::from_origin_size(Point::origin(), 5.0, 5.0);
         let b = Rect::from_origin_size(Point::new(5.0, 0.0), 5.0, 5.0);
-        let i = a.intersection(&b).expect("touching rectangles intersect");
-        assert_eq!(i.width(), 0.0);
-        assert_eq!(i.height(), 5.0);
+        assert!(a.intersects(&b), "touching rectangles intersect");
+        assert!(b.intersects(&a));
     }
 
     #[test]
     fn rect_intersection_disjoint_is_none() {
         let a = Rect::from_origin_size(Point::origin(), 5.0, 5.0);
         let b = Rect::from_origin_size(Point::new(6.0, 6.0), 5.0, 5.0);
-        assert!(a.intersection(&b).is_none());
         assert!(!a.intersects(&b));
+        assert!(!b.intersects(&a));
     }
 
     #[test]
@@ -439,7 +398,6 @@ mod tests {
         let a = Area::square(128.0).unwrap();
         assert_eq!(a.width(), 128.0);
         assert_eq!(a.height(), 128.0);
-        assert_eq!(a.surface(), 128.0 * 128.0);
         assert_eq!(a.center(), Point::new(64.0, 64.0));
     }
 

@@ -45,9 +45,8 @@ pub struct ProblemInstance {
     area: Area,
     routers: Vec<Router>,
     clients: Vec<Client>,
-    /// Filled by [`client_index`](ProblemInstance::client_index) and
-    /// emptied by [`oscillate_radii`](ProblemInstance::oscillate_radii). A
-    /// clone shares the built index.
+    /// Filled by [`client_index`](ProblemInstance::client_index). A clone
+    /// shares the built index.
     #[serde(skip)]
     client_index: OnceLock<Arc<GridIndex>>,
 }
@@ -74,7 +73,8 @@ impl ProblemInstance {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidSpec`] if there are no routers, no
-    /// clients, or a client lies outside the area.
+    /// clients, more routers or clients than u32 ids can number, or a
+    /// client lies outside the area.
     pub fn new(area: Area, routers: Vec<Router>, clients: Vec<Client>) -> Result<Self, ModelError> {
         if routers.is_empty() {
             return Err(ModelError::InvalidSpec {
@@ -86,6 +86,7 @@ impl ProblemInstance {
                 reason: "an instance needs at least one client".to_owned(),
             });
         }
+        check_id_space(routers.len(), clients.len())?;
         if let Some(c) = clients.iter().find(|c| !area.contains(c.position())) {
             return Err(ModelError::InvalidSpec {
                 reason: format!("client {} lies outside the area", c.id()),
@@ -155,33 +156,19 @@ impl ProblemInstance {
     }
 
     /// The clients' spatial index: a [`GridIndex`] whose cells are as wide
-    /// as the largest current router radius, at least 1. The first call
-    /// builds it; every later call, and every topology of this instance,
-    /// shares that one `Arc` until
-    /// [`oscillate_radii`](ProblemInstance::oscillate_radii) drops it. So
-    /// two topologies share an index exactly when they were built on the
-    /// same clients and radii of one instance.
+    /// as the largest router radius, at least 1. An instance never changes
+    /// once built, so it has one index: the first call builds it, and every
+    /// later call, every clone made after it and every topology of this
+    /// instance share that one `Arc`.
     ///
     /// # Errors
     ///
-    /// Refuses with [`ModelError::InvalidSpec`] an instance whose router or
-    /// client ids would not fit u32, or whose client grid would have more
-    /// cells than u32 ids can number ([`spatial::check_cell_space`]).
+    /// Refuses with [`ModelError::InvalidSpec`] an instance whose client
+    /// grid would have more cells than u32 ids can number
+    /// ([`spatial::check_cell_space`]).
     pub fn client_index(&self) -> Result<&Arc<GridIndex>, ModelError> {
         if let Some(index) = self.client_index.get() {
             return Ok(index);
-        }
-        // The id-width invariant: router and client ids are u32 throughout
-        // a topology's arena-backed storage.
-        let (routers, clients) = (self.routers.len(), self.clients.len());
-        if routers >= u32::MAX as usize || clients >= u32::MAX as usize {
-            return Err(ModelError::InvalidSpec {
-                reason: format!(
-                    "instance exceeds the u32 id space: {routers} routers / {clients} clients \
-                     (at most {} of each supported)",
-                    u32::MAX - 1
-                ),
-            });
         }
         let cell_size = self
             .routers
@@ -193,17 +180,6 @@ impl ProblemInstance {
             let points = self.clients.iter().map(Client::position).collect();
             Arc::new(GridIndex::build(&self.area, points, cell_size))
         }))
-    }
-
-    /// Re-draws every router's current radius from its oscillation interval
-    /// (models the paper's radius oscillation between evaluations). It
-    /// drops the client index, whose cells the radii size, so topologies
-    /// built before and after an oscillation never share one.
-    pub fn oscillate_radii<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        self.client_index = OnceLock::new();
-        for r in &mut self.routers {
-            r.oscillate(rng);
-        }
     }
 
     /// Router ids sorted by decreasing power (current radius); the order in
@@ -255,6 +231,22 @@ impl fmt::Display for ProblemInstance {
     }
 }
 
+/// The id-width invariant: router and client ids are u32 throughout a
+/// topology's arena-backed storage, so an instance holds fewer than
+/// `u32::MAX` of each.
+fn check_id_space(routers: usize, clients: usize) -> Result<(), ModelError> {
+    if routers < u32::MAX as usize && clients < u32::MAX as usize {
+        return Ok(());
+    }
+    Err(ModelError::InvalidSpec {
+        reason: format!(
+            "instance exceeds the u32 id space: {routers} routers / {clients} clients \
+             (at most {} of each supported)",
+            u32::MAX - 1
+        ),
+    })
+}
+
 /// Declarative description of an instance family; `generate(seed)` turns it
 /// into a concrete [`ProblemInstance`].
 ///
@@ -294,7 +286,8 @@ impl InstanceSpec {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidSpec`] when `router_count` or
-    /// `client_count` is zero.
+    /// `client_count` is zero, or more than u32 ids can number; the refusal
+    /// comes before anything is allocated for the instance.
     pub fn new(
         area: Area,
         router_count: usize,
@@ -312,6 +305,7 @@ impl InstanceSpec {
                 reason: "client_count must be positive".to_owned(),
             });
         }
+        check_id_space(router_count, client_count)?;
         Ok(InstanceSpec {
             area,
             router_count,
@@ -574,6 +568,28 @@ mod tests {
     }
 
     #[test]
+    fn spec_refuses_counts_beyond_the_u32_ids() {
+        // Refused from the counts alone: nothing of that size is allocated.
+        let area = Area::square(10.0).unwrap();
+        let radio = RadioProfile::paper_default();
+        let max = u32::MAX as usize;
+        for (routers, clients) in [(max, 5), (5, max)] {
+            let Err(ModelError::InvalidSpec { reason }) =
+                InstanceSpec::new(area, routers, clients, ClientDistribution::Uniform, radio)
+            else {
+                panic!("{routers} routers / {clients} clients must be refused");
+            };
+            assert!(
+                reason.starts_with(&format!(
+                    "instance exceeds the u32 id space: {routers} routers / {clients} clients"
+                )),
+                "{reason}"
+            );
+        }
+        assert!(InstanceSpec::new(area, max - 1, 5, ClientDistribution::Uniform, radio).is_ok());
+    }
+
+    #[test]
     fn instance_rejects_empty_parts() {
         let area = Area::square(10.0).unwrap();
         assert!(ProblemInstance::new(area, vec![], vec![]).is_err());
@@ -626,17 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn oscillate_radii_keeps_profiles() {
-        let spec = InstanceSpec::paper_normal().unwrap();
-        let mut inst = spec.generate(1).unwrap();
-        let mut rng = rng_from_seed(5);
-        inst.oscillate_radii(&mut rng);
-        for r in inst.routers() {
-            assert!(r.profile().contains(r.current_radius()));
-        }
-    }
-
-    #[test]
     fn client_index_is_built_once_and_shared_by_clones() {
         let inst = InstanceSpec::paper_normal().unwrap().generate(4).unwrap();
         let index = Arc::clone(inst.client_index().unwrap());
@@ -649,21 +654,6 @@ mod tests {
             .map(Router::current_radius)
             .fold(1.0_f64, f64::max);
         assert_eq!(index.cell_size(), largest);
-    }
-
-    #[test]
-    fn oscillate_radii_drops_the_client_index() {
-        let mut inst = InstanceSpec::paper_normal().unwrap().generate(4).unwrap();
-        let before = Arc::clone(inst.client_index().unwrap());
-        inst.oscillate_radii(&mut rng_from_seed(9));
-        let after = inst.client_index().unwrap();
-        assert!(!Arc::ptr_eq(&before, after));
-        let largest = inst
-            .routers()
-            .iter()
-            .map(Router::current_radius)
-            .fold(1.0_f64, f64::max);
-        assert_eq!(after.cell_size(), largest);
     }
 
     #[test]

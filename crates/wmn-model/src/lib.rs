@@ -10,8 +10,7 @@
 //! * [`node`] — mesh [`Router`]s (relocatable, radius-bearing) and mesh
 //!   [`Client`]s (fixed), with typed ids.
 //! * [`distribution`] — the client position distributions evaluated by the
-//!   paper (Uniform, Normal, Exponential, Weibull) plus a hotspot mixture,
-//!   all sampled from scratch.
+//!   paper (Uniform, Normal, Exponential, Weibull), sampled from scratch.
 //! * [`instance`] — [`ProblemInstance`] (which indexes its clients once,
 //!   [`ProblemInstance::client_index`]), its declarative [`InstanceSpec`]
 //!   (including the paper's evaluation presets) and an [`InstanceBuilder`].
@@ -63,7 +62,7 @@ pub use spatial::{DynamicGrid, GridIndex};
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
-    pub use crate::distribution::{ClientDistribution, Hotspot};
+    pub use crate::distribution::ClientDistribution;
     pub use crate::error::ModelError;
     pub use crate::geometry::{Area, Point, Rect};
     pub use crate::instance::{InstanceBuilder, InstanceSpec, ProblemInstance};

@@ -1,8 +1,8 @@
 //! Network node types: mesh routers and mesh clients.
 //!
-//! A [`Router`] is a relocatable node with an oscillating radio coverage
-//! radius (the decision variables of the placement problem are the router
-//! positions). A [`Client`] is a fixed node whose position is drawn from a
+//! A [`Router`] is a relocatable node whose radio coverage radius is drawn
+//! once from its oscillation interval (the decision variables of the
+//! placement problem are the router positions). A [`Client`] is a fixed node whose position is drawn from a
 //! spatial distribution at instance-generation time.
 //!
 //! Both node kinds carry typed ids ([`RouterId`], [`ClientId`]) so that
@@ -139,15 +139,6 @@ impl Router {
         self.current_radius
     }
 
-    /// Re-draws the current radius from the oscillation interval ("the
-    /// coverage oscillates between minimum and maximum values").
-    ///
-    /// Returns the new radius.
-    pub fn oscillate<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        self.current_radius = self.profile.sample(rng);
-        self.current_radius
-    }
-
     /// "Power" ordering key used by HotSpot and the swap movement: a router
     /// is more powerful than another if its current radius is larger.
     #[inline]
@@ -230,18 +221,6 @@ mod tests {
         assert_eq!(r.current_radius(), 8.0);
         let r = Router::new(RouterId(0), p, 0.5);
         assert_eq!(r.current_radius(), 2.0);
-    }
-
-    #[test]
-    fn router_oscillation_stays_in_profile() {
-        let p = RadioProfile::new(2.0, 8.0).unwrap();
-        let mut router = Router::new(RouterId(0), p, 5.0);
-        let mut rng = rng_from_seed(11);
-        for _ in 0..200 {
-            let r = router.oscillate(&mut rng);
-            assert!(p.contains(r));
-            assert_eq!(r, router.current_radius());
-        }
     }
 
     #[test]

@@ -100,20 +100,6 @@ impl Placement {
         self.positions.swap(a.index(), b.index());
     }
 
-    /// Clamps every position into `area` and returns the number of
-    /// positions that moved.
-    pub fn clamp_into(&mut self, area: &Area) -> usize {
-        let mut moved = 0;
-        for p in &mut self.positions {
-            let c = area.clamp_point(*p);
-            if c != *p {
-                *p = c;
-                moved += 1;
-            }
-        }
-        moved
-    }
-
     /// Validates that this placement fits an instance: correct length and
     /// all positions inside `area`.
     ///
@@ -253,15 +239,6 @@ mod tests {
         let area = Area::square(10.0).unwrap();
         let p = Placement::from_points(vec![Point::new(f64::NAN, 1.0)]);
         assert!(p.validate(&area, 1).is_err());
-    }
-
-    #[test]
-    fn clamp_into_reports_moved_count() {
-        let area = Area::square(4.0).unwrap();
-        let mut p = sample();
-        let moved = p.clamp_into(&area);
-        assert_eq!(moved, 1);
-        assert!(p.validate(&area, 3).is_ok());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The paper assumes each mesh router has "its own coverage area, oscillating
 //! between minimum and maximum values". We model that as a [`RadioProfile`]
 //! interval `[min_radius, max_radius]`: a router's *current* radius is a
-//! uniform draw from the profile, taken at instance-generation time and
-//! re-drawable through oscillation (see
-//! [`Router::oscillate`](crate::node::Router::oscillate)).
+//! uniform draw from the profile, taken once, when the instance is
+//! generated
+//! ([`Router::with_sampled_radius`](crate::node::Router::with_sampled_radius)).
 //!
 //! Heterogeneous radii are load-bearing for the paper's algorithms: the swap
 //! movement (paper Algorithm 3) exchanges the *weakest* router (smallest

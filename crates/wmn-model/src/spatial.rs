@@ -18,11 +18,15 @@
 //!
 //! * [`GridIndex`] (immutable) is CSR — one `starts` offset array plus one
 //!   flat `entries` array, built in two counting passes. Within a bucket,
-//!   entries are in ascending point order, so query iteration order is a
-//!   pure function of the points.
+//!   entries are in ascending point order, so query order is a pure
+//!   function of the points.
 //! * [`DynamicGrid`] (mutable) keeps intrusive doubly-linked lists: one
 //!   `head` slot per cell and `next`/`prev`/`cell` words per point, making
 //!   insert/remove/relocate O(1) with zero allocation.
+//!
+//! Each index has one query path, a tight nested loop over the touched
+//! cells: [`GridIndex::within_radius_into`] fills a caller's buffer, and
+//! [`DynamicGrid::for_each_candidate`] calls a closure per candidate.
 
 use crate::geometry::{Area, Point};
 use crate::ModelError;
@@ -98,7 +102,8 @@ fn checked_grid(area: &Area, cell_size: f64) -> (usize, usize, usize) {
 /// let points = vec![Point::new(10.0, 10.0), Point::new(11.0, 10.0), Point::new(90.0, 90.0)];
 /// let index = GridIndex::build(&area, points, 8.0);
 ///
-/// let mut near: Vec<usize> = index.within_radius(Point::new(10.0, 10.0), 2.0).collect();
+/// let mut near = Vec::new();
+/// index.within_radius_into(Point::new(10.0, 10.0), 2.0, &mut near);
 /// near.sort_unstable();
 /// assert_eq!(near, vec![0, 1]);
 /// # Ok::<(), wmn_model::ModelError>(())
@@ -211,39 +216,11 @@ impl GridIndex {
         (cx, cy)
     }
 
-    /// Indices of all points within Euclidean distance `radius` of `center`
-    /// (inclusive), as a **lazy, allocation-free iterator**.
-    ///
-    /// Results come out in grid-cell order (row-major over the touched
-    /// cells, ascending within a cell), which is deterministic but
-    /// **not sorted by index** — callers that need ascending order must
-    /// collect and sort. The iterator performs no heap allocation.
-    pub fn within_radius(&self, center: Point, radius: f64) -> WithinRadius<'_> {
-        if radius < 0.0 || self.points.is_empty() {
-            return WithinRadius {
-                index: self,
-                center,
-                r2: -1.0,
-                bucket: [].iter(),
-                cursor: CellCursor::empty(),
-            };
-        }
-        let range = CellRange::covering(center, radius, self.inv_cell_size, self.cols, self.rows);
-        WithinRadius {
-            index: self,
-            center,
-            r2: radius * radius,
-            bucket: self.bucket(range.first_bucket(self.cols)).iter(),
-            cursor: CellCursor::start(range),
-        }
-    }
-
     /// Writes the indices of all points within Euclidean distance `radius`
     /// of `center` (inclusive) into `out` (cleared first), as `u32`s in
-    /// grid-cell order — the same order [`GridIndex::within_radius`]
-    /// yields. The tight nested-loop fill beats the lazy iterator's
-    /// state-machine overhead on the coverage hot path (the disk-cache
-    /// fills of `WmnTopology`).
+    /// grid-cell order: row-major over the touched cells, ascending within
+    /// a cell. That order is deterministic but **not sorted by index**. The
+    /// disk-cache fills of `WmnTopology` run it, into one reused buffer.
     pub fn within_radius_into(&self, center: Point, radius: f64, out: &mut Vec<u32>) {
         out.clear();
         if radius < 0.0 || self.points.is_empty() {
@@ -263,8 +240,8 @@ impl GridIndex {
         }
     }
 
-    /// Reference implementation of [`GridIndex::within_radius`]: a full
-    /// scan, the oracle of the spatial-index tests.
+    /// Reference implementation of [`GridIndex::within_radius_into`]: a
+    /// full scan, the oracle of the spatial-index tests.
     pub fn brute_force_within_radius(points: &[Point], center: Point, radius: f64) -> Vec<usize> {
         if radius < 0.0 {
             return Vec::new();
@@ -305,83 +282,6 @@ impl CellRange {
             max_cy: clamp_row(center.y + radius),
         }
     }
-
-    fn first_bucket(&self, cols: usize) -> usize {
-        self.min_cy * cols + self.min_cx
-    }
-}
-
-/// Row-major walk over the cells of a [`CellRange`] — the single cursor
-/// both lazy query iterators share, so the stepping logic exists once.
-#[derive(Debug, Clone, Copy)]
-struct CellCursor {
-    range: CellRange,
-    cx: usize,
-    cy: usize,
-}
-
-impl CellCursor {
-    /// A cursor positioned on the range's first cell (whose bucket the
-    /// caller is expected to have loaded already).
-    fn start(range: CellRange) -> Self {
-        CellCursor {
-            cx: range.min_cx,
-            cy: range.min_cy,
-            range,
-        }
-    }
-
-    /// A cursor that is already past its (empty) range: `advance` returns
-    /// `false` immediately. Pair with an empty initial bucket.
-    fn empty() -> Self {
-        CellCursor::start(CellRange {
-            min_cx: 0,
-            max_cx: 0,
-            min_cy: 0,
-            max_cy: 0,
-        })
-    }
-
-    /// Steps to the next cell; returns `None` once every cell in the range
-    /// has been visited, otherwise the new cell's bucket index.
-    fn advance(&mut self, cols: usize) -> Option<usize> {
-        if self.cx < self.range.max_cx {
-            self.cx += 1;
-        } else if self.cy < self.range.max_cy {
-            self.cx = self.range.min_cx;
-            self.cy += 1;
-        } else {
-            return None;
-        }
-        Some(self.cy * cols + self.cx)
-    }
-}
-
-/// Lazy iterator over [`GridIndex::within_radius`] hits. Yields point
-/// indices in grid-cell order without allocating.
-#[derive(Debug)]
-pub struct WithinRadius<'a> {
-    index: &'a GridIndex,
-    center: Point,
-    r2: f64,
-    cursor: CellCursor,
-    bucket: std::slice::Iter<'a, u32>,
-}
-
-impl Iterator for WithinRadius<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            for &i in self.bucket.by_ref() {
-                if self.index.points[i as usize].distance_squared(self.center) <= self.r2 {
-                    return Some(i as usize);
-                }
-            }
-            let bucket = self.cursor.advance(self.index.cols)?;
-            self.bucket = self.index.bucket(bucket).iter();
-        }
-    }
 }
 
 /// A **mutable** uniform-grid bucket index over externally stored points.
@@ -411,13 +311,15 @@ impl Iterator for WithinRadius<'_> {
 /// let mut grid = DynamicGrid::new(&area, 10.0);
 /// grid.rebuild(&pts);
 ///
-/// let near: Vec<usize> = grid.candidates(Point::new(12.0, 12.0), 5.0).collect();
+/// let mut near = Vec::new();
+/// grid.for_each_candidate(Point::new(12.0, 12.0), 5.0, |i| near.push(i));
 /// assert_eq!(near, vec![0]);
 ///
 /// let old = pts[0];
 /// pts[0] = Point::new(88.0, 88.0);
 /// grid.relocate(0, old, pts[0]);
-/// let far: Vec<usize> = grid.candidates(Point::new(90.0, 90.0), 5.0).collect();
+/// let mut far = Vec::new();
+/// grid.for_each_candidate(Point::new(90.0, 90.0), 5.0, |i| far.push(i));
 /// assert_eq!(far.len(), 2);
 /// # Ok::<(), wmn_model::ModelError>(())
 /// ```
@@ -606,31 +508,12 @@ impl DynamicGrid {
         self.insert(i, to);
     }
 
-    /// Lazy iterator over the indices recorded in every cell intersecting
-    /// the disk at `center` with `radius` — a superset of the true hits; no
-    /// distance filtering, no allocation. Yields nothing for a negative
-    /// radius.
-    pub fn candidates(&self, center: Point, radius: f64) -> Candidates<'_> {
-        if radius < 0.0 {
-            return Candidates {
-                grid: self,
-                cur: NIL,
-                cursor: CellCursor::empty(),
-            };
-        }
-        let range = CellRange::covering(center, radius, self.inv_cell_size, self.cols, self.rows);
-        Candidates {
-            grid: self,
-            cur: self.head[range.first_bucket(self.cols)],
-            cursor: CellCursor::start(range),
-        }
-    }
-
-    /// Visits every candidate index whose bucket intersects the disk at
-    /// `center`/`radius` (the same candidate set
-    /// [`DynamicGrid::candidates`] yields, in the same order), through a
-    /// tight nested loop instead of the lazy iterator — the per-move edge
-    /// repair of `WmnTopology` calls this once per moved router.
+    /// Calls `f` with every index recorded in a cell that intersects the
+    /// disk at `center` with `radius`: a superset of the true hits, with no
+    /// distance filtering and no allocation, row-major over the cells and
+    /// in list order within a cell. Visits nothing for a negative radius.
+    /// Mesh builds call it once per router, and the per-move edge repair
+    /// of `WmnTopology` once per moved router.
     pub fn for_each_candidate(&self, center: Point, radius: f64, mut f: impl FnMut(usize)) {
         if radius < 0.0 {
             return;
@@ -686,31 +569,6 @@ impl DynamicGrid {
     }
 }
 
-/// Lazy iterator over [`DynamicGrid::candidates`].
-#[derive(Debug)]
-pub struct Candidates<'a> {
-    grid: &'a DynamicGrid,
-    cursor: CellCursor,
-    /// Current position in the current cell's intrusive list.
-    cur: u32,
-}
-
-impl Iterator for Candidates<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.cur != NIL {
-                let i = self.cur;
-                self.cur = self.grid.next[i as usize];
-                return Some(i as usize);
-            }
-            let bucket = self.cursor.advance(self.grid.cols)?;
-            self.cur = self.grid.head[bucket];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -734,29 +592,17 @@ mod tests {
         let pts = random_points(500, 42);
         let index = GridIndex::build(&area, pts.clone(), 7.0);
         let mut rng = rng_from_seed(1);
+        let mut fast = Vec::new();
         for _ in 0..100 {
             let c = Point::new(rng.gen_range(0.0..=100.0), rng.gen_range(0.0..=100.0));
             let r = rng.gen_range(0.0..30.0);
-            let mut fast: Vec<usize> = index.within_radius(c, r).collect();
+            index.within_radius_into(c, r, &mut fast);
             fast.sort_unstable();
             let slow = GridIndex::brute_force_within_radius(&pts, c, r);
-            assert_eq!(fast, slow, "mismatch at center {c} radius {r}");
-        }
-    }
-
-    #[test]
-    fn within_radius_into_matches_iterator_order() {
-        let area = area100();
-        let pts = random_points(300, 77);
-        let index = GridIndex::build(&area, pts.clone(), 6.0);
-        let mut rng = rng_from_seed(9);
-        let mut buf = Vec::new();
-        for _ in 0..50 {
-            let c = Point::new(rng.gen_range(0.0..=100.0), rng.gen_range(0.0..=100.0));
-            let r = rng.gen_range(0.0..25.0);
-            index.within_radius_into(c, r, &mut buf);
-            let lazy: Vec<u32> = index.within_radius(c, r).map(|i| i as u32).collect();
-            assert_eq!(buf, lazy, "orders diverged at {c} r {r}");
+            assert!(
+                fast.iter().map(|&i| i as usize).eq(slow),
+                "mismatch at center {c} radius {r}"
+            );
         }
     }
 
@@ -780,7 +626,8 @@ mod tests {
         let area = area100();
         let pts = vec![Point::new(10.0, 10.0), Point::new(20.0, 20.0)];
         let index = GridIndex::build(&area, pts.clone(), 4.0);
-        let hits: Vec<usize> = index.within_radius(Point::new(10.0, 10.0), 0.0).collect();
+        let mut hits = Vec::new();
+        index.within_radius_into(Point::new(10.0, 10.0), 0.0, &mut hits);
         assert_eq!(hits, vec![0]);
     }
 
@@ -789,7 +636,9 @@ mod tests {
         let area = area100();
         let pts = random_points(10, 3);
         let index = GridIndex::build(&area, pts.clone(), 4.0);
-        assert_eq!(index.within_radius(Point::new(5.0, 5.0), -1.0).count(), 0);
+        let mut hits = vec![7];
+        index.within_radius_into(Point::new(5.0, 5.0), -1.0, &mut hits);
+        assert!(hits.is_empty());
     }
 
     #[test]
@@ -797,7 +646,9 @@ mod tests {
         let area = area100();
         let index = GridIndex::build(&area, Vec::new(), 4.0);
         assert!(index.is_empty());
-        assert_eq!(index.within_radius(Point::new(1.0, 1.0), 50.0).count(), 0);
+        let mut hits = vec![7];
+        index.within_radius_into(Point::new(1.0, 1.0), 50.0, &mut hits);
+        assert!(hits.is_empty());
     }
 
     #[test]
@@ -807,7 +658,8 @@ mod tests {
         // but keeps its true coordinates for distance filtering.
         let pts = vec![Point::new(150.0, 150.0)];
         let index = GridIndex::build(&area, pts.clone(), 10.0);
-        let hits: Vec<usize> = index.within_radius(Point::new(150.0, 150.0), 1.0).collect();
+        let mut hits = Vec::new();
+        index.within_radius_into(Point::new(150.0, 150.0), 1.0, &mut hits);
         assert_eq!(hits, vec![0]);
     }
 
@@ -818,26 +670,12 @@ mod tests {
         let coarse = GridIndex::build(&area, pts.clone(), 50.0);
         let fine = GridIndex::build(&area, pts.clone(), 1.0);
         let c = Point::new(33.0, 66.0);
-        let mut a: Vec<usize> = coarse.within_radius(c, 12.5).collect();
-        let mut b: Vec<usize> = fine.within_radius(c, 12.5).collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        coarse.within_radius_into(c, 12.5, &mut a);
+        fine.within_radius_into(c, 12.5, &mut b);
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn within_radius_is_lazy_and_restartable() {
-        // Taking only the first hit must not disturb later fresh queries.
-        let area = area100();
-        let pts = random_points(200, 17);
-        let index = GridIndex::build(&area, pts.clone(), 5.0);
-        let c = Point::new(40.0, 40.0);
-        let first = index.within_radius(c, 25.0).next();
-        assert!(first.is_some());
-        let full_a: Vec<usize> = index.within_radius(c, 25.0).collect();
-        let full_b: Vec<usize> = index.within_radius(c, 25.0).collect();
-        assert_eq!(full_a, full_b, "queries are deterministic");
-        assert_eq!(full_a.first().copied(), first);
     }
 
     #[test]
@@ -856,33 +694,19 @@ mod tests {
             grid.relocate(i, from, to);
         }
         grid.assert_in_sync(&pts);
-        // Candidates are a superset of the true hits.
+        // The candidates are a superset of the true hits.
         for _ in 0..50 {
             let c = Point::new(rng.gen_range(0.0..=100.0), rng.gen_range(0.0..=100.0));
             let r = rng.gen_range(0.0..20.0);
-            let cands: Vec<usize> = grid.candidates(c, r).collect();
+            let mut cands = Vec::new();
+            grid.for_each_candidate(c, r, |i| cands.push(i));
             for hit in GridIndex::brute_force_within_radius(&pts, c, r) {
                 assert!(cands.contains(&hit), "candidate set missed true hit {hit}");
             }
         }
-        assert_eq!(grid.candidates(Point::new(1.0, 1.0), -1.0).count(), 0);
-    }
-
-    #[test]
-    fn dynamic_grid_for_each_matches_lazy_candidates() {
-        let area = area100();
-        let pts = random_points(150, 31);
-        let mut grid = DynamicGrid::new(&area, 8.0);
-        grid.rebuild(&pts);
-        let mut rng = rng_from_seed(6);
-        for _ in 0..40 {
-            let c = Point::new(rng.gen_range(0.0..=100.0), rng.gen_range(0.0..=100.0));
-            let r = rng.gen_range(0.0..20.0);
-            let lazy: Vec<usize> = grid.candidates(c, r).collect();
-            let mut eager = Vec::new();
-            grid.for_each_candidate(c, r, |i| eager.push(i));
-            assert_eq!(lazy, eager, "paths diverged at {c} r {r}");
-        }
+        grid.for_each_candidate(Point::new(1.0, 1.0), -1.0, |i| {
+            panic!("a negative radius visited candidate {i}")
+        });
     }
 
     #[test]

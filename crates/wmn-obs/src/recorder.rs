@@ -261,22 +261,6 @@ impl PhaseNode {
         }
     }
 
-    /// Visits every attributed counter as a dot-joined flat key
-    /// (`phase.<path>.<counter>`) in deterministic order — the display
-    /// convention renderers and tests use.
-    pub fn for_each_flat(&self, f: &mut impl FnMut(&str, u64)) {
-        self.walk_flat("phase", f);
-    }
-
-    fn walk_flat(&self, prefix: &str, f: &mut impl FnMut(&str, u64)) {
-        for (name, v) in &self.counters {
-            f(&format!("{prefix}.{name}"), *v);
-        }
-        for (seg, child) in &self.children {
-            child.walk_flat(&format!("{prefix}.{seg}"), f);
-        }
-    }
-
     fn add(&mut self, path: &[&'static str], name: &'static str, delta: u64) {
         let mut node = self;
         for seg in path {
@@ -613,17 +597,14 @@ mod tests {
             4
         );
         assert_eq!(outer.total(), 14);
-
-        let mut flat = Vec::new();
-        root.for_each_flat(&mut |k, v| flat.push((k.to_string(), v)));
+        assert_eq!(root.children.keys().copied().collect::<Vec<_>>(), ["outer"]);
         assert_eq!(
-            flat,
-            vec![
-                ("phase.outer.engine.other".to_string(), 8),
-                ("phase.outer.engine.work".to_string(), 2),
-                ("phase.outer.inner.engine.work".to_string(), 4),
-            ]
+            outer.children.keys().copied().collect::<Vec<_>>(),
+            ["inner"]
         );
+        let inner = &outer.children["inner"];
+        assert_eq!(inner.counters.len(), 1);
+        assert!(inner.children.is_empty());
     }
 
     #[test]

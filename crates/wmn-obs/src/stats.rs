@@ -277,17 +277,11 @@ impl RobustnessStats {
         self.retry.merge(&other.retry);
     }
 
-    /// Whether anything at all was injected, caught, or retried (the
-    /// runners' gate for printing a chaos report).
-    pub fn is_zero(&self) -> bool {
-        *self == RobustnessStats::default()
-    }
-
     /// Whether the batch ran without incident: no faults injected or
     /// caught, no retries, no recovered or exhausted jobs. First
     /// attempts alone (`retry.attempts` equals the job count) are
     /// business as usual, so a fault-free run is uneventful even though
-    /// it is not [`is_zero`](Self::is_zero).
+    /// its counters are not all zero.
     pub fn is_uneventful(&self) -> bool {
         self.fault == FaultStats::default()
             && self.retry.retries == 0
@@ -562,10 +556,8 @@ mod tests {
     #[test]
     fn robustness_for_each_is_fixed_order_and_complete() {
         let mut r = RobustnessStats::default();
-        assert!(r.is_zero());
         r.fault.injected_panics = 1;
         r.retry.attempts = 2;
-        assert!(!r.is_zero());
         let mut names = Vec::new();
         r.for_each(|name, _| names.push(name));
         assert_eq!(names.len(), 3 + 4);
@@ -626,20 +618,22 @@ mod tests {
             let mut rec = crate::TelemetryRecorder::new();
             e.record_evaluate_counters(&mut phase(&mut rec, "evaluate"), reference);
             assert_eq!(rec.counters(), flat.counters(), "flat totals are unchanged");
-            let mut attributed = Vec::new();
-            rec.attribution()
-                .for_each_flat(&mut |key, v| attributed.push((key.to_owned(), v)));
-            assert_eq!(attributed.len(), 16, "every counter lands exactly once");
+            // Each counter sits in its scope with its whole value, and the
+            // tree holds no more than their sum: each lands exactly once.
+            let root = rec.attribution();
+            let (mut counters, mut sum) = (0, 0);
             e.for_each(|name, v| {
-                let scope = match repair_section(name, reference) {
-                    None => "phase.evaluate".to_owned(),
-                    Some(section) => format!("phase.evaluate.apply_moves.{section}"),
+                let path = match repair_section(name, reference) {
+                    None => vec!["evaluate"],
+                    Some(section) => vec!["evaluate", "apply_moves", section],
                 };
-                assert!(
-                    attributed.contains(&(format!("{scope}.{name}"), v)),
-                    "{name} belongs in {scope}"
-                );
+                let got = root.get(&path).and_then(|node| node.counters.get(name));
+                assert_eq!(got, Some(&v), "{name} belongs in {path:?}");
+                counters += 1;
+                sum += v;
             });
+            assert_eq!(counters, 16);
+            assert_eq!(root.total(), sum, "every counter lands exactly once");
         }
         let section = |name| repair_section(name, false);
         assert_eq!(section("topology.clone_from_reuses"), None);

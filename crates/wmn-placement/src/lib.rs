@@ -99,7 +99,7 @@ mod method {
             let near = placed
                 .as_slice()
                 .iter()
-                .filter(|p| p.distance(center) < 15.0)
+                .filter(|p| p.distance_squared(center) < 15.0 * 15.0)
                 .count();
             assert!(near > 400, "only {near}/500 points near the pattern");
             // And some breakers exist (probability of zero breakers ~ 1e-23).
@@ -116,7 +116,7 @@ mod method {
             let far = placed
                 .as_slice()
                 .iter()
-                .filter(|p| p.distance(corner) > 64.0)
+                .filter(|p| p.distance_squared(corner) > 64.0 * 64.0)
                 .count();
             assert!(far > 100, "uniform placement must spread out, {far} far");
         }
@@ -425,7 +425,11 @@ mod corners {
             let near = p
                 .as_slice()
                 .iter()
-                .filter(|q| rects.iter().any(|r| r.clamp_point(**q).distance(**q) < 6.0))
+                .filter(|q| {
+                    rects
+                        .iter()
+                        .any(|r| r.clamp_point(**q).distance_squared(**q) < 36.0)
+                })
                 .count();
             assert!(near >= 55, "most routers in/near corners, got {near}/64");
         }
@@ -465,32 +469,37 @@ mod hotspot {
     mod tests {
         use crate::registry::{hotspot_density, HOTSPOT_CELLS};
         use crate::AdHocMethod;
-        use wmn_model::distribution::{ClientDistribution, Hotspot};
         use wmn_model::geometry::Point;
-        use wmn_model::instance::{InstanceSpec, ProblemInstance};
+        use wmn_model::instance::{InstanceBuilder, InstanceSpec, ProblemInstance};
         use wmn_model::rng::rng_from_seed;
         use wmn_model::{Area, RadioProfile};
 
+        /// `n` clients spread evenly over the disk of radius `spread` around
+        /// `center` (a sunflower spiral).
+        fn cluster(center: Point, n: usize, spread: f64) -> impl Iterator<Item = Point> {
+            (0..n).map(move |k| {
+                let (r, a) = (spread * (k as f64 / n as f64).sqrt(), k as f64 * 2.4);
+                Point::new(center.x + r * a.cos(), center.y + r * a.sin())
+            })
+        }
+
+        /// `routers` routers with distinct radii spanning `[2, 8]`, so the
+        /// power order is the reverse of the router order, and the given
+        /// clients, on the paper's 128 × 128 area.
+        fn instance(routers: usize, clients: impl Iterator<Item = Point>) -> ProblemInstance {
+            let profile = RadioProfile::paper_default();
+            let mut builder = InstanceBuilder::new(Area::square(128.0).unwrap());
+            for i in 0..routers {
+                builder = builder.router(profile, 2.0 + 6.0 * i as f64 / routers as f64);
+            }
+            builder.clients(clients).build().unwrap()
+        }
+
         fn clustered_instance() -> ProblemInstance {
-            // One heavy hotspot at (20, 20), a light one at (100, 100).
-            let area = Area::square(128.0).unwrap();
-            let dist = ClientDistribution::try_hotspots(vec![
-                Hotspot {
-                    center: Point::new(20.0, 20.0),
-                    sigma: 5.0,
-                    weight: 4.0,
-                },
-                Hotspot {
-                    center: Point::new(100.0, 100.0),
-                    sigma: 5.0,
-                    weight: 1.0,
-                },
-            ])
-            .unwrap();
-            InstanceSpec::new(area, 16, 200, dist, RadioProfile::new(2.0, 8.0).unwrap())
-                .unwrap()
-                .generate(11)
-                .unwrap()
+            // A heavy cluster of 160 clients at (20, 20), a light one of 40
+            // at (100, 100).
+            let heavy = cluster(Point::new(20.0, 20.0), 160, 10.0);
+            instance(16, heavy.chain(cluster(Point::new(100.0, 100.0), 40, 10.0)))
         }
 
         #[test]
@@ -507,8 +516,8 @@ mod hotspot {
             let strongest = inst.routers_by_power_desc()[0];
             let pos = p[strongest.index()];
             assert!(
-                pos.distance(Point::new(20.0, 20.0)) < 25.0,
-                "strongest router {pos} should sit at the heavy hotspot"
+                pos.distance_squared(Point::new(20.0, 20.0)) < 25.0 * 25.0,
+                "strongest router {pos} should sit at the heavy cluster"
             );
         }
 
@@ -520,13 +529,13 @@ mod hotspot {
                 .as_slice()
                 .iter()
                 .filter(|q| {
-                    q.distance(Point::new(20.0, 20.0)) < 40.0
-                        || q.distance(Point::new(100.0, 100.0)) < 40.0
+                    q.distance_squared(Point::new(20.0, 20.0)) < 40.0 * 40.0
+                        || q.distance_squared(Point::new(100.0, 100.0)) < 40.0 * 40.0
                 })
                 .count();
             assert!(
                 near_spots >= 12,
-                "most of 16 routers near hotspots, got {near_spots}"
+                "most of 16 routers near the clusters, got {near_spots}"
             );
         }
 
@@ -562,24 +571,9 @@ mod hotspot {
             // centers: only those two cells reach 2 clients, so the routers
             // cycle through the two zones in power order.
             let pitch = 128.0 / HOTSPOT_CELLS as f64;
-            let dist = ClientDistribution::try_hotspots(vec![
-                Hotspot {
-                    center: Point::new(2.5 * pitch, 2.5 * pitch),
-                    sigma: 0.05 * pitch,
-                    weight: 1.0,
-                },
-                Hotspot {
-                    center: Point::new(12.5 * pitch, 9.5 * pitch),
-                    sigma: 0.05 * pitch,
-                    weight: 1.0,
-                },
-            ])
-            .unwrap();
-            let area = Area::square(128.0).unwrap();
-            let inst = InstanceSpec::new(area, 48, 40, dist, RadioProfile::paper_default())
-                .unwrap()
-                .generate(3)
-                .unwrap();
+            let first = cluster(Point::new(2.5 * pitch, 2.5 * pitch), 20, 0.05 * pitch);
+            let second = cluster(Point::new(12.5 * pitch, 9.5 * pitch), 20, 0.05 * pitch);
+            let inst = instance(48, first.chain(second));
             let p = AdHocMethod::HotSpot.pattern(&inst, &mut rng_from_seed(1));
             let by_power = inst.routers_by_power_desc();
             let mut zones: Vec<Point> = Vec::new();

@@ -43,7 +43,7 @@
 //!     })
 //! };
 //! // Two threads and one thread: identical results in identical order.
-//! assert_eq!(seeds(Runtime::new(2)), seeds(Runtime::serial()));
+//! assert_eq!(seeds(Runtime::new(2)), seeds(Runtime::new(1)));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -72,11 +72,6 @@ impl Runtime {
         Runtime { threads }
     }
 
-    /// A single-worker runtime (the serial reference path).
-    pub fn serial() -> Self {
-        Runtime { threads: 1 }
-    }
-
     /// The number of cores the OS reports, with a fallback of 1 when the
     /// query is unsupported.
     pub fn available_parallelism() -> usize {
@@ -419,7 +414,7 @@ mod tests {
     fn zero_threads_resolves_to_available_parallelism() {
         assert_eq!(Runtime::new(0).threads(), Runtime::available_parallelism());
         assert!(Runtime::default().threads() >= 1);
-        assert_eq!(Runtime::serial().threads(), 1);
+        assert_eq!(Runtime::new(1).threads(), 1);
     }
 
     #[test]
@@ -449,7 +444,7 @@ mod tests {
             acc
         };
         let jobs: Vec<(u64, u64)> = (0..23).map(|i| (i, i * 7)).collect();
-        let reference = run_plain(Runtime::serial(), jobs.clone(), work);
+        let reference = run_plain(Runtime::new(1), jobs.clone(), work);
         for threads in [2, 3, 8, 32] {
             assert_eq!(
                 run_plain(Runtime::new(threads), jobs.clone(), work),
@@ -645,7 +640,7 @@ mod tests {
             (out, recorder.render_json(), stats)
         };
         let (clean_out, clean_json, clean_stats) = run(1, None);
-        assert!(clean_stats.is_zero() || clean_stats.retry.attempts == 24);
+        assert!(clean_stats == RobustnessStats::default() || clean_stats.retry.attempts == 24);
         for threads in [1, 2, 8] {
             let (out, json, stats) = run(threads, Some(plan));
             assert_eq!(out, clean_out, "threads = {threads}");
@@ -690,7 +685,7 @@ mod tests {
         };
         let jobs: Vec<u64> = (0..5).collect();
         let mut stats = RobustnessStats::default();
-        let out = Runtime::serial()
+        let out = Runtime::new(1)
             .run(jobs, &policy, &mut stats, None, |x, _| Ok::<_, String>(*x))
             .unwrap();
         assert_eq!(out, vec![0, 1, 2, 3, 4]);

@@ -53,7 +53,7 @@ fn grid() -> Vec<Cell> {
 #[test]
 fn any_thread_count_is_bit_identical_to_serial() {
     let run = |runtime| run_grid(runtime, |_, cell| Ok(simulate(cell, 2009))).unwrap();
-    let reference: Vec<u64> = run(Runtime::serial());
+    let reference: Vec<u64> = run(Runtime::new(1));
     assert_eq!(reference.len(), 42);
     for threads in [2, 4, 8] {
         assert_eq!(run(Runtime::new(threads)), reference, "threads = {threads}");

@@ -989,11 +989,9 @@ mod tests {
         for _ in 0..200 {
             if let MoveAction::Relocate { router, to } = movement.propose(&topo, &mut rng) {
                 relocations += 1;
-                if router == RouterId(1) {
-                    let d = to.distance(Point::new(8.0, 8.0));
-                    if d <= 6.0 {
-                        anchored += 1; // within min(6, 8) of the anchor
-                    }
+                // Within min(6, 8) of the anchor.
+                if router == RouterId(1) && to.distance_squared(Point::new(8.0, 8.0)) <= 36.0 {
+                    anchored += 1;
                 }
             }
         }

@@ -60,13 +60,6 @@ pub struct SearchOutcome {
     pub trace: SearchTrace,
 }
 
-impl SearchOutcome {
-    /// Fitness improvement over the initial solution.
-    pub fn improvement(&self) -> f64 {
-        self.best_evaluation.fitness - self.initial_evaluation.fitness
-    }
-}
-
 /// Neighborhood search bound to an evaluator and a movement type.
 ///
 /// # Examples
@@ -114,11 +107,6 @@ impl<'e, 'i> NeighborhoodSearch<'e, 'i> {
             movement,
             config,
         }
-    }
-
-    /// The movement's name (for figure legends).
-    pub fn movement_name(&self) -> &'static str {
-        self.movement.name()
     }
 
     /// The active configuration.
@@ -244,7 +232,7 @@ mod tests {
         let mut rng = rng_from_seed(2);
         let initial = instance.random_placement(&mut rng);
         let outcome = run_from(&search, &initial, &mut rng);
-        assert!(outcome.improvement() >= 0.0);
+        assert!(outcome.best_evaluation.fitness >= outcome.initial_evaluation.fitness);
         assert!(instance.validate_placement(&outcome.best_placement).is_ok());
     }
 

@@ -102,16 +102,6 @@ impl SearchTrace {
         }
         t
     }
-
-    /// Converts to a named `(phase, fitness)` series.
-    pub fn fitness_series(&self, name: impl Into<String>) -> Trace {
-        let mut t = Trace::new(name);
-        for p in &self.phases {
-            let (x, y) = p.progress.fitness_xy();
-            t.push(x, y);
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -152,13 +142,5 @@ mod tests {
         assert_eq!(s.name(), "Swap");
         assert_eq!(s.points(), &[(1.0, 3.0), (2.0, 8.0)]);
         assert_eq!(s.max_y(), Some(8.0));
-    }
-
-    #[test]
-    fn fitness_series_mirrors_phases() {
-        let mut t = SearchTrace::new();
-        t.push(record(1, 32, true));
-        let s = t.fitness_series("x");
-        assert_eq!(s.points(), &[(1.0, 0.5)]);
     }
 }

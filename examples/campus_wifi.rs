@@ -1,5 +1,6 @@
-//! Campus WiFi planning: clients cluster around three buildings (a hotspot
-//! mixture); place 24 routers with HotSpot, then refine with the paper's
+//! Campus WiFi planning on the paper's Figure 4 instance: 192 clients
+//! clustered around the middle of a 128 × 128 campus (Normal, `N(64,
+//! 12.8)`). Place the 64 routers with HotSpot, refine them with the paper's
 //! swap-movement neighborhood search, and render the deployment as an
 //! ASCII map.
 //!
@@ -40,43 +41,25 @@ fn render_map(topo: &WmnTopology, instance: &ProblemInstance, cols: usize, rows:
 }
 
 fn main() -> Result<(), ModelError> {
-    let area = Area::new(200.0, 120.0)?;
-    // Three campus buildings of different sizes.
-    let buildings = ClientDistribution::try_hotspots(vec![
-        Hotspot {
-            center: Point::new(40.0, 60.0),
-            sigma: 9.0,
-            weight: 3.0, // main lecture hall
-        },
-        Hotspot {
-            center: Point::new(120.0, 90.0),
-            sigma: 7.0,
-            weight: 2.0, // library
-        },
-        Hotspot {
-            center: Point::new(160.0, 30.0),
-            sigma: 6.0,
-            weight: 1.0, // dorms
-        },
-    ])?;
-    let spec = InstanceSpec::new(area, 24, 150, buildings, RadioProfile::new(6.0, 14.0)?)?;
-    let instance = spec.generate(2024)?;
+    let instance = InstanceSpec::paper_normal()?.generate(2024)?;
     let evaluator = Evaluator::paper_default(&instance);
+    let (routers, clients) = (instance.router_count(), instance.client_count());
 
-    // HotSpot is the natural fit: strongest routers onto the busiest
-    // buildings.
+    // HotSpot is the natural fit: strongest routers onto the densest
+    // client zones.
     let mut rng = rng_from_seed(5);
     let initial = AdHocMethod::HotSpot.place(&instance, &mut rng);
     let before = evaluator.evaluate(&initial)?;
 
-    // Refine with the swap movement (paper Algorithm 3).
+    // Refine with the swap movement (paper Algorithm 3), at Figure 4's
+    // effort: 61 phases of 16 sampled neighbors.
     let movement = SwapMovement::new(&instance, SwapConfig::default());
     let search = NeighborhoodSearch::new(
         &evaluator,
         Box::new(movement),
         SearchConfig {
-            budget: ExplorationBudget::sampled(24),
-            stopping: StoppingCondition::fixed_phases(40),
+            budget: ExplorationBudget::sampled(16),
+            stopping: StoppingCondition::fixed_phases(61),
         },
     );
     let mut topo = evaluator.topology(&initial)?;
@@ -86,12 +69,12 @@ fn main() -> Result<(), ModelError> {
     println!("campus: {instance}");
     println!();
     println!(
-        "HotSpot standalone : giant {:>2}/24 routers, {:>3}/150 clients covered",
+        "HotSpot standalone : giant {:>2}/{routers} routers, {:>3}/{clients} clients covered",
         before.giant_size(),
         before.covered_clients()
     );
     println!(
-        "after swap search  : giant {:>2}/24 routers, {:>3}/150 clients covered",
+        "after swap search  : giant {:>2}/{routers} routers, {:>3}/{clients} clients covered",
         after.giant_size(),
         after.covered_clients()
     );
@@ -101,6 +84,6 @@ fn main() -> Result<(), ModelError> {
     println!(
         "deployment map (# router in mesh, o isolated router, : covered client, . uncovered):"
     );
-    println!("{}", render_map(&topo, &instance, 100, 30));
+    println!("{}", render_map(&topo, &instance, 64, 32));
     Ok(())
 }

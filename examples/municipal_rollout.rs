@@ -34,16 +34,12 @@ fn main() -> Result<(), ModelError> {
     println!("{}", "-".repeat(62));
 
     let inits = [
-        PopulationInit::UniformRandom,
-        PopulationInit::AdHoc(AdHocMethod::Corners),
-        PopulationInit::AdHoc(AdHocMethod::Cross),
-        PopulationInit::AdHoc(AdHocMethod::HotSpot),
-        PopulationInit::Mixed(vec![
-            AdHocMethod::HotSpot,
-            AdHocMethod::Cross,
-            AdHocMethod::Near,
-        ]),
-    ];
+        AdHocMethod::Random,
+        AdHocMethod::Corners,
+        AdHocMethod::Cross,
+        AdHocMethod::HotSpot,
+    ]
+    .map(PopulationInit::AdHoc);
 
     let mut best: Option<(String, Evaluation)> = None;
     for init in inits {

@@ -104,13 +104,13 @@ fn every_method_feeds_every_search_algorithm() {
             Box::new(RandomMovement::new(&instance)),
         ];
         for movement in movements {
+            let name = movement.name();
             let search = NeighborhoodSearch::new(&evaluator, movement, config);
             let mut topo = evaluator.topology(&placement).expect("valid placement");
             let outcome = search.run(&mut topo, &mut rng, &mut NoopRecorder);
             assert!(
                 outcome.best_evaluation.fitness >= outcome.initial_evaluation.fitness,
-                "{method} / {}",
-                search.movement_name()
+                "{method} / {name}"
             );
             assert_eq!(outcome.trace.len(), 4);
             assert!(instance.validate_placement(&outcome.best_placement).is_ok());

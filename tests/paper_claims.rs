@@ -116,7 +116,7 @@ fn hotspot_init_beats_uniform_random_init() {
         .expect("ga runs");
     let uniform = GaEngine::new(&evaluator, config)
         .run(
-            &PopulationInit::UniformRandom,
+            &PopulationInit::AdHoc(AdHocMethod::Random),
             &mut rng_from_seed(5),
             &mut NoopRecorder,
         )
