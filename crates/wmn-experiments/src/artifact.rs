@@ -12,6 +12,12 @@
 //!   line's `files`), records the checkpoint line and prints one progress
 //!   line.
 //!
+//! Table N and Figure N are two views of one GA grid
+//! ([`run_ga_grid`]). [`run`] keeps the last grid it ran and serves the
+//! next table or GA figure of the same scenario from it, so `run_all` runs
+//! each scenario's seven GAs once. It runs a new grid only for another
+//! scenario, for example a figure whose table a resume skipped.
+//!
 //! Given the whole [`PAPER`] list, it then writes `summary.{csv,jsonl}`.
 //! With `--telemetry <dir>` it writes `telemetry.json` and `spans.jsonl`
 //! under the binary's name.
@@ -25,10 +31,10 @@
 use crate::checkpoint::{CellDone, Checkpoint};
 use crate::cli::CliOptions;
 use crate::error::ExperimentError;
-use crate::figures::{run_ga_figure_recorded, run_ns_figure_recorded};
+use crate::figures::run_ns_figure_recorded;
 use crate::report::{write_ga_figure, write_ns_figure, write_summary, write_table};
-use crate::scenario::Scenario;
-use crate::tables::run_table;
+use crate::scenario::{ExperimentConfig, Scenario};
+use crate::tables::{run_ga_grid, GaGrid};
 use crate::telemetry::write_telemetry;
 use std::time::Instant;
 use wmn_obs::{Recorder, TelemetryRecorder};
@@ -102,6 +108,7 @@ pub fn run(bin: &str, artifacts: &[Artifact], opts: &CliOptions) -> Result<(), E
         config.runtime().threads()
     );
     let mut tables = Vec::new();
+    let mut last_grid: Option<GaGrid> = None;
     for artifact in artifacts {
         let cell = artifact.cell();
         // A cell is done only while its files are all there, and a table
@@ -122,16 +129,20 @@ pub fn run(bin: &str, artifacts: &[Artifact], opts: &CliOptions) -> Result<(), E
         let cell_started = Instant::now();
         let (files, table, note) = match *artifact {
             Artifact::Table(scenario) => {
-                let table = run_table(scenario, config, recorder.as_mut())?;
-                let best = table.best_ga_method().map_or("n/a", |m| m.name());
+                let grid = ga_grid(&mut last_grid, scenario, config, recorder.as_mut())?;
+                let best = grid.table.best_ga_method().map_or("n/a", |m| m.name());
                 let note = format!("best GA method = {best}");
-                (write_table(dir, &table)?, Some(table), note)
+                (
+                    write_table(dir, &grid.table)?,
+                    Some(grid.table.clone()),
+                    note,
+                )
             }
             Artifact::GaFigure(scenario) => {
-                let fig = run_ga_figure_recorded(scenario, config, recorder.as_mut())?;
-                let best = fig.best_final_method().unwrap_or("n/a");
+                let grid = ga_grid(&mut last_grid, scenario, config, recorder.as_mut())?;
+                let best = grid.figure.best_final_method().unwrap_or("n/a");
                 let note = format!("best final curve = {best}");
-                (write_ga_figure(dir, &fig)?, None, note)
+                (write_ga_figure(dir, &grid.figure)?, None, note)
             }
             Artifact::NsFigure => {
                 let fig = run_ns_figure_recorded(config, recorder.as_mut())?;
@@ -176,6 +187,20 @@ pub fn run(bin: &str, artifacts: &[Artifact], opts: &CliOptions) -> Result<(), E
         );
     }
     Ok(())
+}
+
+/// The GA grid of `scenario`: `last` when it holds that scenario's grid,
+/// otherwise a new run on `recorder`, which replaces it.
+fn ga_grid<'a>(
+    last: &'a mut Option<GaGrid>,
+    scenario: Scenario,
+    config: &ExperimentConfig,
+    recorder: Option<&mut TelemetryRecorder>,
+) -> Result<&'a GaGrid, ExperimentError> {
+    if !matches!(last, Some(grid) if grid.table.scenario == scenario) {
+        *last = Some(run_ga_grid(scenario, config, recorder)?);
+    }
+    Ok(last.as_ref().expect("the scenario's grid"))
 }
 
 #[cfg(test)]

@@ -5,25 +5,27 @@
 //! cargo run --release -p wmn-experiments --bin run_all             # paper scale
 //! cargo run --release -p wmn-experiments --bin run_all -- --quick  # CI scale
 //! cargo run --release -p wmn-experiments --bin run_all -- --quick --threads 8
-//! WMN_THREADS=2 cargo run --release -p wmn-experiments --bin run_all -- --quick
 //! ```
+//!
+//! Table N and Figure N report the same seven GA runs (as in the paper),
+//! so `run_all` runs each scenario's GA grid once and writes both from it.
 //!
 //! # Parallelism & determinism
 //!
 //! Every artifact's grid cells (one per ad hoc method, or per movement for
-//! Figure 4) execute on the `wmn-runtime` worker pool. `--threads <n>` (or
-//! `WMN_THREADS`) picks the worker count; the default `0` uses one worker
-//! per core. Because each cell's RNG seed is derived from its grid
+//! Figure 4) execute on the `wmn-runtime` worker pool. `--threads <n>`
+//! picks the worker count; the default `0` uses one worker per core. Because each cell's RNG seed is derived from its grid
 //! coordinates (`wmn_model::rng::stream_seed`) and results are collected
 //! by job index, **all outputs are byte-identical for every thread
 //! count** — `--threads 8` only finishes sooner. Instance sizes beyond the
 //! paper's 64/192/128×128 family are reachable via `--scale`
 //! (`--scale-routers` / `--scale-clients` / `--scale-area`).
 //!
-//! With `--telemetry <dir>` the whole run's work-counter profile (every
-//! table, GA figure, and the search figure summed) lands in one
-//! `telemetry.json` + `spans.jsonl` pair — also byte-identical for every
-//! thread count, since the per-job recorders merge in job-index order.
+//! With `--telemetry <dir>` the whole run's work-counter profile (the
+//! three GA grids, each GA run counted once, and the search figure summed)
+//! lands in one `telemetry.json` + `spans.jsonl` pair — also
+//! byte-identical for every thread count, since the per-job recorders
+//! merge in job-index order.
 //!
 //! # Checkpoint & resume
 //!

@@ -327,7 +327,7 @@ fn parse_row(value: &JsonValue) -> Result<TableRow, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::run_table;
+    use crate::tables::run_ga_grid;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -524,7 +524,7 @@ mod tests {
     fn record_then_load_roundtrips_table_payloads() {
         let dir = tmpdir("roundtrip");
         let config = ExperimentConfig::quick();
-        let table = run_table(Scenario::Normal, &config, None).unwrap();
+        let table = run_ga_grid(Scenario::Normal, &config, None).unwrap().table;
 
         let mut cp = Checkpoint::start(&dir, &config);
         cp.record(CellDone {

@@ -1,36 +1,33 @@
 //! Tiny shared argument parsing and the binaries' common entry point.
 //!
-//! Flags (all optional; the thread and scale flags each override their
-//! `WMN_*` env var — the other flags have no env counterpart):
+//! Flags (all optional; the binaries read no environment variable):
 //!
 //! * `--quick` — reduced search effort (`ExperimentConfig::quickened`),
 //!   applied before every other flag wherever it appears, so an explicit
 //!   `--ns-budget` wins in either order.
 //! * `--seed <n>` — algorithm run seed (default 42).
 //! * `--instance-seed <n>` — instance generation seed (default 2009).
-//! * `--threads <n>` — experiment-runtime workers (`WMN_THREADS`;
-//!   default 0 = one per core). Results are identical for every value.
-//! * `--ga-threads <n>` — evaluation threads inside one GA run
-//!   (`WMN_GA_THREADS`; default 4).
+//! * `--threads <n>` — experiment-runtime workers (default 0 = one per
+//!   core). Results are identical for every value.
+//! * `--ga-threads <n>` — evaluation threads inside one GA run (default 4).
 //! * `--scale <n>` — proportional instance scale-up: `n`× routers and
-//!   clients on `√n`× the area side (`WMN_SCALE`; at least 1).
+//!   clients on `√n`× the area side (at least 1).
 //! * `--scale-routers <n>` / `--scale-clients <n>` / `--scale-area <x>` —
-//!   individual multipliers (`WMN_SCALE_ROUTERS` / `WMN_SCALE_CLIENTS` /
-//!   `WMN_SCALE_AREA`; counts at least 1, the area positive and finite).
+//!   individual multipliers (counts at least 1, the area positive and
+//!   finite).
 //! * `--ns-budget <n>` — neighbors sampled per search phase (at least 1).
-//! * `--connectivity <mode>` — connectivity repair strategy
-//!   (`WMN_CONNECTIVITY`): `dynamic` (default) or `full` (full-rebuild
-//!   reference pipeline). Results are bit-identical in both modes; only
-//!   the work counters differ.
+//! * `--connectivity <mode>` — connectivity repair strategy: `dynamic`
+//!   (default) or `full` (full-rebuild reference pipeline). Results are
+//!   bit-identical in both modes; only the work counters differ.
 //! * `--telemetry <dir>` — write structured run telemetry
 //!   (`telemetry.json` + `spans.jsonl`) to `<dir>`; see
 //!   [`crate::telemetry`].
 //! * `--retries <n>` — per-cell attempt budget for the panic-isolated
-//!   runner (`WMN_RETRIES`; default 1 = no retries). Retried cells
-//!   re-derive the same seed, so outputs are byte-identical.
-//! * `--fault-plan <spec>` — deterministic fault injection
-//!   (`WMN_FAULT_PLAN`), e.g. `seed=7;panic@start:p=0.4`; see
-//!   [`wmn_runtime::fault`]. Off by default.
+//!   runner (default 1 = no retries). Retried cells re-derive the same
+//!   seed, so outputs are byte-identical.
+//! * `--fault-plan <spec>` — deterministic fault injection, e.g.
+//!   `seed=7;panic@start:p=0.4`; see [`wmn_runtime::fault`]. Off by
+//!   default.
 //! * `--resume <dir>` — resume an interrupted run from `<dir>`'s
 //!   `checkpoint.jsonl`, skipping completed cells; implies `--out <dir>`
 //!   (combining with `--out` or `--telemetry` is an error — skipped
@@ -64,7 +61,7 @@ const USAGE: &str = "usage: [--quick] [--seed <n>] [--instance-seed <n>] [--thre
 [--scale-area <x>] [--ns-budget <n>] [--connectivity dynamic|full] \
 [--retries <n>] [--fault-plan <spec>] [--telemetry <dir>] [--resume <dir>] [--out <dir>]";
 
-/// Parses a connectivity-mode name (shared by the flag and env paths).
+/// Parses a connectivity-mode name.
 fn connectivity_mode(value: &str) -> Result<ConnectivityMode, String> {
     match value.to_ascii_lowercase().as_str() {
         "dynamic" => Ok(ConnectivityMode::Dynamic),
@@ -80,8 +77,7 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<
     v.parse().map_err(|_| format!("bad {flag} value {v:?}"))
 }
 
-/// Rejects a value that is not above zero, naming `name` (a flag or an
-/// env var).
+/// Rejects a value that is not above zero, naming the flag `name`.
 fn positive<T: PartialOrd + Default + std::fmt::Display>(name: &str, v: T) -> Result<T, String> {
     if v > T::default() {
         Ok(v)
@@ -99,20 +95,16 @@ fn area_multiplier(name: &str, x: f64) -> Result<f64, String> {
     }
 }
 
-/// Parses options from an argument iterator (excluding the program name),
-/// on top of `base` — so environment-derived defaults lose to explicit
-/// flags.
+/// Parses options from an argument iterator (excluding the program name)
+/// over the paper defaults.
 ///
 /// # Errors
 ///
 /// Returns a usage message on unknown flags, malformed numbers, a zero
 /// `--ns-budget` or scale multiplier, or an area multiplier that is not
 /// positive and finite.
-pub fn parse_from<I: IntoIterator<Item = String>>(
-    base: ExperimentConfig,
-    args: I,
-) -> Result<CliOptions, String> {
-    let mut config = base;
+pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions, String> {
+    let mut config = ExperimentConfig::paper();
     let mut quick = false;
     let mut ns_budget = None;
     let mut out_dir = PathBuf::from("results");
@@ -202,73 +194,9 @@ pub fn parse_from<I: IntoIterator<Item = String>>(
     })
 }
 
-/// Parses options from an argument iterator over the paper defaults.
-///
-/// # Errors
-///
-/// Returns a usage message on unknown flags or malformed numbers.
-pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions, String> {
-    parse_from(ExperimentConfig::paper(), args)
-}
-
-/// Applies `WMN_*` environment overrides to the paper defaults. `lookup`
-/// abstracts `std::env::var` for testability.
-///
-/// # Errors
-///
-/// Returns a message naming the malformed or out-of-range variable.
-pub fn config_from_vars(
-    lookup: impl Fn(&str) -> Option<String>,
-) -> Result<ExperimentConfig, String> {
-    let mut config = ExperimentConfig::paper();
-    // Parse directly to each knob's type, so the env path rejects exactly
-    // what the flag path rejects (no silent u64→u32 truncation).
-    fn num<T: std::str::FromStr>(
-        lookup: &impl Fn(&str) -> Option<String>,
-        name: &str,
-    ) -> Result<Option<T>, String> {
-        lookup(name)
-            .map(|v| v.parse().map_err(|_| format!("bad {name} value {v:?}")))
-            .transpose()
-    }
-    if let Some(n) = num::<usize>(&lookup, "WMN_THREADS")? {
-        config.runner_threads = n;
-    }
-    if let Some(n) = num::<usize>(&lookup, "WMN_GA_THREADS")? {
-        config.threads = n.max(1);
-    }
-    if let Some(n) = num::<u32>(&lookup, "WMN_SCALE")? {
-        config.scale = ScenarioScale::proportional(positive("WMN_SCALE", n)?);
-    }
-    if let Some(n) = num::<u32>(&lookup, "WMN_SCALE_ROUTERS")? {
-        config.scale.routers = positive("WMN_SCALE_ROUTERS", n)?;
-    }
-    if let Some(n) = num::<u32>(&lookup, "WMN_SCALE_CLIENTS")? {
-        config.scale.clients = positive("WMN_SCALE_CLIENTS", n)?;
-    }
-    if let Some(x) = num::<f64>(&lookup, "WMN_SCALE_AREA")? {
-        config.scale.area = area_multiplier("WMN_SCALE_AREA", x)?;
-    }
-    if let Some(v) = lookup("WMN_CONNECTIVITY") {
-        config.connectivity =
-            connectivity_mode(&v).map_err(|e| format!("bad WMN_CONNECTIVITY value: {e}"))?;
-    }
-    if let Some(n) = num::<u32>(&lookup, "WMN_RETRIES")? {
-        config.retries = n;
-    }
-    if let Some(v) = lookup("WMN_FAULT_PLAN") {
-        let plan = FaultPlan::parse(&v).map_err(|e| format!("bad WMN_FAULT_PLAN value: {e}"))?;
-        config.fault_plan = Some(plan);
-    }
-    Ok(config)
-}
-
-/// Parses the process environment and arguments, exiting with a message on
-/// error.
+/// Parses the process arguments, exiting with a message on error.
 pub fn parse_env() -> CliOptions {
-    let from_env = config_from_vars(|name| std::env::var(name).ok());
-    let parsed = from_env.and_then(|base| parse_from(base, std::env::args().skip(1)));
-    match parsed {
+    match parse(std::env::args().skip(1)) {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("{msg}");
@@ -277,7 +205,7 @@ pub fn parse_env() -> CliOptions {
     }
 }
 
-/// The binaries' shared entry point: parse environment + arguments, run
+/// The binaries' shared entry point: parse the arguments, run
 /// `body`, and report any failure (with its offending path, for I/O) on
 /// stderr instead of panicking.
 pub fn run(body: impl FnOnce(&CliOptions) -> Result<(), ExperimentError>) -> ExitCode {
@@ -337,24 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn robustness_env_vars_apply_and_flags_win() {
-        let lookup = |name: &str| match name {
-            "WMN_RETRIES" => Some("5".to_owned()),
-            "WMN_FAULT_PLAN" => Some("seed=1;panic@start:p=0.5".to_owned()),
-            _ => None,
-        };
-        let base = config_from_vars(lookup).unwrap();
-        assert_eq!(base.retries, 5);
-        assert_eq!(base.fault_plan.unwrap().seed, 1);
-        let opts = parse_from(base, ["--retries".to_owned(), "2".to_owned()]).unwrap();
-        assert_eq!(opts.config.retries, 2);
-        let lookup = |name: &str| (name == "WMN_FAULT_PLAN").then(|| "gibberish".to_owned());
-        assert!(config_from_vars(lookup).is_err());
-        let lookup = |name: &str| (name == "WMN_RETRIES").then(|| "often".to_owned());
-        assert!(config_from_vars(lookup).is_err());
-    }
-
-    #[test]
     fn connectivity_and_telemetry_flags() {
         let opts = parse_vec(&["--connectivity", "full", "--telemetry", "/tmp/t"]).unwrap();
         assert_eq!(opts.config.connectivity, ConnectivityMode::FullRebuild);
@@ -370,17 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn connectivity_env_var_applies_and_flag_wins() {
-        let lookup = |name: &str| (name == "WMN_CONNECTIVITY").then(|| "full".to_owned());
-        let base = config_from_vars(lookup).unwrap();
-        assert_eq!(base.connectivity, ConnectivityMode::FullRebuild);
-        let opts = parse_from(base, ["--connectivity".to_owned(), "dynamic".to_owned()]).unwrap();
-        assert_eq!(opts.config.connectivity, ConnectivityMode::Dynamic);
-        let lookup = |name: &str| (name == "WMN_CONNECTIVITY").then(|| "bogus".to_owned());
-        assert!(config_from_vars(lookup).is_err());
-    }
-
-    #[test]
     fn removed_rescan_mode_is_an_error_naming_the_accepted_values() {
         for removed in ["rescan", "dsu-rescan", "dsu"] {
             let err = parse_vec(&["--connectivity", removed]).unwrap_err();
@@ -388,10 +287,6 @@ mod tests {
                 err.contains(&format!("{removed:?} (dynamic|full)")),
                 "{err}"
             );
-            let lookup = |name: &str| (name == "WMN_CONNECTIVITY").then(|| removed.to_owned());
-            let err = config_from_vars(lookup).unwrap_err();
-            assert!(err.starts_with("bad WMN_CONNECTIVITY value"), "{err}");
-            assert!(err.contains("(dynamic|full)"), "{err}");
         }
     }
 
@@ -495,74 +390,15 @@ mod tests {
     }
 
     #[test]
-    fn scale_env_vars_must_be_positive_and_finite() {
-        for (name, value) in [
-            ("WMN_SCALE", "0"),
-            ("WMN_SCALE_ROUTERS", "0"),
-            ("WMN_SCALE_CLIENTS", "0"),
-            ("WMN_SCALE_AREA", "0"),
-            ("WMN_SCALE_AREA", "-1"),
-            ("WMN_SCALE_AREA", "NaN"),
-            ("WMN_SCALE_AREA", "inf"),
-        ] {
-            let lookup = |n: &str| (n == name).then(|| value.to_owned());
-            let err = config_from_vars(lookup).unwrap_err();
-            assert!(
-                err.starts_with(&format!("{name} must be")),
-                "{name}={value}: {err}"
-            );
-        }
-    }
-
-    #[test]
     fn rejects_unknown_and_malformed() {
         assert!(parse_vec(&["--frob"]).is_err());
         assert!(parse_vec(&["--seed", "abc"]).is_err());
         assert!(parse_vec(&["--seed"]).is_err());
         assert!(parse_vec(&["--threads", "many"]).is_err());
         assert!(parse_vec(&["--scale-area", "wide"]).is_err());
+        // Past u32::MAX is refused, not truncated.
+        assert!(parse_vec(&["--scale-routers", "4294967296"]).is_err());
+        assert!(parse_vec(&["--scale", "4294967296"]).is_err());
         assert!(parse_vec(&["--help"]).is_err());
-    }
-
-    #[test]
-    fn env_vars_apply_and_flags_win() {
-        let lookup = |name: &str| match name {
-            "WMN_THREADS" => Some("2".to_owned()),
-            "WMN_SCALE" => Some("4".to_owned()),
-            _ => None,
-        };
-        let base = config_from_vars(lookup).unwrap();
-        assert_eq!(base.runner_threads, 2);
-        assert_eq!(base.scale, ScenarioScale::proportional(4));
-
-        let opts = parse_from(base, ["--threads".to_owned(), "6".to_owned()]).unwrap();
-        assert_eq!(opts.config.runner_threads, 6);
-        assert_eq!(opts.config.scale, ScenarioScale::proportional(4));
-    }
-
-    #[test]
-    fn bad_env_var_is_an_error() {
-        let lookup = |name: &str| (name == "WMN_THREADS").then(|| "lots".to_owned());
-        assert!(config_from_vars(lookup).is_err());
-        let lookup = |name: &str| (name == "WMN_SCALE_AREA").then(|| "wide".to_owned());
-        assert!(config_from_vars(lookup).is_err());
-    }
-
-    #[test]
-    fn out_of_range_env_var_is_rejected_not_truncated() {
-        // > u32::MAX must error exactly like the flag path, not wrap.
-        let too_big = (u64::from(u32::MAX) + 2).to_string();
-        let lookup = |name: &str| (name == "WMN_SCALE_ROUTERS").then(|| too_big.clone());
-        assert!(config_from_vars(lookup).is_err());
-        let lookup = |name: &str| (name == "WMN_SCALE").then(|| too_big.clone());
-        assert!(config_from_vars(lookup).is_err());
-    }
-
-    #[test]
-    fn no_env_vars_is_paper_default() {
-        assert_eq!(
-            config_from_vars(|_| None).unwrap(),
-            ExperimentConfig::paper()
-        );
     }
 }

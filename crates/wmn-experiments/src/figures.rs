@@ -2,22 +2,20 @@
 //!
 //! Figures 1–3: evolution of the giant component size over GA generations,
 //! one curve per ad hoc initialization method, for the Normal, Exponential
-//! and Weibull scenarios. Figure 4: evolution of the giant component over
-//! neighborhood search phases, swap versus random movement, on the Normal
-//! scenario.
+//! and Weibull scenarios. They are the figure view of the GA grid that
+//! [`run_ga_grid`] runs once per scenario for Table N and Figure N alike.
+//! Figure 4: evolution of the giant component over neighborhood search
+//! phases, swap versus random movement, on the Normal scenario.
 
 use crate::error::ExperimentError;
 use crate::scenario::{ExperimentConfig, Scenario};
-use crate::tables::{cell_failure, experiment_ga_config, ga_cell, ga_cell_label, report_chaos};
-use wmn_ga::engine::{GaConfig, GaEngine};
-use wmn_ga::init::PopulationInit;
+use crate::tables::{cell_failure, report_chaos, run_ga_grid};
 use wmn_metrics::evaluator::Evaluator;
 use wmn_metrics::stats::Trace;
 use wmn_model::instance::ProblemInstance;
 use wmn_model::placement::Placement;
 use wmn_model::ModelError;
 use wmn_obs::{Recorder, RobustnessStats, TelemetryRecorder};
-use wmn_placement::registry::AdHocMethod;
 use wmn_runtime::grid::{domain, Cell};
 use wmn_search::movement::{Movement, RandomMovement, SwapConfig, SwapMovement};
 use wmn_search::neighborhood::ExplorationBudget;
@@ -28,8 +26,8 @@ use wmn_search::search::{NeighborhoodSearch, SearchConfig, StoppingCondition};
 pub struct GaFigure {
     /// The scenario (Normal → Figure 1, Exponential → 2, Weibull → 3).
     pub scenario: Scenario,
-    /// One `(generation, giant size)` series per init method, downsampled
-    /// to the configured stride.
+    /// One `(generation, giant size)` series per init method, in paper
+    /// order, downsampled to the configured stride.
     pub series: Vec<Trace>,
 }
 
@@ -53,82 +51,18 @@ impl GaFigure {
     }
 }
 
-/// Runs one GA-evolution figure: one GA per ad hoc method, recording the
-/// per-generation best giant component size. Method curves run on the
-/// panic-isolated executor, so the figure — like the tables — is
-/// byte-identical under any within-budget fault plan.
+/// Runs one GA-evolution figure: the figure view of [`run_ga_grid`], which
+/// runs one GA per ad hoc method and records its per-generation best giant
+/// component size.
 ///
 /// # Errors
 ///
-/// Propagates instance generation failures, and reports the
-/// lowest-indexed grid cell that exhausted its retry budget
-/// ([`ExperimentError::Cell`]).
+/// Exactly as [`run_ga_grid`].
 pub fn run_ga_figure(
     scenario: Scenario,
     config: &ExperimentConfig,
 ) -> Result<GaFigure, ExperimentError> {
-    run_ga_figure_recorded(scenario, config, None)
-}
-
-/// [`run_ga_figure`], additionally collecting the run's work-counter
-/// telemetry into `recorder` when one is given. Per-attempt recorders
-/// merge in job-index order, succeeding attempts only (see
-/// `wmn-runtime`), so the aggregated counters are byte-identical for
-/// every worker count and any within-budget fault plan; the figure itself
-/// is the same with or without a recorder.
-///
-/// # Errors
-///
-/// Exactly as [`run_ga_figure`].
-pub fn run_ga_figure_recorded(
-    scenario: Scenario,
-    config: &ExperimentConfig,
-    recorder: Option<&mut TelemetryRecorder>,
-) -> Result<GaFigure, ExperimentError> {
-    let instance = config.instance(scenario)?;
-    let evaluator = Evaluator::paper_default(&instance);
-    let ga_config = experiment_ga_config(config);
-
-    let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
-    let mut stats = RobustnessStats::default();
-    let series = config
-        .runtime()
-        .run(
-            jobs,
-            &config.job_policy(),
-            &mut stats,
-            recorder,
-            |(mi, method), rec| {
-                ga_figure_job(scenario, config, &evaluator, &ga_config, *mi, *method, rec)
-            },
-        )
-        .map_err(|f| cell_failure(ga_cell_label(scenario, f.index), f));
-    report_chaos(&format!("fig{}", scenario.table_number()), &stats);
-    Ok(GaFigure {
-        scenario,
-        series: series?,
-    })
-}
-
-/// One figure curve: the GA run for one ad hoc method, on the same grid
-/// cell as the tables, so Figure N and Table N report the same runs (as in
-/// the paper).
-fn ga_figure_job(
-    scenario: Scenario,
-    config: &ExperimentConfig,
-    evaluator: &Evaluator<'_>,
-    ga_config: &GaConfig,
-    method_index: usize,
-    method: AdHocMethod,
-    recorder: &mut dyn Recorder,
-) -> Result<Trace, ModelError> {
-    let mut rng = ga_cell(scenario, method_index, method).rng(config.run_seed);
-    let engine = GaEngine::new(evaluator, ga_config.clone());
-    let outcome = engine.run(&PopulationInit::AdHoc(method), &mut rng, recorder)?;
-    Ok(outcome
-        .trace
-        .giant_series(method.name())
-        .downsampled(config.sample_every.max(1)))
+    run_ga_grid(scenario, config, None).map(|grid| grid.figure)
 }
 
 /// A reproduced Figure 4: neighborhood search evolution, swap vs random.
@@ -266,6 +200,7 @@ fn ns_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wmn_placement::registry::AdHocMethod;
 
     #[test]
     fn ga_figure_has_one_series_per_method() {
@@ -340,8 +275,11 @@ mod tests {
     fn recorded_figures_match_plain_and_collect_counters() {
         let config = ExperimentConfig::quick();
         let mut recorder = TelemetryRecorder::new();
-        let ga = run_ga_figure_recorded(Scenario::Normal, &config, Some(&mut recorder)).unwrap();
-        assert_eq!(ga, run_ga_figure(Scenario::Normal, &config).unwrap());
+        let grid = run_ga_grid(Scenario::Normal, &config, Some(&mut recorder)).unwrap();
+        assert_eq!(
+            grid.figure,
+            run_ga_figure(Scenario::Normal, &config).unwrap()
+        );
         assert_eq!(
             recorder.counters().get("ga.generations"),
             Some(&((7 * config.generations) as u64))

@@ -2,32 +2,37 @@
 //!
 //! | Artifact | [`artifact::Artifact`] | Runner | Binary |
 //! |---|---|---|---|
-//! | Table 1 (Normal) | `Table(Normal)` | [`tables::run_table`] | `table1` |
-//! | Table 2 (Exponential) | `Table(Exponential)` | [`tables::run_table`] | `table2` |
-//! | Table 3 (Weibull) | `Table(Weibull)` | [`tables::run_table`] | `table3` |
-//! | Figure 1 (GA evolution, Normal) | `GaFigure(Normal)` | [`figures::run_ga_figure`] | `fig1` |
-//! | Figure 2 (GA evolution, Exponential) | `GaFigure(Exponential)` | [`figures::run_ga_figure`] | `fig2` |
-//! | Figure 3 (GA evolution, Weibull) | `GaFigure(Weibull)` | [`figures::run_ga_figure`] | `fig3` |
+//! | Table 1 (Normal) | `Table(Normal)` | [`tables::run_ga_grid`]`.table` | `table1` |
+//! | Table 2 (Exponential) | `Table(Exponential)` | [`tables::run_ga_grid`]`.table` | `table2` |
+//! | Table 3 (Weibull) | `Table(Weibull)` | [`tables::run_ga_grid`]`.table` | `table3` |
+//! | Figure 1 (GA evolution, Normal) | `GaFigure(Normal)` | [`tables::run_ga_grid`]`.figure` | `fig1` |
+//! | Figure 2 (GA evolution, Exponential) | `GaFigure(Exponential)` | [`tables::run_ga_grid`]`.figure` | `fig2` |
+//! | Figure 3 (GA evolution, Weibull) | `GaFigure(Weibull)` | [`tables::run_ga_grid`]`.figure` | `fig3` |
 //! | Figure 4 (NS swap vs random) | `NsFigure` | [`figures::run_ns_figure`] | `fig4` |
+//!
+//! Table N and Figure N are two views of one GA grid: each scenario's
+//! seven GA runs, one per ad hoc method. [`figures::run_ga_figure`] is the
+//! figure view on its own.
 //!
 //! Every binary is one call to the artifact driver, [`artifact::run`]: it
 //! skips what the checkpoint records, runs the rest, writes their files
 //! ([`report`]), checkpoints each cell ([`checkpoint`]) and prints one
 //! progress line per artifact. `run_all` passes [`artifact::PAPER`], all
-//! seven in order, and also gets the cross-table `summary.{csv,jsonl}`.
+//! seven in order, runs each GA grid once for its table and figure, and
+//! also gets the cross-table `summary.{csv,jsonl}`.
 //!
 //! Every binary accepts `--quick` (reduced scale), `--seed <n>` (run seed),
 //! `--threads <n>` (parallel experiment workers; results are identical for
 //! every value), `--telemetry <dir>` (structured work-counter telemetry,
 //! see [`telemetry`]), `--connectivity <mode>` (repair-strategy oracle
 //! selection) and `--out <dir>` (default `results/`). See [`cli`] for the
-//! full flag and `WMN_*` environment-variable reference, and
+//! full flag reference (the binaries read no environment variable), and
 //! [`scenario::ScenarioScale`] for running beyond-paper instance sizes.
 //!
 //! ```bash
 //! cargo run --release -p wmn-experiments --bin run_all
 //! cargo run --release -p wmn-experiments --bin run_all -- --quick --threads 8
-//! WMN_THREADS=2 cargo run --release -p wmn-experiments --bin table1 -- --quick
+//! cargo run --release -p wmn-experiments --bin table1 -- --quick --threads 2
 //! ```
 //!
 //! Experiment grids execute on the `wmn-runtime` worker pool; per-cell RNG

@@ -157,7 +157,7 @@ mod tests {
     use super::*;
     use crate::figures::{run_ga_figure, run_ns_figure};
     use crate::scenario::{ExperimentConfig, Scenario};
-    use crate::tables::run_table;
+    use crate::tables::run_ga_grid;
     use std::fs;
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -170,7 +170,9 @@ mod tests {
     #[test]
     fn writes_table_files() {
         let dir = tmpdir("table");
-        let t = run_table(Scenario::Normal, &ExperimentConfig::quick(), None).unwrap();
+        let t = run_ga_grid(Scenario::Normal, &ExperimentConfig::quick(), None)
+            .unwrap()
+            .table;
         assert_eq!(write_table(&dir, &t).unwrap(), ["table1.md", "table1.csv"]);
         assert!(dir.join("table1.md").exists());
         assert!(dir.join("table1.csv").exists());
@@ -230,7 +232,9 @@ mod tests {
 
     #[test]
     fn write_failure_names_the_path() {
-        let t = run_table(Scenario::Normal, &ExperimentConfig::quick(), None).unwrap();
+        let t = run_ga_grid(Scenario::Normal, &ExperimentConfig::quick(), None)
+            .unwrap()
+            .table;
         // A directory path that cannot be created (parent is a file).
         let file = std::env::temp_dir().join(format!("wmn-not-a-dir-{}", std::process::id()));
         fs::write(&file, "occupied").unwrap();
@@ -245,7 +249,7 @@ mod tests {
         let config = ExperimentConfig::quick();
         let tables: Vec<TableResult> = [Scenario::Normal, Scenario::Exponential, Scenario::Weibull]
             .into_iter()
-            .map(|s| run_table(s, &config, None).unwrap())
+            .map(|s| run_ga_grid(s, &config, None).unwrap().table)
             .collect();
         assert_eq!(
             write_summary(&dir, &tables).unwrap(),

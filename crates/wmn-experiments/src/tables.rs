@@ -1,17 +1,22 @@
-//! Reproduction of Tables 1–3: giant component and user coverage per ad
-//! hoc method, standalone and as GA initializer.
+//! Reproduction of Tables 1–3, giant component and user coverage per ad
+//! hoc method, standalone and as GA initializer, and of the GA runs that
+//! Figures 1–3 plot.
 //!
-//! Each method's row is one independent job of the experiment grid,
-//! executed on [`ExperimentConfig::runtime`]'s worker pool. Per-cell RNG
-//! seeds are derived from grid coordinates (`[domain, scenario, method]`,
-//! see [`wmn_runtime::grid`]), so the table is bit-identical for every
-//! worker count.
+//! [`run_ga_grid`] runs one scenario's seven GAs once and returns both
+//! views of them: Table N ([`TableResult`]) and Figure N ([`GaFigure`]).
+//! Each method is one independent job of the experiment grid, executed on
+//! [`ExperimentConfig::runtime`]'s worker pool. Per-cell RNG seeds are
+//! derived from grid coordinates (`[domain, scenario, method]`, see
+//! [`wmn_runtime::grid`]), so the grid is bit-identical for every worker
+//! count.
 
 use crate::error::ExperimentError;
+use crate::figures::GaFigure;
 use crate::scenario::{ExperimentConfig, Scenario};
 use wmn_ga::engine::{GaConfig, GaEngine};
 use wmn_ga::init::PopulationInit;
 use wmn_metrics::evaluator::Evaluator;
+use wmn_metrics::stats::Trace;
 use wmn_model::ModelError;
 use wmn_model::ProblemInstance;
 use wmn_obs::{Recorder, RobustnessStats, TelemetryRecorder};
@@ -104,19 +109,19 @@ impl TableResult {
     }
 }
 
-/// The GA-run grid cell for `(scenario, method)` — shared with the figure
-/// runner so that Figure N and Table N report the *same* GA runs (as in
-/// the paper).
-pub(crate) fn ga_cell(scenario: Scenario, method_index: usize, method: AdHocMethod) -> Cell {
+/// The GA-run grid cell for `(scenario, method)`: its coordinates seed
+/// the one GA run that both Table N's row and Figure N's curve report (as
+/// in the paper).
+fn ga_cell(scenario: Scenario, method_index: usize, method: AdHocMethod) -> Cell {
     Cell::new(
         format!("ga-{}-{}", scenario.name(), method.name()),
         &[domain::GA, scenario.grid_id(), method_index as u64],
     )
 }
 
-/// The shared GA configuration of the table and figure runners: the
-/// experiment knobs plus the connectivity repair strategy.
-pub(crate) fn experiment_ga_config(config: &ExperimentConfig) -> GaConfig {
+/// The GA configuration of the grid's runs: the experiment knobs plus the
+/// connectivity repair strategy.
+fn experiment_ga_config(config: &ExperimentConfig) -> GaConfig {
     GaConfig::builder()
         .population_size(config.population)
         .generations(config.generations)
@@ -157,19 +162,31 @@ pub(crate) fn report_chaos(context: &str, stats: &RobustnessStats) {
 }
 
 /// The label of the GA grid cell for error reporting (`ga-normal-HotSpot`).
-pub(crate) fn ga_cell_label(scenario: Scenario, index: usize) -> String {
+fn ga_cell_label(scenario: Scenario, index: usize) -> String {
     AdHocMethod::all().into_iter().nth(index).map_or_else(
         || format!("ga-{}-job{index}", scenario.name()),
         |m| format!("ga-{}-{}", scenario.name(), m.name()),
     )
 }
 
-/// One method's table row: the standalone placement (paper scenario 1) and
-/// a GA initialized from the method (paper scenario 2). The GA run feeds
-/// `recorder`: the runtime hands each attempt a no-op recorder (free) or a
-/// per-attempt telemetry recorder.
+/// The seven GA runs of one scenario, one per ad hoc method. Table N and
+/// Figure N are two views of the same runs, as in the paper.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GaGrid {
+    /// Table N: each method standalone and as GA initializer.
+    pub table: TableResult,
+    /// Figure N: each method's GA evolution curve.
+    pub figure: GaFigure,
+}
+
+/// One method's job of the grid: the standalone placement (paper scenario
+/// 1), then a GA initialized from the method (paper scenario 2), returning
+/// the table row and the GA's downsampled giant-component curve. The GA
+/// run feeds `recorder`: the runtime hands each attempt a no-op recorder
+/// (free) or a per-attempt telemetry recorder. The standalone evaluation
+/// reports to no recorder.
 #[allow(clippy::too_many_arguments)]
-fn table_row(
+fn ga_grid_job(
     scenario: Scenario,
     config: &ExperimentConfig,
     instance: &ProblemInstance,
@@ -178,7 +195,7 @@ fn table_row(
     method_index: usize,
     method: AdHocMethod,
     recorder: &mut dyn Recorder,
-) -> Result<TableRow, ModelError> {
+) -> Result<(TableRow, Trace), ModelError> {
     let standalone_cell = Cell::new(
         format!("standalone-{}-{}", scenario.name(), method.name()),
         &[domain::STANDALONE, scenario.grid_id(), method_index as u64],
@@ -191,27 +208,33 @@ fn table_row(
     let engine = GaEngine::new(evaluator, ga_config.clone());
     let outcome = engine.run(&PopulationInit::AdHoc(method), &mut ga_rng, recorder)?;
 
-    Ok(TableRow {
+    let row = TableRow {
         method,
         giant_by_ga: outcome.best_evaluation.giant_size(),
         coverage_by_ga: outcome.best_evaluation.covered_clients(),
         giant_standalone: standalone_eval.giant_size(),
         coverage_standalone: standalone_eval.covered_clients(),
-    })
+    };
+    let curve = outcome
+        .trace
+        .giant_series(method.name())
+        .downsampled(config.sample_every.max(1));
+    Ok((row, curve))
 }
 
-/// Runs one paper table: for every ad hoc method, measure the standalone
-/// placement and a GA initialized from it. Method rows run in parallel on
-/// [`ExperimentConfig::runtime`]'s panic-isolated executor; the result is
-/// bit-identical for every worker count, and — under any within-budget
-/// fault plan — byte-identical to a fault-free run (retried cells
-/// re-derive the same coordinate seeds).
+/// Runs the GA grid of one scenario: for every ad hoc method, measure the
+/// standalone placement and run a GA initialized from it. Table N and
+/// Figure N are both read off the result ([`GaGrid`]). Method jobs run in
+/// parallel on [`ExperimentConfig::runtime`]'s panic-isolated executor;
+/// the grid is bit-identical for every worker count, and — under any
+/// within-budget fault plan — byte-identical to a fault-free run (retried
+/// cells re-derive the same coordinate seeds).
 ///
-/// With a `recorder`, the run's work-counter telemetry is collected too.
-/// Each method row records into a private per-attempt recorder; only
+/// With a `recorder`, the GA runs' work-counter telemetry is collected
+/// too. Each method job records into a private per-attempt recorder; only
 /// succeeding attempts merge, in job-index order, so the aggregated
-/// counters — like the table itself — are byte-identical for every worker
-/// count and any within-budget fault plan. The table is the same with or
+/// counters — like the grid itself — are byte-identical for every worker
+/// count and any within-budget fault plan. The grid is the same with or
 /// without a recorder.
 ///
 /// # Errors
@@ -219,18 +242,18 @@ fn table_row(
 /// Propagates instance generation failures, and reports the
 /// lowest-indexed grid cell that exhausted its retry budget
 /// ([`ExperimentError::Cell`]).
-pub fn run_table(
+pub fn run_ga_grid(
     scenario: Scenario,
     config: &ExperimentConfig,
     recorder: Option<&mut TelemetryRecorder>,
-) -> Result<TableResult, ExperimentError> {
+) -> Result<GaGrid, ExperimentError> {
     let instance = config.instance(scenario)?;
     let evaluator = Evaluator::paper_default(&instance);
     let ga_config = experiment_ga_config(config);
 
     let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
     let mut stats = RobustnessStats::default();
-    let rows = config
+    let runs = config
         .runtime()
         .run(
             jobs,
@@ -238,18 +261,22 @@ pub fn run_table(
             &mut stats,
             recorder,
             |(mi, method), rec| {
-                table_row(
+                ga_grid_job(
                     scenario, config, &instance, &evaluator, &ga_config, *mi, *method, rec,
                 )
             },
         )
         .map_err(|f| cell_failure(ga_cell_label(scenario, f.index), f));
-    report_chaos(&format!("table{}", scenario.table_number()), &stats);
-    Ok(TableResult {
-        scenario,
-        router_count: instance.router_count(),
-        client_count: instance.client_count(),
-        rows: rows?,
+    report_chaos(&format!("ga-{}", scenario.name()), &stats);
+    let (rows, series) = runs?.into_iter().unzip();
+    Ok(GaGrid {
+        table: TableResult {
+            scenario,
+            router_count: instance.router_count(),
+            client_count: instance.client_count(),
+            rows,
+        },
+        figure: GaFigure { scenario, series },
     })
 }
 
@@ -258,7 +285,9 @@ mod tests {
     use super::*;
 
     fn quick_table(scenario: Scenario) -> TableResult {
-        run_table(scenario, &ExperimentConfig::quick(), None).unwrap()
+        run_ga_grid(scenario, &ExperimentConfig::quick(), None)
+            .unwrap()
+            .table
     }
 
     #[test]
@@ -318,10 +347,10 @@ mod tests {
     fn recorded_table_matches_plain_and_collects_counters() {
         let config = ExperimentConfig::quick();
         let mut recorder = TelemetryRecorder::new();
-        let recorded = run_table(Scenario::Normal, &config, Some(&mut recorder)).unwrap();
+        let recorded = run_ga_grid(Scenario::Normal, &config, Some(&mut recorder)).unwrap();
         assert_eq!(
             recorded,
-            run_table(Scenario::Normal, &config, None).unwrap()
+            run_ga_grid(Scenario::Normal, &config, None).unwrap()
         );
         // Seven GA runs of `generations` each.
         assert_eq!(

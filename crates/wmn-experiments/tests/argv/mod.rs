@@ -31,10 +31,6 @@ pub const VALUES: &[&str] = &[
     "wmn-fuzz-out",
 ];
 
-pub fn random_text(bytes: &[u8]) -> String {
-    String::from_utf8_lossy(bytes).into_owned()
-}
-
 /// An argument vector: `picks` index into `pieces` followed by
 /// [`VALUES`], and each `Some` random string is spliced in before the
 /// pick at its position.
@@ -42,7 +38,7 @@ pub fn argv(pieces: &[&str], picks: Vec<usize>, random: Vec<Option<Vec<u8>>>) ->
     let mut args = Vec::new();
     for (i, pick) in picks.into_iter().enumerate() {
         if let Some(Some(bytes)) = random.get(i) {
-            args.push(random_text(bytes));
+            args.push(String::from_utf8_lossy(bytes).into_owned());
         }
         let piece = match pieces.get(pick) {
             Some(piece) => piece,

@@ -6,7 +6,7 @@
 
 use wmn_experiments::figures::{run_ga_figure, run_ns_figure};
 use wmn_experiments::scenario::{ExperimentConfig, Scenario, ScenarioScale};
-use wmn_experiments::tables::run_table;
+use wmn_experiments::tables::{run_ga_grid, TableResult};
 
 fn config_with_threads(threads: usize) -> ExperimentConfig {
     let mut config = ExperimentConfig::quick();
@@ -14,12 +14,17 @@ fn config_with_threads(threads: usize) -> ExperimentConfig {
     config
 }
 
+/// The table view of `scenario`'s GA grid.
+fn grid_table(scenario: Scenario, config: &ExperimentConfig) -> TableResult {
+    run_ga_grid(scenario, config, None).unwrap().table
+}
+
 #[test]
 fn run_table_is_identical_for_1_2_and_8_threads() {
     for scenario in [Scenario::Normal, Scenario::Exponential, Scenario::Weibull] {
-        let serial = run_table(scenario, &config_with_threads(1), None).unwrap();
+        let serial = grid_table(scenario, &config_with_threads(1));
         for threads in [2, 8] {
-            let parallel = run_table(scenario, &config_with_threads(threads), None).unwrap();
+            let parallel = grid_table(scenario, &config_with_threads(threads));
             assert_eq!(parallel, serial, "{scenario} with {threads} threads");
             // Struct equality is necessary; rendered artifacts must be
             // byte-identical too.
@@ -51,18 +56,19 @@ fn run_ns_figure_is_identical_for_1_2_and_8_threads() {
 fn auto_thread_count_matches_serial() {
     // runner_threads = 0 resolves to available parallelism; output must
     // still match the serial reference bit for bit.
-    let serial = run_table(Scenario::Exponential, &config_with_threads(1), None).unwrap();
-    let auto = run_table(Scenario::Exponential, &config_with_threads(0), None).unwrap();
+    let serial = grid_table(Scenario::Exponential, &config_with_threads(1));
+    let auto = grid_table(Scenario::Exponential, &config_with_threads(0));
     assert_eq!(auto, serial);
 }
 
 #[test]
 fn table_and_figure_report_the_same_ga_runs() {
-    // Paper invariant preserved by the grid-cell seeding: Figure N's final
-    // giant size per method equals Table N's giant_by_ga.
-    let config = config_with_threads(2);
-    let table = run_table(Scenario::Normal, &config, None).unwrap();
-    let figure = run_ga_figure(Scenario::Normal, &config).unwrap();
+    // The paper's invariant, held by construction: Table N and Figure N
+    // are two views of one grid, so Figure N's final giant size per method
+    // equals Table N's giant_by_ga.
+    let grid = run_ga_grid(Scenario::Normal, &config_with_threads(2), None).unwrap();
+    let (table, figure) = (&grid.table, &grid.figure);
+    assert_eq!(figure.series.len(), table.rows.len());
     for row in &table.rows {
         let trace = figure
             .series
@@ -93,9 +99,9 @@ fn scaled_scenarios_run_on_the_parallel_engine() {
     assert_eq!(instance.client_count(), 384);
 
     config.runner_threads = 1;
-    let serial = run_table(Scenario::Normal, &config, None).unwrap();
+    let serial = grid_table(Scenario::Normal, &config);
     config.runner_threads = 4;
-    let parallel = run_table(Scenario::Normal, &config, None).unwrap();
+    let parallel = grid_table(Scenario::Normal, &config);
     assert_eq!(parallel, serial);
     for row in &serial.rows {
         assert!(row.giant_by_ga <= 128);

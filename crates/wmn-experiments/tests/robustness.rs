@@ -12,7 +12,7 @@ use wmn_experiments::cli::CliOptions;
 use wmn_experiments::figures::{run_ga_figure, run_ns_figure};
 use wmn_experiments::json;
 use wmn_experiments::scenario::{ExperimentConfig, Scenario};
-use wmn_experiments::tables::run_table;
+use wmn_experiments::tables::run_ga_grid;
 use wmn_runtime::FaultPlan;
 
 /// One rule per site: panics at job start on attempt 0, errors at job
@@ -37,12 +37,12 @@ fn chaos_config(threads: usize) -> ExperimentConfig {
 #[test]
 fn faulty_tables_match_fault_free_at_1_and_2_threads() {
     for scenario in [Scenario::Normal, Scenario::Exponential, Scenario::Weibull] {
-        let reference = run_table(scenario, &clean_config(1), None).unwrap();
+        let reference = run_ga_grid(scenario, &clean_config(1), None).unwrap();
         for threads in [1, 2] {
-            let faulty = run_table(scenario, &chaos_config(threads), None).unwrap();
+            let faulty = run_ga_grid(scenario, &chaos_config(threads), None).unwrap();
             assert_eq!(faulty, reference, "{scenario} with {threads} threads");
-            assert_eq!(faulty.to_csv(), reference.to_csv());
-            assert_eq!(faulty.to_markdown(), reference.to_markdown());
+            assert_eq!(faulty.table.to_csv(), reference.table.to_csv());
+            assert_eq!(faulty.table.to_markdown(), reference.table.to_markdown());
         }
     }
 }
@@ -66,7 +66,7 @@ fn exhausted_retry_budget_fails_naming_the_cell_and_attempts() {
     let mut config = clean_config(2);
     config.retries = 2;
     config.fault_plan = Some(FaultPlan::parse("error@start:p=1,n=9").unwrap());
-    let message = run_table(Scenario::Normal, &config, None)
+    let message = run_ga_grid(Scenario::Normal, &config, None)
         .unwrap_err()
         .to_string();
     assert!(message.contains("ga-normal-"), "{message}");
@@ -81,17 +81,15 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Runs a binary with a scrubbed `WMN_*` environment so ambient
-/// configuration cannot leak into the comparison.
+/// Runs a binary with `args`, then `out_flag` (`--out` or `--resume`)
+/// and `dir`.
 fn run_bin(exe: &str, args: &[&str], out_flag: &str, dir: &Path) -> std::process::Output {
-    let mut cmd = Command::new(exe);
-    for (key, _) in std::env::vars() {
-        if key.starts_with("WMN_") {
-            cmd.env_remove(key);
-        }
-    }
-    cmd.args(args).arg(out_flag).arg(dir);
-    cmd.output().expect("binary spawns")
+    Command::new(exe)
+        .args(args)
+        .arg(out_flag)
+        .arg(dir)
+        .output()
+        .expect("binary spawns")
 }
 
 fn assert_success(out: &std::process::Output, what: &str) {

@@ -8,11 +8,16 @@
 //! 2. The modes produce the **same figures** but **different work
 //!    profiles** — the property `scripts/check_counters.sh` turns into a
 //!    perf-regression gate.
+//! 3. `run_all` runs each scenario's seven GAs once: its telemetry counts
+//!    every GA run one time, though Table N and Figure N both report it.
 
 use std::path::Path;
 use wmn_experiments::analyze::{flame, parse_doc};
-use wmn_experiments::figures::{run_ga_figure_recorded, run_ns_figure_recorded};
+use wmn_experiments::artifact::{self, PAPER};
+use wmn_experiments::cli::CliOptions;
+use wmn_experiments::figures::run_ns_figure_recorded;
 use wmn_experiments::scenario::{ExperimentConfig, Scenario};
+use wmn_experiments::tables::run_ga_grid;
 use wmn_experiments::telemetry::render_telemetry_json;
 use wmn_graph::topology::ConnectivityMode;
 use wmn_obs::TelemetryRecorder;
@@ -28,7 +33,7 @@ fn small() -> ExperimentConfig {
 
 fn ga_telemetry(config: &ExperimentConfig) -> String {
     let mut recorder = TelemetryRecorder::new();
-    run_ga_figure_recorded(Scenario::Weibull, config, Some(&mut recorder)).unwrap();
+    run_ga_grid(Scenario::Weibull, config, Some(&mut recorder)).unwrap();
     render_telemetry_json("fig3", config, &recorder)
 }
 
@@ -105,7 +110,7 @@ fn phase_attribution_and_flame_are_thread_invariant() {
 #[test]
 fn connectivity_oracles_are_reproducible_and_distinguishable() {
     let mut config = small();
-    let mut figures = Vec::new();
+    let mut grids = Vec::new();
     let mut documents = Vec::new();
     for mode in [ConnectivityMode::Dynamic, ConnectivityMode::FullRebuild] {
         config.connectivity = mode;
@@ -114,13 +119,12 @@ fn connectivity_oracles_are_reproducible_and_distinguishable() {
             config.runner_threads = runner;
             config.threads = ga;
             let mut recorder = TelemetryRecorder::new();
-            let fig =
-                run_ga_figure_recorded(Scenario::Weibull, &config, Some(&mut recorder)).unwrap();
+            let grid = run_ga_grid(Scenario::Weibull, &config, Some(&mut recorder)).unwrap();
             let doc = render_telemetry_json("fig3", &config, &recorder);
             match &reference {
-                None => reference = Some((fig, doc)),
-                Some((first_fig, first_doc)) => {
-                    assert_eq!(&fig, first_fig, "{mode}: figure at ({runner}, {ga})");
+                None => reference = Some((grid, doc)),
+                Some((first_grid, first_doc)) => {
+                    assert_eq!(&grid, first_grid, "{mode}: grid at ({runner}, {ga})");
                     assert_eq!(
                         &doc, first_doc,
                         "{mode}: telemetry at runner_threads = {runner}, ga threads = {ga}"
@@ -128,13 +132,13 @@ fn connectivity_oracles_are_reproducible_and_distinguishable() {
                 }
             }
         }
-        let (fig, doc) = reference.expect("three runs");
-        figures.push(fig);
+        let (grid, doc) = reference.expect("three runs");
+        grids.push(grid);
         documents.push(doc);
     }
 
-    // Same results, different work: the figures agree across modes...
-    assert_eq!(figures[0], figures[1]);
+    // Same results, different work: the grids agree across modes...
+    assert_eq!(grids[0], grids[1]);
     // ...but each mode leaves a distinct counter fingerprint (this is
     // exactly what lets check_counters.sh catch a pessimized build).
     assert_ne!(documents[0], documents[1]);
@@ -203,4 +207,38 @@ fn full_rebuild_reference_attributes_every_repair_to_full_rebuild() {
     let (name, counters) = &sections[0];
     assert_eq!(name, "full_rebuild");
     assert!(counters.contains(&"topology.full_rebuilds".to_owned()));
+}
+
+/// Table N and Figure N are two views of one GA grid, so `run_all`'s
+/// telemetry counts each of its 3 scenarios × 7 methods GA runs once.
+#[test]
+fn run_all_telemetry_counts_each_ga_once() {
+    let scratch =
+        std::env::temp_dir().join(format!("wmn-run-all-telemetry-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let mut config = small();
+    config.population = 6;
+    config.generations = 4;
+    config.ns_phases = 4;
+    config.ns_budget = 3;
+    let telemetry = scratch.join("telemetry");
+    let opts = CliOptions {
+        config,
+        out_dir: scratch.join("out"),
+        telemetry: Some(telemetry.clone()),
+        resume: false,
+    };
+    artifact::run("run_all", &PAPER, &opts).unwrap();
+    let text = std::fs::read_to_string(telemetry.join("telemetry.json")).unwrap();
+    let doc = parse_doc(&telemetry, &text).unwrap();
+    let runs = (3 * 7) as u64;
+    assert_eq!(
+        doc.counters.get("ga.generations"),
+        Some(&(runs * config.generations as u64))
+    );
+    assert_eq!(
+        doc.counters.get("search.ns.phases"),
+        Some(&(2 * config.ns_phases as u64))
+    );
+    let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -130,16 +130,10 @@ impl DynamicConnectivity {
         DynamicConnectivity::default()
     }
 
-    /// Cumulative engine counters since construction (or the last
-    /// [`reset_stats`](DynamicConnectivity::reset_stats)).
+    /// Cumulative engine counters since construction; take a window with
+    /// [`ConnectivityStats::delta_since`].
     pub fn stats(&self) -> ConnectivityStats {
         self.stats
-    }
-
-    /// Zeroes the engine counters, starting a fresh measurement window
-    /// (repair state and buffers are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
     }
 
     /// The routers whose giant-component membership the last

@@ -3,9 +3,10 @@
 //! The HotSpot placement method ranks "most dense zones" of clients, and the
 //! swap movement (paper Algorithm 3) locates the most dense and most sparse
 //! `Hg × Wg` sub-areas. Both reduce to rectangular window sums over a cell
-//! grid of client counts, which a summed-area table answers in O(1) per
-//! window. [`ZoneBins`] then maps points (router positions) onto a ranked
-//! zone list in O(1) per point.
+//! grid of client counts. The windows are small (1×1 for HotSpot, 2×2 for
+//! the swap movement, on a 16×16 grid), so each sum adds its cells
+//! directly. [`ZoneBins`] then maps points (router positions) onto a
+//! ranked zone list in O(1) per point.
 
 use wmn_model::geometry::{Area, Point, Rect};
 
@@ -32,7 +33,7 @@ impl CellWindow {
     }
 }
 
-/// Cell-binned point counts with a summed-area table for O(1) window sums.
+/// Cell-binned point counts and their window sums.
 ///
 /// # Examples
 ///
@@ -57,9 +58,8 @@ pub struct DensityMap {
     cell_w: f64,
     cell_h: f64,
     counts: Vec<u32>,
-    /// `(cols + 1) x (rows + 1)` summed-area table; `sat[(y, x)]` is the
-    /// count in cells `[0, x) x [0, y)`.
-    sat: Vec<u64>,
+    /// Points binned: every point, out-of-area ones clamped in.
+    total: u64,
 }
 
 impl DensityMap {
@@ -80,15 +80,6 @@ impl DensityMap {
             let cy = ((p.y / cell_h).floor().max(0.0) as usize).min(rows - 1);
             counts[cy * cols + cx] += 1;
         }
-        let mut sat = vec![0u64; (cols + 1) * (rows + 1)];
-        for y in 0..rows {
-            for x in 0..cols {
-                sat[(y + 1) * (cols + 1) + (x + 1)] = u64::from(counts[y * cols + x])
-                    + sat[y * (cols + 1) + (x + 1)]
-                    + sat[(y + 1) * (cols + 1) + x]
-                    - sat[y * (cols + 1) + x];
-            }
-        }
         DensityMap {
             area: *area,
             cols,
@@ -96,7 +87,7 @@ impl DensityMap {
             cell_w,
             cell_h,
             counts,
-            sat,
+            total: points.len() as u64,
         }
     }
 
@@ -122,10 +113,10 @@ impl DensityMap {
 
     /// Total number of binned points.
     pub fn total(&self) -> u64 {
-        self.sat[(self.rows) * (self.cols + 1) + self.cols]
+        self.total
     }
 
-    /// Count inside a window, in O(1) via the summed-area table.
+    /// Count inside a window: the sum of its cells, in O(window cells).
     ///
     /// # Panics
     ///
@@ -137,22 +128,10 @@ impl DensityMap {
             self.cols,
             self.rows
         );
-        let (x0, y0, x1, y1) = (w.cx, w.cy, w.cx + w.w, w.cy + w.h);
-        self.sat[y1 * (self.cols + 1) + x1] + self.sat[y0 * (self.cols + 1) + x0]
-            - self.sat[y0 * (self.cols + 1) + x1]
-            - self.sat[y1 * (self.cols + 1) + x0]
-    }
-
-    /// Reference implementation of [`DensityMap::window_count`] (direct
-    /// rescan); used by tests.
-    pub fn window_count_naive(&self, w: &CellWindow) -> u64 {
-        let mut sum = 0u64;
-        for cy in w.cy..w.cy + w.h {
-            for cx in w.cx..w.cx + w.w {
-                sum += u64::from(self.cell_count(cx, cy));
-            }
-        }
-        sum
+        (w.cy..w.cy + w.h)
+            .flat_map(|cy| &self.counts[cy * self.cols + w.cx..][..w.w])
+            .map(|&c| u64::from(c))
+            .sum()
     }
 
     fn clamp_window(&self, w_cells: usize, h_cells: usize) -> (usize, usize) {
@@ -572,24 +551,6 @@ mod tests {
             .map(|(x, y)| u64::from(map.cell_count(x, y)))
             .sum();
         assert_eq!(sum, 500);
-    }
-
-    #[test]
-    fn sat_matches_naive_window_count() {
-        let area = area40();
-        let mut rng = rng_from_seed(2);
-        let pts: Vec<Point> = (0..300)
-            .map(|_| Point::new(rng.gen_range(0.0..=40.0), rng.gen_range(0.0..=40.0)))
-            .collect();
-        let map = DensityMap::from_points(&area, &pts, 10, 10);
-        for _ in 0..200 {
-            let w = rng.gen_range(1..=10usize);
-            let h = rng.gen_range(1..=10usize);
-            let cx = rng.gen_range(0..=(10 - w));
-            let cy = rng.gen_range(0..=(10 - h));
-            let win = CellWindow { cx, cy, w, h };
-            assert_eq!(map.window_count(&win), map.window_count_naive(&win));
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   the component structure under an edge diff: one BFS relabels the
 //!   components holding an endpoint of a changed edge — the engine behind
 //!   per-move connectivity.
-//! * [`density`] — client-density cell grids with summed-area tables
+//! * [`density`] — client-density cell grids and their window sums
 //!   (HotSpot's zone ranking and the swap movement's dense/sparse areas),
 //!   [`ZoneBins`] for point → zone lookup, and [`ZoneCensus`], the
 //!   per-zone routers of one placement.

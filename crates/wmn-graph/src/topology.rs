@@ -619,14 +619,6 @@ impl WmnTopology {
         EngineStats::new(self.scratch.counters, self.scratch.conn.stats())
     }
 
-    /// Zeroes every engine counter (topology and connectivity), starting
-    /// a fresh measurement window — per-generation or per-phase deltas
-    /// without lifetime bookkeeping.
-    pub fn reset_engine_stats(&mut self) {
-        self.scratch.counters.reset();
-        self.scratch.conn.reset_stats();
-    }
-
     fn refresh_giant_mask(&mut self) {
         let n = self.positions.len();
         self.giant_mask.clear();
@@ -1616,20 +1608,21 @@ mod tests {
         copy.clone_from(&topo);
         assert_eq!(copy.engine_stats().topology.clone_from_reuses, 1);
 
-        // A reset opens a fresh delta window on a live topology.
-        topo.reset_engine_stats();
-        assert_eq!(topo.engine_stats(), EngineStats::default());
+        // A snapshot opens a delta window on a live topology.
+        let window = topo.engine_stats();
         topo.move_router(RouterId(2), Point::new(64.0, 64.0));
-        assert_eq!(topo.engine_stats().topology.single_moves, 1);
+        let delta = topo.engine_stats().delta_since(&window);
+        assert_eq!(delta.topology.single_moves, 1);
+        assert_eq!(delta.topology.swaps, 0);
     }
 
     #[test]
     fn full_rebuild_mode_shows_up_in_the_counters() {
         let (_instance, mut topo) = paper_topology(29);
-        topo.reset_engine_stats();
+        let window = topo.engine_stats();
         topo.set_connectivity_mode(ConnectivityMode::FullRebuild);
         topo.move_router(RouterId(3), Point::new(10.0, 10.0));
-        let stats = topo.engine_stats();
+        let stats = topo.engine_stats().delta_since(&window);
         assert_eq!(stats.topology.full_rebuilds, 1);
         assert_eq!(
             stats.connectivity.repairs, 0,
@@ -1640,7 +1633,7 @@ mod tests {
     #[test]
     fn moves_swaps_and_batches_share_one_repair() {
         let (_instance, mut topo) = paper_topology(41);
-        topo.reset_engine_stats();
+        let window = topo.engine_stats();
         let mut rng = rng_from_seed(11);
         let n = topo.router_count();
         for step in 0..60 {
@@ -1655,7 +1648,7 @@ mod tests {
             }
         }
         topo.assert_consistent();
-        let stats = topo.engine_stats();
+        let stats = topo.engine_stats().delta_since(&window);
         let t = stats.topology;
         // Each entry point keeps its own counter; a one-entry batch is a
         // batch of one router.
@@ -1681,12 +1674,12 @@ mod tests {
         assert!(topo.moves_since(stamp).is_none());
 
         // Under the reference every write is one full rebuild.
-        topo.reset_engine_stats();
+        let window = topo.engine_stats();
         topo.set_connectivity_mode(ConnectivityMode::FullRebuild);
         topo.move_router(RouterId(1), Point::new(20.0, 20.0));
         topo.swap_routers(RouterId(1), RouterId(2));
         topo.apply_moves(&[(RouterId(3), Point::new(30.0, 30.0))], None);
-        let stats = topo.engine_stats();
+        let stats = topo.engine_stats().delta_since(&window);
         assert_eq!(stats.topology.full_rebuilds, 3);
         assert_eq!(stats.topology.coverage_full_recomputes, 3);
         assert_eq!(stats.topology.coverage_delta_repairs, 0);

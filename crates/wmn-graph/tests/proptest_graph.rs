@@ -126,19 +126,10 @@ proptest! {
         pts in proptest::collection::vec(in_area_point(64.0), 0..200),
         cols in 1usize..20,
         rows in 1usize..20,
-        wx in 0usize..20,
-        wy in 0usize..20,
-        ww in 1usize..20,
-        wh in 1usize..20,
     ) {
+        // Every point is binned once, at any grid shape.
         let area = Area::square(64.0).unwrap();
         let map = DensityMap::from_points(&area, &pts, cols, rows);
-        let w = ww.min(cols);
-        let h = wh.min(rows);
-        let cx = wx.min(cols - w);
-        let cy = wy.min(rows - h);
-        let win = CellWindow { cx, cy, w, h };
-        prop_assert_eq!(map.window_count(&win), map.window_count_naive(&win));
         prop_assert_eq!(map.total(), pts.len() as u64);
     }
 

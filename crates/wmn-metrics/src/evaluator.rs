@@ -111,20 +111,11 @@ impl EvalWorkspace {
     /// The stored topology's always-on work counters, if a topology exists.
     ///
     /// Counters accumulate across every evaluation routed through this
-    /// workspace since the last [`reset_engine_stats`](Self::reset_engine_stats)
-    /// (buffer-reusing `adopt_topology` keeps them running; a fresh clone
-    /// starts them at zero).
+    /// workspace (buffer-reusing `adopt_topology` keeps them running; a
+    /// fresh clone or build starts them at zero). Take a window with
+    /// [`EngineStats::delta_since`].
     pub fn engine_stats(&self) -> Option<EngineStats> {
         self.topo.as_ref().map(WmnTopology::engine_stats)
-    }
-
-    /// Zeroes the stored topology's work counters, starting a fresh
-    /// measurement window (e.g. per GA generation instead of lifetime
-    /// totals). A no-op when no topology has been built yet.
-    pub fn reset_engine_stats(&mut self) {
-        if let Some(t) = self.topo.as_mut() {
-            t.reset_engine_stats();
-        }
     }
 }
 
@@ -385,12 +376,15 @@ mod tests {
         let ev = Evaluator::paper_default(&instance);
         let mut ws = EvalWorkspace::new();
         ws.adopt_topology(&before);
-        ws.reset_engine_stats();
+        let window = ws.engine_stats().unwrap();
         let got = ev.evaluate_with(&mut ws, &placement).unwrap();
         assert_eq!(got, ev.evaluate(&placement).unwrap());
         let topo = ws.topology().unwrap();
         assert_eq!(
-            topo.engine_stats().topology.full_rebuilds,
+            topo.engine_stats()
+                .delta_since(&window)
+                .topology
+                .full_rebuilds,
             0,
             "the stale topology must be replaced by a fresh build, not reset"
         );

@@ -34,11 +34,6 @@ pub struct ConnectivityStats {
 }
 
 impl ConnectivityStats {
-    /// Resets every counter to zero (the start of a measurement window).
-    pub fn reset(&mut self) {
-        *self = ConnectivityStats::default();
-    }
-
     /// Adds `other`'s counts into `self` (order-independent, so merging
     /// per-worker stats in index order is deterministic).
     pub fn merge(&mut self, other: &ConnectivityStats) {
@@ -49,7 +44,8 @@ impl ConnectivityStats {
     }
 
     /// The counts accumulated since `earlier` was captured (saturating,
-    /// so a reset between snapshots yields zeros instead of wrapping).
+    /// so a snapshot from before a fresh build or `clone`, whose counters
+    /// start at zero, yields zeros instead of wrapping).
     #[must_use]
     pub fn delta_since(&self, earlier: &ConnectivityStats) -> ConnectivityStats {
         ConnectivityStats {
@@ -108,11 +104,6 @@ pub struct TopologyStats {
 }
 
 impl TopologyStats {
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        *self = TopologyStats::default();
-    }
-
     /// Adds `other`'s counts into `self`.
     pub fn merge(&mut self, other: &TopologyStats) {
         self.single_moves += other.single_moves;
@@ -194,11 +185,6 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        *self = FaultStats::default();
-    }
-
     /// Adds `other`'s counts into `self`.
     pub fn merge(&mut self, other: &FaultStats) {
         self.injected_panics += other.injected_panics;
@@ -229,11 +215,6 @@ pub struct RetryStats {
 }
 
 impl RetryStats {
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        *self = RetryStats::default();
-    }
-
     /// Adds `other`'s counts into `self`.
     pub fn merge(&mut self, other: &RetryStats) {
         self.attempts += other.attempts;
@@ -265,12 +246,6 @@ pub struct RobustnessStats {
 }
 
 impl RobustnessStats {
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        self.fault.reset();
-        self.retry.reset();
-    }
-
     /// Adds `other`'s counts into `self` (order-independent).
     pub fn merge(&mut self, other: &RobustnessStats) {
         self.fault.merge(&other.fault);
@@ -319,12 +294,6 @@ impl EngineStats {
             topology,
             connectivity,
         }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        self.topology.reset();
-        self.connectivity.reset();
     }
 
     /// Adds `other`'s counts into `self` (order-independent).
@@ -486,19 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_everything() {
-        let mut s = sample_connectivity();
-        s.reset();
-        assert_eq!(s, ConnectivityStats::default());
-        let mut t = TopologyStats {
-            disk_cache_hits: 9,
-            ..Default::default()
-        };
-        t.reset();
-        assert_eq!(t, TopologyStats::default());
-    }
-
-    #[test]
     fn merge_is_fieldwise_addition() {
         let mut a = sample_connectivity();
         let b = sample_connectivity();
@@ -518,7 +474,8 @@ mod tests {
         assert_eq!(d.repairs, 7);
         assert_eq!(d.bfs_edge_visits, 1);
         assert_eq!(d.insertions, 0);
-        // A reset between snapshots saturates to zero instead of wrapping.
+        // A later snapshot that starts from zero saturates instead of
+        // wrapping.
         let fresh = ConnectivityStats::default();
         assert_eq!(fresh.delta_since(&earlier), fresh);
     }
