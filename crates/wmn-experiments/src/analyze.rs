@@ -4,21 +4,25 @@
 //! [`crate::telemetry`]) and turns them into human-readable reports:
 //!
 //! * `flame` — renders the phase-attribution tree of a
-//!   `wmn-telemetry/v2` document as a **counter-weighted flamegraph**:
+//!   `wmn-telemetry/v2` document or a baseline as a **counter-weighted
+//!   flamegraph**:
 //!   every line is a phase scope, weighted by the deterministic work
 //!   counters recorded inside it rather than by wall-clock samples, so
 //!   the rendered split (e.g. edge repair vs component repair vs
 //!   coverage inside `apply_moves`) is byte-identical for every thread
 //!   count and machine.
-//! * `diff` — compares the flat counter profiles (and, when both sides
-//!   carry one, the attribution trees) of two documents and lists every
+//! * `diff` — compares the flat counter profiles (and, when the baseline
+//!   carries one, the attribution trees) of two documents and lists every
 //!   drifted key in the `  <key>: baseline <b> -> run <r>` form that
-//!   `scripts/check_counters.sh` gates on. A relative `--threshold`
-//!   tolerates bounded drift.
+//!   `scripts/check_counters.sh` gates on, so a counter that moves to
+//!   another phase scope drifts even when its flat total does not. A
+//!   relative `--threshold` tolerates bounded drift.
 //! * `summarize` — a one-screen digest of a run's counters and phases.
 //! * `baseline` — rewrites a telemetry document into the committed
-//!   `COUNTERS_baseline.json` shape (`wmn-counters-baseline/v1`),
-//!   byte-compatible with what the retired `jq` pipeline produced.
+//!   `COUNTERS_baseline.json` shape (`wmn-counters-baseline/v1`): the
+//!   flat counters, byte-compatible with what the retired `jq` pipeline
+//!   produced, then the attribution tree in `telemetry.json`'s nested
+//!   shape, pretty-printed the same way.
 //!
 //! Inputs are validated strictly by their `schema` member: the readers
 //! here accept `wmn-telemetry/v2` and `wmn-counters-baseline/v1`, and
@@ -117,7 +121,7 @@ pub struct Doc {
     pub counters: BTreeMap<String, u64>,
     /// Number of recorded histograms (`telemetry.json` only).
     pub histograms: usize,
-    /// The phase-attribution tree (empty for baselines).
+    /// The phase-attribution tree (empty for a baseline that holds none).
     pub attribution: AttributionNode,
 }
 
@@ -150,6 +154,22 @@ fn counters_from(
     Ok(out)
 }
 
+/// Reads a phase-name → node object: a node's `children`, or the
+/// `attribution` member of either schema (the root's children).
+fn children_from(
+    value: &JsonValue,
+    label: &str,
+) -> Result<BTreeMap<String, AttributionNode>, ExperimentError> {
+    let JsonValue::Object(kids) = value else {
+        return Err(ExperimentError::report(format!(
+            "{label}: attribution children is not a JSON object"
+        )));
+    };
+    kids.iter()
+        .map(|(name, child)| Ok((name.clone(), attribution_from(child, label)?)))
+        .collect()
+}
+
 fn attribution_from(value: &JsonValue, label: &str) -> Result<AttributionNode, ExperimentError> {
     let JsonValue::Object(members) = value else {
         return Err(ExperimentError::report(format!(
@@ -160,17 +180,7 @@ fn attribution_from(value: &JsonValue, label: &str) -> Result<AttributionNode, E
     for (key, v) in members {
         match key.as_str() {
             "counters" => node.counters = counters_from(v, "attribution counters", label)?,
-            "children" => {
-                let JsonValue::Object(kids) = v else {
-                    return Err(ExperimentError::report(format!(
-                        "{label}: attribution children is not a JSON object"
-                    )));
-                };
-                for (name, child) in kids {
-                    node.children
-                        .insert(name.clone(), attribution_from(child, label)?);
-                }
-            }
+            "children" => node.children = children_from(v, label)?,
             other => {
                 return Err(ExperimentError::report(format!(
                     "{label}: unexpected attribution member {other:?}"
@@ -181,7 +191,9 @@ fn attribution_from(value: &JsonValue, label: &str) -> Result<AttributionNode, E
     Ok(node)
 }
 
-/// Parses and validates one document from its rendered text.
+/// Parses and validates one document from its rendered text. Both
+/// schemas carry the attribution tree in one nested shape; a telemetry
+/// document must hold one, a baseline may omit it.
 ///
 /// # Errors
 ///
@@ -244,20 +256,10 @@ pub fn parse_doc(label: &Path, contents: &str) -> Result<Doc, ExperimentError> {
             if let Some(JsonValue::Object(h)) = value.get("histograms") {
                 doc.histograms = h.len();
             }
-            let attribution = value.get("attribution").ok_or_else(|| {
-                ExperimentError::report(format!(
-                    "{display}: missing member \"attribution\" (required by {TELEMETRY_SCHEMA})"
-                ))
-            })?;
-            let JsonValue::Object(phases) = attribution else {
+            if value.get("attribution").is_none() {
                 return Err(ExperimentError::report(format!(
-                    "{display}: \"attribution\" is not a JSON object"
+                    "{display}: missing member \"attribution\" (required by {TELEMETRY_SCHEMA})"
                 )));
-            };
-            for (name, child) in phases {
-                doc.attribution
-                    .children
-                    .insert(name.clone(), attribution_from(child, &label_str)?);
             }
         }
         DocKind::Baseline => {
@@ -266,6 +268,9 @@ pub fn parse_doc(label: &Path, contents: &str) -> Result<Doc, ExperimentError> {
                 .and_then(JsonValue::as_str)
                 .map(str::to_owned);
         }
+    }
+    if let Some(attribution) = value.get("attribution") {
+        doc.attribution.children = children_from(attribution, &label_str)?;
     }
     Ok(doc)
 }
@@ -336,21 +341,11 @@ fn sorted_children(node: &AttributionNode) -> Vec<(&str, &AttributionNode)> {
     kids
 }
 
-/// Renders the counter-weighted flamegraph of a telemetry document.
-///
-/// # Errors
-///
-/// Baselines carry no attribution tree and are rejected.
-pub fn flame(doc: &Doc) -> Result<String, ExperimentError> {
-    if doc.kind != DocKind::Telemetry {
-        return Err(ExperimentError::report(format!(
-            "{}: `flame` needs a {TELEMETRY_SCHEMA} document (baselines carry no \
-             attribution tree)",
-            doc.path.display()
-        )));
-    }
+/// Renders the counter-weighted flamegraph of a telemetry document or a
+/// baseline.
+pub fn flame(doc: &Doc) -> String {
     let mut out = String::new();
-    let bin = doc.bin.as_deref().unwrap_or("?");
+    let bin = doc.bin.as_deref().unwrap_or("baseline");
     let connectivity = doc.connectivity.as_deref().unwrap_or("?");
     let _ = writeln!(
         out,
@@ -365,13 +360,13 @@ pub fn flame(doc: &Doc) -> Result<String, ExperimentError> {
     );
     if attributed == 0 {
         out.push_str("no phase-attributed work recorded\n");
-        return Ok(out);
+        return out;
     }
     out.push('\n');
     for (name, child) in sorted_children(&doc.attribution) {
         flame_node(&mut out, name, child, 0, attributed);
     }
-    Ok(out)
+    out
 }
 
 fn diff_section(
@@ -419,9 +414,10 @@ pub struct DiffOutcome {
     pub drifted: bool,
 }
 
-/// Compares two documents' flat counters (and attribution trees when
-/// both sides have one). `threshold_pct` is the tolerated relative
-/// drift per key, in percent (0 = exact).
+/// Compares two documents' flat counters (and attribution trees when the
+/// baseline has one, so a run that lost the tree drifts too).
+/// `threshold_pct` is the tolerated relative drift per key, in percent
+/// (0 = exact).
 pub fn diff(baseline: &Doc, run: &Doc, threshold_pct: f64) -> DiffOutcome {
     let mut out = String::new();
     let _ = writeln!(
@@ -443,7 +439,7 @@ pub fn diff(baseline: &Doc, run: &Doc, threshold_pct: f64) -> DiffOutcome {
         &run.counters,
         threshold_pct,
     );
-    if !baseline.attribution.is_empty() && !run.attribution.is_empty() {
+    if !baseline.attribution.is_empty() {
         drifted += diff_section(
             &mut out,
             "phase attribution",
@@ -519,9 +515,48 @@ pub fn summarize(doc: &Doc) -> String {
     out
 }
 
-/// Renders `doc`'s counters as a `wmn-counters-baseline/v1` document,
-/// byte-compatible with the `jq` output the old refresh path produced
-/// (2-space pretty print, trailing newline).
+/// Writes `members` as a JSON object pretty-printed the way `jq` does it:
+/// one member per line, two spaces per nesting `depth`, `{}` when empty.
+/// `member` writes each value, given its own depth.
+fn pretty_object<V>(
+    out: &mut String,
+    depth: usize,
+    members: &BTreeMap<String, V>,
+    member: impl Fn(&mut String, usize, &V),
+) {
+    if members.is_empty() {
+        out.push_str("{}");
+        return;
+    }
+    let pad = "  ".repeat(depth + 1);
+    out.push('{');
+    for (i, (key, value)) in members.iter().enumerate() {
+        let comma = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{comma}\n{pad}\"{}\": ", json::escape(key));
+        member(out, depth + 1, value);
+    }
+    let _ = write!(out, "\n{}}}", "  ".repeat(depth));
+}
+
+fn pretty_count(out: &mut String, _depth: usize, count: &u64) {
+    out.push_str(&count.to_string());
+}
+
+/// Writes one attribution node in `telemetry.json`'s nested shape,
+/// pretty-printed.
+fn pretty_node(out: &mut String, depth: usize, node: &AttributionNode) {
+    let pad = "  ".repeat(depth + 1);
+    let _ = write!(out, "{{\n{pad}\"counters\": ");
+    pretty_object(out, depth + 1, &node.counters, pretty_count);
+    let _ = write!(out, ",\n{pad}\"children\": ");
+    pretty_object(out, depth + 1, &node.children, pretty_node);
+    let _ = write!(out, "\n{}}}", "  ".repeat(depth));
+}
+
+/// Renders `doc` as a `wmn-counters-baseline/v1` document (2-space
+/// pretty print, trailing newline): the flat counters, byte-compatible
+/// with the `jq` output the old refresh path produced, then the
+/// attribution tree, so a baseline pins each counter's phase scope too.
 pub fn render_baseline(doc: &Doc, workload: &str) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -533,18 +568,11 @@ pub fn render_baseline(doc: &Doc, workload: &str) -> String {
         "  \"connectivity\": \"{}\",",
         json::escape(doc.connectivity.as_deref().unwrap_or("dynamic"))
     );
-    if doc.counters.is_empty() {
-        out.push_str("  \"counters\": {}\n");
-    } else {
-        out.push_str("  \"counters\": {\n");
-        let last = doc.counters.len() - 1;
-        for (i, (key, value)) in doc.counters.iter().enumerate() {
-            let comma = if i == last { "" } else { "," };
-            let _ = writeln!(out, "    \"{}\": {value}{comma}", json::escape(key));
-        }
-        out.push_str("  }\n");
-    }
-    out.push_str("}\n");
+    out.push_str("  \"counters\": ");
+    pretty_object(&mut out, 1, &doc.counters, pretty_count);
+    out.push_str(",\n  \"attribution\": ");
+    pretty_object(&mut out, 1, &doc.attribution.children, pretty_node);
+    out.push_str("\n}\n");
     out
 }
 
@@ -559,11 +587,11 @@ pub struct Report {
 }
 
 const USAGE: &str = "usage: wmn-report <command> ...\n\
-  flame <dir|telemetry.json>                     counter-weighted flamegraph\n\
+  flame <dir|telemetry.json|baseline>            counter-weighted flamegraph\n\
   diff <baseline|dir> <run|dir> [--threshold P]  per-counter/per-phase drift (exit 1 on drift)\n\
   summarize <dir|telemetry.json>                 one-screen run digest\n\
   baseline <dir|telemetry.json> [--out FILE] [--workload TEXT]\n\
-                                                 rewrite counters as COUNTERS_baseline.json";
+                                                 rewrite counters and phase tree as a baseline";
 
 fn usage_err(detail: &str) -> ExperimentError {
     ExperimentError::report(format!("{detail}\n{USAGE}"))
@@ -588,7 +616,7 @@ pub fn run(args: &[String]) -> Result<Report, ExperimentError> {
             };
             let doc = load_doc(Path::new(path))?;
             Ok(Report {
-                stdout: flame(&doc)?,
+                stdout: flame(&doc),
                 exit_code: 0,
             })
         }
@@ -783,7 +811,12 @@ mod tests {
         assert_eq!(baseline.kind, DocKind::Baseline);
         assert_eq!(baseline.counters, doc.counters);
         assert_eq!(baseline.connectivity.as_deref(), Some("dynamic"));
-        assert!(baseline.attribution.is_empty());
+        assert_eq!(baseline.attribution, doc.attribution);
+        // A baseline without a tree still reads, with an empty one.
+        let (flat, _) = rendered.split_once(",\n  \"attribution\"").unwrap();
+        let flat = parse_doc(Path::new("old.json"), &format!("{flat}\n}}\n")).unwrap();
+        assert_eq!(flat.counters, doc.counters);
+        assert!(flat.attribution.is_empty());
     }
 
     #[test]
@@ -803,24 +836,38 @@ mod tests {
         assert_eq!(baseline.counters, sample_doc().counters);
     }
 
+    /// The counters block is what the retired `jq` refresh path wrote;
+    /// the attribution tree follows in the same pretty print.
     #[test]
     fn baseline_rendering_matches_the_jq_shape() {
         let mut doc = sample_doc();
         doc.counters = BTreeMap::from([("a.b".to_owned(), 1), ("c".to_owned(), 22)]);
+        let leaf = AttributionNode {
+            counters: BTreeMap::from([("c".to_owned(), 2)]),
+            children: BTreeMap::new(),
+        };
+        doc.attribution.children = BTreeMap::from([("ga".to_owned(), leaf)]);
         let rendered = render_baseline(&doc, "w");
         assert_eq!(
             rendered,
             "{\n  \"schema\": \"wmn-counters-baseline/v1\",\n  \"workload\": \"w\",\n  \
              \"refresh\": \"scripts/check_counters.sh --refresh\",\n  \
              \"connectivity\": \"dynamic\",\n  \"counters\": {\n    \"a.b\": 1,\n    \
-             \"c\": 22\n  }\n}\n"
+             \"c\": 22\n  },\n  \"attribution\": {\n    \"ga\": {\n      \
+             \"counters\": {\n        \"c\": 2\n      },\n      \"children\": {}\n    \
+             }\n  }\n}\n"
+        );
+        doc.counters.clear();
+        doc.attribution = AttributionNode::default();
+        assert!(
+            render_baseline(&doc, "w").ends_with("\"counters\": {},\n  \"attribution\": {}\n}\n")
         );
     }
 
     #[test]
     fn flame_renders_the_split_with_deterministic_percentages() {
         let doc = sample_doc();
-        let text = flame(&doc).unwrap();
+        let text = flame(&doc);
         assert!(
             text.contains("attributed 110 of 150 counter units (73.3%)"),
             "{text}"
@@ -838,12 +885,20 @@ mod tests {
     }
 
     #[test]
-    fn flame_rejects_baselines() {
+    fn flame_reads_a_baseline_like_its_telemetry() {
         let doc = sample_doc();
         let rendered = render_baseline(&doc, "w");
         let baseline = parse_doc(Path::new("b.json"), &rendered).unwrap();
-        let err = flame(&baseline).unwrap_err().to_string();
-        assert!(err.contains("attribution"), "{err}");
+        let (run, base) = (flame(&doc), flame(&baseline));
+        assert!(
+            base.starts_with("counter-weighted flamegraph: baseline"),
+            "{base}"
+        );
+        // Only the header's binary name differs.
+        assert_eq!(
+            run.split_once('\n').unwrap().1,
+            base.split_once('\n').unwrap().1
+        );
     }
 
     #[test]
@@ -937,6 +992,24 @@ mod tests {
             "{}",
             outcome.report
         );
+    }
+
+    #[test]
+    fn diff_flags_a_run_without_the_baselines_tree() {
+        let baseline = sample_doc();
+        let mut run = sample_doc();
+        run.attribution = AttributionNode::default();
+        let outcome = diff(&baseline, &run, 0.0);
+        assert!(outcome.drifted);
+        assert!(
+            outcome
+                .report
+                .contains("phase attribution drifted (4 of 4 keys):"),
+            "{}",
+            outcome.report
+        );
+        // A baseline without a tree compares the flat counters only.
+        assert!(!diff(&run, &baseline, 0.0).drifted);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use wmn_obs::{Recorder, RobustnessStats, TelemetryRecorder};
 use wmn_runtime::grid::{domain, Cell};
 use wmn_search::movement::{Movement, RandomMovement, SwapConfig, SwapMovement};
 use wmn_search::neighborhood::ExplorationBudget;
-use wmn_search::search::{NeighborhoodSearch, SearchConfig, StoppingCondition};
+use wmn_search::search::{NeighborhoodSearch, SearchConfig};
 
 /// A reproduced GA-evolution figure (Figures 1–3).
 #[derive(Debug, Clone, PartialEq)]
@@ -92,14 +92,6 @@ pub fn run_ns_figure(config: &ExperimentConfig) -> Result<NsFigure, ExperimentEr
     run_ns_figure_recorded(config, None)
 }
 
-/// The label of a Figure 4 grid cell for error reporting.
-fn ns_cell_label(index: usize) -> String {
-    match index {
-        0 => "ns-Swap".to_owned(),
-        _ => "ns-Random".to_owned(),
-    }
-}
-
 /// [`run_ns_figure`], additionally collecting the searches' work-counter
 /// telemetry (`search.ns.*` plus the engine deltas) into `recorder` when
 /// one is given; the figure itself is the same with or without a
@@ -119,29 +111,36 @@ pub fn run_ns_figure_recorded(
 
     // Swap and random are the two cells of the Figure 4 grid; they run in
     // parallel on the experiment runtime's panic-isolated executor.
-    let jobs: Vec<(u64, &str)> = vec![(0, "Swap"), (1, "Random")];
+    let cells: Vec<(u64, &str, Cell)> = [(0, "Swap"), (1, "Random")]
+        .into_iter()
+        .map(|(movement_id, label)| {
+            let coords = [domain::NEIGHBORHOOD, scenario.grid_id(), movement_id];
+            let cell = Cell::new(format!("ns-{label}"), &coords);
+            (movement_id, label, cell)
+        })
+        .collect();
     let mut stats = RobustnessStats::default();
     let traces = config
         .runtime()
         .run(
-            jobs,
+            cells.iter().collect(),
             &config.job_policy(),
             &mut stats,
             recorder,
-            |(movement_id, label), rec| {
+            |(movement_id, label, cell), rec| {
                 ns_job(
-                    scenario,
                     config,
                     &instance,
                     &evaluator,
                     &initial,
                     *movement_id,
                     label,
+                    cell,
                     rec,
                 )
             },
         )
-        .map_err(|f| cell_failure(ns_cell_label(f.index), f));
+        .map_err(|f| cell_failure(&cells[f.index].2, f));
     report_chaos("fig4", &stats);
     let mut traces = traces?.into_iter();
     let (swap, random) = (
@@ -165,30 +164,27 @@ fn ns_initial_placement(
 }
 
 /// One Figure 4 curve: a neighborhood search with the given movement over
-/// a topology pinned to the configured connectivity strategy.
+/// a topology pinned to the configured connectivity strategy, seeded by
+/// its grid `cell`.
 #[allow(clippy::too_many_arguments)]
 fn ns_job(
-    scenario: Scenario,
     config: &ExperimentConfig,
     instance: &ProblemInstance,
     evaluator: &Evaluator<'_>,
     initial: &Placement,
     movement_id: u64,
     label: &str,
+    cell: &Cell,
     recorder: &mut dyn Recorder,
 ) -> Result<Trace, ModelError> {
     let search_config = SearchConfig {
         budget: ExplorationBudget::sampled(config.ns_budget),
-        stopping: StoppingCondition::fixed_phases(config.ns_phases),
+        phases: config.ns_phases,
     };
     let movement: Box<dyn Movement> = match movement_id {
         0 => Box::new(SwapMovement::new(instance, SwapConfig::default())),
         _ => Box::new(RandomMovement::new(instance)),
     };
-    let cell = Cell::new(
-        format!("ns-{label}"),
-        &[domain::NEIGHBORHOOD, scenario.grid_id(), movement_id],
-    );
     let mut rng = cell.rng(config.run_seed);
     let search = NeighborhoodSearch::new(evaluator, movement, search_config);
     let mut topo = evaluator.topology(initial)?;

@@ -111,7 +111,7 @@ impl TableResult {
 
 /// The GA-run grid cell for `(scenario, method)`: its coordinates seed
 /// the one GA run that both Table N's row and Figure N's curve report (as
-/// in the paper).
+/// in the paper), and its label names the run when it fails.
 fn ga_cell(scenario: Scenario, method_index: usize, method: AdHocMethod) -> Cell {
     Cell::new(
         format!("ga-{}-{}", scenario.name(), method.name()),
@@ -132,13 +132,13 @@ fn experiment_ga_config(config: &ExperimentConfig) -> GaConfig {
 }
 
 /// Maps a runtime [`JobFailure`] onto [`ExperimentError::Cell`], naming
-/// the failed grid cell.
+/// the failed job's grid cell by its label.
 pub(crate) fn cell_failure<E: std::fmt::Display>(
-    cell: String,
+    cell: &Cell,
     failure: JobFailure<E>,
 ) -> ExperimentError {
     ExperimentError::Cell {
-        cell,
+        cell: cell.label().to_owned(),
         attempts: failure.attempts,
         detail: failure.kind.to_string(),
     }
@@ -161,14 +161,6 @@ pub(crate) fn report_chaos(context: &str, stats: &RobustnessStats) {
     eprintln!("chaos[{context}]: {}", parts.join(" "));
 }
 
-/// The label of the GA grid cell for error reporting (`ga-normal-HotSpot`).
-fn ga_cell_label(scenario: Scenario, index: usize) -> String {
-    AdHocMethod::all().into_iter().nth(index).map_or_else(
-        || format!("ga-{}-job{index}", scenario.name()),
-        |m| format!("ga-{}-{}", scenario.name(), m.name()),
-    )
-}
-
 /// The seven GA runs of one scenario, one per ad hoc method. Table N and
 /// Figure N are two views of the same runs, as in the paper.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,9 +174,9 @@ pub struct GaGrid {
 /// One method's job of the grid: the standalone placement (paper scenario
 /// 1), then a GA initialized from the method (paper scenario 2), returning
 /// the table row and the GA's downsampled giant-component curve. The GA
-/// run feeds `recorder`: the runtime hands each attempt a no-op recorder
-/// (free) or a per-attempt telemetry recorder. The standalone evaluation
-/// reports to no recorder.
+/// runs on `ga_cell`'s seed and feeds `recorder`: the runtime hands each
+/// attempt a no-op recorder (free) or a per-attempt telemetry recorder.
+/// The standalone evaluation reports to no recorder.
 #[allow(clippy::too_many_arguments)]
 fn ga_grid_job(
     scenario: Scenario,
@@ -194,6 +186,7 @@ fn ga_grid_job(
     ga_config: &GaConfig,
     method_index: usize,
     method: AdHocMethod,
+    ga_cell: &Cell,
     recorder: &mut dyn Recorder,
 ) -> Result<(TableRow, Trace), ModelError> {
     let standalone_cell = Cell::new(
@@ -204,7 +197,7 @@ fn ga_grid_job(
     let standalone = method.place(instance, &mut standalone_rng);
     let standalone_eval = evaluator.evaluate(&standalone)?;
 
-    let mut ga_rng = ga_cell(scenario, method_index, method).rng(config.run_seed);
+    let mut ga_rng = ga_cell.rng(config.run_seed);
     let engine = GaEngine::new(evaluator, ga_config.clone());
     let outcome = engine.run(&PopulationInit::AdHoc(method), &mut ga_rng, recorder)?;
 
@@ -251,22 +244,26 @@ pub fn run_ga_grid(
     let evaluator = Evaluator::paper_default(&instance);
     let ga_config = experiment_ga_config(config);
 
-    let jobs: Vec<(usize, AdHocMethod)> = AdHocMethod::all().into_iter().enumerate().collect();
+    let cells: Vec<(usize, AdHocMethod, Cell)> = AdHocMethod::all()
+        .into_iter()
+        .enumerate()
+        .map(|(mi, method)| (mi, method, ga_cell(scenario, mi, method)))
+        .collect();
     let mut stats = RobustnessStats::default();
     let runs = config
         .runtime()
         .run(
-            jobs,
+            cells.iter().collect(),
             &config.job_policy(),
             &mut stats,
             recorder,
-            |(mi, method), rec| {
+            |(mi, method, cell), rec| {
                 ga_grid_job(
-                    scenario, config, &instance, &evaluator, &ga_config, *mi, *method, rec,
+                    scenario, config, &instance, &evaluator, &ga_config, *mi, *method, cell, rec,
                 )
             },
         )
-        .map_err(|f| cell_failure(ga_cell_label(scenario, f.index), f));
+        .map_err(|f| cell_failure(&cells[f.index].2, f));
     report_chaos(&format!("ga-{}", scenario.name()), &stats);
     let (rows, series) = runs?.into_iter().unzip();
     Ok(GaGrid {

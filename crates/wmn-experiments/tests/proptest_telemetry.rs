@@ -126,6 +126,7 @@ proptest! {
         let back = parse_doc(Path::new("baseline.json"), &baseline).expect("baseline parses");
         prop_assert_eq!(back.kind, DocKind::Baseline);
         prop_assert_eq!(&back.counters, &counters);
+        prop_assert_eq!(back.attribution.flatten(), attributed);
         prop_assert_eq!(back.connectivity.as_deref(), Some(connectivity.as_str()));
         prop_assert_eq!(render_baseline(&back, WORKLOADS[workload]), baseline);
     }

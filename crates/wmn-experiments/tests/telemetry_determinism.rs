@@ -93,14 +93,14 @@ fn phase_attribution_and_flame_are_thread_invariant() {
     }
     // Attribution re-partitions the flat counters; it never invents work.
     assert!(doc.attribution.total() <= doc.counter_total());
-    let reference_flame = flame(&doc).unwrap();
+    let reference_flame = flame(&doc);
     for (runner, ga) in [(2, 2), (8, 4)] {
         config.runner_threads = runner;
         config.threads = ga;
         let rendered = ga_telemetry(&config);
         let doc = parse_doc(Path::new("fig3.json"), &rendered).unwrap();
         assert_eq!(
-            flame(&doc).unwrap(),
+            flame(&doc),
             reference_flame,
             "runner_threads = {runner}, ga threads = {ga}"
         );

@@ -341,10 +341,11 @@ impl<'e, 'i> GaEngine<'e, 'i> {
     /// work-counter profile summed over the evaluation slots in slot order
     /// — attributed to a nested phase tree. The run opens a `ga` phase
     /// with `init` / `evaluate` child scopes. Inside `evaluate` the work is
-    /// attributed **by counter name** ([`wmn_obs::repair_section`]): every
-    /// child repairs its placement diff through the topology's one repair
-    /// routine, so every engine counter of the generations but the state
-    /// copies lands under `apply_moves` → `edge_repair` /
+    /// attributed **by counter** ([`wmn_obs::repair_section`], the section
+    /// `EngineStats` declares for each): every child repairs its placement
+    /// diff through the topology's one repair routine, so every engine
+    /// counter of the generations but the state copies lands under
+    /// `apply_moves` → `edge_repair` /
     /// `component_repair` / `coverage` (under the full-rebuild reference,
     /// `full_rebuild`), and only the `clone_from` state copies stay on
     /// `evaluate` itself. The per-phase slices sum to exactly the flat
@@ -417,14 +418,8 @@ impl<'e, 'i> GaEngine<'e, 'i> {
             if let Some(prev) = engine_prev.as_mut() {
                 let now = engine_totals(&slots, &spare);
                 let delta = now.delta_since(prev);
-                recorder.value(
-                    "ga.generation.diff_routers",
-                    delta.topology.batch_moved_routers,
-                );
-                recorder.value(
-                    "ga.generation.connectivity_repairs",
-                    delta.connectivity.repairs,
-                );
+                recorder.value("ga.generation.diff_routers", delta.batch_moved_routers);
+                recorder.value("ga.generation.connectivity_repairs", delta.repairs);
                 *prev = now;
             }
 

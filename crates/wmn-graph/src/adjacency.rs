@@ -133,11 +133,25 @@ impl MeshAdjacency {
     /// neighbors and inserts it into gained ones, then `i`'s own block is
     /// overwritten in place. Links that survive a move cost nothing — the
     /// per-move edge repair's slab mutations are proportional to the edge
-    /// *delta*, not the degree. Allocation-free once the slab is warm.
+    /// *delta*, not the degree. Allocation-free once the slab and the
+    /// event buffers are warm.
+    ///
+    /// The same merge reports the delta: every dropped edge `(i, x)` is
+    /// appended to `deleted` and every gained edge `(i, y)` to `inserted`,
+    /// in merge order — the edge diff
+    /// [`DynamicConnectivity`](crate::connectivity::DynamicConnectivity)
+    /// repairs components from.
     ///
     /// The caller guarantees `old` equals `i`'s current list (checked in
     /// debug builds).
-    pub fn replace_node_edges(&mut self, i: usize, old: &[u32], new: &[u32]) {
+    pub fn replace_node_edges(
+        &mut self,
+        i: usize,
+        old: &[u32],
+        new: &[u32],
+        inserted: &mut Vec<(u32, u32)>,
+        deleted: &mut Vec<(u32, u32)>,
+    ) {
         debug_assert_eq!(self.neighbors.get(i), old, "old must be i's current list");
         debug_assert!(new.windows(2).all(|w| w[0] < w[1]), "sorted");
         debug_assert!(!new.contains(&(i as u32)));
@@ -150,18 +164,22 @@ impl MeshAdjacency {
                 }
                 (Some(&x), Some(&y)) if x < y => {
                     self.drop_half_edge(i, x);
+                    deleted.push((i as u32, x));
                     a += 1;
                 }
                 (Some(_), Some(&y)) => {
                     self.add_half_edge(i, y);
+                    inserted.push((i as u32, y));
                     b += 1;
                 }
                 (Some(&x), None) => {
                     self.drop_half_edge(i, x);
+                    deleted.push((i as u32, x));
                     a += 1;
                 }
                 (None, Some(&y)) => {
                     self.add_half_edge(i, y);
+                    inserted.push((i as u32, y));
                     b += 1;
                 }
                 (None, None) => break,
@@ -355,14 +373,21 @@ mod tests {
         let mut adj = original.clone();
         let old: Vec<u32> = adj.neighbors(23).to_vec();
         assert!(old.windows(2).all(|w| w[0] < w[1]), "sorted neighbors");
-        adj.replace_node_edges(23, &old, &[]);
+        let (mut ins, mut del) = (Vec::new(), Vec::new());
+        adj.replace_node_edges(23, &old, &[], &mut ins, &mut del);
         assert_eq!(adj.neighbors(23).len(), 0);
+        let detached: Vec<(u32, u32)> = old.iter().map(|&j| (23, j)).collect();
+        assert!(ins.is_empty());
+        assert_eq!(del, detached);
         assert_eq!(
             adj.edge_count(),
             original.edge_count() - old.len(),
             "detaching removes exactly the node's edges"
         );
-        adj.replace_node_edges(23, &[], &old);
+        del.clear();
+        adj.replace_node_edges(23, &[], &old, &mut ins, &mut del);
+        assert_eq!(ins, detached);
+        assert!(del.is_empty());
         assert_eq!(adj, original);
         adj.assert_arena_invariants();
     }
@@ -389,7 +414,12 @@ mod tests {
         new.sort_unstable();
         new.dedup();
         let before = adj.edge_count();
-        adj.replace_node_edges(node, &old, &new);
+        let (mut ins, mut del) = (Vec::new(), Vec::new());
+        adj.replace_node_edges(node, &old, &new, &mut ins, &mut del);
+        // Only the delta is reported: one gained edge, one dropped.
+        let node_id = node as u32;
+        assert_eq!(ins, [(node_id, gained)]);
+        assert_eq!(del, [(node_id, old[old.len() - 1])]);
         assert_eq!(adj.neighbors(node), new.as_slice());
         assert_eq!(adj.edge_count(), before); // one dropped, one gained
         assert!(adj.neighbors(gained as usize).contains(&(node as u32)));
@@ -404,7 +434,9 @@ mod tests {
         let pts = vec![Point::new(0.0, 0.0), Point::new(50.0, 50.0)];
         let radii = vec![1.0, 1.0];
         let mut adj = MeshAdjacency::build(&area100(), &pts, &radii);
-        adj.replace_node_edges(0, &[], &[]);
+        let (mut ins, mut del) = (Vec::new(), Vec::new());
+        adj.replace_node_edges(0, &[], &[], &mut ins, &mut del);
+        assert!(ins.is_empty() && del.is_empty());
         assert_eq!(adj.edge_count(), 0);
         assert_eq!(adj.neighbors(0).len(), 0);
     }

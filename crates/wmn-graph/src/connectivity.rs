@@ -28,10 +28,10 @@
 //! reference results. The equivalence and proptest suites pin this.
 //!
 //! Every adjacency entry a repair scans counts one
-//! [`bfs_edge_visits`](ConnectivityStats::bfs_edge_visits), so a repair
-//! costs O(edges of the touched components): a move inside a small
-//! component never scans the rest of the graph, and a move that touches a
-//! huge component costs O(that component).
+//! [`bfs_edge_visits`](EngineStats::bfs_edge_visits) in the caller's work
+//! counters, so a repair costs O(edges of the touched components): a move
+//! inside a small component never scans the rest of the graph, and a move
+//! that touches a huge component costs O(that component).
 //!
 //! Edge endpoints are `u32` router ids throughout (the crate-wide id-width
 //! invariant), matching the arena-backed adjacency lists.
@@ -62,13 +62,7 @@
 
 use crate::adjacency::MeshAdjacency;
 use crate::components::Components;
-
-/// Cumulative counters of a [`DynamicConnectivity`] engine, for benches,
-/// tests, and telemetry. The struct lives in `wmn-obs` (the observability
-/// substrate) so every layer can aggregate it; see
-/// [`wmn_obs::ConnectivityStats`] for the field docs and the
-/// `reset`/`merge`/`delta_since` window operations.
-pub use wmn_obs::ConnectivityStats;
+use wmn_obs::EngineStats;
 
 /// Component-local connectivity repair engine (see the module docs for the
 /// algorithm and why it is exact).
@@ -84,6 +78,7 @@ pub use wmn_obs::ConnectivityStats;
 /// use wmn_graph::adjacency::MeshAdjacency;
 /// use wmn_graph::components::Components;
 /// use wmn_graph::connectivity::DynamicConnectivity;
+/// use wmn_graph::EngineStats;
 /// use wmn_model::geometry::{Area, Point};
 ///
 /// let area = Area::square(50.0)?;
@@ -97,8 +92,10 @@ pub use wmn_obs::ConnectivityStats;
 /// let moved = vec![chain[0], Point::new(40.0, 40.0), chain[2]];
 /// let after = MeshAdjacency::build(&area, &moved, &radii);
 /// let mut engine = DynamicConnectivity::new();
-/// engine.apply_edge_diff(&after, &mut components, &[], &[(0, 1), (1, 2)]);
+/// let mut stats = EngineStats::default();
+/// engine.apply_edge_diff(&after, &mut components, &[], &[(0, 1), (1, 2)], &mut stats);
 /// assert_eq!(components, Components::from_adjacency(&after));
+/// assert_eq!((stats.repairs, stats.deletions), (1, 2));
 /// assert_eq!(components.giant_size(), 1);
 /// // Router 0 keeps the giant (a three-way tie goes to the smallest
 /// // representative); routers 1 and 2 left it.
@@ -121,19 +118,12 @@ pub struct DynamicConnectivity {
     relabel: Vec<u32>,
     /// Routers whose giant membership the last repair flipped.
     flips: Vec<u32>,
-    stats: ConnectivityStats,
 }
 
 impl DynamicConnectivity {
     /// Creates an engine with empty scratch buffers.
     pub fn new() -> Self {
         DynamicConnectivity::default()
-    }
-
-    /// Cumulative engine counters since construction; take a window with
-    /// [`ConnectivityStats::delta_since`].
-    pub fn stats(&self) -> ConnectivityStats {
-        self.stats
     }
 
     /// The routers whose giant-component membership the last
@@ -152,7 +142,8 @@ impl DynamicConnectivity {
     ///
     /// The resulting `components` equals [`Components::from_adjacency`] of
     /// `adj`, and [`giant_flips`](DynamicConnectivity::giant_flips) lists
-    /// the routers whose giant membership changed.
+    /// the routers whose giant membership changed. The repair's work goes
+    /// into `stats`' `connectivity.*` counters.
     ///
     /// # Panics
     ///
@@ -164,32 +155,34 @@ impl DynamicConnectivity {
         components: &mut Components,
         inserted: &[(u32, u32)],
         deleted: &[(u32, u32)],
+        stats: &mut EngineStats,
     ) {
         assert_eq!(
             components.node_count(),
             adj.node_count(),
             "components and adjacency must describe the same node set"
         );
-        self.stats.repairs += 1;
+        stats.repairs += 1;
         self.flips.clear();
         if inserted.is_empty() && deleted.is_empty() {
             return;
         }
-        self.stats.insertions += inserted.len() as u64;
-        self.stats.deletions += deleted.len() as u64;
+        stats.insertions += inserted.len() as u64;
+        stats.deletions += deleted.len() as u64;
         if self.mark.len() < adj.node_count() {
             self.mark.resize(adj.node_count(), 0);
         }
         self.seeds.clear();
         self.seeds
             .extend(inserted.iter().chain(deleted).flat_map(|&(u, v)| [u, v]));
-        self.relabel_changed(adj, components);
+        stats.bfs_edge_visits += self.relabel_changed(adj, components);
     }
 
     /// Retires the pre-repair components holding a seed, relabels the
     /// final ones, re-decides the giant, and records the membership flips
-    /// (see the module docs for why this is exact).
-    fn relabel_changed(&mut self, adj: &MeshAdjacency, components: &mut Components) {
+    /// (see the module docs for why this is exact). Returns the adjacency
+    /// entries scanned.
+    fn relabel_changed(&mut self, adj: &MeshAdjacency, components: &mut Components) -> u64 {
         let old_giant = components.giant_rep();
         let old_size = components.giant_size() as u32;
         let mut giant_touched = false;
@@ -246,7 +239,6 @@ impl DynamicConnectivity {
                 best = (size, rep);
             }
         }
-        self.stats.bfs_edge_visits += visits;
         let count = components.count() - retired + relabeled;
 
         // The giant rule. Untouched components rank at most the old giant:
@@ -267,7 +259,7 @@ impl DynamicConnectivity {
         components.settle(count, new_giant);
         let new_giant = components.giant_rep();
         if !giant_touched && new_giant == old_giant {
-            return;
+            return visits;
         }
 
         // Relabeled nodes hold every old-giant member whenever the old
@@ -278,23 +270,25 @@ impl DynamicConnectivity {
             (self.mark[x as usize] == was_giant) != (labels[x as usize] == new_giant)
         }));
         if !giant_touched {
-            self.collect_component(adj, old_giant, member);
+            visits += self.collect_component(adj, old_giant, member);
         } else if !visited(self.mark[new_giant as usize]) {
-            self.collect_component(adj, new_giant, member);
+            visits += self.collect_component(adj, new_giant, member);
         }
+        visits
     }
 
     /// Appends the nodes of the final component holding `start` to the
     /// flip list, using the list itself as the BFS queue and `stamp` as a
-    /// fresh visit stamp.
-    fn collect_component(&mut self, adj: &MeshAdjacency, start: u32, stamp: u32) {
+    /// fresh visit stamp. Returns the adjacency entries scanned.
+    fn collect_component(&mut self, adj: &MeshAdjacency, start: u32, stamp: u32) -> u64 {
+        let mut visits = 0;
         let mut head = self.flips.len();
         self.mark[start as usize] = stamp;
         self.flips.push(start);
         while let Some(&x) = self.flips.get(head) {
             head += 1;
             let neighbors = adj.neighbors(x as usize);
-            self.stats.bfs_edge_visits += neighbors.len() as u64;
+            visits += neighbors.len() as u64;
             for &w in neighbors {
                 if self.mark[w as usize] != stamp {
                     self.mark[w as usize] = stamp;
@@ -302,6 +296,7 @@ impl DynamicConnectivity {
                 }
             }
         }
+        visits
     }
 
     /// Reserves `k` fresh visit stamps `base + 1 ..= base + k` and returns
@@ -381,13 +376,14 @@ mod tests {
     /// Drifts a random layout through 30 perturbation rounds, repairing
     /// the component structure through the engine each time and comparing
     /// it, and the reported membership flips, against a from-scratch
-    /// build. Returns the engine's counters.
-    fn drift_and_check(n: usize, seed: u64) -> ConnectivityStats {
+    /// build. Returns the repairs' work counters.
+    fn drift_and_check(n: usize, seed: u64) -> EngineStats {
         let area = Area::square(100.0).unwrap();
         let (mut pts, radii) = layout(n, seed, 100.0);
         let mut adj = MeshAdjacency::build(&area, &pts, &radii);
         let mut components = Components::from_adjacency(&adj);
         let mut engine = DynamicConnectivity::new();
+        let mut stats = EngineStats::default();
         let mut rng = rng_from_seed(seed ^ 0xC0FFEE);
         for round in 0..30 {
             // Move a few routers: a realistic mixed insert+delete diff.
@@ -398,7 +394,7 @@ mod tests {
             let next = MeshAdjacency::build(&area, &pts, &radii);
             let (ins, del) = edge_diff(&adj, &next);
             let before = components.clone();
-            engine.apply_edge_diff(&next, &mut components, &ins, &del);
+            engine.apply_edge_diff(&next, &mut components, &ins, &del, &mut stats);
             assert_eq!(
                 components,
                 Components::from_adjacency(&next),
@@ -411,7 +407,7 @@ mod tests {
             );
             adj = next;
         }
-        engine.stats()
+        stats
     }
 
     #[test]
@@ -429,12 +425,13 @@ mod tests {
         let mut components = Components::from_adjacency(&adj);
         let reference = components.clone();
         let mut engine = DynamicConnectivity::new();
-        engine.apply_edge_diff(&adj, &mut components, &[], &[]);
+        let mut stats = EngineStats::default();
+        engine.apply_edge_diff(&adj, &mut components, &[], &[], &mut stats);
         assert_eq!(components, reference);
         assert!(engine.giant_flips().is_empty());
-        assert_eq!(engine.stats().repairs, 1);
-        assert_eq!(engine.stats().insertions + engine.stats().deletions, 0);
-        assert_eq!(engine.stats().bfs_edge_visits, 0);
+        assert_eq!(stats.repairs, 1);
+        assert_eq!(stats.insertions + stats.deletions, 0);
+        assert_eq!(stats.bfs_edge_visits, 0);
     }
 
     #[test]
@@ -448,7 +445,13 @@ mod tests {
         assert_eq!(adj.edge_count(), 1);
         let mut components = Components::from_adjacency(&adj);
         let mut engine = DynamicConnectivity::new();
-        engine.apply_edge_diff(&adj, &mut components, &[(0, 1)], &[(0, 1)]);
+        engine.apply_edge_diff(
+            &adj,
+            &mut components,
+            &[(0, 1)],
+            &[(0, 1)],
+            &mut EngineStats::default(),
+        );
         assert_eq!(components, Components::from_adjacency(&adj));
         assert_eq!(components.giant_size(), 2);
     }
@@ -470,7 +473,13 @@ mod tests {
         for deletions in [[(0, 1), (1, 2)], [(1, 2), (0, 1)]] {
             let mut components = Components::from_adjacency(&before);
             let mut engine = DynamicConnectivity::new();
-            engine.apply_edge_diff(&gone, &mut components, &[], &deletions);
+            engine.apply_edge_diff(
+                &gone,
+                &mut components,
+                &[],
+                &deletions,
+                &mut EngineStats::default(),
+            );
             assert_eq!(components, Components::from_adjacency(&gone));
             assert_eq!(components.count(), 3);
         }
@@ -488,7 +497,13 @@ mod tests {
         let mut components = Components::from_adjacency(&old);
         let start = components.clone();
         let mut engine = DynamicConnectivity::new();
-        engine.apply_edge_diff(&new, &mut components, &ins, &del);
+        engine.apply_edge_diff(
+            &new,
+            &mut components,
+            &ins,
+            &del,
+            &mut EngineStats::default(),
+        );
         assert_eq!(components, Components::from_adjacency(&new));
         let flips = sorted_flips(&engine);
         assert_eq!(flips, membership_diff(&start, &components));
@@ -568,6 +583,7 @@ mod tests {
         let mut adj = MeshAdjacency::build(&area, &pts, &radii);
         let mut components = Components::from_adjacency(&adj);
         let mut engine = DynamicConnectivity::new();
+        let mut stats = EngineStats::default();
         for (router, to, count) in [
             (9, Point::new(5.0, 60.0), 2),
             (7, Point::new(60.0, 90.0), 4),
@@ -576,8 +592,8 @@ mod tests {
             let next = MeshAdjacency::build(&area, &pts, &radii);
             let (ins, del) = edge_diff(&adj, &next);
             assert!(!del.is_empty(), "router {router} must change an edge");
-            let before = engine.stats().bfs_edge_visits;
-            engine.apply_edge_diff(&next, &mut components, &ins, &del);
+            let before = stats.bfs_edge_visits;
+            engine.apply_edge_diff(&next, &mut components, &ins, &del, &mut stats);
             let fresh = Components::from_adjacency(&next);
             assert_eq!(components, fresh);
             assert_eq!(components.count(), count);
@@ -595,17 +611,13 @@ mod tests {
                 .filter(|&x| touched.contains(&fresh.label_of(x)))
                 .map(|x| next.neighbors(x).len())
                 .sum();
-            assert_eq!(engine.stats().bfs_edge_visits - before, scanned as u64);
+            assert_eq!(stats.bfs_edge_visits - before, scanned as u64);
             adj = next;
         }
     }
 
     #[test]
     fn stats_accumulate_across_repairs() {
-        assert_eq!(
-            DynamicConnectivity::new().stats(),
-            ConnectivityStats::default()
-        );
         let stats = drift_and_check(60, 5);
         assert_eq!(stats.repairs, 30);
         assert!(stats.insertions > 0, "drift must insert edges");

@@ -101,16 +101,6 @@ impl DensityMap {
         self.area
     }
 
-    /// Count in a single cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell is out of range.
-    pub fn cell_count(&self, cx: usize, cy: usize) -> u32 {
-        assert!(cx < self.cols && cy < self.rows, "cell out of range");
-        self.counts[cy * self.cols + cx]
-    }
-
     /// Total number of binned points.
     pub fn total(&self) -> u64 {
         self.total
@@ -548,7 +538,7 @@ mod tests {
         assert_eq!(map.total(), 500);
         let sum: u64 = (0..8)
             .flat_map(|y| (0..8).map(move |x| (x, y)))
-            .map(|(x, y)| u64::from(map.cell_count(x, y)))
+            .map(|(cx, cy)| map.window_count(&CellWindow { cx, cy, w: 1, h: 1 }))
             .sum();
         assert_eq!(sum, 500);
     }
@@ -767,7 +757,13 @@ mod tests {
     fn out_of_area_points_clamp_into_boundary_cells() {
         let area = area40();
         let map = DensityMap::from_points(&area, &[Point::new(100.0, -5.0)], 4, 4);
-        assert_eq!(map.cell_count(3, 0), 1);
+        let corner = CellWindow {
+            cx: 3,
+            cy: 0,
+            w: 1,
+            h: 1,
+        };
+        assert_eq!(map.window_count(&corner), 1);
         assert_eq!(map.total(), 1);
     }
 }

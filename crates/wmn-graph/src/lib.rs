@@ -12,14 +12,15 @@
 //! * [`adjacency`] — the mutual-range link rule and mesh adjacency
 //!   construction on a router [`DynamicGrid`](wmn_model::spatial::DynamicGrid)
 //!   (the grid a topology keeps), with per-node edge replacement
-//!   (`replace_node_edges`, a merge-diff of old vs new neighbor lists) and
-//!   whole-graph rebuild in place.
+//!   (`replace_node_edges`, a merge-diff of old vs new neighbor lists that
+//!   also reports the edge diff) and whole-graph rebuild in place.
 //! * [`components`] — connected components and the giant component (the
 //!   paper's connectivity objective), rebuildable in place by BFS.
 //! * [`connectivity`] — [`DynamicConnectivity`], component-local repair of
 //!   the component structure under an edge diff: one BFS relabels the
 //!   components holding an endpoint of a changed edge — the engine behind
-//!   per-move connectivity.
+//!   per-move connectivity, counting its work into the topology's one
+//!   [`EngineStats`].
 //! * [`density`] — client-density cell grids and their window sums
 //!   (HotSpot's zone ranking and the swap movement's dense/sparse areas),
 //!   [`ZoneBins`] for point → zone lookup, and [`ZoneCensus`], the
@@ -63,8 +64,8 @@ pub mod topology;
 pub use adjacency::MeshAdjacency;
 pub use arena::NeighborSlab;
 pub use components::Components;
-pub use connectivity::{ConnectivityStats, DynamicConnectivity};
+pub use connectivity::DynamicConnectivity;
 pub use density::{CellWindow, DensityMap, ZoneBins, ZoneCensus};
 pub use dsu::UnionFind;
 pub use topology::{ConnectivityMode, WmnTopology};
-pub use wmn_obs::{EngineStats, TopologyStats};
+pub use wmn_obs::EngineStats;

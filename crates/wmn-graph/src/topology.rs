@@ -100,7 +100,7 @@ use wmn_model::instance::ProblemInstance;
 use wmn_model::node::RouterId;
 use wmn_model::placement::Placement;
 use wmn_model::spatial::{check_cell_space, DynamicGrid, GridIndex};
-use wmn_obs::{EngineStats, TopologyStats};
+use wmn_obs::EngineStats;
 
 /// How a topology repairs connectivity (components + giant) after each
 /// move, swap, or batch application. Both strategies produce
@@ -274,14 +274,15 @@ struct MoveScratch {
     /// The dynamic connectivity engine (pure scratch: component state
     /// lives in `components`, so copies never need to synchronize it).
     conn: DynamicConnectivity,
-    /// Edge insert/delete streams of the current repair, produced by the
-    /// old-vs-new neighbor diffs of the grid-local edge repair.
+    /// Edge insert/delete streams of the current repair, reported by the
+    /// old-vs-new neighbor merge of the grid-local edge repair
+    /// ([`MeshAdjacency::replace_node_edges`]).
     ins_events: Vec<(u32, u32)>,
     del_events: Vec<(u32, u32)>,
-    /// Always-on work counters of the delta-evaluation engine. Scratch,
-    /// like the connectivity engine's: zeroed by `clone`, kept running by
+    /// Always-on work counters of the delta-evaluation engine and its
+    /// connectivity repairs. Scratch: zeroed by `clone`, kept running by
     /// `clone_from` (so per-slot totals accumulate across a GA run).
-    counters: TopologyStats,
+    counters: EngineStats,
 }
 
 /// One router moved by the current write: whether its disk counted
@@ -610,13 +611,13 @@ impl WmnTopology {
         self.connectivity_mode
     }
 
-    /// The unified work profile of this topology's evaluation engine:
+    /// The work profile of this topology's evaluation engine:
     /// topology-level counters (moves, coverage strategy, disk caches)
-    /// plus the connectivity engine's. The counters are scratch state —
+    /// plus its connectivity repairs'. The counters are scratch state —
     /// zeroed on construction and `clone`, kept running by `clone_from` —
     /// and deterministic for a fixed seed at any thread count.
     pub fn engine_stats(&self) -> EngineStats {
-        EngineStats::new(self.scratch.counters, self.scratch.conn.stats())
+        self.scratch.counters
     }
 
     fn refresh_giant_mask(&mut self) {
@@ -717,10 +718,19 @@ impl WmnTopology {
         }
     }
 
-    /// Re-derives router `i`'s edges from the router-side grid, writing the
-    /// previous (sorted) neighbor set into `old` and the new one into
-    /// `new`. Allocation-free once the buffers are warm.
-    fn recompute_router_edges_into(&mut self, i: usize, old: &mut Vec<u32>, new: &mut Vec<u32>) {
+    /// Re-derives router `i`'s edges from the router-side grid (its
+    /// previous and new sorted neighbor sets go to `scratch.old_n` and
+    /// `scratch.new_n`) and appends the changed edges to the current
+    /// write's insert/delete streams. Allocation-free once the buffers are
+    /// warm.
+    fn recompute_router_edges(&mut self, i: usize) {
+        let MoveScratch {
+            old_n: old,
+            new_n: new,
+            ins_events,
+            del_events,
+            ..
+        } = &mut self.scratch;
         old.clear();
         old.extend_from_slice(self.adjacency.neighbors(i));
         new.clear();
@@ -739,9 +749,11 @@ impl WmnTopology {
         });
         new.sort_unstable();
         // Unchanged lists skip the slab entirely; changed ones pay only for
-        // the edge delta (the merge-diff inside `replace_node_edges`).
+        // the edge delta (the merge-diff inside `replace_node_edges`, which
+        // reports each changed edge as it goes).
         if old != new {
-            self.adjacency.replace_node_edges(i, old, new);
+            self.adjacency
+                .replace_node_edges(i, old, new, ins_events, del_events);
         }
     }
 
@@ -751,44 +763,6 @@ impl WmnTopology {
     fn begin_edge_recording(&mut self) {
         self.scratch.ins_events.clear();
         self.scratch.del_events.clear();
-    }
-
-    /// Records the edge insert/delete events implied by one router's
-    /// old-vs-new sorted neighbor lists (a linear merge-diff), feeding the
-    /// dynamic connectivity engine.
-    fn record_edge_diff(&mut self, i: usize, old: &[u32], new: &[u32]) {
-        let MoveScratch {
-            ins_events,
-            del_events,
-            ..
-        } = &mut self.scratch;
-        let i = i as u32;
-        let (mut a, mut b) = (0usize, 0usize);
-        loop {
-            match (old.get(a), new.get(b)) {
-                (Some(&x), Some(&y)) if x == y => {
-                    a += 1;
-                    b += 1;
-                }
-                (Some(&x), Some(&y)) if x < y => {
-                    del_events.push((i, x));
-                    a += 1;
-                }
-                (Some(_), Some(&y)) => {
-                    ins_events.push((i, y));
-                    b += 1;
-                }
-                (Some(&x), None) => {
-                    del_events.push((i, x));
-                    a += 1;
-                }
-                (None, Some(&y)) => {
-                    ins_events.push((i, y));
-                    b += 1;
-                }
-                (None, None) => break,
-            }
-        }
     }
 
     /// Repairs `components` for the current adjacency component-locally
@@ -807,6 +781,7 @@ impl WmnTopology {
             moved_stamp,
             move_epoch,
             flipped_others,
+            counters,
             ..
         } = &mut self.scratch;
         conn.apply_edge_diff(
@@ -814,6 +789,7 @@ impl WmnTopology {
             &mut self.components,
             ins_events,
             del_events,
+            counters,
         );
         flipped_others.clear();
         for &j in conn.giant_flips() {
@@ -1018,17 +994,12 @@ impl WmnTopology {
         // insert/delete streams carry each changed edge exactly once.
         let mut batch = std::mem::take(&mut self.scratch.batch);
         self.begin_edge_recording();
-        let mut old_n = std::mem::take(&mut self.scratch.old_n);
-        let mut new_n = std::mem::take(&mut self.scratch.new_n);
-        let mut links_changed = false;
         for e in &batch {
-            self.recompute_router_edges_into(e.router as usize, &mut old_n, &mut new_n);
-            self.record_edge_diff(e.router as usize, &old_n, &new_n);
-            links_changed |= old_n != new_n;
+            self.recompute_router_edges(e.router as usize);
         }
-        self.scratch.old_n = old_n;
-        self.scratch.new_n = new_n;
 
+        let links_changed =
+            !self.scratch.ins_events.is_empty() || !self.scratch.del_events.is_empty();
         if !links_changed {
             // Identical graph ⇒ identical components and membership; only
             // the moved disks need re-counting. Each disk cache still holds
@@ -1582,9 +1553,9 @@ mod tests {
         let built = topo.engine_stats();
         // Construction recomputed coverage once, querying exactly the
         // counted (giant-member) routers' disks from the client grid.
-        assert_eq!(built.topology.coverage_full_recomputes, 1);
-        assert_eq!(built.topology.disk_grid_queries, topo.giant_size() as u64);
-        assert_eq!(built.topology.single_moves, 0);
+        assert_eq!(built.coverage_full_recomputes, 1);
+        assert_eq!(built.disk_grid_queries, topo.giant_size() as u64);
+        assert_eq!(built.single_moves, 0);
 
         let mut rng = rng_from_seed(5);
         for _ in 0..10 {
@@ -1594,10 +1565,10 @@ mod tests {
         }
         topo.swap_routers(RouterId(0), RouterId(1));
         let after = topo.engine_stats();
-        assert_eq!(after.topology.single_moves, 10);
-        assert_eq!(after.topology.swaps, 1);
+        assert_eq!(after.single_moves, 10);
+        assert_eq!(after.swaps, 1);
         assert!(
-            after.connectivity.repairs > 0,
+            after.repairs > 0,
             "dynamic mode must route repairs through the engine"
         );
 
@@ -1606,14 +1577,14 @@ mod tests {
         let mut copy = topo.clone();
         assert_eq!(copy.engine_stats(), EngineStats::default());
         copy.clone_from(&topo);
-        assert_eq!(copy.engine_stats().topology.clone_from_reuses, 1);
+        assert_eq!(copy.engine_stats().clone_from_reuses, 1);
 
         // A snapshot opens a delta window on a live topology.
         let window = topo.engine_stats();
         topo.move_router(RouterId(2), Point::new(64.0, 64.0));
         let delta = topo.engine_stats().delta_since(&window);
-        assert_eq!(delta.topology.single_moves, 1);
-        assert_eq!(delta.topology.swaps, 0);
+        assert_eq!(delta.single_moves, 1);
+        assert_eq!(delta.swaps, 0);
     }
 
     #[test]
@@ -1623,9 +1594,9 @@ mod tests {
         topo.set_connectivity_mode(ConnectivityMode::FullRebuild);
         topo.move_router(RouterId(3), Point::new(10.0, 10.0));
         let stats = topo.engine_stats().delta_since(&window);
-        assert_eq!(stats.topology.full_rebuilds, 1);
+        assert_eq!(stats.full_rebuilds, 1);
         assert_eq!(
-            stats.connectivity.repairs, 0,
+            stats.repairs, 0,
             "full rebuild must bypass the dynamic engine"
         );
     }
@@ -1649,7 +1620,7 @@ mod tests {
         }
         topo.assert_consistent();
         let stats = topo.engine_stats().delta_since(&window);
-        let t = stats.topology;
+        let t = stats;
         // Each entry point keeps its own counter; a one-entry batch is a
         // batch of one router.
         assert_eq!((t.single_moves, t.swaps, t.batch_repairs), (20, 20, 20));
@@ -1661,7 +1632,7 @@ mod tests {
             t.link_noop_repairs + t.coverage_delta_repairs + t.coverage_full_recomputes,
             60
         );
-        assert_eq!(stats.connectivity.repairs, 60 - t.link_noop_repairs);
+        assert_eq!(stats.repairs, 60 - t.link_noop_repairs);
         assert!(t.coverage_delta_repairs > 0 && t.link_noop_repairs > 0);
 
         // A batch takes a fresh stamp even when it undoes the previous one.
@@ -1680,10 +1651,10 @@ mod tests {
         topo.swap_routers(RouterId(1), RouterId(2));
         topo.apply_moves(&[(RouterId(3), Point::new(30.0, 30.0))], None);
         let stats = topo.engine_stats().delta_since(&window);
-        assert_eq!(stats.topology.full_rebuilds, 3);
-        assert_eq!(stats.topology.coverage_full_recomputes, 3);
-        assert_eq!(stats.topology.coverage_delta_repairs, 0);
-        assert_eq!(stats.connectivity.repairs, 0);
+        assert_eq!(stats.full_rebuilds, 3);
+        assert_eq!(stats.coverage_full_recomputes, 3);
+        assert_eq!(stats.coverage_delta_repairs, 0);
+        assert_eq!(stats.repairs, 0);
         topo.assert_consistent();
     }
 }

@@ -152,13 +152,13 @@ fn steady_state_clone_from_and_apply_moves_allocate_nothing() {
     ARMED.store(false, Ordering::SeqCst);
     let batch_ops = HEAP_OPS.load(Ordering::SeqCst);
 
-    let before = sparse.engine_stats().connectivity;
+    let before = sparse.engine_stats();
     HEAP_OPS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     let hand_off = single_cycles(&mut sparse);
     ARMED.store(false, Ordering::SeqCst);
     let single_ops = HEAP_OPS.load(Ordering::SeqCst);
-    let after = sparse.engine_stats().connectivity;
+    let after = sparse.engine_stats();
 
     assert_eq!(
         batch_ops, 0,

@@ -196,7 +196,7 @@ fn dynamic_path_statistics_accumulate() {
         topo.move_router(id, to);
     }
     topo.assert_consistent();
-    let stats = topo.engine_stats().connectivity;
+    let stats = topo.engine_stats();
     assert!(stats.repairs > 0);
     assert!(
         stats.insertions + stats.deletions > 0,
@@ -358,7 +358,7 @@ fn single_writes_take_the_cheaper_coverage_repair() {
         };
         let positions = topos[0].placement();
         let mask = topos[0].giant_mask().to_vec();
-        let full_passes = topos[0].engine_stats().topology.coverage_full_recomputes;
+        let full_passes = topos[0].engine_stats().coverage_full_recomputes;
         apply_step(&mut topos, &step, &mut undo_log);
         assert_identical(&topos, &format!("percolated step {s}"));
         let moved = topos[0].placement();
@@ -366,7 +366,7 @@ fn single_writes_take_the_cheaper_coverage_repair() {
             mask[i] != topos[0].giant_mask()[i] && positions.as_slice()[i] == moved.as_slice()[i]
         });
         if flipped_unmoved {
-            let took_full = topos[0].engine_stats().topology.coverage_full_recomputes > full_passes;
+            let took_full = topos[0].engine_stats().coverage_full_recomputes > full_passes;
             full_pass += usize::from(took_full);
             delta += usize::from(!took_full);
         }

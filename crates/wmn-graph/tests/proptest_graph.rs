@@ -52,21 +52,24 @@ proptest! {
             uf.union(a, b);
         }
         let naive = naive_partition(n, &ops);
+        let roots: Vec<usize> = (0..n).map(|i| uf.find(i)).collect();
         for i in 0..n {
             for j in 0..n {
                 prop_assert_eq!(
-                    uf.connected(i, j),
+                    roots[i] == roots[j],
                     naive[i] == naive[j],
                     "connectivity mismatch for ({}, {})", i, j
                 );
             }
         }
-        // Set count and sizes agree with the naive labels.
+        // Root count and per-root sizes agree with the naive labels.
         let distinct: std::collections::HashSet<usize> = naive.iter().copied().collect();
-        prop_assert_eq!(uf.set_count(), distinct.len());
+        let root_set: std::collections::HashSet<usize> = roots.iter().copied().collect();
+        prop_assert_eq!(root_set.len(), distinct.len());
         for i in 0..n {
             let naive_size = naive.iter().filter(|&&l| l == naive[i]).count();
-            prop_assert_eq!(uf.set_size(i), naive_size);
+            let root_size = roots.iter().filter(|&&r| r == roots[i]).count();
+            prop_assert_eq!(root_size, naive_size);
         }
     }
 

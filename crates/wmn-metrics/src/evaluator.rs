@@ -381,10 +381,7 @@ mod tests {
         assert_eq!(got, ev.evaluate(&placement).unwrap());
         let topo = ws.topology().unwrap();
         assert_eq!(
-            topo.engine_stats()
-                .delta_since(&window)
-                .topology
-                .full_rebuilds,
+            topo.engine_stats().delta_since(&window).full_rebuilds,
             0,
             "the stale topology must be replaced by a fresh build, not reset"
         );
@@ -432,7 +429,7 @@ mod tests {
             .evaluate_moves_to_from(&mut topo, &target, &mut moves, Some(&before))
             .unwrap();
         assert_eq!(got, ev.evaluate(&target).unwrap());
-        assert_eq!(topo.engine_stats().topology.disk_cache_grafts, 0);
+        assert_eq!(topo.engine_stats().disk_cache_grafts, 0);
         topo.assert_consistent();
     }
 
@@ -496,7 +493,7 @@ mod tests {
             assert_eq!(a, b, "round {round}");
             assert_eq!(a, ev.evaluate(&target).unwrap(), "round {round} vs fresh");
         }
-        let stats = dynamic.engine_stats().connectivity;
+        let stats = dynamic.engine_stats();
         assert!(
             stats.repairs > 0 && stats.insertions + stats.deletions > 0,
             "the dynamic engine must have processed the diffs"

@@ -6,10 +6,12 @@
 //! byte-stable across runs *and thread counts* for a fixed seed. This
 //! crate provides the two layers that carry them:
 //!
-//! * [`stats`] — always-on engine counters: [`ConnectivityStats`] (the
-//!   dynamic-connectivity repair engine), [`TopologyStats`] (the
-//!   topology's coverage/edge/cache work), and the unifying
-//!   [`EngineStats`] with deterministic merge/delta/flatten operations.
+//! * [`stats`] — always-on counters: [`EngineStats`] (the topology's
+//!   coverage/edge/cache work and its dynamic-connectivity repairs) and
+//!   [`RobustnessStats`] (injected faults and retries). Each set is
+//!   declared once, as one list that gives every counter its field, its
+//!   telemetry name and, for the engine, its section inside
+//!   `ga > evaluate`; merge, delta and flatten are generated from it.
 //!   These are plain `u64` increments on structs the hot paths already
 //!   own — no indirection, no feature gates.
 //! * [`recorder`] — the opt-in telemetry layer: a [`Recorder`] trait
@@ -36,12 +38,12 @@
 //! deltas: an engine-work total that used to be emitted in one call is
 //! emitted as per-phase slices that sum to the same flat counts, which is
 //! what keeps committed counter baselines valid across instrumentation
-//! changes. The GA's child evaluations are attributed **by counter
-//! name** ([`repair_section`]): every engine counter but the state copies
-//! comes from the topology's one repair routine, so its name fixes the
-//! repair section it lands in, and only state copies stay on `evaluate`
-//! itself. `wmn-report flame` renders the tree as a text flamegraph with
-//! percentages.
+//! changes. The GA's child evaluations are attributed **by counter**
+//! ([`repair_section`]): every engine counter but the state copies comes
+//! from the topology's one repair routine, and [`EngineStats`] declares
+//! the repair section each one lands in; only state copies stay on
+//! `evaluate` itself. `wmn-report flame` renders the tree as a text
+//! flamegraph with percentages.
 //!
 //! The crate is dependency-free and sits below `wmn-graph`, so every
 //! layer of the engine can report through it.
@@ -69,7 +71,4 @@ pub use recorder::{
     phase, time_span, Histogram, NoopRecorder, PhaseGuard, PhaseNode, Recorder, SpanEntry,
     TelemetryRecorder,
 };
-pub use stats::{
-    repair_section, ConnectivityStats, EngineStats, FaultStats, RetryStats, RobustnessStats,
-    TopologyStats,
-};
+pub use stats::{repair_section, EngineStats, RobustnessStats};

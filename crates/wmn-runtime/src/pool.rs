@@ -235,9 +235,9 @@ where
     let max_attempts = policy.max_attempts.max(1);
     let plan = policy.fault_plan.as_ref();
     for attempt in 0..max_attempts {
-        stats.retry.attempts += 1;
+        stats.attempts += 1;
         if attempt > 0 {
-            stats.retry.retries += 1;
+            stats.retries += 1;
         }
         let start_fault = plan.and_then(|p| p.decide(FaultSite::JobStart, index, attempt));
         let finish_fault = plan.and_then(|p| p.decide(FaultSite::JobFinish, index, attempt));
@@ -246,15 +246,14 @@ where
         // (via the captured `&mut stats`) right before the corresponding
         // panic fires, so mutation survives the unwind and the counts stay
         // exact.
-        let fault = &mut stats.fault;
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             match start_fault {
                 Some(FaultKind::Panic) => {
-                    fault.injected_panics += 1;
+                    stats.injected_panics += 1;
                     panic!("injected panic@start (job {index}, attempt {attempt})");
                 }
                 Some(FaultKind::Error) => {
-                    fault.injected_errors += 1;
+                    stats.injected_errors += 1;
                     return Err(FailureKind::Injected("error@start"));
                 }
                 None => {}
@@ -267,11 +266,11 @@ where
             let result = worker(job, recorder).map_err(FailureKind::Error)?;
             match finish_fault {
                 Some(FaultKind::Panic) => {
-                    fault.injected_panics += 1;
+                    stats.injected_panics += 1;
                     panic!("injected panic@finish (job {index}, attempt {attempt})");
                 }
                 Some(FaultKind::Error) => {
-                    fault.injected_errors += 1;
+                    stats.injected_errors += 1;
                     Err(FailureKind::Injected("error@finish"))
                 }
                 None => Ok((result, attempt_recorder)),
@@ -281,18 +280,18 @@ where
         let failure_kind = match unwound {
             Ok(Ok(success)) => {
                 if attempt > 0 {
-                    stats.retry.recovered_jobs += 1;
+                    stats.recovered_jobs += 1;
                 }
                 return Ok(success);
             }
             Ok(Err(kind)) => kind,
             Err(payload) => {
-                stats.fault.caught_panics += 1;
+                stats.caught_panics += 1;
                 FailureKind::Panic(panic_message(payload.as_ref()))
             }
         };
         if attempt + 1 == max_attempts {
-            stats.retry.exhausted_jobs += 1;
+            stats.exhausted_jobs += 1;
             return Err(JobFailure {
                 index,
                 attempts: max_attempts,
@@ -532,9 +531,8 @@ mod tests {
             .unwrap();
         let expected: Vec<u64> = jobs.iter().map(|(i, x)| x + i).collect();
         assert_eq!(out, expected);
-        assert_eq!(stats.retry.attempts, 16);
-        assert_eq!(stats.retry.retries, 0);
-        assert!(stats.fault == Default::default());
+        assert_eq!(stats.attempts, 16);
+        assert!(stats.is_uneventful());
     }
 
     #[test]
@@ -558,7 +556,7 @@ mod tests {
                 assert_eq!(err.index, fail_at, "threads = {threads}");
                 assert_eq!(err.attempts, 1);
                 assert_eq!(err.kind, FailureKind::Error(format!("boom at {fail_at}")));
-                assert_eq!(stats.retry.exhausted_jobs, 1, "threads = {threads}");
+                assert_eq!(stats.exhausted_jobs, 1, "threads = {threads}");
             }
         }
     }
@@ -579,7 +577,7 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err.index, 3, "threads = {threads}");
             assert_eq!(err.kind, FailureKind::Error(String::from("job 3 failed")));
-            assert_eq!(stats.retry.exhausted_jobs, 3);
+            assert_eq!(stats.exhausted_jobs, 3);
         }
     }
 
@@ -606,7 +604,7 @@ mod tests {
             err.kind,
             FailureKind::Panic(String::from("organic panic in job 2"))
         );
-        assert_eq!(stats.fault.caught_panics, 1);
+        assert_eq!(stats.caught_panics, 1);
         assert_eq!(
             err.to_string(),
             "job 2 failed after 1 attempt: panic: organic panic in job 2"
@@ -640,16 +638,16 @@ mod tests {
             (out, recorder.render_json(), stats)
         };
         let (clean_out, clean_json, clean_stats) = run(1, None);
-        assert!(clean_stats == RobustnessStats::default() || clean_stats.retry.attempts == 24);
+        assert!(clean_stats == RobustnessStats::default() || clean_stats.attempts == 24);
         for threads in [1, 2, 8] {
             let (out, json, stats) = run(threads, Some(plan));
             assert_eq!(out, clean_out, "threads = {threads}");
             assert_eq!(json, clean_json, "threads = {threads}");
             // Some faults fired (p=0.3 over 24 jobs × 2 rules) and every
             // doomed job recovered.
-            assert!(stats.retry.retries > 0, "threads = {threads}");
-            assert_eq!(stats.retry.exhausted_jobs, 0);
-            assert_eq!(stats.retry.recovered_jobs, stats.retry.retries);
+            assert!(stats.retries > 0, "threads = {threads}");
+            assert_eq!(stats.exhausted_jobs, 0);
+            assert_eq!(stats.recovered_jobs, stats.retries);
             // Fault/retry profiles are themselves thread-invariant.
             let (_, _, again) = run(1, Some(plan));
             assert_eq!(stats, again, "threads = {threads}");
@@ -672,8 +670,8 @@ mod tests {
             assert_eq!(err.index, 0, "threads = {threads}");
             assert_eq!(err.attempts, 2);
             assert_eq!(err.kind, FailureKind::Injected("error@start"));
-            assert_eq!(stats.retry.exhausted_jobs, 6);
-            assert_eq!(stats.fault.injected_errors, 12);
+            assert_eq!(stats.exhausted_jobs, 6);
+            assert_eq!(stats.injected_errors, 12);
         }
     }
 
@@ -689,10 +687,10 @@ mod tests {
             .run(jobs, &policy, &mut stats, None, |x, _| Ok::<_, String>(*x))
             .unwrap();
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        assert_eq!(stats.fault.injected_panics, 5);
-        assert_eq!(stats.fault.caught_panics, 5);
-        assert_eq!(stats.retry.attempts, 10);
-        assert_eq!(stats.retry.recovered_jobs, 5);
+        assert_eq!(stats.injected_panics, 5);
+        assert_eq!(stats.caught_panics, 5);
+        assert_eq!(stats.attempts, 10);
+        assert_eq!(stats.recovered_jobs, 5);
     }
 
     #[test]
@@ -731,7 +729,7 @@ mod tests {
                     },
                 )
                 .unwrap();
-            (out, recorder.render_json(), stats.fault.caught_panics)
+            (out, recorder.render_json(), stats.caught_panics)
         };
         let (clean_out, clean_json, clean_panics) = run(1, false);
         assert_eq!(clean_panics, 0);

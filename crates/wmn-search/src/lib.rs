@@ -22,7 +22,7 @@
 //! let movement = SwapMovement::new(&instance, SwapConfig::default());
 //! let config = SearchConfig {
 //!     budget: ExplorationBudget::sampled(16),
-//!     stopping: StoppingCondition::fixed_phases(10),
+//!     phases: 10,
 //! };
 //! let search = NeighborhoodSearch::new(&evaluator, Box::new(movement), config);
 //!
@@ -49,7 +49,7 @@ pub mod trace;
 
 pub use movement::{MoveAction, Movement, RandomMovement, SwapConfig, SwapMovement, UndoAction};
 pub use neighborhood::{best_neighbor, BestNeighbor, ExplorationBudget};
-pub use search::{NeighborhoodSearch, SearchConfig, SearchOutcome, StoppingCondition};
+pub use search::{NeighborhoodSearch, SearchConfig, SearchOutcome};
 pub use trace::{PhaseRecord, SearchTrace};
 pub use wmn_metrics::stats::ProgressPoint;
 
@@ -59,7 +59,7 @@ pub mod prelude {
         MoveAction, Movement, RandomMovement, SwapConfig, SwapMovement, UndoAction,
     };
     pub use crate::neighborhood::{best_neighbor, BestNeighbor, ExplorationBudget};
-    pub use crate::search::{NeighborhoodSearch, SearchConfig, SearchOutcome, StoppingCondition};
+    pub use crate::search::{NeighborhoodSearch, SearchConfig, SearchOutcome};
     pub use crate::trace::{PhaseRecord, SearchTrace};
     pub use wmn_metrics::stats::ProgressPoint;
     pub use wmn_obs::NoopRecorder;

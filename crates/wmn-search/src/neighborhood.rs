@@ -32,13 +32,6 @@ impl ExplorationBudget {
     }
 }
 
-impl Default for ExplorationBudget {
-    /// 32 sampled neighbors per phase (the Figure 4 configuration).
-    fn default() -> Self {
-        ExplorationBudget(32)
-    }
-}
-
 /// The best neighbor found in one phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BestNeighbor {
@@ -90,7 +83,6 @@ mod tests {
     #[test]
     fn budget_validation() {
         assert_eq!(ExplorationBudget::sampled(5).count(), 5);
-        assert_eq!(ExplorationBudget::default().count(), 32);
     }
 
     #[test]

@@ -16,35 +16,16 @@ use wmn_metrics::evaluator::{Evaluation, Evaluator};
 use wmn_model::placement::Placement;
 use wmn_obs::{phase, Recorder};
 
-/// How long the search runs: exactly `max_phases` phases, each recorded,
-/// whether or not it improves the current solution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoppingCondition {
-    /// Number of phases.
-    pub max_phases: usize,
-}
-
-impl StoppingCondition {
-    /// Fixed-length run (Figure 4: 61 phases).
-    pub fn fixed_phases(max_phases: usize) -> Self {
-        StoppingCondition { max_phases }
-    }
-}
-
-impl Default for StoppingCondition {
-    /// 61 fixed phases — the Figure 4 configuration.
-    fn default() -> Self {
-        StoppingCondition::fixed_phases(61)
-    }
-}
-
-/// Configuration of a neighborhood search run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Configuration of a neighborhood search run. Figure 4's effort is set
+/// in one place, the experiment configuration (`ExperimentConfig::paper`:
+/// 61 phases of 16 sampled neighbors).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchConfig {
     /// Neighbors examined per phase.
     pub budget: ExplorationBudget,
-    /// When to stop.
-    pub stopping: StoppingCondition,
+    /// Phases run, each recorded whether or not it improves the current
+    /// solution.
+    pub phases: usize,
 }
 
 /// Result of a neighborhood search run.
@@ -70,14 +51,14 @@ pub struct SearchOutcome {
 /// use wmn_obs::NoopRecorder;
 /// use wmn_search::movement::{SwapConfig, SwapMovement};
 /// use wmn_search::neighborhood::ExplorationBudget;
-/// use wmn_search::search::{NeighborhoodSearch, SearchConfig, StoppingCondition};
+/// use wmn_search::search::{NeighborhoodSearch, SearchConfig};
 ///
 /// let instance = InstanceSpec::paper_normal()?.generate(1)?;
 /// let evaluator = Evaluator::paper_default(&instance);
 /// let movement = SwapMovement::new(&instance, SwapConfig::default());
 /// let config = SearchConfig {
 ///     budget: ExplorationBudget::sampled(8),
-///     stopping: StoppingCondition::fixed_phases(5),
+///     phases: 5,
 /// };
 /// let search = NeighborhoodSearch::new(&evaluator, Box::new(movement), config);
 ///
@@ -141,7 +122,7 @@ impl<'e, 'i> NeighborhoodSearch<'e, 'i> {
         let mut trace = SearchTrace::new();
         let mut proposed = 0;
 
-        for phase in 1..=self.config.stopping.max_phases {
+        for phase in 1..=self.config.phases {
             let neighbor = best_neighbor(
                 topo,
                 self.evaluator,
@@ -219,7 +200,7 @@ mod tests {
     fn quick_config(phases: usize) -> SearchConfig {
         SearchConfig {
             budget: ExplorationBudget::sampled(8),
-            stopping: StoppingCondition::fixed_phases(phases),
+            phases,
         }
     }
 
@@ -278,7 +259,7 @@ mod tests {
         let movement = SwapMovement::new(&instance, SwapConfig::default());
         let config = SearchConfig {
             budget: ExplorationBudget::sampled(16),
-            stopping: StoppingCondition::fixed_phases(30),
+            phases: 30,
         };
         let search = NeighborhoodSearch::new(&evaluator, Box::new(movement), config);
         let mut rng = rng_from_seed(12);

@@ -11,7 +11,7 @@ use wmn_model::rng::rng_from_seed;
 use wmn_obs::{PhaseNode, TelemetryRecorder};
 use wmn_search::movement::{SwapConfig, SwapMovement};
 use wmn_search::neighborhood::ExplorationBudget;
-use wmn_search::search::{NeighborhoodSearch, SearchConfig, StoppingCondition};
+use wmn_search::search::{NeighborhoodSearch, SearchConfig};
 
 /// Every counter in the subtree rooted at `node`, summed by name.
 fn subtree_counters(node: &PhaseNode) -> BTreeMap<String, u64> {
@@ -37,7 +37,7 @@ fn neighborhood_search_telemetry_matches_its_outcome() {
         Box::new(SwapMovement::new(&instance, SwapConfig::default())),
         SearchConfig {
             budget: ExplorationBudget::sampled(6),
-            stopping: StoppingCondition::fixed_phases(9),
+            phases: 9,
         },
     );
     let initial = instance.random_placement(&mut rng_from_seed(5));

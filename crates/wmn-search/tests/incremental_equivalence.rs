@@ -12,7 +12,7 @@ use wmn_model::rng::rng_from_seed;
 use wmn_obs::NoopRecorder;
 use wmn_search::movement::{Movement, RandomMovement, SwapConfig, SwapMovement};
 use wmn_search::neighborhood::ExplorationBudget;
-use wmn_search::search::{NeighborhoodSearch, SearchConfig, StoppingCondition};
+use wmn_search::search::{NeighborhoodSearch, SearchConfig};
 
 #[test]
 fn neighborhood_search_is_bit_identical_to_rebuild_only() {
@@ -33,7 +33,7 @@ fn neighborhood_search_is_bit_identical_to_rebuild_only() {
                 movement,
                 SearchConfig {
                     budget: ExplorationBudget::sampled(8),
-                    stopping: StoppingCondition::fixed_phases(10),
+                    phases: 10,
                 },
             );
             // Same RNG stream, dynamic connectivity vs rebuild-only.

@@ -10,7 +10,7 @@ use wmn_model::radio::RadioProfile;
 use wmn_model::rng::rng_from_seed;
 use wmn_search::movement::{Movement, RandomMovement, SwapConfig, SwapMovement};
 use wmn_search::neighborhood::ExplorationBudget;
-use wmn_search::search::{NeighborhoodSearch, SearchConfig, StoppingCondition};
+use wmn_search::search::{NeighborhoodSearch, SearchConfig};
 
 fn arbitrary_instance() -> impl Strategy<Value = ProblemInstance> {
     (
@@ -92,7 +92,7 @@ proptest! {
             Box::new(SwapMovement::new(&instance, SwapConfig::default())),
             SearchConfig {
                 budget: ExplorationBudget::sampled(4),
-                stopping: StoppingCondition::fixed_phases(5),
+                phases: 5,
             },
         );
         let mut topo = evaluator.topology(&initial).unwrap();

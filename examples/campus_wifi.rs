@@ -59,7 +59,7 @@ fn main() -> Result<(), ModelError> {
         Box::new(movement),
         SearchConfig {
             budget: ExplorationBudget::sampled(16),
-            stopping: StoppingCondition::fixed_phases(61),
+            phases: 61,
         },
     );
     let mut topo = evaluator.topology(&initial)?;

@@ -2,7 +2,9 @@
 # Deterministic perf-regression gate over the engine's work counters.
 #
 # Runs two fixed-seed workloads with --telemetry and compares each run's
-# counter profile against its committed baseline with `wmn-report diff`:
+# counter profile (the flat totals and the phase-attribution tree, so a
+# counter that moves to another phase scope drifts too) against its
+# committed baseline with `wmn-report diff`:
 #
 #   fig3 --quick --threads 1 --ga-threads 1       COUNTERS_baseline.json
 #     (seeds 2009/42: the GA, one batch repair per child)

@@ -45,7 +45,7 @@
 //!     Box::new(movement),
 //!     SearchConfig {
 //!         budget: ExplorationBudget::sampled(16),
-//!         stopping: StoppingCondition::fixed_phases(10),
+//!         phases: 10,
 //!     },
 //! );
 //! let mut topo = evaluator.topology(&placement)?;

@@ -33,7 +33,7 @@ fn full_pipeline_adhoc_search_ga() {
         Box::new(SwapMovement::new(&instance, SwapConfig::default())),
         SearchConfig {
             budget: ExplorationBudget::sampled(8),
-            stopping: StoppingCondition::fixed_phases(10),
+            phases: 10,
         },
     );
     let mut topo = evaluator.topology(&placement).expect("valid placement");
@@ -70,7 +70,7 @@ fn whole_pipeline_is_deterministic_per_seed() {
             Box::new(SwapMovement::new(&instance, SwapConfig::default())),
             SearchConfig {
                 budget: ExplorationBudget::sampled(6),
-                stopping: StoppingCondition::fixed_phases(8),
+                phases: 8,
             },
         );
         let mut topo = evaluator.topology(&placement).expect("valid placement");
@@ -94,7 +94,7 @@ fn every_method_feeds_every_search_algorithm() {
     let evaluator = Evaluator::paper_default(&instance);
     let config = SearchConfig {
         budget: ExplorationBudget::sampled(4),
-        stopping: StoppingCondition::fixed_phases(4),
+        phases: 4,
     };
     for method in AdHocMethod::all() {
         let mut rng = rng_from_seed(method.name().len() as u64);

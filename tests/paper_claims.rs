@@ -17,7 +17,7 @@ fn swap_movement_beats_random_movement() {
     let topology = || evaluator.topology(&initial).expect("valid placement");
     let config = SearchConfig {
         budget: ExplorationBudget::sampled(8),
-        stopping: StoppingCondition::fixed_phases(25),
+        phases: 25,
     };
 
     let swap = NeighborhoodSearch::new(
