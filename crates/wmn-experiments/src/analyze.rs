@@ -1,128 +1,55 @@
 //! Telemetry analysis behind the `wmn-report` binary.
 //!
-//! Reads back the artifacts `--telemetry <dir>` writes (see
-//! [`crate::telemetry`]) and turns them into human-readable reports:
+//! Reads back the one counter document, `telemetry.json` (see
+//! [`crate::telemetry`]; a committed counter baseline is a copy of one),
+//! and turns it into human-readable reports:
 //!
-//! * `flame` — renders the phase-attribution tree of a
-//!   `wmn-telemetry/v2` document or a baseline as a **counter-weighted
-//!   flamegraph**:
-//!   every line is a phase scope, weighted by the deterministic work
-//!   counters recorded inside it rather than by wall-clock samples, so
-//!   the rendered split (e.g. edge repair vs component repair vs
-//!   coverage inside `apply_moves`) is byte-identical for every thread
-//!   count and machine.
-//! * `diff` — compares the flat counter profiles (and, when the baseline
-//!   carries one, the attribution trees) of two documents and lists every
-//!   drifted key in the `  <key>: baseline <b> -> run <r>` form that
+//! * `flame` — renders the phase-attribution tree as a
+//!   **counter-weighted flamegraph**: every line is a phase scope,
+//!   weighted by the deterministic work counters recorded inside it
+//!   rather than by wall-clock samples, so the rendered split (e.g. edge
+//!   repair vs component repair vs coverage inside `apply_moves`) is
+//!   byte-identical for every thread count and machine.
+//! * `diff` — compares the flat counter profiles and the attribution
+//!   trees of two documents and lists every drifted key in the
+//!   `  <key>: baseline <b> -> run <r>` form that
 //!   `scripts/check_counters.sh` gates on, so a counter that moves to
 //!   another phase scope drifts even when its flat total does not. A
 //!   relative `--threshold` tolerates bounded drift.
-//! * `summarize` — a one-screen digest of a run's counters and phases.
-//! * `baseline` — rewrites a telemetry document into the committed
-//!   `COUNTERS_baseline.json` shape (`wmn-counters-baseline/v1`): the
-//!   flat counters, byte-compatible with what the retired `jq` pipeline
-//!   produced, then the attribution tree in `telemetry.json`'s nested
-//!   shape, pretty-printed the same way.
+//! * `summarize` — a one-screen digest of a document's counters and
+//!   phases.
 //!
-//! Inputs are validated strictly by their `schema` member: the readers
-//! here accept `wmn-telemetry/v2` and `wmn-counters-baseline/v1`, and
-//! reject anything else — in particular the retired `wmn-telemetry/v1`
-//! shape — with an error naming both the found and the expected schema,
-//! instead of guessing at missing members.
+//! Inputs are validated strictly by their `schema` member: the reader
+//! accepts `wmn-telemetry/v2` and rejects anything else — the retired
+//! `wmn-telemetry/v1` documents and `wmn-counters-baseline/v1` baselines
+//! among them — with an error naming both the found and the expected
+//! schema, instead of guessing at missing members. The attribution tree
+//! reads back as the recorder's own [`PhaseNode`].
 
-use crate::error::{write_file, ExperimentError};
+use crate::error::ExperimentError;
 use crate::json::{self, JsonValue};
+use crate::telemetry::SCHEMA;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use wmn_obs::PhaseNode;
 
-/// Schema identifier of `telemetry.json` documents this reader accepts.
-pub const TELEMETRY_SCHEMA: &str = "wmn-telemetry/v2";
-/// Schema identifier of counter-baseline documents (read and written).
-pub const BASELINE_SCHEMA: &str = "wmn-counters-baseline/v1";
-
-/// The canonical baseline workload (must match
-/// `scripts/check_counters.sh`, which runs exactly this command line).
-pub const BASELINE_WORKLOAD: &str = "fig3 --quick --threads 1 --ga-threads 1 (fixed seeds 2009/42)";
-/// How to regenerate the committed baseline.
-pub const BASELINE_REFRESH: &str = "scripts/check_counters.sh --refresh";
-
-/// One node of a parsed phase-attribution tree (the reader-side mirror
-/// of `wmn_obs::PhaseNode`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AttributionNode {
-    /// Counter deltas recorded directly in this scope.
-    pub counters: BTreeMap<String, u64>,
-    /// Nested phase scopes.
-    pub children: BTreeMap<String, AttributionNode>,
-}
-
-impl AttributionNode {
-    /// Sum of this node's own counter deltas.
-    pub fn self_total(&self) -> u64 {
-        self.counters.values().sum()
-    }
-
-    /// Sum of this node's and every descendant's counter deltas.
-    pub fn total(&self) -> u64 {
-        self.self_total()
-            + self
-                .children
-                .values()
-                .map(AttributionNode::total)
-                .sum::<u64>()
-    }
-
-    /// `true` when the node records nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.children.is_empty()
-    }
-
-    fn flatten_into(&self, prefix: &str, out: &mut BTreeMap<String, u64>) {
-        for (name, delta) in &self.counters {
-            *out.entry(format!("{prefix}.{name}")).or_insert(0) += delta;
-        }
-        for (name, child) in &self.children {
-            child.flatten_into(&format!("{prefix}.{name}"), out);
-        }
-    }
-
-    /// Flattens the tree to `phase.<path>.<counter>` keys.
-    pub fn flatten(&self) -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        for (name, child) in &self.children {
-            child.flatten_into(&format!("phase.{name}"), &mut out);
-        }
-        out
-    }
-}
-
-/// Which accepted document shape a [`Doc`] was parsed from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DocKind {
-    /// A `wmn-telemetry/v2` run document.
-    Telemetry,
-    /// A `wmn-counters-baseline/v1` committed baseline.
-    Baseline,
-}
-
-/// A validated, loaded counter document.
+/// A validated, loaded `telemetry.json` document.
 #[derive(Debug, Clone)]
 pub struct Doc {
     /// Where it was read from (a label in tests).
     pub path: PathBuf,
-    /// Which schema it carried.
-    pub kind: DocKind,
-    /// The producing binary (`telemetry.json` only).
+    /// The producing binary.
     pub bin: Option<String>,
     /// The connectivity mode of the run.
     pub connectivity: Option<String>,
     /// Flat counter totals.
     pub counters: BTreeMap<String, u64>,
-    /// Number of recorded histograms (`telemetry.json` only).
+    /// Number of recorded histograms.
     pub histograms: usize,
-    /// The phase-attribution tree (empty for a baseline that holds none).
-    pub attribution: AttributionNode,
+    /// The phase-attribution tree (the root is anonymous; top-level
+    /// phases are its children).
+    pub attribution: PhaseNode,
 }
 
 impl Doc {
@@ -155,11 +82,11 @@ fn counters_from(
 }
 
 /// Reads a phase-name → node object: a node's `children`, or the
-/// `attribution` member of either schema (the root's children).
+/// document's `attribution` member (the root's children).
 fn children_from(
     value: &JsonValue,
     label: &str,
-) -> Result<BTreeMap<String, AttributionNode>, ExperimentError> {
+) -> Result<BTreeMap<String, PhaseNode>, ExperimentError> {
     let JsonValue::Object(kids) = value else {
         return Err(ExperimentError::report(format!(
             "{label}: attribution children is not a JSON object"
@@ -170,13 +97,13 @@ fn children_from(
         .collect()
 }
 
-fn attribution_from(value: &JsonValue, label: &str) -> Result<AttributionNode, ExperimentError> {
+fn attribution_from(value: &JsonValue, label: &str) -> Result<PhaseNode, ExperimentError> {
     let JsonValue::Object(members) = value else {
         return Err(ExperimentError::report(format!(
             "{label}: attribution node is not a JSON object"
         )));
     };
-    let mut node = AttributionNode::default();
+    let mut node = PhaseNode::default();
     for (key, v) in members {
         match key.as_str() {
             "counters" => node.counters = counters_from(v, "attribution counters", label)?,
@@ -191,13 +118,28 @@ fn attribution_from(value: &JsonValue, label: &str) -> Result<AttributionNode, E
     Ok(node)
 }
 
-/// Parses and validates one document from its rendered text. Both
-/// schemas carry the attribution tree in one nested shape; a telemetry
-/// document must hold one, a baseline may omit it.
+/// Flattens an attribution tree to the `phase.<path>.<counter>` keys
+/// that `diff` compares and reports.
+fn flatten(root: &PhaseNode) -> BTreeMap<String, u64> {
+    fn walk(node: &PhaseNode, prefix: &str, out: &mut BTreeMap<String, u64>) {
+        for (name, delta) in &node.counters {
+            *out.entry(format!("{prefix}.{name}")).or_insert(0) += delta;
+        }
+        for (name, child) in &node.children {
+            walk(child, &format!("{prefix}.{name}"), out);
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(root, "phase", &mut out);
+    out
+}
+
+/// Parses and validates one `wmn-telemetry/v2` document from its
+/// rendered text.
 ///
 /// # Errors
 ///
-/// Rejects malformed JSON, unknown schemas (naming both found and
+/// Rejects malformed JSON, other schemas (naming both found and
 /// expected), and structurally invalid members.
 pub fn parse_doc(label: &Path, contents: &str) -> Result<Doc, ExperimentError> {
     let display = label.display();
@@ -209,23 +151,21 @@ pub fn parse_doc(label: &Path, contents: &str) -> Result<Doc, ExperimentError> {
         .ok_or_else(|| {
             ExperimentError::report(format!("{display}: missing string member \"schema\""))
         })?;
-    let kind = match schema {
-        TELEMETRY_SCHEMA => DocKind::Telemetry,
-        BASELINE_SCHEMA => DocKind::Baseline,
+    match schema {
+        SCHEMA => {}
         "wmn-telemetry/v1" => {
             return Err(ExperimentError::report(format!(
                 "{display}: schema \"wmn-telemetry/v1\" is no longer readable — this tool \
-                 expects \"{TELEMETRY_SCHEMA}\" (v2 added the phase-attribution tree and \
+                 expects \"{SCHEMA}\" (v2 added the phase-attribution tree and \
                  parented spans); regenerate the telemetry with a current build"
             )))
         }
         other => {
             return Err(ExperimentError::report(format!(
-                "{display}: unsupported schema {other:?} (expected \"{TELEMETRY_SCHEMA}\" \
-                 or \"{BASELINE_SCHEMA}\")"
+                "{display}: unsupported schema {other:?} (expected \"{SCHEMA}\")"
             )))
         }
-    };
+    }
     let label_str = display.to_string();
     let counters = counters_from(
         value.get("counters").ok_or_else(|| {
@@ -234,49 +174,37 @@ pub fn parse_doc(label: &Path, contents: &str) -> Result<Doc, ExperimentError> {
         "counters",
         &label_str,
     )?;
-    let mut doc = Doc {
+    let attribution = value.get("attribution").ok_or_else(|| {
+        ExperimentError::report(format!(
+            "{display}: missing member \"attribution\" (required by {SCHEMA})"
+        ))
+    })?;
+    Ok(Doc {
         path: label.to_path_buf(),
-        kind,
         bin: value
             .get("bin")
             .and_then(JsonValue::as_str)
             .map(str::to_owned),
-        connectivity: None,
+        connectivity: value
+            .get("config")
+            .and_then(|c| c.get("connectivity"))
+            .and_then(JsonValue::as_str)
+            .map(str::to_owned),
         counters,
-        histograms: 0,
-        attribution: AttributionNode::default(),
-    };
-    match kind {
-        DocKind::Telemetry => {
-            doc.connectivity = value
-                .get("config")
-                .and_then(|c| c.get("connectivity"))
-                .and_then(JsonValue::as_str)
-                .map(str::to_owned);
-            if let Some(JsonValue::Object(h)) = value.get("histograms") {
-                doc.histograms = h.len();
-            }
-            if value.get("attribution").is_none() {
-                return Err(ExperimentError::report(format!(
-                    "{display}: missing member \"attribution\" (required by {TELEMETRY_SCHEMA})"
-                )));
-            }
-        }
-        DocKind::Baseline => {
-            doc.connectivity = value
-                .get("connectivity")
-                .and_then(JsonValue::as_str)
-                .map(str::to_owned);
-        }
-    }
-    if let Some(attribution) = value.get("attribution") {
-        doc.attribution.children = children_from(attribution, &label_str)?;
-    }
-    Ok(doc)
+        histograms: match value.get("histograms") {
+            Some(JsonValue::Object(h)) => h.len(),
+            _ => 0,
+        },
+        attribution: PhaseNode {
+            counters: BTreeMap::new(),
+            children: children_from(attribution, &label_str)?,
+        },
+    })
 }
 
-/// Resolves `path` (a `telemetry.json`, a baseline file, or a telemetry
-/// directory containing `telemetry.json`) and loads the document.
+/// Resolves `path` (a `telemetry.json` or a copy of one, such as a
+/// baseline, or a telemetry directory containing `telemetry.json`) and
+/// loads the document.
 ///
 /// # Errors
 ///
@@ -308,8 +236,9 @@ fn fmt_pct(numerator: u64, denominator: u64) -> String {
     format!("{}.{}", pm / 10, pm % 10)
 }
 
-fn flame_node(out: &mut String, name: &str, node: &AttributionNode, depth: usize, total: u64) {
+fn flame_node(out: &mut String, name: &str, node: &PhaseNode, depth: usize, total: u64) {
     let weight = node.total();
+    let own: u64 = node.counters.values().sum();
     let indent = "  ".repeat(depth);
     let _ = writeln!(
         out,
@@ -319,12 +248,11 @@ fn flame_node(out: &mut String, name: &str, node: &AttributionNode, depth: usize
     );
     // Work recorded directly in a scope that also has children renders as
     // a `[self]` leaf, so sibling percentages always sum to the parent.
-    if !node.children.is_empty() && node.self_total() > 0 {
+    if !node.children.is_empty() && own > 0 {
         let _ = writeln!(
             out,
-            "{:>5}% {:>14}  {indent}  [self]",
-            fmt_pct(node.self_total(), total),
-            node.self_total()
+            "{:>5}% {own:>14}  {indent}  [self]",
+            fmt_pct(own, total)
         );
     }
     for (child_name, child) in sorted_children(node) {
@@ -334,18 +262,17 @@ fn flame_node(out: &mut String, name: &str, node: &AttributionNode, depth: usize
 
 /// Children ordered heaviest-first (ties broken by name) — the
 /// flamegraph reading order.
-fn sorted_children(node: &AttributionNode) -> Vec<(&str, &AttributionNode)> {
-    let mut kids: Vec<(&str, &AttributionNode)> =
+fn sorted_children(node: &PhaseNode) -> Vec<(&str, &PhaseNode)> {
+    let mut kids: Vec<(&str, &PhaseNode)> =
         node.children.iter().map(|(n, c)| (n.as_str(), c)).collect();
     kids.sort_by(|a, b| b.1.total().cmp(&a.1.total()).then(a.0.cmp(b.0)));
     kids
 }
 
-/// Renders the counter-weighted flamegraph of a telemetry document or a
-/// baseline.
+/// Renders the counter-weighted flamegraph of a document.
 pub fn flame(doc: &Doc) -> String {
     let mut out = String::new();
-    let bin = doc.bin.as_deref().unwrap_or("baseline");
+    let bin = doc.bin.as_deref().unwrap_or("?");
     let connectivity = doc.connectivity.as_deref().unwrap_or("?");
     let _ = writeln!(
         out,
@@ -414,8 +341,8 @@ pub struct DiffOutcome {
     pub drifted: bool,
 }
 
-/// Compares two documents' flat counters (and attribution trees when the
-/// baseline has one, so a run that lost the tree drifts too).
+/// Compares two documents' flat counters and attribution trees, so a
+/// counter that moved to another phase scope drifts too.
 /// `threshold_pct` is the tolerated relative drift per key, in percent
 /// (0 = exact).
 pub fn diff(baseline: &Doc, run: &Doc, threshold_pct: f64) -> DiffOutcome {
@@ -439,15 +366,13 @@ pub fn diff(baseline: &Doc, run: &Doc, threshold_pct: f64) -> DiffOutcome {
         &run.counters,
         threshold_pct,
     );
-    if !baseline.attribution.is_empty() {
-        drifted += diff_section(
-            &mut out,
-            "phase attribution",
-            &baseline.attribution.flatten(),
-            &run.attribution.flatten(),
-            threshold_pct,
-        );
-    }
+    drifted += diff_section(
+        &mut out,
+        "phase attribution",
+        &flatten(&baseline.attribution),
+        &flatten(&run.attribution),
+        threshold_pct,
+    );
     DiffOutcome {
         report: out,
         drifted: drifted > 0,
@@ -466,14 +391,10 @@ fn span_count(doc_path: &Path) -> Option<usize> {
 /// Renders a one-screen digest of a document.
 pub fn summarize(doc: &Doc) -> String {
     let mut out = String::new();
-    let schema = match doc.kind {
-        DocKind::Telemetry => TELEMETRY_SCHEMA,
-        DocKind::Baseline => BASELINE_SCHEMA,
-    };
     let _ = writeln!(
         out,
-        "run summary: {} ({schema})",
-        doc.bin.as_deref().unwrap_or("baseline")
+        "run summary: {} ({SCHEMA})",
+        doc.bin.as_deref().unwrap_or("?")
     );
     let _ = writeln!(out, "source: {}", doc.path.display());
     if let Some(connectivity) = &doc.connectivity {
@@ -490,89 +411,26 @@ pub fn summarize(doc: &Doc) -> String {
     for (key, value) in top.into_iter().take(5) {
         let _ = writeln!(out, "  {value:>14}  {key}");
     }
-    if doc.kind == DocKind::Telemetry {
-        let attributed = doc.attribution.total();
-        let _ = writeln!(
-            out,
-            "phases: {}% of work units attributed ({attributed} of {total})",
-            fmt_pct(attributed, total)
-        );
-        if attributed > 0 {
-            for (name, child) in sorted_children(&doc.attribution) {
-                let _ = writeln!(
-                    out,
-                    "  {:>5}% {:>14}  {name}",
-                    fmt_pct(child.total(), attributed),
-                    child.total()
-                );
-            }
-        }
-        let _ = writeln!(out, "histograms: {} recorded", doc.histograms);
-        if let Some(n) = span_count(&doc.path) {
-            let _ = writeln!(out, "spans: {n} recorded (wall-clock; see spans.jsonl)");
-        }
-    }
-    out
-}
-
-/// Writes `members` as a JSON object pretty-printed the way `jq` does it:
-/// one member per line, two spaces per nesting `depth`, `{}` when empty.
-/// `member` writes each value, given its own depth.
-fn pretty_object<V>(
-    out: &mut String,
-    depth: usize,
-    members: &BTreeMap<String, V>,
-    member: impl Fn(&mut String, usize, &V),
-) {
-    if members.is_empty() {
-        out.push_str("{}");
-        return;
-    }
-    let pad = "  ".repeat(depth + 1);
-    out.push('{');
-    for (i, (key, value)) in members.iter().enumerate() {
-        let comma = if i == 0 { "" } else { "," };
-        let _ = write!(out, "{comma}\n{pad}\"{}\": ", json::escape(key));
-        member(out, depth + 1, value);
-    }
-    let _ = write!(out, "\n{}}}", "  ".repeat(depth));
-}
-
-fn pretty_count(out: &mut String, _depth: usize, count: &u64) {
-    out.push_str(&count.to_string());
-}
-
-/// Writes one attribution node in `telemetry.json`'s nested shape,
-/// pretty-printed.
-fn pretty_node(out: &mut String, depth: usize, node: &AttributionNode) {
-    let pad = "  ".repeat(depth + 1);
-    let _ = write!(out, "{{\n{pad}\"counters\": ");
-    pretty_object(out, depth + 1, &node.counters, pretty_count);
-    let _ = write!(out, ",\n{pad}\"children\": ");
-    pretty_object(out, depth + 1, &node.children, pretty_node);
-    let _ = write!(out, "\n{}}}", "  ".repeat(depth));
-}
-
-/// Renders `doc` as a `wmn-counters-baseline/v1` document (2-space
-/// pretty print, trailing newline): the flat counters, byte-compatible
-/// with the `jq` output the old refresh path produced, then the
-/// attribution tree, so a baseline pins each counter's phase scope too.
-pub fn render_baseline(doc: &Doc, workload: &str) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{BASELINE_SCHEMA}\",");
-    let _ = writeln!(out, "  \"workload\": \"{}\",", json::escape(workload));
-    let _ = writeln!(out, "  \"refresh\": \"{BASELINE_REFRESH}\",");
+    let attributed = doc.attribution.total();
     let _ = writeln!(
         out,
-        "  \"connectivity\": \"{}\",",
-        json::escape(doc.connectivity.as_deref().unwrap_or("dynamic"))
+        "phases: {}% of work units attributed ({attributed} of {total})",
+        fmt_pct(attributed, total)
     );
-    out.push_str("  \"counters\": ");
-    pretty_object(&mut out, 1, &doc.counters, pretty_count);
-    out.push_str(",\n  \"attribution\": ");
-    pretty_object(&mut out, 1, &doc.attribution.children, pretty_node);
-    out.push_str("\n}\n");
+    if attributed > 0 {
+        for (name, child) in sorted_children(&doc.attribution) {
+            let _ = writeln!(
+                out,
+                "  {:>5}% {:>14}  {name}",
+                fmt_pct(child.total(), attributed),
+                child.total()
+            );
+        }
+    }
+    let _ = writeln!(out, "histograms: {} recorded", doc.histograms);
+    if let Some(n) = span_count(&doc.path) {
+        let _ = writeln!(out, "spans: {n} recorded (wall-clock; see spans.jsonl)");
+    }
     out
 }
 
@@ -587,18 +445,16 @@ pub struct Report {
 }
 
 const USAGE: &str = "usage: wmn-report <command> ...\n\
-  flame <dir|telemetry.json|baseline>            counter-weighted flamegraph\n\
+  flame <dir|telemetry.json>                     counter-weighted flamegraph\n\
   diff <baseline|dir> <run|dir> [--threshold P]  per-counter/per-phase drift (exit 1 on drift)\n\
-  summarize <dir|telemetry.json>                 one-screen run digest\n\
-  baseline <dir|telemetry.json> [--out FILE] [--workload TEXT]\n\
-                                                 rewrite counters and phase tree as a baseline";
+  summarize <dir|telemetry.json>                 one-screen run digest";
 
 fn usage_err(detail: &str) -> ExperimentError {
     ExperimentError::report(format!("{detail}\n{USAGE}"))
 }
 
 /// Runs one `wmn-report` invocation (everything after the program
-/// name). Pure except for reading the inputs and `baseline --out`.
+/// name). Pure except for reading the inputs.
 ///
 /// # Errors
 ///
@@ -660,50 +516,6 @@ pub fn run(args: &[String]) -> Result<Report, ExperimentError> {
                 exit_code: i32::from(outcome.drifted),
             })
         }
-        "baseline" => {
-            let mut out_path: Option<PathBuf> = None;
-            let mut workload = BASELINE_WORKLOAD.to_owned();
-            let mut paths: Vec<&String> = Vec::new();
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--out" => {
-                        let value = it.next().ok_or_else(|| usage_err("--out needs a path"))?;
-                        out_path = Some(PathBuf::from(value));
-                    }
-                    "--workload" => {
-                        let value = it
-                            .next()
-                            .ok_or_else(|| usage_err("--workload needs a value"))?;
-                        workload = value.clone();
-                    }
-                    _ => paths.push(arg),
-                }
-            }
-            let [path] = paths[..] else {
-                return Err(usage_err("baseline takes exactly one input path"));
-            };
-            let doc = load_doc(Path::new(path))?;
-            let rendered = render_baseline(&doc, &workload);
-            match out_path {
-                Some(target) => {
-                    write_file(&target, &rendered)?;
-                    Ok(Report {
-                        stdout: format!(
-                            "wrote {} ({} counters, connectivity={})\n",
-                            target.display(),
-                            doc.counters.len(),
-                            doc.connectivity.as_deref().unwrap_or("dynamic")
-                        ),
-                        exit_code: 0,
-                    })
-                }
-                None => Ok(Report {
-                    stdout: rendered,
-                    exit_code: 0,
-                }),
-            }
-        }
         other => Err(usage_err(&format!("unknown command {other:?}"))),
     }
 }
@@ -755,7 +567,6 @@ mod tests {
     #[test]
     fn parses_a_real_v2_document() {
         let doc = sample_doc();
-        assert_eq!(doc.kind, DocKind::Telemetry);
         assert_eq!(doc.bin.as_deref(), Some("fig3"));
         assert_eq!(doc.connectivity.as_deref(), Some("dynamic"));
         assert_eq!(doc.counters["ga.generations"], 40);
@@ -787,6 +598,12 @@ mod tests {
         let no_attribution = "{\"schema\":\"wmn-telemetry/v2\",\"bin\":\"fig3\",\"counters\":{}}";
         let err = parse_doc(&label(), no_attribution).unwrap_err().to_string();
         assert!(err.contains("attribution"), "{err}");
+
+        // The retired baseline schema is refused like any other.
+        let old_baseline = "{\"schema\":\"wmn-counters-baseline/v1\",\"counters\":{}}";
+        let err = parse_doc(&label(), old_baseline).unwrap_err().to_string();
+        assert!(err.contains("wmn-counters-baseline/v1"), "{err}");
+        assert!(err.contains("wmn-telemetry/v2"), "{err}");
     }
 
     #[test]
@@ -794,8 +611,8 @@ mod tests {
         let rendered =
             render_telemetry_json("fig3", &ExperimentConfig::quick(), &sample_recorder());
         let huge = rendered.replace(
-            "\"ga.generations\":40",
-            "\"ga.generations\":9007199254740993",
+            "\"ga.generations\": 40",
+            "\"ga.generations\": 9007199254740993",
         );
         assert_ne!(huge, rendered);
         let err = parse_doc(&label(), &huge).unwrap_err().to_string();
@@ -803,65 +620,77 @@ mod tests {
         assert!(err.contains("not an integer in [0, 2^53)"), "{err}");
     }
 
+    /// The committed counter baselines, copies of the gate runs'
+    /// `telemetry.json`.
+    const BASELINES: [(&str, &str); 2] = [
+        ("fig3", include_str!("../../../COUNTERS_baseline.json")),
+        ("fig4", include_str!("../../../COUNTERS_baseline_fig4.json")),
+    ];
+
     #[test]
     fn accepts_baseline_documents() {
-        let doc = sample_doc();
-        let rendered = render_baseline(&doc, BASELINE_WORKLOAD);
-        let baseline = parse_doc(Path::new("COUNTERS_baseline.json"), &rendered).unwrap();
-        assert_eq!(baseline.kind, DocKind::Baseline);
-        assert_eq!(baseline.counters, doc.counters);
-        assert_eq!(baseline.connectivity.as_deref(), Some("dynamic"));
-        assert_eq!(baseline.attribution, doc.attribution);
-        // A baseline without a tree still reads, with an empty one.
-        let (flat, _) = rendered.split_once(",\n  \"attribution\"").unwrap();
-        let flat = parse_doc(Path::new("old.json"), &format!("{flat}\n}}\n")).unwrap();
-        assert_eq!(flat.counters, doc.counters);
-        assert!(flat.attribution.is_empty());
+        for (bin, text) in BASELINES {
+            let baseline = parse_doc(Path::new("COUNTERS_baseline.json"), text).unwrap();
+            assert_eq!(baseline.bin.as_deref(), Some(bin));
+            assert_eq!(baseline.connectivity.as_deref(), Some("dynamic"));
+            assert!(!baseline.counters.is_empty(), "{bin}");
+            let attributed = baseline.attribution.total();
+            assert!(
+                attributed > 0 && attributed <= baseline.counter_total(),
+                "{bin}"
+            );
+        }
+    }
+
+    /// A baseline's `counters` and `attribution` blocks keep the pretty
+    /// shape the retired `jq` refresh path wrote, in a fresh render and in
+    /// both committed baselines.
+    #[test]
+    fn baseline_rendering_matches_the_jq_shape() {
+        let mut rec = TelemetryRecorder::new();
+        rec.counter("a.b", 1);
+        rec.counter("c", 20);
+        wmn_obs::phase(&mut rec, "ga").counter("c", 2);
+        let rendered = render_telemetry_json("w", &ExperimentConfig::quick(), &rec);
+        assert!(
+            rendered.ends_with(
+                "  \"counters\": {\n    \"a.b\": 1,\n    \"c\": 22\n  },\n  \
+                 \"histograms\": {},\n  \"attribution\": {\n    \"ga\": {\n      \
+                 \"counters\": {\n        \"c\": 2\n      },\n      \"children\": {}\n    \
+                 }\n  }\n}\n"
+            ),
+            "{rendered}"
+        );
+        let empty =
+            render_telemetry_json("w", &ExperimentConfig::quick(), &TelemetryRecorder::new());
+        assert!(
+            empty.ends_with("\"counters\": {},\n  \"histograms\": {},\n  \"attribution\": {}\n}\n"),
+            "{empty}"
+        );
+        for (bin, text) in BASELINES {
+            let doc = parse_doc(Path::new("COUNTERS_baseline.json"), text).unwrap();
+            let members: Vec<String> = doc
+                .counters
+                .iter()
+                .map(|(name, n)| format!("    \"{name}\": {n}"))
+                .collect();
+            let block = format!("\n  \"counters\": {{\n{}\n  }},\n", members.join(",\n"));
+            assert!(text.contains(&block), "{bin}");
+        }
     }
 
     #[test]
     fn baseline_with_control_characters_round_trips() {
-        let workload = "a\tb\nc";
-        let rendered = render_baseline(&sample_doc(), workload);
+        let bin = "a\tb\nc \"q\" \\ \u{1}";
+        let rendered = render_telemetry_json(bin, &ExperimentConfig::quick(), &sample_recorder());
         assert!(
-            rendered.contains("\"workload\": \"a\\tb\\nc\","),
+            rendered.contains("\"bin\": \"a\\tb\\nc \\\"q\\\" \\\\ \\u0001\","),
             "{rendered}"
         );
-        let value = json::parse(&rendered).unwrap();
-        assert_eq!(
-            value.get("workload").and_then(JsonValue::as_str),
-            Some(workload)
-        );
-        let baseline = parse_doc(Path::new("b.json"), &rendered).unwrap();
-        assert_eq!(baseline.counters, sample_doc().counters);
-    }
-
-    /// The counters block is what the retired `jq` refresh path wrote;
-    /// the attribution tree follows in the same pretty print.
-    #[test]
-    fn baseline_rendering_matches_the_jq_shape() {
-        let mut doc = sample_doc();
-        doc.counters = BTreeMap::from([("a.b".to_owned(), 1), ("c".to_owned(), 22)]);
-        let leaf = AttributionNode {
-            counters: BTreeMap::from([("c".to_owned(), 2)]),
-            children: BTreeMap::new(),
-        };
-        doc.attribution.children = BTreeMap::from([("ga".to_owned(), leaf)]);
-        let rendered = render_baseline(&doc, "w");
-        assert_eq!(
-            rendered,
-            "{\n  \"schema\": \"wmn-counters-baseline/v1\",\n  \"workload\": \"w\",\n  \
-             \"refresh\": \"scripts/check_counters.sh --refresh\",\n  \
-             \"connectivity\": \"dynamic\",\n  \"counters\": {\n    \"a.b\": 1,\n    \
-             \"c\": 22\n  },\n  \"attribution\": {\n    \"ga\": {\n      \
-             \"counters\": {\n        \"c\": 2\n      },\n      \"children\": {}\n    \
-             }\n  }\n}\n"
-        );
-        doc.counters.clear();
-        doc.attribution = AttributionNode::default();
-        assert!(
-            render_baseline(&doc, "w").ends_with("\"counters\": {},\n  \"attribution\": {}\n}\n")
-        );
+        let doc = parse_doc(Path::new("b.json"), &rendered).unwrap();
+        assert_eq!(doc.bin.as_deref(), Some(bin));
+        assert_eq!(doc.counters, sample_doc().counters);
+        assert_eq!(&doc.attribution, sample_recorder().attribution());
     }
 
     #[test]
@@ -886,19 +715,24 @@ mod tests {
 
     #[test]
     fn flame_reads_a_baseline_like_its_telemetry() {
-        let doc = sample_doc();
-        let rendered = render_baseline(&doc, "w");
-        let baseline = parse_doc(Path::new("b.json"), &rendered).unwrap();
-        let (run, base) = (flame(&doc), flame(&baseline));
+        let (_, text) = BASELINES[0];
+        let baseline = flame(&parse_doc(Path::new("COUNTERS_baseline.json"), text).unwrap());
         assert!(
-            base.starts_with("counter-weighted flamegraph: baseline"),
-            "{base}"
+            baseline.starts_with("counter-weighted flamegraph: fig3 (connectivity=dynamic)"),
+            "{baseline}"
         );
-        // Only the header's binary name differs.
-        assert_eq!(
-            run.split_once('\n').unwrap().1,
-            base.split_once('\n').unwrap().1
-        );
+        for scope in [
+            "evaluate",
+            "apply_moves",
+            "edge_repair",
+            "component_repair",
+            "coverage",
+        ] {
+            assert!(baseline.contains(scope), "{scope}: {baseline}");
+        }
+        // The file name plays no part: a copy renders like the original.
+        let copy = flame(&parse_doc(Path::new("telemetry.json"), text).unwrap());
+        assert_eq!(copy, baseline);
     }
 
     #[test]
@@ -998,7 +832,7 @@ mod tests {
     fn diff_flags_a_run_without_the_baselines_tree() {
         let baseline = sample_doc();
         let mut run = sample_doc();
-        run.attribution = AttributionNode::default();
+        run.attribution = PhaseNode::default();
         let outcome = diff(&baseline, &run, 0.0);
         assert!(outcome.drifted);
         assert!(
@@ -1008,8 +842,8 @@ mod tests {
             "{}",
             outcome.report
         );
-        // A baseline without a tree compares the flat counters only.
-        assert!(!diff(&run, &baseline, 0.0).drifted);
+        // Every document's tree is compared, so the reverse drifts too.
+        assert!(diff(&run, &baseline, 0.0).drifted);
     }
 
     #[test]
@@ -1030,8 +864,10 @@ mod tests {
     fn run_dispatches_and_reports_usage_errors() {
         let err = run(&[]).unwrap_err().to_string();
         assert!(err.contains("usage: wmn-report"), "{err}");
-        let err = run(&["explode".to_owned()]).unwrap_err().to_string();
-        assert!(err.contains("unknown command"), "{err}");
+        for retired in ["explode", "baseline"] {
+            let err = run(&[retired.to_owned()]).unwrap_err().to_string();
+            assert!(err.contains("unknown command"), "{err}");
+        }
         let err = run(&["diff".to_owned(), "a".to_owned()])
             .unwrap_err()
             .to_string();
@@ -1063,15 +899,9 @@ mod tests {
         let flame_out = run(&["flame".to_owned(), dir.display().to_string()]).unwrap();
         assert_eq!(flame_out.exit_code, 0);
         assert!(flame_out.stdout.contains("edge_repair"));
+        // A baseline is a copy of the run's document.
         let baseline_path = dir.join("base.json");
-        let wrote = run(&[
-            "baseline".to_owned(),
-            dir.join("telemetry.json").display().to_string(),
-            "--out".to_owned(),
-            baseline_path.display().to_string(),
-        ])
-        .unwrap();
-        assert_eq!(wrote.exit_code, 0);
+        std::fs::copy(dir.join("telemetry.json"), &baseline_path).unwrap();
         let clean = run(&[
             "diff".to_owned(),
             baseline_path.display().to_string(),
@@ -1081,6 +911,8 @@ mod tests {
         assert_eq!(clean.exit_code, 0, "{}", clean.stdout);
         let summary = run(&["summarize".to_owned(), dir.display().to_string()]).unwrap();
         assert!(summary.stdout.contains("spans:"), "{}", summary.stdout);
+        let summary = run(&["summarize".to_owned(), baseline_path.display().to_string()]).unwrap();
+        assert!(summary.stdout.contains("\nphases: "), "{}", summary.stdout);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

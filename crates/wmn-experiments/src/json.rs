@@ -491,12 +491,12 @@ mod tests {
 
     #[test]
     fn roundtrips_a_real_telemetry_header() {
-        // The exact shape telemetry.rs emits.
-        let doc = "{\"schema\":\"wmn-telemetry/v1\",\"bin\":\"fig3\",\
-                   \"config\":{\"instance_seed\":2009,\"run_seed\":42},\
-                   \"counters\":{\"ga.generations\":280}}";
+        // The shape telemetry.rs emits: pretty-printed, `config` on one line.
+        let doc = "{\n  \"schema\": \"wmn-telemetry/v2\",\n  \"bin\": \"fig3\",\n  \
+                   \"config\": {\"instance_seed\":2009,\"run_seed\":42},\n  \
+                   \"counters\": {\n    \"ga.generations\": 280\n  }\n}\n";
         let v = parse(doc).unwrap();
-        assert_eq!(v.get("schema").unwrap().as_str(), Some("wmn-telemetry/v1"));
+        assert_eq!(v.get("schema").unwrap().as_str(), Some("wmn-telemetry/v2"));
         assert_eq!(
             v.get("config")
                 .unwrap()

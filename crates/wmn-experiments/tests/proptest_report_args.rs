@@ -11,8 +11,9 @@ use argv::{argv, VALUES};
 use proptest::prelude::*;
 use wmn_experiments::analyze;
 
-/// `wmn-report`'s commands (and refused ones), its flags, and input paths,
-/// none of which exist in the directory the property runs in.
+/// `wmn-report`'s commands and flags, refused ones (among them the
+/// retired `baseline` command and its flags), and input paths, none of
+/// which exist in the directory the property runs in.
 const REPORT_PIECES: &[&str] = &[
     "flame",
     "summarize",

@@ -184,6 +184,33 @@ fn run_all_survives_faults_and_resume_with_byte_identical_output() {
 }
 
 #[test]
+fn injected_panics_print_no_panic_report() {
+    // Injected faults unwind without the panic hook, so the run's stderr
+    // holds the chaos summary and no `panicked at` report.
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    let dir = fresh_dir("wmn-robustness-quiet-faults");
+    let out = run_bin(
+        table1,
+        &[
+            "--quick",
+            "--threads",
+            "2",
+            "--retries",
+            "3",
+            "--fault-plan",
+            WITHIN_BUDGET_PLAN,
+        ],
+        "--out",
+        &dir,
+    );
+    assert_success(&out, "chaos table1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("chaos[ga-normal]"), "{stderr}");
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn run_all_with_exhausted_budget_exits_nonzero_naming_the_cell() {
     let run_all = env!("CARGO_BIN_EXE_run_all");
     let dir = fresh_dir("wmn-robustness-exhausted");

@@ -32,8 +32,8 @@
 //!    endpoint of a changed edge, and every other component is provably
 //!    unchanged. Each component is labeled by its smallest router index,
 //!    so the labels still equal a fresh build's. The engine reports the
-//!    routers whose giant membership flipped, and the giant mask is
-//!    updated from that list alone.
+//!    routers whose giant membership flipped, and coverage visits that
+//!    list alone.
 //! 3. **Coverage.** Per-client *cover counts* (how many giant routers
 //!    reach each client) let a repair decrement and increment only the
 //!    disks that changed: the moved routers' old and new disks, and the
@@ -58,11 +58,12 @@
 //!   relocated *before* edge repair).
 //! * `adjacency` equals `MeshAdjacency::build` of the current positions;
 //!   `components` equals `Components::from_adjacency(adjacency)` (every
-//!   component labeled by its smallest router index);
-//!   `giant_mask[i] == components.in_giant(i)`.
+//!   component labeled by its smallest router index), and holds the one
+//!   record of giant membership.
 //! * `cover_count[c]` equals the number of giant routers whose disk
-//!   holds client `c`; `covered[c] == (cover_count[c] > 0)`;
-//!   `covered_count` equals the number of set bits.
+//!   holds client `c`, and is the one record of coverage: client `c` is
+//!   covered iff `cover_count[c] > 0`; `covered_count` equals the number
+//!   of covered clients.
 //! * Equal [`placement_stamp`]s mean bit-identical `positions`: every
 //!   position write takes a fresh stamp, except that a `move_router` or
 //!   `swap_routers` that exactly undoes the previous one restores the
@@ -164,12 +165,9 @@ pub struct WmnTopology {
     router_index: DynamicGrid,
     adjacency: MeshAdjacency,
     components: Components,
-    /// `giant_mask[i] == components.in_giant(i)`, maintained so the
-    /// coverage delta can see *previous* membership during a move.
-    giant_mask: Vec<bool>,
     /// Per-client count of giant routers whose disk holds the client.
     cover_count: Vec<u32>,
-    covered: Vec<bool>,
+    /// Clients with a nonzero `cover_count`.
     covered_count: usize,
     /// Per-router disk cache: the clients inside router `i`'s disk. Two
     /// invariants make coverage repair mostly query-free:
@@ -307,9 +305,7 @@ impl Clone for WmnTopology {
             router_index: self.router_index.clone(),
             adjacency: self.adjacency.clone(),
             components: self.components.clone(),
-            giant_mask: self.giant_mask.clone(),
             cover_count: self.cover_count.clone(),
-            covered: self.covered.clone(),
             covered_count: self.covered_count,
             disk_clients: self.disk_clients.clone(),
             disk_cached: self.disk_cached.clone(),
@@ -336,9 +332,7 @@ impl Clone for WmnTopology {
         self.router_index.clone_from(&src.router_index);
         self.adjacency.clone_from(&src.adjacency);
         self.components.clone_from(&src.components);
-        self.giant_mask.clone_from(&src.giant_mask);
         self.cover_count.clone_from(&src.cover_count);
-        self.covered.clone_from(&src.covered);
         self.covered_count = src.covered_count;
         self.disk_clients.clone_from(&src.disk_clients);
         self.disk_cached.clone_from(&src.disk_cached);
@@ -383,9 +377,7 @@ impl WmnTopology {
             router_index: DynamicGrid::new(&area, router_cell),
             adjacency: MeshAdjacency::default(),
             components: Components::empty(),
-            giant_mask: Vec::new(),
             cover_count: vec![0; clients],
-            covered: vec![false; clients],
             covered_count: 0,
             disk_clients: NeighborSlab::with_nodes(routers),
             disk_cached: vec![false; routers],
@@ -422,8 +414,8 @@ impl WmnTopology {
     }
 
     /// Derives the whole network from the current positions, in place:
-    /// the router grid, the adjacency on it, components, the giant mask,
-    /// and coverage (re-querying only routers whose disk cache is stale).
+    /// the router grid, the adjacency on it, components, and coverage
+    /// (re-querying only routers whose disk cache is stale).
     /// [`build`](WmnTopology::build),
     /// [`reset_placement`](WmnTopology::reset_placement) and
     /// [`rebuild_full`](WmnTopology::rebuild_full) all end here.
@@ -433,7 +425,6 @@ impl WmnTopology {
             .rebuild_in_place(&self.positions, &self.radii, &self.router_index);
         self.components
             .rebuild_in_place(&self.adjacency, &mut self.scratch.bfs_queue);
-        self.refresh_giant_mask();
         self.recompute_coverage_from(None);
     }
 
@@ -449,7 +440,7 @@ impl WmnTopology {
 
     /// Number of clients.
     pub fn client_count(&self) -> usize {
-        self.covered.len()
+        self.cover_count.len()
     }
 
     /// Current position of router `id`.
@@ -495,15 +486,9 @@ impl WmnTopology {
         self.covered_count
     }
 
-    /// Per-client coverage mask.
-    pub fn covered_mask(&self) -> &[bool] {
-        &self.covered
-    }
-
-    /// Per-router giant-component membership, maintained incrementally:
-    /// `giant_mask()[i] == in_giant(RouterId(i))`.
-    pub fn giant_mask(&self) -> &[bool] {
-        &self.giant_mask
+    /// Per-client coverage mask, built from the cover counts.
+    pub fn covered_mask(&self) -> Vec<bool> {
+        self.cover_count.iter().map(|&n| n > 0).collect()
     }
 
     /// The instance's client index this topology was built on
@@ -620,16 +605,9 @@ impl WmnTopology {
         self.scratch.counters
     }
 
-    fn refresh_giant_mask(&mut self) {
-        let n = self.positions.len();
-        self.giant_mask.clear();
-        self.giant_mask
-            .extend((0..n).map(|i| self.components.in_giant(i)));
-    }
-
     /// Adds router `i`'s disk (at its **current** position) to the
-    /// per-client cover counts, flipping `covered` bits and the covered
-    /// total at 0→1 transitions. Uses the positionally-valid disk cache
+    /// per-client cover counts, bumping the covered total at 0→1
+    /// transitions. Uses the positionally-valid disk cache
     /// when available, so re-adding an unmoved router's disk — a
     /// giant-membership flip — performs no grid query. On a cache miss, a
     /// `donor` topology holding router `i` at the **same position** (on
@@ -642,7 +620,6 @@ impl WmnTopology {
         let WmnTopology {
             client_index,
             cover_count,
-            covered,
             covered_count,
             positions,
             radii,
@@ -671,7 +648,6 @@ impl WmnTopology {
             let c = c as usize;
             cover_count[c] += 1;
             if cover_count[c] == 1 {
-                covered[c] = true;
                 *covered_count += 1;
             }
         }
@@ -684,7 +660,6 @@ impl WmnTopology {
     fn disk_remove(&mut self, i: usize) {
         let WmnTopology {
             cover_count,
-            covered,
             covered_count,
             disk_clients,
             ..
@@ -694,25 +669,23 @@ impl WmnTopology {
             debug_assert!(cover_count[c] > 0, "cover count underflow");
             cover_count[c] -= 1;
             if cover_count[c] == 0 {
-                covered[c] = false;
                 *covered_count -= 1;
             }
         }
     }
 
-    /// Full coverage recomputation, in place: rebuilds cover counts, the
-    /// covered mask, and the covered total (maintained incrementally as
-    /// bits flip — no trailing count scan) from the current `giant_mask`,
+    /// Full coverage recomputation, in place: rebuilds cover counts and the
+    /// covered total (maintained incrementally as counts leave zero — no
+    /// trailing count scan) from the current giant membership,
     /// re-querying only routers whose disk cache is positionally stale and
     /// that an optional `donor` cannot fill (see
     /// [`apply_moves`](WmnTopology::apply_moves)).
     fn recompute_coverage_from(&mut self, donor: Option<&WmnTopology>) {
         self.scratch.counters.coverage_full_recomputes += 1;
         self.cover_count.fill(0);
-        self.covered.fill(false);
         self.covered_count = 0;
         for i in 0..self.positions.len() {
-            if self.giant_mask[i] {
+            if self.components.in_giant(i) {
                 self.disk_add_from(i, donor);
             }
         }
@@ -766,10 +739,10 @@ impl WmnTopology {
     }
 
     /// Repairs `components` for the current adjacency component-locally
-    /// through the dynamic engine, consuming the recorded edge events,
-    /// flips `giant_mask` for exactly the routers the engine reports
-    /// ([`DynamicConnectivity::giant_flips`]), and collects the flipped
-    /// routers **outside** the current write into `scratch.flipped_others`.
+    /// through the dynamic engine, consuming the recorded edge events, and
+    /// collects the routers whose giant membership flipped
+    /// ([`DynamicConnectivity::giant_flips`]) **outside** the current
+    /// write into `scratch.flipped_others`.
     /// Returns how many there are, the count steering the coverage-repair
     /// choice. Expects `scratch.moved_stamp` to carry the current
     /// `move_epoch` on exactly the written routers.
@@ -792,12 +765,11 @@ impl WmnTopology {
             counters,
         );
         flipped_others.clear();
-        for &j in conn.giant_flips() {
-            self.giant_mask[j as usize] = !self.giant_mask[j as usize];
-            if moved_stamp[j as usize] != *move_epoch {
-                flipped_others.push(j);
-            }
-        }
+        flipped_others.extend(
+            conn.giant_flips()
+                .iter()
+                .filter(|&&j| moved_stamp[j as usize] != *move_epoch),
+        );
         flipped_others.len()
     }
 
@@ -1008,7 +980,7 @@ impl WmnTopology {
             self.scratch.counters.link_noop_repairs += 1;
             for &BatchEntry { router: i, .. } in &batch {
                 let i = i as usize;
-                if self.giant_mask[i] {
+                if self.components.in_giant(i) {
                     self.disk_remove(i);
                     self.disk_add_from(i, donor);
                 }
@@ -1018,11 +990,11 @@ impl WmnTopology {
         }
 
         for e in &mut batch {
-            e.counted_before = self.giant_mask[e.router as usize];
+            e.counted_before = self.components.in_giant(e.router as usize);
         }
         let flipped_others = self.repair_components();
         for e in &mut batch {
-            e.counted_after = self.giant_mask[e.router as usize];
+            e.counted_after = self.components.in_giant(e.router as usize);
         }
         // Disk-op budget of the exact delta repair (moved disks plus the
         // unmoved routers whose membership flipped) vs the one full
@@ -1035,7 +1007,7 @@ impl WmnTopology {
         if flipped_others + moved_ops <= self.components.giant_size() {
             self.scratch.counters.coverage_delta_repairs += 1;
             // Exact delta: removals first, then additions (grouped passes;
-            // order is irrelevant for counts). `giant_mask` holds the new
+            // order is irrelevant for counts). `components` holds the new
             // membership, so a flipped router that is out now was in
             // before. Removals and flip-offs run off the disk caches;
             // flip-ons of unmoved routers usually hit a positionally-valid
@@ -1047,12 +1019,12 @@ impl WmnTopology {
             }
             let flipped = std::mem::take(&mut self.scratch.flipped_others);
             for &j in &flipped {
-                if !self.giant_mask[j as usize] {
+                if !self.components.in_giant(j as usize) {
                     self.disk_remove(j as usize);
                 }
             }
             for &j in &flipped {
-                if self.giant_mask[j as usize] {
+                if self.components.in_giant(j as usize) {
                     self.disk_add_from(j as usize, None);
                 }
             }
@@ -1080,8 +1052,8 @@ impl WmnTopology {
     }
 
     /// Debug helper: asserts the incremental state — adjacency, components,
-    /// giant mask, cover counts, covered mask, covered total, and the
-    /// router-side grid — equals a fresh rebuild.
+    /// cover counts, covered total, and the router-side grid — equals a
+    /// fresh rebuild.
     ///
     /// # Panics
     ///
@@ -1096,7 +1068,7 @@ impl WmnTopology {
         // counted router's cache — must hold exactly the clients of the
         // router's current disk.
         for i in 0..self.positions.len() {
-            if !self.disk_cached[i] && !self.giant_mask[i] {
+            if !self.disk_cached[i] && !self.components.in_giant(i) {
                 continue;
             }
             let mut expect = Vec::new();
@@ -1123,16 +1095,8 @@ impl WmnTopology {
             "components drifted from full rebuild"
         );
         assert_eq!(
-            self.giant_mask, fresh.giant_mask,
-            "giant mask drifted from components"
-        );
-        assert_eq!(
             self.cover_count, fresh.cover_count,
             "cover counts drifted from full recompute"
-        );
-        assert_eq!(
-            self.covered, fresh.covered,
-            "covered mask drifted from full recompute"
         );
         assert_eq!(
             self.covered_count, fresh.covered_count,

@@ -141,8 +141,8 @@ fn assert_identical(topos: &[WmnTopology], context: &str) {
         );
         assert_eq!(lead.giant_size(), t.giant_size(), "{context}: giant {k}");
         assert_eq!(
-            lead.giant_mask(),
-            t.giant_mask(),
+            lead.components().giant_mask(),
+            t.components().giant_mask(),
             "{context}: giant mask {k}"
         );
         assert_eq!(
@@ -357,14 +357,14 @@ fn single_writes_take_the_cheaper_coverage_repair() {
             _ => Step::UndoLast,
         };
         let positions = topos[0].placement();
-        let mask = topos[0].giant_mask().to_vec();
+        let mask = topos[0].components().giant_mask();
         let full_passes = topos[0].engine_stats().coverage_full_recomputes;
         apply_step(&mut topos, &step, &mut undo_log);
         assert_identical(&topos, &format!("percolated step {s}"));
         let moved = topos[0].placement();
-        let flipped_unmoved = (0..n).any(|i| {
-            mask[i] != topos[0].giant_mask()[i] && positions.as_slice()[i] == moved.as_slice()[i]
-        });
+        let now = topos[0].components().giant_mask();
+        let flipped_unmoved =
+            (0..n).any(|i| mask[i] != now[i] && positions.as_slice()[i] == moved.as_slice()[i]);
         if flipped_unmoved {
             let took_full = topos[0].engine_stats().coverage_full_recomputes > full_passes;
             full_pass += usize::from(took_full);

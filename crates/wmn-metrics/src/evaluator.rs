@@ -362,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn workspace_rebuilds_a_topology_from_before_an_oscillation() {
+    fn workspace_rebuilds_a_topology_of_another_instance() {
         // Another instance on the same clients with the same router count,
         // every radius 2: its topology must not pass for this instance's.
         let instance = InstanceSpec::paper_normal().unwrap().generate(3).unwrap();
@@ -372,10 +372,10 @@ mod tests {
             .build()
             .unwrap();
         let placement = instance.random_placement(&mut rng_from_seed(4));
-        let before = WmnTopology::build(&other, &placement).unwrap();
+        let foreign = WmnTopology::build(&other, &placement).unwrap();
         let ev = Evaluator::paper_default(&instance);
         let mut ws = EvalWorkspace::new();
-        ws.adopt_topology(&before);
+        ws.adopt_topology(&foreign);
         let window = ws.engine_stats().unwrap();
         let got = ev.evaluate_with(&mut ws, &placement).unwrap();
         assert_eq!(got, ev.evaluate(&placement).unwrap());
@@ -395,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn a_donor_from_before_an_oscillation_lends_nothing() {
+    fn a_donor_of_another_instance_lends_nothing() {
         // Eight routers packed within 0.7 of each other form one component
         // at any radius in [2, 8], and clients on a spiral out to 8 make
         // every disk's client set depend on its radius: a graft from an
@@ -420,13 +420,13 @@ mod tests {
                 .map(|i| Point::new(50.0 + dx + 0.1 * i as f64, 50.0))
                 .collect()
         };
-        let before = WmnTopology::build(&other, &cluster(0.0)).unwrap();
+        let foreign = WmnTopology::build(&other, &cluster(0.0)).unwrap();
         let ev = Evaluator::paper_default(&instance);
         let mut topo = ev.topology(&cluster(20.0)).unwrap();
         let target = cluster(0.0);
         let mut moves = Vec::new();
         let got = ev
-            .evaluate_moves_to_from(&mut topo, &target, &mut moves, Some(&before))
+            .evaluate_moves_to_from(&mut topo, &target, &mut moves, Some(&foreign))
             .unwrap();
         assert_eq!(got, ev.evaluate(&target).unwrap());
         assert_eq!(topo.engine_stats().disk_cache_grafts, 0);

@@ -12,7 +12,7 @@ use crate::geometry::{Area, Point};
 use crate::node::{Client, ClientId, Router, RouterId};
 use crate::placement::Placement;
 use crate::radio::RadioProfile;
-use crate::rng::{rng_from_seed, SeedSequence};
+use crate::rng::{rng_from_seed, splitmix64};
 use crate::spatial::{self, GridIndex};
 use crate::ModelError;
 use rand::Rng;
@@ -404,9 +404,9 @@ impl InstanceSpec {
     /// Propagates [`ProblemInstance::new`] validation (unreachable for a
     /// valid spec).
     pub fn generate(&self, seed: u64) -> Result<ProblemInstance, ModelError> {
-        let seq = SeedSequence::new(seed);
-        let mut radius_rng = rng_from_seed(seq.fork("radii").next_seed());
-        let mut client_rng = rng_from_seed(seq.fork("clients").next_seed());
+        let (radius_seed, client_seed) = instance_seeds(seed);
+        let mut radius_rng = rng_from_seed(radius_seed);
+        let mut client_rng = rng_from_seed(client_seed);
 
         let routers: Vec<Router> = (0..self.router_count)
             .map(|i| Router::with_sampled_radius(RouterId(i), self.radio, &mut radius_rng))
@@ -511,9 +511,33 @@ impl InstanceBuilder {
     }
 }
 
+/// The seeds of an instance's radius and client streams, derived from the
+/// instance seed by name: the FNV-1a hash of `"radii"` or `"clients"`,
+/// XORed into the seed, then two SplitMix64 steps.
+fn instance_seeds(seed: u64) -> (u64, u64) {
+    let named = |name: &str| {
+        let hash = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        let mut state = seed ^ hash;
+        let mut state = splitmix64(&mut state);
+        splitmix64(&mut state)
+    };
+    (named("radii"), named("clients"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn instance_seeds_golden_values() {
+        // Pinned outputs: any change here changes every generated instance.
+        assert_eq!(
+            instance_seeds(2009),
+            (0x7636_4576_1b7f_5ffc, 0xfea3_e6da_07bf_23f4)
+        );
+    }
 
     #[test]
     fn paper_specs_have_table_parameters() {

@@ -17,7 +17,7 @@
 //! * [`spatial`] — the uniform-grid indexes [`GridIndex`] (clients) and
 //!   [`DynamicGrid`] (a topology's routers).
 //! * [`placement`] — [`Placement`], the candidate-solution position vector.
-//! * [`rng`] — deterministic seed plumbing ([`SeedSequence`]).
+//! * [`rng`] — deterministic seed plumbing ([`rng::stream_seed`]).
 //!
 //! # Quick start
 //!
@@ -57,7 +57,6 @@ pub use instance::{InstanceBuilder, InstanceSpec, ProblemInstance};
 pub use node::{Client, ClientId, Router, RouterId};
 pub use placement::Placement;
 pub use radio::RadioProfile;
-pub use rng::SeedSequence;
 pub use spatial::{DynamicGrid, GridIndex};
 
 /// Convenient glob import of the most commonly used items.
@@ -69,5 +68,5 @@ pub mod prelude {
     pub use crate::node::{Client, ClientId, Router, RouterId};
     pub use crate::placement::Placement;
     pub use crate::radio::RadioProfile;
-    pub use crate::rng::{rng_from_seed, stream_seed, Rng, SeedSequence};
+    pub use crate::rng::{rng_from_seed, stream_seed, Rng};
 }

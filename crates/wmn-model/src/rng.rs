@@ -3,24 +3,20 @@
 //! Every stochastic component in the workspace (instance generation, ad hoc
 //! methods, neighborhood search, GA) takes an explicit RNG so that whole
 //! experiments are reproducible from a single master seed. This module
-//! provides [`SeedSequence`], a SplitMix64-based stream splitter that derives
-//! statistically independent child seeds from a master seed, and re-exports
-//! the concrete RNG type used throughout.
+//! re-exports the concrete RNG type used throughout, and derives the seed
+//! of each experiment-grid cell from a root seed ([`stream_seed`]) with
+//! the SplitMix64 step ([`splitmix64`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use wmn_model::rng::SeedSequence;
+//! use rand::Rng as _;
+//! use wmn_model::rng::{rng_from_seed, stream_seed};
 //!
-//! let mut seq = SeedSequence::new(42);
-//! let gen_seed = seq.next_seed();      // e.g. for instance generation
-//! let ga_seed = seq.next_seed();       // e.g. for the GA
-//! assert_ne!(gen_seed, ga_seed);
-//!
-//! // Re-creating the sequence reproduces the same seeds.
-//! let mut again = SeedSequence::new(42);
-//! assert_eq!(again.next_seed(), gen_seed);
-//! assert_eq!(again.next_seed(), ga_seed);
+//! // One stream per cell, reproducible from the root seed alone.
+//! let mut cell = rng_from_seed(stream_seed(42, &[0, 3]));
+//! let mut again = rng_from_seed(stream_seed(42, &[0, 3]));
+//! assert_eq!(cell.gen::<u64>(), again.gen::<u64>());
 //! ```
 
 use rand::rngs::StdRng;
@@ -96,62 +92,6 @@ pub fn stream_seed(root: u64, coords: &[u64]) -> u64 {
     state
 }
 
-/// Derives independent child seeds from a single master seed.
-///
-/// Used to give every experiment component (generator, each ad hoc method,
-/// each GA run, ...) its own stream while keeping a single reproducible
-/// entry point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeedSequence {
-    state: u64,
-    master: u64,
-}
-
-impl SeedSequence {
-    /// Creates a sequence rooted at `master_seed`.
-    pub fn new(master_seed: u64) -> Self {
-        SeedSequence {
-            state: master_seed,
-            master: master_seed,
-        }
-    }
-
-    /// The master seed this sequence was created from.
-    pub fn master_seed(&self) -> u64 {
-        self.master
-    }
-
-    /// Draws the next child seed.
-    pub fn next_seed(&mut self) -> u64 {
-        splitmix64(&mut self.state)
-    }
-
-    /// Derives a named sub-sequence: the same `label` always yields the same
-    /// sub-sequence for the same master seed, independent of draw order.
-    ///
-    /// Useful when components must be reseeded independently of how many
-    /// seeds other components consumed.
-    pub fn fork(&self, label: &str) -> SeedSequence {
-        // FNV-1a over the label, mixed with the master seed.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        let mut state = self.master ^ h;
-        // One mixing round so that master==0 does not collapse to the raw hash.
-        let mixed = splitmix64(&mut state);
-        SeedSequence::new(mixed)
-    }
-}
-
-impl Default for SeedSequence {
-    /// A sequence rooted at seed `0`; equivalent to `SeedSequence::new(0)`.
-    fn default() -> Self {
-        SeedSequence::new(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,46 +144,6 @@ mod tests {
         assert_ne!(stream_seed(42, &[1]), stream_seed(42, &[1, 0]));
         assert_ne!(stream_seed(42, &[]), stream_seed(42, &[0]));
         assert_ne!(stream_seed(1, &[5, 5]), stream_seed(2, &[5, 5]));
-    }
-
-    #[test]
-    fn sequence_reproducible() {
-        let mut a = SeedSequence::new(99);
-        let mut b = SeedSequence::new(99);
-        for _ in 0..16 {
-            assert_eq!(a.next_seed(), b.next_seed());
-        }
-    }
-
-    #[test]
-    fn different_masters_diverge() {
-        let mut a = SeedSequence::new(1);
-        let mut b = SeedSequence::new(2);
-        assert_ne!(a.next_seed(), b.next_seed());
-    }
-
-    #[test]
-    fn fork_is_order_independent() {
-        let mut seq = SeedSequence::new(7);
-        let fork_before = seq.fork("ga");
-        let _ = seq.next_seed();
-        let _ = seq.next_seed();
-        let fork_after = seq.fork("ga");
-        assert_eq!(fork_before, fork_after);
-    }
-
-    #[test]
-    fn fork_labels_distinguish() {
-        let seq = SeedSequence::new(7);
-        assert_ne!(seq.fork("ga"), seq.fork("search"));
-    }
-
-    #[test]
-    fn fork_depends_on_master() {
-        assert_ne!(
-            SeedSequence::new(1).fork("ga"),
-            SeedSequence::new(2).fork("ga")
-        );
     }
 
     #[test]

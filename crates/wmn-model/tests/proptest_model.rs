@@ -5,7 +5,7 @@ use wmn_model::distribution::ClientDistribution;
 use wmn_model::geometry::{Area, Point, Rect};
 use wmn_model::placement::Placement;
 use wmn_model::radio::RadioProfile;
-use wmn_model::rng::{rng_from_seed, SeedSequence};
+use wmn_model::rng::rng_from_seed;
 
 fn finite_coord() -> impl Strategy<Value = f64> {
     -1.0e6..1.0e6
@@ -98,14 +98,6 @@ proptest! {
         for p in dist.sample_points(&area, 64, &mut rng) {
             prop_assert!(area.contains(p), "sample {p} escaped {area}");
         }
-    }
-
-    #[test]
-    fn seed_sequence_children_distinct(master in any::<u64>()) {
-        let mut seq = SeedSequence::new(master);
-        let seeds: Vec<u64> = (0..64).map(|_| seq.next_seed()).collect();
-        let unique: std::collections::HashSet<_> = seeds.iter().collect();
-        prop_assert_eq!(unique.len(), seeds.len());
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!   as `&mut dyn Recorder`. Instrumented code aggregates locally and
 //!   emits once per run/phase, so the disabled path costs a handful of
 //!   virtual calls per *run*, not per move. [`TelemetryRecorder`]
-//!   collects into `BTreeMap`s and renders **deterministic JSON**
-//!   (spans, which carry wall-clock nanoseconds, are rendered separately
-//!   as JSONL and never mixed into the deterministic document).
+//!   collects into `BTreeMap`s, so the document `wmn-experiments` writes
+//!   from its accessors (`telemetry.json`) is **deterministic** (spans,
+//!   which carry wall-clock nanoseconds, are rendered separately as
+//!   JSONL and never mixed into that document).
 //!
 //! # The counter-weighted flamegraph
 //!
@@ -57,7 +58,7 @@
 //! rec.counter("engine.repairs", 3);
 //! rec.counter("engine.repairs", 2);
 //! rec.value("ga.diff_size", 7);
-//! assert!(rec.render_json().contains("\"engine.repairs\":5"));
+//! assert_eq!(rec.counters()["engine.repairs"], 5);
 //! ```
 
 #![forbid(unsafe_code)]

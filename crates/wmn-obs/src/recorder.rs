@@ -35,15 +35,16 @@
 //! sorted by `(path, index)` so span output of equal-thread-count runs
 //! diffs cleanly. Span durations stay wall-clock and informational-only.
 //!
-//! [`TelemetryRecorder`] keeps counters and histograms in `BTreeMap`s
-//! keyed by `&'static str`, so iteration — and therefore the rendered
-//! JSON — is deterministic. Merging two recorders is field-wise addition
-//! plus recursive attribution-tree merge plus span concatenation;
-//! merging per-job recorders in job-index order (what `wmn-runtime`
-//! does) yields byte-identical documents for every thread count. Span
-//! entries carry wall-clock nanoseconds and are the one nondeterministic
-//! stream, so [`TelemetryRecorder::render_json`] excludes them;
-//! [`render_spans_jsonl`] renders them separately.
+//! [`TelemetryRecorder`] keeps counters, histograms and the attribution
+//! tree in `BTreeMap`s, so iteration — and therefore any document written
+//! from the accessors — is deterministic. Merging two recorders is
+//! field-wise addition plus recursive attribution-tree merge plus span
+//! concatenation; merging per-job recorders in job-index order (what
+//! `wmn-runtime` does) yields equal counters, histograms and trees for
+//! every thread count. Span entries carry wall-clock nanoseconds and are
+//! the one nondeterministic stream: [`render_spans_jsonl`] renders them
+//! on their own, and the deterministic document (`telemetry.json`,
+//! written by `wmn-experiments`) leaves them out.
 //!
 //! [`EngineStats`]: crate::EngineStats
 //! [`render_spans_jsonl`]: TelemetryRecorder::render_spans_jsonl
@@ -231,22 +232,19 @@ impl Histogram {
 /// One node of the phase-attribution tree: the counters emitted directly
 /// in this phase, and the child phases opened under it. Weights are
 /// deterministic work counts, so the tree — and any flamegraph rendered
-/// from it — is byte-stable across thread counts.
+/// from it — is byte-stable across thread counts. The keys are owned, so
+/// a tree read back from `telemetry.json` is the same type as the one a
+/// recorder fills.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseNode {
     /// Counter deltas attributed directly to this phase (not including
     /// descendants), keyed by the flat counter name.
-    pub counters: BTreeMap<&'static str, u64>,
+    pub counters: BTreeMap<String, u64>,
     /// Child phases, keyed by phase segment name.
-    pub children: BTreeMap<&'static str, PhaseNode>,
+    pub children: BTreeMap<String, PhaseNode>,
 }
 
 impl PhaseNode {
-    /// Whether the node holds no counters and no children.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.children.is_empty()
-    }
-
     /// The node's weight: its own counters plus every descendant's.
     pub fn total(&self) -> u64 {
         self.counters.values().sum::<u64>()
@@ -264,9 +262,9 @@ impl PhaseNode {
     fn add(&mut self, path: &[&'static str], name: &'static str, delta: u64) {
         let mut node = self;
         for seg in path {
-            node = node.children.entry(seg).or_default();
+            node = node.children.entry((*seg).to_owned()).or_default();
         }
-        *node.counters.entry(name).or_insert(0) += delta;
+        *node.counters.entry(name.to_owned()).or_insert(0) += delta;
     }
 
     fn merge(&mut self, other: PhaseNode) {
@@ -276,25 +274,6 @@ impl PhaseNode {
         for (seg, child) in other.children {
             self.children.entry(seg).or_default().merge(child);
         }
-    }
-
-    fn render_json_into(&self, out: &mut String) {
-        out.push_str("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str("},\"children\":{");
-        for (i, (seg, child)) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{seg}\":"));
-            child.render_json_into(out);
-        }
-        out.push_str("}}");
     }
 }
 
@@ -386,41 +365,6 @@ impl TelemetryRecorder {
         }
         self.attribution.merge(other.attribution);
         self.spans.extend(other.spans);
-    }
-
-    /// Renders the **deterministic** portion — counters, histograms, and
-    /// the attribution tree — as one JSON object:
-    /// `{"counters":{...},"histograms":{...},"attribution":{"<phase>":{"counters":{...},"children":{...}},...}}`.
-    /// Keys appear in `BTreeMap` (lexicographic) order, so equal
-    /// recorders render byte-identically. Spans are deliberately absent.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{name}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-                h.count, h.sum, h.min, h.max
-            ));
-        }
-        out.push_str("},\"attribution\":{");
-        for (i, (seg, child)) in self.attribution.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{seg}\":"));
-            child.render_json_into(&mut out);
-        }
-        out.push_str("}}");
-        out
     }
 
     /// Renders the spans as JSON Lines v2, one
@@ -526,10 +470,11 @@ mod tests {
         rec.counter("b", 2);
         rec.counter("a", 1);
         rec.counter("b", 3);
-        assert_eq!(
-            rec.render_json(),
-            "{\"counters\":{\"a\":1,\"b\":5},\"histograms\":{},\"attribution\":{}}"
-        );
+        // Any writer renders the counters in the map's (sorted) order.
+        let counters: Vec<(&str, u64)> = rec.counters().iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(counters, [("a", 1), ("b", 5)]);
+        assert!(rec.histograms().is_empty());
+        assert_eq!(rec.attribution(), &PhaseNode::default());
     }
 
     #[test]
@@ -540,9 +485,6 @@ mod tests {
         }
         let h = rec.histograms()["diff"];
         assert_eq!((h.count, h.sum, h.min, h.max), (3, 15, 1, 9));
-        assert!(rec
-            .render_json()
-            .contains("\"diff\":{\"count\":3,\"sum\":15,\"min\":1,\"max\":9}"));
     }
 
     #[test]
@@ -567,7 +509,7 @@ mod tests {
         ab.merge(b.clone());
         let mut ba = b;
         ba.merge(a);
-        assert_eq!(ab.render_json(), ba.render_json());
+        assert_eq!(ab, ba);
         assert_eq!(ab.counters()["n"], 12);
         assert_eq!(ab.attribution().get(&["work"]).unwrap().counters["n"], 9);
     }
@@ -597,11 +539,8 @@ mod tests {
             4
         );
         assert_eq!(outer.total(), 14);
-        assert_eq!(root.children.keys().copied().collect::<Vec<_>>(), ["outer"]);
-        assert_eq!(
-            outer.children.keys().copied().collect::<Vec<_>>(),
-            ["inner"]
-        );
+        assert_eq!(root.children.keys().collect::<Vec<_>>(), ["outer"]);
+        assert_eq!(outer.children.keys().collect::<Vec<_>>(), ["inner"]);
         let inner = &outer.children["inner"];
         assert_eq!(inner.counters.len(), 1);
         assert!(inner.children.is_empty());
@@ -654,9 +593,10 @@ mod tests {
                 "{\"span\":\"run\",\"path\":\"run\",\"parent\":\"\",\"depth\":0,\"index\":0,\"nanos\":1234}\n"
             )
         );
-        assert!(
-            !rec.render_json().contains("span"),
-            "spans stay out of the deterministic doc"
+        assert_eq!(
+            rec.attribution(),
+            &PhaseNode::default(),
+            "spans stay out of the deterministic tree"
         );
     }
 

@@ -30,7 +30,7 @@
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 use wmn_obs::{NoopRecorder, Recorder, RobustnessStats, TelemetryRecorder};
 
@@ -245,12 +245,16 @@ where
         // The injected-fault counters are bumped *inside* the unwind scope
         // (via the captured `&mut stats`) right before the corresponding
         // panic fires, so mutation survives the unwind and the counts stay
-        // exact.
+        // exact. Injected panics unwind with `resume_unwind`, which skips
+        // the panic hook: a planned fault prints no `panicked at` report,
+        // while a real job panic still does.
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             match start_fault {
                 Some(FaultKind::Panic) => {
                     stats.injected_panics += 1;
-                    panic!("injected panic@start (job {index}, attempt {attempt})");
+                    resume_unwind(Box::new(format!(
+                        "injected panic@start (job {index}, attempt {attempt})"
+                    )));
                 }
                 Some(FaultKind::Error) => {
                     stats.injected_errors += 1;
@@ -267,7 +271,9 @@ where
             match finish_fault {
                 Some(FaultKind::Panic) => {
                     stats.injected_panics += 1;
-                    panic!("injected panic@finish (job {index}, attempt {attempt})");
+                    resume_unwind(Box::new(format!(
+                        "injected panic@finish (job {index}, attempt {attempt})"
+                    )));
                 }
                 Some(FaultKind::Error) => {
                     stats.injected_errors += 1;
@@ -491,15 +497,15 @@ mod tests {
                     },
                 )
                 .unwrap();
-            (out, recorder.render_json())
+            (out, recorder)
         };
-        let (serial_out, serial_json) = run(1);
+        let (serial_out, serial_rec) = run(1);
         for threads in [2, 5, 8] {
-            let (out, json) = run(threads);
+            let (out, rec) = run(threads);
             assert_eq!(out, serial_out, "threads = {threads}");
-            assert_eq!(json, serial_json, "threads = {threads}");
+            assert_eq!(rec, serial_rec, "threads = {threads}");
         }
-        assert!(serial_json.contains("\"jobs\":32"));
+        assert_eq!(serial_rec.counters()["jobs"], 32);
     }
 
     #[test]
@@ -635,14 +641,14 @@ mod tests {
             let out = Runtime::new(threads)
                 .run(jobs, &policy, &mut stats, Some(&mut recorder), work)
                 .unwrap();
-            (out, recorder.render_json(), stats)
+            (out, recorder, stats)
         };
-        let (clean_out, clean_json, clean_stats) = run(1, None);
+        let (clean_out, clean_rec, clean_stats) = run(1, None);
         assert!(clean_stats == RobustnessStats::default() || clean_stats.attempts == 24);
         for threads in [1, 2, 8] {
-            let (out, json, stats) = run(threads, Some(plan));
+            let (out, rec, stats) = run(threads, Some(plan));
             assert_eq!(out, clean_out, "threads = {threads}");
-            assert_eq!(json, clean_json, "threads = {threads}");
+            assert_eq!(rec, clean_rec, "threads = {threads}");
             // Some faults fired (p=0.3 over 24 jobs × 2 rules) and every
             // doomed job recovered.
             assert!(stats.retries > 0, "threads = {threads}");
@@ -729,18 +735,18 @@ mod tests {
                     },
                 )
                 .unwrap();
-            (out, recorder.render_json(), stats.caught_panics)
+            (out, recorder, stats.caught_panics)
         };
-        let (clean_out, clean_json, clean_panics) = run(1, false);
+        let (clean_out, clean_rec, clean_panics) = run(1, false);
         assert_eq!(clean_panics, 0);
         assert!(
-            clean_json.contains("\"attribution\":{\"job\":"),
-            "{clean_json}"
+            clean_rec.attribution().get(&["job", "evaluate"]).is_some(),
+            "{clean_rec:?}"
         );
         for threads in [1, 2, 8] {
-            let (out, json, caught_panics) = run(threads, true);
+            let (out, rec, caught_panics) = run(threads, true);
             assert_eq!(out, clean_out, "threads = {threads}");
-            assert_eq!(json, clean_json, "threads = {threads}");
+            assert_eq!(rec, clean_rec, "threads = {threads}");
             assert_eq!(caught_panics, 15, "threads = {threads}");
         }
     }

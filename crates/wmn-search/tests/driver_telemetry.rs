@@ -17,7 +17,7 @@ use wmn_search::search::{NeighborhoodSearch, SearchConfig};
 fn subtree_counters(node: &PhaseNode) -> BTreeMap<String, u64> {
     fn walk(node: &PhaseNode, out: &mut BTreeMap<String, u64>) {
         for (name, &v) in &node.counters {
-            *out.entry((*name).to_owned()).or_insert(0) += v;
+            *out.entry(name.clone()).or_insert(0) += v;
         }
         for child in node.children.values() {
             walk(child, out);
@@ -91,7 +91,7 @@ fn neighborhood_search_telemetry_matches_its_outcome() {
         .unwrap()
         .children
         .keys()
-        .copied()
+        .map(String::as_str)
         .collect();
     assert_eq!(stages, ["apply", "evaluate", "propose"]);
 }

@@ -20,9 +20,10 @@ fn render_map(topo: &WmnTopology, instance: &ProblemInstance, cols: usize, rows:
         let cy = ((p.y / area.height()) * (rows - 1) as f64).round() as usize;
         (cx, rows - 1 - cy)
     };
-    for (i, c) in instance.clients().iter().enumerate() {
+    let covered = topo.covered_mask();
+    for (c, &is_covered) in instance.clients().iter().zip(&covered) {
         let (cx, cy) = cell(c.position());
-        grid[cy][cx] = if topo.covered_mask()[i] { ':' } else { '.' };
+        grid[cy][cx] = if is_covered { ':' } else { '.' };
     }
     for i in 0..topo.router_count() {
         let id = RouterId(i);

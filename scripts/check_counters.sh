@@ -4,7 +4,8 @@
 # Runs two fixed-seed workloads with --telemetry and compares each run's
 # counter profile (the flat totals and the phase-attribution tree, so a
 # counter that moves to another phase scope drifts too) against its
-# committed baseline with `wmn-report diff`:
+# committed baseline with `wmn-report diff`. A baseline is a byte copy of
+# its workload's telemetry.json (schema wmn-telemetry/v2):
 #
 #   fig3 --quick --threads 1 --ga-threads 1       COUNTERS_baseline.json
 #     (seeds 2009/42: the GA, one batch repair per child)
@@ -21,18 +22,18 @@
 # CI relies on that as the negative test.
 #
 # Usage: scripts/check_counters.sh [--refresh]
-#   --refresh   rewrite both baselines from the current build (do this
-#               when a PR intentionally changes the work profile, and say
-#               why in the PR)
+#   --refresh   copy each run's telemetry.json over its baseline (do this
+#               when a change intentionally alters the work profile, and
+#               say why)
 #
 # Environment:
 #   WMN_CHECK_CONNECTIVITY   connectivity mode for the runs: "dynamic"
 #                            (default) or "full" (the full-rebuild oracle
 #                            pipeline — useful as a should-fail probe)
 #
-# The comparison and the baseline rewrite both go through the wmn-report
-# binary (crates/wmn-experiments/src/analyze.rs), so this script needs
-# nothing beyond cargo.
+# The comparison goes through the wmn-report binary
+# (crates/wmn-experiments/src/analyze.rs), so this script needs nothing
+# beyond cargo.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -55,19 +56,19 @@ report() {
   cargo run --release -q -p wmn-experiments --bin wmn-report -- "$@"
 }
 
-# check <baseline> <workload description> <bin> <args...>: runs the
-# workload and compares (or, with --refresh, rewrites) its baseline.
+# check <baseline> <bin> <args...>: runs the workload and compares (or,
+# with --refresh, replaces) its baseline.
 failed=0
 check() {
-  local baseline="$1" workload="$2" bin="$3"
-  shift 3
+  local baseline="$1" bin="$2"
+  shift 2
   local dir="$tmp/${baseline%.json}"
   cargo run --release -q -p wmn-experiments --bin "$bin" -- "$@" \
     --connectivity "$mode" --telemetry "$dir/telemetry" --out "$dir/results" >/dev/null
   local telemetry="$dir/telemetry/telemetry.json"
 
   if [ "$refresh" -eq 1 ]; then
-    report baseline "$telemetry" --out "$baseline" --workload "$workload"
+    cp "$telemetry" "$baseline"
     echo "refreshed $baseline (connectivity=$mode)"
     return
   fi
@@ -85,12 +86,8 @@ check() {
   esac
 }
 
-check COUNTERS_baseline.json \
-  "fig3 --quick --threads 1 --ga-threads 1 (fixed seeds 2009/42)" \
-  fig3 --quick --threads 1 --ga-threads 1
-check COUNTERS_baseline_fig4.json \
-  "fig4 --scale 64 --scale-area 2 --threads 1 (fixed seeds 2009/42)" \
-  fig4 --scale 64 --scale-area 2 --threads 1
+check COUNTERS_baseline.json fig3 --quick --threads 1 --ga-threads 1
+check COUNTERS_baseline_fig4.json fig4 --scale 64 --scale-area 2 --threads 1
 
 if [ "$failed" -eq 1 ]; then
   echo "if the new work profile is intentional: scripts/check_counters.sh --refresh" >&2
