@@ -29,8 +29,10 @@ pub fn links(d2: f64, ri: f64, rj: f64) -> bool {
 }
 
 /// The cell size of the router [`DynamicGrid`] for a point set whose
-/// largest radius is `max_radius` — near the typical query radius, so
-/// bucket scans stay tight. [`MeshAdjacency::build`] and
+/// largest radius is `max_radius`: twice that radius, so every link joins
+/// two routers in the same or 8-adjacent cells (the mesh build's pair
+/// walk, [`MeshAdjacency::rebuild_in_place`]) and a moved router's query
+/// disk touches at most four cells. [`MeshAdjacency::build`] and
 /// [`WmnTopology`](crate::topology::WmnTopology) both size their router
 /// grid with it.
 #[inline]
@@ -209,32 +211,41 @@ impl MeshAdjacency {
     /// `positions`) and reusing the slab's blocks. Every topology build and
     /// rebuild runs it, on the router grid the topology keeps.
     ///
+    /// One cell-ordered walk ([`DynamicGrid::for_each_near_pair`]) tests
+    /// each pair of routers in the same or 8-adjacent cells once, then
+    /// each list is sorted: O(cells + near pairs). A link is no longer
+    /// than either of its routers' radii, so the walk finds every link as
+    /// long as no radius exceeds half a cell side, which
+    /// [`grid_cell_size`] gives.
+    ///
     /// # Panics
     ///
-    /// Panics if `positions.len() != radii.len()`.
+    /// Panics if `positions.len() != radii.len()`, or if the grid's cells
+    /// are narrower than twice the largest radius.
     pub fn rebuild_in_place(&mut self, positions: &[Point], radii: &[f64], grid: &DynamicGrid) {
         assert_eq!(
             positions.len(),
             radii.len(),
             "positions and radii must be parallel vectors"
         );
+        let max_radius = radii.iter().copied().fold(0.0_f64, f64::max);
+        assert!(
+            2.0 * max_radius <= grid.cell_size(),
+            "the router grid's cells ({}) must be at least twice the largest radius ({max_radius})",
+            grid.cell_size()
+        );
         let n = positions.len();
         self.neighbors.clear_lists(n);
         self.edge_count = 0;
         let (neighbors, edge_count) = (&mut self.neighbors, &mut self.edge_count);
-        for i in 0..n {
-            grid.for_each_candidate(positions[i], radii[i], |j| {
-                if j <= i {
-                    return; // handle each unordered pair once
-                }
-                let d2 = positions[i].distance_squared(positions[j]);
-                if links(d2, radii[i], radii[j]) {
-                    neighbors.push(i, j as u32);
-                    neighbors.push(j, i as u32);
-                    *edge_count += 1;
-                }
-            });
-        }
+        grid.for_each_near_pair(|i, j| {
+            let d2 = positions[i].distance_squared(positions[j]);
+            if links(d2, radii[i], radii[j]) {
+                neighbors.push(i, j as u32);
+                neighbors.push(j, i as u32);
+                *edge_count += 1;
+            }
+        });
         for i in 0..n {
             self.neighbors.get_mut(i).sort_unstable();
         }
@@ -363,6 +374,16 @@ mod tests {
             assert_eq!(adj, fresh, "trial {trial}");
             adj.assert_arena_invariants();
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "must be at least twice the largest radius (16)")]
+    fn rebuild_in_place_refuses_cells_narrower_than_twice_the_largest_radius() {
+        let (pts, mut radii) = random_layout(50, 3);
+        radii[7] = 16.0;
+        let mut grid = DynamicGrid::new(&area100(), 31.0);
+        grid.rebuild(&pts);
+        MeshAdjacency::default().rebuild_in_place(&pts, &radii, &grid);
     }
 
     #[test]

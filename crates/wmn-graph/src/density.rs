@@ -9,6 +9,7 @@
 //! ranked zone list in O(1) per point.
 
 use wmn_model::geometry::{Area, Point, Rect};
+use wmn_model::spatial::axis_cell;
 
 /// A rectangular window of cells: position and extent in cell units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,8 +43,8 @@ impl CellWindow {
 /// use wmn_model::geometry::{Area, Point};
 ///
 /// let area = Area::square(40.0)?;
-/// let clients = vec![Point::new(5.0, 5.0), Point::new(6.0, 6.0), Point::new(35.0, 35.0)];
-/// let map = DensityMap::from_points(&area, &clients, 4, 4); // 10x10 cells
+/// let clients = [Point::new(5.0, 5.0), Point::new(6.0, 6.0), Point::new(35.0, 35.0)];
+/// let map = DensityMap::from_points(&area, clients, 4, 4); // 10x10 cells
 ///
 /// let zones = map.ranked_disjoint_windows(1, 1, 2);
 /// assert_eq!(map.window_count(&zones[0]), 2); // the two near (5, 5)
@@ -63,32 +64,39 @@ pub struct DensityMap {
 }
 
 impl DensityMap {
-    /// Bins `points` into a `cols × rows` cell grid over `area`.
+    /// Bins `points` into a `cols × rows` cell grid over `area`, in one
+    /// pass over the iterator, so a caller can bin the positions of its
+    /// own records without collecting them.
     ///
     /// Out-of-area points are clamped into boundary cells.
     ///
     /// # Panics
     ///
     /// Panics if `cols` or `rows` is zero.
-    pub fn from_points(area: &Area, points: &[Point], cols: usize, rows: usize) -> DensityMap {
+    pub fn from_points(
+        area: &Area,
+        points: impl IntoIterator<Item = Point>,
+        cols: usize,
+        rows: usize,
+    ) -> DensityMap {
         assert!(cols > 0 && rows > 0, "grid must have at least one cell");
         let cell_w = area.width() / cols as f64;
         let cell_h = area.height() / rows as f64;
-        let mut counts = vec![0u32; cols * rows];
-        for p in points {
-            let cx = ((p.x / cell_w).floor().max(0.0) as usize).min(cols - 1);
-            let cy = ((p.y / cell_h).floor().max(0.0) as usize).min(rows - 1);
-            counts[cy * cols + cx] += 1;
-        }
-        DensityMap {
+        let mut map = DensityMap {
             area: *area,
             cols,
             rows,
             cell_w,
             cell_h,
-            counts,
-            total: points.len() as u64,
+            counts: vec![0u32; cols * rows],
+            total: 0,
+        };
+        for p in points {
+            let (cx, cy) = map.cell_of(p);
+            map.counts[cy * cols + cx] += 1;
+            map.total += 1;
         }
+        map
     }
 
     /// Grid shape as `(columns, rows)`.
@@ -223,9 +231,10 @@ impl DensityMap {
 
     /// The cell containing `p` (clamped into the grid).
     pub fn cell_of(&self, p: Point) -> (usize, usize) {
-        let cx = ((p.x / self.cell_w).floor().max(0.0) as usize).min(self.cols - 1);
-        let cy = ((p.y / self.cell_h).floor().max(0.0) as usize).min(self.rows - 1);
-        (cx, cy)
+        (
+            axis_cell(p.x / self.cell_w, self.cols),
+            axis_cell(p.y / self.cell_h, self.rows),
+        )
     }
 }
 
@@ -251,7 +260,7 @@ const NO_ZONE: u32 = u32::MAX;
 /// use wmn_graph::density::{CellWindow, DensityMap};
 /// use wmn_model::geometry::{Area, Point};
 ///
-/// let map = DensityMap::from_points(&Area::square(40.0)?, &[], 4, 4); // 10x10 cells
+/// let map = DensityMap::from_points(&Area::square(40.0)?, [], 4, 4); // 10x10 cells
 /// let left = CellWindow { cx: 0, cy: 0, w: 2, h: 2 };
 /// let right = CellWindow { cx: 2, cy: 0, w: 2, h: 2 };
 /// let zones = map.zone_bins(&[right, left]);
@@ -436,11 +445,8 @@ impl ZoneBins {
     /// only sends `p` to the scan.
     #[inline]
     fn interior_cell(&self, p: Point) -> Option<usize> {
-        // A cast to `i64` saturates (NaN becomes 0) and costs less than one
-        // to `usize`.
-        let guess = |v: f64, last: usize| (v as i64).clamp(0, last as i64) as usize;
-        let cx = guess(p.x * self.inv_cell_w, self.cols - 1);
-        let cy = guess(p.y * self.inv_cell_h, self.rows - 1);
+        let cx = axis_cell(p.x * self.inv_cell_w, self.cols);
+        let cy = axis_cell(p.y * self.inv_cell_h, self.rows);
         // `&`, not `&&`: the four tests are cheap, and evaluating all of
         // them keeps data-dependent branches out of the caller's loop.
         let inside = (self.edges_x[cx] < p.x)
@@ -534,7 +540,7 @@ mod tests {
         let pts: Vec<Point> = (0..500)
             .map(|_| Point::new(rng.gen_range(0.0..=40.0), rng.gen_range(0.0..=40.0)))
             .collect();
-        let map = DensityMap::from_points(&area, &pts, 8, 8);
+        let map = DensityMap::from_points(&area, pts.iter().copied(), 8, 8);
         assert_eq!(map.total(), 500);
         let sum: u64 = (0..8)
             .flat_map(|y| (0..8).map(move |x| (x, y)))
@@ -547,7 +553,7 @@ mod tests {
     fn densest_window_finds_cluster() {
         let area = area40();
         // 5 points in the top-right 4x4 region, 1 elsewhere.
-        let pts = vec![
+        let pts = [
             Point::new(38.0, 38.0),
             Point::new(37.0, 39.0),
             Point::new(39.0, 37.0),
@@ -555,7 +561,7 @@ mod tests {
             Point::new(37.5, 37.5),
             Point::new(2.0, 2.0),
         ];
-        let map = DensityMap::from_points(&area, &pts, 10, 10);
+        let map = DensityMap::from_points(&area, pts, 10, 10);
         let dense = map.ranked_disjoint_windows(1, 1, 1)[0];
         assert_eq!(map.window_count(&dense), 5);
         let rect = map.window_rect(&dense);
@@ -568,7 +574,7 @@ mod tests {
         let pts: Vec<Point> = (0..50)
             .map(|i| Point::new(1.0 + (i % 5) as f64 * 0.5, 1.0 + (i / 5) as f64 * 0.5))
             .collect();
-        let map = DensityMap::from_points(&area, &pts, 4, 4);
+        let map = DensityMap::from_points(&area, pts.iter().copied(), 4, 4);
         // All 16 one-cell windows are disjoint, so the ranking ends at the
         // sparsest.
         let ranked = map.ranked_disjoint_windows(1, 1, 16);
@@ -580,7 +586,7 @@ mod tests {
     #[test]
     fn ties_break_deterministically() {
         let area = area40();
-        let map = DensityMap::from_points(&area, &[], 4, 4);
+        let map = DensityMap::from_points(&area, [], 4, 4);
         let ranked = map.ranked_disjoint_windows(2, 2, 4);
         let corners: Vec<_> = ranked.iter().map(|w| (w.cx, w.cy)).collect();
         assert_eq!(corners, vec![(0, 0), (2, 0), (0, 2), (2, 2)]);
@@ -589,7 +595,7 @@ mod tests {
     #[test]
     fn window_dimensions_are_clamped() {
         let area = area40();
-        let map = DensityMap::from_points(&area, &[Point::new(1.0, 1.0)], 4, 4);
+        let map = DensityMap::from_points(&area, [Point::new(1.0, 1.0)], 4, 4);
         let w = map.ranked_disjoint_windows(100, 100, 1)[0];
         assert_eq!((w.w, w.h), (4, 4));
         assert_eq!(map.window_count(&w), 1);
@@ -604,7 +610,7 @@ mod tests {
         let pts: Vec<Point> = (0..400)
             .map(|_| Point::new(rng.gen_range(0.0..=40.0), rng.gen_range(0.0..=40.0)))
             .collect();
-        let map = DensityMap::from_points(&area, &pts, 8, 8);
+        let map = DensityMap::from_points(&area, pts.iter().copied(), 8, 8);
         let wins = map.ranked_disjoint_windows(2, 2, 10);
         assert!(wins.len() <= 10);
         assert!(!wins.is_empty());
@@ -622,7 +628,7 @@ mod tests {
     #[test]
     fn ranked_windows_cap_at_grid_capacity() {
         let area = area40();
-        let map = DensityMap::from_points(&area, &[Point::new(1.0, 1.0)], 4, 4);
+        let map = DensityMap::from_points(&area, [Point::new(1.0, 1.0)], 4, 4);
         // 2x2 windows in a 4x4 grid: at most 4 disjoint.
         let wins = map.ranked_disjoint_windows(2, 2, 100);
         assert_eq!(wins.len(), 4);
@@ -656,10 +662,65 @@ mod tests {
     #[test]
     fn cell_of_clamps() {
         let area = area40();
-        let map = DensityMap::from_points(&area, &[], 4, 4);
+        let map = DensityMap::from_points(&area, [], 4, 4);
         assert_eq!(map.cell_of(Point::new(-5.0, 100.0)), (0, 3));
         assert_eq!(map.cell_of(Point::new(40.0, 40.0)), (3, 3));
         assert_eq!(map.cell_of(Point::new(0.0, 0.0)), (0, 0));
+    }
+
+    #[test]
+    fn integer_cell_mapping_matches_the_floor_formula() {
+        // Cell sides 33/7 and 21/5, inexact in binary. Per axis: the signed
+        // zeros and values just below zero, every cell edge k·c with its
+        // float neighbours, the far bound, and values no float-to-int cast
+        // can hold. The old mapping is the oracle.
+        let area = Area::new(33.0, 21.0).unwrap();
+        let (cols, rows) = (7, 5);
+        let floor_cell = |v: f64, cells: usize| (v.floor().max(0.0) as usize).min(cells - 1);
+        let axis = |side: f64, cells: usize| {
+            let c = side / cells as f64;
+            let mut v = vec![0.0, -0.0, -1e-300, -0.5, side, side.next_up()];
+            for k in 0..=cells + 1 {
+                let edge = k as f64 * c;
+                v.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            v.extend([
+                f64::MAX,
+                -f64::MAX,
+                9_223_372_036_854_775_808.0,  // 2^63
+                18_446_744_073_709_551_616.0, // 2^64
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ]);
+            v
+        };
+        let (xs, ys) = (axis(33.0, cols), axis(21.0, rows));
+        let points: Vec<Point> = xs
+            .iter()
+            .flat_map(|&x| ys.iter().map(move |&y| Point::new(x, y)))
+            .collect();
+        let map = DensityMap::from_points(&area, points.iter().copied(), cols, rows);
+        let (cell_w, cell_h) = (33.0 / cols as f64, 21.0 / rows as f64);
+        let mut counts = vec![0u64; cols * rows];
+        for &p in &points {
+            let expected = (
+                floor_cell(p.x / cell_w, cols),
+                floor_cell(p.y / cell_h, rows),
+            );
+            assert_eq!(map.cell_of(p), expected, "{p:?}");
+            counts[expected.1 * cols + expected.0] += 1;
+        }
+        for (b, &count) in counts.iter().enumerate() {
+            let one = CellWindow {
+                cx: b % cols,
+                cy: b / cols,
+                w: 1,
+                h: 1,
+            };
+            assert_eq!(map.window_count(&one), count, "cell {b}");
+        }
+        assert_eq!(map.total(), points.len() as u64);
     }
 
     #[test]
@@ -668,7 +729,7 @@ mod tests {
         // binary, with overlapping windows: every point, on an edge or not,
         // gets the first window rect in rank order that contains it.
         let area = Area::new(33.0, 21.0).unwrap();
-        let map = DensityMap::from_points(&area, &[Point::new(20.0, 10.0)], 7, 5);
+        let map = DensityMap::from_points(&area, [Point::new(20.0, 10.0)], 7, 5);
         let win = |cx, cy, w, h| CellWindow { cx, cy, w, h };
         let zones = [
             win(1, 1, 3, 2),
@@ -722,7 +783,7 @@ mod tests {
         // corners, off the grid and inside cells. After every move the
         // updated census equals one taken afresh.
         let area = Area::new(33.0, 21.0).unwrap();
-        let map = DensityMap::from_points(&area, &[Point::new(20.0, 10.0)], 7, 5);
+        let map = DensityMap::from_points(&area, [Point::new(20.0, 10.0)], 7, 5);
         let win = |cx, cy, w, h| CellWindow { cx, cy, w, h };
         let overlapping = [win(1, 1, 3, 2), win(3, 0, 2, 4), win(5, 3, 2, 2)];
         let disjoint = [win(0, 0, 2, 2), win(2, 0, 2, 2), win(2, 2, 2, 2)];
@@ -756,7 +817,7 @@ mod tests {
     #[test]
     fn out_of_area_points_clamp_into_boundary_cells() {
         let area = area40();
-        let map = DensityMap::from_points(&area, &[Point::new(100.0, -5.0)], 4, 4);
+        let map = DensityMap::from_points(&area, [Point::new(100.0, -5.0)], 4, 4);
         let corner = CellWindow {
             cx: 3,
             cy: 0,

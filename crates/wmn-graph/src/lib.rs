@@ -10,8 +10,9 @@
 //! * [`dsu`] — union–find with rank + path compression, the test oracle
 //!   for the BFS component builds.
 //! * [`adjacency`] — the mutual-range link rule and mesh adjacency
-//!   construction on a router [`DynamicGrid`](wmn_model::spatial::DynamicGrid)
-//!   (the grid a topology keeps), with per-node edge replacement
+//!   construction, one cell-ordered walk over the near router pairs of a
+//!   router [`DynamicGrid`](wmn_model::spatial::DynamicGrid) (the grid a
+//!   topology keeps), with per-node edge replacement
 //!   (`replace_node_edges`, a merge-diff of old vs new neighbor lists that
 //!   also reports the edge diff) and whole-graph rebuild in place.
 //! * [`components`] — connected components and the giant component (the

@@ -352,9 +352,11 @@ impl WmnTopology {
     /// out-of-area positions — and the refusal of
     /// [`ProblemInstance::client_index`]: a client grid with more cells
     /// than u32 ids can number (an area far larger than the radio range,
-    /// such as `--scale-area 1000000`). Refuses the router grid the same
-    /// way. Router and client ids fit u32, because
-    /// [`ProblemInstance::new`] refuses any instance whose ids would not.
+    /// such as `--scale-area 1000000`), or one whose estimated bytes exceed
+    /// the [`MEMORY_LIMIT_BYTES`](wmn_model::MEMORY_LIMIT_BYTES) (such as
+    /// `--scale-area 3000`). Refuses the router grid the same way. Router
+    /// and client ids fit u32, because [`ProblemInstance::new`] refuses any
+    /// instance whose ids would not.
     pub fn build(
         instance: &ProblemInstance,
         placement: &Placement,
@@ -363,7 +365,7 @@ impl WmnTopology {
         let client_index = Arc::clone(instance.client_index()?);
         let area = instance.area();
         let router_cell = adjacency::grid_cell_size(client_index.cell_size());
-        check_cell_space(&area, router_cell, "router")?;
+        check_cell_space(&area, router_cell, "router", DynamicGrid::BYTES_PER_CELL)?;
         let (routers, clients) = (placement.len(), client_index.len());
         let mut topo = WmnTopology {
             area,
@@ -1164,6 +1166,17 @@ mod tests {
         let reason = refusal(1e6, 8.0);
         assert!(
             reason.contains("client grid would need 125000 x 125000 = 15625000000 cells"),
+            "{reason}"
+        );
+        // Radius 0.25: client cells of side 1, 40,000² of them. They fit the
+        // u32 ids, but their 8 bytes each do not fit the memory limit, so
+        // the refusal comes from the estimate, before any allocation.
+        let reason = refusal(40_000.0, 0.25);
+        assert!(
+            reason.contains(
+                "client grid of 40000 x 40000 = 1600000000 cells would need an estimated \
+                 12800000000 bytes"
+            ),
             "{reason}"
         );
     }

@@ -93,12 +93,44 @@ proptest! {
     fn adjacency_indexed_equals_brute_force(
         (pts, radii) in layout(100.0, 100),
         side in 20.0..100.0f64,
+        clustered in any::<bool>(),
+        exact in proptest::collection::vec(
+            (1u32..=80, 1u32..=80, 1u32..5, 0u32..1600, any::<bool>()),
+            0..8,
+        ),
     ) {
         // Points drawn over 100 × 100 and squeezed into a `side` corner:
-        // from sparse meshes to nearly complete ones.
+        // from sparse meshes to nearly complete ones. Clustered, the
+        // corner is 1.9 wide, inside one router-grid cell (cells are
+        // twice the largest radius, and at least 2).
         let area = Area::square(100.0).unwrap();
-        let scale = side / 100.0;
-        let pts: Vec<Point> = pts.iter().map(|p| Point::new(p.x * scale, p.y * scale)).collect();
+        let scale = if clustered { 0.019 } else { side / 100.0 };
+        let mut pts: Vec<Point> = pts.iter().map(|p| Point::new(p.x * scale, p.y * scale)).collect();
+        let mut radii = radii;
+        // Pairs exactly min(r_i, r_j) apart, straddling the `edge`-th cell
+        // edge of the grid the build lays, across x or (`vertical`) y.
+        // Radii in eighths and coordinates in sixteenths keep every
+        // distance exact, so each pair links.
+        let eighths = |k: u32| f64::from(k) / 8.0;
+        let cell = 2.0 * exact
+            .iter()
+            .flat_map(|&(a, b, ..)| [eighths(a), eighths(b)])
+            .chain(radii.iter().copied())
+            .fold(1.0_f64, f64::max);
+        for &(a, b, edge, along, vertical) in &exact {
+            let (ri, rj) = (eighths(a), eighths(b));
+            let d = ri.min(rj);
+            let near = ((f64::from(edge) * cell - d / 2.0) * 16.0).floor() / 16.0;
+            let at = f64::from(along) / 16.0;
+            let (p, q) = if vertical {
+                (Point::new(at, near), Point::new(at, near + d))
+            } else {
+                (Point::new(near, at), Point::new(near + d, at))
+            };
+            prop_assert_eq!(p.distance_squared(q), d * d);
+            pts.extend([p, q]);
+            radii.extend([ri, rj]);
+        }
         let fast = MeshAdjacency::build(&area, &pts, &radii);
         let slow = MeshAdjacency::build_brute_force(&pts, &radii);
         prop_assert_eq!(fast, slow);
@@ -132,8 +164,28 @@ proptest! {
     ) {
         // Every point is binned once, at any grid shape.
         let area = Area::square(64.0).unwrap();
-        let map = DensityMap::from_points(&area, &pts, cols, rows);
+        let map = DensityMap::from_points(&area, pts.iter().copied(), cols, rows);
         prop_assert_eq!(map.total(), pts.len() as u64);
+    }
+
+    #[test]
+    fn density_cells_match_the_floor_formula(
+        x in any::<u64>(),
+        y in any::<u64>(),
+        cols in 1usize..40,
+        rows in 1usize..40,
+    ) {
+        // Any coordinates, NaN and infinities included, map to the cell of
+        // the old floor formula on a grid whose cell sides are inexact.
+        let area = Area::new(33.0, 21.0).unwrap();
+        let map = DensityMap::from_points(&area, [], cols, rows);
+        let p = Point::new(f64::from_bits(x), f64::from_bits(y));
+        let floor_cell = |v: f64, cells: usize| (v.floor().max(0.0) as usize).min(cells - 1);
+        let expected = (
+            floor_cell(p.x / (33.0 / cols as f64), cols),
+            floor_cell(p.y / (21.0 / rows as f64), rows),
+        );
+        prop_assert_eq!(map.cell_of(p), expected);
     }
 
     #[test]
@@ -143,7 +195,7 @@ proptest! {
         h in 1usize..6,
     ) {
         let area = Area::square(64.0).unwrap();
-        let map = DensityMap::from_points(&area, &pts, 8, 8);
+        let map = DensityMap::from_points(&area, pts.iter().copied(), 8, 8);
         // The first ranked window is the densest of its size.
         let dense = map.ranked_disjoint_windows(w, h, 1)[0];
         let dense_count = map.window_count(&dense);

@@ -274,7 +274,7 @@ mod tests {
     use wmn_graph::topology::WmnTopology;
     use wmn_model::geometry::Point;
     use wmn_model::instance::{InstanceBuilder, InstanceSpec};
-    use wmn_model::node::RouterId;
+    use wmn_model::node::{Client, RouterId};
     use wmn_model::radio::RadioProfile;
     use wmn_model::rng::rng_from_seed;
     use wmn_model::Area;
@@ -368,7 +368,7 @@ mod tests {
         let instance = InstanceSpec::paper_normal().unwrap().generate(3).unwrap();
         let other = InstanceBuilder::new(instance.area())
             .routers(RadioProfile::fixed(2.0).unwrap(), instance.router_count())
-            .clients(instance.client_positions())
+            .clients(instance.clients().iter().map(Client::position))
             .build()
             .unwrap();
         let placement = instance.random_placement(&mut rng_from_seed(4));

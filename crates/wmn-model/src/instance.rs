@@ -73,8 +73,10 @@ impl ProblemInstance {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidSpec`] if there are no routers, no
-    /// clients, more routers or clients than u32 ids can number, or a
-    /// client lies outside the area.
+    /// clients, more routers or clients than u32 ids can number, router
+    /// and client vectors beyond the
+    /// [`MEMORY_LIMIT_BYTES`](crate::MEMORY_LIMIT_BYTES), or a client lies
+    /// outside the area.
     pub fn new(area: Area, routers: Vec<Router>, clients: Vec<Client>) -> Result<Self, ModelError> {
         if routers.is_empty() {
             return Err(ModelError::InvalidSpec {
@@ -86,7 +88,7 @@ impl ProblemInstance {
                 reason: "an instance needs at least one client".to_owned(),
             });
         }
-        check_id_space(routers.len(), clients.len())?;
+        check_counts(routers.len(), clients.len())?;
         if let Some(c) = clients.iter().find(|c| !area.contains(c.position())) {
             return Err(ModelError::InvalidSpec {
                 reason: format!("client {} lies outside the area", c.id()),
@@ -150,11 +152,6 @@ impl ProblemInstance {
         &self.clients[id.index()]
     }
 
-    /// All client positions (convenience for density computations).
-    pub fn client_positions(&self) -> Vec<Point> {
-        self.clients.iter().map(|c| c.position()).collect()
-    }
-
     /// The clients' spatial index: a [`GridIndex`] whose cells are as wide
     /// as the largest router radius, at least 1. An instance never changes
     /// once built, so it has one index: the first call builds it, and every
@@ -164,7 +161,8 @@ impl ProblemInstance {
     /// # Errors
     ///
     /// Refuses with [`ModelError::InvalidSpec`] an instance whose client
-    /// grid would have more cells than u32 ids can number
+    /// grid would have more cells than u32 ids can number, or would need
+    /// more than the [`MEMORY_LIMIT_BYTES`](crate::MEMORY_LIMIT_BYTES)
     /// ([`spatial::check_cell_space`]).
     pub fn client_index(&self) -> Result<&Arc<GridIndex>, ModelError> {
         if let Some(index) = self.client_index.get() {
@@ -175,7 +173,7 @@ impl ProblemInstance {
             .iter()
             .map(Router::current_radius)
             .fold(1.0_f64, f64::max);
-        spatial::check_cell_space(&self.area, cell_size, "client")?;
+        spatial::check_cell_space(&self.area, cell_size, "client", GridIndex::BYTES_PER_CELL)?;
         Ok(self.client_index.get_or_init(|| {
             let points = self.clients.iter().map(Client::position).collect();
             Arc::new(GridIndex::build(&self.area, points, cell_size))
@@ -231,19 +229,25 @@ impl fmt::Display for ProblemInstance {
     }
 }
 
-/// The id-width invariant: router and client ids are u32 throughout a
+/// Checks an instance's counts before anything is allocated for it. The
+/// id-width invariant: router and client ids are u32 throughout a
 /// topology's arena-backed storage, so an instance holds fewer than
-/// `u32::MAX` of each.
-fn check_id_space(routers: usize, clients: usize) -> Result<(), ModelError> {
-    if routers < u32::MAX as usize && clients < u32::MAX as usize {
-        return Ok(());
+/// `u32::MAX` of each. The memory limit: its router and client vectors
+/// fit the [`MEMORY_LIMIT_BYTES`](crate::MEMORY_LIMIT_BYTES).
+fn check_counts(routers: usize, clients: usize) -> Result<(), ModelError> {
+    if routers >= u32::MAX as usize || clients >= u32::MAX as usize {
+        return Err(ModelError::InvalidSpec {
+            reason: format!(
+                "instance exceeds the u32 id space: {routers} routers / {clients} clients \
+                 (at most {} of each supported)",
+                u32::MAX - 1
+            ),
+        });
     }
-    Err(ModelError::InvalidSpec {
-        reason: format!(
-            "instance exceeds the u32 id space: {routers} routers / {clients} clients \
-             (at most {} of each supported)",
-            u32::MAX - 1
-        ),
+    let bytes = routers as u128 * std::mem::size_of::<Router>() as u128
+        + clients as u128 * std::mem::size_of::<Client>() as u128;
+    crate::check_memory(bytes, || {
+        format!("an instance of {routers} routers / {clients} clients")
     })
 }
 
@@ -286,8 +290,10 @@ impl InstanceSpec {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidSpec`] when `router_count` or
-    /// `client_count` is zero, or more than u32 ids can number; the refusal
-    /// comes before anything is allocated for the instance.
+    /// `client_count` is zero or more than u32 ids can number, or when the
+    /// instance's router and client vectors would need more than the
+    /// [`MEMORY_LIMIT_BYTES`](crate::MEMORY_LIMIT_BYTES); the refusal comes
+    /// from the counts, before anything is allocated for the instance.
     pub fn new(
         area: Area,
         router_count: usize,
@@ -305,7 +311,7 @@ impl InstanceSpec {
                 reason: "client_count must be positive".to_owned(),
             });
         }
-        check_id_space(router_count, client_count)?;
+        check_counts(router_count, client_count)?;
         Ok(InstanceSpec {
             area,
             router_count,
@@ -610,7 +616,27 @@ mod tests {
                 "{reason}"
             );
         }
-        assert!(InstanceSpec::new(area, max - 1, 5, ClientDistribution::Uniform, radio).is_ok());
+        // Within the ids, the router and client vectors must fit the memory
+        // limit: 32 bytes per router and 24 per client.
+        assert_eq!(
+            (std::mem::size_of::<Router>(), std::mem::size_of::<Client>()),
+            (32, 24)
+        );
+        let Err(ModelError::InvalidSpec { reason }) =
+            InstanceSpec::new(area, max - 1, 5, ClientDistribution::Uniform, radio)
+        else {
+            panic!("{} routers must be refused", max - 1);
+        };
+        assert!(
+            reason.starts_with(
+                "an instance of 4294967294 routers / 5 clients would need an estimated \
+                 137438953528 bytes, above the 2147483648-byte memory limit"
+            ),
+            "{reason}"
+        );
+        let fits = ((crate::MEMORY_LIMIT_BYTES - 5 * 24) / 32) as usize;
+        assert!(InstanceSpec::new(area, fits, 5, ClientDistribution::Uniform, radio).is_ok());
+        assert!(InstanceSpec::new(area, fits + 1, 5, ClientDistribution::Uniform, radio).is_err());
     }
 
     #[test]
@@ -671,7 +697,11 @@ mod tests {
         let index = Arc::clone(inst.client_index().unwrap());
         assert!(Arc::ptr_eq(&index, inst.client_index().unwrap()));
         assert!(Arc::ptr_eq(&index, inst.clone().client_index().unwrap()));
-        assert_eq!(index.points(), inst.client_positions().as_slice());
+        assert!(index
+            .points()
+            .iter()
+            .copied()
+            .eq(inst.clients().iter().map(Client::position)));
         let largest = inst
             .routers()
             .iter()

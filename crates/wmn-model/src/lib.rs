@@ -19,6 +19,9 @@
 //! * [`placement`] — [`Placement`], the candidate-solution position vector.
 //! * [`rng`] — deterministic seed plumbing ([`rng::stream_seed`]).
 //!
+//! Instances and grids estimate their bytes from their counts and refuse to
+//! be built above [`MEMORY_LIMIT_BYTES`].
+//!
 //! # Quick start
 //!
 //! ```
@@ -58,6 +61,30 @@ pub use node::{Client, ClientId, Router, RouterId};
 pub use placement::Placement;
 pub use radio::RadioProfile;
 pub use spatial::{DynamicGrid, GridIndex};
+
+/// The most memory, in bytes, that one instance or one spatial grid may
+/// ask for: 2 GiB, 4,096 times the largest grid a committed run builds
+/// (the 512 KiB client grid of `--scale 256`). Instances and grids
+/// estimate their bytes from their counts before anything is allocated
+/// ([`InstanceSpec::new`], [`ProblemInstance::new`] and
+/// [`spatial::check_cell_space`]) and refuse above it, so an oversized
+/// `--scale` is an error, not an out-of-memory kill.
+pub const MEMORY_LIMIT_BYTES: u64 = 2 << 30;
+
+/// Refuses `what` (a phrase naming it) when its estimated `bytes` exceed
+/// [`MEMORY_LIMIT_BYTES`], with the estimate in the message.
+fn check_memory(bytes: u128, what: impl FnOnce() -> String) -> Result<(), ModelError> {
+    if bytes <= u128::from(MEMORY_LIMIT_BYTES) {
+        return Ok(());
+    }
+    Err(ModelError::InvalidSpec {
+        reason: format!(
+            "{} would need an estimated {bytes} bytes, above the \
+             {MEMORY_LIMIT_BYTES}-byte memory limit",
+            what()
+        ),
+    })
+}
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {

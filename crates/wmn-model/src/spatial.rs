@@ -22,14 +22,19 @@
 //!   function of the points.
 //! * [`DynamicGrid`] (mutable) keeps intrusive doubly-linked lists: one
 //!   `head` slot per cell and `next`/`prev`/`cell` words per point, making
-//!   insert/remove/relocate O(1) with zero allocation.
+//!   a relocation O(1) with zero allocation.
 //!
-//! Each index has one query path, a tight nested loop over the touched
-//! cells: [`GridIndex::within_radius_into`] fills a caller's buffer, and
-//! [`DynamicGrid::for_each_candidate`] calls a closure per candidate.
+//! Both map a coordinate to its cell with one saturating integer cast
+//! ([`axis_cell`]), never a `floor` call. Each index has one radius query,
+//! a tight nested loop over the touched cells:
+//! [`GridIndex::within_radius_into`] fills a caller's buffer, and
+//! [`DynamicGrid::for_each_candidate`] calls a closure per candidate (the
+//! per-move edge repair of a topology). A whole-mesh build instead walks
+//! every near pair once, in cell order
+//! ([`DynamicGrid::for_each_near_pair`]).
 
 use crate::geometry::{Area, Point};
-use crate::ModelError;
+use crate::{check_memory, ModelError};
 
 /// Sentinel for "no point" / "no cell" in the intrusive grid lists.
 const NIL: u32 = u32::MAX;
@@ -37,6 +42,32 @@ const NIL: u32 = u32::MAX;
 /// The most cells a grid may have: both grids store cell ids as u32, and
 /// [`DynamicGrid`] reserves `u32::MAX` to mean "no cell".
 const MAX_GRID_CELLS: usize = u32::MAX as usize;
+
+/// The cell of coordinate `v`, given in cell units, on an axis of `cells`
+/// cells: `⌊v⌋` clamped into `0..cells`. Every grid of the workspace maps
+/// points through it.
+///
+/// The cast saturates (NaN goes to 0, ±inf and values beyond the `i64`
+/// range to the ends) and truncates toward zero, which differs from `⌊v⌋`
+/// only on `(-1, 0)`, where the clamp sends both to cell 0. So for every
+/// `f64` it gives the cell of `(v.floor().max(0.0) as usize).min(cells -
+/// 1)`, without the `floor` call, which targets without SSE4.1 (the
+/// default x86-64 one) make out of line.
+///
+/// # Examples
+///
+/// ```
+/// use wmn_model::spatial::axis_cell;
+///
+/// assert_eq!(axis_cell(2.7, 4), 2);
+/// assert_eq!(axis_cell(-0.5, 4), 0);
+/// assert_eq!(axis_cell(9.0, 4), 3);
+/// assert_eq!(axis_cell(f64::NAN, 4), 0);
+/// ```
+#[inline]
+pub fn axis_cell(v: f64, cells: usize) -> usize {
+    (v as i64).clamp(0, cells as i64 - 1) as usize
+}
 
 /// `(columns, rows)` of the grid of square `cell_size` cells that
 /// [`GridIndex::build`] and [`DynamicGrid::new`] lay over `area`.
@@ -55,24 +86,36 @@ fn grid_cell_count(cols: usize, rows: usize) -> Option<usize> {
         .filter(|&cells| cells <= MAX_GRID_CELLS)
 }
 
-/// Checks that a grid of square `cell_size` cells over `area` can number
-/// its cells with u32 ids, before anything is allocated for it.
+/// Checks, before anything is allocated for it, that a grid of square
+/// `cell_size` cells over `area` can number its cells with u32 ids, and
+/// that its cells, at `bytes_per_cell` each ([`GridIndex::BYTES_PER_CELL`]
+/// or [`DynamicGrid::BYTES_PER_CELL`]), fit the
+/// [`MEMORY_LIMIT_BYTES`](crate::MEMORY_LIMIT_BYTES).
 ///
 /// # Errors
 ///
 /// [`ModelError::InvalidSpec`] naming the `grid` and its cell count, for an
-/// area far larger than the radio range, such as `--scale-area 1000000`.
-pub fn check_cell_space(area: &Area, cell_size: f64, grid: &str) -> Result<(), ModelError> {
+/// area far larger than the radio range: beyond the u32 cell ids, such as
+/// `--scale-area 1000000`, or within them but above the memory limit, with
+/// the estimate, such as `--scale-area 3000`.
+pub fn check_cell_space(
+    area: &Area,
+    cell_size: f64,
+    grid: &str,
+    bytes_per_cell: u64,
+) -> Result<(), ModelError> {
     let (cols, rows) = grid_shape(area, cell_size);
-    if grid_cell_count(cols, rows).is_some() {
-        return Ok(());
+    let cells = cols as u128 * rows as u128;
+    if grid_cell_count(cols, rows).is_none() {
+        return Err(ModelError::InvalidSpec {
+            reason: format!(
+                "the {grid} grid would need {cols} x {rows} = {cells} cells, beyond the \
+                 u32 cell-id space (at most {MAX_GRID_CELLS} cells)"
+            ),
+        });
     }
-    Err(ModelError::InvalidSpec {
-        reason: format!(
-            "the {grid} grid would need {cols} x {rows} = {} cells, beyond the \
-             u32 cell-id space (at most {MAX_GRID_CELLS} cells)",
-            cols as u128 * rows as u128
-        ),
+    check_memory(cells * u128::from(bytes_per_cell), || {
+        format!("the {grid} grid of {cols} x {rows} = {cells} cells")
     })
 }
 
@@ -125,6 +168,10 @@ pub struct GridIndex {
 }
 
 impl GridIndex {
+    /// The bytes a build allocates per cell: a `u32` offset in `starts` and
+    /// one in the build's write cursor.
+    pub const BYTES_PER_CELL: u64 = 8;
+
     /// Builds an index over `points` living in `area`, with square cells of
     /// side `cell_size`; the index keeps `points`.
     ///
@@ -211,9 +258,10 @@ impl GridIndex {
     }
 
     fn cell_of(p: &Point, inv_cell_size: f64, cols: usize, rows: usize) -> (usize, usize) {
-        let cx = (((p.x * inv_cell_size).floor().max(0.0)) as usize).min(cols - 1);
-        let cy = (((p.y * inv_cell_size).floor().max(0.0)) as usize).min(rows - 1);
-        (cx, cy)
+        (
+            axis_cell(p.x * inv_cell_size, cols),
+            axis_cell(p.y * inv_cell_size, rows),
+        )
     }
 
     /// Writes the indices of all points within Euclidean distance `radius`
@@ -273,13 +321,11 @@ impl CellRange {
         cols: usize,
         rows: usize,
     ) -> CellRange {
-        let clamp_col = |v: f64| ((v * inv_cell_size).floor().max(0.0) as usize).min(cols - 1);
-        let clamp_row = |v: f64| ((v * inv_cell_size).floor().max(0.0) as usize).min(rows - 1);
         CellRange {
-            min_cx: clamp_col(center.x - radius),
-            max_cx: clamp_col(center.x + radius),
-            min_cy: clamp_row(center.y - radius),
-            max_cy: clamp_row(center.y + radius),
+            min_cx: axis_cell((center.x - radius) * inv_cell_size, cols),
+            max_cx: axis_cell((center.x + radius) * inv_cell_size, cols),
+            min_cy: axis_cell((center.y - radius) * inv_cell_size, rows),
+            max_cy: axis_cell((center.y + radius) * inv_cell_size, rows),
         }
     }
 }
@@ -292,12 +338,13 @@ impl CellRange {
 /// relocates exactly one entry per router move instead of rebuilding the
 /// index, and builds the mesh on it. Membership lives
 /// in intrusive doubly-linked lists (`head` per cell, `next`/`prev`/`cell`
-/// per point), so insert, remove, and relocate are O(1) pointer splices
-/// with zero allocation, and a state copy is four flat bulk copies.
+/// per point), so a relocation is two O(1) pointer splices with zero
+/// allocation, and a state copy is four flat bulk copies.
 /// Queries return *candidate* indices (every point whose cell intersects
-/// the query disk); the caller applies the precise distance predicate,
-/// since it owns the coordinates. Candidate order within a cell is the
-/// list order (most-recently-inserted first) — deterministic, but
+/// the query disk) and the pair walk *candidate* pairs (every two points
+/// in the same or 8-adjacent cells); the caller applies the precise
+/// distance predicate, since it owns the coordinates. Order within a cell
+/// is the list order (most-recently-inserted first) — deterministic, but
 /// unspecified to callers, which all sort or reduce order-independently.
 ///
 /// # Examples
@@ -369,6 +416,9 @@ impl Clone for DynamicGrid {
 }
 
 impl DynamicGrid {
+    /// The bytes a grid allocates per cell: its `u32` list head.
+    pub const BYTES_PER_CELL: u64 = 4;
+
     /// Creates an empty grid over `area` with square cells of side
     /// `cell_size`.
     ///
@@ -399,19 +449,14 @@ impl DynamicGrid {
         (self.cols, self.rows)
     }
 
+    /// The side of the square cells.
+    pub fn cell_size(&self) -> f64 {
+        self.cell_size
+    }
+
     fn bucket_of(&self, p: Point) -> usize {
         let (cx, cy) = GridIndex::cell_of(&p, self.inv_cell_size, self.cols, self.rows);
         cy * self.cols + cx
-    }
-
-    /// Grows the per-point link arrays to cover index `i`.
-    fn ensure_point(&mut self, i: usize) {
-        assert!(i < u32::MAX as usize, "point index exceeds u32 id space");
-        if i >= self.cell.len() {
-            self.next.resize(i + 1, NIL);
-            self.prev.resize(i + 1, NIL);
-            self.cell.resize(i + 1, NIL);
-        }
     }
 
     /// Clears the grid and re-inserts every point, reusing the flat
@@ -470,50 +515,33 @@ impl DynamicGrid {
         self.cell[i as usize] = NIL;
     }
 
-    /// Records that point `i` sits at `p`.
-    pub fn insert(&mut self, i: usize, p: Point) {
-        self.ensure_point(i);
-        debug_assert_eq!(self.cell[i], NIL, "point {i} inserted twice");
-        let b = self.bucket_of(p);
-        self.link(i as u32, b);
-    }
-
-    /// Forgets point `i`, which must currently be recorded at `p`.
+    /// Moves point `i` from `from` to `to`: one mapping of each endpoint,
+    /// then nothing when both map to the same cell, two O(1) list splices
+    /// otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if `i` is not in the bucket `p` maps to (the grid drifted
-    /// from its owner's coordinates).
-    pub fn remove(&mut self, i: usize, p: Point) {
-        let b = self.bucket_of(p);
+    /// Panics if `i` is not recorded in the cell `from` maps to (the grid
+    /// drifted from its owner's coordinates).
+    pub fn relocate(&mut self, i: usize, from: Point, to: Point) {
+        let (old, new) = (self.bucket_of(from), self.bucket_of(to));
         let recorded = self.cell.get(i).copied().unwrap_or(NIL);
         assert_eq!(
-            recorded as usize, b,
-            "DynamicGrid::remove: point not in its recorded bucket"
+            recorded as usize, old,
+            "DynamicGrid::relocate: point {i} not recorded in the cell of {from}"
         );
-        self.unlink(i as u32);
-    }
-
-    /// Moves point `i` from `from` to `to` — a no-op when both map to the
-    /// same cell, two O(1) list splices otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not recorded at `from` (see [`DynamicGrid::remove`]).
-    pub fn relocate(&mut self, i: usize, from: Point, to: Point) {
-        if self.bucket_of(from) == self.bucket_of(to) {
-            return;
+        if old != new {
+            self.unlink(i as u32);
+            self.link(i as u32, new);
         }
-        self.remove(i, from);
-        self.insert(i, to);
     }
 
     /// Calls `f` with every index recorded in a cell that intersects the
     /// disk at `center` with `radius`: a superset of the true hits, with no
     /// distance filtering and no allocation, row-major over the cells and
     /// in list order within a cell. Visits nothing for a negative radius.
-    /// Mesh builds call it once per router, and the per-move edge repair
-    /// of `WmnTopology` once per moved router.
+    /// The per-move edge repair of `WmnTopology` calls it once per moved
+    /// router.
     pub fn for_each_candidate(&self, center: Point, radius: f64, mut f: impl FnMut(usize)) {
         if radius < 0.0 {
             return;
@@ -526,6 +554,53 @@ impl DynamicGrid {
                 while cur != NIL {
                     f(cur as usize);
                     cur = self.next[cur as usize];
+                }
+            }
+        }
+    }
+
+    /// Calls `f(a, b)` once for every unordered pair of points recorded in
+    /// the same cell or in two 8-adjacent cells: a superset of the pairs
+    /// at most one cell side apart, with no distance filtering and no
+    /// allocation. Cells go in row-major order; each cell's list is paired
+    /// with itself, then with its four forward neighbours, east on its row
+    /// and south-west, south and south-east on the next. The cost is
+    /// O(cells + pairs visited). Mesh builds walk it.
+    pub fn for_each_near_pair(&self, mut f: impl FnMut(usize, usize)) {
+        let (cols, rows) = (self.cols, self.rows);
+        for cy in 0..rows {
+            let row = cy * cols;
+            for cx in 0..cols {
+                let mut a = self.head[row + cx];
+                if a == NIL {
+                    continue;
+                }
+                // The rest of this cell's list after `a`, then the lists of
+                // the E, SW, S and SE cells.
+                let mut lists = [NIL; 5];
+                if cx + 1 < cols {
+                    lists[1] = self.head[row + cx + 1];
+                }
+                if cy + 1 < rows {
+                    let south = row + cols + cx;
+                    if cx > 0 {
+                        lists[2] = self.head[south - 1];
+                    }
+                    lists[3] = self.head[south];
+                    if cx + 1 < cols {
+                        lists[4] = self.head[south + 1];
+                    }
+                }
+                while a != NIL {
+                    lists[0] = self.next[a as usize];
+                    for &first in &lists {
+                        let mut b = first;
+                        while b != NIL {
+                            f(a as usize, b as usize);
+                            b = self.next[b as usize];
+                        }
+                    }
+                    a = lists[0];
                 }
             }
         }
@@ -716,10 +791,154 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bucket")]
-    fn dynamic_grid_remove_missing_panics() {
+    #[should_panic(expected = "point 1 not recorded in the cell of (15")]
+    fn dynamic_grid_relocating_from_the_wrong_cell_panics() {
+        // Point 1 sits in cell (0, 0); `from` maps to cell (1, 0).
+        let pts = [Point::new(55.0, 5.0), Point::new(5.0, 5.0)];
         let mut grid = DynamicGrid::new(&area100(), 10.0);
-        grid.remove(3, Point::new(5.0, 5.0));
+        grid.rebuild(&pts);
+        grid.relocate(1, Point::new(15.0, 5.0), Point::new(5.0, 5.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "point 2 not recorded")]
+    fn dynamic_grid_relocating_an_unknown_point_panics() {
+        let mut grid = DynamicGrid::new(&area100(), 10.0);
+        grid.rebuild(&[Point::new(5.0, 5.0), Point::new(6.0, 6.0)]);
+        grid.relocate(2, Point::new(5.0, 5.0), Point::new(5.0, 5.0));
+    }
+
+    /// The cell mapping before integer casts, kept as the oracle.
+    fn floor_cell(v: f64, cells: usize) -> usize {
+        (v.floor().max(0.0) as usize).min(cells - 1)
+    }
+
+    /// Coordinates that test a cell mapping on an axis of side `side` cut
+    /// into cells of side `c`: the signed zeros and values just below
+    /// zero, every cell edge `k·c` (one past the last included) with its
+    /// float neighbours, the far bound, and values no float-to-int cast can
+    /// hold.
+    fn mapping_table(side: f64, c: f64) -> Vec<f64> {
+        let mut v = vec![0.0, -0.0, -1e-300, -0.5, -1.0, side, side.next_up()];
+        for k in 0..=(side / c).ceil() as usize + 1 {
+            let edge = k as f64 * c;
+            v.extend([edge.next_down(), edge, edge.next_up()]);
+        }
+        v.extend([
+            f64::MAX,
+            -f64::MAX,
+            9_223_372_036_854_775_808.0,  // 2^63
+            18_446_744_073_709_551_616.0, // 2^64
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ]);
+        v
+    }
+
+    #[test]
+    fn integer_cell_mapping_matches_the_floor_formula() {
+        // A non-square area whose cell side 100/7 is inexact in binary.
+        let area = Area::new(100.0, 60.0).unwrap();
+        let cell: f64 = 100.0 / 7.0;
+        let inv = cell.recip();
+        let index = GridIndex::build(&area, Vec::new(), cell);
+        let mut grid = DynamicGrid::new(&area, cell);
+        let (cols, rows) = index.shape();
+        assert_eq!((cols, rows), grid.shape());
+        let (xs, ys) = (mapping_table(100.0, cell), mapping_table(60.0, cell));
+        for &x in &xs {
+            for &y in &ys {
+                let p = Point::new(x, y);
+                let (fx, fy) = (floor_cell(x * inv, cols), floor_cell(y * inv, rows));
+                assert_eq!(GridIndex::cell_of(&p, inv, cols, rows), (fx, fy), "{p:?}");
+                assert_eq!(grid.bucket_of(p), fy * cols + fx, "{p:?}");
+                // One relocation from the origin and back, through the
+                // mapped cells.
+                grid.rebuild(&[Point::new(0.0, 0.0)]);
+                grid.relocate(0, Point::new(0.0, 0.0), p);
+                assert_eq!(grid.cell[0] as usize, fy * cols + fx, "{p:?}");
+                grid.relocate(0, p, Point::new(0.0, 0.0));
+                for r in [0.0, 3.0, cell] {
+                    let range = CellRange::covering(p, r, inv, cols, rows);
+                    let expected = (
+                        floor_cell((x - r) * inv, cols),
+                        floor_cell((x + r) * inv, cols),
+                        floor_cell((y - r) * inv, rows),
+                        floor_cell((y + r) * inv, rows),
+                    );
+                    assert_eq!(
+                        (range.min_cx, range.max_cx, range.min_cy, range.max_cy),
+                        expected,
+                        "{p:?} radius {r}"
+                    );
+                }
+            }
+        }
+        for cells in [1, 2, 7, 65_536, MAX_GRID_CELLS] {
+            for &v in &xs {
+                assert_eq!(axis_cell(v, cells), floor_cell(v, cells), "{v} on {cells}");
+            }
+        }
+    }
+
+    /// Every unordered pair `(a, b)` with `a < b` whose cells are equal or
+    /// 8-adjacent, by an O(n²) listing.
+    fn near_pairs_by_listing(grid: &DynamicGrid, n: usize) -> Vec<(usize, usize)> {
+        let cols = grid.cols;
+        let cell = |i: usize| {
+            let b = grid.cell[i] as usize;
+            ((b % cols) as i64, (b / cols) as i64)
+        };
+        let mut pairs = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                let ((ax, ay), (bx, by)) = (cell(a), cell(b));
+                if (ax - bx).abs() <= 1 && (ay - by).abs() <= 1 {
+                    pairs.push((a, b));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn near_pair_walk_visits_each_near_pair_once() {
+        let area = Area::new(100.0, 70.0).unwrap();
+        let cell = 10.0;
+        let mut rng = rng_from_seed(17);
+        let random = random_points(300, 21)
+            .into_iter()
+            .map(|p| Point::new(p.x, p.y * 0.7))
+            .collect::<Vec<_>>();
+        // All points in one cell.
+        let clustered = (0..40)
+            .map(|_| Point::new(rng.gen_range(30.0..40.0), rng.gen_range(50.0..60.0)))
+            .collect::<Vec<_>>();
+        // Points at 0, at W and H, and on cell edges and their neighbours.
+        let mut boundary = Vec::new();
+        for k in 0..=10 {
+            let x = k as f64 * cell;
+            for y in [0.0, 35.0, 40.0, 40.0f64.next_down(), 70.0] {
+                boundary.extend([Point::new(x, y), Point::new(x.next_up(), y)]);
+            }
+        }
+        for (name, pts) in [
+            ("random", random),
+            ("clustered", clustered),
+            ("boundary", boundary),
+        ] {
+            let mut grid = DynamicGrid::new(&area, cell);
+            grid.rebuild(&pts);
+            let mut walked = Vec::new();
+            grid.for_each_near_pair(|a, b| walked.push((a.min(b), a.max(b))));
+            let visits = walked.len();
+            walked.sort_unstable();
+            walked.dedup();
+            assert_eq!(walked.len(), visits, "{name}: a pair was visited twice");
+            assert_eq!(walked, near_pairs_by_listing(&grid, pts.len()), "{name}");
+        }
     }
 
     #[test]
@@ -741,14 +960,31 @@ mod tests {
     #[test]
     fn check_cell_space_names_the_refused_grid() {
         let area = Area::square(40_000.0).unwrap();
-        assert!(check_cell_space(&area, 1.0, "client").is_ok());
-        let Err(ModelError::InvalidSpec { reason }) = check_cell_space(&area, 0.5, "router") else {
-            panic!("80,000² cells must be refused");
-        };
+        let refusal =
+            |cell: f64, grid: &str, bytes: u64| match check_cell_space(&area, cell, grid, bytes) {
+                Err(ModelError::InvalidSpec { reason }) => reason,
+                other => panic!("expected a refusal, got {other:?}"),
+            };
+        // 40,000² cells fit the u32 ids; at 8 bytes each they do not fit
+        // the 2 GiB limit, and at one byte each they do.
+        assert!(check_cell_space(&area, 1.0, "client", 1).is_ok());
+        let reason = refusal(1.0, "client", GridIndex::BYTES_PER_CELL);
+        assert!(
+            reason.contains(
+                "client grid of 40000 x 40000 = 1600000000 cells would need an estimated \
+                 12800000000 bytes, above the 2147483648-byte memory limit"
+            ),
+            "{reason}"
+        );
+        let reason = refusal(0.5, "router", DynamicGrid::BYTES_PER_CELL);
         assert!(
             reason.contains("router grid would need 80000 x 80000 = 6400000000 cells"),
             "{reason}"
         );
+        // 2 GiB / 4 bytes = 2^29 cells: 23170² fit, 23171² do not.
+        let side = |cols: f64| Area::square(cols).unwrap();
+        assert!(check_cell_space(&side(23_170.0), 1.0, "router", 4).is_ok());
+        assert!(check_cell_space(&side(23_171.0), 1.0, "router", 4).is_err());
     }
 
     #[test]

@@ -6,6 +6,7 @@ use wmn_model::geometry::{Area, Point, Rect};
 use wmn_model::placement::Placement;
 use wmn_model::radio::RadioProfile;
 use wmn_model::rng::rng_from_seed;
+use wmn_model::spatial::axis_cell;
 
 fn finite_coord() -> impl Strategy<Value = f64> {
     -1.0e6..1.0e6
@@ -16,6 +17,23 @@ fn point() -> impl Strategy<Value = Point> {
 }
 
 proptest! {
+    #[test]
+    fn axis_cell_matches_the_floor_formula(
+        bits in any::<u64>(),
+        pick in 0usize..66,
+    ) {
+        // Any bit pattern (NaNs, infinities, subnormals, huge magnitudes)
+        // on axes of 1 to 64 cells, 2^16 cells and u32::MAX cells.
+        let cells = match pick {
+            64 => 65_536,
+            65 => u32::MAX as usize,
+            _ => pick + 1,
+        };
+        let v = f64::from_bits(bits);
+        let floor_cell = (v.floor().max(0.0) as usize).min(cells - 1);
+        prop_assert_eq!(axis_cell(v, cells), floor_cell);
+    }
+
     #[test]
     fn distance_is_symmetric(a in point(), b in point()) {
         prop_assert_eq!(a.distance_squared(b), b.distance_squared(a));

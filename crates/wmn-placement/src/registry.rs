@@ -11,6 +11,7 @@ use wmn_graph::density::DensityMap;
 use wmn_model::distribution::standard_normal;
 use wmn_model::geometry::{Area, Point, Rect};
 use wmn_model::instance::ProblemInstance;
+use wmn_model::node::Client;
 use wmn_model::placement::Placement;
 
 /// Fraction of routers that follow their method's pattern.
@@ -321,7 +322,7 @@ pub(crate) fn corner_rects(area: &Area) -> [Rect; 4] {
 pub(crate) fn hotspot_density(instance: &ProblemInstance) -> DensityMap {
     DensityMap::from_points(
         &instance.area(),
-        &instance.client_positions(),
+        instance.clients().iter().map(Client::position),
         HOTSPOT_CELLS,
         HOTSPOT_CELLS,
     )

@@ -20,7 +20,7 @@ use wmn_graph::density::{DensityMap, ZoneBins, ZoneCensus};
 use wmn_graph::topology::WmnTopology;
 use wmn_model::geometry::Point;
 use wmn_model::instance::ProblemInstance;
-use wmn_model::node::RouterId;
+use wmn_model::node::{Client, RouterId};
 use wmn_model::placement::Placement;
 
 /// A concrete, applicable local perturbation.
@@ -183,8 +183,7 @@ impl Default for SwapConfig {
 /// A proposal reads a zone census of the topology's placement
 /// ([`ZoneCensus`]): each zone's router occupancy, and the routers inside
 /// each zone rect. Choosing the dense and sparse zones reads the
-/// occupancies, O(zones); then only those two zones' router lists are read.
-/// The census is keyed by the topology's
+/// occupancies, O(zones). The census is keyed by the topology's
 /// [`placement_stamp`](WmnTopology::placement_stamp). Algorithm 2 applies
 /// and undoes every candidate, and the undo restores the stamp, so within a
 /// phase the census is reused as it stands. An accepted phase's move was
@@ -193,9 +192,18 @@ impl Default for SwapConfig {
 /// reached another way — the first proposal, a rebuild, a copy — retakes
 /// the census: O(routers + zones), through the zones binned once per
 /// instance ([`ZoneBins`]). A search phase therefore costs the same whether
-/// or not the previous one was accepted. A relocation into a zone that
-/// holds no other router adds one pass over the routers to find the
-/// giant-component member nearest to it.
+/// or not the previous one was accepted.
+///
+/// The router picks inside a zone (its strongest router, per mode, and its
+/// weakest in swap mode) scan the zone's router list, about 256 routers at
+/// `--scale 256`. Each is made on its first use at a census stamp and kept
+/// until the census moves to another stamp, so a phase's 16 proposals,
+/// which draw from at most `sparse_candidates` sparse zones, scan each
+/// zone at most once per pick. A relocation draws its dense-zone anchor by
+/// index in the zone's ascending router list, skipping the strong router's
+/// slot, with no copy; into a zone that holds no other router it adds one
+/// pass over the routers to find the giant-component member nearest to
+/// it.
 ///
 /// # Examples
 ///
@@ -230,12 +238,12 @@ pub struct SwapMovement {
 }
 
 /// What [`SwapMovement::propose`] keeps between calls: the zone census of
-/// the last placement it saw, and reusable candidate buffers. Every buffer
-/// only grows, to a size the instance bounds (the zones are disjoint, so
-/// the census holds at most four ids per router; a pool holds one entry per
-/// zone, `anchors` one zone's routers), so once warm a proposal performs
-/// zero heap allocations, keeping the whole search inner loop
-/// allocation-free.
+/// the last placement it saw, the router picks made in its zones, and
+/// reusable candidate buffers. Every buffer only grows, to a size the
+/// instance bounds (the zones are disjoint, so the census holds at most
+/// four ids per router; a pool and a pick table hold one entry per zone),
+/// so once warm a proposal performs zero heap allocations, keeping the
+/// whole search inner loop allocation-free.
 #[derive(Debug, Clone, Default)]
 struct ProposeScratch {
     /// The census of the placement stamped `census_stamp`.
@@ -243,18 +251,51 @@ struct ProposeScratch {
     /// The [`WmnTopology::placement_stamp`] of the placement the census
     /// describes, or `None` before the first proposal.
     census_stamp: Option<u64>,
+    /// Per zone, at the census's placement: the strongest router in
+    /// relocate mode (outside the giant component first) and in swap mode,
+    /// and the weakest in swap mode.
+    strong_relocate: ZonePicks,
+    strong_swap: ZonePicks,
+    weak: ZonePicks,
     dense_pool: Vec<usize>,
     sparse_pool: Vec<usize>,
-    /// The dense zone's routers other than the strong one (relocate mode).
-    anchors: Vec<RouterId>,
+}
+
+/// One router pick per zone, made on its first use at a placement. A pick
+/// reads only the zone's members, the radii and giant membership, which
+/// equal placement stamps hold fixed, so it stands until the census moves
+/// to another stamp. Algorithm 2's probes of one phase all propose at one
+/// stamp, so each pick is made once per phase, not once per probe.
+#[derive(Debug, Clone, Default)]
+struct ZonePicks(Vec<Option<Option<RouterId>>>);
+
+impl ZonePicks {
+    /// Forgets every pick, for a placement with `zones` zones.
+    fn reset(&mut self, zones: usize) {
+        self.0.clear();
+        self.0.resize(zones, None);
+    }
+
+    /// Zone `zone`'s pick, made by `pick` on first use.
+    fn get_or_pick(
+        &mut self,
+        zone: usize,
+        pick: impl FnOnce() -> Option<RouterId>,
+    ) -> Option<RouterId> {
+        *self.0[zone].get_or_insert_with(pick)
+    }
 }
 
 impl SwapMovement {
     /// Creates the movement for `instance` with the given configuration.
     pub fn new(instance: &ProblemInstance, config: SwapConfig) -> Self {
         let cells = config.cells.max(1);
-        let client_map =
-            DensityMap::from_points(&instance.area(), &instance.client_positions(), cells, cells);
+        let client_map = DensityMap::from_points(
+            &instance.area(),
+            instance.clients().iter().map(Client::position),
+            cells,
+            cells,
+        );
         let ranked_zones = client_map.ranked_disjoint_windows(
             config.window_cells,
             config.window_cells,
@@ -303,9 +344,11 @@ impl Movement for SwapMovement {
         let ProposeScratch {
             census,
             census_stamp,
+            strong_relocate,
+            strong_swap,
+            weak,
             dense_pool,
             sparse_pool,
-            anchors,
         } = &mut *scratch;
         let routers = (0..topo.router_count()).map(RouterId);
 
@@ -329,6 +372,9 @@ impl Movement for SwapMovement {
                     .census_into(routers.clone().map(|id| topo.position(id)), census),
             }
             *census_stamp = Some(stamp);
+            for picks in [&mut *strong_relocate, &mut *strong_swap, &mut *weak] {
+                picks.reset(self.zones.len());
+            }
         }
         let census = &*census;
         let zone_routers = |zi: usize| census.members(zi).iter().map(|&i| RouterId(i as usize));
@@ -399,13 +445,15 @@ impl Movement for SwapMovement {
         // meant to build. The rects are closed, so a router on an edge the
         // two zones share is inside both.
         let strong = if relocate_mode {
-            strongest(
-                topo,
-                zone_routers(sparse_zi).filter(|&id| !topo.in_giant(id)),
-            )
-            .or_else(|| strongest(topo, zone_routers(sparse_zi)))
+            strong_relocate.get_or_pick(sparse_zi, || {
+                strongest(
+                    topo,
+                    zone_routers(sparse_zi).filter(|&id| !topo.in_giant(id)),
+                )
+                .or_else(|| strongest(topo, zone_routers(sparse_zi)))
+            })
         } else {
-            strongest(topo, zone_routers(sparse_zi))
+            strong_swap.get_or_pick(sparse_zi, || strongest(topo, zone_routers(sparse_zi)))
         };
         let Some(strong) = strong else {
             return self.fallback.propose(topo, rng);
@@ -423,9 +471,18 @@ impl Movement for SwapMovement {
             // links under the mutual-range rule and would be rejected by
             // the improvement-only acceptance of Algorithm 1.
             let center = dense_rect.center();
-            anchors.clear();
-            anchors.extend(zone_routers(dense_zi).filter(|&id| id != strong));
-            let anchor = pick(anchors, rng).copied().or_else(|| {
+            // A dense-zone anchor is drawn among the zone's routers other
+            // than the strong one, in place in the ascending member list:
+            // the k-th of the others sits at `k`, or at `k + 1` from the
+            // strong router's slot on.
+            let members = census.members(dense_zi);
+            let strong_slot = members.binary_search(&(strong.index() as u32)).ok();
+            let others = members.len() - usize::from(strong_slot.is_some());
+            let anchor = if others > 0 {
+                let k = rng.gen_range(0..others);
+                let skip = strong_slot.is_some_and(|s| k >= s);
+                Some(RouterId(members[k + usize::from(skip)] as usize))
+            } else {
                 routers
                     .filter(|&id| id != strong && topo.in_giant(id))
                     .min_by(|&a, &b| {
@@ -435,7 +492,7 @@ impl Movement for SwapMovement {
                             .unwrap_or(std::cmp::Ordering::Equal)
                             .then(a.index().cmp(&b.index()))
                     })
-            });
+            };
             let to = match anchor {
                 Some(anchor) => {
                     let a = topo.position(anchor);
@@ -455,7 +512,7 @@ impl Movement for SwapMovement {
 
         // Step 4 + 7: the literal Algorithm 3 swap — weakest router of the
         // dense zone exchanges positions with the strong one.
-        match weakest(topo, zone_routers(dense_zi)) {
+        match weak.get_or_pick(dense_zi, || weakest(topo, zone_routers(dense_zi))) {
             Some(weak) if weak != strong => MoveAction::Swap { a: weak, b: strong },
             _ => self.fallback.propose(topo, rng),
         }
@@ -527,7 +584,7 @@ mod tests {
             let cells = config.cells.max(1);
             let client_map = DensityMap::from_points(
                 &instance.area(),
-                &instance.client_positions(),
+                instance.clients().iter().map(Client::position),
                 cells,
                 cells,
             );
@@ -743,8 +800,12 @@ mod tests {
             ..SwapConfig::default()
         };
         // Which topology each proposal targets: runs of one to four
-        // proposals on the same one.
-        const SCHEDULE: [usize; 12] = [0, 0, 0, 0, 1, 2, 2, 1, 1, 1, 0, 2];
+        // proposals on the same one, then a run of 16, a search phase's
+        // worth, on one topology, whose rejected probes all propose at one
+        // placement and reuse its zone picks.
+        const SCHEDULE: [usize; 28] = [
+            0, 0, 0, 0, 1, 2, 2, 1, 1, 1, 0, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        ];
         for scale in [4, 16] {
             let instance = scaled_normal(scale, 40 + scale as u64);
             let evaluator = Evaluator::paper_default(&instance);
@@ -1000,6 +1061,62 @@ mod tests {
             anchored * 2 >= relocations,
             "most relocations should land in link range of the anchor: {anchored}/{relocations}"
         );
+    }
+
+    #[test]
+    fn relocation_anchor_skips_the_strong_router_on_a_shared_edge() {
+        // Zone A = [0, 16]² holds all 60 clients, and zone B = [16, 32] ×
+        // [0, 16] beside it none. Router 0, the strongest, sits on their
+        // shared edge x = 16, so it is a member of both zones; routers 1
+        // and 3 form the giant component inside B, and router 2 sits
+        // inside A. A is under-served (60 clients at 15 per router need 4
+        // routers), so each proposal pulls router 0 out of B into A,
+        // anchored on A's other member, router 2, never on router 0 itself.
+        use wmn_model::instance::InstanceBuilder;
+        use wmn_model::radio::RadioProfile;
+        let area = wmn_model::Area::square(128.0).unwrap();
+        let prof = RadioProfile::new(2.0, 8.0).unwrap();
+        let instance = InstanceBuilder::new(area)
+            .router(prof, 8.0)
+            .router(prof, 2.0)
+            .router(prof, 5.0)
+            .router(prof, 2.0)
+            .clients(
+                (0..60)
+                    .map(|i| Point::new(1.0 + (i % 10) as f64 * 1.5, 1.0 + (i / 10) as f64 * 2.5)),
+            )
+            .build()
+            .unwrap();
+        let anchor = Point::new(4.0, 4.0);
+        let placement = Placement::from_points(vec![
+            Point::new(16.0, 8.0),
+            Point::new(28.0, 12.0),
+            anchor,
+            Point::new(29.0, 12.0),
+        ]);
+        let topo = WmnTopology::build(&instance, &placement).unwrap();
+        assert!(topo.in_giant(RouterId(1)) && !topo.in_giant(RouterId(0)));
+        let movement = SwapMovement::new(&instance, SwapConfig::default());
+        let reference = RankOrderSwap::new(&instance, SwapConfig::default());
+        let mut rng = rng_from_seed(3);
+        let mut ref_rng = rng.clone();
+        for step in 0..50 {
+            let action = movement.propose(&topo, &mut rng);
+            assert_eq!(
+                action,
+                reference.propose(&topo, &mut ref_rng),
+                "proposal {step}"
+            );
+            let MoveAction::Relocate { router, to } = action else {
+                panic!("proposal {step} is not a relocation: {action:?}");
+            };
+            assert_eq!(router, RouterId(0));
+            // Within 0.95 of min(5, 8) of router 2.
+            assert!(
+                to.distance_squared(anchor) <= 4.75 * 4.75,
+                "proposal {step}: {to:?}"
+            );
+        }
     }
 
     #[test]
