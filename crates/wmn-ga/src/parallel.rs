@@ -81,7 +81,9 @@ fn chunk_len(len: usize, threads: usize) -> usize {
 
 /// Runs `work` on every chunk: a single chunk on the calling thread, more
 /// on one scoped thread each. Returns the error of the lowest failing
-/// chunk, so the result does not depend on the thread count.
+/// chunk, so the result does not depend on the thread count. A scoped
+/// thread is fresh, so each one warms its own topology write scratch
+/// (see the `wmn_graph::topology` module docs) on its first write.
 fn in_parallel<T: Send>(
     chunks: impl Iterator<Item = T>,
     work: impl Fn(T) -> Result<(), ModelError> + Sync,

@@ -109,6 +109,12 @@ impl MeshAdjacency {
         }
     }
 
+    /// The slab holding the lists.
+    #[cfg(test)]
+    pub(crate) fn slab(&self) -> &NeighborSlab {
+        &self.neighbors
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.neighbors.node_count()
@@ -208,8 +214,9 @@ impl MeshAdjacency {
 
     /// Recomputes the whole adjacency **in place** for `positions`/`radii`,
     /// taking candidate pairs from `grid` (which must be in sync with
-    /// `positions`) and reusing the slab's blocks. Every topology build and
-    /// rebuild runs it, on the router grid the topology keeps.
+    /// `positions`) and reusing the slab's buffers, from an empty layout
+    /// ([`NeighborSlab::reset`]). Every topology build and rebuild runs it,
+    /// on the router grid the topology keeps.
     ///
     /// One cell-ordered walk ([`DynamicGrid::for_each_near_pair`]) tests
     /// each pair of routers in the same or 8-adjacent cells once, then
@@ -235,7 +242,7 @@ impl MeshAdjacency {
             grid.cell_size()
         );
         let n = positions.len();
-        self.neighbors.clear_lists(n);
+        self.neighbors.reset(n);
         self.edge_count = 0;
         let (neighbors, edge_count) = (&mut self.neighbors, &mut self.edge_count);
         grid.for_each_near_pair(|i, j| {

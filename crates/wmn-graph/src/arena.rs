@@ -15,7 +15,17 @@
 //! * Neighbor walks of adjacent node ids touch one contiguous allocation
 //!   instead of pointer-chasing per-list heap blocks.
 //! * Mutation never allocates in steady state: blocks are recycled through
-//!   per-size-class free lists (see *Invariants*).
+//!   per-size-class free lists (see *Invariants*). The element buffer
+//!   grows by a quarter when it must, and a state copy sizes it to the
+//!   source, so no copy carries spare room it does not use. The topology
+//!   engine's other write buffers live in one scratch per thread (see the
+//!   [`topology`](crate::topology) module docs), so its promise that a
+//!   warm write allocates nothing holds per thread; a GA evaluating on
+//!   more than one thread warms a fresh scratch in each worker every
+//!   generation.
+//! * A node owns a block only while its list is non-empty, so the slab
+//!   (and every state copy of it) carries no block for the many empty
+//!   lists of a sparse mesh.
 //!
 //! # Id-width invariant
 //!
@@ -28,12 +38,16 @@
 //! # Invariants (free lists and spans)
 //!
 //! * Every block capacity is a power of two `>=` [`MIN_CAP`](self) (4), and
-//!   blocks never shrink; a node with capacity 0 owns no block.
+//!   a block never shrinks while its list stays non-empty.
+//! * A node owns a block exactly when its list is non-empty: a list that
+//!   empties returns its block to the free list of its size class, and a
+//!   node with capacity 0 owns no block.
 //! * `data` is tiled exactly by live span blocks and free blocks: growth
 //!   appends whole blocks, a grown node's old block is pushed onto the free
 //!   list of its size class, and free blocks are chained through their
 //!   first word (`data[off]` = next free offset of the class, `NIL`
-//!   terminated).
+//!   terminated). [`NeighborSlab::reset`] drops every block, so a full
+//!   rebuild starts from an empty layout and packs its blocks.
 //! * Per-node lists keep caller order; the sorted-list helpers
 //!   ([`NeighborSlab::insert_sorted`] / [`NeighborSlab::remove_sorted`])
 //!   assume — and `debug_assert` — ascending order.
@@ -111,11 +125,14 @@ impl Clone for NeighborSlab {
 
     /// Layout-preserving bulk copy: three `copy_from_slice`-class copies,
     /// zero per-node work, and no heap allocation once `self`'s buffers
-    /// have grown to the source's size. The destination becomes
-    /// layout-identical to the source (same blocks, same free lists).
+    /// have grown to the source's size (then to exactly that size, with no
+    /// spare room). The destination becomes layout-identical to the source
+    /// (same blocks, same free lists).
     fn clone_from(&mut self, src: &Self) {
         self.spans.clone_from(&src.spans);
-        self.data.clone_from(&src.data);
+        self.data.clear();
+        self.data.reserve_exact(src.data.len());
+        self.data.extend_from_slice(&src.data);
         self.free_heads = src.free_heads;
     }
 }
@@ -148,27 +165,14 @@ impl NeighborSlab {
     }
 
     /// Resets to `n` nodes with empty lists, dropping every block and free
-    /// list but keeping the heap buffers — the from-scratch build path.
+    /// list but keeping the heap buffers — the path of every build and full
+    /// rebuild, which then lays its blocks out from an empty layout.
     pub fn reset(&mut self, n: usize) {
         assert!(n < u32::MAX as usize, "slab node count must fit u32 ids");
         self.spans.clear();
         self.spans.resize(n, Span::default());
         self.data.clear();
         self.free_heads = [NIL; 32];
-    }
-
-    /// Empties every list while **keeping** each node's block, so refilling
-    /// to similar sizes allocates nothing — the in-place rebuild path.
-    /// Falls back to [`reset`](NeighborSlab::reset) when the node count
-    /// changes.
-    pub fn clear_lists(&mut self, n: usize) {
-        if n != self.spans.len() {
-            self.reset(n);
-            return;
-        }
-        for s in &mut self.spans {
-            s.len = 0;
-        }
     }
 
     /// Node `i`'s list.
@@ -240,7 +244,8 @@ impl NeighborSlab {
     }
 
     /// Removes `v` from node `i`'s **sorted** list, keeping it sorted.
-    /// Returns `false` when `v` is not present.
+    /// Returns `false` when `v` is not present. Removing the last element
+    /// returns the node's block to its size class.
     ///
     /// # Panics
     ///
@@ -255,17 +260,20 @@ impl NeighborSlab {
         let len = s.len as usize;
         self.data.copy_within(off + pos + 1..off + len, off + pos);
         s.len -= 1;
+        if s.len == 0 {
+            self.release(i);
+        }
         true
     }
 
-    /// Empties node `i`'s list, keeping its block.
+    /// Empties node `i`'s list, returning its block to its size class.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[inline]
     pub fn clear_node(&mut self, i: usize) {
-        self.spans[i].len = 0;
+        self.release(i);
     }
 
     /// Appends every value of `vals` to node `i`'s list (one growth step at
@@ -288,14 +296,31 @@ impl NeighborSlab {
         s.len += vals.len() as u32;
     }
 
-    /// Replaces node `i`'s list with `vals`.
+    /// Replaces node `i`'s list with `vals`, in its own block when that
+    /// holds them; an empty `vals` returns the block to its size class.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn assign(&mut self, i: usize, vals: &[u32]) {
-        self.clear_node(i);
+        if vals.is_empty() {
+            self.release(i);
+            return;
+        }
+        self.spans[i].len = 0;
         self.extend_from_slice(i, vals);
+    }
+
+    /// Returns node `i`'s block, if it owns one, to the free list of its
+    /// size class, leaving the node an empty list and no block.
+    fn release(&mut self, i: usize) {
+        let s = self.spans[i];
+        if s.cap > 0 {
+            let class = s.cap.trailing_zeros() as usize;
+            self.data[s.off as usize] = self.free_heads[class];
+            self.free_heads[class] = s.off;
+            self.spans[i] = Span::default();
+        }
     }
 
     /// Moves node `i` onto a block holding at least `need` elements,
@@ -311,6 +336,12 @@ impl NeighborSlab {
                     off + new_cap as usize <= NIL as usize,
                     "slab data exceeds u32 offset space"
                 );
+                // Grow by a quarter rather than double: a state copy keeps
+                // the capacity, so every copy of the slab would carry the
+                // spare room too.
+                if off + new_cap as usize > self.data.capacity() {
+                    self.data.reserve_exact((new_cap as usize).max(off / 4));
+                }
                 self.data.resize(off + new_cap as usize, 0);
                 off as u32
             }
@@ -323,10 +354,7 @@ impl NeighborSlab {
         if s.cap > 0 {
             self.data
                 .copy_within(s.off as usize..(s.off + s.len) as usize, new_off as usize);
-            // Recycle the old block: chain it into its class's free list.
-            let old_class = s.cap.trailing_zeros() as usize;
-            self.data[s.off as usize] = self.free_heads[old_class];
-            self.free_heads[old_class] = s.off;
+            self.release(i);
         }
         self.spans[i] = Span {
             off: new_off,
@@ -335,9 +363,32 @@ impl NeighborSlab {
         };
     }
 
+    /// The heap bytes the slab holds, at capacity: `(span table, element
+    /// buffer)`.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> (usize, usize) {
+        (
+            self.spans.capacity() * std::mem::size_of::<Span>(),
+            self.data.capacity() * std::mem::size_of::<u32>(),
+        )
+    }
+
+    /// The bytes of the blocks the non-empty lists own.
+    #[cfg(test)]
+    pub(crate) fn live_block_bytes(&self) -> usize {
+        let words: usize = self
+            .spans
+            .iter()
+            .filter(|s| s.len > 0)
+            .map(|s| s.cap as usize)
+            .sum();
+        words * std::mem::size_of::<u32>()
+    }
+
     /// Asserts every slab invariant: span bounds and power-of-two
-    /// capacities, acyclic free lists of the right class, and that live
-    /// blocks plus free blocks tile `data` exactly (no overlap, no leak).
+    /// capacities, a block exactly for each non-empty list, acyclic free
+    /// lists of the right class, and that live blocks plus free blocks tile
+    /// `data` exactly (no overlap, no leak).
     ///
     /// # Panics
     ///
@@ -346,6 +397,11 @@ impl NeighborSlab {
         let mut blocks: Vec<(u32, u32)> = Vec::new();
         for (i, s) in self.spans.iter().enumerate() {
             assert!(s.len <= s.cap, "node {i}: len {} > cap {}", s.len, s.cap);
+            assert_eq!(
+                s.cap > 0,
+                s.len > 0,
+                "node {i}: must own a block exactly while its list is non-empty"
+            );
             if s.cap == 0 {
                 assert_eq!(s.off, NIL, "node {i}: capacity 0 must own no block");
                 continue;
@@ -486,14 +542,17 @@ mod tests {
     fn equality_is_logical_not_layout() {
         let mut a = NeighborSlab::with_nodes(2);
         let mut b = NeighborSlab::with_nodes(2);
-        // Same lists, different block history: b grows node 1 first.
-        for v in 0..5 {
+        // Same lists, different block history: b fills node 1 before node
+        // 0 and empties it again, so b's node 0 holds the second block.
+        for v in 0..3 {
             b.push(1, 100 + v);
         }
-        b.clear_lists(2);
         for v in 0..3 {
             a.push(0, v);
             b.push(0, v);
+        }
+        for v in 0..3 {
+            assert!(b.remove_sorted(1, 100 + v));
         }
         assert_eq!(a, b);
         assert_ne!(a.spans, b.spans, "layouts differ yet slabs compare equal");
@@ -502,19 +561,28 @@ mod tests {
     }
 
     #[test]
-    fn clear_lists_keeps_blocks_reset_drops_them() {
+    fn emptied_lists_return_their_blocks_and_reset_drops_them() {
         let mut slab = NeighborSlab::with_nodes(2);
         for v in 0..10 {
             slab.push(0, v);
         }
         let data_len = slab.data.len();
-        slab.clear_lists(2);
+        slab.assign(0, &[]);
         assert_eq!(slab.total_len(), 0);
-        assert_eq!(slab.data.len(), data_len, "blocks survive clear_lists");
+        assert_eq!(
+            slab.spans[0],
+            Span::default(),
+            "an empty list owns no block"
+        );
+        slab.assert_invariants();
         for v in 0..10 {
-            slab.push(0, v);
+            slab.push(1, v);
         }
-        assert_eq!(slab.data.len(), data_len, "refill reuses the kept block");
+        assert_eq!(
+            slab.data.len(),
+            data_len,
+            "refill reuses the returned blocks"
+        );
         slab.reset(2);
         assert_eq!(slab.data.len(), 0, "reset drops all blocks");
         slab.assert_invariants();

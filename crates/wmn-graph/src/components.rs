@@ -91,6 +91,12 @@ impl Clone for Components {
 }
 
 impl Components {
+    /// The heap bytes of the label and size tables, at capacity.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.label.capacity() + self.sizes.capacity()) * std::mem::size_of::<u32>()
+    }
+
     /// Computes components by breadth-first search.
     pub fn from_adjacency(adj: &MeshAdjacency) -> Components {
         let mut components = Components::empty();

@@ -69,8 +69,11 @@ use wmn_obs::EngineStats;
 ///
 /// The engine is pure scratch: component state lives in the
 /// [`Components`] it repairs, so engines need no synchronization with the
-/// graph between repairs, cost nothing to clone away, and can be dropped
-/// freely. All buffers reach steady-state capacity after a few repairs.
+/// graph between repairs, and one engine can repair graphs of any size in
+/// turn (its visit stamps grow to the largest graph seen and are
+/// epoch-stamped, never cleared). Every topology on a thread shares that
+/// thread's one engine. All buffers reach steady-state capacity after a
+/// few repairs.
 ///
 /// # Examples
 ///
@@ -122,8 +125,14 @@ pub struct DynamicConnectivity {
 
 impl DynamicConnectivity {
     /// Creates an engine with empty scratch buffers.
-    pub fn new() -> Self {
-        DynamicConnectivity::default()
+    pub const fn new() -> Self {
+        DynamicConnectivity {
+            mark: Vec::new(),
+            epoch: 0,
+            seeds: Vec::new(),
+            relabel: Vec::new(),
+            flips: Vec::new(),
+        }
     }
 
     /// The routers whose giant-component membership the last

@@ -164,12 +164,20 @@ impl DensityMap {
                 .then(a.1.cy.cmp(&b.1.cy))
                 .then(a.1.cx.cmp(&b.1.cx))
         });
+        // Two windows overlap exactly when they share a cell, so a mask of
+        // the chosen windows' cells tests a candidate in O(its cells).
+        let mut taken = vec![false; self.cols * self.rows];
+        let cols = self.cols;
+        let rows_of = |win: CellWindow| {
+            (win.cy..win.cy + win.h).map(move |cy| cy * cols + win.cx..cy * cols + win.cx + win.w)
+        };
         let mut chosen: Vec<CellWindow> = Vec::with_capacity(k.min(candidates.len()));
         for (_, win) in candidates {
             if chosen.len() == k {
                 break;
             }
-            if chosen.iter().all(|c| !c.overlaps(&win)) {
+            if rows_of(win).all(|row| !taken[row].contains(&true)) {
+                rows_of(win).for_each(|row| taken[row].fill(true));
                 chosen.push(win);
             }
         }
@@ -623,6 +631,40 @@ mod tests {
         let mut sorted = counts.clone();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
         assert_eq!(counts, sorted, "ranked windows must be count-descending");
+    }
+
+    #[test]
+    fn ranked_disjoint_windows_match_the_pairwise_overlap_scan() {
+        let area = area40();
+        let mut rng = rng_from_seed(9);
+        let pts: Vec<Point> = (0..300)
+            .map(|_| Point::new(rng.gen_range(0.0..=40.0), rng.gen_range(0.0..=40.0)))
+            .collect();
+        let map = DensityMap::from_points(&area, pts.iter().copied(), 9, 7);
+        for (w, h, k) in [(1, 1, 63), (2, 2, 12), (3, 2, 6), (2, 3, 100), (9, 1, 3)] {
+            // The greedy pass over every candidate in rank order, testing
+            // each against every window chosen so far.
+            let mut ranked: Vec<(u64, CellWindow)> = (0..=(7 - h))
+                .flat_map(|cy| (0..=(9 - w)).map(move |cx| CellWindow { cx, cy, w, h }))
+                .map(|win| (map.window_count(&win), win))
+                .collect();
+            ranked.sort_by(|a, b| {
+                b.0.cmp(&a.0)
+                    .then(a.1.cy.cmp(&b.1.cy))
+                    .then(a.1.cx.cmp(&b.1.cx))
+            });
+            let mut expect: Vec<CellWindow> = Vec::new();
+            for (_, win) in ranked {
+                if expect.len() < k && expect.iter().all(|c| !c.overlaps(&win)) {
+                    expect.push(win);
+                }
+            }
+            assert_eq!(
+                map.ranked_disjoint_windows(w, h, k),
+                expect,
+                "{w}x{h}, k = {k}"
+            );
+        }
     }
 
     #[test]

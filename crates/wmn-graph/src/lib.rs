@@ -31,10 +31,13 @@
 //!   of edges, connectivity, and coverage after every position write (see
 //!   the [`topology`] module docs for the invariants and the coverage
 //!   choice), and a placement stamp that caches of position-derived data
-//!   key on. Every topology of an instance shares the instance's client
-//!   index ([`ProblemInstance::client_index`](wmn_model::ProblemInstance::client_index)),
-//!   and `build`, `reset_placement` and `rebuild_full` derive the network
-//!   through one routine.
+//!   key on. A topology holds only its own state: every topology of an
+//!   instance shares the instance's radii and client index
+//!   ([`ProblemInstance::radii`](wmn_model::ProblemInstance::radii),
+//!   [`ProblemInstance::client_index`](wmn_model::ProblemInstance::client_index)),
+//!   and every write borrows one scratch per thread. `build`,
+//!   `reset_placement` and `rebuild_full` derive the network through one
+//!   routine.
 //!
 //! # Quick start
 //!

@@ -15,7 +15,8 @@
 //! `propose → apply → evaluate → undo`) and [`apply_moves`] (the GA's
 //! placement diffs, many routers at once) — first updates the moved
 //! routers' positions and grid buckets, then runs **one repair pass**,
-//! which is allocation-free once the internal scratch buffers are warm:
+//! which is allocation-free once the calling thread's write scratch is
+//! warm (see *Write scratch* below):
 //!
 //! 1. **Edges.** A router-side [`DynamicGrid`] is kept in sync with every
 //!    write (one bucket relocation per moved router), so re-deriving a
@@ -69,6 +70,25 @@
 //!   `swap_routers` that exactly undoes the previous one restores the
 //!   stamp from before it. Every [`apply_moves`] takes a fresh stamp.
 //!
+//! ## Write scratch
+//!
+//! A topology holds only its own state: positions, the router grid,
+//! adjacency, components, cover counts and disk caches. The instance's
+//! radii and client index are shared `Arc`s
+//! ([`ProblemInstance::radii`], [`ProblemInstance::client_index`]), and
+//! the buffers a write needs only while it runs — the moved-router list
+//! and its epoch marks, neighbor lists under repair, edge-event streams,
+//! the [`DynamicConnectivity`] engine and the disk-query buffer — live in
+//! one scratch per thread, which every write borrows once. None of them
+//! carries state from one write to the next, so one set serves every
+//! topology on the thread, whatever its router count: the arrays indexed
+//! by router grow to the largest router count the thread has written and
+//! are epoch-stamped, so a smaller topology uses their prefix without
+//! clearing them. The allocation-free promise is per thread: a write
+//! allocates nothing once the thread's scratch is warm. The GA evaluates
+//! on fresh scoped threads each generation when it runs on more than one
+//! thread, so each such worker warms its scratch once per generation.
+//!
 //! ## The full-rebuild reference
 //!
 //! [`set_connectivity_mode`] with [`ConnectivityMode::FullRebuild`]
@@ -92,6 +112,7 @@ use crate::adjacency::{self, MeshAdjacency};
 use crate::arena::NeighborSlab;
 use crate::components::Components;
 use crate::connectivity::DynamicConnectivity;
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -153,7 +174,9 @@ impl fmt::Display for ConnectivityMode {
 pub struct WmnTopology {
     area: Area,
     positions: Vec<Point>,
-    radii: Vec<f64>,
+    /// The instance's radii ([`ProblemInstance::radii`]), shared like the
+    /// client index: a build and a state copy take a pointer.
+    radii: Arc<[f64]>,
     /// The instance's client index ([`ProblemInstance::client_index`]).
     /// Clients never move, so every topology of the instance shares this
     /// one `Arc`: a build takes it with a pointer clone instead of
@@ -178,7 +201,9 @@ pub struct WmnTopology {
     /// * if `disk_cached[i]` is set, `disk_clients[i]` equals the clients
     ///   within `radii[i]` of the *current* `positions[i]` — so re-adding
     ///   an unmoved router's disk (a giant-membership flip) is free. The
-    ///   bit is cleared whenever the router's position changes.
+    ///   bit is cleared whenever the router's position changes;
+    /// * outside a write, a router whose bit is clear has an empty list, so
+    ///   the slab holds blocks for valid caches alone.
     ///
     /// The per-router client lists live in a [`NeighborSlab`] arena (u32
     /// client ids, one flat element array — see the
@@ -195,7 +220,10 @@ pub struct WmnTopology {
     /// `swap_routers` may still revert it exactly, with the stamp from
     /// before it.
     last_write: Option<(PositionWrite, u64)>,
-    scratch: MoveScratch,
+    /// Always-on work counters of the delta-evaluation engine and its
+    /// connectivity repairs. Zeroed by `clone`, kept running by
+    /// `clone_from` (so per-slot totals accumulate across a GA run).
+    stats: EngineStats,
 }
 
 /// The next [`WmnTopology::placement_stamp`] value. One counter for the
@@ -245,11 +273,23 @@ impl PositionWrite {
     }
 }
 
-/// Reusable per-write scratch state; all buffers reach steady-state
+thread_local! {
+    /// The write scratch of every topology written on this thread.
+    static SCRATCH: RefCell<WriteScratch> = const { RefCell::new(WriteScratch::new()) };
+}
+
+/// Runs `f` with this thread's write scratch. Each public write borrows it
+/// once; no write runs inside another, so the borrow never nests.
+fn with_scratch<R>(f: impl FnOnce(&mut WriteScratch) -> R) -> R {
+    SCRATCH.with_borrow_mut(f)
+}
+
+/// The reusable buffers of one write (see *Write scratch* in the module
+/// docs): shared by every topology on a thread, they reach steady-state
 /// capacity after a handful of writes, making the hot loop
 /// allocation-free.
-#[derive(Debug, Clone, Default)]
-struct MoveScratch {
+#[derive(Debug)]
+struct WriteScratch {
     /// BFS queue of the in-place component rebuild.
     bfs_queue: Vec<u32>,
     /// The previous and the re-derived sorted neighbor list of the router
@@ -264,23 +304,55 @@ struct MoveScratch {
     flipped_others: Vec<u32>,
     /// Epoch-stamped write-membership marks: router `i` belongs to the
     /// current write iff `moved_stamp[i] == move_epoch`. Starting a write
-    /// bumps the epoch instead of clearing the array.
+    /// bumps the epoch instead of clearing the array, which is as long as
+    /// the largest topology written on this thread.
     moved_stamp: Vec<u32>,
     move_epoch: u32,
     /// Reusable disk-query buffer for cache-miss fills of the disk slab.
     disk_buf: Vec<u32>,
     /// The dynamic connectivity engine (pure scratch: component state
-    /// lives in `components`, so copies never need to synchronize it).
+    /// lives in each topology's `components`).
     conn: DynamicConnectivity,
     /// Edge insert/delete streams of the current repair, reported by the
     /// old-vs-new neighbor merge of the grid-local edge repair
     /// ([`MeshAdjacency::replace_node_edges`]).
     ins_events: Vec<(u32, u32)>,
     del_events: Vec<(u32, u32)>,
-    /// Always-on work counters of the delta-evaluation engine and its
-    /// connectivity repairs. Scratch: zeroed by `clone`, kept running by
-    /// `clone_from` (so per-slot totals accumulate across a GA run).
-    counters: EngineStats,
+}
+
+impl WriteScratch {
+    const fn new() -> Self {
+        WriteScratch {
+            bfs_queue: Vec::new(),
+            old_n: Vec::new(),
+            new_n: Vec::new(),
+            batch: Vec::new(),
+            flipped_others: Vec::new(),
+            moved_stamp: Vec::new(),
+            move_epoch: 0,
+            disk_buf: Vec::new(),
+            conn: DynamicConnectivity::new(),
+            ins_events: Vec::new(),
+            del_events: Vec::new(),
+        }
+    }
+
+    /// Starts a position write on a topology of `routers` routers: empties
+    /// the list of moved routers and bumps `move_epoch`, which unmarks
+    /// every router at once (an O(n) fill only on the u32 wrap, every ~4
+    /// billion writes). The marks grow to `routers` when they are shorter;
+    /// new marks are 0, which no current epoch equals.
+    fn begin_write(&mut self, routers: usize) {
+        self.batch.clear();
+        if self.moved_stamp.len() < routers {
+            self.moved_stamp.resize(routers, 0);
+        }
+        if self.move_epoch == u32::MAX {
+            self.moved_stamp.fill(0);
+            self.move_epoch = 0;
+        }
+        self.move_epoch += 1;
+    }
 }
 
 /// One router moved by the current write: whether its disk counted
@@ -296,11 +368,10 @@ struct BatchEntry {
 
 impl Clone for WmnTopology {
     fn clone(&self) -> Self {
-        // Scratch state is not copied.
         WmnTopology {
             area: self.area,
             positions: self.positions.clone(),
-            radii: self.radii.clone(),
+            radii: Arc::clone(&self.radii),
             client_index: self.client_index.clone(),
             router_index: self.router_index.clone(),
             adjacency: self.adjacency.clone(),
@@ -312,23 +383,24 @@ impl Clone for WmnTopology {
             connectivity_mode: self.connectivity_mode,
             placement_stamp: self.placement_stamp,
             last_write: None,
-            scratch: MoveScratch::default(),
+            stats: EngineStats::default(),
         }
     }
 
     /// Buffer-reusing state copy: `self` becomes an exact copy of `src`
-    /// (scratch buffers are kept, they carry no observable state), reusing
-    /// every allocation already held. This is the population-pool hot path:
-    /// a GA child leases a topology, `clone_from`s its parent's, and
-    /// repairs the placement delta through [`WmnTopology::apply_moves`] —
-    /// no per-child topology allocation once the pool is warm.
+    /// (its work counters keep running), reusing every allocation already
+    /// held. This is the population-pool hot path: a GA child leases a
+    /// topology, `clone_from`s its parent's, and repairs the placement
+    /// delta through [`WmnTopology::apply_moves`] — no per-child topology
+    /// allocation once the pool is warm. The radii and the client index
+    /// are shared, so they cost a pointer compare; the slabs copy their
+    /// blocks, which non-empty lists alone own.
     fn clone_from(&mut self, src: &Self) {
-        self.scratch.counters.clone_from_reuses += 1;
+        self.stats.clone_from_reuses += 1;
         self.area = src.area;
         self.positions.clone_from(&src.positions);
-        self.radii.clone_from(&src.radii);
-        // Pointer copy: the client index is immutable and shared.
-        self.client_index = Arc::clone(&src.client_index);
+        share(&mut self.radii, &src.radii);
+        share(&mut self.client_index, &src.client_index);
         self.router_index.clone_from(&src.router_index);
         self.adjacency.clone_from(&src.adjacency);
         self.components.clone_from(&src.components);
@@ -339,6 +411,13 @@ impl Clone for WmnTopology {
         self.connectivity_mode = src.connectivity_mode;
         self.placement_stamp = src.placement_stamp;
         self.last_write = None;
+    }
+}
+
+/// Points `dst` at `src`'s shared value, unless it already does.
+fn share<T: ?Sized>(dst: &mut Arc<T>, src: &Arc<T>) {
+    if !Arc::ptr_eq(dst, src) {
+        *dst = Arc::clone(src);
     }
 }
 
@@ -370,11 +449,7 @@ impl WmnTopology {
         let mut topo = WmnTopology {
             area,
             positions: placement.as_slice().to_vec(),
-            radii: instance
-                .routers()
-                .iter()
-                .map(|r| r.current_radius())
-                .collect(),
+            radii: Arc::clone(instance.radii()),
             client_index,
             router_index: DynamicGrid::new(&area, router_cell),
             adjacency: MeshAdjacency::default(),
@@ -386,9 +461,9 @@ impl WmnTopology {
             connectivity_mode: ConnectivityMode::default(),
             placement_stamp: fresh_placement_stamp(),
             last_write: None,
-            scratch: MoveScratch::default(),
+            stats: EngineStats::default(),
         };
-        topo.rebuild_network();
+        with_scratch(|s| topo.rebuild_network(s));
         Ok(topo)
     }
 
@@ -408,11 +483,13 @@ impl WmnTopology {
             self.positions.len(),
             "placement length must match router count"
         );
-        self.scratch.counters.full_rebuilds += 1;
+        self.stats.full_rebuilds += 1;
         self.positions.copy_from_slice(placement.as_slice());
         self.stamp_fresh();
+        // Every disk cache is stale now, so the disk slab starts empty.
         self.disk_cached.fill(false);
-        self.rebuild_network();
+        self.disk_clients.reset(self.positions.len());
+        with_scratch(|s| self.rebuild_network(s));
     }
 
     /// Derives the whole network from the current positions, in place:
@@ -421,13 +498,13 @@ impl WmnTopology {
     /// [`build`](WmnTopology::build),
     /// [`reset_placement`](WmnTopology::reset_placement) and
     /// [`rebuild_full`](WmnTopology::rebuild_full) all end here.
-    fn rebuild_network(&mut self) {
+    fn rebuild_network(&mut self, s: &mut WriteScratch) {
         self.router_index.rebuild(&self.positions);
         self.adjacency
             .rebuild_in_place(&self.positions, &self.radii, &self.router_index);
         self.components
-            .rebuild_in_place(&self.adjacency, &mut self.scratch.bfs_queue);
-        self.recompute_coverage_from(None);
+            .rebuild_in_place(&self.adjacency, &mut s.bfs_queue);
+        self.recompute_coverage_from(s, None);
     }
 
     /// The deployment area.
@@ -600,11 +677,11 @@ impl WmnTopology {
 
     /// The work profile of this topology's evaluation engine:
     /// topology-level counters (moves, coverage strategy, disk caches)
-    /// plus its connectivity repairs'. The counters are scratch state —
-    /// zeroed on construction and `clone`, kept running by `clone_from` —
-    /// and deterministic for a fixed seed at any thread count.
+    /// plus its connectivity repairs'. The counters are zeroed on
+    /// construction and `clone`, kept running by `clone_from`, and
+    /// deterministic for a fixed seed at any thread count.
     pub fn engine_stats(&self) -> EngineStats {
-        self.scratch.counters
+        self.stats
     }
 
     /// Adds router `i`'s disk (at its **current** position) to the
@@ -618,7 +695,7 @@ impl WmnTopology {
     /// donor is the crossover-child path: a moved gene's target position
     /// is verbatim the other parent's, whose cache holds exactly the right
     /// client set.
-    fn disk_add_from(&mut self, i: usize, donor: Option<&WmnTopology>) {
+    fn disk_add_from(&mut self, s: &mut WriteScratch, i: usize, donor: Option<&WmnTopology>) {
         let WmnTopology {
             client_index,
             cover_count,
@@ -627,24 +704,24 @@ impl WmnTopology {
             radii,
             disk_clients,
             disk_cached,
-            scratch,
+            stats,
             ..
         } = self;
         if !disk_cached[i] {
             match donor.filter(|d| d.disk_cached[i] && d.positions[i] == positions[i]) {
                 Some(d) => {
-                    scratch.counters.disk_cache_grafts += 1;
+                    stats.disk_cache_grafts += 1;
                     disk_clients.assign(i, d.disk_clients.get(i));
                 }
                 None => {
-                    scratch.counters.disk_grid_queries += 1;
-                    client_index.within_radius_into(positions[i], radii[i], &mut scratch.disk_buf);
-                    disk_clients.assign(i, &scratch.disk_buf);
+                    stats.disk_grid_queries += 1;
+                    client_index.within_radius_into(positions[i], radii[i], &mut s.disk_buf);
+                    disk_clients.assign(i, &s.disk_buf);
                 }
             }
             disk_cached[i] = true;
         } else {
-            scratch.counters.disk_cache_hits += 1;
+            stats.disk_cache_hits += 1;
         }
         for &c in disk_clients.get(i) {
             let c = c as usize;
@@ -682,30 +759,29 @@ impl WmnTopology {
     /// re-querying only routers whose disk cache is positionally stale and
     /// that an optional `donor` cannot fill (see
     /// [`apply_moves`](WmnTopology::apply_moves)).
-    fn recompute_coverage_from(&mut self, donor: Option<&WmnTopology>) {
-        self.scratch.counters.coverage_full_recomputes += 1;
+    fn recompute_coverage_from(&mut self, s: &mut WriteScratch, donor: Option<&WmnTopology>) {
+        self.stats.coverage_full_recomputes += 1;
         self.cover_count.fill(0);
         self.covered_count = 0;
         for i in 0..self.positions.len() {
             if self.components.in_giant(i) {
-                self.disk_add_from(i, donor);
+                self.disk_add_from(s, i, donor);
             }
         }
     }
 
     /// Re-derives router `i`'s edges from the router-side grid (its
-    /// previous and new sorted neighbor sets go to `scratch.old_n` and
-    /// `scratch.new_n`) and appends the changed edges to the current
-    /// write's insert/delete streams. Allocation-free once the buffers are
-    /// warm.
-    fn recompute_router_edges(&mut self, i: usize) {
-        let MoveScratch {
+    /// previous and new sorted neighbor sets go to `s.old_n` and
+    /// `s.new_n`) and appends the changed edges to the current write's
+    /// insert/delete streams. Allocation-free once the buffers are warm.
+    fn recompute_router_edges(&mut self, s: &mut WriteScratch, i: usize) {
+        let WriteScratch {
             old_n: old,
             new_n: new,
             ins_events,
             del_events,
             ..
-        } = &mut self.scratch;
+        } = s;
         old.clear();
         old.extend_from_slice(self.adjacency.neighbors(i));
         new.clear();
@@ -732,39 +808,30 @@ impl WmnTopology {
         }
     }
 
-    /// Resets the per-repair edge-event streams before the first edge
-    /// repair of a write, so stale events can never leak across writes
-    /// (or across mode switches).
-    fn begin_edge_recording(&mut self) {
-        self.scratch.ins_events.clear();
-        self.scratch.del_events.clear();
-    }
-
     /// Repairs `components` for the current adjacency component-locally
     /// through the dynamic engine, consuming the recorded edge events, and
     /// collects the routers whose giant membership flipped
     /// ([`DynamicConnectivity::giant_flips`]) **outside** the current
-    /// write into `scratch.flipped_others`.
+    /// write into `s.flipped_others`.
     /// Returns how many there are, the count steering the coverage-repair
-    /// choice. Expects `scratch.moved_stamp` to carry the current
-    /// `move_epoch` on exactly the written routers.
-    fn repair_components(&mut self) -> usize {
-        let MoveScratch {
+    /// choice. Expects `s.moved_stamp` to carry the current `move_epoch`
+    /// on exactly the written routers.
+    fn repair_components(&mut self, s: &mut WriteScratch) -> usize {
+        let WriteScratch {
             conn,
             ins_events,
             del_events,
             moved_stamp,
             move_epoch,
             flipped_others,
-            counters,
             ..
-        } = &mut self.scratch;
+        } = s;
         conn.apply_edge_diff(
             &self.adjacency,
             &mut self.components,
             ins_events,
             del_events,
-            counters,
+            &mut self.stats,
         );
         flipped_others.clear();
         flipped_others.extend(
@@ -787,18 +854,20 @@ impl WmnTopology {
     /// Panics if `id` is out of range. The position is clamped into the
     /// deployment area.
     pub fn move_router(&mut self, id: RouterId, new_position: Point) -> Point {
-        self.scratch.counters.single_moves += 1;
+        self.stats.single_moves += 1;
         let i = id.index();
         let new = self.area.clamp_point(new_position);
-        self.begin_write();
-        let old = self.write_position(i, new);
-        self.stamp_write(PositionWrite::Move {
-            router: i,
-            from: old,
-            to: new,
-        });
-        self.repair(None);
-        old
+        with_scratch(|s| {
+            s.begin_write(self.positions.len());
+            let old = self.write_position(s, i, new);
+            self.stamp_write(PositionWrite::Move {
+                router: i,
+                from: old,
+                to: new,
+            });
+            self.repair(s, None);
+            old
+        })
     }
 
     /// Exchanges the positions of two routers (the paper's swap movement)
@@ -814,17 +883,19 @@ impl WmnTopology {
         if a == b {
             return;
         }
-        self.scratch.counters.swaps += 1;
+        self.stats.swaps += 1;
         let (ia, ib) = (a.index(), b.index());
         let (pa, pb) = (self.positions[ia], self.positions[ib]);
-        self.begin_write();
-        self.write_position(ia, pb);
-        self.write_position(ib, pa);
-        self.stamp_write(PositionWrite::Swap {
-            a: ia.min(ib),
-            b: ia.max(ib),
+        with_scratch(|s| {
+            s.begin_write(self.positions.len());
+            self.write_position(s, ia, pb);
+            self.write_position(s, ib, pa);
+            self.stamp_write(PositionWrite::Swap {
+                a: ia.min(ib),
+                b: ia.max(ib),
+            });
+            self.repair(s, None);
         });
-        self.repair(None);
     }
 
     /// Writes the per-router relocations that morph this topology's current
@@ -889,56 +960,34 @@ impl WmnTopology {
             Arc::ptr_eq(&d.client_index, &self.client_index)
                 && d.positions.len() == self.positions.len()
         });
-        self.begin_write();
-        for &(id, to) in moves {
-            let new = self.area.clamp_point(to);
-            self.write_position(id.index(), new);
-        }
-        self.stamp_fresh();
-        self.scratch.counters.batch_repairs += 1;
-        self.scratch.counters.batch_moved_routers += self.scratch.batch.len() as u64;
-        self.repair(donor);
-    }
-
-    /// Starts a position write: empties the list of moved routers and
-    /// bumps `move_epoch`, which unmarks every router at once (an O(n) fill
-    /// only on the u32 wrap, every ~4 billion writes).
-    fn begin_write(&mut self) {
-        let n = self.positions.len();
-        let MoveScratch {
-            batch,
-            moved_stamp,
-            move_epoch,
-            ..
-        } = &mut self.scratch;
-        batch.clear();
-        if moved_stamp.len() != n {
-            moved_stamp.clear();
-            moved_stamp.resize(n, 0);
-            *move_epoch = 0;
-        }
-        if *move_epoch == u32::MAX {
-            moved_stamp.fill(0);
-            *move_epoch = 0;
-        }
-        *move_epoch += 1;
+        with_scratch(|s| {
+            s.begin_write(self.positions.len());
+            for &(id, to) in moves {
+                let new = self.area.clamp_point(to);
+                self.write_position(s, id.index(), new);
+            }
+            self.stamp_fresh();
+            self.stats.batch_repairs += 1;
+            self.stats.batch_moved_routers += s.batch.len() as u64;
+            self.repair(s, donor);
+        });
     }
 
     /// Moves router `i` to `new` (already clamped) within the current
     /// write: position, grid bucket, and — the first time the write moves
     /// `i` — its entry in the moved-router list and its epoch mark.
     /// Returns the previous position.
-    fn write_position(&mut self, i: usize, new: Point) -> Point {
+    fn write_position(&mut self, s: &mut WriteScratch, i: usize, new: Point) -> Point {
         let old = self.positions[i];
         self.positions[i] = new;
         self.disk_cached[i] = false;
         self.router_index.relocate(i, old, new);
-        let MoveScratch {
+        let WriteScratch {
             batch,
             moved_stamp,
             move_epoch,
             ..
-        } = &mut self.scratch;
+        } = s;
         if moved_stamp[i] != *move_epoch {
             moved_stamp[i] = *move_epoch;
             batch.push(BatchEntry {
@@ -950,51 +999,64 @@ impl WmnTopology {
         old
     }
 
-    /// The one repair pass behind every position write (see the module
-    /// docs), over the routers the write moved (`scratch.batch`): edges,
-    /// the no-op early-out, one component repair, and the cheaper of the
-    /// two coverage repairs. `donor` grafts disk caches as in
-    /// [`apply_moves`](WmnTopology::apply_moves).
-    fn repair(&mut self, donor: Option<&WmnTopology>) {
-        if self.connectivity_mode == ConnectivityMode::FullRebuild {
-            self.rebuild_full();
-            return;
+    /// The repair behind every position write, over the routers the
+    /// write moved (`s.batch`): the incremental pass, or a full rebuild
+    /// under [`ConnectivityMode::FullRebuild`]. A moved router whose disk
+    /// is not cached afterwards is out of the giant, and nothing reads its
+    /// list until a fill replaces it, so the list is dropped.
+    fn repair(&mut self, s: &mut WriteScratch, donor: Option<&WmnTopology>) {
+        match self.connectivity_mode {
+            ConnectivityMode::Dynamic => self.repair_incremental(s, donor),
+            ConnectivityMode::FullRebuild => self.full_rebuild(s),
         }
+        for e in &s.batch {
+            let i = e.router as usize;
+            if !self.disk_cached[i] {
+                self.disk_clients.clear_node(i);
+            }
+        }
+    }
+
+    /// The one incremental repair pass (see the module docs): edges, the
+    /// no-op early-out, one component repair, and the cheaper of the two
+    /// coverage repairs. `donor` grafts disk caches as in
+    /// [`apply_moves`](WmnTopology::apply_moves).
+    fn repair_incremental(&mut self, s: &mut WriteScratch, donor: Option<&WmnTopology>) {
         // One grid-local edge repair per moved router, against the final
         // positions. Any edge change is incident to a moved router and
         // shows up in at least one old-vs-new comparison (a repair by an
         // earlier-processed moved router that alters a later one's list is
         // caught by the earlier router's own comparison) — so the recorded
         // insert/delete streams carry each changed edge exactly once.
-        let mut batch = std::mem::take(&mut self.scratch.batch);
-        self.begin_edge_recording();
+        let mut batch = std::mem::take(&mut s.batch);
+        s.ins_events.clear();
+        s.del_events.clear();
         for e in &batch {
-            self.recompute_router_edges(e.router as usize);
+            self.recompute_router_edges(s, e.router as usize);
         }
 
-        let links_changed =
-            !self.scratch.ins_events.is_empty() || !self.scratch.del_events.is_empty();
+        let links_changed = !s.ins_events.is_empty() || !s.del_events.is_empty();
         if !links_changed {
             // Identical graph ⇒ identical components and membership; only
             // the moved disks need re-counting. Each disk cache still holds
             // its router's counted set from before the write, so removals
             // stay query-free.
-            self.scratch.counters.link_noop_repairs += 1;
+            self.stats.link_noop_repairs += 1;
             for &BatchEntry { router: i, .. } in &batch {
                 let i = i as usize;
                 if self.components.in_giant(i) {
                     self.disk_remove(i);
-                    self.disk_add_from(i, donor);
+                    self.disk_add_from(s, i, donor);
                 }
             }
-            self.scratch.batch = batch;
+            s.batch = batch;
             return;
         }
 
         for e in &mut batch {
             e.counted_before = self.components.in_giant(e.router as usize);
         }
-        let flipped_others = self.repair_components();
+        let flipped_others = self.repair_components(s);
         for e in &mut batch {
             e.counted_after = self.components.in_giant(e.router as usize);
         }
@@ -1007,7 +1069,7 @@ impl WmnTopology {
             .map(|e| usize::from(e.counted_before) + usize::from(e.counted_after))
             .sum();
         if flipped_others + moved_ops <= self.components.giant_size() {
-            self.scratch.counters.coverage_delta_repairs += 1;
+            self.stats.coverage_delta_repairs += 1;
             // Exact delta: removals first, then additions (grouped passes;
             // order is irrelevant for counts). `components` holds the new
             // membership, so a flipped router that is out now was in
@@ -1019,7 +1081,7 @@ impl WmnTopology {
                     self.disk_remove(e.router as usize);
                 }
             }
-            let flipped = std::mem::take(&mut self.scratch.flipped_others);
+            let flipped = std::mem::take(&mut s.flipped_others);
             for &j in &flipped {
                 if !self.components.in_giant(j as usize) {
                     self.disk_remove(j as usize);
@@ -1027,19 +1089,19 @@ impl WmnTopology {
             }
             for &j in &flipped {
                 if self.components.in_giant(j as usize) {
-                    self.disk_add_from(j as usize, None);
+                    self.disk_add_from(s, j as usize, None);
                 }
             }
-            self.scratch.flipped_others = flipped;
+            s.flipped_others = flipped;
             for &e in &batch {
                 if e.counted_after {
-                    self.disk_add_from(e.router as usize, donor);
+                    self.disk_add_from(s, e.router as usize, donor);
                 }
             }
         } else {
-            self.recompute_coverage_from(donor);
+            self.recompute_coverage_from(s, donor);
         }
-        self.scratch.batch = batch;
+        s.batch = batch;
     }
 
     /// Rebuilds the router grid, adjacency, components, and coverage from
@@ -1049,8 +1111,13 @@ impl WmnTopology {
     /// `FullRebuild` baseline, and the `ablation_move_eval` bench run it to
     /// pin the incremental engine.
     pub fn rebuild_full(&mut self) {
-        self.scratch.counters.full_rebuilds += 1;
-        self.rebuild_network();
+        with_scratch(|s| self.full_rebuild(s));
+    }
+
+    /// [`rebuild_full`](WmnTopology::rebuild_full) on the borrowed scratch.
+    fn full_rebuild(&mut self, s: &mut WriteScratch) {
+        self.stats.full_rebuilds += 1;
+        self.rebuild_network(s);
     }
 
     /// Debug helper: asserts the incremental state — adjacency, components,
@@ -1082,6 +1149,12 @@ impl WmnTopology {
             assert_eq!(
                 got, expect,
                 "disk cache for router {i} drifted from its current disk"
+            );
+        }
+        for i in 0..self.positions.len() {
+            assert!(
+                self.disk_cached[i] || self.disk_clients.get(i).is_empty(),
+                "router {i} keeps a stale disk list"
             );
         }
         let mut fresh = self.clone();
@@ -1576,6 +1649,103 @@ mod tests {
             stats.repairs, 0,
             "full rebuild must bypass the dynamic engine"
         );
+    }
+
+    /// A test-only byte count of the heap bytes `t` retains, at capacity:
+    /// `(fixed, slabs)`. `fixed` covers positions, the router grid (its
+    /// head per cell and three links per router), the two slabs' span
+    /// tables, components, cover counts and disk flags; `slabs` covers the
+    /// two slabs' element buffers.
+    fn retained_bytes(t: &WmnTopology) -> (usize, usize) {
+        use std::mem::size_of;
+        let (cols, rows) = t.router_index.shape();
+        let (adj_spans, adj_data) = t.adjacency.slab().heap_bytes();
+        let (disk_spans, disk_data) = t.disk_clients.heap_bytes();
+        let fixed = t.positions.capacity() * size_of::<Point>()
+            + (cols * rows + 3 * t.positions.len()) * size_of::<u32>()
+            + adj_spans
+            + disk_spans
+            + t.components.heap_bytes()
+            + t.cover_count.capacity() * size_of::<u32>()
+            + t.disk_cached.capacity() * size_of::<bool>();
+        (fixed, adj_data + disk_data)
+    }
+
+    /// A GA slot pool as `wmn_ga::parallel::evaluate_generation` runs it —
+    /// one slot per individual plus the recycled slots of the last
+    /// generation; each child copies its lineage parent's topology into a
+    /// spare slot (`clone_from`) and repairs its crossover-plus-mutation
+    /// diff with the other parent donating disk caches — leaves every slot
+    /// holding only its own state: positions, router grid, span tables,
+    /// components, cover counts and disk flags at exactly their sizes (no
+    /// radii and no write scratch), and slab elements for live lists
+    /// alone, with at most as much again in free blocks awaiting reuse and
+    /// growth room.
+    #[test]
+    fn ga_slot_pool_retains_only_its_own_state() {
+        use std::mem::size_of;
+        use wmn_model::distribution::ClientDistribution;
+        // The paper's density at four times its routers and clients.
+        let spec = InstanceSpec::new(
+            Area::square(256.0).unwrap(),
+            256,
+            768,
+            ClientDistribution::Uniform,
+            RadioProfile::paper_default(),
+        )
+        .unwrap();
+        let instance = spec.generate(77).unwrap();
+        let (n, m) = (instance.router_count(), instance.client_count());
+        let side = instance.area().width();
+        let mut rng = rng_from_seed(5);
+        let mut slots: Vec<WmnTopology> = (0..8)
+            .map(|_| WmnTopology::build(&instance, &instance.random_placement(&mut rng)).unwrap())
+            .collect();
+        let mut spare: Vec<WmnTopology> = Vec::new();
+        let mut moves = Vec::new();
+        for _ in 0..10 {
+            let mut children = Vec::with_capacity(slots.len());
+            for _ in 0..slots.len() {
+                let (a, b) = (rng.gen_range(0..slots.len()), rng.gen_range(0..slots.len()));
+                let cut = rng.gen_range(0..n);
+                let mut genes = slots[a].placement().as_slice().to_vec();
+                genes[cut..].copy_from_slice(&slots[b].placement().as_slice()[cut..]);
+                for _ in 0..4 {
+                    genes[rng.gen_range(0..n)] =
+                        Point::new(rng.gen_range(0.0..=side), rng.gen_range(0.0..=side));
+                }
+                let mut child = match spare.pop() {
+                    Some(mut t) => {
+                        t.clone_from(&slots[a]);
+                        t
+                    }
+                    None => slots[a].clone(),
+                };
+                child.diff_placement_into(&Placement::from_points(genes), &mut moves);
+                child.apply_moves(&moves, Some(&slots[b]));
+                children.push(child);
+            }
+            spare = std::mem::replace(&mut slots, children);
+        }
+        let (cols, rows) = slots[0].router_index.shape();
+        // A span is three u32s; components keep a label and a size per
+        // router.
+        let own_fixed = n * size_of::<Point>()
+            + (cols * rows + 3 * n) * size_of::<u32>()
+            + 2 * n * 3 * size_of::<u32>()
+            + 2 * n * size_of::<u32>()
+            + m * size_of::<u32>()
+            + n * size_of::<bool>();
+        for (k, t) in slots.iter().chain(&spare).enumerate() {
+            t.assert_consistent();
+            let (fixed, slabs) = retained_bytes(t);
+            let live = t.adjacency.slab().live_block_bytes() + t.disk_clients.live_block_bytes();
+            assert_eq!(fixed, own_fixed, "slot {k}: fixed buffers");
+            assert!(
+                slabs <= 2 * live,
+                "slot {k}: {slabs} slab bytes for {live} bytes of live blocks"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Allocation gate for the steady-state topology hot paths.
 //!
 //! The delta-evaluation engine promises O(1) allocations in steady state:
-//! once a `WmnTopology` and its scratch buffers are warm, the GA's
-//! per-child cycle — `clone_from` a parent, `apply_moves` the placement
-//! diff — and the neighborhood search's single-move cycles — a
-//! `move_router` there and back, a `swap_routers` there and back — must
-//! never touch the heap. This test pins that promise with a counting
+//! once a `WmnTopology`'s buffers are warm and once the thread's scratch
+//! is warm, the GA's per-child cycle — `clone_from` a parent,
+//! `apply_moves` the placement diff — and the neighborhood search's
+//! single-move cycles — a `move_router` there and back, a `swap_routers`
+//! there and back — must never touch the heap. The 64-router and the
+//! 1,024-router topologies below share the thread's one scratch. This
+//! test pins that promise with a counting
 //! global allocator: it warms a topology through each cycle, switches the
 //! counter on, replays the identical cycles, and asserts the allocation
 //! count stayed at zero. The single-move cycles run on a sparse mesh where

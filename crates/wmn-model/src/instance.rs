@@ -24,9 +24,10 @@ use std::sync::{Arc, OnceLock};
 ///
 /// Routers do not carry positions; candidate positions are a separate
 /// [`Placement`] so that one instance can be shared by many solutions.
-/// Clients never move, so the instance also holds their spatial index,
-/// built once ([`ProblemInstance::client_index`]); equality and `Debug`
-/// ignore it.
+/// An instance never changes once built, so it also holds its routers'
+/// radii as one shared slice ([`ProblemInstance::radii`]) and its clients'
+/// spatial index ([`ProblemInstance::client_index`]), each built once;
+/// equality and `Debug` ignore both.
 ///
 /// # Examples
 ///
@@ -45,6 +46,10 @@ pub struct ProblemInstance {
     area: Area,
     routers: Vec<Router>,
     clients: Vec<Client>,
+    /// Filled by [`radii`](ProblemInstance::radii). A clone shares the
+    /// built slice.
+    #[serde(skip)]
+    radii: OnceLock<Arc<[f64]>>,
     /// Filled by [`client_index`](ProblemInstance::client_index). A clone
     /// shares the built index.
     #[serde(skip)]
@@ -98,6 +103,7 @@ impl ProblemInstance {
             area,
             routers,
             clients,
+            radii: OnceLock::new(),
             client_index: OnceLock::new(),
         })
     }
@@ -152,6 +158,15 @@ impl ProblemInstance {
         &self.clients[id.index()]
     }
 
+    /// Every router's radius, in router order. An instance never changes
+    /// once built, so it has one such slice: the first call collects it,
+    /// and every later call, every clone made after it and every topology
+    /// of this instance share that one `Arc`.
+    pub fn radii(&self) -> &Arc<[f64]> {
+        self.radii
+            .get_or_init(|| self.routers.iter().map(Router::current_radius).collect())
+    }
+
     /// The clients' spatial index: a [`GridIndex`] whose cells are as wide
     /// as the largest router radius, at least 1. An instance never changes
     /// once built, so it has one index: the first call builds it, and every
@@ -168,11 +183,7 @@ impl ProblemInstance {
         if let Some(index) = self.client_index.get() {
             return Ok(index);
         }
-        let cell_size = self
-            .routers
-            .iter()
-            .map(Router::current_radius)
-            .fold(1.0_f64, f64::max);
+        let cell_size = self.radii().iter().copied().fold(1.0_f64, f64::max);
         spatial::check_cell_space(&self.area, cell_size, "client", GridIndex::BYTES_PER_CELL)?;
         Ok(self.client_index.get_or_init(|| {
             let points = self.clients.iter().map(Client::position).collect();
@@ -711,10 +722,23 @@ mod tests {
     }
 
     #[test]
+    fn radii_are_collected_once_and_shared_by_clones() {
+        let inst = InstanceSpec::paper_normal().unwrap().generate(4).unwrap();
+        let radii = Arc::clone(inst.radii());
+        assert!(Arc::ptr_eq(&radii, inst.radii()));
+        assert!(Arc::ptr_eq(&radii, inst.clone().radii()));
+        assert!(radii
+            .iter()
+            .copied()
+            .eq(inst.routers().iter().map(Router::current_radius)));
+    }
+
+    #[test]
     fn equality_and_debug_ignore_the_client_index() {
         let spec = InstanceSpec::paper_normal().unwrap();
         let (a, b) = (spec.generate(7).unwrap(), spec.generate(7).unwrap());
         a.client_index().unwrap();
+        a.radii();
         assert_eq!(a, b, "built vs not built");
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         b.client_index().unwrap();
